@@ -4,13 +4,24 @@ GO ?= go
 # and soak runs override it (FUZZTIME=2m make fuzz).
 FUZZTIME ?= 10s
 
-.PHONY: build test vet lint lint-report lint-bench race chaos fuzz explain-smoke serve-smoke spill-smoke check bench-scaling bench-smoke
+.PHONY: build test test-procs vet lint lint-report lint-bench race chaos fuzz explain-smoke serve-smoke spill-smoke check bench bench-compare bench-scaling bench-smoke
 
 build:
 	$(GO) build ./...
 
 test: build
 	$(GO) test ./...
+
+# Tier-1 at three host shapes. Defaults such as engine.Config{Workers: 0}
+# follow GOMAXPROCS, so a test that only passes on the author's core count
+# fails here instead of on the next host. -count=1 because the test cache
+# does not key on GOMAXPROCS; -p 1 because the go command reads GOMAXPROCS
+# too, and eight test binaries at once on a small host starve the
+# wall-clock assertions (link throttle, token bucket) of the CPU they time.
+test-procs: build
+	GOMAXPROCS=1 $(GO) test -p 1 -count=1 ./...
+	GOMAXPROCS=2 $(GO) test -p 1 -count=1 ./...
+	GOMAXPROCS=8 $(GO) test -p 1 -count=1 ./...
 
 # Stock go vet passes.
 vet:
@@ -88,7 +99,17 @@ spill-smoke:
 	@echo "spill-smoke: budgeted output identical"
 
 # The tier-1 gate: everything a change must pass before merging.
-check: build test vet lint race explain-smoke serve-smoke spill-smoke
+check: build test test-procs vet lint race explain-smoke serve-smoke spill-smoke
+
+# The repository benchmark (benchmark/README.md): four workloads, each
+# untraced then traced, appended to BENCH_run.json (~2.5 min).
+# bench-compare reads two such files, metric by metric:
+#   make bench-compare A=BENCH_base.json B=BENCH_run.json
+bench:
+	$(GO) run ./benchmark -out BENCH_run.json
+
+bench-compare:
+	$(GO) run ./benchmark -compare $(A) $(B)
 
 # Parallel speedup on Q1/Q3/Q6/Q18 at 1/2/4/8 workers (SF via WIMPI_BENCH_SF).
 bench-scaling:

@@ -87,6 +87,7 @@ func main() {
 		MaxConcurrent: *maxConc,
 		MaxQueue:      *maxQueue,
 		CacheEntries:  *cache,
+		UniqueKeys:    tpch.TableKeys(),
 	})
 
 	if *load {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -48,8 +49,8 @@ func TestDBBasics(t *testing.T) {
 	if db.Workers() != 2 {
 		t.Errorf("Workers = %d", db.Workers())
 	}
-	if NewDB(Config{}).Workers() != 1 {
-		t.Error("zero workers should clamp to 1")
+	if got, want := NewDB(Config{}).Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("unconfigured Workers = %d, want GOMAXPROCS = %d", got, want)
 	}
 }
 

@@ -12,19 +12,37 @@ type Grouper struct {
 
 // NewGrouper returns a Grouper with capacity for roughly hint groups
 // before growing.
-//
-//lint:allow costaccounting -- table setup; per-tuple work is charged in GroupIDs and the footprint via ObserveHashBytes
 func NewGrouper(hint int) *Grouper {
-	capacity := nextPow2(hint*2 + 1)
-	g := &Grouper{
-		slotKeys: make([]int64, capacity),
-		slotGID:  make([]int32, capacity),
-		shift:    uint(64 - log2(capacity)),
+	g := &Grouper{}
+	g.Reset(hint)
+	return g
+}
+
+// Reset empties g and sizes it for roughly hint groups, exactly as
+// NewGrouper(hint) would, but keeps the slot and key storage g already
+// owns. A reset Grouper probes, grows and reports its footprint like a
+// fresh one — only the allocations go — so a worker can carry one
+// Grouper across many partitions. Slices returned by GroupKeys before
+// the call are invalidated.
+func (g *Grouper) Reset(hint int) {
+	g.keys = g.keys[:0]
+	g.resize(nextPow2(hint*2 + 1))
+}
+
+// resize empties the slot table at the given capacity, reusing the
+// backing arrays when they are large enough.
+func (g *Grouper) resize(capacity int) {
+	if cap(g.slotGID) < capacity {
+		g.slotKeys = make([]int64, capacity)
+		g.slotGID = make([]int32, capacity)
+	} else {
+		g.slotKeys = g.slotKeys[:capacity]
+		g.slotGID = g.slotGID[:capacity]
 	}
+	g.shift = uint(64 - log2(capacity))
 	for i := range g.slotGID {
 		g.slotGID[i] = -1
 	}
-	return g
 }
 
 // GroupIDs maps each key to its dense group ID, assigning fresh IDs to
@@ -41,19 +59,18 @@ func (g *Grouper) GroupIDs(keys []int64, ctr *Counters) []int32 {
 }
 
 // GroupIDsCacheResident is GroupIDs for groupers deliberately sized to
-// stay cache-resident — the radix group-by's per-partition tables. The
-// per-tuple accesses charge CacheRandomAccesses instead of
+// stay cache-resident — the radix group-by's per-partition tables. It
+// writes the IDs into out (len(out) == len(keys)) instead of allocating.
+// The per-tuple accesses charge CacheRandomAccesses instead of
 // RandomAccesses, and the footprint is recorded as a partition footprint
 // so the hardware model can check it really fits the LLC.
-func (g *Grouper) GroupIDsCacheResident(keys []int64, ctr *Counters) []int32 {
-	out := make([]int32, len(keys))
+func (g *Grouper) GroupIDsCacheResident(keys []int64, out []int32, ctr *Counters) {
 	for i, k := range keys {
 		out[i] = g.groupID(k)
 	}
 	ctr.CacheRandomAccesses += int64(len(keys))
 	ctr.AggUpdates += int64(len(keys))
 	ctr.ObservePartitionBytes(int64(len(g.slotKeys)) * 12)
-	return out
 }
 
 // GrouperBytes predicts a Grouper's table footprint once n distinct keys
@@ -86,14 +103,8 @@ func (g *Grouper) groupID(k int64) int32 {
 }
 
 func (g *Grouper) grow() {
-	capacity := len(g.slotKeys) * 2
-	g.slotKeys = make([]int64, capacity)
-	g.slotGID = make([]int32, capacity)
-	g.shift = uint(64 - log2(capacity))
-	for i := range g.slotGID {
-		g.slotGID[i] = -1
-	}
-	mask := uint64(capacity - 1)
+	g.resize(len(g.slotKeys) * 2)
+	mask := uint64(len(g.slotKeys) - 1)
 	for gid, k := range g.keys {
 		slot := hashKey(k, g.shift) & mask
 		for g.slotGID[slot] >= 0 {

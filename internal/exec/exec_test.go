@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -329,6 +330,42 @@ func TestGrouperAgainstMapOracle(t *testing.T) {
 	for gid, k := range g.GroupKeys() {
 		if oracle[k] != int32(gid) {
 			t.Fatalf("GroupKeys[%d] = %d inconsistent", gid, k)
+		}
+	}
+}
+
+// TestGrouperResetLikeFresh pins Reset's contract: a Grouper that has
+// grown large and is then reset assigns the IDs, and charges the
+// counters (the partition footprint above all), of a fresh Grouper —
+// the storage it kept must not show.
+func TestGrouperResetLikeFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	big := make([]int64, 50000)
+	for i := range big {
+		big[i] = rng.Int63()
+	}
+	reused := NewGrouper(16)
+	reused.GroupIDsCacheResident(big, make([]int32, len(big)), &Counters{})
+
+	for _, n := range []int{0, 5, 700, 3000} {
+		keys := make([]int64, n)
+		for i := range keys {
+			keys[i] = rng.Int63n(int64(n/2 + 1))
+		}
+		var wantCtr, gotCtr Counters
+		want, got := make([]int32, n), make([]int32, n)
+		fresh := NewGrouper(16)
+		fresh.GroupIDsCacheResident(keys, want, &wantCtr)
+		reused.Reset(16)
+		reused.GroupIDsCacheResident(keys, got, &gotCtr)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: reset grouper assigns different IDs", n)
+		}
+		if n > 0 && !reflect.DeepEqual(reused.GroupKeys(), fresh.GroupKeys()) {
+			t.Fatalf("n=%d: reset grouper has different group keys", n)
+		}
+		if gotCtr != wantCtr {
+			t.Fatalf("n=%d: reset grouper charges %+v, fresh charges %+v", n, gotCtr, wantCtr)
 		}
 	}
 }

@@ -8,17 +8,23 @@ package plan
 // The output is byte-identical to groupedMorsel's. Group order: within a
 // partition rows arrive in ascending original order (the radix scatter
 // is stable), so each partition-local group's first occurrence is the
-// key's global first occurrence; sorting all partition-local groups by
-// first-occurrence row reproduces the global first-occurrence order both
-// existing paths emit. Float sums: groupedMorsel folds rows left-to-right
-// within each morsel and then folds the per-morsel partials in morsel
-// order, so the radix path reproduces that exact association by cutting
-// its per-group fold at every morsel boundary.
+// key's global first occurrence. First-occurrence rows are distinct
+// integers in [0, n), so a group's position in global first-occurrence
+// order — the order both direct paths assign group IDs in — is the rank
+// of its first row among all first rows: every partition marks its first
+// rows in one n-slot array (a row belongs to exactly one partition, so
+// the writes are disjoint), one prefix sweep turns marks into ranks, and
+// every partition then writes its groups straight to out[rank]. No
+// comparison sort, O(n) whatever the group count. Float sums:
+// groupedMorsel folds rows left-to-right within each morsel and then
+// folds the per-morsel partials in morsel order, so the radix path
+// reproduces that exact association by cutting its per-group fold at
+// every morsel boundary.
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"sync"
 
 	"wimpi/internal/colstore"
 	"wimpi/internal/exec"
@@ -70,18 +76,21 @@ func useRadixGroupBy(estGroups int, llcBytes int64) bool {
 	return llcBytes > 0 && exec.GrouperBytes(estGroups) > llcBytes
 }
 
-// radixGroupPart is one partition's aggregation state.
-type radixGroupPart struct {
-	firstRow []int32 // local gid -> global row of first occurrence
-	aggs     []aggState
+// radixScratch is the per-worker state one partition's aggregation
+// needs: the cache-sized grouper and the partition-local accumulators.
+// Partitions are small and there are 64 or more of them per group-by, so
+// a worker carries one scratch from partition to partition (and query to
+// query) instead of allocating each slice afresh every time.
+type radixScratch struct {
+	gr    exec.Grouper
+	l2g   []int32   // local gid -> global group id
+	f     []float64 // sum / min / max per local group
+	cur   []float64 // foldSumF64Morsels: the open morsel's partial
+	lastM []int32   // foldSumF64Morsels: the open morsel per local group
+	i     []int64   // count / integer sum per local group
 }
 
-// groupRef locates one partition-local group for the global merge.
-type groupRef struct {
-	row  int32 // global first-occurrence row (unique: the sort key)
-	part int32
-	lg   int32
-}
+var radixScratchPool = sync.Pool{New: func() any { return new(radixScratch) }}
 
 // groupedRadix is the radix-partitioned grouped aggregation path.
 func (g *GroupBy) groupedRadix(ctx *Context, in *colstore.Table, packed []int64, estGroups int, target int64) (*colstore.Table, error) {
@@ -131,72 +140,102 @@ func (g *GroupBy) groupedRadix(ctx *Context, in *colstore.Table, packed []int64,
 		}
 	}
 
-	// Each partition aggregates independently into a cache-sized grouper;
-	// partitions are morsels, so worker count never changes results.
-	np := rp.NumPartitions()
-	parts := make([]*radixGroupPart, np)
+	// Pass 1: each partition assigns local group IDs in a cache-sized
+	// grouper and marks the row every group first occurs at. Partitions
+	// are morsels, so worker count never changes results.
+	n, np := len(packed), rp.NumPartitions()
+	gids := make([]int32, n)  // partition order, like rp.Keys
+	rank := make([]int32, n)  // by original row: 1 marks a first occurrence
+	nlocal := make([]int, np) // groups per partition
 	err = exec.RunMorsels(w, np, 1, ctx.Ctr, func(p, _, _ int, c *exec.Counters) error {
 		lo, hi := int(rp.Off[p]), int(rp.Off[p+1])
-		keys := rp.Keys[lo:hi]
+		s := radixScratchPool.Get().(*radixScratch)
+		s.gr.Reset(256)
+		s.gr.GroupIDsCacheResident(rp.Keys[lo:hi], gids[lo:hi], c)
 		rows := rp.Rows[lo:hi]
-		gr := exec.NewGrouper(256)
-		gids := gr.GroupIDsCacheResident(keys, c)
-		ng := gr.NumGroups()
-		part := &radixGroupPart{firstRow: make([]int32, ng), aggs: make([]aggState, len(g.Aggs))}
-		for i := range part.firstRow {
-			part.firstRow[i] = -1
-		}
-		for i, gid := range gids {
-			if part.firstRow[gid] < 0 {
-				part.firstRow[gid] = rows[i]
+		var ng int32 // local IDs are dense in first-occurrence order
+		for i, gid := range gids[lo:hi] {
+			if gid == ng {
+				rank[rows[i]] = 1
+				ng++
 			}
 		}
-		for si, spec := range g.Aggs {
-			st := &part.aggs[si]
-			switch spec.Func {
-			case Count:
-				st.i = foldCount(gids, ng, c)
-			case SumI:
-				st.i = foldSumI64(gids, iargs[si][lo:hi], ng, c)
-			case Sum:
-				st.f = foldSumF64Morsels(gids, rows, fargs[si][lo:hi], ng, mr, c)
-			case Avg:
-				st.f = foldSumF64Morsels(gids, rows, fargs[si][lo:hi], ng, mr, c)
-				st.i = foldCount(gids, ng, c)
-			case Min:
-				st.f = foldMinMaxF64(gids, fargs[si][lo:hi], ng, false, c)
-			case Max:
-				st.f = foldMinMaxF64(gids, fargs[si][lo:hi], ng, true, c)
-			}
-		}
-		parts[p] = part
+		nlocal[p] = int(ng)
+		radixScratchPool.Put(s)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Global merge: order every partition-local group by its (unique)
-	// first-occurrence row. That is exactly the first-occurrence order
-	// the direct paths assign group IDs in.
-	total := 0
-	for _, part := range parts {
-		total += len(part.firstRow)
+	// The sweep: a first row's global group ID is the number of first
+	// rows before it.
+	ngroups := 0
+	for _, ng := range nlocal {
+		ngroups += ng
 	}
-	refs := make([]groupRef, 0, total)
-	for p, part := range parts {
-		for lg, fr := range part.firstRow {
-			refs = append(refs, groupRef{row: fr, part: int32(p), lg: int32(lg)})
+	firstRow := make([]int32, 0, ngroups)
+	for row, first := range rank {
+		if first != 0 {
+			rank[row] = int32(len(firstRow))
+			firstRow = append(firstRow, int32(row))
 		}
-	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i].row < refs[j].row })
-	ngroups := len(refs)
-	firstRow := make([]int32, ngroups)
-	for i, r := range refs {
-		firstRow[i] = r.row
 	}
 	ctx.Ctr.AggUpdates += int64(ngroups) * int64(len(g.Aggs))
 	ctx.Ctr.MergeBytes += int64(ngroups) * int64(12+16*len(g.Aggs))
+
+	outF := make([][]float64, len(g.Aggs))
+	outI := make([][]int64, len(g.Aggs))
+	for si, spec := range g.Aggs {
+		switch spec.Func {
+		case Count, SumI:
+			outI[si] = make([]int64, ngroups)
+		default:
+			outF[si] = make([]float64, ngroups)
+		}
+	}
+
+	// Pass 2: each partition folds its rows into cache-resident local
+	// accumulators and writes every finished group to its global slot.
+	// Slots are disjoint across partitions.
+	err = exec.RunMorsels(w, np, 1, ctx.Ctr, func(p, _, _ int, c *exec.Counters) error {
+		lo, hi := int(rp.Off[p]), int(rp.Off[p+1])
+		lgids, rows, ng := gids[lo:hi], rp.Rows[lo:hi], nlocal[p]
+		s := radixScratchPool.Get().(*radixScratch)
+		l2g := resized(&s.l2g, ng)
+		next := 0
+		for i, gid := range lgids {
+			if int(gid) == next {
+				l2g[next] = rank[rows[i]]
+				next++
+			}
+		}
+		for si, spec := range g.Aggs {
+			switch spec.Func {
+			case Count:
+				scatterTo(outI[si], l2g, s.foldCount(lgids, ng, c))
+			case SumI:
+				scatterTo(outI[si], l2g, s.foldSumI64(lgids, iargs[si][lo:hi], ng, c))
+			case Sum:
+				scatterTo(outF[si], l2g, s.foldSumF64Morsels(lgids, rows, fargs[si][lo:hi], ng, mr, c))
+			case Avg:
+				sums := s.foldSumF64Morsels(lgids, rows, fargs[si][lo:hi], ng, mr, c)
+				counts := s.foldCount(lgids, ng, c)
+				for lg, gg := range l2g {
+					outF[si][gg] = sums[lg] / float64(counts[lg]) // a group has a row
+				}
+			case Min:
+				scatterTo(outF[si], l2g, s.foldMinMaxF64(lgids, fargs[si][lo:hi], ng, false, c))
+			case Max:
+				scatterTo(outF[si], l2g, s.foldMinMaxF64(lgids, fargs[si][lo:hi], ng, true, c))
+			}
+		}
+		radixScratchPool.Put(s)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 
 	schema := make(colstore.Schema, 0, len(g.Keys)+len(g.Aggs))
 	cols := make([]colstore.Column, 0, len(g.Keys)+len(g.Aggs))
@@ -212,29 +251,13 @@ func (g *GroupBy) groupedRadix(ctx *Context, in *colstore.Table, packed []int64,
 
 	for si, spec := range g.Aggs {
 		var col colstore.Column
-		switch spec.Func {
-		case Count, SumI:
-			out := make([]int64, ngroups)
-			for i, r := range refs {
-				out[i] = parts[r.part].aggs[si].i[r.lg]
-			}
-			col = &colstore.Int64s{V: out}
-		case Sum, Min, Max:
-			out := make([]float64, ngroups)
-			for i, r := range refs {
-				out[i] = parts[r.part].aggs[si].f[r.lg]
-			}
-			col = &colstore.Float64s{V: out}
-		case Avg:
-			out := make([]float64, ngroups)
-			for i, r := range refs {
-				st := &parts[r.part].aggs[si]
-				if st.i[r.lg] > 0 {
-					out[i] = st.f[r.lg] / float64(st.i[r.lg])
-				}
-			}
+		if outI[si] != nil {
+			col = &colstore.Int64s{V: outI[si]}
+		} else {
+			col = &colstore.Float64s{V: outF[si]}
+		}
+		if spec.Func == Avg {
 			ctx.Ctr.FloatOps += int64(ngroups)
-			col = &colstore.Float64s{V: out}
 		}
 		schema = append(schema, colstore.Field{Name: spec.Name, Type: col.Type()})
 		cols = append(cols, col)
@@ -249,15 +272,36 @@ func (g *GroupBy) groupedRadix(ctx *Context, in *colstore.Table, packed []int64,
 	return out, nil
 }
 
+// resized returns *buf at length n, reusing its storage when it is large
+// enough. The contents are unspecified.
+func resized[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// scatterTo writes each partition-local accumulator to its global slot.
+func scatterTo[T any](out []T, l2g []int32, acc []T) {
+	for lg, gg := range l2g {
+		out[gg] = acc[lg]
+	}
+}
+
+// The fold kernels aggregate one partition into the scratch's local
+// accumulators; the returned slice is valid until the scratch's next
+// fold of the same kind.
+
 // foldSumF64Morsels sums vals per group, cutting the fold at every morsel
 // boundary of the original row numbers: within a morsel values add left
 // to right, and completed morsel partials add in morsel order. That is
 // bit-for-bit the association groupedMorsel produces with per-morsel
 // ScatterSumF64 partials merged in morsel order.
-func foldSumF64Morsels(gids, rows []int32, vals []float64, ng, morselRows int, ctr *exec.Counters) []float64 {
-	tot := make([]float64, ng)
-	cur := make([]float64, ng)
-	lastM := make([]int32, ng)
+func (s *radixScratch) foldSumF64Morsels(gids, rows []int32, vals []float64, ng, morselRows int, ctr *exec.Counters) []float64 {
+	tot, cur, lastM := resized(&s.f, ng), resized(&s.cur, ng), resized(&s.lastM, ng)
+	clear(tot)
+	clear(cur)
 	for i := range lastM {
 		lastM[i] = -1
 	}
@@ -283,8 +327,9 @@ func foldSumF64Morsels(gids, rows []int32, vals []float64, ng, morselRows int, c
 }
 
 // foldCount counts rows per group.
-func foldCount(gids []int32, ng int, ctr *exec.Counters) []int64 {
-	out := make([]int64, ng)
+func (s *radixScratch) foldCount(gids []int32, ng int, ctr *exec.Counters) []int64 {
+	out := resized(&s.i, ng)
+	clear(out)
 	for _, gid := range gids {
 		out[gid]++
 	}
@@ -294,8 +339,9 @@ func foldCount(gids []int32, ng int, ctr *exec.Counters) []int64 {
 }
 
 // foldSumI64 sums int64 vals per group (exact, so no morsel cuts needed).
-func foldSumI64(gids []int32, vals []int64, ng int, ctr *exec.Counters) []int64 {
-	out := make([]int64, ng)
+func (s *radixScratch) foldSumI64(gids []int32, vals []int64, ng int, ctr *exec.Counters) []int64 {
+	out := resized(&s.i, ng)
+	clear(out)
 	for i, gid := range gids {
 		out[gid] += vals[i]
 	}
@@ -308,12 +354,12 @@ func foldSumI64(gids []int32, vals []int64, ng int, ctr *exec.Counters) []int64 
 // the Scatter kernels use: NaN inputs are skipped and equal-comparing
 // values keep the first in row order, so the result is independent of
 // the morsel decomposition.
-func foldMinMaxF64(gids []int32, vals []float64, ng int, max bool, ctr *exec.Counters) []float64 {
+func (s *radixScratch) foldMinMaxF64(gids []int32, vals []float64, ng int, max bool, ctr *exec.Counters) []float64 {
 	fill := math.Inf(1)
 	if max {
 		fill = math.Inf(-1)
 	}
-	out := make([]float64, ng)
+	out := resized(&s.f, ng)
 	for i := range out {
 		out[i] = fill
 	}

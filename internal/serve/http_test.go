@@ -5,10 +5,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"wimpi/internal/obs"
+	"wimpi/internal/sql"
 	"wimpi/internal/tpch"
 )
 
@@ -79,5 +81,70 @@ func TestHTTPQueryMetricsHealthz(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad SQL status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestHTTPQueryQ13NeedsUniqueKeys pins Config.UniqueKeys: Q13's SQL text
+// plans only when the planner knows customer's key, so POST /query
+// rejects it by default (what the benchmark's serve workload relies on)
+// and, with the keys declared, returns the rows `wimpi -sql` prints.
+func TestHTTPQueryQ13NeedsUniqueKeys(t *testing.T) {
+	db, closePool := testDB(t, 2)
+	defer closePool()
+	q13, err := tpch.SQL(13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqBody, _ := json.Marshal(queryRequest{Tenant: "web", SQL: q13})
+	post := func(cfg Config) (status int, body []byte) {
+		t.Helper()
+		cfg.DB, cfg.Registry = db, obs.NewRegistry()
+		srv := httptest.NewServer(New(cfg).Handler())
+		defer srv.Close()
+		resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(string(reqBody)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err = io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+
+	if status, _ := post(Config{}); status != http.StatusBadRequest {
+		t.Fatalf("Q13 without UniqueKeys: status = %d, want 400", status)
+	}
+	status, body := post(Config{UniqueKeys: tpch.TableKeys()})
+	if status != http.StatusOK {
+		t.Fatalf("Q13 with UniqueKeys: status = %d: %s", status, body)
+	}
+	var got queryResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+
+	// The CLI's path: sql.Plan with the TPC-H keys, then a plain run.
+	planned, err := sql.Plan(db, q13, sql.Options{UniqueKeys: tpch.TableKeys()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.Run(planned.Node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumRows != want.Table.NumRows() || got.NumRows == 0 {
+		t.Fatalf("Q13 rows = %d, want %d (non-zero)", got.NumRows, want.Table.NumRows())
+	}
+	if !reflect.DeepEqual(got.Columns, want.Table.Schema.Names()) {
+		t.Fatalf("Q13 columns = %v, want %v", got.Columns, want.Table.Schema.Names())
+	}
+	for i, row := range got.Rows {
+		for c, cell := range row {
+			if w := cellString(want.Table.Col(c), i); cell != w {
+				t.Fatalf("Q13 row %d col %d = %q, want %q", i, c, cell, w)
+			}
+		}
 	}
 }

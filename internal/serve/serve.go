@@ -45,6 +45,12 @@ type Config struct {
 	CacheEntries int
 	// Registry receives serving metrics; nil selects obs.Default.
 	Registry *obs.Registry
+	// UniqueKeys declares the served tables' unique keys to the SQL
+	// planner (sql.Options.UniqueKeys), e.g. tpch.TableKeys(). Statements
+	// the planner can only lower with that knowledge — TPC-H Q13's
+	// count-augmented outer join — are rejected without it. Nil declares
+	// none.
+	UniqueKeys map[string][]string
 }
 
 // OverloadError reports an admission rejection: the queue of waiting
@@ -65,6 +71,7 @@ func (e *OverloadError) Error() string {
 // concurrent use.
 type Server struct {
 	db       *engine.DB
+	keys     map[string][]string
 	reg      *obs.Registry
 	slots    chan struct{}
 	maxQueue int
@@ -98,6 +105,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		db:       cfg.DB,
+		keys:     cfg.UniqueKeys,
 		reg:      reg,
 		slots:    make(chan struct{}, maxConc),
 		maxQueue: maxQueue,
@@ -209,7 +217,7 @@ func (s *Server) runPlan(ctx context.Context, tn *tenant, p plan.Node) (*QueryRe
 
 // RunSQL plans and serves one SQL statement.
 func (s *Server) RunSQL(ctx context.Context, tenant, text string) (*QueryResult, error) {
-	planned, err := sql.Plan(s.db, text, sql.Options{})
+	planned, err := sql.Plan(s.db, text, sql.Options{UniqueKeys: s.keys})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"fmt"
 	"testing"
 
 	"wimpi/internal/colstore"
@@ -365,4 +366,41 @@ func TestPartitionFromFullEqualsGenerated(t *testing.T) {
 	if _, err := PartitionFromFull(full, 3, 3); err == nil {
 		t.Error("out-of-range node should error")
 	}
+}
+
+// TestLineitemSizedExactly pins the exact pre-size of lineitem: a column
+// with spare capacity means the builder outgrew its estimate and
+// reallocated (all 16 columns, a quarter larger), which is the two-mode
+// peak RSS the benchmark saw across seeds.
+func TestLineitemSizedExactly(t *testing.T) {
+	check := func(label string, li *colstore.Table) {
+		t.Helper()
+		for ci, c := range li.Cols {
+			var n, capacity int
+			switch c := c.(type) {
+			case *colstore.Int64s:
+				n, capacity = len(c.V), cap(c.V)
+			case *colstore.Float64s:
+				n, capacity = len(c.V), cap(c.V)
+			case *colstore.Dates:
+				n, capacity = len(c.V), cap(c.V)
+			case *colstore.Strings:
+				n, capacity = len(c.Codes), cap(c.Codes)
+			default:
+				t.Fatalf("%s: unhandled column type %T", label, c)
+			}
+			if capacity != n {
+				t.Errorf("%s: %s has cap %d for %d rows", label, li.Schema[ci].Name, capacity, n)
+			}
+		}
+	}
+	for seed := uint64(1); seed <= 10; seed++ {
+		d := Generate(Config{SF: testSF, Seed: seed})
+		check(fmt.Sprintf("seed %d", seed), d.Tables["lineitem"])
+	}
+	part, err := GeneratePartition(Config{SF: testSF, Seed: 3}, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("node 1 of 3", part.Tables["lineitem"])
 }
