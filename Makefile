@@ -4,7 +4,7 @@ GO ?= go
 # and soak runs override it (FUZZTIME=2m make fuzz).
 FUZZTIME ?= 10s
 
-.PHONY: build test test-procs vet lint lint-report lint-bench race chaos fuzz explain-smoke serve-smoke spill-smoke check bench bench-compare bench-scaling bench-smoke
+.PHONY: build test test-procs vet lint lint-report lint-bench race chaos fuzz explain-smoke serve-smoke spill-smoke check loc bench bench-compare bench-scaling bench-smoke
 
 build:
 	$(GO) build ./...
@@ -100,6 +100,21 @@ spill-smoke:
 
 # The tier-1 gate: everything a change must pass before merging.
 check: build test test-procs vet lint race explain-smoke serve-smoke spill-smoke
+
+# The north star's "net line count goes down", as a number: non-test,
+# non-generated Go lines per package group (internal/x, cmd/x, …), and —
+# where origin/main is known — what the working tree adds and removes
+# against the merge base, by the same grouping.
+LOC_GROUP = n = split($$NF, p, "/"); g = n == 1 ? "." : (n > 2 && p[1] ~ /^(internal|cmd|examples)$$/ ? p[1] "/" p[2] : p[1])
+loc:
+	@git ls-files -- '*.go' ':!*_test.go' | xargs grep -L '^// Code generated' | xargs wc -l | \
+		awk '$$NF != "total" { $(LOC_GROUP); l[g] += $$1; t += $$1 } \
+			END { for (g in l) printf "%8d  %s\n", l[g], g; printf "%8d  total\n", t }' | sort -k2
+	@base=$$(git merge-base HEAD origin/main 2>/dev/null) || exit 0; \
+		echo "against merge base $$(git rev-parse --short $$base):"; \
+		git diff --numstat $$base -- '*.go' ':!*_test.go' | \
+		awk '{ $(LOC_GROUP); a[g] += $$1; d[g] += $$2; ta += $$1; td += $$2 } \
+			END { for (g in a) printf "%+8d  %s (+%d -%d)\n", a[g] - d[g], g, a[g], d[g]; printf "%+8d  total (+%d -%d)\n", ta - td, ta, td }' | sort -k2
 
 # The repository benchmark (benchmark/README.md): four workloads, each
 # untraced then traced, appended to BENCH_run.json (~2.5 min).

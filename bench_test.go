@@ -518,7 +518,7 @@ func BenchmarkJoinRadixVsChained(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if bi, _, err := exec.InnerJoinParallel(jt, probe, workers, morselRows, &ctr); err != nil || len(bi) == 0 {
+				if bi, _, err := jt.InnerJoin(probe, workers, morselRows, &ctr); err != nil || len(bi) == 0 {
 					b.Fatal("empty join")
 				}
 			}

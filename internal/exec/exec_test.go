@@ -213,7 +213,7 @@ func TestJoinAgainstNestedLoopOracle(t *testing.T) {
 	if jt.NumBuildRows() != len(build) {
 		t.Fatalf("NumBuildRows = %d", jt.NumBuildRows())
 	}
-	bi, pi := jt.InnerJoin(probe, &ctr)
+	bi, pi := must2(jt.InnerJoin(probe, 1, 0, &ctr))
 	type pair struct{ b, p int32 }
 	got := map[pair]bool{}
 	for i := range bi {
@@ -239,8 +239,8 @@ func TestJoinAgainstNestedLoopOracle(t *testing.T) {
 		}
 	}
 
-	semi := jt.SemiJoin(probe, &ctr)
-	anti := jt.AntiJoin(probe, &ctr)
+	semi := must(jt.SemiJoin(probe, 1, 0, &ctr))
+	anti := must(jt.AntiJoin(probe, 1, 0, &ctr))
 	if len(semi)+len(anti) != len(probe) {
 		t.Errorf("semi+anti = %d+%d, want %d", len(semi), len(anti), len(probe))
 	}
@@ -259,7 +259,7 @@ func TestJoinAgainstNestedLoopOracle(t *testing.T) {
 		}
 	}
 
-	counts := jt.CountPerProbe(probe, &ctr)
+	counts := must(jt.CountPerProbe(probe, 1, 0, &ctr))
 	for p, pk := range probe {
 		var n int64
 		for _, bk := range build {
@@ -272,33 +272,23 @@ func TestJoinAgainstNestedLoopOracle(t *testing.T) {
 		}
 	}
 
-	first := jt.FirstMatch(probe, &ctr)
-	for p, b := range first {
-		if b < 0 {
-			if buildSet[probe[p]] {
-				t.Fatalf("FirstMatch[%d] = -1 but key exists", p)
-			}
-		} else if build[b] != probe[p] {
-			t.Fatalf("FirstMatch[%d] = row %d with key %d, want key %d", p, b, build[b], probe[p])
-		}
-	}
 }
 
 func TestJoinEmptySides(t *testing.T) {
 	var ctr Counters
 	jt := BuildJoinTable(nil, &ctr)
-	bi, pi := jt.InnerJoin([]int64{1, 2}, &ctr)
+	bi, pi := must2(jt.InnerJoin([]int64{1, 2}, 1, 0, &ctr))
 	if len(bi) != 0 || len(pi) != 0 {
 		t.Error("join against empty build produced pairs")
 	}
-	if s := jt.SemiJoin([]int64{1}, &ctr); len(s) != 0 {
+	if s := must(jt.SemiJoin([]int64{1}, 1, 0, &ctr)); len(s) != 0 {
 		t.Error("semi against empty build")
 	}
-	if a := jt.AntiJoin([]int64{1}, &ctr); len(a) != 1 {
+	if a := must(jt.AntiJoin([]int64{1}, 1, 0, &ctr)); len(a) != 1 {
 		t.Error("anti against empty build should keep all")
 	}
 	jt2 := BuildJoinTable([]int64{1, 2, 3}, &ctr)
-	bi, pi = jt2.InnerJoin(nil, &ctr)
+	bi, pi = must2(jt2.InnerJoin(nil, 1, 0, &ctr))
 	if len(bi) != 0 || len(pi) != 0 {
 		t.Error("join with empty probe produced pairs")
 	}

@@ -1,6 +1,10 @@
 package exec
 
-import "math/bits"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // hashKey mixes a 64-bit key with a full multiply-shift (Fibonacci)
 // finalizer: xor-shifts fold the high half of the state into the low
@@ -34,6 +38,57 @@ func nextPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
+// JoinProber is the probe side of a built join, whatever the layout of
+// its build side: the chained JoinTable, the compact RadixJoinTable, or
+// the plan layer's spill joiner over compact partitions on disk. All
+// implementations return byte-identical match sets — probe rows
+// ascending, a key's duplicate build rows in descending row order — at
+// every worker count, so everything downstream of a probe is shared.
+// The only errors are the query's cancellation, spill I/O, and
+// *JoinOverflowError.
+type JoinProber interface {
+	// InnerJoin returns matching (build row, probe row) pairs.
+	InnerJoin(probeKeys []int64, workers, morselRows int, ctr *Counters) (buildIdx, probeIdx []int32, err error)
+	// SemiJoin returns the probe rows having at least one match.
+	SemiJoin(probeKeys []int64, workers, morselRows int, ctr *Counters) ([]int32, error)
+	// AntiJoin returns the probe rows having no match.
+	AntiJoin(probeKeys []int64, workers, morselRows int, ctr *Counters) ([]int32, error)
+	// CountPerProbe returns the match count of every probe row
+	// (COUNT-augmented outer joins such as TPC-H Q13's).
+	CountPerProbe(probeKeys []int64, workers, morselRows int, ctr *Counters) ([]int64, error)
+}
+
+// JoinOverflowError reports an inner join with more matching pairs than
+// a result can address: row ids are int32 throughout the engine.
+type JoinOverflowError struct {
+	// Matches is the pair count that crossed the bound: the exact total
+	// where the layout counts before it emits (compact partitions), the
+	// pairs emitted so far where it cannot (chained).
+	Matches int64
+}
+
+func (e *JoinOverflowError) Error() string {
+	return fmt.Sprintf("exec: inner join produces %d matching pairs, more than the %d a result can address", e.Matches, math.MaxInt32)
+}
+
+// checkJoinMatches is the one bound on an inner join's output size.
+func checkJoinMatches(matches int64) error {
+	if matches > math.MaxInt32 {
+		return &JoinOverflowError{Matches: matches}
+	}
+	return nil
+}
+
+const (
+	// parallelBuildMinRows is the smallest build side worth partitioning;
+	// below it a single sequential table is cheaper.
+	parallelBuildMinRows = 1 << 14
+	// parallelProbeMinRows is the smallest probe side split into morsels.
+	parallelProbeMinRows = 1 << 14
+	// maxBuildPartitions caps the partition fan-out of a parallel build.
+	maxBuildPartitions = 64
+)
+
 // JoinTableBytes predicts the footprint of BuildJoinTable's result for n
 // build rows, letting the planner compare a chained table against the
 // LLC before building anything.
@@ -42,67 +97,193 @@ func JoinTableBytes(n int) int64 {
 	return int64(capacity)*12 + int64(n)*4
 }
 
-// JoinTable is a hash table over the build side of an equi-join. Slots use
-// open addressing on distinct keys; duplicate build rows chain through
-// next. Build-row payloads are represented by their row indexes, so the
-// probe result can gather any build column afterwards.
+// JoinTable is the chained layout of an equi-join's build side: 2^bits
+// open-addressing tables over distinct keys, whose slots hold the first
+// build row of a key; duplicate build rows chain through the shared next
+// array. Build-row payloads are represented by their row indexes, so the
+// probe result can gather any build column afterwards. bits is 0 for a
+// sequential build and log2(partitions) for a parallel one, where every
+// partition is inserted race-free by one worker; either way rows enter
+// their table in ascending order, so chains — and with them every probe
+// result — are identical at any fan-out.
 type JoinTable struct {
-	slotKeys []int64 // slot -> key (valid when slotHead >= 0)
-	slotHead []int32 // slot -> first build row, or -1
-	next     []int32 // build row -> next build row with same key, or -1
-	shift    uint
-	n        int // number of build rows
+	parts []joinPart
+	next  []int32 // build row -> next build row with same key, or -1
+	bits  uint    // log2(len(parts))
 }
 
-// BuildJoinTable indexes the build-side keys. keys[i] is the join key of
-// build row i.
-func BuildJoinTable(keys []int64, ctr *Counters) *JoinTable {
-	capacity := nextPow2(len(keys)*2 + 1)
-	jt := &JoinTable{
+// joinPart is one open-addressing table of a JoinTable.
+type joinPart struct {
+	slotKeys []int64 // slot -> key (valid when slotHead >= 0)
+	slotHead []int32 // slot -> first (global) build row, or -1
+	shift    uint
+}
+
+// partHash spreads keys over partitions with a multiplier independent of
+// the slot hash, so partitioning does not drain entropy from the open
+// addressing inside each partition. With bits == 0 the shift is the full
+// word, which Go defines as 0: the single partition.
+func partHash(k int64, bits uint) int {
+	return int((uint64(k) * 0xBF58476D1CE4E5B9) >> (64 - bits))
+}
+
+// buildJoinPart inserts rows (ascending build-row ids; nil means every
+// key, in order) into a fresh table, prepending duplicates to their
+// key's chain in next.
+func buildJoinPart(keys []int64, rows, next []int32) joinPart {
+	n := len(rows)
+	if rows == nil {
+		n = len(keys)
+	}
+	capacity := nextPow2(n*2 + 1)
+	jp := joinPart{
 		slotKeys: make([]int64, capacity),
 		slotHead: make([]int32, capacity),
-		next:     make([]int32, len(keys)),
 		shift:    uint(64 - log2(capacity)),
-		n:        len(keys),
 	}
-	for i := range jt.slotHead {
-		jt.slotHead[i] = -1
+	for i := range jp.slotHead {
+		jp.slotHead[i] = -1
 	}
 	mask := uint64(capacity - 1)
-	for i, k := range keys {
-		slot := hashKey(k, jt.shift) & mask
-		for {
-			if jt.slotHead[slot] < 0 {
-				jt.slotKeys[slot] = k
-				jt.slotHead[slot] = int32(i)
-				jt.next[i] = -1
-				break
-			}
-			if jt.slotKeys[slot] == k {
-				// Prepend to the chain for this key.
-				jt.next[i] = jt.slotHead[slot]
-				jt.slotHead[slot] = int32(i)
-				break
-			}
+	for i := 0; i < n; i++ {
+		r := int32(i)
+		if rows != nil {
+			r = rows[i]
+		}
+		k := keys[r]
+		slot := hashKey(k, jp.shift) & mask
+		for jp.slotHead[slot] >= 0 && jp.slotKeys[slot] != k {
 			slot = (slot + 1) & mask
 		}
+		jp.slotKeys[slot] = k
+		next[r] = jp.slotHead[slot]
+		jp.slotHead[slot] = r
 	}
-	ctr.HashBuildTuples += int64(len(keys))
-	ctr.RandomAccesses += int64(len(keys))
-	ctr.ObserveHashBytes(jt.SizeBytes())
+	return jp
+}
+
+// BuildJoinTable indexes the build-side keys sequentially. keys[i] is
+// the join key of build row i.
+func BuildJoinTable(keys []int64, ctr *Counters) *JoinTable {
+	jt := &JoinTable{next: make([]int32, len(keys))}
+	jt.parts = []joinPart{buildJoinPart(keys, nil, jt.next)}
+	jt.chargeBuild(ctr)
 	return jt
 }
 
+// chargeBuild charges what every build pays: one random insert per row.
+func (jt *JoinTable) chargeBuild(ctr *Counters) {
+	ctr.HashBuildTuples += int64(len(jt.next))
+	ctr.RandomAccesses += int64(len(jt.next))
+	ctr.ObserveHashBytes(jt.SizeBytes())
+}
+
+// BuildJoinTableParallel indexes the build-side keys with up to workers
+// goroutines, partitioning the keys so each partition's table is built
+// race-free by one worker. Small inputs or workers <= 1 take the
+// sequential build. The result probes identically to BuildJoinTable(keys,
+// ctr). The only possible error is the query's cancellation, and it must
+// propagate: a partially built table probes wrong, not slow.
+func BuildJoinTableParallel(keys []int64, workers, morselRows int, ctr *Counters) (*JoinTable, error) {
+	if workers <= 1 || len(keys) < parallelBuildMinRows {
+		if err := ctr.sched.Err(); err != nil {
+			return nil, err
+		}
+		return BuildJoinTable(keys, ctr), nil
+	}
+	p := workers
+	if p > maxBuildPartitions {
+		p = maxBuildPartitions
+	}
+	return buildJoinTableBits(keys, uint(log2(nextPow2(p))), workers, morselRows, ctr)
+}
+
+// buildJoinTableBits is the partitioned build at an explicit fan-out,
+// without the size threshold, so tests can force it on small inputs.
+func buildJoinTableBits(keys []int64, bits uint, workers, morselRows int, ctr *Counters) (*JoinTable, error) {
+	n := len(keys)
+	p := 1 << bits
+
+	// Pass 1: per-morsel partition histograms.
+	nm := NumMorsels(n, morselRows)
+	counts := make([][]int32, nm)
+	if err := runMorselsInfallible(workers, n, morselRows, ctr, func(m, lo, hi int, c *Counters) {
+		cnt := make([]int32, p)
+		for _, k := range keys[lo:hi] {
+			cnt[partHash(k, bits)]++
+		}
+		counts[m] = cnt
+	}); err != nil {
+		return nil, err
+	}
+
+	// Prefix sums give every (morsel, partition) pair a disjoint write
+	// window; filling windows in morsel order keeps each partition's row
+	// list ascending, which preserves the sequential duplicate-chain
+	// order.
+	partRows := make([][]int32, p)
+	offsets := make([][]int32, nm)
+	cur := make([]int32, p)
+	for m := 0; m < nm; m++ {
+		off := make([]int32, p)
+		copy(off, cur)
+		offsets[m] = off
+		for pi := 0; pi < p; pi++ {
+			cur[pi] += counts[m][pi]
+		}
+	}
+	for pi := 0; pi < p; pi++ {
+		partRows[pi] = make([]int32, cur[pi])
+	}
+
+	// Pass 2: scatter global row indexes into their partitions. Write
+	// cursors live in one flat backing array carved into disjoint
+	// per-morsel windows, so the hot callback allocates nothing.
+	posScratch := make([]int32, nm*p)
+	if err := runMorselsInfallible(workers, n, morselRows, ctr, func(m, lo, hi int, c *Counters) {
+		pos := posScratch[m*p : (m+1)*p]
+		copy(pos, offsets[m])
+		for i := lo; i < hi; i++ {
+			pi := partHash(keys[i], bits)
+			partRows[pi][pos[pi]] = int32(i)
+			pos[pi]++
+		}
+	}); err != nil {
+		return nil, err
+	}
+
+	// Pass 3: build every partition's table in parallel. Each partition
+	// writes disjoint rows of the shared next array.
+	jt := &JoinTable{parts: make([]joinPart, p), next: make([]int32, n), bits: bits}
+	if err := runMorselsInfallible(workers, p, 1, ctr, func(pi, _, _ int, c *Counters) {
+		jt.parts[pi] = buildJoinPart(keys, partRows[pi], jt.next)
+	}); err != nil {
+		return nil, err
+	}
+
+	jt.chargeBuild(ctr)
+	// The two partition passes stream the keys twice and write one row
+	// index per key — work the sequential build never does.
+	ctr.MergeBytes += int64(n) * (8 + 8 + 4)
+	return jt, nil
+}
+
 // SizeBytes reports the table's memory footprint.
+//
+//lint:allow costaccounting -- metadata sum over the fixed partition count, not data-path work
 func (jt *JoinTable) SizeBytes() int64 {
-	return int64(len(jt.slotKeys))*8 + int64(len(jt.slotHead))*4 + int64(len(jt.next))*4
+	n := int64(len(jt.next)) * 4
+	for i := range jt.parts {
+		n += int64(len(jt.parts[i].slotKeys))*8 + int64(len(jt.parts[i].slotHead))*4
+	}
+	return n
 }
 
 // NumBuildRows reports the number of indexed build rows.
-func (jt *JoinTable) NumBuildRows() int { return jt.n }
+func (jt *JoinTable) NumBuildRows() int { return len(jt.next) }
 
 // Lookup returns the first build row whose key is k, or -1. Callers that
-// need all duplicates follow the chain with Next. Unlike the batch Probe
+// need all duplicates follow the chain with Next. Unlike the batch probe
 // methods, Lookup charges no counters; single-row callers (the
 // execution-strategy interpreters) account for their own work.
 func (jt *JoinTable) Lookup(k int64) int32 { return jt.lookup(k) }
@@ -123,42 +304,90 @@ func (jt *JoinTable) CountMatches(k int64) int64 {
 
 // lookup returns the first build row for key k, or -1.
 func (jt *JoinTable) lookup(k int64) int32 {
-	mask := uint64(len(jt.slotKeys) - 1)
-	slot := hashKey(k, jt.shift) & mask
+	jp := &jt.parts[partHash(k, jt.bits)]
+	mask := uint64(len(jp.slotKeys) - 1)
+	slot := hashKey(k, jp.shift) & mask
 	for {
-		head := jt.slotHead[slot]
+		head := jp.slotHead[slot]
 		if head < 0 {
 			return -1
 		}
-		if jt.slotKeys[slot] == k {
+		if jp.slotKeys[slot] == k {
 			return head
 		}
 		slot = (slot + 1) & mask
 	}
 }
 
-// InnerJoin probes the table with probeKeys and returns parallel vectors
-// of matching (build row, probe row) pairs. Probe rows are visited in
-// order, so probeIdx is non-decreasing.
-func (jt *JoinTable) InnerJoin(probeKeys []int64, ctr *Counters) (buildIdx, probeIdx []int32) {
-	buildIdx, probeIdx = innerJoinChunked(jt.lookup, jt.next, probeKeys, ctr)
-	ctr.HashProbeTuples += int64(len(probeKeys))
-	ctr.RandomAccesses += int64(len(probeKeys)) + int64(len(buildIdx))
-	return buildIdx, probeIdx
+// InnerJoin implements JoinProber. Large probe sides run morsel by
+// morsel, concatenating per-morsel match vectors in input order, so the
+// output does not depend on the worker count.
+func (jt *JoinTable) InnerJoin(probeKeys []int64, workers, morselRows int, ctr *Counters) (buildIdx, probeIdx []int32, err error) {
+	if workers <= 1 || len(probeKeys) < parallelProbeMinRows {
+		if err := ctr.sched.Err(); err != nil {
+			return nil, nil, err
+		}
+		return jt.innerJoin(probeKeys, ctr)
+	}
+	return jt.innerJoinMorsels(probeKeys, workers, morselRows, ctr)
 }
 
-// joinEmitChunkRows bounds the match buffers innerJoinChunked fills
-// before assembling the exact-size result.
+// innerJoinMorsels is InnerJoin without the size threshold.
+func (jt *JoinTable) innerJoinMorsels(probeKeys []int64, workers, morselRows int, ctr *Counters) (buildIdx, probeIdx []int32, err error) {
+	nm := NumMorsels(len(probeKeys), morselRows)
+	bis := make([][]int32, nm)
+	pis := make([][]int32, nm)
+	if err := RunMorsels(workers, len(probeKeys), morselRows, ctr, func(m, lo, hi int, c *Counters) error {
+		bi, pi, err := jt.innerJoin(probeKeys[lo:hi], c)
+		for i := range pi {
+			pi[i] += int32(lo)
+		}
+		bis[m], pis[m] = bi, pi
+		return err
+	}); err != nil {
+		return nil, nil, err
+	}
+	buildIdx, err = concatMatches(bis)
+	if err != nil {
+		return nil, nil, err
+	}
+	probeIdx, _ = concatMatches(pis)
+	ctr.MergeBytes += int64(len(buildIdx)) * 8
+	return buildIdx, probeIdx, nil
+}
+
+// concatMatches assembles per-chunk (or per-morsel) row-id vectors into
+// one exact-size vector, refusing — before it allocates — a total no
+// int32 row id can address.
+func concatMatches(chunks [][]int32) ([]int32, error) {
+	var total int64
+	for _, c := range chunks {
+		total += int64(len(c))
+	}
+	if err := checkJoinMatches(total); err != nil {
+		return nil, err
+	}
+	out := make([]int32, 0, total)
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
+	return out, nil
+}
+
+// joinEmitChunkRows bounds the match buffers innerJoin fills before
+// assembling the exact-size result.
 const joinEmitChunkRows = 1 << 16
 
-// innerJoinChunked emits (build row, probe row) matches into fixed-size
-// chunks, then assembles an exact-size result in one pass. The naive
-// append-doubling emit recopies the whole match set on every growth —
-// O(matches) hidden, uncharged traffic on large probes; chunking bounds
-// the live buffer, copies each pair exactly once, and charges that copy.
-// Output order is identical to the append path: probe rows ascending,
-// duplicate build rows in chain (descending row) order.
-func innerJoinChunked(lookup func(int64) int32, next []int32, probeKeys []int64, ctr *Counters) (buildIdx, probeIdx []int32) {
+// innerJoin is the sequential inner-join kernel. It emits (build row,
+// probe row) matches into fixed-size chunks, then assembles an
+// exact-size result in one pass. The naive append-doubling emit recopies
+// the whole match set on every growth — O(matches) hidden, uncharged
+// traffic on large probes; chunking bounds the live buffer, copies each
+// pair exactly once, and charges that copy. Probe rows are visited in
+// order, duplicate build rows in chain (descending row) order. The chain
+// walk cannot know the output size in advance, so the int32 bound is
+// checked as chunks fill.
+func (jt *JoinTable) innerJoin(probeKeys []int64, ctr *Counters) (buildIdx, probeIdx []int32, err error) {
 	first := len(probeKeys)
 	if first > joinEmitChunkRows {
 		first = joinEmitChunkRows
@@ -166,9 +395,14 @@ func innerJoinChunked(lookup func(int64) int32, next []int32, probeKeys []int64,
 	cb := make([]int32, 0, first)
 	cp := make([]int32, 0, first)
 	var doneB, doneP [][]int32
+	var emitted int64
 	for p, k := range probeKeys {
-		for b := lookup(k); b >= 0; b = next[b] {
+		for b := jt.lookup(k); b >= 0; b = jt.next[b] {
 			if len(cb) == cap(cb) {
+				emitted += int64(len(cb))
+				if err := checkJoinMatches(emitted); err != nil {
+					return nil, nil, err
+				}
 				doneB = append(doneB, cb) //lint:allow hotalloc -- chunk-list growth, once per 4096 emitted rows
 				doneP = append(doneP, cp) //lint:allow hotalloc -- chunk-list growth, once per 4096 emitted rows
 				cb = make([]int32, 0, joinEmitChunkRows)
@@ -178,32 +412,65 @@ func innerJoinChunked(lookup func(int64) int32, next []int32, probeKeys []int64,
 			cp = append(cp, int32(p))
 		}
 	}
-	if len(doneB) == 0 {
-		// Single chunk: it is the result, no assembly copy needed.
-		return cb, cp
+	buildIdx, probeIdx = cb, cp
+	if len(doneB) > 0 {
+		// More than one chunk: the assembly streams every emitted pair
+		// exactly once.
+		if buildIdx, err = concatMatches(append(doneB, cb)); err != nil {
+			return nil, nil, err
+		}
+		probeIdx, _ = concatMatches(append(doneP, cp))
+		ctr.SeqBytes += int64(len(buildIdx)) * 8
 	}
-	doneB = append(doneB, cb)
-	doneP = append(doneP, cp)
-	total := 0
-	for _, c := range doneB {
-		total += len(c)
-	}
-	buildIdx = make([]int32, 0, total)
-	probeIdx = make([]int32, 0, total)
-	for i := range doneB {
-		buildIdx = append(buildIdx, doneB[i]...)
-		probeIdx = append(probeIdx, doneP[i]...)
-	}
-	// The assembly streams every emitted pair exactly once.
-	ctr.SeqBytes += int64(total) * 8
-	return buildIdx, probeIdx
+	ctr.HashProbeTuples += int64(len(probeKeys))
+	ctr.RandomAccesses += int64(len(probeKeys)) + int64(len(buildIdx))
+	return buildIdx, probeIdx, nil
 }
 
-// SemiJoin returns the probe rows having at least one match (ascending).
-func (jt *JoinTable) SemiJoin(probeKeys []int64, ctr *Counters) []int32 {
+// SemiJoin implements JoinProber.
+func (jt *JoinTable) SemiJoin(probeKeys []int64, workers, morselRows int, ctr *Counters) ([]int32, error) {
+	return jt.selJoin(probeKeys, true, workers, morselRows, ctr)
+}
+
+// AntiJoin implements JoinProber.
+func (jt *JoinTable) AntiJoin(probeKeys []int64, workers, morselRows int, ctr *Counters) ([]int32, error) {
+	return jt.selJoin(probeKeys, false, workers, morselRows, ctr)
+}
+
+// selJoin returns the probe rows whose matched-ness equals want: the
+// semi join (true) and the anti join (false).
+func (jt *JoinTable) selJoin(probeKeys []int64, want bool, workers, morselRows int, ctr *Counters) ([]int32, error) {
+	if workers <= 1 || len(probeKeys) < parallelProbeMinRows {
+		if err := ctr.sched.Err(); err != nil {
+			return nil, err
+		}
+		return jt.selRows(probeKeys, want, ctr), nil
+	}
+	return jt.selJoinMorsels(probeKeys, want, workers, morselRows, ctr)
+}
+
+// selJoinMorsels is selJoin without the size threshold.
+func (jt *JoinTable) selJoinMorsels(probeKeys []int64, want bool, workers, morselRows int, ctr *Counters) ([]int32, error) {
+	sels := make([][]int32, NumMorsels(len(probeKeys), morselRows))
+	if err := runMorselsInfallible(workers, len(probeKeys), morselRows, ctr, func(m, lo, hi int, c *Counters) {
+		sel := jt.selRows(probeKeys[lo:hi], want, c)
+		for i := range sel {
+			sel[i] += int32(lo)
+		}
+		sels[m] = sel
+	}); err != nil {
+		return nil, err
+	}
+	out, _ := concatMatches(sels) // at most one id per probe row
+	ctr.MergeBytes += int64(len(out)) * 4
+	return out, nil
+}
+
+// selRows is the sequential semi/anti kernel.
+func (jt *JoinTable) selRows(probeKeys []int64, want bool, ctr *Counters) []int32 {
 	out := make([]int32, 0, len(probeKeys))
 	for p, k := range probeKeys {
-		if jt.lookup(k) >= 0 {
+		if (jt.lookup(k) >= 0) == want {
 			out = append(out, int32(p))
 		}
 	}
@@ -212,23 +479,31 @@ func (jt *JoinTable) SemiJoin(probeKeys []int64, ctr *Counters) []int32 {
 	return out
 }
 
-// AntiJoin returns the probe rows having no match (ascending).
-func (jt *JoinTable) AntiJoin(probeKeys []int64, ctr *Counters) []int32 {
-	out := make([]int32, 0, len(probeKeys))
-	for p, k := range probeKeys {
-		if jt.lookup(k) < 0 {
-			out = append(out, int32(p))
+// CountPerProbe implements JoinProber.
+func (jt *JoinTable) CountPerProbe(probeKeys []int64, workers, morselRows int, ctr *Counters) ([]int64, error) {
+	if workers <= 1 || len(probeKeys) < parallelProbeMinRows {
+		if err := ctr.sched.Err(); err != nil {
+			return nil, err
 		}
+		return jt.countRows(probeKeys, ctr), nil
 	}
-	ctr.HashProbeTuples += int64(len(probeKeys))
-	ctr.RandomAccesses += int64(len(probeKeys))
-	return out
+	return jt.countPerProbeMorsels(probeKeys, workers, morselRows, ctr)
 }
 
-// CountPerProbe returns, for each probe row, the number of matching build
-// rows. It implements COUNT-augmented outer joins such as TPC-H Q13's
-// customer-orders left outer join.
-func (jt *JoinTable) CountPerProbe(probeKeys []int64, ctr *Counters) []int64 {
+// countPerProbeMorsels is CountPerProbe without the size threshold.
+func (jt *JoinTable) countPerProbeMorsels(probeKeys []int64, workers, morselRows int, ctr *Counters) ([]int64, error) {
+	out := make([]int64, len(probeKeys))
+	if err := runMorselsInfallible(workers, len(probeKeys), morselRows, ctr, func(m, lo, hi int, c *Counters) {
+		copy(out[lo:hi], jt.countRows(probeKeys[lo:hi], c))
+	}); err != nil {
+		return nil, err
+	}
+	ctr.MergeBytes += int64(len(probeKeys)) * 8
+	return out, nil
+}
+
+// countRows is the sequential count-per-probe kernel.
+func (jt *JoinTable) countRows(probeKeys []int64, ctr *Counters) []int64 {
 	out := make([]int64, len(probeKeys))
 	var matches int64
 	for p, k := range probeKeys {
@@ -241,19 +516,6 @@ func (jt *JoinTable) CountPerProbe(probeKeys []int64, ctr *Counters) []int64 {
 	}
 	ctr.HashProbeTuples += int64(len(probeKeys))
 	ctr.RandomAccesses += int64(len(probeKeys)) + matches
-	return out
-}
-
-// FirstMatch returns, for each probe row, the first matching build row or
-// -1. It implements joins known to be at-most-one-match (primary-key
-// lookups), avoiding pair materialization.
-func (jt *JoinTable) FirstMatch(probeKeys []int64, ctr *Counters) []int32 {
-	out := make([]int32, len(probeKeys))
-	for p, k := range probeKeys {
-		out[p] = jt.lookup(k)
-	}
-	ctr.HashProbeTuples += int64(len(probeKeys))
-	ctr.RandomAccesses += int64(len(probeKeys))
 	return out
 }
 

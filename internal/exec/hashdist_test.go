@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -113,7 +115,7 @@ func TestInnerJoinChunkedEmit(t *testing.T) {
 	var ctr Counters
 	jt := BuildJoinTable(build, &ctr)
 	before := ctr.SeqBytes
-	bi, pi := jt.InnerJoin(probe, &ctr)
+	bi, pi := must2(jt.InnerJoin(probe, 1, 0, &ctr))
 
 	// Oracle: probe rows ascending; per probe, duplicates in descending
 	// build-row order (chained inserts prepend).
@@ -126,7 +128,7 @@ func TestInnerJoinChunkedEmit(t *testing.T) {
 			}
 		}
 	}
-	if !eqI32(bi, wantB) || !eqI32(pi, wantP) {
+	if !int32sEqual(bi, wantB) || !int32sEqual(pi, wantP) {
 		t.Fatalf("chunked InnerJoin diverges from oracle (%d vs %d pairs)", len(bi), len(wantB))
 	}
 	if len(bi) <= joinEmitChunkRows {
@@ -146,11 +148,28 @@ func TestInnerJoinSingleChunkNoCopy(t *testing.T) {
 	var ctr Counters
 	jt := BuildJoinTable(build, &ctr)
 	before := ctr.SeqBytes
-	bi, _ := jt.InnerJoin(probe, &ctr)
+	bi, _ := must2(jt.InnerJoin(probe, 1, 0, &ctr))
 	if len(bi) != 2 {
 		t.Fatalf("got %d pairs, want 2", len(bi))
 	}
 	if ctr.SeqBytes != before {
 		t.Errorf("single-chunk join charged %d copy bytes", ctr.SeqBytes-before)
+	}
+}
+
+// TestConcatMatchesOverflow: the chained emit path learns its output
+// size only as chunks pile up; assembling more pairs than int32 row ids
+// address must fail before the result is allocated. The chunks alias one
+// buffer, so the test itself allocates nothing of that size.
+func TestConcatMatchesOverflow(t *testing.T) {
+	chunk := make([]int32, joinEmitChunkRows)
+	chunks := make([][]int32, math.MaxInt32/joinEmitChunkRows+1)
+	for i := range chunks {
+		chunks[i] = chunk
+	}
+	_, err := concatMatches(chunks)
+	var over *JoinOverflowError
+	if !errors.As(err, &over) || over.Matches != int64(len(chunks))*joinEmitChunkRows {
+		t.Fatalf("err = %v, want *JoinOverflowError for %d pairs", err, int64(len(chunks))*joinEmitChunkRows)
 	}
 }

@@ -53,96 +53,6 @@ func TestRunMorselsCoversRangeOnce(t *testing.T) {
 	}
 }
 
-func TestParallelJoinMatchesSequential(t *testing.T) {
-	f := func(bkRaw, pkRaw []int16, workers uint8) bool {
-		bk := make([]int64, len(bkRaw))
-		for i, v := range bkRaw {
-			bk[i] = int64(v) % 64
-		}
-		pk := make([]int64, len(pkRaw))
-		for i, v := range pkRaw {
-			pk[i] = int64(v) % 64
-		}
-		w := int(workers)%8 + 1
-		const mr = 7 // tiny morsels force many partitions and sub-probes
-
-		var seqCtr, parCtr Counters
-		seq := BuildJoinTable(bk, &seqCtr)
-		par, err := buildPartitionedJoinTable(bk, w, mr, &parCtr)
-		if err != nil {
-			return false
-		}
-
-		sb, sp := seq.InnerJoin(pk, &seqCtr)
-		pb, pp, err := innerJoinMorsels(par, pk, w, mr, &parCtr)
-		if err != nil || !int32sEqual(sb, pb) || !int32sEqual(sp, pp) {
-			return false
-		}
-		semi, err := selJoinParallel(par.SemiJoin, pk, w, mr, &parCtr)
-		if err != nil || !int32sEqual(seq.SemiJoin(pk, &seqCtr), semi) {
-			return false
-		}
-		anti, err := selJoinParallel(par.AntiJoin, pk, w, mr, &parCtr)
-		if err != nil || !int32sEqual(seq.AntiJoin(pk, &seqCtr), anti) {
-			return false
-		}
-		first, err := firstMatchMorsels(par, pk, w, mr, &parCtr)
-		if err != nil || !int32sEqual(seq.FirstMatch(pk, &seqCtr), first) {
-			return false
-		}
-		sc := seq.CountPerProbe(pk, &seqCtr)
-		pc, err := countPerProbeMorsels(par, pk, w, mr, &parCtr)
-		if err != nil {
-			return false
-		}
-		if len(sc) != len(pc) {
-			return false
-		}
-		for i := range sc {
-			if sc[i] != pc[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBuildJoinTableParallelLargeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n := parallelBuildMinRows * 3
-	bk := make([]int64, n)
-	for i := range bk {
-		bk[i] = rng.Int63n(1 << 12)
-	}
-	pk := make([]int64, n/2)
-	for i := range pk {
-		pk[i] = rng.Int63n(1 << 12)
-	}
-	var seqCtr, parCtr Counters
-	seq := BuildJoinTable(bk, &seqCtr)
-	par, err := BuildJoinTableParallel(bk, 8, 1024, &parCtr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := par.(*PartitionedJoinTable); !ok {
-		t.Fatalf("expected partitioned table for n=%d, got %T", n, par)
-	}
-	sb, sp := seq.InnerJoin(pk, &seqCtr)
-	pb, pp, err := InnerJoinParallel(par, pk, 8, 1024, &parCtr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !int32sEqual(sb, pb) || !int32sEqual(sp, pp) {
-		t.Fatal("partitioned inner join differs from sequential")
-	}
-	if parCtr.MergeBytes == 0 {
-		t.Error("parallel build should charge MergeBytes")
-	}
-}
-
 func TestArgSortParallelMatchesSequential(t *testing.T) {
 	f := func(vals []int16, workers uint8) bool {
 		n := len(vals)

@@ -14,6 +14,14 @@ func must[T any](v T, err error) T {
 	return v
 }
 
+// must2 is must for the two-vector inner-join result.
+func must2[A, B any](a A, b B, err error) (A, B) {
+	if err != nil {
+		panic(err)
+	}
+	return a, b
+}
+
 // radixKeySets returns the key distributions the partitioned paths must
 // handle: duplicate-heavy (few distinct keys), skewed (one hot key plus
 // a wide tail), sequential (the adversary for weak hash finalizers), and

@@ -630,10 +630,10 @@ func (st *fusedState) applyRename(pairs [][2]string) error {
 // applyProbe is the in-pipeline half of a hash join: the build side is a
 // pipeline breaker executed as a normal subplan, then the current
 // survivors probe it without materializing the probe side. The build
-// strategy (radix vs chained) and the Bloom pre-filter reuse the vector
-// planner's decisions verbatim — with the probe cardinality taken from
-// the live selection, which equals the vector path's materialized probe
-// row count — so both engines always pick the same physical join.
+// side comes from the same buildJoin as the vector path's, with the
+// probe cardinality taken from the live selection — which equals the
+// vector path's materialized probe row count — so both engines always
+// pick the same physical join.
 func (st *fusedState) applyProbe(ps *probeStage) error {
 	ctx := st.ctx
 	w, mr := ctx.workers(), ctx.morselRows()
@@ -648,40 +648,10 @@ func (st *fusedState) applyProbe(ps *probeStage) error {
 		return err
 	}
 	probeRows := st.v.Len()
-	var jt exec.JoinIndex
-	var rt probeKernel
-	if sj, serr := ctx.buildSpillJoiner(bk, probeRows); serr != nil {
+	jp, err := ctx.buildJoin(bk, probeRows)
+	if err != nil {
 		ctx.Trace.EndErr(bsp)
-		return serr
-	} else if sj != nil {
-		// Same spill decision as the vector path: probeRows (the live
-		// selection) equals the vector engine's materialized probe count,
-		// so both engines spill or not identically.
-		rt = sj
-	} else if radix, why := chooseRadix(len(bk), probeRows, ctx.llcBytes()); radix {
-		target := ctx.llcBytes()
-		bits := exec.RadixBits(len(bk), exec.RadixBuildBytesPerRow, target/2)
-		ksp := ctx.Trace.Begin("join-partition",
-			fmt.Sprintf("radix %d-way, %d pass(es); %s", 1<<bits, exec.RadixPasses(bits), why))
-		rp, err := exec.RadixPartitionKeys(bk, nil, bits, w, mr, ctx.Ctr)
-		if err != nil {
-			ctx.Trace.EndErr(ksp)
-			ctx.Trace.EndErr(bsp)
-			return err
-		}
-		ctx.Trace.End(ksp, int64(len(bk)), int64(len(bk))*12)
-		cfg := exec.RadixJoinConfig{Bloom: useBloom(len(bk), probeRows, target)}
-		rt, err = exec.BuildRadixTables(rp, cfg, w, mr, ctx.Ctr)
-		if err != nil {
-			ctx.Trace.EndErr(bsp)
-			return err
-		}
-	} else {
-		jt, err = exec.BuildJoinTableParallel(bk, w, mr, ctx.Ctr)
-		if err != nil {
-			ctx.Trace.EndErr(bsp)
-			return err
-		}
+		return err
 	}
 	ctx.Trace.End(bsp, int64(build.NumRows()), build.SizeBytes())
 
@@ -694,12 +664,7 @@ func (st *fusedState) applyProbe(ps *probeStage) error {
 	}
 	switch ps.kind {
 	case Inner:
-		var bi, pi []int32
-		if rt != nil {
-			bi, pi, err = rt.InnerJoin(pk, w, mr, ctx.Ctr)
-		} else {
-			bi, pi, err = exec.InnerJoinParallel(jt, pk, w, mr, ctx.Ctr)
-		}
+		bi, pi, err := jp.InnerJoin(pk, w, mr, ctx.Ctr)
 		if err != nil {
 			ctx.Trace.EndErr(psp)
 			return err
@@ -716,36 +681,21 @@ func (st *fusedState) applyProbe(ps *probeStage) error {
 			st.scope = append(st.scope, binding{name: fld.Name, kind: bindAux, col: build.Cols[i], aux: auxIdx})
 		}
 	case Semi:
-		var sel []int32
-		if rt != nil {
-			sel, err = rt.SemiJoin(pk, w, mr, ctx.Ctr)
-		} else {
-			sel, err = exec.SemiJoinParallel(jt, pk, w, mr, ctx.Ctr)
-		}
+		sel, err := jp.SemiJoin(pk, w, mr, ctx.Ctr)
 		if err != nil {
 			ctx.Trace.EndErr(psp)
 			return err
 		}
 		st.v.Narrow(sel, ctx.Ctr)
 	case Anti:
-		var sel []int32
-		if rt != nil {
-			sel, err = rt.AntiJoin(pk, w, mr, ctx.Ctr)
-		} else {
-			sel, err = exec.AntiJoinParallel(jt, pk, w, mr, ctx.Ctr)
-		}
+		sel, err := jp.AntiJoin(pk, w, mr, ctx.Ctr)
 		if err != nil {
 			ctx.Trace.EndErr(psp)
 			return err
 		}
 		st.v.Narrow(sel, ctx.Ctr)
 	case LeftCount:
-		var counts []int64
-		if rt != nil {
-			counts, err = rt.CountPerProbe(pk, w, mr, ctx.Ctr)
-		} else {
-			counts, err = exec.CountPerProbeParallel(jt, pk, w, mr, ctx.Ctr)
-		}
+		counts, err := jp.CountPerProbe(pk, w, mr, ctx.Ctr)
 		if err != nil {
 			ctx.Trace.EndErr(psp)
 			return err

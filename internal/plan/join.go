@@ -69,59 +69,25 @@ func (j *HashJoin) Execute(ctx *Context) (*colstore.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := ctx.workers()
-	mr := ctx.morselRows()
 
-	// Build phase: key extraction plus hash table construction. When the
-	// chained table would blow the LLC budget, switch to the radix-
-	// partitioned build: the partition pass gets its own span because it
-	// is the streaming price paid to keep every probe cache-resident.
+	// Build phase: key extraction plus the build side in whichever layout
+	// buildJoin picks.
 	bsp := ctx.Trace.Begin("join-build", fmt.Sprintf("build [%s]", strings.Join(j.BuildKeys, ",")))
 	bk, err := joinKeysParallel(ctx, build, j.BuildKeys)
 	if err != nil {
 		ctx.Trace.EndErr(bsp)
 		return nil, err
 	}
-	var jt exec.JoinIndex
-	var rt probeKernel
-	if sj, serr := ctx.buildSpillJoiner(bk, probe.NumRows()); serr != nil {
+	jp, err := ctx.buildJoin(bk, probe.NumRows())
+	if err != nil {
 		ctx.Trace.EndErr(bsp)
-		return nil, serr
-	} else if sj != nil {
-		// The join state would not fit the memory budget: partition both
-		// sides and stream the beyond-budget partitions through the spill
-		// area instead of letting the OS page the hash table through swap.
-		rt = sj
-	} else if radix, why := chooseRadix(len(bk), probe.NumRows(), ctx.llcBytes()); radix {
-		target := ctx.llcBytes()
-		bits := exec.RadixBits(len(bk), exec.RadixBuildBytesPerRow, target/2)
-		ksp := ctx.Trace.Begin("join-partition",
-			fmt.Sprintf("radix %d-way, %d pass(es); %s", 1<<bits, exec.RadixPasses(bits), why))
-		rp, err := exec.RadixPartitionKeys(bk, nil, bits, w, mr, ctx.Ctr)
-		if err != nil {
-			ctx.Trace.EndErr(ksp)
-			ctx.Trace.EndErr(bsp)
-			return nil, err
-		}
-		ctx.Trace.End(ksp, int64(len(bk)), int64(len(bk))*12)
-		cfg := exec.RadixJoinConfig{Bloom: useBloom(len(bk), probe.NumRows(), target)}
-		rt, err = exec.BuildRadixTables(rp, cfg, w, mr, ctx.Ctr)
-		if err != nil {
-			ctx.Trace.EndErr(bsp)
-			return nil, err
-		}
-	} else {
-		jt, err = exec.BuildJoinTableParallel(bk, w, mr, ctx.Ctr)
-		if err != nil {
-			ctx.Trace.EndErr(bsp)
-			return nil, err
-		}
+		return nil, err
 	}
 	ctx.Trace.End(bsp, int64(build.NumRows()), build.SizeBytes())
 
 	// Probe phase: key extraction, probe kernel, and output gathers.
 	psp := ctx.Trace.Begin("join-probe", fmt.Sprintf("probe [%s]", strings.Join(j.ProbeKeys, ",")))
-	out, err := j.probePhase(ctx, jt, rt, build, probe, w, mr)
+	out, err := j.probePhase(ctx, jp, build, probe)
 	if err != nil {
 		ctx.Trace.EndErr(psp)
 		return nil, err
@@ -130,25 +96,66 @@ func (j *HashJoin) Execute(ctx *Context) (*colstore.Table, error) {
 	return out, nil
 }
 
+// buildJoin builds the build side of a hash join over its extracted keys
+// — the one place the layout is chosen, for the vector and the fused
+// engine alike. Every input of the choice is something the query
+// observes (cardinalities, the memory budget, the LLC budget) and none
+// is the worker count, so both engines, every degree of parallelism and
+// a re-dispatched cluster worker pick the same physical join:
+//
+//   - join state beyond the memory budget: the compact layout with its
+//     beyond-budget partitions streamed through the spill area, instead
+//     of letting the OS page a hash table through swap;
+//   - a chained table that would blow the LLC budget, where chooseRadix
+//     prices partitioning cheaper: the compact layout, resident. The
+//     partition pass gets its own span because it is the streaming price
+//     paid to keep every probe cache-resident;
+//   - otherwise the chained layout.
+func (c *Context) buildJoin(bk []int64, probeRows int) (exec.JoinProber, error) {
+	w, mr := c.workers(), c.morselRows()
+	if c.useSpillJoin(len(bk), probeRows) {
+		return c.buildSpillJoiner(bk, probeRows)
+	}
+	target := c.llcBytes()
+	radix, why := chooseRadix(len(bk), probeRows, target)
+	if !radix {
+		return exec.BuildJoinTableParallel(bk, w, mr, c.Ctr)
+	}
+	bits := exec.RadixBits(len(bk), exec.RadixBuildBytesPerRow, target/2)
+	ksp := c.Trace.Begin("join-partition",
+		fmt.Sprintf("radix %d-way, %d pass(es); %s", 1<<bits, exec.RadixPasses(bits), why))
+	rp, err := exec.RadixPartitionKeys(bk, nil, bits, w, mr, c.Ctr)
+	if err != nil {
+		c.Trace.EndErr(ksp)
+		return nil, err
+	}
+	c.Trace.End(ksp, int64(len(bk)), int64(len(bk))*12)
+	cfg := exec.RadixJoinConfig{Bloom: useBloom(len(bk), probeRows, target)}
+	return exec.BuildRadixTables(rp, cfg, w, mr, c.Ctr)
+}
+
 // radixMinBuildRows is the smallest build side worth partitioning; below
 // it the chained table fits comfortably in cache anyway and the pass
 // setup would dominate.
 const radixMinBuildRows = 1 << 12
 
-// chooseRadix decides the build strategy by pricing both candidates with
-// the hardware cost model on the wimpy reference profile — the same
-// model (and the same "plan for the smallest node" stance) as the auto
-// engine decision. The differential profiles carry only what differs:
-// the chained table's DRAM-latency probes against the radix path's
-// partition streaming plus cache-resident probes. The decision depends
-// only on input cardinalities and the LLC budget — never on the worker
-// count — so the choice (and the byte-exact output) is identical on one
-// core, eight cores, and a re-dispatched cluster worker.
+// chooseRadix decides between the chained and the compact layout by
+// pricing both with the hardware cost model on the wimpy reference
+// profile ("plan for the smallest node"). The differential profiles
+// carry only what differs: the chained table's DRAM-latency probes
+// against the compact path's partition streaming plus cache-resident
+// probes. The decision depends only on input cardinalities and the LLC
+// budget — never on the worker count — so the choice (and the
+// byte-exact output) is identical on one core, eight cores, and a
+// re-dispatched cluster worker.
 //
-// On a big-cached host the radix path often loses in wall-clock (the
+// On a big-cached host the compact path often loses in wall-clock (the
 // chained table fits some L3 slice and partitioning is pure overhead);
 // it wins on the simulated Pi, whose 512 KiB LLC is the budget the
-// partitions are sized to. BENCH_join.json reports both columns.
+// partitions are sized to. The measured side of that is
+// plan.join_build_ns_per_tuple and plan.join_probe_ns_per_tuple of the
+// traced `power` (mostly chained) and `spill` (compact) runs of
+// benchmark/, next to hardware.sim_*.
 func chooseRadix(buildRows, probeRows int, llcBytes int64) (bool, string) {
 	if llcBytes <= 0 {
 		return false, "chained: partitioned paths disabled"
@@ -194,23 +201,16 @@ func useBloom(buildRows, probeRows int, llcBytes int64) bool {
 	return probeRows >= 4*buildRows && exec.BloomBytes(buildRows) <= llcBytes
 }
 
-// probePhase extracts probe keys and dispatches the probe kernel.
-// Exactly one of jt (chained/direct) and rt (radix-partitioned or
-// budget-bounded spill) is non-nil; all kernels produce byte-identical
-// match sets, so everything downstream is shared.
-func (j *HashJoin) probePhase(ctx *Context, jt exec.JoinIndex, rt probeKernel, build, probe *colstore.Table, w, mr int) (*colstore.Table, error) {
+// probePhase extracts probe keys, probes, and gathers the output.
+func (j *HashJoin) probePhase(ctx *Context, jp exec.JoinProber, build, probe *colstore.Table) (*colstore.Table, error) {
 	pk, err := joinKeysParallel(ctx, probe, j.ProbeKeys)
 	if err != nil {
 		return nil, err
 	}
+	w, mr := ctx.workers(), ctx.morselRows()
 	switch j.Kind {
 	case Inner:
-		var bi, pi []int32
-		if rt != nil {
-			bi, pi, err = rt.InnerJoin(pk, w, mr, ctx.Ctr)
-		} else {
-			bi, pi, err = exec.InnerJoinParallel(jt, pk, w, mr, ctx.Ctr)
-		}
+		bi, pi, err := jp.InnerJoin(pk, w, mr, ctx.Ctr)
 		if err != nil {
 			return nil, err
 		}
@@ -229,12 +229,7 @@ func (j *HashJoin) probePhase(ctx *Context, jt exec.JoinIndex, rt probeKernel, b
 		observe(ctx, build, probe, out)
 		return out, nil
 	case Semi:
-		var sel []int32
-		if rt != nil {
-			sel, err = rt.SemiJoin(pk, w, mr, ctx.Ctr)
-		} else {
-			sel, err = exec.SemiJoinParallel(jt, pk, w, mr, ctx.Ctr)
-		}
+		sel, err := jp.SemiJoin(pk, w, mr, ctx.Ctr)
 		if err != nil {
 			return nil, err
 		}
@@ -245,12 +240,7 @@ func (j *HashJoin) probePhase(ctx *Context, jt exec.JoinIndex, rt probeKernel, b
 		observe(ctx, build, probe, out)
 		return out, nil
 	case Anti:
-		var sel []int32
-		if rt != nil {
-			sel, err = rt.AntiJoin(pk, w, mr, ctx.Ctr)
-		} else {
-			sel, err = exec.AntiJoinParallel(jt, pk, w, mr, ctx.Ctr)
-		}
+		sel, err := jp.AntiJoin(pk, w, mr, ctx.Ctr)
 		if err != nil {
 			return nil, err
 		}
@@ -261,12 +251,7 @@ func (j *HashJoin) probePhase(ctx *Context, jt exec.JoinIndex, rt probeKernel, b
 		observe(ctx, build, probe, out)
 		return out, nil
 	case LeftCount:
-		var counts []int64
-		if rt != nil {
-			counts, err = rt.CountPerProbe(pk, w, mr, ctx.Ctr)
-		} else {
-			counts, err = exec.CountPerProbeParallel(jt, pk, w, mr, ctx.Ctr)
-		}
+		counts, err := jp.CountPerProbe(pk, w, mr, ctx.Ctr)
 		if err != nil {
 			return nil, err
 		}

@@ -4,20 +4,22 @@ import (
 	"fmt"
 
 	"wimpi/internal/exec"
+	"wimpi/internal/obs"
 	"wimpi/internal/spill"
 )
 
 // Budget-bounded spill join. When a hash join's build+probe state would
-// not fit the query's memory budget, the join reuses the radix
-// partitioner (PR 5) with the partition as the spill unit: both sides
-// are partitioned with the same fan-out, a resident prefix of partitions
-// stays in memory, and every partition beyond it streams through the
-// on-disk spill area and is processed one partition at a time. The
-// degradation is planned and priced — charged sequential spill I/O
-// instead of the cliff-edge swap model — and the output is byte-
-// identical to the in-memory join: partition tables group keys in
-// scatter order exactly like the radix join, and inner-join output
-// positions come from the same global count + prefix-sum scheme.
+// not fit the query's memory budget, buildJoin picks the compact layout
+// (exec.PartTable per radix partition) with the partition as the spill
+// unit: both sides are partitioned with the same fan-out, a resident
+// prefix of partitions stays in memory, and every partition beyond it
+// streams through the on-disk spill area and is processed one partition
+// at a time. The degradation is planned and priced — charged sequential
+// spill I/O instead of the cliff-edge swap model — and the output is
+// byte-identical to the in-memory join, because it is the in-memory
+// join's kernels that run: the spill joiner is the second driver of the
+// per-partition probe kernels exec.RadixJoinTable drives over resident
+// partitions, and owns only residency, segments and spans.
 //
 // The spill decision depends only on input cardinalities and the budget
 // — never on Workers — so results stay bit-identical at every degree of
@@ -65,49 +67,32 @@ func spillBits(buildRows, probeRows int, budget int64) uint {
 	return bits
 }
 
-// probeKernel is the build-side index a probe phase drives — the radix
-// join table or the spill joiner. Both produce output byte-identical to
-// the chained JoinTable, so everything downstream is shared.
-type probeKernel interface {
-	InnerJoin(probeKeys []int64, workers, morselRows int, ctr *exec.Counters) (buildIdx, probeIdx []int32, err error)
-	SemiJoin(probeKeys []int64, workers, morselRows int, ctr *exec.Counters) ([]int32, error)
-	AntiJoin(probeKeys []int64, workers, morselRows int, ctr *exec.Counters) ([]int32, error)
-	CountPerProbe(probeKeys []int64, workers, morselRows int, ctr *exec.Counters) ([]int64, error)
-}
-
-// spillJoiner is the budget-bounded probeKernel: the partitioned build
-// side with its beyond-budget partitions spilled to disk.
+// spillJoiner is the budget-bounded exec.JoinProber: the compact join
+// layout with its beyond-budget partitions spilled to disk.
 type spillJoiner struct {
 	ctx      *Context
-	bits     uint
 	resident int // partitions < resident stay in memory
 	rp       *exec.RadixPartitions
 	bsegs    []*spill.Segment // per partition; nil below resident
 }
 
 // buildSpillJoiner partitions the build keys and spills the partitions
-// beyond the resident budget, returning nil when the join fits in
-// memory and the normal paths should run. Called under the join-build
-// span by both the vector and the fused engine.
+// beyond the resident budget.
 func (c *Context) buildSpillJoiner(bk []int64, probeRows int) (*spillJoiner, error) {
-	if !c.useSpillJoin(len(bk), probeRows) {
-		return nil, nil
-	}
 	area, err := c.area()
 	if err != nil {
 		return nil, err
 	}
 	bits := spillBits(len(bk), probeRows, c.MemLimitBytes)
-	w, mr := c.workers(), c.morselRows()
 	sp := c.Trace.Begin("spill-partition",
 		fmt.Sprintf("radix %d-way, budget %s", 1<<bits, spill.FormatByteSize(c.MemLimitBytes)))
-	rp, err := exec.RadixPartitionKeys(bk, nil, bits, w, mr, c.Ctr)
+	rp, err := exec.RadixPartitionKeys(bk, nil, bits, c.workers(), c.morselRows(), c.Ctr)
 	if err != nil {
 		c.Trace.EndErr(sp)
 		return nil, err
 	}
 	np := rp.NumPartitions()
-	sj := &spillJoiner{ctx: c, bits: bits, rp: rp, bsegs: make([]*spill.Segment, np)}
+	sj := &spillJoiner{ctx: c, rp: rp, bsegs: make([]*spill.Segment, np)}
 
 	// Resident prefix: partitions fit in memory until their cumulative
 	// build state plus a uniform probe estimate crosses half the budget.
@@ -125,27 +110,35 @@ func (c *Context) buildSpillJoiner(bk []int64, probeRows int) (*spillJoiner, err
 		sj.resident++
 	}
 
-	var spilled int64
-	sctx := c.Sched.Context()
-	for p := sj.resident; p < np; p++ {
-		lo, hi := rp.Off[p], rp.Off[p+1]
-		seg, err := area.WriteSegment(sctx, rp.Keys[lo:hi], rp.Rows[lo:hi], c.Ctr)
-		if err != nil {
-			c.Trace.EndErr(sp)
-			return nil, err
-		}
-		sj.bsegs[p] = seg
-		spilled += seg.SizeBytes()
+	spilled, err := sj.spillBeyondResident(area, rp, sj.bsegs, c.Ctr)
+	if err != nil {
+		c.Trace.EndErr(sp)
+		return nil, err
 	}
 	c.Ctr.ObserveResidentCap(c.MemLimitBytes)
 	c.Trace.End(sp, int64(len(bk)), spilled)
 	return sj, nil
 }
 
+// spillBeyondResident writes every partition of rp past the resident
+// prefix to the spill area, recording its segment in segs.
+func (sj *spillJoiner) spillBeyondResident(area *spill.Area, rp *exec.RadixPartitions, segs []*spill.Segment, ctr *exec.Counters) (spilled int64, err error) {
+	sctx := sj.ctx.Sched.Context()
+	for p := sj.resident; p < len(segs); p++ {
+		lo, hi := rp.Off[p], rp.Off[p+1]
+		segs[p], err = area.WriteSegment(sctx, rp.Keys[lo:hi], rp.Rows[lo:hi], ctr)
+		if err != nil {
+			return 0, err
+		}
+		spilled += segs[p].SizeBytes()
+	}
+	return spilled, nil
+}
+
 // partitionProbe partitions the probe keys with the build fan-out and
 // spills the partitions beyond the resident prefix.
 func (sj *spillJoiner) partitionProbe(pk []int64, w, mr int, ctr *exec.Counters) (*exec.RadixPartitions, []*spill.Segment, error) {
-	pp, err := exec.RadixPartitionKeys(pk, nil, sj.bits, w, mr, ctr)
+	pp, err := exec.RadixPartitionKeys(pk, nil, sj.rp.Bits, w, mr, ctr)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -153,210 +146,159 @@ func (sj *spillJoiner) partitionProbe(pk []int64, w, mr int, ctr *exec.Counters)
 	if err != nil {
 		return nil, nil, err
 	}
-	sctx := sj.ctx.Sched.Context()
 	psegs := make([]*spill.Segment, pp.NumPartitions())
-	for p := sj.resident; p < pp.NumPartitions(); p++ {
-		lo, hi := pp.Off[p], pp.Off[p+1]
-		seg, err := area.WriteSegment(sctx, pp.Keys[lo:hi], pp.Rows[lo:hi], ctr)
-		if err != nil {
-			return nil, nil, err
-		}
-		psegs[p] = seg
+	if _, err := sj.spillBeyondResident(area, pp, psegs, ctr); err != nil {
+		return nil, nil, err
 	}
 	return pp, psegs, nil
 }
 
-// forEachPart runs one pass over all partitions: the resident ones from
-// memory, the spilled ones read back from the spill area, each with its
-// partition table freshly built so only one partition's state is live at
-// a time. A pass re-reads spilled segments, so a two-pass kernel pays
-// the spill read twice — that is the honest price of not fitting.
+// partData returns partition p of one side: from memory when resident,
+// read back from its segment when spilled.
+func (sj *spillJoiner) partData(rp *exec.RadixPartitions, segs []*spill.Segment, p int, ctr *exec.Counters) ([]int64, []int32, error) {
+	if segs[p] == nil {
+		lo, hi := rp.Off[p], rp.Off[p+1]
+		return rp.Keys[lo:hi], rp.Rows[lo:hi], nil
+	}
+	return segs[p].Read(sj.ctx.Sched.Context(), ctr)
+}
+
+// forEachPart runs one kernel pass over all partitions: the resident
+// ones from memory, the spilled ones read back from the spill area, each
+// with its partition table freshly built so only one partition's state
+// is live at a time. A pass re-reads spilled segments, so a two-pass
+// kernel pays the spill read twice — that is the honest price of not
+// fitting.
 func (sj *spillJoiner) forEachPart(pp *exec.RadixPartitions, psegs []*spill.Segment, ctr *exec.Counters,
-	fn func(p int, pt *exec.PartTable, pkeys []int64, prows []int32)) error {
-	sctx := sj.ctx.Sched.Context()
+	fn func(pt *exec.PartTable, pkeys []int64, prows []int32)) error {
 	for p := 0; p < sj.rp.NumPartitions(); p++ {
 		if err := sj.ctx.Sched.Err(); err != nil {
 			return err
 		}
-		var bkeys []int64
-		var brows []int32
-		if sj.bsegs[p] == nil {
-			lo, hi := sj.rp.Off[p], sj.rp.Off[p+1]
-			bkeys, brows = sj.rp.Keys[lo:hi], sj.rp.Rows[lo:hi]
-		} else {
-			var err error
-			bkeys, brows, err = sj.bsegs[p].Read(sctx, ctr)
-			if err != nil {
-				return err
-			}
+		bkeys, brows, err := sj.partData(sj.rp, sj.bsegs, p, ctr)
+		if err != nil {
+			return err
 		}
-		var pkeys []int64
-		var prows []int32
-		if psegs[p] == nil {
-			lo, hi := pp.Off[p], pp.Off[p+1]
-			pkeys, prows = pp.Keys[lo:hi], pp.Rows[lo:hi]
-		} else {
-			var err error
-			pkeys, prows, err = psegs[p].Read(sctx, ctr)
-			if err != nil {
-				return err
-			}
+		pkeys, prows, err := sj.partData(pp, psegs, p, ctr)
+		if err != nil {
+			return err
 		}
-		pt := exec.BuildPartTable(bkeys, brows, ctr)
-		fn(p, pt, pkeys, prows)
+		fn(exec.BuildPartTable(bkeys, brows, ctr), pkeys, prows)
 	}
 	return nil
 }
 
-// InnerJoin implements probeKernel, byte-identical to the in-memory
-// joins: probe rows ascending, duplicates in descending build-row
-// order. Pass one counts matches per probe row, a prefix sum assigns
-// output windows, pass two re-reads every partition and fills them.
-func (sj *spillJoiner) InnerJoin(pk []int64, w, mr int, ctr *exec.Counters) ([]int32, []int32, error) {
-	sp := sj.ctx.Trace.Begin("spill-probe", fmt.Sprintf("inner, %d partitions (%d resident)", sj.rp.NumPartitions(), sj.resident))
-	pp, psegs, err := sj.partitionProbe(pk, w, mr, ctr)
+// beginProbe opens the spill-probe span of one probe; endProbe closes it
+// on the probe's outcome, rows of width bytes each.
+func (sj *spillJoiner) beginProbe(kind string) *obs.Span {
+	return sj.ctx.Trace.Begin("spill-probe",
+		fmt.Sprintf("%s, %d partitions (%d resident)", kind, sj.rp.NumPartitions(), sj.resident))
+}
+
+func (sj *spillJoiner) endProbe(sp *obs.Span, rows, width int, err error) {
 	if err != nil {
 		sj.ctx.Trace.EndErr(sp)
+		return
+	}
+	sj.ctx.Trace.End(sp, int64(rows), int64(rows)*int64(width))
+}
+
+// InnerJoin implements exec.JoinProber.
+func (sj *spillJoiner) InnerJoin(pk []int64, w, mr int, ctr *exec.Counters) ([]int32, []int32, error) {
+	sp := sj.beginProbe("inner")
+	bi, pi, err := sj.innerJoin(pk, w, mr, ctr)
+	sj.endProbe(sp, len(bi), 8, err)
+	return bi, pi, err
+}
+
+// innerJoin is the count / offsets / fill scheme of exec.RadixJoinTable.
+// The match groups of the count pass are not kept — the fill pass
+// rebuilds each partition's table anyway — so it looks them up again.
+func (sj *spillJoiner) innerJoin(pk []int64, w, mr int, ctr *exec.Counters) ([]int32, []int32, error) {
+	pp, psegs, err := sj.partitionProbe(pk, w, mr, ctr)
+	if err != nil {
 		return nil, nil, err
 	}
 	counts := make([]int32, len(pk))
-	err = sj.forEachPart(pp, psegs, ctr, func(_ int, pt *exec.PartTable, pkeys []int64, prows []int32) {
-		for i, k := range pkeys {
-			if _, cnt := pt.Lookup(k); cnt > 0 {
-				counts[prows[i]] = cnt
-			}
+	var grp []int32 // per-partition scratch
+	scratch := func(n int) []int32 {
+		if cap(grp) < n {
+			grp = make([]int32, n)
 		}
-		ctr.HashProbeTuples += int64(len(pkeys))
-		ctr.CacheRandomAccesses += int64(len(pkeys))
-	})
-	if err != nil {
-		sj.ctx.Trace.EndErr(sp)
+		return grp[:n]
+	}
+	if err := sj.forEachPart(pp, psegs, ctr, func(pt *exec.PartTable, pkeys []int64, prows []int32) {
+		pt.CountMatches(pkeys, prows, scratch(len(pkeys)), counts, ctr)
+	}); err != nil {
 		return nil, nil, err
 	}
-
-	offs := make([]int32, len(pk))
-	var total int32
-	for i, n := range counts {
-		offs[i] = total
-		total += n
+	offs, total, err := exec.MatchOffsets(counts, ctr)
+	if err != nil {
+		return nil, nil, err
 	}
-	ctr.IntOps += int64(len(pk))
-	ctr.SeqBytes += int64(len(pk)) * 8
-
 	buildIdx := make([]int32, total)
 	probeIdx := make([]int32, total)
-	err = sj.forEachPart(pp, psegs, ctr, func(_ int, pt *exec.PartTable, pkeys []int64, prows []int32) {
-		var emitted int64
-		for i, k := range pkeys {
-			s, cnt := pt.Lookup(k)
-			if cnt == 0 {
-				continue
-			}
-			pr := prows[i]
-			o := int(offs[pr])
-			for d := int32(0); d < cnt; d++ {
-				buildIdx[o+int(d)] = pt.Payload(s + cnt - 1 - d)
-				probeIdx[o+int(d)] = pr
-			}
-			emitted += int64(cnt)
-		}
-		ctr.CacheRandomAccesses += int64(len(pkeys)) + emitted
-		ctr.SeqBytes += emitted * 8
-	})
-	if err != nil {
-		sj.ctx.Trace.EndErr(sp)
+	if err := sj.forEachPart(pp, psegs, ctr, func(pt *exec.PartTable, pkeys []int64, prows []int32) {
+		g := scratch(len(pkeys))
+		pt.Groups(pkeys, g, ctr)
+		pt.FillMatches(prows, g, offs, buildIdx, probeIdx, ctr)
+	}); err != nil {
 		return nil, nil, err
 	}
-	sj.ctx.Trace.End(sp, int64(total), int64(total)*8)
 	return buildIdx, probeIdx, nil
 }
 
-// matchFlags probes every partition once and marks matching probe rows.
-func (sj *spillJoiner) matchFlags(pk []int64, w, mr int, ctr *exec.Counters) ([]bool, error) {
-	pp, psegs, err := sj.partitionProbe(pk, w, mr, ctr)
-	if err != nil {
-		return nil, err
-	}
-	hit := make([]bool, len(pk))
-	err = sj.forEachPart(pp, psegs, ctr, func(_ int, pt *exec.PartTable, pkeys []int64, prows []int32) {
-		for i, k := range pkeys {
-			if _, cnt := pt.Lookup(k); cnt > 0 {
-				hit[prows[i]] = true
-			}
-		}
-		ctr.HashProbeTuples += int64(len(pkeys))
-		ctr.CacheRandomAccesses += int64(len(pkeys))
-	})
-	if err != nil {
-		return nil, err
-	}
-	return hit, nil
-}
-
-// collectSpillFlags gathers rows whose flag equals want, ascending.
-func collectSpillFlags(flags []bool, want bool, ctr *exec.Counters) []int32 {
-	out := make([]int32, 0, len(flags))
-	for i, f := range flags {
-		if f == want {
-			out = append(out, int32(i))
-		}
-	}
-	ctr.SeqBytes += int64(len(flags))
-	ctr.IntOps += int64(len(flags))
-	return out
-}
-
-// SemiJoin implements probeKernel.
+// SemiJoin implements exec.JoinProber.
 func (sj *spillJoiner) SemiJoin(pk []int64, w, mr int, ctr *exec.Counters) ([]int32, error) {
-	sp := sj.ctx.Trace.Begin("spill-probe", fmt.Sprintf("semi, %d partitions (%d resident)", sj.rp.NumPartitions(), sj.resident))
-	hit, err := sj.matchFlags(pk, w, mr, ctr)
-	if err != nil {
-		sj.ctx.Trace.EndErr(sp)
-		return nil, err
-	}
-	out := collectSpillFlags(hit, true, ctr)
-	sj.ctx.Trace.End(sp, int64(len(out)), int64(len(out))*4)
-	return out, nil
+	return sj.selJoin("semi", true, pk, w, mr, ctr)
 }
 
-// AntiJoin implements probeKernel.
+// AntiJoin implements exec.JoinProber.
 func (sj *spillJoiner) AntiJoin(pk []int64, w, mr int, ctr *exec.Counters) ([]int32, error) {
-	sp := sj.ctx.Trace.Begin("spill-probe", fmt.Sprintf("anti, %d partitions (%d resident)", sj.rp.NumPartitions(), sj.resident))
-	hit, err := sj.matchFlags(pk, w, mr, ctr)
+	return sj.selJoin("anti", false, pk, w, mr, ctr)
+}
+
+// selJoin flags the probe rows that match and collects those whose flag
+// equals want.
+func (sj *spillJoiner) selJoin(kind string, want bool, pk []int64, w, mr int, ctr *exec.Counters) ([]int32, error) {
+	sp := sj.beginProbe(kind)
+	hit := make([]bool, len(pk))
+	err := sj.probePass(pk, w, mr, ctr, func(pt *exec.PartTable, pkeys []int64, prows []int32) {
+		pt.FlagMatches(pkeys, prows, hit, ctr)
+	})
+	var out []int32
+	if err == nil {
+		out = exec.CollectFlags(hit, want, ctr)
+	}
+	sj.endProbe(sp, len(out), 4, err)
+	return out, err
+}
+
+// CountPerProbe implements exec.JoinProber.
+func (sj *spillJoiner) CountPerProbe(pk []int64, w, mr int, ctr *exec.Counters) ([]int64, error) {
+	sp := sj.beginProbe("left-count")
+	out := make([]int64, len(pk))
+	err := sj.probePass(pk, w, mr, ctr, func(pt *exec.PartTable, pkeys []int64, prows []int32) {
+		pt.CountPerProbe(pkeys, prows, out, ctr)
+	})
+	if err == nil {
+		ctr.SeqBytes += int64(len(pk)) * 8
+	}
+	sj.endProbe(sp, len(pk), 8, err)
 	if err != nil {
-		sj.ctx.Trace.EndErr(sp)
 		return nil, err
 	}
-	out := collectSpillFlags(hit, false, ctr)
-	sj.ctx.Trace.End(sp, int64(len(out)), int64(len(out))*4)
 	return out, nil
 }
 
-// CountPerProbe implements probeKernel.
-func (sj *spillJoiner) CountPerProbe(pk []int64, w, mr int, ctr *exec.Counters) ([]int64, error) {
-	sp := sj.ctx.Trace.Begin("spill-probe", fmt.Sprintf("left-count, %d partitions (%d resident)", sj.rp.NumPartitions(), sj.resident))
+// probePass partitions the probe side and runs a one-pass kernel over
+// every partition.
+func (sj *spillJoiner) probePass(pk []int64, w, mr int, ctr *exec.Counters, fn func(pt *exec.PartTable, pkeys []int64, prows []int32)) error {
 	pp, psegs, err := sj.partitionProbe(pk, w, mr, ctr)
 	if err != nil {
-		sj.ctx.Trace.EndErr(sp)
-		return nil, err
+		return err
 	}
-	out := make([]int64, len(pk))
-	err = sj.forEachPart(pp, psegs, ctr, func(_ int, pt *exec.PartTable, pkeys []int64, prows []int32) {
-		for i, k := range pkeys {
-			if _, cnt := pt.Lookup(k); cnt > 0 {
-				out[prows[i]] = int64(cnt)
-			}
-		}
-		ctr.HashProbeTuples += int64(len(pkeys))
-		ctr.CacheRandomAccesses += int64(len(pkeys))
-	})
-	if err != nil {
-		sj.ctx.Trace.EndErr(sp)
-		return nil, err
-	}
-	ctr.SeqBytes += int64(len(pk)) * 8
-	sj.ctx.Trace.End(sp, int64(len(pk)), int64(len(pk))*8)
-	return out, nil
+	return sj.forEachPart(pp, psegs, ctr, fn)
 }
 
 // Spillable reports whether a plan contains an operator the spill

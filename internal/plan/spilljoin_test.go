@@ -8,7 +8,9 @@ import (
 
 	"wimpi/internal/colstore"
 	"wimpi/internal/exec"
+	"wimpi/internal/jointest"
 	"wimpi/internal/obs"
+	"wimpi/internal/spill"
 )
 
 // spillBudget forces cancelCatalog's join (≈1.6 MB of join state) onto
@@ -51,37 +53,53 @@ func TestSpillJoinMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestSpillJoinAllKinds covers the semi/anti/left-count kernels.
-func TestSpillJoinAllKinds(t *testing.T) {
-	cat := cancelCatalog()
-	for _, kind := range []JoinKind{Semi, Anti, LeftCount} {
-		t.Run(kind.String(), func(t *testing.T) {
-			p := &HashJoin{
-				Build:     &Scan{Table: "cust"},
-				BuildKeys: []string{"c_id"},
-				Probe:     &Scan{Table: "orders"},
-				ProbeKeys: []string{"o_cust"},
-				Kind:      kind,
-			}
-			want, _, err := RunContext(&Context{Cat: cat, Workers: 2}, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, ctr, err := RunContext(&Context{
-				Cat: cat, Workers: 2,
-				MemLimitBytes: spillBudget, SpillDir: t.TempDir(),
-			}, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok, why := colstore.TablesIdentical(want, got); !ok {
-				t.Fatalf("spilled %s differs: %s", kind, why)
-			}
-			if ctr.SpillWriteBytes == 0 {
-				t.Fatalf("%s never spilled under budget %d", kind, spillBudget)
-			}
+// TestJoinProberConformance runs the spill joiner through the
+// conformance table internal/exec runs the resident layouts through, at
+// every residency: nothing resident, a resident prefix, everything
+// resident. The spill decision and fan-out are fixed by hand so that
+// each residency is reached on every input; TestSpillJoinMatchesInMemory
+// covers the budget-driven choice end to end.
+func TestJoinProberConformance(t *testing.T) {
+	const bits = 4
+	var impls []jointest.Impl
+	for _, resident := range []int{0, 5, 1 << bits} {
+		resident := resident
+		impls = append(impls, jointest.Impl{
+			Name: fmt.Sprintf("spill-resident%d", resident),
+			Build: func(t *testing.T, build []int64, _, w, mr int, ctr *exec.Counters) exec.JoinProber {
+				c := &Context{Ctr: ctr, Workers: w, MorselRows: mr, MemLimitBytes: 1 << 20, SpillDir: t.TempDir()}
+				area, err := c.area()
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() {
+					if err := area.Close(); err != nil {
+						t.Error(err)
+					}
+				})
+				rp, err := exec.RadixPartitionKeys(build, nil, bits, w, mr, ctr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sj := &spillJoiner{ctx: c, resident: resident, rp: rp, bsegs: make([]*spill.Segment, 1<<bits)}
+				if _, err := sj.spillBeyondResident(area, rp, sj.bsegs, ctr); err != nil {
+					t.Fatal(err)
+				}
+				return sj
+			},
+			// Partitions are probed one at a time: nothing depends on the
+			// worker count but who runs the partition passes.
+			CountersFrom: 1,
+			Check: func(t *testing.T, in jointest.Input, ctr exec.Counters) {
+				spilled := resident < 1<<bits && len(in.Build)+len(in.Probe) > 0
+				if (ctr.SpillWriteBytes > 0) != spilled || (ctr.SpillReadBytes > 0) != spilled {
+					t.Fatalf("resident %d of %d partitions: wrote %d, read %d spill bytes",
+						resident, 1<<bits, ctr.SpillWriteBytes, ctr.SpillReadBytes)
+				}
+			},
 		})
 	}
+	jointest.Run(t, impls)
 }
 
 // TestSpillAreaRemovedAfterRun: the per-query spill area (and every

@@ -9,6 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"wimpi/internal/colstore"
+	"wimpi/internal/engine"
+	"wimpi/internal/exec"
 	"wimpi/internal/obs"
 	"wimpi/internal/sql"
 	"wimpi/internal/tpch"
@@ -146,5 +149,53 @@ func TestHTTPQueryQ13NeedsUniqueKeys(t *testing.T) {
 				t.Fatalf("Q13 row %d col %d = %q, want %q", i, c, cell, w)
 			}
 		}
+	}
+}
+
+// TestHTTPQueryJoinOverflow: a join with more matching pairs than int32
+// row ids can address (10^10 here, on one constant key) is one
+// statement's typed error — a 4xx carrying *exec.JoinOverflowError's
+// message — not a garbage-sized allocation that takes the server down.
+// Two 100k-row sides put the build side past the default LLC budget, so
+// the planner picks the compact layout, whose count pass sees the total
+// before a single pair is emitted.
+func TestHTTPQueryJoinOverflow(t *testing.T) {
+	const n = 100_000
+	constant := func(table, col string) *colstore.Table {
+		v := make([]int64, n)
+		for i := range v {
+			v[i] = 7
+		}
+		return colstore.MustNewTable(table, colstore.Schema{{Name: col, Type: colstore.Int64}},
+			[]colstore.Column{&colstore.Int64s{V: v}})
+	}
+	db := engine.NewDB(engine.Config{Workers: 2})
+	db.Register(constant("a", "ak"))
+	db.Register(constant("b", "bk"))
+	srv := httptest.NewServer(New(Config{DB: db, Registry: obs.NewRegistry()}).Handler())
+	defer srv.Close()
+
+	post := func(sql string) (int, string) {
+		t.Helper()
+		body, _ := json.Marshal(queryRequest{Tenant: "web", SQL: sql})
+		resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(msg)
+	}
+	status, msg := post("select count(*) as c from a, b where ak = bk")
+	want := (&exec.JoinOverflowError{Matches: n * n}).Error()
+	if status < 400 || status > 499 || !strings.Contains(msg, want) {
+		t.Fatalf("status %d, body %q; want a 4xx carrying %q", status, msg, want)
+	}
+	// The server is still there for the next statement.
+	if status, msg := post("select count(*) as c from a"); status != http.StatusOK {
+		t.Fatalf("follow-up query: status %d: %s", status, msg)
 	}
 }
