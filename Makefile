@@ -4,7 +4,7 @@ GO ?= go
 # and soak runs override it (FUZZTIME=2m make fuzz).
 FUZZTIME ?= 10s
 
-.PHONY: build test test-procs vet lint lint-report lint-bench race chaos fuzz explain-smoke serve-smoke spill-smoke check loc bench bench-compare bench-scaling bench-smoke
+.PHONY: build test test-procs vet lint lint-report lint-bench race chaos fuzz explain-smoke serve-smoke spill-smoke check loc bench bench-compare bench-pairs bench-scaling bench-smoke
 
 build:
 	$(GO) build ./...
@@ -125,6 +125,16 @@ bench:
 
 bench-compare:
 	$(GO) run ./benchmark -compare $(A) $(B)
+
+# A performance claim, measured the way the choosing-metrics guide asks:
+# N alternating pairs of BASE against the working tree on workload W
+# (scripts/bench-pairs.sh has the details; ~1 min per pair on power).
+#   make bench-pairs BASE=HEAD~1 W=power N=10
+W ?= power
+N ?= 10
+bench-pairs:
+	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<rev> [W=<workload>] [N=<pairs>]"; exit 2; }
+	scripts/bench-pairs.sh $(BASE) $(W) $(N)
 
 # Parallel speedup on Q1/Q3/Q6/Q18 at 1/2/4/8 workers (SF via WIMPI_BENCH_SF).
 bench-scaling:

@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"runtime"
 
 	"wimpi/internal/hardware"
 	"wimpi/internal/microbench"
@@ -35,6 +36,10 @@ func main() {
 	for _, r := range all {
 		fmt.Printf("  %-14s %d cores: %11.2f %s\n", r.Name, r.Cores, r.Score, r.Unit)
 	}
+	procs := runtime.GOMAXPROCS(0)
+	capacity, oneSec, allSec := microbench.ParallelCapacity(procs)
+	fmt.Printf("  %-14s %d procs: %11.2f cores (%d spinning goroutines take %.2f s for what one does in %.2f s)\n",
+		"parallel capacity", procs, capacity, procs, allSec, oneSec)
 	if *hostOnly {
 		return
 	}

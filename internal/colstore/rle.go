@@ -1,5 +1,7 @@
 package colstore
 
+import "sort"
+
 // RLEInt64 is a run-length-encoded int64 column. It implements Column,
 // so it can sit inside a Table; dedicated kernels in package exec
 // operate on it run-at-a-time, and Decode materializes a dense column
@@ -92,11 +94,12 @@ func (r *RLEInt64) Slice(lo, hi int) Column {
 		out.Starts = []int32{0}
 		return out
 	}
-	for i, v := range r.Vals {
+	// The first overlapping run is the last one starting at or before lo;
+	// a morsel-sized slice of a long column touches only its own runs.
+	first := sort.Search(len(r.Vals), func(i int) bool { return int(r.Starts[i+1]) > lo })
+	for i := first; i < len(r.Vals) && int(r.Starts[i]) < hi; i++ {
+		v := r.Vals[i]
 		s, e := int(r.Starts[i]), int(r.Starts[i+1])
-		if e <= lo || s >= hi {
-			continue
-		}
 		if s < lo {
 			s = lo
 		}

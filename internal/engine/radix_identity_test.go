@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"wimpi/internal/engine"
+	"wimpi/internal/exec"
+	"wimpi/internal/plan"
 	"wimpi/internal/tpch"
 )
 
@@ -68,6 +70,34 @@ func TestRadixPlansByteIdentical(t *testing.T) {
 			}
 		})
 	}
+	// At this scale the only TPC-H operators large enough to partition are
+	// Q18's and Q21's group-bys, and their keys arrive clustered: they take
+	// the order-aware path whatever the budget. A high-cardinality key that
+	// arrives in no order keeps the radix group-by under this suite.
+	t.Run("unclustered group-by", func(t *testing.T) {
+		p := &plan.GroupBy{
+			Input: &plan.Scan{Table: "lineitem", Columns: []string{"l_partkey", "l_quantity"}},
+			Keys:  []string{"l_partkey"},
+			Aggs: []plan.AggSpec{
+				{Name: "n", Func: plan.Count},
+				{Name: "qty", Func: plan.Sum, Arg: exec.Col{Name: "l_quantity"}},
+			},
+		}
+		base, err := direct.RunWith(p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 2, 4, 8} {
+			res, err := radix.RunWith(p, w)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", w, err)
+			}
+			assertTablesIdentical(t, base.Table, res.Table, fmt.Sprintf("unclustered group-by radix workers=%d", w))
+			if res.Counters.PartitionBytes > 0 {
+				sawPartition = true
+			}
+		}
+	})
 	if !sawPartition {
 		t.Error("no query took a partitioned path — the forced-radix budget is not forcing")
 	}

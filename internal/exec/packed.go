@@ -278,46 +278,6 @@ func (p InI) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) 
 // String implements Pred.
 func (p InI) String() string { return fmt.Sprintf("%s in %d", p.Column, p.Vals) }
 
-// KeysFromBitPacked extracts 64-bit keys from a bit-packed column,
-// reading only the packed words. The key vector is operator output (the
-// join/group-by contract), not a decode of the column: the scan is
-// charged at the compressed footprint.
-func KeysFromBitPacked(c *colstore.BitPackedInt64, sel []int32, ctr *Counters) []int64 {
-	if sel == nil {
-		out := make([]int64, c.Len())
-		c.DecodeInto(out, 0)
-		ctr.SeqBytes += c.SizeBytes()
-		ctr.IntOps += int64(c.Len())
-		return out
-	}
-	out := make([]int64, len(sel))
-	for i, s := range sel {
-		out[i] = c.Value(s)
-	}
-	ctr.RandomAccesses += int64(len(sel))
-	ctr.IntOps += int64(len(sel))
-	return out
-}
-
-// KeysFromFoR extracts 64-bit keys from a frame-of-reference column,
-// reading only the packed words.
-func KeysFromFoR(c *colstore.FoRInt64, sel []int32, ctr *Counters) []int64 {
-	if sel == nil {
-		out := make([]int64, c.Len())
-		c.Codes.DecodeInto(out, c.Ref)
-		ctr.SeqBytes += c.SizeBytes()
-		ctr.IntOps += int64(c.Len())
-		return out
-	}
-	out := make([]int64, len(sel))
-	for i, s := range sel {
-		out[i] = c.Value(s)
-	}
-	ctr.RandomAccesses += int64(len(sel))
-	ctr.IntOps += int64(len(sel))
-	return out
-}
-
 // AsInt64 returns the column's values as a dense int64 slice, decoding
 // RLE, bit-packed, and frame-of-reference layouts. The result aliases
 // the column's storage for dense columns. This is the explicit

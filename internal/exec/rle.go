@@ -36,26 +36,3 @@ func SelRLEInt64(c *colstore.RLEInt64, op CmpOp, val int64, in []int32, ctr *Cou
 	ctr.RandomAccesses += int64(len(in))
 	return out
 }
-
-// KeysFromRLE extracts 64-bit keys from a compressed column, reading
-// only the compressed bytes.
-func KeysFromRLE(c *colstore.RLEInt64, sel []int32, ctr *Counters) []int64 {
-	if sel == nil {
-		out := make([]int64, c.Len())
-		for i, v := range c.Vals {
-			for j := c.Starts[i]; j < c.Starts[i+1]; j++ {
-				out[j] = v
-			}
-		}
-		ctr.SeqBytes += c.SizeBytes()
-		ctr.IntOps += int64(c.Len())
-		return out
-	}
-	out := make([]int64, len(sel))
-	for i, s := range sel {
-		out[i] = c.Value(s)
-	}
-	ctr.RandomAccesses += int64(len(sel))
-	ctr.IntOps += int64(len(sel)) * 4
-	return out
-}

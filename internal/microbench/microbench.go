@@ -200,5 +200,34 @@ func RunParallel(n int, fn func() Result) Result {
 	return out
 }
 
+// ParallelCapacity measures how many cores' worth of work the host
+// really delivers to n spinning goroutines: the aggregate throughput of n
+// goroutines each running a fixed integer kernel, divided by the
+// throughput of one goroutine running it alone. A dedicated n-core
+// machine reports n; a container capped below its visible CPU count
+// reports its cap, which is then the ceiling on any parallel speed-up
+// measured there. It also returns the two wall times behind the ratio.
+func ParallelCapacity(n int) (capacity, oneSec, allSec float64) {
+	if n < 1 {
+		n = 1
+	}
+	const iters = 60_000_000
+	spin := func(k int) float64 {
+		start := time.Now()
+		var wg sync.WaitGroup
+		for i := 0; i < k; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_ = dhrystoneKernel(iters)
+			}()
+		}
+		wg.Wait()
+		return time.Since(start).Seconds()
+	}
+	oneSec, allSec = spin(1), spin(n)
+	return float64(n) * oneSec / allSec, oneSec, allSec
+}
+
 // HostCores returns the host's logical CPU count.
 func HostCores() int { return runtime.NumCPU() }

@@ -62,11 +62,18 @@ func opName(n Node) string {
 }
 
 // instrument returns a deep copy of the plan with every node wrapped in
-// a spanNode. It understands all node types defined in this package;
+// a spanNode. It understands all node types defined in this package and
+// descends through foreign nodes that implement ChildRewriter; other
 // unknown nodes (e.g. query-defined function nodes) are wrapped without
 // descending into their internals.
-func instrument(n Node) Node {
+func instrument(n Node) Node { return instrumentSeen(n, map[Node]Node{}) }
+
+// instrumentSeen is instrument with the identity map that keeps a shared
+// foreign node shared: a CTE referenced twice is rebuilt once, so it
+// still executes once.
+func instrumentSeen(n Node, seen map[Node]Node) Node {
 	wrap := func(inner Node) Node { return &spanNode{inner: inner, op: opName(n)} }
+	instrument := func(c Node) Node { return instrumentSeen(c, seen) }
 	switch v := n.(type) {
 	case *Scan:
 		c := *v
@@ -124,6 +131,13 @@ func instrument(n Node) Node {
 		return wrap(&c)
 	case *spanNode:
 		return v // already instrumented
+	case ChildRewriter:
+		if done, ok := seen[n]; ok {
+			return done
+		}
+		done := wrap(v.RewriteChildren(instrument))
+		seen[n] = done
+		return done
 	default:
 		return wrap(n)
 	}

@@ -100,6 +100,9 @@ func (g *GroupBy) aggregate(ctx *Context, in *colstore.Table) (*colstore.Table, 
 	// budget, the radix-partitioned variant (byte-identical by
 	// construction) keeps every grouper cache-resident.
 	if in.NumRows() >= ctx.parallelMinRows() {
+		if key, cuts := g.clusteredCuts(ctx, in); cuts != nil {
+			return g.groupedClustered(ctx, in, key, cuts)
+		}
 		packed, err := packKeysParallel(ctx, in, g.Keys)
 		if err != nil {
 			return nil, err
@@ -639,11 +642,9 @@ func packKeysParallel(ctx *Context, t *colstore.Table, names []string) ([]int64,
 		}
 		out := make([]int64, n)
 		err = exec.RunMorsels(w, n, mr, ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
-			v, err := exec.KeysFromColumn(c.Slice(lo, hi), nil, ctr)
-			if err != nil {
+			if err := exec.KeysInto(out[lo:hi], c.Slice(lo, hi), nil, ctr); err != nil {
 				return fmt.Errorf("plan: group key %s: %w", name, err)
 			}
-			copy(out[lo:hi], v)
 			return nil
 		})
 		if err != nil {

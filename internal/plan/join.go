@@ -287,39 +287,47 @@ func (j *HashJoin) Explain(depth int) string {
 // joinKeys extracts 64-bit keys for one side of a join, packing two-column
 // keys into a single word.
 func joinKeys(t *colstore.Table, names []string, ctr *exec.Counters) ([]int64, error) {
-	switch len(names) {
-	case 1:
-		c, err := t.ColByName(names[0])
-		if err != nil {
-			return nil, err
-		}
-		return exec.KeysFromColumn(c, nil, ctr)
-	case 2:
-		a, err := t.ColByName(names[0])
-		if err != nil {
-			return nil, err
-		}
-		b, err := t.ColByName(names[1])
-		if err != nil {
-			return nil, err
-		}
-		hi, err := exec.KeysFromColumn(a, nil, ctr)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := exec.KeysFromColumn(b, nil, ctr)
-		if err != nil {
-			return nil, err
-		}
-		return exec.CombineKeys(hi, lo, 31, ctr)
-	default:
-		return nil, fmt.Errorf("plan: joins support one or two key columns, got %d", len(names))
+	out := make([]int64, t.NumRows())
+	if err := joinKeysInto(out, t, names, 0, t.NumRows(), ctr); err != nil {
+		return nil, err
 	}
+	return out, nil
+}
+
+// joinKeysInto extracts the keys of rows [lo, hi) of t into dst.
+func joinKeysInto(dst []int64, t *colstore.Table, names []string, lo, hi int, ctr *exec.Counters) error {
+	if len(names) != 1 && len(names) != 2 {
+		return fmt.Errorf("plan: joins support one or two key columns, got %d", len(names))
+	}
+	col := func(name string) (colstore.Column, error) {
+		c, err := t.ColByName(name)
+		if err == nil && hi-lo < c.Len() {
+			c = c.Slice(lo, hi)
+		}
+		return c, err
+	}
+	a, err := col(names[0])
+	if err != nil {
+		return err
+	}
+	if err := exec.KeysInto(dst, a, nil, ctr); err != nil || len(names) == 1 {
+		return err
+	}
+	b, err := col(names[1])
+	if err != nil {
+		return err
+	}
+	low := make([]int64, hi-lo)
+	if err := exec.KeysInto(low, b, nil, ctr); err != nil {
+		return err
+	}
+	return exec.CombineKeysInto(dst, dst, low, 31, ctr)
 }
 
 // joinKeysParallel is joinKeys with the per-row key extraction and
-// packing split into morsels. Both kernels are elementwise, so the
-// output is identical to the sequential path.
+// packing split into morsels, each decoding straight into its slot of
+// the output. Both kernels are elementwise, so the output is identical
+// to the sequential path.
 func joinKeysParallel(ctx *Context, t *colstore.Table, names []string) ([]int64, error) {
 	w := ctx.workers()
 	n := t.NumRows()
@@ -328,12 +336,7 @@ func joinKeysParallel(ctx *Context, t *colstore.Table, names []string) ([]int64,
 	}
 	out := make([]int64, n)
 	err := exec.RunMorsels(w, n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
-		v, err := joinKeys(t.Slice(lo, hi), names, ctr)
-		if err != nil {
-			return err
-		}
-		copy(out[lo:hi], v)
-		return nil
+		return joinKeysInto(out[lo:hi], t, names, lo, hi, ctr)
 	})
 	if err != nil {
 		return nil, err

@@ -24,6 +24,8 @@ package plan
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"wimpi/internal/colstore"
@@ -83,6 +85,9 @@ func useRadixGroupBy(estGroups int, llcBytes int64) bool {
 // query) instead of allocating each slice afresh every time.
 type radixScratch struct {
 	gr    exec.Grouper
+	keys  []int64   // clustered path: the chunk's packed keys
+	vec   []int64   // clustered path: one trailing key column of the chunk
+	gids  []int32   // clustered path: the chunk's local group ids
 	l2g   []int32   // local gid -> global group id
 	f     []float64 // sum / min / max per local group
 	cur   []float64 // foldSumF64Morsels: the open morsel's partial
@@ -211,23 +216,18 @@ func (g *GroupBy) groupedRadix(ctx *Context, in *colstore.Table, packed []int64,
 			}
 		}
 		for si, spec := range g.Aggs {
-			switch spec.Func {
-			case Count:
-				scatterTo(outI[si], l2g, s.foldCount(lgids, ng, c))
-			case SumI:
-				scatterTo(outI[si], l2g, s.foldSumI64(lgids, iargs[si][lo:hi], ng, c))
-			case Sum:
-				scatterTo(outF[si], l2g, s.foldSumF64Morsels(lgids, rows, fargs[si][lo:hi], ng, mr, c))
-			case Avg:
-				sums := s.foldSumF64Morsels(lgids, rows, fargs[si][lo:hi], ng, mr, c)
-				counts := s.foldCount(lgids, ng, c)
-				for lg, gg := range l2g {
-					outF[si][gg] = sums[lg] / float64(counts[lg]) // a group has a row
-				}
-			case Min:
-				scatterTo(outF[si], l2g, s.foldMinMaxF64(lgids, fargs[si][lo:hi], ng, false, c))
-			case Max:
-				scatterTo(outF[si], l2g, s.foldMinMaxF64(lgids, fargs[si][lo:hi], ng, true, c))
+			var fv []float64
+			var iv []int64
+			if fargs[si] != nil {
+				fv = fargs[si][lo:hi]
+			}
+			if iargs[si] != nil {
+				iv = iargs[si][lo:hi]
+			}
+			if f, i := s.fold(spec.Func, lgids, rows, 0, fv, iv, ng, mr, c); i != nil {
+				scatterTo(outI[si], l2g, i)
+			} else {
+				scatterTo(outF[si], l2g, f)
 			}
 		}
 		radixScratchPool.Put(s)
@@ -237,6 +237,15 @@ func (g *GroupBy) groupedRadix(ctx *Context, in *colstore.Table, packed []int64,
 		return nil, err
 	}
 
+	return g.groupsTable(ctx, in, firstRow, outF, outI)
+}
+
+// groupsTable assembles a partitioned aggregation's output: the key
+// columns gathered at each group's first row, then one finished
+// accumulator column per aggregate (outI for Count and SumI, outF for
+// the rest), all in global first-occurrence order.
+func (g *GroupBy) groupsTable(ctx *Context, in *colstore.Table, firstRow []int32, outF [][]float64, outI [][]int64) (*colstore.Table, error) {
+	ngroups := len(firstRow)
 	schema := make(colstore.Schema, 0, len(g.Keys)+len(g.Aggs))
 	cols := make([]colstore.Column, 0, len(g.Keys)+len(g.Aggs))
 	for _, k := range g.Keys {
@@ -272,6 +281,177 @@ func (g *GroupBy) groupedRadix(ctx *Context, in *colstore.Table, packed []int64,
 	return out, nil
 }
 
+// clusteredCuts looks for a key column that arrives clustered — values
+// never decreasing, so every group is one contiguous row range — and
+// returns its name with the rows to cut the input at. The chunk budget is
+// a quarter morsel: a chunk then holds fewer than half a morsel of rows,
+// and its grouper (at the default morsel, under 384 KiB) stays inside the
+// smallest LLC the planner targets.
+func (g *GroupBy) clusteredCuts(ctx *Context, in *colstore.Table) (string, []int32) {
+	if clusteredOff {
+		return "", nil
+	}
+	for _, k := range g.Keys {
+		c, err := in.ColByName(k)
+		if err != nil {
+			return "", nil // the regular path reports it
+		}
+		if cuts := exec.ClusteredCuts(c, ctx.morselRows()/4, ctx.Ctr); cuts != nil {
+			return k, cuts
+		}
+	}
+	return "", nil
+}
+
+// clusteredOff lets tests compare against the paths a clustered input
+// would otherwise never reach.
+var clusteredOff bool
+
+// groupedClustered aggregates an input that clusteredCuts cut into chunks
+// no group crosses. The chunks are the partitions — no scatter, no
+// n-sized scratch — and each folds with the radix path's kernels in a
+// pooled per-worker scratch. Chunk order then chunk-local first-occurrence
+// order is global first-occurrence order, and float sums are cut at the
+// morsel boundaries of the original rows, so the output is byte-identical
+// to groupedMorsel's.
+func (g *GroupBy) groupedClustered(ctx *Context, in *colstore.Table, key string, cuts []int32) (*colstore.Table, error) {
+	nc := len(cuts) - 1
+	sp := ctx.Trace.Begin("group-partition", fmt.Sprintf("clustered on %s, %d chunks", key, nc))
+	ctx.Trace.End(sp, int64(in.NumRows()), 0)
+
+	keyCols := make([]colstore.Column, len(g.Keys))
+	for i, k := range g.Keys {
+		c, err := in.ColByName(k)
+		if err != nil {
+			return nil, err
+		}
+		keyCols[i] = c
+	}
+	mr := ctx.morselRows()
+	parts := make([]groupPart, nc)
+	err := exec.RunMorsels(ctx.workers(), nc, 1, ctx.Ctr, func(c, _, _ int, ctr *exec.Counters) error {
+		s := radixScratchPool.Get().(*radixScratch)
+		defer radixScratchPool.Put(s)
+		return g.aggChunk(&parts[c], s, in, keyCols, int(cuts[c]), int(cuts[c+1]), mr, ctr)
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Chunks finish in any order, so each kept its groups; lay them end
+	// to end.
+	ngroups := 0
+	for i := range parts {
+		ngroups += len(parts[i].firstRow)
+	}
+	firstRow := make([]int32, 0, ngroups)
+	for i := range parts {
+		firstRow = append(firstRow, parts[i].firstRow...)
+	}
+	outF := make([][]float64, len(g.Aggs))
+	outI := make([][]int64, len(g.Aggs))
+	for si, spec := range g.Aggs {
+		if spec.Func == Count || spec.Func == SumI {
+			outI[si] = make([]int64, 0, ngroups)
+			for i := range parts {
+				outI[si] = append(outI[si], parts[i].aggs[si].i...)
+			}
+		} else {
+			outF[si] = make([]float64, 0, ngroups)
+			for i := range parts {
+				outF[si] = append(outF[si], parts[i].aggs[si].f...)
+			}
+		}
+	}
+	ctx.Ctr.MergeBytes += int64(ngroups) * int64(4+8*len(g.Aggs))
+	return g.groupsTable(ctx, in, firstRow, outF, outI)
+}
+
+// aggChunk aggregates rows [lo, hi) — whole groups only — into p.
+func (g *GroupBy) aggChunk(p *groupPart, s *radixScratch, in *colstore.Table, keyCols []colstore.Column, lo, hi, morselRows int, ctr *exec.Counters) error {
+	// Extract and pack the keys. IDs never leave the chunk, so bit widths
+	// come from the chunk's own maxima.
+	n := hi - lo
+	keys, vec := resized(&s.keys, n), resized(&s.vec, n)
+	var total uint
+	for i, c := range keyCols {
+		dst := keys
+		if i > 0 {
+			dst = vec
+		}
+		if err := exec.KeysInto(dst, c.Slice(lo, hi), nil, ctr); err != nil {
+			return fmt.Errorf("plan: group key %s: %w", g.Keys[i], err)
+		}
+		if len(keyCols) == 1 {
+			break
+		}
+		var max int64
+		for _, x := range dst {
+			if x < 0 {
+				return fmt.Errorf("plan: group key %s has negative value %d", g.Keys[i], x)
+			}
+			if x > max {
+				max = x
+			}
+		}
+		b := uint(bits.Len64(uint64(max | 1)))
+		if total += b; total > 63 {
+			return fmt.Errorf("plan: group keys %v need more than 63 bits", g.Keys)
+		}
+		if i > 0 {
+			for r, x := range vec {
+				keys[r] = keys[r]<<b | x
+			}
+		}
+		ctr.IntOps += int64(n)
+	}
+
+	// Local group IDs, dense in first-occurrence order: by comparing
+	// neighbours when the packed key itself never decreases, through a
+	// cache-resident grouper otherwise.
+	gids := resized(&s.gids, n)
+	ng, sorted := exec.GroupIDsSorted(keys, gids, ctr)
+	if !sorted {
+		s.gr.Reset(256)
+		s.gr.GroupIDsCacheResident(keys, gids, ctr)
+		ng = s.gr.NumGroups()
+	}
+	first := make([]int32, 0, ng)
+	for i, gid := range gids {
+		if int(gid) == len(first) {
+			first = append(first, int32(lo+i))
+		}
+	}
+	p.firstRow = first
+
+	p.aggs = make([]aggState, len(g.Aggs))
+	var sub *colstore.Table
+	for si, spec := range g.Aggs {
+		if sub == nil && spec.Func != Count {
+			sub = in.Slice(lo, hi)
+		}
+		var fv []float64
+		var iv []int64
+		var err error
+		switch spec.Func {
+		case Count:
+			// Pure row count; the argument (if any) is not evaluated.
+		case SumI:
+			iv, err = evalAggArgI(sub, spec, ctr)
+		case Sum, Avg, Min, Max:
+			fv, err = evalAggArg(sub, spec, ctr)
+		default:
+			err = fmt.Errorf("plan: unknown aggregate %d", spec.Func)
+		}
+		if err != nil {
+			return err
+		}
+		f, i := s.fold(spec.Func, gids, nil, lo, fv, iv, ng, morselRows, ctr)
+		p.aggs[si] = aggState{f: slices.Clone(f), i: slices.Clone(i)}
+	}
+	return nil
+}
+
 // resized returns *buf at length n, reusing its storage when it is large
 // enough. The contents are unspecified.
 func resized[T any](buf *[]T, n int) []T {
@@ -293,12 +473,35 @@ func scatterTo[T any](out []T, l2g []int32, acc []T) {
 // accumulators; the returned slice is valid until the scratch's next
 // fold of the same kind.
 
+// fold aggregates one partition's rows for one aggregate and returns the
+// finished accumulator per local group: i for Count and SumI, f for the
+// rest. rows and base locate the rows as foldSumF64Morsels needs.
+func (s *radixScratch) fold(fn AggFunc, gids, rows []int32, base int, fv []float64, iv []int64, ng, morselRows int, ctr *exec.Counters) (f []float64, i []int64) {
+	switch fn {
+	case Count:
+		return nil, s.foldCount(gids, ng, ctr)
+	case SumI:
+		return nil, s.foldSumI64(gids, iv, ng, ctr)
+	case Sum:
+		return s.foldSumF64Morsels(gids, rows, base, fv, ng, morselRows, ctr), nil
+	case Avg:
+		sums := s.foldSumF64Morsels(gids, rows, base, fv, ng, morselRows, ctr)
+		for lg, n := range s.foldCount(gids, ng, ctr) {
+			sums[lg] /= float64(n) // a group has a row
+		}
+		return sums, nil
+	default:
+		return s.foldMinMaxF64(gids, fv, ng, fn == Max, ctr), nil
+	}
+}
+
 // foldSumF64Morsels sums vals per group, cutting the fold at every morsel
-// boundary of the original row numbers: within a morsel values add left
-// to right, and completed morsel partials add in morsel order. That is
-// bit-for-bit the association groupedMorsel produces with per-morsel
-// ScatterSumF64 partials merged in morsel order.
-func (s *radixScratch) foldSumF64Morsels(gids, rows []int32, vals []float64, ng, morselRows int, ctr *exec.Counters) []float64 {
+// boundary of the original row numbers — rows[i], or base+i when rows is
+// nil (a contiguous range): within a morsel values add left to right, and
+// completed morsel partials add in morsel order. That is bit-for-bit the
+// association groupedMorsel produces with per-morsel ScatterSumF64
+// partials merged in morsel order.
+func (s *radixScratch) foldSumF64Morsels(gids, rows []int32, base int, vals []float64, ng, morselRows int, ctr *exec.Counters) []float64 {
 	tot, cur, lastM := resized(&s.f, ng), resized(&s.cur, ng), resized(&s.lastM, ng)
 	clear(tot)
 	clear(cur)
@@ -306,7 +509,11 @@ func (s *radixScratch) foldSumF64Morsels(gids, rows []int32, vals []float64, ng,
 		lastM[i] = -1
 	}
 	for i, gid := range gids {
-		m := int32(int(rows[i]) / morselRows)
+		row := base + i
+		if rows != nil {
+			row = int(rows[i])
+		}
+		m := int32(row / morselRows)
 		if m != lastM[gid] {
 			if lastM[gid] >= 0 {
 				tot[gid] += cur[gid]

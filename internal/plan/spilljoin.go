@@ -361,3 +361,16 @@ type ChildNodes interface {
 	// Children returns the operator's direct inputs.
 	Children() []Node
 }
+
+// ChildRewriter is implemented by ChildNodes operators that can be
+// rebuilt over rewritten inputs, which is how tracing instruments the
+// plans inside them. Implementations must be pointer types: rewrites
+// are remembered per node identity, so a node shared by two parents
+// stays one node.
+type ChildRewriter interface {
+	ChildNodes
+	// RewriteChildren returns a copy of the operator in which every
+	// input — including any it only builds while executing — has been
+	// passed through rewrite.
+	RewriteChildren(rewrite func(Node) Node) Node
+}

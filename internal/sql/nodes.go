@@ -41,6 +41,12 @@ func (m *memoNode) Explain(depth int) string {
 // spill-capability scan behind memory budgets) see through the memo.
 func (m *memoNode) Children() []plan.Node { return []plan.Node{m.inner} }
 
+// RewriteChildren implements plan.ChildRewriter. A table the memo already
+// holds is kept: the copy is the same CTE, run at most once.
+func (m *memoNode) RewriteChildren(rewrite func(plan.Node) plan.Node) plan.Node {
+	return &memoNode{name: m.name, inner: rewrite(m.inner), t: m.t}
+}
+
 // scalarPlan is one scalar subquery: a plan whose result is a single
 // row with the scalar in its only column.
 type scalarPlan struct {
@@ -110,6 +116,23 @@ func (d *deferredNode) Children() []plan.Node {
 		out = append(out, d.built)
 	}
 	return out
+}
+
+// RewriteChildren implements plan.ChildRewriter: the scalar subquery
+// plans now, the enclosing block when Execute builds it.
+func (d *deferredNode) RewriteChildren(rewrite func(plan.Node) plan.Node) plan.Node {
+	c := &deferredNode{name: d.name, scalars: make([]scalarPlan, len(d.scalars))}
+	for i := range d.scalars {
+		c.scalars[i] = scalarPlan{node: rewrite(d.scalars[i].node)}
+	}
+	c.build = func(vals []float64) (plan.Node, error) {
+		n, err := d.build(vals)
+		if err != nil {
+			return nil, err
+		}
+		return rewrite(n), nil
+	}
+	return c
 }
 
 // Explain implements plan.Node.
