@@ -50,9 +50,12 @@ LINT_DEADLINE ?= 120s
 lint-bench:
 	$(GO) run ./cmd/wimpi-lint -novet -deadline $(LINT_DEADLINE) ./...
 
-# Race-detector pass over every package.
+# Race-detector pass over every package, then ten more rounds over what
+# runs spilled partitions as concurrent morsels against one open segment:
+# the detector only sees the interleavings a run happens to produce.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'Spill|JoinProber|Segment' ./internal/plan ./internal/spill
 
 # Fault-injection suite: chaos tests, wire-protocol hardening, and the
 # faultconn package itself, all under the race detector.
@@ -88,15 +91,29 @@ serve-smoke:
 	$(GO) run ./cmd/wimpi-serve -load -sf 0.05 -clients 64 -queries 5 \
 		-max-p99-ms $(SERVE_P99_MS) -bench-out BENCH_serve.json
 
-# Budget determinism smoke test: force Q3 through the spill scheduler
-# with a budget far below its join state and require the same answer as
-# the unlimited run (the engine suite proves this across all 22 queries;
-# this catches CLI-level wiring of -mem-budget).
+# Budget determinism smoke test: force an inner (Q3), a semi (Q4) and a
+# left-count (Q13) join through the spill joiner with a budget far below
+# their join state, at one worker and at four (partitions are morsels),
+# and require the same answer as the unlimited run and an empty spill
+# directory afterwards (the engine suite proves the answers across all
+# 22 queries; this catches CLI-level wiring of -mem-budget, -workers and
+# -spill-dir). Each run lands in a file before it is filtered, so a run
+# that fails stops the target instead of diffing two empty outputs.
+SPILL_SMOKE_FILTER = grep -v -e '(host)' -e '^generating'
 spill-smoke:
-	$(GO) run ./cmd/wimpi -sf 0.01 -q 3 -rows 3 | grep -v -e '(host)' -e '^generating' > /tmp/wimpi-spill-free.out
-	$(GO) run ./cmd/wimpi -sf 0.01 -q 3 -rows 3 -mem-budget 64KB | grep -v -e '(host)' -e '^generating' > /tmp/wimpi-spill-budget.out
-	diff /tmp/wimpi-spill-free.out /tmp/wimpi-spill-budget.out
-	@echo "spill-smoke: budgeted output identical"
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/spill"; \
+	$(GO) build -o "$$tmp/wimpi" ./cmd/wimpi; \
+	for q in 3 4 13; do \
+		"$$tmp/wimpi" -sf 0.01 -q $$q -rows 3 > "$$tmp/raw"; \
+		$(SPILL_SMOKE_FILTER) "$$tmp/raw" > "$$tmp/free.out"; \
+		for w in 1 4; do \
+			"$$tmp/wimpi" -sf 0.01 -q $$q -rows 3 -workers $$w -mem-budget 64KB -spill-dir "$$tmp/spill" > "$$tmp/raw"; \
+			$(SPILL_SMOKE_FILTER) "$$tmp/raw" > "$$tmp/budget.out"; \
+			diff "$$tmp/free.out" "$$tmp/budget.out"; \
+			test -z "$$(ls -A "$$tmp/spill")" || { echo "spill-smoke: Q$$q at $$w worker(s) left files in the spill directory"; exit 1; }; \
+		done; \
+	done; \
+	echo "spill-smoke: Q3, Q4, Q13 identical under the budget at 1 and 4 workers; spill directory empty"
 
 # The tier-1 gate: everything a change must pass before merging.
 check: build test test-procs vet lint race explain-smoke serve-smoke spill-smoke

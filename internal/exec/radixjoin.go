@@ -9,16 +9,21 @@ package exec
 // JoinTable's DRAM pointer chase.
 //
 // The per-partition probe kernels are written once, as PartTable
-// methods, and driven two ways: RadixJoinTable runs them over resident
-// partitions as morsels; the plan layer's spill joiner runs them over
-// partitions read back from the spill area, one at a time.
+// methods, and driven two ways, both with partitions as morsels:
+// RadixJoinTable runs them over resident partitions; the plan layer's
+// spill joiner also runs them over partitions read back from the spill
+// area. Every partition's table packs its groups into its own window of
+// one payload array shared by the whole build side, so a group is
+// addressed by a global payload index and outlives its table.
 //
 // Probe results are byte-identical to JoinTable's: the chained table
 // visits a key's duplicates in descending build-row order (inserts
 // prepend), and the payload here stores them ascending and emits them
-// reversed. Inner-join output positions come from a count pass plus a
-// prefix sum over probe rows (MatchOffsets), so per-partition fills land
-// every match exactly where the sequential probe would have appended it.
+// reversed. An inner join visits every partition once: the count pass
+// records each probe row's match count and where its group starts in the
+// payload, a prefix sum over probe rows (MatchOffsets) sizes the output,
+// and FillMatches sweeps the probe rows in their original order, so every
+// match lands exactly where the sequential probe would have appended it.
 
 // RadixBuildBytesPerRow estimates the per-build-row footprint of a
 // partition's table (2x slots of key+group, payload row, amortized group
@@ -35,31 +40,25 @@ type RadixJoinConfig struct {
 
 // PartTable is one radix partition's compact table: open addressing
 // over distinct keys, each mapping to a dense group whose build rows are
-// contiguous — ascending — in the payload.
+// contiguous — ascending — in the partition's payload window.
 type PartTable struct {
 	slotKeys []int64
 	slotGrp  []int32 // slot -> group, or -1
-	start    []int32 // group -> first payload index
+	start    []int32 // group -> first index within the payload window
 	cnt      []int32 // group -> number of build rows
-	payload  []int32 // build rows grouped by key
 	shift    uint
 }
 
 // BuildPartTable builds one partition's table over its keys and their
-// build-side row ids.
-func BuildPartTable(keys []int64, rows []int32, c *Counters) *PartTable {
-	pt := new(PartTable)
-	pt.build(keys, rows, make([]int32, len(keys)), c)
-	return pt
-}
-
-// build fills pt, packing the groups into the caller's payload window.
-// Keys must arrive in ascending original-row order (the radix scatter is
-// stable); groups are numbered by first occurrence and a second
-// ascending pass packs each group's rows contiguously — ascending within
-// the group, so probes emitting the payload reversed reproduce the
-// chained table's descending duplicate order.
-func (pt *PartTable) build(keys []int64, rows, payload []int32, c *Counters) {
+// build-side row ids, packing the groups into payload — the partition's
+// window, len(keys) long, of the build side's payload array. Keys must
+// arrive in ascending original-row order (the radix scatter is stable);
+// groups are numbered by first occurrence and a second ascending pass
+// packs each group's rows contiguously — ascending within the group, so
+// probes emitting the payload reversed reproduce the chained table's
+// descending duplicate order.
+func BuildPartTable(keys []int64, rows, payload []int32, c *Counters) PartTable {
+	var pt PartTable
 	capacity := nextPow2(len(keys)*2 + 1)
 	pt.slotKeys = make([]int64, capacity)
 	pt.slotGrp = make([]int32, capacity)
@@ -96,7 +95,7 @@ func (pt *PartTable) build(keys []int64, rows, payload []int32, c *Counters) {
 		start[g] = pos
 		pos += n
 	}
-	pt.start, pt.cnt, pt.payload = start, cnt, payload
+	pt.start, pt.cnt = start, cnt
 	fill := make([]int32, len(cnt))
 	for i := range keys {
 		g := grp[i]
@@ -107,6 +106,7 @@ func (pt *PartTable) build(keys []int64, rows, payload []int32, c *Counters) {
 	c.CacheRandomAccesses += 2 * int64(len(keys))
 	c.IntOps += int64(len(keys))
 	c.ObservePartitionBytes(pt.sizeBytes() + int64(len(keys))*4)
+	return pt
 }
 
 // sizeBytes is the table's footprint without its payload window.
@@ -134,51 +134,20 @@ func (pt *PartTable) lookup(k int64) int32 {
 // their original probe-row ids; outputs indexed by probe row are shared
 // across partitions, which write disjoint rows of them.
 
-// CountMatches is the inner join's count pass: it records every probe
-// key's group in grp (parallel to pkeys) and the group's size in
-// counts[probe row].
-func (pt *PartTable) CountMatches(pkeys []int64, prows, grp, counts []int32, c *Counters) {
+// CountMatches is the inner join's count pass: for every probe row with
+// a match it records the group's size in counts[probe row] and the
+// group's start in the build side's payload array in first[probe row];
+// base is where the partition's payload window starts.
+func (pt *PartTable) CountMatches(pkeys []int64, prows []int32, base int32, counts, first []int32, c *Counters) {
 	for i, k := range pkeys {
-		g := pt.lookup(k)
-		grp[i] = g
-		if g >= 0 {
-			counts[prows[i]] = pt.cnt[g]
+		if g := pt.lookup(k); g >= 0 {
+			pr := prows[i]
+			counts[pr] = pt.cnt[g]
+			first[pr] = base + pt.start[g]
 		}
 	}
 	c.HashProbeTuples += int64(len(pkeys))
 	c.CacheRandomAccesses += int64(len(pkeys))
-}
-
-// Groups recomputes the grp vector of CountMatches, for a driver that
-// could not keep it between the passes.
-func (pt *PartTable) Groups(pkeys []int64, grp []int32, c *Counters) {
-	for i, k := range pkeys {
-		grp[i] = pt.lookup(k)
-	}
-	c.CacheRandomAccesses += int64(len(pkeys))
-}
-
-// FillMatches is the inner join's fill pass: every matching probe row
-// writes its group's build rows, reversed, into its output window
-// starting at offs[probe row].
-func (pt *PartTable) FillMatches(prows, grp, offs, buildIdx, probeIdx []int32, c *Counters) {
-	var emitted int64
-	for i, g := range grp {
-		if g < 0 {
-			continue
-		}
-		pr := prows[i]
-		o := int(offs[pr])
-		n := int(pt.cnt[g])
-		s := int(pt.start[g])
-		for d := 0; d < n; d++ {
-			buildIdx[o+d] = pt.payload[s+n-1-d]
-			probeIdx[o+d] = pr
-		}
-		emitted += int64(n)
-	}
-	c.CacheRandomAccesses += emitted
-	c.SeqBytes += emitted * 8
 }
 
 // FlagMatches sets hit[probe row] for every probe row with a match: the
@@ -239,13 +208,47 @@ func CollectFlags(flags []bool, want bool, ctr *Counters) []int32 {
 	return out
 }
 
+// FillMatches is the inner join's fill, for every driver of the count
+// pass: it turns counts into output windows (MatchOffsets) and sweeps
+// the probe rows in their original order, as row morsels, each matching
+// row writing its group — counts[row] build rows from payload[first[row]],
+// reversed — into its window. The sweep needs no table, no probe
+// partition and no spilled segment, which is what lets a driver visit
+// every partition once; its writes stream forward.
+func FillMatches(payload, counts, first []int32, workers, morselRows int, ctr *Counters) (buildIdx, probeIdx []int32, err error) {
+	offs, total, err := MatchOffsets(counts, ctr)
+	if err != nil {
+		return nil, nil, err
+	}
+	buildIdx = make([]int32, total)
+	probeIdx = make([]int32, total)
+	if err := runMorselsInfallible(workers, len(counts), morselRows, ctr, func(_, lo, hi int, c *Counters) {
+		o := int(offs[lo])
+		for pr := lo; pr < hi; pr++ {
+			n, s := int(counts[pr]), int(first[pr])
+			for d := 0; d < n; d++ {
+				buildIdx[o+d] = payload[s+n-1-d]
+				probeIdx[o+d] = int32(pr)
+			}
+			o += n
+		}
+		emitted := int64(o - int(offs[lo]))
+		c.CacheRandomAccesses += emitted
+		c.SeqBytes += emitted * 8
+	}); err != nil {
+		return nil, nil, err
+	}
+	return buildIdx, probeIdx, nil
+}
+
 // RadixJoinTable is the compact layout with every partition resident:
 // probe sides are partitioned before probing, and partitions run as
 // morsels.
 type RadixJoinTable struct {
-	rp    *RadixPartitions
-	parts []PartTable
-	bloom *Bloom
+	rp      *RadixPartitions
+	parts   []PartTable
+	payload []int32 // build rows grouped by key; partition p owns [Off[p], Off[p+1])
+	bloom   *Bloom
 }
 
 // BuildRadixJoinTable partitions keys so each partition's table fits
@@ -267,11 +270,10 @@ func BuildRadixJoinTable(keys []int64, targetPartBytes int64, cfg RadixJoinConfi
 // cache-sized range. The only possible error is the query's
 // cancellation, and a partially built table must never be probed.
 func BuildRadixTables(rp *RadixPartitions, cfg RadixJoinConfig, workers, morselRows int, ctr *Counters) (*RadixJoinTable, error) {
-	rt := &RadixJoinTable{rp: rp, parts: make([]PartTable, rp.NumPartitions())}
-	payload := make([]int32, len(rp.Rows))
+	rt := &RadixJoinTable{rp: rp, parts: make([]PartTable, rp.NumPartitions()), payload: make([]int32, len(rp.Rows))}
 	if err := runMorselsInfallible(workers, len(rt.parts), 1, ctr, func(p, _, _ int, c *Counters) {
 		lo, hi := rp.Off[p], rp.Off[p+1]
-		rt.parts[p].build(rp.Keys[lo:hi], rp.Rows[lo:hi], payload[lo:hi], c)
+		rt.parts[p] = BuildPartTable(rp.Keys[lo:hi], rp.Rows[lo:hi], rt.payload[lo:hi], c)
 	}); err != nil {
 		return nil, err
 	}
@@ -340,40 +342,29 @@ func gatherKeysAt(keys []int64, sel []int32, workers, morselRows int, ctr *Count
 }
 
 // eachPart runs one kernel pass: fn once per partition, as a morsel,
-// with the bounds [lo, hi) of that partition's probe rows in pp.
-func (rt *RadixJoinTable) eachPart(pp *RadixPartitions, workers int, ctr *Counters, fn func(pt *PartTable, lo, hi int32, c *Counters)) error {
+// with the partition's table and its probe keys and rows.
+func (rt *RadixJoinTable) eachPart(pp *RadixPartitions, workers int, ctr *Counters, fn func(p int, pt *PartTable, pkeys []int64, prows []int32, c *Counters)) error {
 	return runMorselsInfallible(workers, len(rt.parts), 1, ctr, func(p, _, _ int, c *Counters) {
-		fn(&rt.parts[p], pp.Off[p], pp.Off[p+1], c)
+		lo, hi := pp.Off[p], pp.Off[p+1]
+		fn(p, &rt.parts[p], pp.Keys[lo:hi], pp.Rows[lo:hi], c)
 	})
 }
 
-// InnerJoin implements JoinProber: a count pass sizes the output
-// exactly, MatchOffsets assigns every probe row its window, and a fill
-// pass writes the windows.
+// InnerJoin implements JoinProber: a count pass over the partitions,
+// then FillMatches over the probe rows.
 func (rt *RadixJoinTable) InnerJoin(probeKeys []int64, workers, morselRows int, ctr *Counters) (buildIdx, probeIdx []int32, err error) {
 	pp, err := rt.partitionProbe(probeKeys, workers, morselRows, ctr)
 	if err != nil {
 		return nil, nil, err
 	}
 	counts := make([]int32, len(probeKeys))
-	grp := make([]int32, len(pp.Rows))
-	if err := rt.eachPart(pp, workers, ctr, func(pt *PartTable, lo, hi int32, c *Counters) {
-		pt.CountMatches(pp.Keys[lo:hi], pp.Rows[lo:hi], grp[lo:hi], counts, c)
+	first := make([]int32, len(probeKeys))
+	if err := rt.eachPart(pp, workers, ctr, func(p int, pt *PartTable, pkeys []int64, prows []int32, c *Counters) {
+		pt.CountMatches(pkeys, prows, rt.rp.Off[p], counts, first, c)
 	}); err != nil {
 		return nil, nil, err
 	}
-	offs, total, err := MatchOffsets(counts, ctr)
-	if err != nil {
-		return nil, nil, err
-	}
-	buildIdx = make([]int32, total)
-	probeIdx = make([]int32, total)
-	if err := rt.eachPart(pp, workers, ctr, func(pt *PartTable, lo, hi int32, c *Counters) {
-		pt.FillMatches(pp.Rows[lo:hi], grp[lo:hi], offs, buildIdx, probeIdx, c)
-	}); err != nil {
-		return nil, nil, err
-	}
-	return buildIdx, probeIdx, nil
+	return FillMatches(rt.payload, counts, first, workers, morselRows, ctr)
 }
 
 // SemiJoin implements JoinProber.
@@ -395,8 +386,8 @@ func (rt *RadixJoinTable) selJoin(probeKeys []int64, want bool, workers, morselR
 		return nil, err
 	}
 	hit := make([]bool, len(probeKeys))
-	if err := rt.eachPart(pp, workers, ctr, func(pt *PartTable, lo, hi int32, c *Counters) {
-		pt.FlagMatches(pp.Keys[lo:hi], pp.Rows[lo:hi], hit, c)
+	if err := rt.eachPart(pp, workers, ctr, func(_ int, pt *PartTable, pkeys []int64, prows []int32, c *Counters) {
+		pt.FlagMatches(pkeys, prows, hit, c)
 	}); err != nil {
 		return nil, err
 	}
@@ -410,8 +401,8 @@ func (rt *RadixJoinTable) CountPerProbe(probeKeys []int64, workers, morselRows i
 		return nil, err
 	}
 	out := make([]int64, len(probeKeys))
-	if err := rt.eachPart(pp, workers, ctr, func(pt *PartTable, lo, hi int32, c *Counters) {
-		pt.CountPerProbe(pp.Keys[lo:hi], pp.Rows[lo:hi], out, c)
+	if err := rt.eachPart(pp, workers, ctr, func(_ int, pt *PartTable, pkeys []int64, prows []int32, c *Counters) {
+		pt.CountPerProbe(pkeys, prows, out, c)
 	}); err != nil {
 		return nil, err
 	}

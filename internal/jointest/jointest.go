@@ -24,15 +24,20 @@ type Input struct {
 // into morsels; the heavy-duplicate build side is long enough for
 // exec.BuildJoinTableParallel to partition it.
 const (
-	nProbe     = 24_000
-	nBuild     = 6_000
-	nBuildDups = 50_000
+	nProbe       = 24_000
+	nBuild       = 6_000
+	nBuildDups   = 50_000
+	nBuildOneKey = 10_000
 )
 
 // Inputs returns the conformance inputs, identical on every call: the
 // key distributions the layouts must handle (sequential — the adversary
 // for weak hash finalizers —, uniform, duplicate-heavy, one hot set plus
-// a wide tail, two packed columns) and the degenerate sides.
+// a wide tail, two packed columns), the degenerate sides, and the
+// degenerate partitionings: a build of one key (every match a long
+// reversed duplicate run) and a build confined to the first of 16 radix
+// partitions (every other partition of a compact layout is empty — for
+// the spill joiner, every spilled one).
 func Inputs() []Input {
 	rng := rand.New(rand.NewSource(16))
 	fill := func(n int, key func(i int) int64) []int64 {
@@ -71,7 +76,23 @@ func Inputs() []Input {
 	for i := range inputs {
 		inputs[i].Probe = halfHits(inputs[i].Build)
 	}
+	firstPartition := fill(nBuild, func(int) int64 {
+		for {
+			if k := rng.Int63n(1 << 40); exec.RadixOf(k, 4) == 0 {
+				return k
+			}
+		}
+	})
 	return append(inputs,
+		Input{Name: "one-key", Build: fill(nBuildOneKey, func(int) int64 { return 42 }),
+			// A hit is nBuildOneKey pairs: a handful of them.
+			Probe: fill(nProbe, func(i int) int64 {
+				if i%1000 == 7 {
+					return 42
+				}
+				return miss(i)
+			})},
+		Input{Name: "one-partition", Build: firstPartition, Probe: halfHits(firstPartition)},
 		Input{Name: "all-miss", Build: unique, Probe: fill(nProbe, miss)},
 		Input{Name: "empty-build", Probe: fill(nProbe, miss)},
 		Input{Name: "empty-probe", Build: unique},

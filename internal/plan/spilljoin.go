@@ -12,14 +12,25 @@ import (
 // not fit the query's memory budget, buildJoin picks the compact layout
 // (exec.PartTable per radix partition) with the partition as the spill
 // unit: both sides are partitioned with the same fan-out, a resident
-// prefix of partitions stays in memory, and every partition beyond it
-// streams through the on-disk spill area and is processed one partition
-// at a time. The degradation is planned and priced — charged sequential
-// spill I/O instead of the cliff-edge swap model — and the output is
-// byte-identical to the in-memory join, because it is the in-memory
-// join's kernels that run: the spill joiner is the second driver of the
-// per-partition probe kernels exec.RadixJoinTable drives over resident
-// partitions, and owns only residency, segments and spans.
+// prefix of partitions stays in memory, and the partitions beyond it go
+// to the on-disk spill area — one segment per side, since the scatter
+// leaves them contiguous. The degradation is planned and priced —
+// charged sequential spill I/O instead of the cliff-edge swap model —
+// and the output is byte-identical to the in-memory join, because it is
+// the in-memory join's kernels that run: the spill joiner is the second
+// driver of the per-partition probe kernels exec.RadixJoinTable drives
+// over resident partitions, and owns only residency, segments and spans.
+//
+// Every join kind visits a partition once: its segment range is read
+// once, its table built once, each probe key looked up once. The inner
+// join can afford that because its count pass leaves, per probe row, the
+// match count and the start of the matched group in one payload array
+// covering the whole build side (4 bytes per build row, each partition's
+// table packing into its own window), so exec.FillMatches fills the
+// output from the payload alone, with no table and no partition in
+// sight. Partitions run as morsels: the resident ones at full
+// parallelism against tables built once with the joiner, the spilled
+// ones with at most spilledInFlight read back at a time.
 //
 // The spill decision depends only on input cardinalities and the budget
 // — never on Workers — so results stay bit-identical at every degree of
@@ -67,33 +78,52 @@ func spillBits(buildRows, probeRows int, budget int64) uint {
 	return bits
 }
 
+// spilledInFlight bounds the spilled partitions read back at any moment:
+// one being probed while the next is read. spillBits sizes a partition's
+// state to a quarter of the budget, so two of them fill the half of the
+// budget the join may claim; a third would not fit, and one would leave
+// the I/O and the probe taking turns.
+const spilledInFlight = 2
+
 // spillJoiner is the budget-bounded exec.JoinProber: the compact join
 // layout with its beyond-budget partitions spilled to disk.
 type spillJoiner struct {
 	ctx      *Context
 	resident int // partitions < resident stay in memory
-	rp       *exec.RadixPartitions
-	bsegs    []*spill.Segment // per partition; nil below resident
+	// rp is the partitioned build side: Off spans every partition, Keys
+	// and Rows hold the resident prefix only.
+	rp      *exec.RadixPartitions
+	seg     *spill.Segment   // the build partitions beyond the prefix; nil when they are empty
+	tables  []exec.PartTable // the resident partitions' tables
+	payload []int32          // build rows grouped by key; partition p packs into [Off[p], Off[p+1])
 }
 
-// buildSpillJoiner partitions the build keys and spills the partitions
-// beyond the resident budget.
+// buildSpillJoiner partitions the build keys, spills the partitions
+// beyond the resident budget and builds the tables of the others.
 func (c *Context) buildSpillJoiner(bk []int64, probeRows int) (*spillJoiner, error) {
-	area, err := c.area()
-	if err != nil {
-		return nil, err
-	}
 	bits := spillBits(len(bk), probeRows, c.MemLimitBytes)
 	sp := c.Trace.Begin("spill-partition",
 		fmt.Sprintf("radix %d-way, budget %s", 1<<bits, spill.FormatByteSize(c.MemLimitBytes)))
-	rp, err := exec.RadixPartitionKeys(bk, nil, bits, c.workers(), c.morselRows(), c.Ctr)
+	sj, err := c.partitionBuild(bk, probeRows, bits)
 	if err != nil {
 		c.Trace.EndErr(sp)
 		return nil, err
 	}
-	np := rp.NumPartitions()
-	sj := &spillJoiner{ctx: c, rp: rp, bsegs: make([]*spill.Segment, np)}
+	c.Ctr.ObserveResidentCap(c.MemLimitBytes)
+	c.Trace.End(sp, int64(len(bk)), sj.seg.SizeBytes())
+	if err := sj.buildResident(); err != nil {
+		return nil, err
+	}
+	return sj, nil
+}
 
+// partitionBuild scatters the build keys, picks the resident prefix and
+// spills the rest.
+func (c *Context) partitionBuild(bk []int64, probeRows int, bits uint) (*spillJoiner, error) {
+	rp, err := exec.RadixPartitionKeys(bk, nil, bits, c.workers(), c.morselRows(), c.Ctr)
+	if err != nil {
+		return nil, err
+	}
 	// Resident prefix: partitions fit in memory until their cumulative
 	// build state plus a uniform probe estimate crosses half the budget.
 	// The boundary depends only on the build's partition sizes and the
@@ -101,90 +131,133 @@ func (c *Context) buildSpillJoiner(bk []int64, probeRows int) (*spillJoiner, err
 	estProbePart := int64(probeRows) * spillProbeBytesPerRow >> bits
 	budget := c.MemLimitBytes / 2
 	var used int64
-	for p := 0; p < np; p++ {
-		b := int64(rp.Off[p+1]-rp.Off[p])*spillBuildBytesPerRow + estProbePart
+	resident := 0
+	for ; resident < rp.NumPartitions(); resident++ {
+		b := int64(rp.Off[resident+1]-rp.Off[resident])*spillBuildBytesPerRow + estProbePart
 		if used+b > budget {
 			break
 		}
 		used += b
-		sj.resident++
 	}
-
-	spilled, err := sj.spillBeyondResident(area, rp, sj.bsegs, c.Ctr)
-	if err != nil {
-		c.Trace.EndErr(sp)
-		return nil, err
-	}
-	c.Ctr.ObserveResidentCap(c.MemLimitBytes)
-	c.Trace.End(sp, int64(len(bk)), spilled)
-	return sj, nil
+	return c.newSpillJoiner(rp, resident)
 }
 
-// spillBeyondResident writes every partition of rp past the resident
-// prefix to the spill area, recording its segment in segs.
-func (sj *spillJoiner) spillBeyondResident(area *spill.Area, rp *exec.RadixPartitions, segs []*spill.Segment, ctr *exec.Counters) (spilled int64, err error) {
-	sctx := sj.ctx.Sched.Context()
-	for p := sj.resident; p < len(segs); p++ {
-		lo, hi := rp.Off[p], rp.Off[p+1]
-		segs[p], err = area.WriteSegment(sctx, rp.Keys[lo:hi], rp.Rows[lo:hi], ctr)
-		if err != nil {
-			return 0, err
-		}
-		spilled += segs[p].SizeBytes()
-	}
-	return spilled, nil
+// newSpillJoiner takes over the partitioned build side rp, of which the
+// first resident partitions stay in memory.
+func (c *Context) newSpillJoiner(rp *exec.RadixPartitions, resident int) (*spillJoiner, error) {
+	sj := &spillJoiner{ctx: c, resident: resident, rp: rp, payload: make([]int32, len(rp.Rows))}
+	var err error
+	sj.seg, err = sj.spillTail(rp, c.Ctr)
+	return sj, err
 }
 
-// partitionProbe partitions the probe keys with the build fan-out and
-// spills the partitions beyond the resident prefix.
-func (sj *spillJoiner) partitionProbe(pk []int64, w, mr int, ctr *exec.Counters) (*exec.RadixPartitions, []*spill.Segment, error) {
-	pp, err := exec.RadixPartitionKeys(pk, nil, sj.rp.Bits, w, mr, ctr)
-	if err != nil {
-		return nil, nil, err
+// spillTail moves the partitions of rp beyond the resident prefix to
+// the spill area — the scatter left them contiguous, so they are one
+// segment, two writes — and trims rp to right-sized copies of the prefix,
+// so that the scatter's arrays, spilled rows included, become garbage and
+// the budget buys memory, not only I/O. A side with nothing beyond the
+// prefix is left as it is and has no segment.
+func (sj *spillJoiner) spillTail(rp *exec.RadixPartitions, ctr *exec.Counters) (*spill.Segment, error) {
+	cut := int(rp.Off[sj.resident])
+	if cut == len(rp.Keys) {
+		return nil, nil
 	}
 	area, err := sj.ctx.area()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	psegs := make([]*spill.Segment, pp.NumPartitions())
-	if _, err := sj.spillBeyondResident(area, pp, psegs, ctr); err != nil {
-		return nil, nil, err
+	seg, err := area.WriteSegment(sj.ctx.Sched.Context(), rp.Keys[cut:], rp.Rows[cut:], ctr)
+	if err != nil {
+		return nil, err
 	}
-	return pp, psegs, nil
+	keys, rows := make([]int64, cut), make([]int32, cut)
+	copy(keys, rp.Keys)
+	copy(rows, rp.Rows)
+	rp.Keys, rp.Rows = keys, rows
+	ctr.SeqBytes += int64(cut) * 2 * 12
+	return seg, nil
 }
 
-// partData returns partition p of one side: from memory when resident,
-// read back from its segment when spilled.
-func (sj *spillJoiner) partData(rp *exec.RadixPartitions, segs []*spill.Segment, p int, ctr *exec.Counters) ([]int64, []int32, error) {
-	if segs[p] == nil {
-		lo, hi := rp.Off[p], rp.Off[p+1]
-		return rp.Keys[lo:hi], rp.Rows[lo:hi], nil
-	}
-	return segs[p].Read(sj.ctx.Sched.Context(), ctr)
+// buildResident builds the tables of the resident partitions, once for
+// every probe of the joiner.
+func (sj *spillJoiner) buildResident() error {
+	sj.tables = make([]exec.PartTable, sj.resident)
+	return exec.RunMorsels(sj.ctx.workers(), sj.resident, 1, sj.ctx.Ctr, func(p, _, _ int, c *exec.Counters) error {
+		lo, hi := sj.rp.Off[p], sj.rp.Off[p+1]
+		sj.tables[p] = exec.BuildPartTable(sj.rp.Keys[lo:hi], sj.rp.Rows[lo:hi], sj.payload[lo:hi], c)
+		return nil
+	})
 }
 
-// forEachPart runs one kernel pass over all partitions: the resident
-// ones from memory, the spilled ones read back from the spill area, each
-// with its partition table freshly built so only one partition's state
-// is live at a time. A pass re-reads spilled segments, so a two-pass
-// kernel pays the spill read twice — that is the honest price of not
-// fitting.
-func (sj *spillJoiner) forEachPart(pp *exec.RadixPartitions, psegs []*spill.Segment, ctr *exec.Counters,
-	fn func(pt *exec.PartTable, pkeys []int64, prows []int32)) error {
-	for p := 0; p < sj.rp.NumPartitions(); p++ {
-		if err := sj.ctx.Sched.Err(); err != nil {
-			return err
-		}
-		bkeys, brows, err := sj.partData(sj.rp, sj.bsegs, p, ctr)
-		if err != nil {
-			return err
-		}
-		pkeys, prows, err := sj.partData(pp, psegs, p, ctr)
-		if err != nil {
-			return err
-		}
-		fn(exec.BuildPartTable(bkeys, brows, ctr), pkeys, prows)
+// partKernel is one per-partition probe kernel: partition p's table and
+// its probe keys with their original probe-row ids.
+type partKernel func(p int, pt *exec.PartTable, pkeys []int64, prows []int32, c *exec.Counters)
+
+// partBuf holds one spilled partition read back: both sides of it.
+type partBuf struct {
+	bkeys, pkeys []int64
+	brows, prows []int32
+}
+
+// probePass partitions the probe side like the build side and runs fn
+// once over every partition, partitions being the morsels (kernels write
+// disjoint probe rows of their outputs): a resident partition against its
+// kept table, a spilled one read back into one of spilledInFlight buffers
+// — each sized to the largest spilled partition and reused — with its
+// table built there and then. The buffers double as the semaphore that
+// bounds the spilled partitions in memory whatever the worker count.
+func (sj *spillJoiner) probePass(pk []int64, w, mr int, ctr *exec.Counters, fn partKernel) error {
+	pp, err := exec.RadixPartitionKeys(pk, nil, sj.rp.Bits, w, mr, ctr)
+	if err != nil {
+		return err
 	}
+	pseg, err := sj.spillTail(pp, ctr)
+	if err != nil {
+		return err
+	}
+	defer pseg.Close()
+	np := pp.NumPartitions()
+	var maxBuild, maxProbe int32
+	for p := sj.resident; p < np; p++ {
+		maxBuild = max(maxBuild, sj.rp.Off[p+1]-sj.rp.Off[p])
+		maxProbe = max(maxProbe, pp.Off[p+1]-pp.Off[p])
+	}
+	bufs := make(chan *partBuf, spilledInFlight)
+	for i := 0; i < max(1, min(w, spilledInFlight)); i++ { // one worker holds one buffer
+		bufs <- &partBuf{
+			bkeys: make([]int64, maxBuild), brows: make([]int32, maxBuild),
+			pkeys: make([]int64, maxProbe), prows: make([]int32, maxProbe),
+		}
+	}
+	return exec.RunMorsels(w, np, 1, ctr, func(p, _, _ int, c *exec.Counters) error {
+		if p < sj.resident {
+			lo, hi := pp.Off[p], pp.Off[p+1]
+			fn(p, &sj.tables[p], pp.Keys[lo:hi], pp.Rows[lo:hi], c)
+			return nil
+		}
+		buf := <-bufs
+		err := sj.spilledPart(p, pp, pseg, buf, c, fn)
+		bufs <- buf
+		return err
+	})
+}
+
+// spilledPart reads spilled partition p of both sides into buf, builds
+// its table into the partition's payload window and runs fn over it.
+func (sj *spillJoiner) spilledPart(p int, pp *exec.RadixPartitions, pseg *spill.Segment, buf *partBuf, c *exec.Counters, fn partKernel) error {
+	sctx := sj.ctx.Sched.Context()
+	lo, hi := sj.rp.Off[p], sj.rp.Off[p+1]
+	bkeys, brows := buf.bkeys[:hi-lo], buf.brows[:hi-lo]
+	if err := sj.seg.ReadAt(sctx, int(lo-sj.rp.Off[sj.resident]), bkeys, brows, c); err != nil {
+		return err
+	}
+	plo, phi := pp.Off[p], pp.Off[p+1]
+	pkeys, prows := buf.pkeys[:phi-plo], buf.prows[:phi-plo]
+	if err := pseg.ReadAt(sctx, int(plo-pp.Off[sj.resident]), pkeys, prows, c); err != nil {
+		return err
+	}
+	pt := exec.BuildPartTable(bkeys, brows, sj.payload[lo:hi], c)
+	fn(p, &pt, pkeys, prows, c)
 	return nil
 }
 
@@ -203,49 +276,20 @@ func (sj *spillJoiner) endProbe(sp *obs.Span, rows, width int, err error) {
 	sj.ctx.Trace.End(sp, int64(rows), int64(rows)*int64(width))
 }
 
-// InnerJoin implements exec.JoinProber.
-func (sj *spillJoiner) InnerJoin(pk []int64, w, mr int, ctr *exec.Counters) ([]int32, []int32, error) {
+// InnerJoin implements exec.JoinProber: the count pass over the
+// partitions, then the fill sweep over the probe rows.
+func (sj *spillJoiner) InnerJoin(pk []int64, w, mr int, ctr *exec.Counters) (bi, pi []int32, err error) {
 	sp := sj.beginProbe("inner")
-	bi, pi, err := sj.innerJoin(pk, w, mr, ctr)
+	counts := make([]int32, len(pk))
+	first := make([]int32, len(pk))
+	err = sj.probePass(pk, w, mr, ctr, func(p int, pt *exec.PartTable, pkeys []int64, prows []int32, c *exec.Counters) {
+		pt.CountMatches(pkeys, prows, sj.rp.Off[p], counts, first, c)
+	})
+	if err == nil {
+		bi, pi, err = exec.FillMatches(sj.payload, counts, first, w, mr, ctr)
+	}
 	sj.endProbe(sp, len(bi), 8, err)
 	return bi, pi, err
-}
-
-// innerJoin is the count / offsets / fill scheme of exec.RadixJoinTable.
-// The match groups of the count pass are not kept — the fill pass
-// rebuilds each partition's table anyway — so it looks them up again.
-func (sj *spillJoiner) innerJoin(pk []int64, w, mr int, ctr *exec.Counters) ([]int32, []int32, error) {
-	pp, psegs, err := sj.partitionProbe(pk, w, mr, ctr)
-	if err != nil {
-		return nil, nil, err
-	}
-	counts := make([]int32, len(pk))
-	var grp []int32 // per-partition scratch
-	scratch := func(n int) []int32 {
-		if cap(grp) < n {
-			grp = make([]int32, n)
-		}
-		return grp[:n]
-	}
-	if err := sj.forEachPart(pp, psegs, ctr, func(pt *exec.PartTable, pkeys []int64, prows []int32) {
-		pt.CountMatches(pkeys, prows, scratch(len(pkeys)), counts, ctr)
-	}); err != nil {
-		return nil, nil, err
-	}
-	offs, total, err := exec.MatchOffsets(counts, ctr)
-	if err != nil {
-		return nil, nil, err
-	}
-	buildIdx := make([]int32, total)
-	probeIdx := make([]int32, total)
-	if err := sj.forEachPart(pp, psegs, ctr, func(pt *exec.PartTable, pkeys []int64, prows []int32) {
-		g := scratch(len(pkeys))
-		pt.Groups(pkeys, g, ctr)
-		pt.FillMatches(prows, g, offs, buildIdx, probeIdx, ctr)
-	}); err != nil {
-		return nil, nil, err
-	}
-	return buildIdx, probeIdx, nil
 }
 
 // SemiJoin implements exec.JoinProber.
@@ -263,8 +307,8 @@ func (sj *spillJoiner) AntiJoin(pk []int64, w, mr int, ctr *exec.Counters) ([]in
 func (sj *spillJoiner) selJoin(kind string, want bool, pk []int64, w, mr int, ctr *exec.Counters) ([]int32, error) {
 	sp := sj.beginProbe(kind)
 	hit := make([]bool, len(pk))
-	err := sj.probePass(pk, w, mr, ctr, func(pt *exec.PartTable, pkeys []int64, prows []int32) {
-		pt.FlagMatches(pkeys, prows, hit, ctr)
+	err := sj.probePass(pk, w, mr, ctr, func(_ int, pt *exec.PartTable, pkeys []int64, prows []int32, c *exec.Counters) {
+		pt.FlagMatches(pkeys, prows, hit, c)
 	})
 	var out []int32
 	if err == nil {
@@ -278,8 +322,8 @@ func (sj *spillJoiner) selJoin(kind string, want bool, pk []int64, w, mr int, ct
 func (sj *spillJoiner) CountPerProbe(pk []int64, w, mr int, ctr *exec.Counters) ([]int64, error) {
 	sp := sj.beginProbe("left-count")
 	out := make([]int64, len(pk))
-	err := sj.probePass(pk, w, mr, ctr, func(pt *exec.PartTable, pkeys []int64, prows []int32) {
-		pt.CountPerProbe(pkeys, prows, out, ctr)
+	err := sj.probePass(pk, w, mr, ctr, func(_ int, pt *exec.PartTable, pkeys []int64, prows []int32, c *exec.Counters) {
+		pt.CountPerProbe(pkeys, prows, out, c)
 	})
 	if err == nil {
 		ctr.SeqBytes += int64(len(pk)) * 8
@@ -289,16 +333,6 @@ func (sj *spillJoiner) CountPerProbe(pk []int64, w, mr int, ctr *exec.Counters) 
 		return nil, err
 	}
 	return out, nil
-}
-
-// probePass partitions the probe side and runs a one-pass kernel over
-// every partition.
-func (sj *spillJoiner) probePass(pk []int64, w, mr int, ctr *exec.Counters, fn func(pt *exec.PartTable, pkeys []int64, prows []int32)) error {
-	pp, psegs, err := sj.partitionProbe(pk, w, mr, ctr)
-	if err != nil {
-		return err
-	}
-	return sj.forEachPart(pp, psegs, ctr, fn)
 }
 
 // Spillable reports whether a plan contains an operator the spill

@@ -1,16 +1,22 @@
 package plan
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"wimpi/internal/colstore"
 	"wimpi/internal/exec"
 	"wimpi/internal/jointest"
 	"wimpi/internal/obs"
-	"wimpi/internal/spill"
 )
 
 // spillBudget forces cancelCatalog's join (≈1.6 MB of join state) onto
@@ -68,38 +74,176 @@ func TestJoinProberConformance(t *testing.T) {
 			Name: fmt.Sprintf("spill-resident%d", resident),
 			Build: func(t *testing.T, build []int64, _, w, mr int, ctr *exec.Counters) exec.JoinProber {
 				c := &Context{Ctr: ctr, Workers: w, MorselRows: mr, MemLimitBytes: 1 << 20, SpillDir: t.TempDir()}
-				area, err := c.area()
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() {
-					if err := area.Close(); err != nil {
-						t.Error(err)
-					}
-				})
-				rp, err := exec.RadixPartitionKeys(build, nil, bits, w, mr, ctr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sj := &spillJoiner{ctx: c, resident: resident, rp: rp, bsegs: make([]*spill.Segment, 1<<bits)}
-				if _, err := sj.spillBeyondResident(area, rp, sj.bsegs, ctr); err != nil {
-					t.Fatal(err)
-				}
-				return sj
+				return handBuiltSpillJoiner(t, c, build, bits, resident)
 			},
-			// Partitions are probed one at a time: nothing depends on the
-			// worker count but who runs the partition passes.
+			// Partitions are morsels with counters of their own: nothing
+			// depends on the worker count but who runs them.
 			CountersFrom: 1,
 			Check: func(t *testing.T, in jointest.Input, ctr exec.Counters) {
 				spilled := resident < 1<<bits && len(in.Build)+len(in.Probe) > 0
-				if (ctr.SpillWriteBytes > 0) != spilled || (ctr.SpillReadBytes > 0) != spilled {
-					t.Fatalf("resident %d of %d partitions: wrote %d, read %d spill bytes",
-						resident, 1<<bits, ctr.SpillWriteBytes, ctr.SpillReadBytes)
+				if (ctr.SpillWriteBytes > 0) != spilled {
+					t.Fatalf("resident %d of %d partitions: wrote %d spill bytes", resident, 1<<bits, ctr.SpillWriteBytes)
+				}
+				// Single visit: the build side's segment is read once by each
+				// of the four probes, each probe's own segment once.
+				writes := ctr.SpillWriteBytes
+				if wantRead := writes + 3*buildSpillBytes(in.Build, bits, resident); ctr.SpillReadBytes != wantRead {
+					t.Fatalf("resident %d of %d partitions: read %d spill bytes, want %d (wrote %d)",
+						resident, 1<<bits, ctr.SpillReadBytes, wantRead, writes)
 				}
 			},
 		})
 	}
 	jointest.Run(t, impls)
+}
+
+// handBuiltSpillJoiner builds a spill joiner over build with the fan-out
+// and the resident prefix fixed by hand. c needs Ctr, MemLimitBytes and
+// SpillDir; its spill area is closed with the test.
+func handBuiltSpillJoiner(t *testing.T, c *Context, build []int64, bits uint, resident int) *spillJoiner {
+	t.Helper()
+	t.Cleanup(func() {
+		if err := c.spillArea.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	rp, err := exec.RadixPartitionKeys(build, nil, bits, c.workers(), c.morselRows(), c.Ctr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj, err := c.newSpillJoiner(rp, resident)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sj.buildResident(); err != nil {
+		t.Fatal(err)
+	}
+	return sj
+}
+
+// buildSpillBytes is the size of the segment a build side leaves beyond
+// the first resident of its 2^bits partitions.
+func buildSpillBytes(build []int64, bits uint, resident int) int64 {
+	var n int64
+	for _, k := range build {
+		if exec.RadixOf(k, bits) >= resident {
+			n += 12
+		}
+	}
+	return n
+}
+
+// TestSpilledPartitionsLeaveMemory: what a side spills is reachable only
+// through its segment — the joiner keeps right-sized copies of the
+// resident prefix, not the scatter's arrays with the spilled rows still
+// in them.
+func TestSpilledPartitionsLeaveMemory(t *testing.T) {
+	build := jointest.Inputs()[1].Build // uniform: every partition populated
+	c := &Context{Ctr: &exec.Counters{}, Workers: 2, MemLimitBytes: 64 << 10, SpillDir: t.TempDir()}
+	t.Cleanup(func() { c.spillArea.Close() })
+	sj, err := c.buildSpillJoiner(build, 4*len(build))
+	if err != nil {
+		t.Fatal(err)
+	}
+	np, prefix := sj.rp.NumPartitions(), int(sj.rp.Off[sj.resident])
+	if sj.resident == 0 || sj.resident == np {
+		t.Fatalf("%d of %d partitions resident: the budget must split the build", sj.resident, np)
+	}
+	if len(sj.rp.Keys) != prefix || cap(sj.rp.Keys) != prefix || len(sj.rp.Rows) != prefix || cap(sj.rp.Rows) != prefix {
+		t.Fatalf("resident prefix is %d rows, joiner holds keys %d/%d, rows %d/%d (len/cap)",
+			prefix, len(sj.rp.Keys), cap(sj.rp.Keys), len(sj.rp.Rows), cap(sj.rp.Rows))
+	}
+	if sj.seg.Len() != len(build)-prefix || len(sj.tables) != sj.resident {
+		t.Fatalf("segment holds %d of the %d rows beyond the prefix; %d tables for %d resident partitions",
+			sj.seg.Len(), len(build)-prefix, len(sj.tables), sj.resident)
+	}
+}
+
+// truncateSpillFiles cuts every file under dir to half its size.
+func truncateSpillFiles(t *testing.T, dir string) {
+	t.Helper()
+	n := 0
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		n++
+		return os.Truncate(path, info.Size()/2)
+	})
+	if err != nil || n == 0 {
+		t.Fatalf("truncated %d spill files: %v", n, err)
+	}
+}
+
+// TestSpillJoinTruncatedSegment: a build segment cut short between build
+// and probe fails the query with a typed spill error — no panic, no
+// result from a short partition — and the area is still cleaned up.
+func TestSpillJoinTruncatedSegment(t *testing.T) {
+	dir := t.TempDir()
+	ctr := &exec.Counters{}
+	tr := obs.NewTracer(ctr)
+	tr.Hook = func(op, _ string) {
+		if op == "spill-probe" {
+			truncateSpillFiles(t, dir)
+		}
+	}
+	res, _, err := RunContext(&Context{
+		Cat: cancelCatalog(), Ctr: ctr, Workers: 2, Trace: tr,
+		MemLimitBytes: spillBudget, SpillDir: dir,
+	}, cancelPlan())
+	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "spill: read segment") {
+		t.Fatalf("err = %v, want a spill: read error wrapping io.ErrUnexpectedEOF", err)
+	}
+	if res != nil {
+		t.Fatal("got a result alongside the error")
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("spill dir not cleaned up: %d entries left", len(ents))
+	}
+}
+
+// TestSpillJoinCancelMidProbe cancels the query from inside a partition
+// morsel — so while partition morsels, spilled ones among them, are in
+// flight — and requires the cancellation cause, no file of the probe left
+// in the area, and no goroutine left behind.
+func TestSpillJoinCancelMidProbe(t *testing.T) {
+	in := jointest.Inputs()[1] // uniform
+	cause := errors.New("test: cancelled mid-probe")
+	for _, w := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			sched := exec.NewSched(context.Background())
+			defer sched.Release()
+			ctr := &exec.Counters{}
+			ctr.SetSched(sched)
+			c := &Context{Ctr: ctr, Sched: sched, Workers: w, MorselRows: 1000, MemLimitBytes: 1 << 20, SpillDir: t.TempDir()}
+			sj := handBuiltSpillJoiner(t, c, in.Build, 4, 3)
+			var visited atomic.Int32
+			err := sj.probePass(in.Probe, w, 1000, ctr, func(p int, _ *exec.PartTable, _ []int64, _ []int32, _ *exec.Counters) {
+				if visited.Add(1) == 6 { // the third spilled partition at w=1
+					sched.Cancel(cause)
+				}
+			})
+			if !errors.Is(err, cause) {
+				t.Fatalf("err = %v, want the cancellation cause", err)
+			}
+			if n := visited.Load(); n < 6 || n >= 16 {
+				t.Fatalf("%d of 16 partitions visited: the cancellation must land mid-pass", n)
+			}
+			ents, err := os.ReadDir(c.spillArea.Dir())
+			if err != nil || len(ents) != 1 {
+				t.Fatalf("area holds %d files (%v), want only the build side's segment", len(ents), err)
+			}
+			if _, _, err := sj.InnerJoin(in.Probe, w, 1000, ctr); !errors.Is(err, cause) {
+				t.Fatalf("probe of a cancelled query: err = %v", err)
+			}
+			waitGoroutines(t, before)
+		})
+	}
 }
 
 // TestSpillAreaRemovedAfterRun: the per-query spill area (and every
