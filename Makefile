@@ -4,7 +4,7 @@ GO ?= go
 # and soak runs override it (FUZZTIME=2m make fuzz).
 FUZZTIME ?= 10s
 
-.PHONY: build test test-procs vet lint lint-report lint-bench race chaos fuzz explain-smoke serve-smoke spill-smoke check loc bench bench-compare bench-pairs bench-scaling bench-smoke
+.PHONY: build test test-procs vet cross lint lint-report lint-bench race chaos fuzz explain-smoke serve-smoke spill-smoke check loc bench bench-compare bench-pairs bench-scaling bench-smoke
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,14 @@ test-procs: build
 # Stock go vet passes.
 vet:
 	$(GO) vet ./...
+
+# The code, tests included, type-checks for the Raspberry Pi: the 3B+'s
+# 64-bit ABI and its stock 32-bit one, where int is 32 bits wide.
+cross:
+	GOOS=linux GOARCH=arm64 $(GO) build ./...
+	GOOS=linux GOARCH=arm64 $(GO) vet ./...
+	GOOS=linux GOARCH=arm GOARM=7 $(GO) build ./...
+	GOOS=linux GOARCH=arm GOARM=7 $(GO) vet ./...
 
 # wimpi-lint: the custom invariant suite — the dataflow-backed v2
 # analyzers (taintflow, pathcost, hotalloc, exhaustive) on top of the

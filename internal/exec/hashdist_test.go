@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -86,16 +87,17 @@ func TestNextPow2(t *testing.T) {
 		}
 	}
 	// Huge n must clamp to the largest representable power of two
-	// instead of overflowing to a negative (or zero) capacity.
-	const maxPow2 = 1 << 62
+	// (1<<62 with a 64-bit int, 1<<30 with a 32-bit one) instead of
+	// overflowing to a negative (or zero) capacity.
+	const maxPow2 = 1 << (bits.UintSize - 2)
 	if got := nextPow2(maxPow2); got != maxPow2 {
-		t.Errorf("nextPow2(1<<62) = %d, want 1<<62", got)
+		t.Errorf("nextPow2(%d) = %d, want itself", maxPow2, got)
 	}
 	if got := nextPow2(maxPow2 + 1); got != maxPow2 {
-		t.Errorf("nextPow2(1<<62+1) = %d, want clamp to 1<<62", got)
+		t.Errorf("nextPow2(%d+1) = %d, want clamp to %d", maxPow2, got, maxPow2)
 	}
 	if got := nextPow2(maxPow2 - 1); got != maxPow2 {
-		t.Errorf("nextPow2(1<<62-1) = %d, want 1<<62", got)
+		t.Errorf("nextPow2(%d-1) = %d, want %d", maxPow2, got, maxPow2)
 	}
 }
 

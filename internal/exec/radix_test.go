@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -182,7 +183,7 @@ func TestRadixBitsAndPasses(t *testing.T) {
 		t.Fatalf("RadixBits(100, ...) = %d, want 0", got)
 	}
 	// The fan-out is capped even for absurd inputs.
-	if got := RadixBits(1<<40, 32, 1); got != MaxRadixBits {
+	if got := RadixBits(math.MaxInt32, 32, 1); got != MaxRadixBits {
 		t.Fatalf("RadixBits huge = %d, want cap %d", got, MaxRadixBits)
 	}
 	if RadixPasses(0) != 0 {

@@ -52,6 +52,8 @@ func opName(n Node) string {
 		return "group-by"
 	case *HashJoin:
 		return "hash-join"
+	case *KeyFilter:
+		return "keyfilter"
 	case *Fused:
 		return "fused-pipeline"
 	case *spanNode:
@@ -107,6 +109,14 @@ func instrumentSeen(n Node, seen map[Node]Node) Node {
 		c.Build = instrument(v.Build)
 		c.Probe = instrument(v.Probe)
 		return wrap(&c)
+	case *KeyFilter:
+		// The filter opens its own span, labelled with what it did, and
+		// traces a scan it reads directly itself.
+		c := *v
+		if _, direct := v.Input.(*Scan); !direct {
+			c.Input = instrument(v.Input)
+		}
+		return &c
 	case *Fused:
 		c := *v
 		if c.useFused {

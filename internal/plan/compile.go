@@ -117,6 +117,10 @@ func compileNode(ctx *Context, n Node) Node {
 		c := *v
 		c.Input = compileNode(ctx, v.Input)
 		return &c
+	case *KeyFilter:
+		c := *v
+		c.Input = compileNode(ctx, v.Input)
+		return &c
 	case *Scan:
 		return v
 	case *Fused, *spanNode:
@@ -149,6 +153,7 @@ type probeStage struct {
 	buildKeys, probeKeys []string
 	kind                 JoinKind
 	countAs              string
+	sideways             *KeySet
 }
 
 func (probeStage) stageName() string { return "probe" }
@@ -274,6 +279,7 @@ func extractChain(ctx *Context, n Node) (scan *Scan, input Node, stages []fusedS
 				probeKeys: v.ProbeKeys,
 				kind:      v.Kind,
 				countAs:   v.CountAs,
+				sideways:  v.Sideways,
 			})
 			cur = v.Probe
 		default:
@@ -312,7 +318,8 @@ func rebuildChain(scan *Scan, input Node, stages []fusedStage, group *GroupBy, o
 		case renameStage:
 			n = &Rename{Input: n, Pairs: s.pairs}
 		case probeStage:
-			n = &HashJoin{Build: s.build, Probe: n, BuildKeys: s.buildKeys, ProbeKeys: s.probeKeys, Kind: s.kind, CountAs: s.countAs}
+			n = &HashJoin{Build: s.build, Probe: n, BuildKeys: s.buildKeys, ProbeKeys: s.probeKeys,
+				Kind: s.kind, CountAs: s.countAs, Sideways: s.sideways}
 		}
 	}
 	switch {
@@ -401,22 +408,12 @@ func (f *Fused) start(ctx *Context) (*fusedState, error) {
 	var driver *colstore.Table
 	var err error
 	if f.scan != nil {
-		driver, err = ctx.Cat.Table(f.scan.Table)
-		if err != nil {
-			return nil, err
-		}
-		if len(f.scan.Columns) > 0 {
-			driver, err = driver.Project(f.scan.Columns...)
-			if err != nil {
-				return nil, err
-			}
-		}
-		ctx.Ctr.TouchedBaseBytes += driver.SizeBytes()
+		driver, err = f.scan.open(ctx)
 	} else {
 		driver, err = f.input.Execute(ctx)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	observe(ctx, driver)
 	st := &fusedState{ctx: ctx, driver: driver, v: fused.NewVectors(driver.NumRows())}
@@ -633,16 +630,27 @@ func (st *fusedState) applyRename(pairs [][2]string) error {
 // side comes from the same buildJoin as the vector path's, with the
 // probe cardinality taken from the live selection — which equals the
 // vector path's materialized probe row count — so both engines always
-// pick the same physical join.
+// pick the same physical join. The survivors are the probe side, so a
+// join with a KeyFilter extracts their keys before its build side runs.
 func (st *fusedState) applyProbe(ps *probeStage) error {
 	ctx := st.ctx
 	w, mr := ctx.workers(), ctx.morselRows()
-	build, err := ps.build.Execute(ctx)
+	var pk []int64
+	var build *colstore.Table
+	var err error
+	if ps.sideways != nil {
+		if pk, err = st.probeKeyVec(ps.probeKeys); err != nil {
+			return err
+		}
+		build, err = ctx.executeBuild(ps.build, ps.sideways, pk)
+	} else {
+		build, err = ps.build.Execute(ctx)
+	}
 	if err != nil {
 		return err
 	}
 	bsp := ctx.Trace.Begin("join-build", fmt.Sprintf("build [%s]", strings.Join(ps.buildKeys, ",")))
-	bk, err := joinKeysParallel(ctx, build, ps.buildKeys)
+	bk, err := joinKeysParallel(ctx, build, ps.buildKeys, nil)
 	if err != nil {
 		ctx.Trace.EndErr(bsp)
 		return err
@@ -657,10 +665,11 @@ func (st *fusedState) applyProbe(ps *probeStage) error {
 
 	psp := ctx.Trace.Begin("fused-probe",
 		fmt.Sprintf("%s probe [%s], %d rows in flight", ps.kind, strings.Join(ps.probeKeys, ","), probeRows))
-	pk, err := st.probeKeyVec(ps.probeKeys)
-	if err != nil {
-		ctx.Trace.EndErr(psp)
-		return err
+	if ps.sideways == nil {
+		if pk, err = st.probeKeyVec(ps.probeKeys); err != nil {
+			ctx.Trace.EndErr(psp)
+			return err
+		}
 	}
 	switch ps.kind {
 	case Inner:

@@ -54,6 +54,10 @@ type HashJoin struct {
 	// CountAs names the match-count column for LeftCount joins; it
 	// defaults to "match_count".
 	CountAs string
+	// Sideways, when non-nil, links the join to a KeyFilter beneath its
+	// build side: the join runs its probe side first and hands its probe
+	// keys to the filter before the build side runs.
+	Sideways *KeySet
 }
 
 // Execute implements Node.
@@ -61,11 +65,20 @@ func (j *HashJoin) Execute(ctx *Context) (*colstore.Table, error) {
 	if len(j.BuildKeys) == 0 || len(j.BuildKeys) != len(j.ProbeKeys) {
 		return nil, fmt.Errorf("plan: hash join needs matching key lists, got %v and %v", j.BuildKeys, j.ProbeKeys)
 	}
-	build, err := j.Build.Execute(ctx)
-	if err != nil {
-		return nil, err
+	var build, probe *colstore.Table
+	var pk []int64
+	var err error
+	if j.Sideways != nil {
+		if probe, err = j.Probe.Execute(ctx); err != nil {
+			return nil, err
+		}
+		if pk, err = joinKeysParallel(ctx, probe, j.ProbeKeys, nil); err != nil {
+			return nil, err
+		}
+		build, err = ctx.executeBuild(j.Build, j.Sideways, pk)
+	} else if build, err = j.Build.Execute(ctx); err == nil {
+		probe, err = j.Probe.Execute(ctx)
 	}
-	probe, err := j.Probe.Execute(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +86,7 @@ func (j *HashJoin) Execute(ctx *Context) (*colstore.Table, error) {
 	// Build phase: key extraction plus the build side in whichever layout
 	// buildJoin picks.
 	bsp := ctx.Trace.Begin("join-build", fmt.Sprintf("build [%s]", strings.Join(j.BuildKeys, ",")))
-	bk, err := joinKeysParallel(ctx, build, j.BuildKeys)
+	bk, err := joinKeysParallel(ctx, build, j.BuildKeys, nil)
 	if err != nil {
 		ctx.Trace.EndErr(bsp)
 		return nil, err
@@ -85,9 +98,16 @@ func (j *HashJoin) Execute(ctx *Context) (*colstore.Table, error) {
 	}
 	ctx.Trace.End(bsp, int64(build.NumRows()), build.SizeBytes())
 
-	// Probe phase: key extraction, probe kernel, and output gathers.
+	// Probe phase: key extraction (unless the probe side ran first), probe
+	// kernel, and output gathers.
 	psp := ctx.Trace.Begin("join-probe", fmt.Sprintf("probe [%s]", strings.Join(j.ProbeKeys, ",")))
-	out, err := j.probePhase(ctx, jp, build, probe)
+	if j.Sideways == nil {
+		pk, err = joinKeysParallel(ctx, probe, j.ProbeKeys, nil)
+	}
+	var out *colstore.Table
+	if err == nil {
+		out, err = j.probePhase(ctx, jp, build, probe, pk)
+	}
 	if err != nil {
 		ctx.Trace.EndErr(psp)
 		return nil, err
@@ -117,7 +137,7 @@ func (c *Context) buildJoin(bk []int64, probeRows int) (exec.JoinProber, error) 
 		return c.buildSpillJoiner(bk, probeRows)
 	}
 	target := c.llcBytes()
-	radix, why := chooseRadix(len(bk), probeRows, target)
+	radix, bloom, why := JoinStrategy(len(bk), probeRows, target)
 	if !radix {
 		return exec.BuildJoinTableParallel(bk, w, mr, c.Ctr)
 	}
@@ -130,8 +150,18 @@ func (c *Context) buildJoin(bk []int64, probeRows int) (exec.JoinProber, error) 
 		return nil, err
 	}
 	c.Trace.End(ksp, int64(len(bk)), int64(len(bk))*12)
-	cfg := exec.RadixJoinConfig{Bloom: useBloom(len(bk), probeRows, target)}
-	return exec.BuildRadixTables(rp, cfg, w, mr, c.Ctr)
+	return exec.BuildRadixTables(rp, exec.RadixJoinConfig{Bloom: bloom}, w, mr, c.Ctr)
+}
+
+// JoinStrategy is buildJoin's resident layout decision, exported so
+// EXPLAIN predicts what runs: radix for the compact layout (chooseRadix),
+// bloom for its probe-side Bloom pre-filter, which pays when most probes
+// miss (the probe side dwarfs the build side) and the filter fits the LLC
+// budget (0 disables the partitioned paths).
+func JoinStrategy(buildRows, probeRows int, llcBytes int64) (radix, bloom bool, why string) {
+	radix, why = chooseRadix(buildRows, probeRows, llcBytes)
+	bloom = radix && probeRows >= 4*buildRows && exec.BloomBytes(buildRows) <= llcBytes
+	return radix, bloom, why
 }
 
 // radixMinBuildRows is the smallest build side worth partitioning; below
@@ -194,19 +224,8 @@ func chooseRadix(buildRows, probeRows int, llcBytes int64) (bool, string) {
 	return false, fmt.Sprintf("chained: radix overhead loses %v on %s (est %v vs %v)", tr-tc, pi.Name, tr, tc)
 }
 
-// useBloom enables the probe-side Bloom pre-filter when the probe side
-// dwarfs the build side (so most probes miss and the filter prunes them
-// before partitioning) and the filter itself respects the cache budget.
-func useBloom(buildRows, probeRows int, llcBytes int64) bool {
-	return probeRows >= 4*buildRows && exec.BloomBytes(buildRows) <= llcBytes
-}
-
-// probePhase extracts probe keys, probes, and gathers the output.
-func (j *HashJoin) probePhase(ctx *Context, jp exec.JoinProber, build, probe *colstore.Table) (*colstore.Table, error) {
-	pk, err := joinKeysParallel(ctx, probe, j.ProbeKeys)
-	if err != nil {
-		return nil, err
-	}
+// probePhase probes with the probe side's keys pk and gathers the output.
+func (j *HashJoin) probePhase(ctx *Context, jp exec.JoinProber, build, probe *colstore.Table, pk []int64) (*colstore.Table, error) {
 	w, mr := ctx.workers(), ctx.morselRows()
 	switch j.Kind {
 	case Inner:
@@ -284,24 +303,20 @@ func (j *HashJoin) Explain(depth int) string {
 		j.Build.Explain(depth+1), j.Probe.Explain(depth+1))
 }
 
-// joinKeys extracts 64-bit keys for one side of a join, packing two-column
-// keys into a single word.
-func joinKeys(t *colstore.Table, names []string, ctr *exec.Counters) ([]int64, error) {
-	out := make([]int64, t.NumRows())
-	if err := joinKeysInto(out, t, names, 0, t.NumRows(), ctr); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// joinKeysInto extracts the keys of rows [lo, hi) of t into dst.
-func joinKeysInto(dst []int64, t *colstore.Table, names []string, lo, hi int, ctr *exec.Counters) error {
+// joinKeysInto extracts into dst the keys of rows [lo, hi) of t — or,
+// given a selection, of rows sel[lo:hi] — packing two-column keys into a
+// single word.
+func joinKeysInto(dst []int64, t *colstore.Table, names []string, sel []int32, lo, hi int, ctr *exec.Counters) error {
 	if len(names) != 1 && len(names) != 2 {
 		return fmt.Errorf("plan: joins support one or two key columns, got %d", len(names))
 	}
+	rows := sel
+	if sel != nil {
+		rows = sel[lo:hi]
+	}
 	col := func(name string) (colstore.Column, error) {
 		c, err := t.ColByName(name)
-		if err == nil && hi-lo < c.Len() {
+		if err == nil && sel == nil && hi-lo < c.Len() {
 			c = c.Slice(lo, hi)
 		}
 		return c, err
@@ -310,7 +325,7 @@ func joinKeysInto(dst []int64, t *colstore.Table, names []string, lo, hi int, ct
 	if err != nil {
 		return err
 	}
-	if err := exec.KeysInto(dst, a, nil, ctr); err != nil || len(names) == 1 {
+	if err := exec.KeysInto(dst, a, rows, ctr); err != nil || len(names) == 1 {
 		return err
 	}
 	b, err := col(names[1])
@@ -318,26 +333,31 @@ func joinKeysInto(dst []int64, t *colstore.Table, names []string, lo, hi int, ct
 		return err
 	}
 	low := make([]int64, hi-lo)
-	if err := exec.KeysInto(low, b, nil, ctr); err != nil {
+	if err := exec.KeysInto(low, b, rows, ctr); err != nil {
 		return err
 	}
 	return exec.CombineKeysInto(dst, dst, low, 31, ctr)
 }
 
-// joinKeysParallel is joinKeys with the per-row key extraction and
-// packing split into morsels, each decoding straight into its slot of
-// the output. Both kernels are elementwise, so the output is identical
-// to the sequential path.
-func joinKeysParallel(ctx *Context, t *colstore.Table, names []string) ([]int64, error) {
-	w := ctx.workers()
+// joinKeysParallel extracts the join keys of t's rows — all of them, or
+// those a non-nil sel names — with the per-row key extraction and packing
+// split into morsels, each decoding straight into its slot of the output.
+// Both kernels are elementwise, so the output is identical to the
+// sequential path.
+func joinKeysParallel(ctx *Context, t *colstore.Table, names []string, sel []int32) ([]int64, error) {
 	n := t.NumRows()
-	if w == 1 || n < ctx.parallelMinRows() {
-		return joinKeys(t, names, ctx.Ctr)
+	if sel != nil {
+		n = len(sel)
 	}
 	out := make([]int64, n)
-	err := exec.RunMorsels(w, n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
-		return joinKeysInto(out[lo:hi], t, names, lo, hi, ctr)
-	})
+	var err error
+	if w := ctx.workers(); w == 1 || n < ctx.parallelMinRows() {
+		err = joinKeysInto(out, t, names, sel, 0, n, ctx.Ctr)
+	} else {
+		err = exec.RunMorsels(w, n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
+			return joinKeysInto(out[lo:hi], t, names, sel, lo, hi, ctr)
+		})
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -3,9 +3,10 @@
 // a result table, in the operator-at-a-time style of column stores like
 // MonetDB (the system used in the paper's TPC-H study).
 //
-// Plans are built directly by query definitions (package tpch) and by
-// library users; there is no SQL front end. The executor records all work
-// in an exec.Counters so the hardware layer can simulate runtimes for the
+// Plans are built by hand (package tpch, library users) or by the SQL
+// front end (package sql), which lowers a statement onto these operators
+// and optimizes the tree. The executor records all work in an
+// exec.Counters so the hardware layer can simulate runtimes for the
 // paper's ten comparison points.
 package plan
 
@@ -90,6 +91,9 @@ type Context struct {
 	// spillArea is the query's lazily created spill area, closed (and its
 	// files removed) by RunContext when the query finishes.
 	spillArea *spill.Area
+	// sideways holds the probe keys of every running hash join that
+	// publishes them to a KeyFilter, while its build side executes.
+	sideways map[*KeySet][]int64
 }
 
 // area returns the query's spill area, creating it on first use.
@@ -276,19 +280,26 @@ type Scan struct {
 	Pred exec.Pred
 }
 
-// Execute implements Node.
-func (s *Scan) Execute(ctx *Context) (*colstore.Table, error) {
+// open resolves the scan's table and projection, charging the base bytes
+// it touches.
+func (s *Scan) open(ctx *Context) (*colstore.Table, error) {
 	t, err := ctx.Cat.Table(s.Table)
+	if err == nil && len(s.Columns) > 0 {
+		t, err = t.Project(s.Columns...)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if len(s.Columns) > 0 {
-		t, err = t.Project(s.Columns...)
-		if err != nil {
-			return nil, err
-		}
-	}
 	ctx.Ctr.TouchedBaseBytes += t.SizeBytes()
+	return t, nil
+}
+
+// Execute implements Node.
+func (s *Scan) Execute(ctx *Context) (*colstore.Table, error) {
+	t, err := s.open(ctx)
+	if err != nil {
+		return nil, err
+	}
 	if s.Pred == nil {
 		observe(ctx, t)
 		return t, nil

@@ -364,6 +364,8 @@ func hasSpillableJoin(n Node) bool {
 		return hasSpillableJoin(v.Input)
 	case *GroupBy:
 		return hasSpillableJoin(v.Input)
+	case *KeyFilter:
+		return hasSpillableJoin(v.Input)
 	case *spanNode:
 		return hasSpillableJoin(v.inner)
 	case *Fused:

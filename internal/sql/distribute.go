@@ -42,7 +42,7 @@ func Distribute(text string) (*DistSQL, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !stmtReferencesTable(stmt, "lineitem") {
+	if tableRefs(stmt, "lineitem") == 0 {
 		// Nothing partitioned is involved: ship the statement to one
 		// node verbatim and return its result as-is.
 		return &DistSQL{Partial: text, SingleNode: true}, nil
@@ -181,69 +181,68 @@ func splitAggExpr(e Expr, item string, hidden *int, partialItems *[]SelectItem) 
 	return nil, errAt(e.pos(), "unsupported expression around an aggregate in a distributed statement")
 }
 
-// stmtReferencesTable reports whether any FROM item or subquery in the
-// statement reads the named base table.
-func stmtReferencesTable(s *Stmt, table string) bool {
+// tableRefs counts the FROM items naming table anywhere in the
+// statement, subqueries and CTE bodies included.
+func tableRefs(s *Stmt, table string) int {
+	n := blockTableRefs(s.Sel, table)
 	for i := range s.CTEs {
-		if blockReferencesTable(s.CTEs[i].Sel, table) {
-			return true
-		}
+		n += blockTableRefs(s.CTEs[i].Sel, table)
 	}
-	return blockReferencesTable(s.Sel, table)
+	return n
 }
 
-func blockReferencesTable(b *SelectBlock, table string) bool {
+func blockTableRefs(b *SelectBlock, table string) int {
+	n := 0
 	for i := range b.From {
 		f := &b.From[i]
 		if f.Table == table {
-			return true
+			n++
 		}
-		if f.Sub != nil && blockReferencesTable(f.Sub, table) {
-			return true
+		if f.Sub != nil {
+			n += blockTableRefs(f.Sub, table)
 		}
 	}
 	for _, e := range []Expr{b.Where, b.Having} {
-		if e != nil && exprReferencesTable(e, table) {
-			return true
+		if e != nil {
+			n += exprTableRefs(e, table)
 		}
 	}
 	for i := range b.Items {
-		if exprReferencesTable(b.Items[i].Expr, table) {
-			return true
-		}
+		n += exprTableRefs(b.Items[i].Expr, table)
 	}
-	return false
+	return n
 }
 
-// exprReferencesTable descends into IN and scalar subqueries; other
-// expression forms cannot name tables.
-func exprReferencesTable(e Expr, table string) bool {
+// exprTableRefs descends into IN and scalar subqueries; other expression
+// forms cannot name tables.
+func exprTableRefs(e Expr, table string) int {
 	switch ex := e.(type) {
 	case *InExpr:
-		if ex.Sub != nil && blockReferencesTable(ex.Sub, table) {
-			return true
+		n := exprTableRefs(ex.E, table)
+		if ex.Sub != nil {
+			n += blockTableRefs(ex.Sub, table)
 		}
-		return exprReferencesTable(ex.E, table)
+		return n
 	case *SubqueryExpr:
-		return blockReferencesTable(ex.Sel, table)
+		return blockTableRefs(ex.Sel, table)
 	case *BinExpr:
-		return exprReferencesTable(ex.L, table) || exprReferencesTable(ex.R, table)
+		return exprTableRefs(ex.L, table) + exprTableRefs(ex.R, table)
 	case *NotExpr:
-		return exprReferencesTable(ex.E, table)
+		return exprTableRefs(ex.E, table)
 	case *BetweenExpr:
-		return exprReferencesTable(ex.E, table) || exprReferencesTable(ex.Lo, table) || exprReferencesTable(ex.Hi, table)
+		return exprTableRefs(ex.E, table) + exprTableRefs(ex.Lo, table) + exprTableRefs(ex.Hi, table)
 	case *CaseExpr:
-		return exprReferencesTable(ex.When, table) || exprReferencesTable(ex.Then, table) || exprReferencesTable(ex.Else, table)
+		return exprTableRefs(ex.When, table) + exprTableRefs(ex.Then, table) + exprTableRefs(ex.Else, table)
 	case *LikeExpr:
-		return exprReferencesTable(ex.E, table)
+		return exprTableRefs(ex.E, table)
 	case *FuncExpr:
+		n := 0
 		for _, a := range ex.Args {
-			if exprReferencesTable(a, table) {
-				return true
-			}
+			n += exprTableRefs(a, table)
 		}
+		return n
 	case *ColRef, *NumLit, *StrLit, *DateLit, *IntervalLit:
 		// Leaves name columns, never tables.
 	}
-	return false
+	return 0
 }

@@ -321,8 +321,8 @@ func (pl *planner) lowerBlock(b *SelectBlock, resolved map[*SubqueryExpr]float64
 			if w.neg {
 				kind = plan.Anti
 			}
-			relNodes[i] = &plan.HashJoin{Kind: kind, Build: w.build, Probe: relNodes[i],
-				BuildKeys: []string{w.buildKey}, ProbeKeys: []string{w.probeKey}}
+			relNodes[i] = pl.join(&plan.HashJoin{Kind: kind, Build: w.build, Probe: relNodes[i],
+				BuildKeys: []string{w.buildKey}, ProbeKeys: []string{w.probeKey}})
 			filtRows[i] *= 0.5
 		}
 	}
@@ -380,16 +380,16 @@ func (pl *planner) lowerBlock(b *SelectBlock, resolved map[*SubqueryExpr]float64
 		st := &ordered[si]
 		switch st.kind {
 		case stepInner:
-			node = &plan.HashJoin{Kind: plan.Inner, Build: st.buildNode, Probe: node,
-				BuildKeys: st.buildKeys, ProbeKeys: st.probeKeys}
+			node = pl.join(&plan.HashJoin{Kind: plan.Inner, Build: st.buildNode, Probe: node,
+				BuildKeys: st.buildKeys, ProbeKeys: st.probeKeys})
 			curCols = append(curCols, st.provides...)
 		case stepSemi, stepAnti:
 			kind := plan.Semi
 			if st.kind == stepAnti {
 				kind = plan.Anti
 			}
-			node = &plan.HashJoin{Kind: kind, Build: st.buildNode, Probe: node,
-				BuildKeys: st.buildKeys, ProbeKeys: st.probeKeys}
+			node = pl.join(&plan.HashJoin{Kind: kind, Build: st.buildNode, Probe: node,
+				BuildKeys: st.buildKeys, ProbeKeys: st.probeKeys})
 		case stepResidual:
 			node = &plan.Filter{Input: node, Pred: st.pred}
 		case stepProjCmp:

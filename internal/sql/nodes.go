@@ -17,6 +17,8 @@ type memoNode struct {
 	name  string
 	inner plan.Node
 	t     *colstore.Table
+	// shared marks a CTE the statement references more than once.
+	shared bool
 }
 
 // Execute implements plan.Node.
@@ -44,7 +46,7 @@ func (m *memoNode) Children() []plan.Node { return []plan.Node{m.inner} }
 // RewriteChildren implements plan.ChildRewriter. A table the memo already
 // holds is kept: the copy is the same CTE, run at most once.
 func (m *memoNode) RewriteChildren(rewrite func(plan.Node) plan.Node) plan.Node {
-	return &memoNode{name: m.name, inner: rewrite(m.inner), t: m.t}
+	return &memoNode{name: m.name, inner: rewrite(m.inner), t: m.t, shared: m.shared}
 }
 
 // scalarPlan is one scalar subquery: a plan whose result is a single

@@ -7,6 +7,7 @@ import (
 
 	"wimpi/internal/exec"
 	"wimpi/internal/obs"
+	"wimpi/internal/plan"
 )
 
 // Report collects the cost-based optimizer's decisions for EXPLAIN.
@@ -209,11 +210,11 @@ func (pl *planner) windowCost(win []step, perm []int, rows float64, cols int) ti
 	return pl.model.OperatorTime(&pl.pi, c, 1)
 }
 
-// strategyNotes predicts, per join step of the chosen order, which build
-// strategy the executor will pick at run time: radix-partitioned vs
-// chained build, and whether a Bloom pre-filter pays off. The thresholds
-// mirror the executor's own (plan.HashJoin), evaluated on the planner's
-// estimates so EXPLAIN can show them before running anything.
+// strategyNotes predicts, per join step of the chosen order, the build
+// layout the executor will pick at run time — radix-partitioned or
+// chained, and whether the radix build carries a Bloom pre-filter — by
+// asking the executor's own decision (plan.JoinStrategy) on the
+// planner's estimates, so EXPLAIN can show it before running anything.
 func (pl *planner) strategyNotes(chosen []step, rows float64) []string {
 	var notes []string
 	for i := range chosen {
@@ -221,15 +222,13 @@ func (pl *planner) strategyNotes(chosen []step, rows float64) []string {
 		switch s.kind {
 		case stepInner, stepSemi, stepAnti:
 			build := "chained build"
-			if pl.llc > 0 && s.buildRows >= 4096 && exec.JoinTableBytes(int(s.buildRows)) > pl.llc {
-				build = "radix build"
+			if radix, bloom, _ := plan.JoinStrategy(int(s.buildRows), int(rows), pl.llc); bloom {
+				build = "radix build, bloom prefilter"
+			} else if radix {
+				build = "radix build, no bloom"
 			}
-			bloom := "no bloom"
-			if rows >= 4*s.buildRows && exec.BloomBytes(int(s.buildRows)) <= pl.llc {
-				bloom = "bloom prefilter"
-			}
-			notes = append(notes, fmt.Sprintf("%s: %s, %s (build ~%d rows, probe ~%d rows)",
-				s.label, build, bloom, int64(s.buildRows), int64(rows)))
+			notes = append(notes, fmt.Sprintf("%s: %s (build ~%d rows, probe ~%d rows)",
+				s.label, build, int64(s.buildRows), int64(rows)))
 		}
 		rows *= s.sel
 	}

@@ -2,8 +2,10 @@ package sql_test
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"wimpi/internal/colstore"
@@ -176,4 +178,33 @@ func TestQ2ExplainGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden(t, "q2_explain.golden", obs.RenderPlanChoices(pl.Report.Choices))
+}
+
+// TestPlansGolden freezes what the optimizer makes of all 22 statements:
+// its report and the rendered plan, key filters included, so a change in
+// placement or any later optimizer drift shows up as a reviewed diff.
+func TestPlansGolden(t *testing.T) {
+	db := reportDB(4)
+	var b strings.Builder
+	for q := 1; q <= 22; q++ {
+		pl := planSQL(t, db, q)
+		fmt.Fprintf(&b, "== Q%d\n%s%s\n", q, obs.RenderPlanChoices(pl.Report.Choices), pl.Node.Explain(0))
+	}
+	golden(t, "plans.golden", b.String())
+}
+
+// TestStrategyNotesMatchExecutor: EXPLAIN's build notes come from the
+// executor's own decision, and only the radix layout carries a Bloom
+// pre-filter, so no note may pair a chained build with one.
+func TestStrategyNotesMatchExecutor(t *testing.T) {
+	db := reportDB(4)
+	for q := 1; q <= 22; q++ {
+		for _, c := range planSQL(t, db, q).Report.Choices {
+			for _, note := range c.Notes {
+				if strings.Contains(note, "chained") && strings.Contains(note, "bloom") {
+					t.Errorf("Q%d: %q predicts a Bloom filter on a chained build", q, note)
+				}
+			}
+		}
+	}
 }

@@ -1,8 +1,8 @@
 // Package sql implements a SQL frontend for the WimPi engine: a
 // stdlib-only lexer and recursive-descent parser for the TPC-H dialect,
 // a catalog binder, a lowering pass onto the engine's plan operators,
-// and a cost-based optimizer that orders join pipelines and predicts
-// build strategies from catalog statistics.
+// and a cost-based optimizer that orders join pipelines, predicts build
+// strategies from catalog statistics and places sideways key filters.
 //
 // Lowering is canonical: the first FROM item is the probe spine, later
 // FROM items attach as hash-join build sides in text order, and WHERE
@@ -25,8 +25,8 @@ type Options struct {
 	// strategies. Zero selects the engine default; negative disables
 	// cache-aware predictions (matching plan.Context semantics).
 	LLCBytes int64
-	// NoOpt disables the cost-based step reordering; lowering stays
-	// canonical (statement text order).
+	// NoOpt disables the optimizer — step reordering and key filters;
+	// lowering stays canonical (statement text order).
 	NoOpt bool
 	// UniqueKeys declares base-table unique keys, e.g. tpch.TableKeys().
 	// Joins whose build keys form a unique key are order-safe and become
@@ -75,7 +75,7 @@ func Plan(cat plan.Catalog, text string, o Options) (*Planned, error) {
 			name: c.Name,
 			cols: bout.cols,
 			ukey: bout.ukey,
-			memo: &memoNode{name: c.Name, inner: node},
+			memo: &memoNode{name: c.Name, inner: node, shared: tableRefs(stmt, c.Name) > 1},
 			rows: bout.rows,
 		}
 	}
