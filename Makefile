@@ -84,10 +84,24 @@ fuzz:
 
 # EXPLAIN ANALYZE smoke test: run Q1 with -explain and assert the span
 # tree came back non-empty (the scan operator must appear with its sim
-# column). Catches wiring regressions between engine.RunTraced, the
-# plan-layer spans, and the obs renderer that unit tests can miss.
+# column); then run Q3 with -explain under a 64 KB budget and assert the
+# traced run went through the spill joiner (a spill-partition row,
+# labelled "radix N-way, budget B") and left the spill directory empty.
+# Catches wiring regressions between engine.RunTraced, the plan-layer
+# spans, and the obs renderer that unit tests can miss. As in
+# spill-smoke, each run lands in a file before it is filtered, so a run
+# that fails stops the target.
 explain-smoke:
-	$(GO) run ./cmd/wimpi -sf 0.01 -q 1 -explain | tee /dev/stderr | grep -q 'scan lineitem'
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/spill"; \
+	$(GO) build -o "$$tmp/wimpi" ./cmd/wimpi; \
+	"$$tmp/wimpi" -sf 0.01 -q 1 -explain > "$$tmp/q1.out"; \
+	cat "$$tmp/q1.out"; \
+	grep -q 'scan lineitem' "$$tmp/q1.out" || { echo "explain-smoke: Q1 trace has no scan lineitem row"; exit 1; }; \
+	"$$tmp/wimpi" -sf 0.01 -q 3 -explain -mem-budget 64KB -spill-dir "$$tmp/spill" > "$$tmp/q3.out"; \
+	cat "$$tmp/q3.out"; \
+	grep -Eq 'radix [0-9]+-way, budget ' "$$tmp/q3.out" || { echo "explain-smoke: Q3 under -mem-budget has no spill-partition row"; exit 1; }; \
+	test -z "$$(ls -A "$$tmp/spill")" || { echo "explain-smoke: Q3 left files in the spill directory"; exit 1; }; \
+	echo "explain-smoke: Q1 traced; Q3 traced through the spill joiner; spill directory empty"
 
 # Serving-path smoke test: a short closed-loop soak of the multi-tenant
 # front door — 64 concurrent clients over the TPC-H mix, every result

@@ -25,6 +25,9 @@ type (
 	DB = engine.DB
 	// EngineConfig configures a DB.
 	EngineConfig = engine.Config
+	// QueryOpts shapes one DB.RunQuery call: worker cap, pool weight,
+	// memory budget.
+	QueryOpts = engine.QueryOpts
 	// Result is a query outcome: answer table, work profile, host time.
 	Result = engine.Result
 	// Table is an immutable columnar table.

@@ -1,6 +1,7 @@
 package wimpi_test
 
 import (
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ func TestPublicFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Run(q)
+	res, err := db.RunQuery(context.Background(), q, wimpi.QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestPublicFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Run(qp); err != nil {
+	if _, err := db.RunQuery(context.Background(), qp, wimpi.QueryOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	if wimpi.DefaultQueryParams().Q1Delta != 90 {
@@ -59,7 +60,7 @@ func TestPublicFacade(t *testing.T) {
 
 	// A hand-built plan using the re-exported node types.
 	var node wimpi.PlanNode = &plan.Limit{Input: &plan.Scan{Table: "orders"}, N: 3}
-	lres, err := db.Run(node)
+	lres, err := db.RunQuery(context.Background(), node, wimpi.QueryOpts{})
 	if err != nil || lres.Table.NumRows() != 3 {
 		t.Fatalf("custom plan: %v", err)
 	}

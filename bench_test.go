@@ -8,6 +8,7 @@
 package wimpi_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -122,7 +123,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 				p := tpch.MustQuery(q)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := db.RunWith(p, w); err != nil {
+					if _, err := db.RunQuery(context.Background(), p, engine.QueryOpts{Workers: w}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -151,7 +152,7 @@ func BenchmarkTableII(b *testing.B) {
 		b.Run(fmt.Sprintf("Q%d", q), func(b *testing.B) {
 			var ctr exec.Counters
 			for i := 0; i < b.N; i++ {
-				res, err := db.Run(tpch.MustQuery(q))
+				res, err := db.RunQuery(context.Background(), tpch.MustQuery(q), engine.QueryOpts{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -337,7 +338,7 @@ func BenchmarkAblationMaterializedVsFused(b *testing.B) {
 	data, db := fixture(b)
 	b.Run("materialized-plan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := db.Run(tpch.MustQuery(6)); err != nil {
+			if _, err := db.RunQuery(context.Background(), tpch.MustQuery(6), engine.QueryOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -430,7 +431,7 @@ func BenchmarkAblationThrottle(b *testing.B) {
 // working set.
 func BenchmarkAblationSwap(b *testing.B) {
 	_, db := fixture(b)
-	res, err := db.Run(tpch.MustQuery(1))
+	res, err := db.RunQuery(context.Background(), tpch.MustQuery(1), engine.QueryOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -621,7 +622,7 @@ func BenchmarkSpill(b *testing.B) {
 		free := engine.NewDB(engine.Config{Workers: workers})
 		free.Register(bt)
 		free.Register(pt)
-		resFree, err := free.Run(query)
+		resFree, err := free.RunQuery(context.Background(), query, engine.QueryOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -642,7 +643,7 @@ func BenchmarkSpill(b *testing.B) {
 		b.Run(fmt.Sprintf("statex=%.1f", res.StateOverBudget), func(b *testing.B) {
 			var last *engine.Result
 			for i := 0; i < b.N; i++ {
-				r, err := budgeted.Run(query)
+				r, err := budgeted.RunQuery(context.Background(), query, engine.QueryOpts{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -709,7 +710,7 @@ func BenchmarkAblationRLECompression(b *testing.B) {
 		d.RegisterAll(db)
 		var sim float64
 		for i := 0; i < b.N; i++ {
-			res, err := db.Run(tpch.MustQuery(18))
+			res, err := db.RunQuery(context.Background(), tpch.MustQuery(18), engine.QueryOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -809,7 +810,7 @@ func BenchmarkFusedVsVector(b *testing.B) {
 			b.Run(fmt.Sprintf("Q%d/%s", q, m), func(b *testing.B) {
 				var ctr exec.Counters
 				for i := 0; i < b.N; i++ {
-					r, err := dbs[m].Run(node)
+					r, err := dbs[m].RunQuery(context.Background(), node, engine.QueryOpts{})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -7,6 +7,7 @@
 //	wimpi -sf 0.1 -q all           # run all 22
 //	wimpi -sf 0.1 -q 3 -plan       # print the physical plan
 //	wimpi -sf 0.1 -q 1 -explain    # EXPLAIN ANALYZE: span tree + simulated time
+//	wimpi -sf 0.01 -q 3 -explain -mem-budget 64KB   # ... with the spill joiner's partitions
 //	wimpi -sf 0.1 -q 1 -simulate   # show simulated per-hardware times
 //	wimpi -sf 0.1 -q 6 -exec auto  # cost-model choice of vector vs fused pipelines
 //	wimpi -sf 0.1 -sql "select count(*) as n from orders"
@@ -14,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -42,7 +44,6 @@ func main() {
 	planOnly := flag.Bool("plan", false, "print the physical plan instead of executing")
 	explain := flag.Bool("explain", false, "EXPLAIN ANALYZE: execute, then print the operator span tree with wall and simulated time")
 	profileName := flag.String("profile", "Pi 3B+", "hardware profile attributed in -explain output (see hardware.Profiles)")
-	analyze := flag.Bool("analyze", false, "execute with per-operator instrumentation (legacy tabular EXPLAIN ANALYZE)")
 	simulate := flag.Bool("simulate", false, "print simulated runtimes for every Table I profile")
 	rows := flag.Int("rows", 10, "result rows to print")
 	save := flag.String("save", "", "after generating, snapshot the dataset to this directory")
@@ -156,15 +157,7 @@ func main() {
 			fmt.Printf("%s\n", out)
 			return
 		}
-		if *analyze {
-			an, err := db.Analyze(node)
-			if err != nil {
-				fatalf("%s: %v", label, err)
-			}
-			fmt.Printf("-- %s (analyzed): %d rows --\n%s\n", label, an.Table.NumRows(), an.Render())
-			return
-		}
-		res, err := db.Run(node)
+		res, err := db.RunQuery(context.Background(), node, engine.QueryOpts{})
 		if err != nil {
 			fatalf("%s: %v", label, err)
 		}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -25,7 +26,7 @@ func main() {
 	profiles := hardware.Profiles()
 	total := make(map[string]time.Duration)
 	for _, q := range tpch.RepresentativeQueries {
-		res, err := db.Run(tpch.MustQuery(q))
+		res, err := db.RunQuery(context.Background(), tpch.MustQuery(q), engine.QueryOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -61,7 +62,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sres, err := single.Run(tpch.MustQuery(q))
+		sres, err := single.RunQuery(context.Background(), tpch.MustQuery(q), engine.QueryOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -51,7 +52,7 @@ func main() {
 	fmt.Print(db.Explain(p))
 
 	// 3. Execute and inspect the result.
-	res, err := db.Run(p)
+	res, err := db.RunQuery(context.Background(), p, engine.QueryOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

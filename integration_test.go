@@ -180,11 +180,16 @@ func TestExamplesRun(t *testing.T) {
 }
 
 func TestCLIAnalyzeAndSnapshot(t *testing.T) {
-	out := run(t, "wimpi", "-sf", "0.005", "-q", "3", "-analyze")
-	for _, want := range []string{"analyzed", "operator", "scan lineitem", "rnd-acc"} {
+	out := run(t, "wimpi", "-sf", "0.005", "-q", "3", "-explain")
+	for _, want := range []string{"explain analyze", "operator", "scan lineitem", "sim(Pi 3B+)"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("analyze output missing %q:\n%s", want, out)
+			t.Errorf("explain output missing %q:\n%s", want, out)
 		}
+	}
+	// -explain is the one EXPLAIN ANALYZE: the old tabular -analyze flag
+	// is gone.
+	if out, err := exec.Command(filepath.Join(binaries(t), "wimpi"), "-analyze").CombinedOutput(); err == nil {
+		t.Errorf("wimpi -analyze should be an unknown flag:\n%s", out)
 	}
 	dir := filepath.Join(t.TempDir(), "snap")
 	run(t, "wimpi", "-sf", "0.005", "-q", "6", "-save", dir, "-rows", "0")

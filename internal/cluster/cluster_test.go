@@ -156,7 +156,7 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Q%d: %v", q, err)
 		}
-		want, err := single.Run(tpch.MustQuery(q))
+		want, err := single.RunQuery(context.Background(), tpch.MustQuery(q), engine.QueryOpts{})
 		if err != nil {
 			t.Fatalf("Q%d single: %v", q, err)
 		}

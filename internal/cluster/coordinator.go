@@ -478,7 +478,7 @@ func (c *Coordinator) mergeSQLPartials(mergeText string, parts []*colstore.Table
 	if err != nil {
 		return nil, exec.Counters{}, fmt.Errorf("cluster: sql merge plan: %w", err)
 	}
-	res, err := db.Run(pl.Node)
+	res, err := db.RunQuery(context.Background(), pl.Node, engine.QueryOpts{})
 	if err != nil {
 		return nil, exec.Counters{}, fmt.Errorf("cluster: sql merge: %w", err)
 	}

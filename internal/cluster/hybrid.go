@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 
 	"wimpi/internal/engine"
@@ -64,7 +65,7 @@ func (h *HybridCoordinator) Run(q int) (*DistResult, error) {
 	if !dq.SingleNode {
 		return h.Coordinator.Run(q)
 	}
-	res, err := h.localDB.Run(dq.Partial())
+	res, err := h.localDB.RunQuery(context.Background(), dq.Partial(), engine.QueryOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: hybrid local Q%d: %w", q, err)
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestSQLDistributedMatchesSingleNode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Q%d: %v", q, err)
 		}
-		want, err := single.Run(tpch.MustQuery(q))
+		want, err := single.RunQuery(context.Background(), tpch.MustQuery(q), engine.QueryOpts{})
 		if err != nil {
 			t.Fatalf("Q%d single: %v", q, err)
 		}

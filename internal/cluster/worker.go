@@ -255,7 +255,7 @@ func (w *Worker) handleQuery(q, forNode int, useSQL bool) *Response {
 		if err != nil {
 			return &Response{Err: fmt.Sprintf("query %d: plan: %v", q, err)}
 		}
-		res, err := db.Run(pl.Node)
+		res, err := db.RunQuery(context.Background(), pl.Node, engine.QueryOpts{})
 		if err != nil {
 			return &Response{Err: fmt.Sprintf("query %d: %v", q, err)}
 		}
@@ -270,7 +270,7 @@ func (w *Worker) handleQuery(q, forNode int, useSQL bool) *Response {
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
-	res, err := db.Run(dq.Partial())
+	res, err := db.RunQuery(context.Background(), dq.Partial(), engine.QueryOpts{})
 	if err != nil {
 		return &Response{Err: fmt.Sprintf("Q%d: %v", q, err)}
 	}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"wimpi/internal/cluster"
+	"wimpi/internal/engine"
 	"wimpi/internal/exec"
 	"wimpi/internal/tpch"
 )
@@ -65,7 +67,7 @@ func (h *Harness) TableII() (*TableIIResult, error) {
 		MemSeqShare: make(map[int]float64),
 	}
 	for _, q := range tpch.QueryNumbers() {
-		r, err := db.Run(tpch.MustQuery(q))
+		r, err := db.RunQuery(context.Background(), tpch.MustQuery(q), engine.QueryOpts{})
 		if err != nil {
 			return nil, fmt.Errorf("core: table II Q%d: %w", q, err)
 		}
@@ -152,7 +154,7 @@ func (h *Harness) TableIII() (*TableIIIResult, error) {
 	}
 	// Server rows: single-node execution.
 	for _, q := range res.Queries {
-		r, err := db.Run(tpch.MustQuery(q))
+		r, err := db.RunQuery(context.Background(), tpch.MustQuery(q), engine.QueryOpts{})
 		if err != nil {
 			return nil, fmt.Errorf("core: table III Q%d servers: %w", q, err)
 		}

@@ -45,7 +45,7 @@ func TestConcurrentQueries(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for iter := 0; iter < 5; iter++ {
-				res, err := db.Run(p)
+				res, err := db.RunQuery(context.Background(), p, QueryOpts{})
 				if err != nil {
 					errs[g] = err
 					return
@@ -95,10 +95,10 @@ func TestConcurrentRegisterAndQuery(t *testing.T) {
 		}
 	}()
 	for q := 0; q < 50; q++ {
-		res, err := db.Run(&plan.GroupBy{
+		res, err := db.RunQuery(context.Background(), &plan.GroupBy{
 			Input: &plan.Scan{Table: "stable"},
 			Aggs:  []plan.AggSpec{{Name: "n", Func: plan.Count}},
-		})
+		}, QueryOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,11 +176,11 @@ func TestConcurrentDistinctQueries(t *testing.T) {
 	db.Register(tc)
 	pa, pb := concurrentPlans()
 
-	baseA, err := db.RunWith(pa, 1)
+	baseA, err := db.RunQuery(context.Background(), pa, QueryOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseB, err := db.RunWith(pb, 1)
+	baseB, err := db.RunQuery(context.Background(), pb, QueryOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestConcurrentDistinctQueries(t *testing.T) {
 				p, base = pb, baseB
 			}
 			for iter := 0; iter < 4; iter++ {
-				res, err := db.Run(p)
+				res, err := db.RunQuery(context.Background(), p, QueryOpts{})
 				if err != nil {
 					errs <- err
 					return
@@ -227,11 +227,11 @@ func TestConcurrentRunQueryPool(t *testing.T) {
 	db.Register(tc)
 	pa, pb := concurrentPlans()
 
-	baseA, err := db.RunWith(pa, 1)
+	baseA, err := db.RunQuery(context.Background(), pa, QueryOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseB, err := db.RunWith(pb, 1)
+	baseB, err := db.RunQuery(context.Background(), pb, QueryOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

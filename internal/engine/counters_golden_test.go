@@ -8,6 +8,7 @@ package engine_test
 // work regenerates it with -update and shows the diff in review.
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -42,7 +43,7 @@ func TestCountersGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			fmt.Fprintf(&sb, "== %s Q%d\n", c.name, q)
-			res, err := db.RunWith(p, 2)
+			res, err := db.RunQuery(context.Background(), p, engine.QueryOpts{Workers: 2})
 			if err != nil {
 				// Joinless plans have nothing to spill; the budget cancels them.
 				fmt.Fprintf(&sb, "error: %v\n", err)

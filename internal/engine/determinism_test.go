@@ -6,6 +6,7 @@ package engine_test
 // merge in the same order regardless of parallelism.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -49,12 +50,12 @@ func TestQueriesDeterministicAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, err := db.RunWith(p, 1)
+			base, err := db.RunQuery(context.Background(), p, engine.QueryOpts{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range []int{2, 4, 8} {
-				res, err := db.RunWith(p, w)
+				res, err := db.RunQuery(context.Background(), p, engine.QueryOpts{Workers: w})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
@@ -65,8 +66,8 @@ func TestQueriesDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunWithDefaults checks the worker-count plumbing: RunWith(p, 0)
-// uses the database default, and an unconfigured DB defaults to the
+// TestRunWithDefaults checks the worker-count plumbing: RunQuery with
+// QueryOpts.Workers 0 uses the database default, and an unconfigured DB defaults to the
 // runtime's CPU count.
 func TestRunWithDefaults(t *testing.T) {
 	db := engine.NewDB(engine.Config{Workers: 3})
@@ -81,7 +82,7 @@ func TestRunWithDefaults(t *testing.T) {
 	bt.Int(0, 7)
 	bt.EndRow()
 	db.Register(bt.Build())
-	res, err := db.RunWith(&plan.Scan{Table: "t"}, 0)
+	res, err := db.RunQuery(context.Background(), &plan.Scan{Table: "t"}, engine.QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ type Config struct {
 	// never the result.
 	Exec plan.ExecMode
 	// Pool, when non-nil, is a shared morsel worker pool: concurrent
-	// queries run through RunQuery interleave over its fixed workers
+	// queries (traced or not) interleave over its fixed workers
 	// under fair-share scheduling instead of each spawning its own
 	// goroutines. Results stay bit-identical — the pool changes who
 	// executes a morsel, never the morsel decomposition.
@@ -155,29 +155,8 @@ type Result struct {
 	// HostDuration is the wall-clock time spent on the host machine. The
 	// simulated per-profile durations come from package hardware.
 	HostDuration time.Duration
-}
-
-// Run executes a plan with the database's configured parallelism.
-func (db *DB) Run(p plan.Node) (*Result, error) {
-	return db.RunWith(p, 0)
-}
-
-// RunWith executes a plan with an explicit per-query worker count.
-// workers < 1 selects the database default (Config.Workers, or the
-// number of schedulable CPUs). Results are bit-identical at every
-// worker count.
-func (db *DB) RunWith(p plan.Node, workers int) (*Result, error) {
-	if workers < 1 {
-		workers = db.Workers()
-	}
-	metricQueries.Inc()
-	//lint:allow determinism,taintflow -- measured wall clock, reported as HostDuration; results never depend on it
-	start := time.Now()
-	t, ctr, err := plan.RunContext(db.planCtx(workers), p)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Table: t, Counters: ctr, HostDuration: time.Since(start)}, nil
+	// Root is the operator span tree of a RunTraced call; nil otherwise.
+	Root *obs.Span
 }
 
 // planCtx builds the execution context for one query.
@@ -221,11 +200,23 @@ type QueryOpts struct {
 
 // RunQuery executes a plan under a cancellation context, the database's
 // shared worker pool (when configured), and an optional memory budget.
-// It is the serving entry point: concurrent RunQuery calls on one DB
-// interleave morsel-by-morsel instead of oversubscribing the host, and
-// ctx cancellation stops the query at the next morsel boundary. Results
-// are bit-identical to Run's.
+// Concurrent RunQuery calls on one DB interleave morsel-by-morsel instead
+// of oversubscribing the host, and ctx cancellation stops the query at the
+// next morsel boundary. Results are bit-identical at every worker count,
+// with and without a pool or a budget.
 func (db *DB) RunQuery(ctx context.Context, p plan.Node, opts QueryOpts) (*Result, error) {
+	return db.run(ctx, p, opts, false)
+}
+
+// RunTraced executes a plan with operator span tracing (the machinery
+// behind EXPLAIN ANALYZE) under the database's defaults. The result table
+// and counters are bit-identical to RunQuery's; Root holds the span tree.
+func (db *DB) RunTraced(p plan.Node) (*Result, error) {
+	return db.run(context.Background(), p, QueryOpts{}, true)
+}
+
+// run is the one query lifecycle behind RunQuery and RunTraced.
+func (db *DB) run(ctx context.Context, p plan.Node, opts QueryOpts, traced bool) (*Result, error) {
 	workers := opts.Workers
 	if workers < 1 {
 		workers = db.Workers()
@@ -246,47 +237,16 @@ func (db *DB) RunQuery(ctx context.Context, p plan.Node, opts QueryOpts) (*Resul
 	if opts.MemLimitBytes > 0 {
 		pctx.MemLimitBytes = opts.MemLimitBytes
 	}
+	if traced {
+		pctx.Trace = &obs.Tracer{} // asks plan.RunContext for a span tree
+	}
 	//lint:allow determinism,taintflow -- measured wall clock, reported as HostDuration; results never depend on it
 	start := time.Now()
-	t, ctr, err := plan.RunContext(pctx, p)
+	res, err := plan.RunContext(pctx, p)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Table: t, Counters: ctr, HostDuration: time.Since(start)}, nil
-}
-
-// TracedResult is a Result plus the operator span tree recorded while
-// the query ran.
-type TracedResult struct {
-	Result
-	// Root is the root operator span.
-	Root *obs.Span
-}
-
-// RunTraced executes a plan with operator span tracing (the machinery
-// behind EXPLAIN ANALYZE). The result table and counters are
-// bit-identical to Run's.
-func (db *DB) RunTraced(p plan.Node) (*TracedResult, error) {
-	return db.RunTracedWith(p, 0)
-}
-
-// RunTracedWith is RunTraced with an explicit worker count; workers < 1
-// selects the database default.
-func (db *DB) RunTracedWith(p plan.Node, workers int) (*TracedResult, error) {
-	if workers < 1 {
-		workers = db.Workers()
-	}
-	metricQueries.Inc()
-	//lint:allow determinism,taintflow -- measured wall clock, reported as HostDuration; results never depend on it
-	start := time.Now()
-	res, err := plan.RunTracedContext(db.planCtx(workers), p)
-	if err != nil {
-		return nil, err
-	}
-	return &TracedResult{
-		Result: Result{Table: res.Table, Counters: res.Counters, HostDuration: time.Since(start)},
-		Root:   res.Root,
-	}, nil
+	return &Result{Table: res.Table, Counters: res.Counters, HostDuration: time.Since(start), Root: res.Root}, nil
 }
 
 // Explain renders a plan without executing it, after applying the
@@ -359,11 +319,4 @@ func formatCell(c colstore.Column, row int) string {
 		}
 		return "?"
 	}
-}
-
-// Analyze executes a plan with per-operator instrumentation (EXPLAIN
-// ANALYZE): each operator's output cardinality, footprint, wall-clock
-// time, and work profile.
-func (db *DB) Analyze(p plan.Node) (*plan.Analysis, error) {
-	return plan.AnalyzeContext(db.planCtx(db.Workers()), p)
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -61,7 +62,7 @@ func TestDBRunAndExplain(t *testing.T) {
 		Keys:  []string{"tag"},
 		Aggs:  []plan.AggSpec{{Name: "total", Func: plan.Sum, Arg: exec.Col{Name: "price"}}},
 	}
-	res, err := db.Run(p)
+	res, err := db.RunQuery(context.Background(), p, QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestDBRunAndExplain(t *testing.T) {
 	if s := db.Explain(p); !strings.Contains(s, "group by") {
 		t.Errorf("explain = %q", s)
 	}
-	if _, err := db.Run(&plan.Scan{Table: "nope"}); err == nil {
+	if _, err := db.RunQuery(context.Background(), &plan.Scan{Table: "nope"}, QueryOpts{}); err == nil {
 		t.Error("run against missing table should error")
 	}
 }

@@ -9,6 +9,7 @@ package engine_test
 // diverge.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -52,13 +53,13 @@ func TestQueriesFusedMatchVector(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, err := dbs[plan.ExecVector].RunWith(p, 1)
+			base, err := dbs[plan.ExecVector].RunQuery(context.Background(), p, engine.QueryOpts{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, mode := range []plan.ExecMode{plan.ExecFused, plan.ExecAuto} {
 				for _, w := range []int{1, 2, 4, 8} {
-					res, err := dbs[mode].RunWith(p, w)
+					res, err := dbs[mode].RunQuery(context.Background(), p, engine.QueryOpts{Workers: w})
 					if err != nil {
 						t.Fatalf("%s workers=%d: %v", mode, w, err)
 					}
@@ -79,7 +80,7 @@ func TestFusedTracedMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := dbs[plan.ExecVector].RunWith(p, 1)
+	base, err := dbs[plan.ExecVector].RunQuery(context.Background(), p, engine.QueryOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

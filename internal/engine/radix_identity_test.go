@@ -6,6 +6,7 @@ package engine_test
 // varied — it changes which plan runs, never its result.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -49,7 +50,7 @@ func TestRadixPlansByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, err := direct.RunWith(p, 1)
+			base, err := direct.RunQuery(context.Background(), p, engine.QueryOpts{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +59,7 @@ func TestRadixPlansByteIdentical(t *testing.T) {
 					q, base.Counters.PartitionBytes)
 			}
 			for _, w := range []int{1, 2, 4, 8} {
-				res, err := radix.RunWith(p, w)
+				res, err := radix.RunQuery(context.Background(), p, engine.QueryOpts{Workers: w})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
@@ -83,12 +84,12 @@ func TestRadixPlansByteIdentical(t *testing.T) {
 				{Name: "qty", Func: plan.Sum, Arg: exec.Col{Name: "l_quantity"}},
 			},
 		}
-		base, err := direct.RunWith(p, 1)
+		base, err := direct.RunQuery(context.Background(), p, engine.QueryOpts{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{1, 2, 4, 8} {
-			res, err := radix.RunWith(p, w)
+			res, err := radix.RunQuery(context.Background(), p, engine.QueryOpts{Workers: w})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", w, err)
 			}
@@ -116,12 +117,12 @@ func TestRadixPlansDeterministicAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, err := radix.RunWith(p, 1)
+			base, err := radix.RunQuery(context.Background(), p, engine.QueryOpts{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range []int{2, 4, 8} {
-				res, err := radix.RunWith(p, w)
+				res, err := radix.RunQuery(context.Background(), p, engine.QueryOpts{Workers: w})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}

@@ -59,7 +59,7 @@ func TestQueriesIdenticalUnderSpillBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := base.Run(p)
+		want, err := base.RunQuery(context.Background(), p, engine.QueryOpts{})
 		if err != nil {
 			t.Fatalf("Q%d unlimited: %v", q, err)
 		}
@@ -74,7 +74,7 @@ func TestQueriesIdenticalUnderSpillBudget(t *testing.T) {
 			data.RegisterAll(db)
 			for _, w := range []int{1, 2, 4, 8} {
 				label := fmt.Sprintf("Q%d %s workers=%d", q, m.name, w)
-				res, err := db.RunWith(p, w)
+				res, err := db.RunQuery(context.Background(), p, engine.QueryOpts{Workers: w})
 				if !spillable {
 					// Nothing to spill: the budget may only cancel.
 					var mem *plan.MemLimitError
@@ -119,7 +119,7 @@ func TestQueryOptsBudgetOverridesConfig(t *testing.T) {
 	data.RegisterAll(db)
 	p := tpch.MustQuery(3)
 
-	unlimited, err := db.Run(p)
+	unlimited, err := db.RunQuery(context.Background(), p, engine.QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

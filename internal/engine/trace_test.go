@@ -1,10 +1,12 @@
 package engine_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
+	"wimpi/internal/engine"
 	"wimpi/internal/exec"
 	"wimpi/internal/hardware"
 	"wimpi/internal/obs"
@@ -43,7 +45,6 @@ func flattenSpans(root *obs.Span) []spanFacts {
 // MergeBytes too, since the morsel decomposition depends only on input
 // size.
 func TestSpanTreeDeterministicAcrossWorkers(t *testing.T) {
-	db := determinismDB(t)
 	dropMerge := func(spans []spanFacts) []spanFacts {
 		out := append([]spanFacts(nil), spans...)
 		for i := range out {
@@ -57,7 +58,7 @@ func TestSpanTreeDeterministicAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, err := db.RunTracedWith(p, 1)
+			base, err := configuredDB(t, engine.Config{Workers: 1}).RunTraced(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +68,7 @@ func TestSpanTreeDeterministicAcrossWorkers(t *testing.T) {
 			}
 			var par []spanFacts // reference parallel run (workers=2)
 			for _, w := range []int{2, 4, 8} {
-				res, err := db.RunTracedWith(p, w)
+				res, err := configuredDB(t, engine.Config{Workers: w}).RunTraced(p)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
@@ -95,28 +96,67 @@ func TestSpanTreeDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunTracedMatchesRun checks tracing is observation-only: same
-// result table and same total counters as the untraced path.
+// configuredDB is a database over determinismDB's tables under cfg.
+func configuredDB(t *testing.T, cfg engine.Config) *engine.DB {
+	t.Helper()
+	src := determinismDB(t)
+	db := engine.NewDB(cfg)
+	for _, name := range src.TableNames() {
+		tbl, err := src.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.Register(tbl)
+	}
+	return db
+}
+
+// TestRunTracedMatchesRun checks tracing is observation-only through
+// every door a query takes: with no pool, on a shared pool, and under a
+// memory budget that spills Q3, RunQuery and RunTraced return the same
+// table and the same total counters, and a traced run's root span holds
+// exactly those counters.
 func TestRunTracedMatchesRun(t *testing.T) {
-	db := determinismDB(t)
-	p, err := tpch.Query(1)
+	p := tpch.MustQuery(3)
+	want, err := determinismDB(t).RunQuery(context.Background(), p, engine.QueryOpts{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := db.RunWith(p, 4)
-	if err != nil {
-		t.Fatal(err)
+	pool := exec.NewPool(4)
+	defer pool.Close()
+	dbs := []struct {
+		name  string
+		cfg   engine.Config
+		spill bool
+	}{
+		{"no-pool", engine.Config{Workers: 4}, false},
+		{"pool", engine.Config{Workers: 4, Pool: pool}, false},
+		{"budget", engine.Config{Workers: 4, MemBudgetBytes: spillBudgetBytes, SpillDir: t.TempDir()}, true},
 	}
-	traced, err := db.RunTracedWith(p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertTablesIdentical(t, plain.Table, traced.Table, "traced vs plain")
-	if plain.Counters != traced.Counters {
-		t.Errorf("counters diverge:\n plain  %+v\n traced %+v", plain.Counters, traced.Counters)
-	}
-	if traced.Root.Counters != traced.Counters {
-		t.Errorf("root span counters %+v != total %+v", traced.Root.Counters, traced.Counters)
+	for _, d := range dbs {
+		db := configuredDB(t, d.cfg)
+		plain, err := db.RunQuery(context.Background(), p, engine.QueryOpts{})
+		if err != nil {
+			t.Fatalf("%s RunQuery: %v", d.name, err)
+		}
+		traced, err := db.RunTraced(p)
+		if err != nil {
+			t.Fatalf("%s RunTraced: %v", d.name, err)
+		}
+		assertTablesIdentical(t, want.Table, plain.Table, d.name+" RunQuery")
+		assertTablesIdentical(t, want.Table, traced.Table, d.name+" RunTraced")
+		if spilled := plain.Counters.SpillWriteBytes > 0; spilled != d.spill {
+			t.Errorf("%s: spilled=%v, want %v", d.name, spilled, d.spill)
+		}
+		if traced.Counters != plain.Counters {
+			t.Errorf("%s: counters diverge:\n plain  %+v\n traced %+v", d.name, plain.Counters, traced.Counters)
+		}
+		if plain.Root != nil {
+			t.Errorf("%s: untraced run returned a span tree", d.name)
+		}
+		if traced.Root == nil || traced.Root.Counters != traced.Counters {
+			t.Errorf("%s: root span counters differ from the total %+v", d.name, traced.Counters)
+		}
 	}
 }
 

@@ -69,8 +69,8 @@ func joinWork(t *testing.T, llcBytes int64) exec.Counters {
 		ProbeKeys: []string{"p_key"},
 		Kind:      plan.Semi,
 	}
-	res, err := plan.RunTracedContext(&plan.Context{
-		Cat: bigJoinCatalog(), Workers: 4, LLCBytes: llcBytes,
+	res, err := plan.RunContext(&plan.Context{
+		Cat: bigJoinCatalog(), Workers: 4, LLCBytes: llcBytes, Trace: &obs.Tracer{},
 	}, p)
 	if err != nil {
 		t.Fatal(err)

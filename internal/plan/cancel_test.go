@@ -65,7 +65,7 @@ func TestCancelAtEachStage(t *testing.T) {
 	cat := cancelCatalog()
 	p := cancelPlan()
 
-	baselineRes, err := RunTracedContext(&Context{Cat: cat, Workers: 4}, p)
+	baselineRes, err := RunContext(&Context{Cat: cat, Workers: 4, Trace: &obs.Tracer{}}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestCancelAtEachStage(t *testing.T) {
 				}
 			}}
 			pctx := &Context{Cat: cat, Workers: 4, Ctx: stdCtx, Trace: hook}
-			res, err := RunTracedContext(pctx, p)
+			res, err := RunContext(pctx, p)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancel at %s: err = %v, want context.Canceled", stage, err)
 			}
@@ -100,7 +100,7 @@ func TestCancelAtEachStage(t *testing.T) {
 			waitGoroutines(t, before)
 
 			// The shared plan tree must be reusable after a cancelled run.
-			clean, err := RunTracedContext(&Context{Cat: cat, Workers: 4}, p)
+			clean, err := RunContext(&Context{Cat: cat, Workers: 4}, p)
 			if err != nil {
 				t.Fatalf("clean run after cancel at %s: %v", stage, err)
 			}
@@ -116,7 +116,7 @@ func TestCancelAtEachStage(t *testing.T) {
 func TestMemLimitCancelsQuery(t *testing.T) {
 	cat := cancelCatalog()
 	p := cancelPlan()
-	_, _, err := RunContext(&Context{Cat: cat, Workers: 2, MemLimitBytes: 1 << 10}, p)
+	_, err := RunContext(&Context{Cat: cat, Workers: 2, MemLimitBytes: 1 << 10}, p)
 	var mem *MemLimitError
 	if !errors.As(err, &mem) {
 		t.Fatalf("err = %v, want *MemLimitError", err)
@@ -124,7 +124,7 @@ func TestMemLimitCancelsQuery(t *testing.T) {
 	if mem.Observed <= mem.Limit {
 		t.Fatalf("MemLimitError observed %d <= limit %d", mem.Observed, mem.Limit)
 	}
-	if _, _, err := RunContext(&Context{Cat: cat, Workers: 2}, p); err != nil {
+	if _, err := RunContext(&Context{Cat: cat, Workers: 2}, p); err != nil {
 		t.Fatalf("unlimited run: %v", err)
 	}
 }
@@ -135,7 +135,7 @@ func TestCancelBeforeRun(t *testing.T) {
 	cat := cancelCatalog()
 	stdCtx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := RunContext(&Context{Cat: cat, Workers: 4, Ctx: stdCtx}, cancelPlan())
+	_, err := RunContext(&Context{Cat: cat, Workers: 4, Ctx: stdCtx}, cancelPlan())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestClusteredGroupByFromSQL(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := db.Run(pl.Node)
+					res, err := db.RunQuery(context.Background(), pl.Node, engine.QueryOpts{})
 					if err != nil {
 						t.Fatal(err)
 					}

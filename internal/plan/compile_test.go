@@ -55,17 +55,17 @@ func adversarialTable(rng *rand.Rand, name string, n, keyRange int) *colstore.Ta
 // single-worker vector baseline.
 func assertModesIdentical(t *testing.T, cat Catalog, n Node, label string) {
 	t.Helper()
-	base, _, err := RunContext(&Context{Cat: cat, Workers: 1, Exec: ExecVector}, n)
+	base, err := RunContext(&Context{Cat: cat, Workers: 1, Exec: ExecVector}, n)
 	if err != nil {
 		t.Fatalf("%s: vector baseline: %v", label, err)
 	}
 	for _, mode := range []ExecMode{ExecFused, ExecAuto} {
 		for _, w := range []int{1, 2, 4} {
-			got, _, err := RunContext(&Context{Cat: cat, Workers: w, Exec: mode}, n)
+			got, err := RunContext(&Context{Cat: cat, Workers: w, Exec: mode}, n)
 			if err != nil {
 				t.Fatalf("%s: %s workers=%d: %v", label, mode, w, err)
 			}
-			if ok, why := colstore.TablesIdentical(base, got); !ok {
+			if ok, why := colstore.TablesIdentical(base.Table, got.Table); !ok {
 				t.Fatalf("%s: %s workers=%d diverges from vector: %s", label, mode, w, why)
 			}
 		}
@@ -224,15 +224,15 @@ func TestFusedBloomThresholdParity(t *testing.T) {
 			Keys: []string{"p_tag"},
 			Aggs: []AggSpec{{Name: "n", Func: Count}},
 		}
-		_, vctr, err := RunContext(&Context{Cat: cat, Workers: 2, Exec: ExecVector}, node)
+		vec, err := RunContext(&Context{Cat: cat, Workers: 2, Exec: ExecVector}, node)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, fctr, err := RunContext(&Context{Cat: cat, Workers: 2, Exec: ExecFused}, node)
+		fused, err := RunContext(&Context{Cat: cat, Workers: 2, Exec: ExecFused}, node)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vctr.HashProbeTuples != fctr.HashProbeTuples {
+		if vctr, fctr := vec.Counters, fused.Counters; vctr.HashProbeTuples != fctr.HashProbeTuples {
 			t.Errorf("probe=%dx build: HashProbeTuples diverge (vector %d, fused %d) — Bloom threshold disagreement",
 				probeRows/40000, vctr.HashProbeTuples, fctr.HashProbeTuples)
 		}

@@ -52,9 +52,9 @@ type Context struct {
 	// budget, so results stay bit-identical at every degree of
 	// parallelism, including cluster re-dispatch.
 	LLCBytes int64
-	// Trace, when non-nil, collects an operator span tree during
-	// execution. A nil tracer is a valid no-op, so operators call it
-	// unconditionally.
+	// Trace, when non-nil, makes RunContext a traced run that collects an
+	// operator span tree (see RunContext). A nil tracer is a valid no-op,
+	// so operators call it unconditionally.
 	Trace *obs.Tracer
 	// Exec selects the execution style: vector (the default),
 	// fused, or auto (see ExecMode). Like LLCBytes it may change which
@@ -165,9 +165,18 @@ func Explain(n Node) string { return n.Explain(0) }
 
 func pad(depth int) string { return strings.Repeat("  ", depth) }
 
-// Run executes a plan against a catalog with fresh counters, returning
-// the result table and the recorded work.
-func Run(cat Catalog, workers int, n Node) (*colstore.Table, exec.Counters, error) {
+// Result is the outcome of one execution.
+type Result struct {
+	// Table is the query result.
+	Table *colstore.Table
+	// Counters is the total work.
+	Counters exec.Counters
+	// Root is the operator span tree of a traced run; nil otherwise.
+	Root *obs.Span
+}
+
+// Run executes a plan against a catalog with fresh counters.
+func Run(cat Catalog, workers int, n Node) (*Result, error) {
 	return RunContext(&Context{Cat: cat, Workers: workers}, n)
 }
 
@@ -175,12 +184,27 @@ func Run(cat Catalog, workers int, n Node) (*colstore.Table, exec.Counters, erro
 // count, morsel granularity, LLC budget, exec mode, cancellation). A nil
 // Ctr gets fresh counters. Fused and auto modes compile the plan first;
 // the input tree is never mutated.
-func RunContext(ctx *Context, n Node) (*colstore.Table, exec.Counters, error) {
+//
+// A non-nil Trace asks for a traced run (EXPLAIN ANALYZE): every operator
+// opens a span and the result carries the span tree. The tracer is
+// rebuilt on the run's counters, inheriting only a pre-set Hook — that is
+// how deterministic tests act at an exact pipeline stage (e.g. cancel the
+// query the moment its sort begins). The table and counters are
+// bit-identical to an untraced run's: tracing only snapshots the counters
+// the kernels charge anyway, plus wall clocks that never feed back into
+// execution.
+func RunContext(ctx *Context, n Node) (*Result, error) {
 	if ctx.Ctr == nil {
 		ctx.Ctr = &exec.Counters{}
 	}
 	sched, release := ctx.attachSched()
 	compiled := Compile(ctx, n)
+	if ctx.Trace != nil {
+		tr := obs.NewTracer(ctx.Ctr)
+		tr.Hook = ctx.Trace.Hook
+		ctx.Trace = tr
+		compiled = instrument(compiled)
+	}
 	if ctx.SpillDir != "" && ctx.MemLimitBytes > 0 {
 		ctx.spillOK = hasSpillableJoin(compiled)
 	}
@@ -200,9 +224,9 @@ func RunContext(ctx *Context, n Node) (*colstore.Table, exec.Counters, error) {
 	}
 	release()
 	if err != nil {
-		return nil, exec.Counters{}, err
+		return nil, err
 	}
-	return t, *ctx.Ctr, nil
+	return &Result{Table: t, Counters: *ctx.Ctr, Root: ctx.Trace.Root()}, nil
 }
 
 // MemLimitError is the cancellation cause when a query's observed live

@@ -68,11 +68,20 @@ func testCatalog() memCatalog {
 
 func mustRun(t *testing.T, cat Catalog, n Node) *colstore.Table {
 	t.Helper()
-	out, _, err := Run(cat, 1, n)
+	out, err := runTable(cat, 1, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// runTable is Run for tests that only look at the result table.
+func runTable(cat Catalog, workers int, n Node) (*colstore.Table, error) {
+	res, err := Run(cat, workers, n)
+	if err != nil {
+		return nil, err
+	}
+	return res.Table, nil
 }
 
 func TestScanAndFilter(t *testing.T) {
@@ -100,13 +109,13 @@ func TestScanAndFilter(t *testing.T) {
 		t.Fatalf("filter rows = %d", out.NumRows())
 	}
 	// Missing table and column errors.
-	if _, _, err := Run(cat, 1, &Scan{Table: "nope"}); err == nil {
+	if _, err := Run(cat, 1, &Scan{Table: "nope"}); err == nil {
 		t.Error("scan of missing table should error")
 	}
-	if _, _, err := Run(cat, 1, &Scan{Table: "orders", Columns: []string{"zzz"}}); err == nil {
+	if _, err := Run(cat, 1, &Scan{Table: "orders", Columns: []string{"zzz"}}); err == nil {
 		t.Error("projection of missing column should error")
 	}
-	if _, _, err := Run(cat, 1, &Filter{Input: &Scan{Table: "orders"}, Pred: exec.CmpI{Column: "zzz"}}); err == nil {
+	if _, err := Run(cat, 1, &Filter{Input: &Scan{Table: "orders"}, Pred: exec.CmpI{Column: "zzz"}}); err == nil {
 		t.Error("filter on missing column should error")
 	}
 }
@@ -138,10 +147,10 @@ func TestProjectAndRename(t *testing.T) {
 	if ren.Schema.Index("id2") < 0 || ren.Schema.Index("c_id") >= 0 {
 		t.Error("rename failed")
 	}
-	if _, _, err := Run(cat, 1, &Rename{Input: &Scan{Table: "cust"}, Pairs: [][2]string{{"zzz", "a"}}}); err == nil {
+	if _, err := Run(cat, 1, &Rename{Input: &Scan{Table: "cust"}, Pairs: [][2]string{{"zzz", "a"}}}); err == nil {
 		t.Error("rename of missing column should error")
 	}
-	if _, _, err := Run(cat, 1, &Project{Input: &Scan{Table: "cust"}, Cols: []NamedExpr{{Name: "x", Expr: exec.Col{Name: "zzz"}}}}); err == nil {
+	if _, err := Run(cat, 1, &Project{Input: &Scan{Table: "cust"}, Cols: []NamedExpr{{Name: "x", Expr: exec.Col{Name: "zzz"}}}}); err == nil {
 		t.Error("project of missing column should error")
 	}
 }
@@ -226,28 +235,28 @@ func TestHashJoinTwoKeyAndErrors(t *testing.T) {
 	}
 
 	// Key list mismatch.
-	if _, _, err := Run(cat, 1, &HashJoin{
+	if _, err := Run(cat, 1, &HashJoin{
 		Build: &Scan{Table: "cust"}, Probe: &Scan{Table: "orders"},
 		BuildKeys: []string{"c_id"}, ProbeKeys: []string{"o_cust", "o_id"},
 	}); err == nil {
 		t.Error("mismatched key lists should error")
 	}
 	// Duplicate output columns without rename.
-	if _, _, err := Run(cat, 1, &HashJoin{
+	if _, err := Run(cat, 1, &HashJoin{
 		Build: &Scan{Table: "orders"}, Probe: &Scan{Table: "orders"},
 		BuildKeys: []string{"o_id"}, ProbeKeys: []string{"o_id"}, Kind: Inner,
 	}); err == nil {
 		t.Error("duplicate columns should error")
 	}
 	// Three keys unsupported.
-	if _, _, err := Run(cat, 1, &HashJoin{
+	if _, err := Run(cat, 1, &HashJoin{
 		Build: &Scan{Table: "orders"}, Probe: &Scan{Table: "orders"},
 		BuildKeys: []string{"o_id", "o_cust", "o_total"}, ProbeKeys: []string{"o_id", "o_cust", "o_total"},
 	}); err == nil {
 		t.Error("three keys should error")
 	}
 	// Float key column.
-	if _, _, err := Run(cat, 1, &HashJoin{
+	if _, err := Run(cat, 1, &HashJoin{
 		Build: &Scan{Table: "orders"}, Probe: &Scan{Table: "cust"},
 		BuildKeys: []string{"o_total"}, ProbeKeys: []string{"c_id"}, Kind: Semi,
 	}); err == nil {
@@ -366,19 +375,19 @@ func TestGroupByMultiKeyAndScalar(t *testing.T) {
 	}
 
 	// Error paths.
-	if _, _, err := Run(cat, 1, &GroupBy{
+	if _, err := Run(cat, 1, &GroupBy{
 		Input: &Scan{Table: "orders"}, Keys: []string{"zzz"},
 		Aggs: []AggSpec{{Name: "n", Func: Count}},
 	}); err == nil {
 		t.Error("missing key should error")
 	}
-	if _, _, err := Run(cat, 1, &GroupBy{
+	if _, err := Run(cat, 1, &GroupBy{
 		Input: &Scan{Table: "orders"}, Keys: []string{"o_cust"},
 		Aggs: []AggSpec{{Name: "s", Func: Sum}},
 	}); err == nil {
 		t.Error("sum without arg should error")
 	}
-	if _, _, err := Run(cat, 1, &GroupBy{
+	if _, err := Run(cat, 1, &GroupBy{
 		Input: &Scan{Table: "orders"}, Keys: []string{"o_total"},
 		Aggs: []AggSpec{{Name: "n", Func: Count}},
 	}); err == nil {
@@ -453,11 +462,11 @@ func TestParallelSelMatchesSequential(t *testing.T) {
 	cat := memCatalog{"big": b.Build()}
 	pred := exec.CmpI{Column: "v", Op: exec.Lt, V: 500}
 
-	seq, _, err := Run(cat, 1, &Scan{Table: "big", Pred: pred})
+	seq, err := runTable(cat, 1, &Scan{Table: "big", Pred: pred})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := Run(cat, 8, &Scan{Table: "big", Pred: pred})
+	par, err := runTable(cat, 8, &Scan{Table: "big", Pred: pred})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,14 +481,14 @@ func TestParallelSelMatchesSequential(t *testing.T) {
 		}
 	}
 	// Errors propagate from workers.
-	if _, _, err := Run(cat, 8, &Scan{Table: "big", Pred: exec.CmpI{Column: "zzz", Op: exec.Lt, V: 1}}); err == nil {
+	if _, err := Run(cat, 8, &Scan{Table: "big", Pred: exec.CmpI{Column: "zzz", Op: exec.Lt, V: 1}}); err == nil {
 		t.Error("parallel sel should propagate errors")
 	}
 }
 
 func TestCountersCharged(t *testing.T) {
 	cat := testCatalog()
-	_, ctr, err := Run(cat, 1, &GroupBy{
+	res, err := Run(cat, 1, &GroupBy{
 		Input: &Scan{Table: "orders", Pred: exec.CmpF{Column: "o_total", Op: exec.Gt, V: 0}},
 		Keys:  []string{"o_cust"},
 		Aggs:  []AggSpec{{Name: "s", Func: Sum, Arg: exec.Col{Name: "o_total"}}},
@@ -487,6 +496,7 @@ func TestCountersCharged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctr := res.Counters
 	if ctr.TuplesScanned == 0 || ctr.SeqBytes == 0 || ctr.AggUpdates == 0 ||
 		ctr.TuplesMaterialized == 0 || ctr.PeakLiveBytes == 0 {
 		t.Errorf("counters not charged: %+v", ctr)

@@ -33,7 +33,7 @@ func TestInnerJoinPlanAgainstNestedLoopOracle(t *testing.T) {
 		left := randTable(rng, "l", rng.Intn(120), 20)
 		right := randTable(rng, "r", rng.Intn(120), 20)
 		cat := memCatalog{"l": left, "r": right}
-		out, _, err := Run(cat, 1, &HashJoin{
+		out, err := runTable(cat, 1, &HashJoin{
 			Build:     &Scan{Table: "l"},
 			Probe:     &Scan{Table: "r"},
 			BuildKeys: []string{"l_key"},
@@ -74,14 +74,14 @@ func TestSemiAntiPartitionProperty(t *testing.T) {
 		left := randTable(rng, "l", rng.Intn(100), 15)
 		right := randTable(rng, "r", rng.Intn(100)+1, 15)
 		cat := memCatalog{"l": left, "r": right}
-		semi, _, err := Run(cat, 1, &HashJoin{
+		semi, err := runTable(cat, 1, &HashJoin{
 			Build: &Scan{Table: "l"}, Probe: &Scan{Table: "r"},
 			BuildKeys: []string{"l_key"}, ProbeKeys: []string{"r_key"}, Kind: Semi,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		anti, _, err := Run(cat, 1, &HashJoin{
+		anti, err := runTable(cat, 1, &HashJoin{
 			Build: &Scan{Table: "l"}, Probe: &Scan{Table: "r"},
 			BuildKeys: []string{"l_key"}, ProbeKeys: []string{"r_key"}, Kind: Anti,
 		})
@@ -101,7 +101,7 @@ func TestGroupByAgainstMapOracle(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		tbl := randTable(rng, "t", rng.Intn(300), 10)
 		cat := memCatalog{"t": tbl}
-		out, _, err := Run(cat, 1, &GroupBy{
+		out, err := runTable(cat, 1, &GroupBy{
 			Input: &Scan{Table: "t"},
 			Keys:  []string{"t_key", "t_tag"},
 			Aggs: []AggSpec{
@@ -177,7 +177,7 @@ func TestOrderByProperty(t *testing.T) {
 			b.EndRow()
 		}
 		cat := memCatalog{"t": b.Build()}
-		out, _, err := Run(cat, 1, &OrderBy{
+		out, err := runTable(cat, 1, &OrderBy{
 			Input: &Scan{Table: "t"},
 			Keys:  []exec.SortKey{{Column: "v", Desc: true}},
 		})
@@ -194,7 +194,7 @@ func TestOrderByProperty(t *testing.T) {
 			}
 		}
 		// Top-3 must equal the first 3 of the full sort.
-		top, _, err := Run(cat, 1, &OrderBy{
+		top, err := runTable(cat, 1, &OrderBy{
 			Input: &Scan{Table: "t"},
 			Keys:  []exec.SortKey{{Column: "v", Desc: true}},
 			N:     3,
@@ -223,14 +223,14 @@ func TestFilterCompositionProperty(t *testing.T) {
 		cat := memCatalog{"t": tbl}
 		p1 := exec.CmpI{Column: "t_key", Op: exec.Ge, V: 10}
 		p2 := exec.CmpF{Column: "t_val", Op: exec.Lt, V: 60}
-		chained, _, err := Run(cat, 1, &Filter{
+		chained, err := runTable(cat, 1, &Filter{
 			Input: &Filter{Input: &Scan{Table: "t"}, Pred: p1},
 			Pred:  p2,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		combined, _, err := Run(cat, 1, &Scan{Table: "t", Pred: exec.AndOf(p1, p2)})
+		combined, err := runTable(cat, 1, &Scan{Table: "t", Pred: exec.AndOf(p1, p2)})
 		if err != nil {
 			t.Fatal(err)
 		}

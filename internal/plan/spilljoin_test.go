@@ -30,23 +30,24 @@ const spillBudget = 256 << 10
 func TestSpillJoinMatchesInMemory(t *testing.T) {
 	cat := cancelCatalog()
 	p := cancelPlan()
-	want, _, err := RunContext(&Context{Cat: cat, Workers: 4}, p)
+	want, err := RunContext(&Context{Cat: cat, Workers: 4}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []ExecMode{ExecVector, ExecFused, ExecAuto} {
 		for _, w := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("%s-w%d", mode, w), func(t *testing.T) {
-				got, ctr, err := RunContext(&Context{
+				got, err := RunContext(&Context{
 					Cat: cat, Workers: w, Exec: mode,
 					MemLimitBytes: spillBudget, SpillDir: t.TempDir(),
 				}, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ok, why := colstore.TablesIdentical(want, got); !ok {
+				if ok, why := colstore.TablesIdentical(want.Table, got.Table); !ok {
 					t.Fatalf("spilled result differs from in-memory: %s", why)
 				}
+				ctr := got.Counters
 				if ctr.SpillWriteBytes == 0 || ctr.SpillReadBytes == 0 {
 					t.Fatalf("budget %d never hit the spill area: wrote %d, read %d",
 						spillBudget, ctr.SpillWriteBytes, ctr.SpillReadBytes)
@@ -191,7 +192,7 @@ func TestSpillJoinTruncatedSegment(t *testing.T) {
 			truncateSpillFiles(t, dir)
 		}
 	}
-	res, _, err := RunContext(&Context{
+	res, err := RunContext(&Context{
 		Cat: cancelCatalog(), Ctr: ctr, Workers: 2, Trace: tr,
 		MemLimitBytes: spillBudget, SpillDir: dir,
 	}, cancelPlan())
@@ -251,7 +252,7 @@ func TestSpillJoinCancelMidProbe(t *testing.T) {
 func TestSpillAreaRemovedAfterRun(t *testing.T) {
 	cat := cancelCatalog()
 	dir := t.TempDir()
-	_, _, err := RunContext(&Context{
+	_, err := RunContext(&Context{
 		Cat: cat, Workers: 2,
 		MemLimitBytes: spillBudget, SpillDir: dir,
 	}, cancelPlan())
@@ -270,8 +271,8 @@ func TestSpillAreaRemovedAfterRun(t *testing.T) {
 // TestSpillSpansInTrace: -explain sees the spill through its own spans.
 func TestSpillSpansInTrace(t *testing.T) {
 	cat := cancelCatalog()
-	res, err := RunTracedContext(&Context{
-		Cat: cat, Workers: 2,
+	res, err := RunContext(&Context{
+		Cat: cat, Workers: 2, Trace: &obs.Tracer{},
 		MemLimitBytes: spillBudget, SpillDir: t.TempDir(),
 	}, cancelPlan())
 	if err != nil {
@@ -295,7 +296,7 @@ func TestBudgetStillCancelsWithoutSpillableOperator(t *testing.T) {
 		Input: &Scan{Table: "orders"},
 		Keys:  []exec.SortKey{{Column: "o_total", Desc: true}},
 	}
-	_, _, err := RunContext(&Context{
+	_, err := RunContext(&Context{
 		Cat: cat, Workers: 2,
 		MemLimitBytes: 1 << 10, SpillDir: t.TempDir(),
 	}, p)

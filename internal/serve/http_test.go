@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -133,7 +134,7 @@ func TestHTTPQueryQ13NeedsUniqueKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.Run(planned.Node)
+	want, err := db.RunQuery(context.Background(), planned.Node, engine.QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"wimpi/internal/colstore"
+	"wimpi/internal/engine"
 	"wimpi/internal/plan"
 )
 
@@ -79,7 +80,7 @@ func RunLoad(ctx context.Context, s *Server, cfg LoadConfig) (*LoadReport, error
 	if cfg.Verify {
 		baseline = make([]*colstore.Table, len(cfg.Mix))
 		for i, m := range cfg.Mix {
-			res, err := s.db.Run(m.Plan)
+			res, err := s.db.RunQuery(ctx, m.Plan, engine.QueryOpts{})
 			if err != nil {
 				return nil, fmt.Errorf("serve: baseline %s: %w", m.Name, err)
 			}

@@ -1,6 +1,7 @@
 package sql_test
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -149,11 +150,11 @@ func TestNoOptKeepsCanonicalAndParity(t *testing.T) {
 		if len(pl.Report.Choices) != 0 {
 			t.Errorf("Q%d: NoOpt produced %d choices", q, len(pl.Report.Choices))
 		}
-		got, err := db.Run(pl.Node)
+		got, err := db.RunQuery(context.Background(), pl.Node, engine.QueryOpts{})
 		if err != nil {
 			t.Fatalf("Q%d: %v", q, err)
 		}
-		want, err := db.Run(tpch.MustQuery(q))
+		want, err := db.RunQuery(context.Background(), tpch.MustQuery(q), engine.QueryOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package sql_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -67,13 +68,13 @@ func TestSQLMatchesHandBuilt(t *testing.T) {
 			for q := 1; q <= 22; q++ {
 				q := q
 				t.Run(fmt.Sprintf("w%d/%s/Q%d", workers, em.name, q), func(t *testing.T) {
-					want, err := db.Run(tpch.MustQuery(q))
+					want, err := db.RunQuery(context.Background(), tpch.MustQuery(q), engine.QueryOpts{})
 					if err != nil {
 						t.Fatalf("hand-built: %v", err)
 					}
 					// Plan fresh per run: CTE memoization is per Plan call.
 					pl := planSQL(t, db, q)
-					got, err := db.Run(pl.Node)
+					got, err := db.RunQuery(context.Background(), pl.Node, engine.QueryOpts{})
 					if err != nil {
 						t.Fatalf("sql plan: %v\nplan:\n%s", err, pl.Node.Explain(0))
 					}

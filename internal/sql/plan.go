@@ -42,9 +42,9 @@ type Planned struct {
 }
 
 // Plan parses, binds, lowers and optimizes one SQL statement against a
-// catalog. The returned plan runs through plan.Run / plan.RunContext
-// like any hand-built tree; CTEs memoize per Plan call, so re-plan for
-// each independent run.
+// catalog. The returned plan runs through engine.DB.RunQuery (or
+// plan.RunContext) like any hand-built tree; CTEs memoize per Plan call,
+// so re-plan for each independent run.
 func Plan(cat plan.Catalog, text string, o Options) (*Planned, error) {
 	stmt, err := Parse(text)
 	if err != nil {

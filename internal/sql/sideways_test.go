@@ -1,6 +1,7 @@
 package sql_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -136,7 +137,7 @@ func TestKeyFilterPlacement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ref.Run(noOpt.Node)
+			want, err := ref.RunQuery(context.Background(), noOpt.Node, engine.QueryOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,7 +217,7 @@ func TestKeyFiltersUnderBudget(t *testing.T) {
 	budgeted := engine.NewDB(engine.Config{MemBudgetBytes: 64 << 10, SpillDir: t.TempDir()})
 	data.RegisterAll(budgeted)
 	for _, q := range []int{4, 20, 21} {
-		want, err := free.Run(planSQL(t, free, q).Node)
+		want, err := free.RunQuery(context.Background(), planSQL(t, free, q).Node, engine.QueryOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

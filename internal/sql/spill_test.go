@@ -1,6 +1,7 @@
 package sql_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -46,11 +47,11 @@ func TestSQLSpillsUnderBudget(t *testing.T) {
 	data.RegisterAll(budgeted)
 	for _, q := range []int{3, 5, 10} {
 		t.Run(fmt.Sprintf("Q%d", q), func(t *testing.T) {
-			want, err := free.Run(planSQL(t, free, q).Node)
+			want, err := free.RunQuery(context.Background(), planSQL(t, free, q).Node, engine.QueryOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := budgeted.Run(planSQL(t, budgeted, q).Node)
+			got, err := budgeted.RunQuery(context.Background(), planSQL(t, budgeted, q).Node, engine.QueryOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,4 +64,3 @@ func TestSQLSpillsUnderBudget(t *testing.T) {
 		})
 	}
 }
-

@@ -1,6 +1,7 @@
 package sql_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestTraceSeesInsideCTEs(t *testing.T) {
 		{21, map[string]int{"allsupp": 1, "late": 1}},
 		{15, map[string]int{"revenue0": 2}},
 	} {
-		want, err := db.Run(planSQL(t, db, tc.q).Node)
+		want, err := db.RunQuery(context.Background(), planSQL(t, db, tc.q).Node, engine.QueryOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"context"
 	"testing"
 
 	"wimpi/internal/colstore"
@@ -17,7 +18,7 @@ func TestCompressKeysPreservesAnswers(t *testing.T) {
 	// The l_orderkey-heavy queries must return identical answers over
 	// the RLE-compressed column.
 	for _, q := range []int{1, 3, 4, 12, 18, 21} {
-		res, err := cdb.Run(MustQuery(q))
+		res, err := cdb.RunQuery(context.Background(), MustQuery(q), engine.QueryOpts{})
 		if err != nil {
 			t.Fatalf("Q%d over compressed data: %v", q, err)
 		}

@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"context"
 	"fmt"
 
 	"wimpi/internal/colstore"
@@ -50,11 +51,11 @@ func (dq *DistQuery) MergePartials(parts []*colstore.Table, workers int) (*colst
 		return nil, exec.Counters{}, fmt.Errorf("tpch: Q%d merge: %w", dq.Num, err)
 	}
 	db := engine.NewDB(engine.Config{Workers: workers})
-	out, ctr, err := plan.Run(db, workers, dq.Merge(all))
+	res, err := db.RunQuery(context.Background(), dq.Merge(all), engine.QueryOpts{})
 	if err != nil {
 		return nil, exec.Counters{}, fmt.Errorf("tpch: Q%d merge: %w", dq.Num, err)
 	}
-	return out, ctr, nil
+	return res.Table, res.Counters, nil
 }
 
 var distQueries = map[int]*DistQuery{

@@ -1,10 +1,12 @@
 package tpch
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"wimpi/internal/colstore"
+	"wimpi/internal/engine"
 )
 
 // The invariant tests check structural properties of every query's
@@ -14,7 +16,7 @@ import (
 func TestQueryResultInvariants(t *testing.T) {
 	db, _ := sharedFixture(t)
 	get := func(q int) *colstore.Table {
-		res, err := db.Run(MustQuery(q))
+		res, err := db.RunQuery(context.Background(), MustQuery(q), engine.QueryOpts{})
 		if err != nil {
 			t.Fatalf("Q%d: %v", q, err)
 		}

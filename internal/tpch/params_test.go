@@ -1,10 +1,12 @@
 package tpch
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"wimpi/internal/colstore"
+	"wimpi/internal/engine"
 )
 
 func TestDefaultParamsMatchValidationValues(t *testing.T) {
@@ -20,7 +22,7 @@ func TestDefaultParamsMatchValidationValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := db.Run(node)
+		res, err := db.RunQuery(context.Background(), node, engine.QueryOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +98,7 @@ func TestParameterizedQueriesMatchReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := db.Run(node)
+				res, err := db.RunQuery(context.Background(), node, engine.QueryOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -116,7 +118,7 @@ func TestQueryPFallsBackForUnparameterized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Run(node)
+	res, err := db.RunQuery(context.Background(), node, engine.QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -130,7 +131,7 @@ func TestAllQueriesMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := db.Run(node)
+			res, err := db.RunQuery(context.Background(), node, engine.QueryOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +177,7 @@ func TestQueriesNonEmptyResults(t *testing.T) {
 	// whose tiny-SF selectivity can legitimately be empty.
 	mayBeEmpty := map[int]bool{2: true, 16: true, 17: true, 18: true, 20: true, 21: true}
 	for _, q := range QueryNumbers() {
-		res, err := db.Run(MustQuery(q))
+		res, err := db.RunQuery(context.Background(), MustQuery(q), engine.QueryOpts{})
 		if err != nil {
 			t.Fatalf("Q%d: %v", q, err)
 		}
@@ -192,7 +193,7 @@ func TestQueriesParallelConsistency(t *testing.T) {
 	db1 := engine.NewDB(engine.Config{Workers: 1})
 	sharedData.RegisterAll(db1)
 	for _, q := range RepresentativeQueries {
-		res, err := db1.Run(MustQuery(q))
+		res, err := db1.RunQuery(context.Background(), MustQuery(q), engine.QueryOpts{})
 		if err != nil {
 			t.Fatalf("Q%d: %v", q, err)
 		}
