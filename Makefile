@@ -28,12 +28,16 @@ vet:
 	$(GO) vet ./...
 
 # The code, tests included, type-checks for the Raspberry Pi: the 3B+'s
-# 64-bit ABI and its stock 32-bit one, where int is 32 bits wide.
+# 64-bit ABI and its stock 32-bit one, where int is 32 bits wide. The
+# kernels and the planner also run their tests with a 32-bit int (386
+# executes on an amd64 host), where key-span and size arithmetic
+# overflows first.
 cross:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./...
 	GOOS=linux GOARCH=arm GOARM=7 $(GO) build ./...
 	GOOS=linux GOARCH=arm GOARM=7 $(GO) vet ./...
+	GOARCH=386 $(GO) test ./internal/exec/ ./internal/plan/
 
 # wimpi-lint: the custom invariant suite — the dataflow-backed v2
 # analyzers (taintflow, pathcost, hotalloc, exhaustive) on top of the

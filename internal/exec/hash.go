@@ -39,8 +39,9 @@ func nextPow2(n int) int {
 }
 
 // JoinProber is the probe side of a built join, whatever the layout of
-// its build side: the chained JoinTable, the compact RadixJoinTable, or
-// the plan layer's spill joiner over compact partitions on disk. All
+// its build side: the chained or positional JoinTable, the compact
+// RadixJoinTable, or the plan layer's spill joiner over compact
+// partitions on disk. All
 // implementations return byte-identical match sets — probe rows
 // ascending, a key's duplicate build rows in descending row order — at
 // every worker count, so everything downstream of a probe is shared.
@@ -61,9 +62,7 @@ type JoinProber interface {
 // JoinOverflowError reports an inner join with more matching pairs than
 // a result can address: row ids are int32 throughout the engine.
 type JoinOverflowError struct {
-	// Matches is the pair count that crossed the bound: the exact total
-	// where the layout counts before it emits (compact partitions), the
-	// pairs emitted so far where it cannot (chained).
+	// Matches is the pair count, counted before any pair is emitted.
 	Matches int64
 }
 
@@ -106,10 +105,17 @@ func JoinTableBytes(n int) int64 {
 // partition is inserted race-free by one worker; either way rows enter
 // their table in ascending order, so chains — and with them every probe
 // result — are identical at any fan-out.
+//
+// A JoinTable built by BuildPositionalJoinTable has the positional
+// layout instead: no slots, but one head per key of a compact range,
+// heads[k-base], over the same next chains. Only lookup tells the two
+// apart, so every probe kernel is shared.
 type JoinTable struct {
 	parts []joinPart
 	next  []int32 // build row -> next build row with same key, or -1
 	bits  uint    // log2(len(parts))
+	heads []int32 // positional layout: key - base -> first build row, or -1
+	base  int64
 }
 
 // joinPart is one open-addressing table of a JoinTable.
@@ -169,6 +175,50 @@ func BuildJoinTable(keys []int64, ctr *Counters) *JoinTable {
 	jt.parts = []joinPart{buildJoinPart(keys, nil, jt.next)}
 	jt.chargeBuild(ctr)
 	return jt
+}
+
+// KeySpan returns the smallest key and the width of the key range,
+// max − min + 1. ok is false when keys is empty or the width exceeds the
+// largest int, so an array indexed by key − base cannot be allocated.
+func KeySpan(keys []int64, ctr *Counters) (base int64, span int, ok bool) {
+	ctr.SeqBytes += int64(len(keys)) * 8
+	if len(keys) == 0 {
+		return 0, 0, false
+	}
+	lo, hi := keys[0], keys[0]
+	for _, k := range keys[1:] {
+		lo = min(lo, k)
+		hi = max(hi, k)
+	}
+	d := uint64(hi - lo) // exact in uint64; the +1 may not be
+	if d >= math.MaxInt {
+		return 0, 0, false
+	}
+	return lo, int(d) + 1, true
+}
+
+// BuildPositionalJoinTable indexes build keys that all lie in [base,
+// base+span), as KeySpan reports them, by position: the probe of key k is
+// a bounds check and one load of heads[k-base]. Rows enter in ascending
+// order and duplicates prepend to their chain, as in buildJoinPart, so it
+// probes identically to BuildJoinTable(keys, ctr). The only possible error
+// is the query's cancellation.
+func BuildPositionalJoinTable(keys []int64, base int64, span int, ctr *Counters) (*JoinTable, error) {
+	if err := ctr.sched.Err(); err != nil {
+		return nil, err
+	}
+	jt := &JoinTable{next: make([]int32, len(keys)), heads: make([]int32, span), base: base}
+	for i := range jt.heads {
+		jt.heads[i] = -1
+	}
+	for r, k := range keys {
+		h := &jt.heads[k-base]
+		jt.next[r] = *h
+		*h = int32(r)
+	}
+	ctr.SeqBytes += int64(span) * 4
+	jt.chargeBuild(ctr)
+	return jt, nil
 }
 
 // chargeBuild charges what every build pays: one random insert per row.
@@ -272,7 +322,7 @@ func buildJoinTableBits(keys []int64, bits uint, workers, morselRows int, ctr *C
 //
 //lint:allow costaccounting -- metadata sum over the fixed partition count, not data-path work
 func (jt *JoinTable) SizeBytes() int64 {
-	n := int64(len(jt.next)) * 4
+	n := int64(len(jt.next)+len(jt.heads)) * 4
 	for i := range jt.parts {
 		n += int64(len(jt.parts[i].slotKeys))*8 + int64(len(jt.parts[i].slotHead))*4
 	}
@@ -302,8 +352,20 @@ func (jt *JoinTable) CountMatches(k int64) int64 {
 	return n
 }
 
-// lookup returns the first build row for key k, or -1.
+// lookup returns the first build row for key k, or -1. The positional
+// bounds check wraps: a k below base lands beyond len(heads) too.
 func (jt *JoinTable) lookup(k int64) int32 {
+	if jt.heads != nil {
+		if i := uint64(k - jt.base); i < uint64(len(jt.heads)) {
+			return jt.heads[i]
+		}
+		return -1
+	}
+	return jt.lookupHashed(k)
+}
+
+// lookupHashed is lookup in the chained layout.
+func (jt *JoinTable) lookupHashed(k int64) int32 {
 	jp := &jt.parts[partHash(k, jt.bits)]
 	mask := uint64(len(jp.slotKeys) - 1)
 	slot := hashKey(k, jp.shift) & mask
@@ -323,6 +385,9 @@ func (jt *JoinTable) lookup(k int64) int32 {
 // morsel, concatenating per-morsel match vectors in input order, so the
 // output does not depend on the worker count.
 func (jt *JoinTable) InnerJoin(probeKeys []int64, workers, morselRows int, ctr *Counters) (buildIdx, probeIdx []int32, err error) {
+	if err := jt.boundMatches(probeKeys, ctr); err != nil {
+		return nil, nil, err
+	}
 	if workers <= 1 || len(probeKeys) < parallelProbeMinRows {
 		if err := ctr.sched.Err(); err != nil {
 			return nil, nil, err
@@ -330,6 +395,42 @@ func (jt *JoinTable) InnerJoin(probeKeys []int64, workers, morselRows int, ctr *
 		return jt.innerJoin(probeKeys, ctr)
 	}
 	return jt.innerJoinMorsels(probeKeys, workers, morselRows, ctr)
+}
+
+// boundMatches refuses, before a pair is emitted, an inner join with more
+// matches than int32 row ids address — which would otherwise allocate
+// them all first, one morsel's chunks at a time. It costs nothing while
+// probe rows × build rows fit an int32, and one pass over the duplicate
+// chains while probe rows × the longest chain do; beyond that it counts
+// the matches exactly, one lookup per probe row.
+func (jt *JoinTable) boundMatches(probeKeys []int64, ctr *Counters) error {
+	n := int64(len(jt.next))
+	if int64(len(probeKeys))*n <= math.MaxInt32 {
+		return nil
+	}
+	// chain[r] counts the build rows from r to its chain's end. Rows enter
+	// in ascending order and prepend to their chain, so next[r] < r.
+	chain := make([]int32, n)
+	var longest int32
+	for r, nx := range jt.next {
+		chain[r] = 1
+		if nx >= 0 {
+			chain[r] += chain[nx]
+		}
+		longest = max(longest, chain[r])
+	}
+	ctr.SeqBytes += n * 8
+	if int64(len(probeKeys))*int64(longest) <= math.MaxInt32 {
+		return nil
+	}
+	var total int64
+	for _, k := range probeKeys {
+		if b := jt.lookup(k); b >= 0 {
+			total += int64(chain[b])
+		}
+	}
+	ctr.RandomAccesses += 2 * int64(len(probeKeys))
+	return checkJoinMatches(total)
 }
 
 // innerJoinMorsels is InnerJoin without the size threshold.
@@ -384,9 +485,8 @@ const joinEmitChunkRows = 1 << 16
 // the whole match set on every growth — O(matches) hidden, uncharged
 // traffic on large probes; chunking bounds the live buffer, copies each
 // pair exactly once, and charges that copy. Probe rows are visited in
-// order, duplicate build rows in chain (descending row) order. The chain
-// walk cannot know the output size in advance, so the int32 bound is
-// checked as chunks fill.
+// order, duplicate build rows in chain (descending row) order. InnerJoin
+// has bounded the output size before the walk starts.
 func (jt *JoinTable) innerJoin(probeKeys []int64, ctr *Counters) (buildIdx, probeIdx []int32, err error) {
 	first := len(probeKeys)
 	if first > joinEmitChunkRows {
@@ -395,14 +495,9 @@ func (jt *JoinTable) innerJoin(probeKeys []int64, ctr *Counters) (buildIdx, prob
 	cb := make([]int32, 0, first)
 	cp := make([]int32, 0, first)
 	var doneB, doneP [][]int32
-	var emitted int64
 	for p, k := range probeKeys {
 		for b := jt.lookup(k); b >= 0; b = jt.next[b] {
 			if len(cb) == cap(cb) {
-				emitted += int64(len(cb))
-				if err := checkJoinMatches(emitted); err != nil {
-					return nil, nil, err
-				}
 				doneB = append(doneB, cb) //lint:allow hotalloc -- chunk-list growth, once per 4096 emitted rows
 				doneP = append(doneP, cp) //lint:allow hotalloc -- chunk-list growth, once per 4096 emitted rows
 				cb = make([]int32, 0, joinEmitChunkRows)

@@ -37,21 +37,22 @@ func (c memCat) Table(name string) (*colstore.Table, error) {
 
 // bigJoinCatalog builds a join whose chained table (~3 MB) overflows the
 // Pi LLC and whose probe side is 4x the build — the shape where the
-// partitioned build pays for its passes.
+// partitioned build pays for its passes. Keys are spread keyStride apart:
+// dense keys would take the positional layout, which hashes nothing.
 func bigJoinCatalog() memCat {
-	const nBuild, nProbe = 64 << 10, 256 << 10
+	const nBuild, nProbe, keyStride = 64 << 10, 256 << 10, 64
 	bb := colstore.NewTableBuilder("build", colstore.Schema{
 		{Name: "b_key", Type: colstore.Int64},
 	})
 	for i := 0; i < nBuild; i++ {
-		bb.Int(0, int64(i))
+		bb.Int(0, int64(i)*keyStride)
 		bb.EndRow()
 	}
 	pb := colstore.NewTableBuilder("probe", colstore.Schema{
 		{Name: "p_key", Type: colstore.Int64},
 	})
 	for i := 0; i < nProbe; i++ {
-		pb.Int(0, int64(i%(2*nBuild))) // ~50% hit rate
+		pb.Int(0, int64(i%(2*nBuild))*keyStride) // ~50% hit rate
 		pb.EndRow()
 	}
 	return memCat{"build": bb.Build(), "probe": pb.Build()}

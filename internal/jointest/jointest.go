@@ -7,6 +7,7 @@ package jointest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -37,7 +38,8 @@ const (
 // degenerate partitionings: a build of one key (every match a long
 // reversed duplicate run) and a build confined to the first of 16 radix
 // partitions (every other partition of a compact layout is empty — for
-// the spill joiner, every spilled one).
+// the spill joiner, every spilled one); and compact key ranges for the
+// positional layout.
 func Inputs() []Input {
 	rng := rand.New(rand.NewSource(16))
 	fill := func(n int, key func(i int) int64) []int64 {
@@ -83,7 +85,7 @@ func Inputs() []Input {
 			}
 		}
 	})
-	return append(inputs,
+	inputs = append(inputs,
 		Input{Name: "one-key", Build: fill(nBuildOneKey, func(int) int64 { return 42 }),
 			// A hit is nBuildOneKey pairs: a handful of them.
 			Probe: fill(nProbe, func(i int) int64 {
@@ -96,6 +98,19 @@ func Inputs() []Input {
 		Input{Name: "all-miss", Build: unique, Probe: fill(nProbe, miss)},
 		Input{Name: "empty-build", Probe: fill(nProbe, miss)},
 		Input{Name: "empty-probe", Build: unique},
+	)
+	// Compact key ranges, the positional layout's domain: below zero, with
+	// holes, and probed at and just past both ends of the range and at the
+	// ends of int64, where key − base wraps.
+	negative := fill(nBuild, func(i int) int64 { return int64(i) - nBuild/2 })
+	strided := fill(nBuild, func(i int) int64 { return 7 * int64(i) })
+	const base = 1000
+	edges := []int64{base - 1, base, base + nBuild - 1, base + nBuild, math.MinInt64, math.MaxInt64}
+	return append(inputs,
+		Input{Name: "negative-base", Build: negative, Probe: halfHits(negative)},
+		Input{Name: "strided", Build: strided, Probe: fill(nProbe, func(int) int64 { return rng.Int63n(7 * nBuild) })},
+		Input{Name: "edge-probes", Build: fill(nBuild, func(i int) int64 { return base + int64(i) }),
+			Probe: fill(nProbe, func(i int) int64 { return edges[i%len(edges)] })},
 	)
 }
 
@@ -110,8 +125,9 @@ type Impl struct {
 	// claim.
 	CountersFrom int
 	// Check, when non-nil, asserts implementation-specific facts about the
-	// counters of one build + four probes.
-	Check func(t *testing.T, in Input, ctr exec.Counters)
+	// counters of one build + four probes; chained holds those of the
+	// sequential chained table on one worker.
+	Check func(t *testing.T, in Input, ctr, chained exec.Counters)
 }
 
 // result is the output of the four join kinds.
@@ -167,7 +183,7 @@ func Run(t *testing.T, impls []Impl) {
 						t.Fatal("CountPerProbe diverges")
 					}
 					if im.Check != nil {
-						im.Check(t, in, ctr)
+						im.Check(t, in, ctr, refCtr)
 					}
 					if im.CountersFrom == 0 || w < im.CountersFrom {
 						return

@@ -649,19 +649,11 @@ func (st *fusedState) applyProbe(ps *probeStage) error {
 	if err != nil {
 		return err
 	}
-	bsp := ctx.Trace.Begin("join-build", fmt.Sprintf("build [%s]", strings.Join(ps.buildKeys, ",")))
-	bk, err := joinKeysParallel(ctx, build, ps.buildKeys, nil)
-	if err != nil {
-		ctx.Trace.EndErr(bsp)
-		return err
-	}
 	probeRows := st.v.Len()
-	jp, err := ctx.buildJoin(bk, probeRows)
+	jp, err := ctx.buildPhase(build, ps.buildKeys, probeRows)
 	if err != nil {
-		ctx.Trace.EndErr(bsp)
 		return err
 	}
-	ctx.Trace.End(bsp, int64(build.NumRows()), build.SizeBytes())
 
 	psp := ctx.Trace.Begin("fused-probe",
 		fmt.Sprintf("%s probe [%s], %d rows in flight", ps.kind, strings.Join(ps.probeKeys, ","), probeRows))

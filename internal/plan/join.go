@@ -83,20 +83,10 @@ func (j *HashJoin) Execute(ctx *Context) (*colstore.Table, error) {
 		return nil, err
 	}
 
-	// Build phase: key extraction plus the build side in whichever layout
-	// buildJoin picks.
-	bsp := ctx.Trace.Begin("join-build", fmt.Sprintf("build [%s]", strings.Join(j.BuildKeys, ",")))
-	bk, err := joinKeysParallel(ctx, build, j.BuildKeys, nil)
+	jp, err := ctx.buildPhase(build, j.BuildKeys, probe.NumRows())
 	if err != nil {
-		ctx.Trace.EndErr(bsp)
 		return nil, err
 	}
-	jp, err := ctx.buildJoin(bk, probe.NumRows())
-	if err != nil {
-		ctx.Trace.EndErr(bsp)
-		return nil, err
-	}
-	ctx.Trace.End(bsp, int64(build.NumRows()), build.SizeBytes())
 
 	// Probe phase: key extraction (unless the probe side ran first), probe
 	// kernel, and output gathers.
@@ -116,30 +106,62 @@ func (j *HashJoin) Execute(ctx *Context) (*colstore.Table, error) {
 	return out, nil
 }
 
+// buildPhase is a join's build phase in both engines: key extraction plus
+// the build side in whichever layout buildJoin picks, under one
+// join-build span that names the layout.
+func (c *Context) buildPhase(build *colstore.Table, keys []string, probeRows int) (exec.JoinProber, error) {
+	label := fmt.Sprintf("build [%s]", strings.Join(keys, ","))
+	bsp := c.Trace.Begin("join-build", label)
+	bk, err := joinKeysParallel(c, build, keys, nil)
+	var jp exec.JoinProber
+	var layout string
+	if err == nil {
+		jp, layout, err = c.buildJoin(bk, probeRows)
+	}
+	if err != nil {
+		c.Trace.EndErr(bsp)
+		return nil, err
+	}
+	if bsp != nil {
+		bsp.Label = label + " " + layout
+	}
+	c.Trace.End(bsp, int64(build.NumRows()), build.SizeBytes())
+	return jp, nil
+}
+
 // buildJoin builds the build side of a hash join over its extracted keys
 // — the one place the layout is chosen, for the vector and the fused
-// engine alike. Every input of the choice is something the query
-// observes (cardinalities, the memory budget, the LLC budget) and none
-// is the worker count, so both engines, every degree of parallelism and
-// a re-dispatched cluster worker pick the same physical join:
+// engine and the key filter alike — and names the layout it chose. Every
+// input of the choice is something the query observes (the keys,
+// cardinalities, the memory budget, the LLC budget) and none is the
+// worker count, so both engines, every degree of parallelism and a
+// re-dispatched cluster worker pick the same physical join:
 //
 //   - join state beyond the memory budget: the compact layout with its
 //     beyond-budget partitions streamed through the spill area, instead
 //     of letting the OS page a hash table through swap;
+//   - keys spanning at most PositionalMaxSpan values: the positional
+//     layout, which hashes nothing;
 //   - a chained table that would blow the LLC budget, where chooseRadix
 //     prices partitioning cheaper: the compact layout, resident. The
 //     partition pass gets its own span because it is the streaming price
 //     paid to keep every probe cache-resident;
 //   - otherwise the chained layout.
-func (c *Context) buildJoin(bk []int64, probeRows int) (exec.JoinProber, error) {
+func (c *Context) buildJoin(bk []int64, probeRows int) (exec.JoinProber, string, error) {
 	w, mr := c.workers(), c.morselRows()
 	if c.useSpillJoin(len(bk), probeRows) {
-		return c.buildSpillJoiner(bk, probeRows)
+		sj, err := c.buildSpillJoiner(bk, probeRows)
+		return sj, "radix, spilled", err
+	}
+	if base, span, ok := exec.KeySpan(bk, c.Ctr); ok && int64(span) <= PositionalMaxSpan(len(bk), probeRows) {
+		jt, err := exec.BuildPositionalJoinTable(bk, base, span, c.Ctr)
+		return jt, fmt.Sprintf("positional, %d slots", span), err
 	}
 	target := c.llcBytes()
 	radix, bloom, why := JoinStrategy(len(bk), probeRows, target)
 	if !radix {
-		return exec.BuildJoinTableParallel(bk, w, mr, c.Ctr)
+		jt, err := exec.BuildJoinTableParallel(bk, w, mr, c.Ctr)
+		return jt, "chained", err
 	}
 	bits := exec.RadixBits(len(bk), exec.RadixBuildBytesPerRow, target/2)
 	ksp := c.Trace.Begin("join-partition",
@@ -147,13 +169,22 @@ func (c *Context) buildJoin(bk []int64, probeRows int) (exec.JoinProber, error) 
 	rp, err := exec.RadixPartitionKeys(bk, nil, bits, w, mr, c.Ctr)
 	if err != nil {
 		c.Trace.EndErr(ksp)
-		return nil, err
+		return nil, "", err
 	}
 	c.Trace.End(ksp, int64(len(bk)), int64(len(bk))*12)
-	return exec.BuildRadixTables(rp, exec.RadixJoinConfig{Bloom: bloom}, w, mr, c.Ctr)
+	rt, err := exec.BuildRadixTables(rp, exec.RadixJoinConfig{Bloom: bloom}, w, mr, c.Ctr)
+	return rt, "radix", err
 }
 
-// JoinStrategy is buildJoin's resident layout decision, exported so
+// PositionalMaxSpan is the widest key range buildJoin lays out
+// positionally for the given cardinalities: at 4 bytes a slot, the array
+// may grow neither past the chained table it replaces nor past the
+// probe-key vector (8 bytes a row) the join already holds.
+func PositionalMaxSpan(buildRows, probeRows int) int64 {
+	return max(exec.JoinTableBytes(buildRows), 8*int64(probeRows)) / 4
+}
+
+// JoinStrategy is buildJoin's hashed layout decision, exported so
 // EXPLAIN predicts what runs: radix for the compact layout (chooseRadix),
 // bloom for its probe-side Bloom pre-filter, which pays when most probes
 // miss (the probe side dwarfs the build side) and the filter fits the LLC

@@ -64,7 +64,8 @@ type KeyFilter struct {
 }
 
 // Execute implements Node. The span says what the filter did:
-// "keyfilter [k] <rows read> → <rows kept>", or why it was skipped.
+// "keyfilter [k] <rows read> → <rows kept>, <key set layout>", or why it
+// was skipped.
 func (f *KeyFilter) Execute(ctx *Context) (*colstore.Table, error) {
 	label := fmt.Sprintf("keyfilter [%s]", strings.Join(f.Keys, ", "))
 	sp := ctx.Trace.Begin("keyfilter", label)
@@ -109,12 +110,12 @@ func (f *KeyFilter) run(ctx *Context) (*colstore.Table, string, error) {
 	if published && keyFilterRatio*len(pk) > t.NumRows() {
 		why = fmt.Sprintf("skipped (probe %d × %d > %d rows)", len(pk), keyFilterRatio, t.NumRows())
 	} else if published {
-		kept, err := member(ctx, t, f.Keys, sel, pk)
+		kept, layout, err := member(ctx, t, f.Keys, sel, pk)
 		if err != nil {
 			return nil, "", err
 		}
 		if col, ok := exactSums(t, f.Exact, kept, ctx.Ctr); ok {
-			why, sel, filtered = fmt.Sprintf("%d → %d", read, len(kept)), kept, true
+			why, sel, filtered = fmt.Sprintf("%d → %d, %s", read, len(kept), layout), kept, true
 		} else {
 			why = fmt.Sprintf("skipped (sum over %s not exact)", col)
 		}
@@ -135,25 +136,25 @@ func (f *KeyFilter) run(ctx *Context) (*colstore.Table, string, error) {
 
 // member returns, in row order, the rows of t — those sel names, or all —
 // whose key is one of the probe keys pk: the semi join of those keys with
-// a join build side over pk, laid out by buildJoin.
-func member(ctx *Context, t *colstore.Table, keys []string, sel []int32, pk []int64) ([]int32, error) {
+// a join build side over pk, laid out by buildJoin — and that layout.
+func member(ctx *Context, t *colstore.Table, keys []string, sel []int32, pk []int64) ([]int32, string, error) {
 	k, err := joinKeysParallel(ctx, t, keys, sel)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	set, err := ctx.buildJoin(pk, len(k))
+	set, layout, err := ctx.buildJoin(pk, len(k))
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	hits, err := set.SemiJoin(k, ctx.workers(), ctx.morselRows(), ctx.Ctr)
 	if err != nil || sel == nil {
-		return hits, err
+		return hits, layout, err
 	}
 	for i, h := range hits {
 		hits[i] = sel[h]
 	}
 	ctx.Ctr.RandomAccesses += int64(len(hits))
-	return hits, nil
+	return hits, layout, nil
 }
 
 // exactSums reports whether each named column holds, in t's rows sel,

@@ -80,7 +80,7 @@ func TestJoinProberConformance(t *testing.T) {
 			// Partitions are morsels with counters of their own: nothing
 			// depends on the worker count but who runs them.
 			CountersFrom: 1,
-			Check: func(t *testing.T, in jointest.Input, ctr exec.Counters) {
+			Check: func(t *testing.T, in jointest.Input, ctr, _ exec.Counters) {
 				spilled := resident < 1<<bits && len(in.Build)+len(in.Probe) > 0
 				if (ctr.SpillWriteBytes > 0) != spilled {
 					t.Fatalf("resident %d of %d partitions: wrote %d spill bytes", resident, 1<<bits, ctr.SpillWriteBytes)

@@ -63,7 +63,7 @@ func TestAnalyzeMatchesRunAndAttributesWork(t *testing.T) {
 	if len(spans) != 9 {
 		t.Fatalf("spans = %d, want 9:\n%s", len(spans), labels())
 	}
-	for _, op := range []string{"build [c_id]", "probe [o_cust]"} {
+	for _, op := range []string{"build [c_id] positional, 31 slots", "probe [o_cust]"} {
 		found := false
 		for _, r := range spans {
 			if r.sp.Label == op {

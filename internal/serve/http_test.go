@@ -157,9 +157,8 @@ func TestHTTPQueryQ13NeedsUniqueKeys(t *testing.T) {
 // row ids can address (10^10 here, on one constant key) is one
 // statement's typed error — a 4xx carrying *exec.JoinOverflowError's
 // message — not a garbage-sized allocation that takes the server down.
-// Two 100k-row sides put the build side past the default LLC budget, so
-// the planner picks the compact layout, whose count pass sees the total
-// before a single pair is emitted.
+// The one key takes the positional layout, whose InnerJoin counts the
+// total from its chain lengths before a single pair is emitted.
 func TestHTTPQueryJoinOverflow(t *testing.T) {
 	const n = 100_000
 	constant := func(table, col string) *colstore.Table {
