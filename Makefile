@@ -63,11 +63,13 @@ lint-bench:
 	$(GO) run ./cmd/wimpi-lint -novet -deadline $(LINT_DEADLINE) ./...
 
 # Race-detector pass over every package, then ten more rounds over what
-# runs spilled partitions as concurrent morsels against one open segment:
-# the detector only sees the interleavings a run happens to produce.
+# runs spilled partitions as concurrent morsels against one open segment,
+# and over one planned SQL tree run from several goroutines at once: the
+# detector only sees the interleavings a run happens to produce.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Spill|JoinProber|Segment' ./internal/plan ./internal/spill
+	$(GO) test -race -count=10 -run 'Reus' ./internal/sql ./internal/serve
 
 # Fault-injection suite: chaos tests, wire-protocol hardening, and the
 # faultconn package itself, all under the race detector.

@@ -64,12 +64,12 @@ func GenerateTPCH(sf float64, seed uint64) *TPCHDataset {
 	return tpch.Generate(tpch.Config{SF: sf, Seed: seed})
 }
 
-// TPCHQuery returns the physical plan for query n (1-22) with the
-// specification's validation parameters.
-func TPCHQuery(n int) (PlanNode, error) { return tpch.Query(n) }
+// TPCHQuery plans query n's (1-22) SQL text, with the specification's
+// validation parameters, against db's tables.
+func TPCHQuery(db *DB, n int) (PlanNode, error) { return tpch.Query(db, n) }
 
-// TPCHQueryParams returns query n with custom substitution parameters.
-func TPCHQueryParams(n int, p QueryParams) (PlanNode, error) { return tpch.QueryP(n, p) }
+// TPCHQueryParams plans query n with custom substitution parameters.
+func TPCHQueryParams(db *DB, n int, p QueryParams) (PlanNode, error) { return tpch.QueryP(db, n, p) }
 
 // DefaultQueryParams returns the spec validation parameters;
 // RandomQueryParams draws from the spec ranges.

@@ -8,6 +8,7 @@ import (
 
 	"wimpi"
 	"wimpi/internal/plan"
+	"wimpi/internal/tpch"
 )
 
 // TestPublicFacade drives the whole library through the root package's
@@ -17,7 +18,7 @@ func TestPublicFacade(t *testing.T) {
 	db := wimpi.NewDB(2)
 	data.RegisterAll(db)
 
-	q, err := wimpi.TPCHQuery(6)
+	q, err := wimpi.TPCHQuery(db, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestPublicFacade(t *testing.T) {
 
 	// Custom parameters through the facade.
 	p := wimpi.RandomQueryParams(3)
-	qp, err := wimpi.TPCHQueryParams(6, p)
+	qp, err := wimpi.TPCHQueryParams(db, 6, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +72,14 @@ func TestPublicFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lc.Close()
-	if _, err := lc.Coordinator.Load(0.005, 7); err != nil {
+	q6, err := tpch.SQL(6)
+	if err != nil {
 		t.Fatal(err)
 	}
-	dres, err := lc.Coordinator.Run(6)
+	if _, err := lc.Coordinator.LoadSQL(0.005, 7, map[int]string{6: q6}); err != nil {
+		t.Fatal(err)
+	}
+	dres, err := lc.Coordinator.RunSQL(6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 		for _, w := range []int{1, 2, 4, 8} {
 			q, w := q, w
 			b.Run(fmt.Sprintf("Q%d/workers=%d", q, w), func(b *testing.B) {
-				p := tpch.MustQuery(q)
+				p := tpch.MustQuery(db, q)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := db.RunQuery(context.Background(), p, engine.QueryOpts{Workers: w}); err != nil {
@@ -150,9 +150,11 @@ func BenchmarkTableII(b *testing.B) {
 	for _, q := range tpch.QueryNumbers() {
 		q := q
 		b.Run(fmt.Sprintf("Q%d", q), func(b *testing.B) {
+			p := tpch.MustQuery(db, q)
+			b.ResetTimer()
 			var ctr exec.Counters
 			for i := 0; i < b.N; i++ {
-				res, err := db.RunQuery(context.Background(), tpch.MustQuery(q), engine.QueryOpts{})
+				res, err := db.RunQuery(context.Background(), p, engine.QueryOpts{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -173,7 +175,11 @@ func BenchmarkTableIII(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer lc.Close()
-	if _, err := lc.Coordinator.Load(benchSF(), 42); err != nil {
+	stmts, err := tpch.Statements(tpch.RepresentativeQueries)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := lc.Coordinator.LoadSQL(benchSF(), 42, stmts); err != nil {
 		b.Fatal(err)
 	}
 	opt := cluster.DefaultSimOptions()
@@ -182,7 +188,7 @@ func BenchmarkTableIII(b *testing.B) {
 		b.Run(fmt.Sprintf("Q%d", q), func(b *testing.B) {
 			var sim cluster.SimBreakdown
 			for i := 0; i < b.N; i++ {
-				res, err := lc.Coordinator.Run(q)
+				res, err := lc.Coordinator.RunSQL(q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -336,9 +342,10 @@ func BenchmarkAblationDictVsRawLike(b *testing.B) {
 // Figure 4.
 func BenchmarkAblationMaterializedVsFused(b *testing.B) {
 	data, db := fixture(b)
+	q6 := tpch.MustQuery(db, 6)
 	b.Run("materialized-plan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := db.RunQuery(context.Background(), tpch.MustQuery(6), engine.QueryOpts{}); err != nil {
+			if _, err := db.RunQuery(context.Background(), q6, engine.QueryOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -364,13 +371,17 @@ func BenchmarkAblationPartialAggVsShipRows(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer lc.Close()
-	if _, err := lc.Coordinator.Load(benchSF(), 42); err != nil {
+	q1, err := tpch.SQL(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := lc.Coordinator.LoadSQL(benchSF(), 42, map[int]string{1: q1}); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("partial-aggregates", func(b *testing.B) {
 		var bytes int64
 		for i := 0; i < b.N; i++ {
-			res, err := lc.Coordinator.Run(1)
+			res, err := lc.Coordinator.RunSQL(1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -431,7 +442,7 @@ func BenchmarkAblationThrottle(b *testing.B) {
 // working set.
 func BenchmarkAblationSwap(b *testing.B) {
 	_, db := fixture(b)
-	res, err := db.RunQuery(context.Background(), tpch.MustQuery(1), engine.QueryOpts{})
+	res, err := db.RunQuery(context.Background(), tpch.MustQuery(db, 1), engine.QueryOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -708,9 +719,10 @@ func BenchmarkAblationRLECompression(b *testing.B) {
 	run := func(b *testing.B, d *tpch.Dataset) {
 		db := engine.NewDB(engine.Config{Workers: 0})
 		d.RegisterAll(db)
+		q18 := tpch.MustQuery(db, 18)
 		var sim float64
 		for i := 0; i < b.N; i++ {
-			res, err := db.RunQuery(context.Background(), tpch.MustQuery(18), engine.QueryOpts{})
+			res, err := db.RunQuery(context.Background(), q18, engine.QueryOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -732,7 +744,11 @@ func BenchmarkAblationHybridCluster(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer lc.Close()
-	if _, err := lc.Coordinator.Load(benchSF(), 42); err != nil {
+	q13, err := tpch.SQL(13)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := lc.Coordinator.LoadSQL(benchSF(), 42, map[int]string{13: q13}); err != nil {
 		b.Fatal(err)
 	}
 	hy, err := cluster.NewHybrid(lc.Coordinator, data, 2)
@@ -745,7 +761,7 @@ func BenchmarkAblationHybridCluster(b *testing.B) {
 	b.Run("wimpi-only", func(b *testing.B) {
 		var sim cluster.SimBreakdown
 		for i := 0; i < b.N; i++ {
-			res, err := lc.Coordinator.Run(13)
+			res, err := lc.Coordinator.RunSQL(13)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -800,7 +816,7 @@ func BenchmarkFusedVsVector(b *testing.B) {
 	}
 	var results []fusedBenchResult
 	for _, q := range []int{1, 6, 14} {
-		node, err := tpch.Query(q)
+		node, err := tpch.Query(dbs[plan.ExecVector], q)
 		if err != nil {
 			b.Fatal(err)
 		}

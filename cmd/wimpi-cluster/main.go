@@ -14,9 +14,9 @@
 //	    -sf 0.1 -q 1,3,4,5,6,13,14,19 [-simulate] \
 //	    [-retries 3 -rpc-timeout 60s -redispatch -allow-partial]
 //
-// Ad-hoc SQL (the statement is split into per-node partial + merge
-// halves, the partial text ships with the load, and every node plans it
-// locally):
+// Every query runs as SQL: the TPC-H texts -q names, or an ad-hoc
+// statement. Each is split into per-node partial + merge halves, the
+// partial text ships with the load, and every node plans it locally:
 //
 //	wimpi-cluster -mode coord -addrs ... -sf 0.1 \
 //	    -sql "select count(*) as n from lineitem"
@@ -38,6 +38,7 @@ import (
 	"wimpi/internal/engine"
 	"wimpi/internal/obs"
 	"wimpi/internal/spill"
+	"wimpi/internal/tpch"
 )
 
 func main() {
@@ -103,11 +104,23 @@ func main() {
 			}
 			statement = string(b)
 		}
-		if statement != "" {
-			runSQLCoordinator(cfg, *addrs, *sf, *seed, statement, *simulate, *rows, *explain)
-		} else {
-			runCoordinator(cfg, *addrs, *sf, *seed, *queries, *simulate, *rows, *explain)
+		// The statements to ship and run, in run order: the -sql text as
+		// statement 0, or the TPC-H texts -q names under their numbers.
+		ids, stmts := []int{0}, map[int]string{0: statement}
+		if statement == "" {
+			ids, stmts = nil, map[int]string{}
+			for _, qs := range strings.Split(*queries, ",") {
+				q, err := strconv.Atoi(strings.TrimSpace(qs))
+				if err != nil {
+					fatalf("bad query %q", qs)
+				}
+				if stmts[q], err = tpch.SQL(q); err != nil {
+					fatalf("%v", err)
+				}
+				ids = append(ids, q)
+			}
 		}
+		runCoordinator(cfg, *addrs, *sf, *seed, ids, stmts, *simulate, *rows, *explain)
 		if *metricsOut != "" {
 			if err := writeMetrics(*metricsOut); err != nil {
 				fatalf("%v", err)
@@ -167,7 +180,10 @@ func runWorker(listen string, throttle float64, fault string, faultSeed int64, f
 	}
 }
 
-func runCoordinator(cfg cluster.Config, addrList string, sf float64, seed uint64, queryList string, simulate bool, rows int, explain bool) {
+// runCoordinator ships stmts with the load — each splits into a per-node
+// partial half every node plans locally and a merge half run here — and
+// runs them in the order ids gives.
+func runCoordinator(cfg cluster.Config, addrList string, sf float64, seed uint64, ids []int, stmts map[int]string, simulate bool, rows int, explain bool) {
 	if addrList == "" {
 		fatalf("coordinator needs -addrs")
 	}
@@ -179,34 +195,38 @@ func runCoordinator(cfg cluster.Config, addrList string, sf float64, seed uint64
 	defer coord.Close()
 
 	fmt.Fprintf(os.Stderr, "loading SF %g across %d nodes ... ", sf, coord.NumNodes())
-	stats, err := coord.Load(sf, seed)
+	stats, err := coord.LoadSQL(sf, seed, stmts)
 	if err != nil {
 		fatalf("load: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "done in %v\n", stats.Duration.Round(time.Millisecond))
 
-	for _, qs := range strings.Split(queryList, ",") {
-		q, err := strconv.Atoi(strings.TrimSpace(qs))
-		if err != nil {
-			fatalf("bad query %q", qs)
+	for _, id := range ids {
+		label := fmt.Sprintf("Q%d", id)
+		if id == 0 {
+			label = "sql"
 		}
-		res, err := coord.Run(q)
+		res, err := coord.RunSQL(id)
 		if err != nil {
 			var perr *cluster.PartialClusterError
 			if errors.As(err, &perr) && perr.Result != nil {
-				fmt.Fprintf(os.Stderr, "Q%d degraded: %v\n", q, perr)
+				fmt.Fprintf(os.Stderr, "%s degraded: %v\n", label, perr)
 				res = perr.Result
 			} else {
-				fatalf("Q%d: %v", q, err)
+				fatalf("%s: %v", label, err)
 			}
 		}
 		coverage := ""
 		if res.Partial {
 			coverage = fmt.Sprintf(" PARTIAL (failed nodes %v)", res.FailedNodes)
 		}
-		fmt.Printf("-- Q%d: %d rows, %d nodes, %.1f KB transferred, %v (host)%s --\n",
-			q, res.Table.NumRows(), res.NodesUsed,
+		fmt.Printf("-- %s: %d rows, %d nodes, %.1f KB transferred, %v (host)%s --\n",
+			label, res.Table.NumRows(), res.NodesUsed,
 			float64(res.BytesReceived)/1024, res.HostDuration.Round(time.Microsecond), coverage)
+		// Per-node plan choices are worker-independent; show node 0's.
+		if len(res.NodePlans) > 0 {
+			fmt.Print(res.NodePlans[0])
+		}
 		if rows > 0 {
 			fmt.Print(engine.FormatTable(res.Table, rows))
 		}
@@ -222,64 +242,6 @@ func runCoordinator(cfg cluster.Config, addrList string, sf float64, seed uint64
 				b.Total, b.NodeSeconds, b.NetworkSeconds, b.MergeSeconds, b.Thrashed)
 		}
 		fmt.Println()
-	}
-}
-
-// runSQLCoordinator runs one ad-hoc SQL statement distributed: the
-// partial half ships with the load, every node plans it locally, and the
-// merge half runs here over the concatenated partials.
-func runSQLCoordinator(cfg cluster.Config, addrList string, sf float64, seed uint64, statement string, simulate bool, rows int, explain bool) {
-	if addrList == "" {
-		fatalf("coordinator needs -addrs")
-	}
-	cfg.Addrs = strings.Split(addrList, ",")
-	coord, err := cluster.Dial(cfg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer coord.Close()
-
-	fmt.Fprintf(os.Stderr, "loading SF %g across %d nodes (with SQL) ... ", sf, coord.NumNodes())
-	stats, err := coord.LoadSQL(sf, seed, map[int]string{0: statement})
-	if err != nil {
-		fatalf("load: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "done in %v\n", stats.Duration.Round(time.Millisecond))
-
-	res, err := coord.RunSQL(0)
-	if err != nil {
-		var perr *cluster.PartialClusterError
-		if errors.As(err, &perr) && perr.Result != nil {
-			fmt.Fprintf(os.Stderr, "sql degraded: %v\n", perr)
-			res = perr.Result
-		} else {
-			fatalf("sql: %v", err)
-		}
-	}
-	coverage := ""
-	if res.Partial {
-		coverage = fmt.Sprintf(" PARTIAL (failed nodes %v)", res.FailedNodes)
-	}
-	fmt.Printf("-- sql: %d rows, %d nodes, %.1f KB transferred, %v (host)%s --\n",
-		res.Table.NumRows(), res.NodesUsed,
-		float64(res.BytesReceived)/1024, res.HostDuration.Round(time.Microsecond), coverage)
-	// Per-node plan choices are worker-independent; show node 0's.
-	if len(res.NodePlans) > 0 && res.NodePlans[0] != "" {
-		fmt.Print(res.NodePlans[0])
-	}
-	if rows > 0 {
-		fmt.Print(engine.FormatTable(res.Table, rows))
-	}
-	if explain && res.Root != nil {
-		opt := cluster.DefaultSimOptions()
-		fmt.Print(obs.ExplainAnalyze(res.Root, obs.ExplainOptions{
-			Profile: &opt.NodeProfile, Model: opt.Model,
-		}))
-	}
-	if simulate {
-		b := cluster.Simulate(res, cluster.DefaultSimOptions())
-		fmt.Printf("simulated WimPi wall-clock: %.3fs (node %.3fs, network %.3fs, merge %.3fs, thrash %v)\n",
-			b.Total, b.NodeSeconds, b.NetworkSeconds, b.MergeSeconds, b.Thrashed)
 	}
 }
 

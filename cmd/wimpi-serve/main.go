@@ -91,7 +91,7 @@ func main() {
 	})
 
 	if *load {
-		runLoad(srv, *clients, *queries, *mix, *tenants, *loadSeed, *benchOut, *maxP99)
+		runLoad(srv, db, *clients, *queries, *mix, *tenants, *loadSeed, *benchOut, *maxP99)
 		return
 	}
 
@@ -103,14 +103,16 @@ func main() {
 	}
 }
 
-func runLoad(srv *serve.Server, clients, queries int, mix string, tenants int, seed int64, benchOut string, maxP99 float64) {
+// runLoad plans each mix query's SQL text once against db and has every
+// client run that one tree.
+func runLoad(srv *serve.Server, db *engine.DB, clients, queries int, mix string, tenants int, seed int64, benchOut string, maxP99 float64) {
 	var entries []serve.MixEntry
 	for _, s := range strings.Split(mix, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil {
 			fatalf("bad mix entry %q", s)
 		}
-		q, err := tpch.Query(n)
+		q, err := tpch.Query(db, n)
 		if err != nil {
 			fatalf("%v", err)
 		}

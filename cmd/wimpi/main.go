@@ -5,7 +5,7 @@
 //
 //	wimpi -sf 0.1 -q 6             # run one query
 //	wimpi -sf 0.1 -q all           # run all 22
-//	wimpi -sf 0.1 -q 3 -plan       # print the physical plan
+//	wimpi -sf 0.1 -q 3 -plan       # print the optimizer report and physical plan
 //	wimpi -sf 0.1 -q 1 -explain    # EXPLAIN ANALYZE: span tree + simulated time
 //	wimpi -sf 0.01 -q 3 -explain -mem-budget 64KB   # ... with the spill joiner's partitions
 //	wimpi -sf 0.1 -q 1 -simulate   # show simulated per-hardware times
@@ -76,16 +76,27 @@ func main() {
 		statement = string(b)
 	}
 
-	var queries []int
-	if statement == "" {
-		if *query == "all" {
-			queries = tpch.QueryNumbers()
-		} else {
+	// Every query runs as SQL through the optimizer: the -sql statement,
+	// or the TPC-H texts -q names.
+	type labeled struct{ label, text string }
+	var stmts []labeled
+	if statement != "" {
+		stmts = []labeled{{"sql", statement}}
+	} else {
+		queries := tpch.QueryNumbers()
+		if *query != "all" {
 			n, err := strconv.Atoi(*query)
 			if err != nil {
 				fatalf("bad query %q", *query)
 			}
 			queries = []int{n}
+		}
+		for _, q := range queries {
+			text, err := tpch.SQL(q)
+			if err != nil {
+				fatalf("%v", err)
+			}
+			stmts = append(stmts, labeled{fmt.Sprintf("Q%d", q), text})
 		}
 	}
 
@@ -127,9 +138,9 @@ func main() {
 	model := hardware.DefaultModel()
 	profiles := hardware.Profiles()
 
-	// runOne drives one plan through whichever output path the flags ask
-	// for. choices is the SQL optimizer's chosen-vs-alternative report
-	// (empty for hand-built plans, which carry no planning report).
+	// runOne drives one planned statement through whichever output path
+	// the flags ask for. choices is the optimizer's rendered
+	// chosen-vs-alternative report, printed under -plan and -explain.
 	runOne := func(label string, node plan.Node, choices string) {
 		if *planOnly {
 			// Planned against the loaded catalog so auto-mode decisions
@@ -177,21 +188,14 @@ func main() {
 		fmt.Println()
 	}
 
-	if statement != "" {
-		pl, err := sql.Plan(db, statement, sql.Options{
+	for _, st := range stmts {
+		pl, err := sql.Plan(db, st.text, sql.Options{
 			LLCBytes: *llc, UniqueKeys: tpch.TableKeys(),
 		})
 		if err != nil {
-			fatalf("%v", err)
+			fatalf("%s: %v", st.label, err)
 		}
-		runOne("sql", pl.Node, obs.RenderPlanChoices(pl.Report.Choices))
-	}
-	for _, q := range queries {
-		node, err := tpch.Query(q)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		runOne(fmt.Sprintf("Q%d", q), node, "")
+		runOne(st.label, pl.Node, obs.RenderPlanChoices(pl.Report.Choices))
 	}
 
 	if *metricsOut != "" {

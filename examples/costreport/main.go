@@ -26,7 +26,7 @@ func main() {
 	profiles := hardware.Profiles()
 	total := make(map[string]time.Duration)
 	for _, q := range tpch.RepresentativeQueries {
-		res, err := db.RunQuery(context.Background(), tpch.MustQuery(q), engine.QueryOpts{})
+		res, err := db.RunQuery(context.Background(), tpch.MustQuery(db, q), engine.QueryOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}

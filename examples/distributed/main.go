@@ -43,8 +43,13 @@ func main() {
 	fmt.Printf("node link bandwidth: %.0f Mbit/s (paper measured ~220)\n", bps/1e6)
 
 	// Load: each worker generates its partition (lineitem split on
-	// l_orderkey, everything else replicated).
-	stats, err := lc.Coordinator.Load(sf, seed)
+	// l_orderkey, everything else replicated) and receives the per-node
+	// half of every statement it will run.
+	stmts, err := tpch.Statements([]int{1, 6, 13})
+	if err != nil {
+		log.Fatal(err)
+	}
+	stats, err := lc.Coordinator.LoadSQL(sf, seed, stmts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,11 +63,11 @@ func main() {
 	tpch.Generate(tpch.Config{SF: sf, Seed: seed}).RegisterAll(single)
 
 	for _, q := range []int{1, 6, 13} {
-		dres, err := lc.Coordinator.Run(q)
+		dres, err := lc.Coordinator.RunSQL(q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sres, err := single.RunQuery(context.Background(), tpch.MustQuery(q), engine.QueryOpts{})
+		sres, err := single.RunQuery(context.Background(), tpch.MustQuery(single, q), engine.QueryOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -75,14 +80,15 @@ func main() {
 			sim.Total, sim.NodeSeconds, sim.NetworkSeconds, sim.MergeSeconds)
 	}
 
-	faultTolerance(sf, seed)
+	faultTolerance(sf, seed, map[int]string{1: stmts[1]})
 }
 
 // faultTolerance demonstrates the cluster runtime surviving injected
-// failures: a crashed node's partition is re-dispatched to a healthy
-// peer (which regenerates it deterministically), and the merged result
-// stays byte-identical to the fault-free run.
-func faultTolerance(sf float64, seed uint64) {
+// failures running Q1 (stmts): a crashed node's partition is
+// re-dispatched to a healthy peer (which regenerates it
+// deterministically), and the merged result stays byte-identical to the
+// fault-free run.
+func faultTolerance(sf float64, seed uint64, stmts map[int]string) {
 	const nodes = 3
 	fmt.Println("\n== fault tolerance ==")
 
@@ -92,10 +98,10 @@ func faultTolerance(sf float64, seed uint64) {
 		log.Fatal(err)
 	}
 	defer clean.Close()
-	if _, err := clean.Coordinator.Load(sf, seed); err != nil {
+	if _, err := clean.Coordinator.LoadSQL(sf, seed, stmts); err != nil {
 		log.Fatal(err)
 	}
-	want, err := clean.Coordinator.Run(1)
+	want, err := clean.Coordinator.RunSQL(1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -114,10 +120,10 @@ func faultTolerance(sf float64, seed uint64) {
 		log.Fatal(err)
 	}
 	defer faulty.Close()
-	if _, err := faulty.Coordinator.Load(sf, seed); err != nil {
+	if _, err := faulty.Coordinator.LoadSQL(sf, seed, stmts); err != nil {
 		log.Fatal(err)
 	}
-	got, err := faulty.Coordinator.Run(1)
+	got, err := faulty.Coordinator.RunSQL(1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -136,10 +142,10 @@ func faultTolerance(sf float64, seed uint64) {
 		log.Fatal(err)
 	}
 	defer partial.Close()
-	if _, err := partial.Coordinator.Load(sf, seed); err != nil {
+	if _, err := partial.Coordinator.LoadSQL(sf, seed, stmts); err != nil {
 		log.Fatal(err)
 	}
-	res, err := partial.Coordinator.Run(1)
+	res, err := partial.Coordinator.RunSQL(1)
 	var perr *cluster.PartialClusterError
 	if !errors.As(err, &perr) {
 		log.Fatalf("expected PartialClusterError, got %v", err)

@@ -28,7 +28,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer lc.Close()
-	if _, err := lc.Coordinator.Load(sf, seed); err != nil {
+	stmts, err := tpch.Statements([]int{6, 13})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := lc.Coordinator.LoadSQL(sf, seed, stmts); err != nil {
 		log.Fatal(err)
 	}
 	hybrid, err := cluster.NewHybrid(lc.Coordinator, full, 4)
@@ -48,7 +52,7 @@ func main() {
 
 	fmt.Printf("hybrid cluster: %d Pi workers + 1 op-e5 front end, TPC-H SF %g\n\n", nodes, sf)
 	for _, q := range []int{6, 13} {
-		plain, err := lc.Coordinator.Run(q)
+		plain, err := lc.Coordinator.RunSQL(q)
 		if err != nil {
 			log.Fatal(err)
 		}

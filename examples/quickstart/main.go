@@ -26,7 +26,8 @@ func main() {
 
 	// 2. Build a plan by hand: revenue per ship mode for 1995 shipments.
 	//    (Any SQL-shaped pipeline composes from Scan/Filter/Join/GroupBy/
-	//    OrderBy nodes; package tpch contains all 22 TPC-H plans.)
+	//    OrderBy nodes; package sql plans SQL text onto them, and package
+	//    tpch plans all 22 TPC-H statements that way.)
 	p := &plan.OrderBy{
 		Keys: []exec.SortKey{{Column: "revenue", Desc: true}},
 		Input: &plan.GroupBy{

@@ -25,6 +25,22 @@ func startCluster(t *testing.T, n int) *LocalCluster {
 	return lc
 }
 
+// tpchSQL returns the TPC-H texts of queries qs keyed by query number —
+// the statement set LoadSQL ships.
+func tpchSQL(t *testing.T, qs ...int) map[int]string {
+	t.Helper()
+	stmts, err := tpch.Statements(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stmts
+}
+
+// representativeSQL is tpchSQL over the paper's eight distributed queries.
+func representativeSQL(t *testing.T) map[int]string {
+	return tpchSQL(t, tpch.RepresentativeQueries...)
+}
+
 func TestWireTableRoundTrip(t *testing.T) {
 	b := colstore.NewTableBuilder("t", colstore.Schema{
 		{Name: "i", Type: colstore.Int64},
@@ -144,7 +160,7 @@ func TestConcatRemapsDictionaries(t *testing.T) {
 func TestDistributedMatchesSingleNode(t *testing.T) {
 	// A 3-node cluster must return exactly the single-node answers.
 	lc := startCluster(t, 3)
-	if _, err := lc.Coordinator.Load(testSF, 42); err != nil {
+	if _, err := lc.Coordinator.LoadSQL(testSF, 42, representativeSQL(t)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -152,11 +168,11 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 	tpch.Generate(tpch.Config{SF: testSF, Seed: 42}).RegisterAll(single)
 
 	for _, q := range tpch.RepresentativeQueries {
-		res, err := lc.Coordinator.Run(q)
+		res, err := lc.Coordinator.RunSQL(q)
 		if err != nil {
 			t.Fatalf("Q%d: %v", q, err)
 		}
-		want, err := single.RunQuery(context.Background(), tpch.MustQuery(q), engine.QueryOpts{})
+		want, err := single.RunQuery(context.Background(), tpch.MustQuery(single, q), engine.QueryOpts{})
 		if err != nil {
 			t.Fatalf("Q%d single: %v", q, err)
 		}
@@ -236,10 +252,10 @@ func TestDistributedVariousSizes(t *testing.T) {
 	var baseline *colstore.Table
 	for _, n := range []int{1, 2, 5} {
 		lc := startCluster(t, n)
-		if _, err := lc.Coordinator.Load(0.005, 7); err != nil {
+		if _, err := lc.Coordinator.LoadSQL(0.005, 7, tpchSQL(t, 6)); err != nil {
 			t.Fatal(err)
 		}
-		res, err := lc.Coordinator.Run(6)
+		res, err := lc.Coordinator.RunSQL(6)
 		if err != nil {
 			t.Fatalf("%d nodes: %v", n, err)
 		}
@@ -264,15 +280,20 @@ func TestCoordinatorErrors(t *testing.T) {
 	}
 	lc := startCluster(t, 2)
 	// Query before load.
-	if _, err := lc.Coordinator.Run(6); err == nil {
+	if _, err := lc.Coordinator.RunSQL(6); err == nil {
 		t.Error("query before load should error")
 	}
-	if _, err := lc.Coordinator.Load(0.002, 1); err != nil {
+	// A statement Distribute cannot split fails the load before any
+	// worker is asked.
+	if _, err := lc.Coordinator.LoadSQL(0.002, 1, tpchSQL(t, 10)); err == nil {
+		t.Error("Q10 has no distributed form")
+	}
+	if _, err := lc.Coordinator.LoadSQL(0.002, 1, tpchSQL(t, 6)); err != nil {
 		t.Fatal(err)
 	}
-	// Unsupported distributed query.
-	if _, err := lc.Coordinator.Run(2); err == nil {
-		t.Error("Q2 has no distributed form")
+	// A statement the load did not ship.
+	if _, err := lc.Coordinator.RunSQL(2); err == nil {
+		t.Error("Q2 was never shipped")
 	}
 	if lc.Coordinator.NumNodes() != 2 {
 		t.Error("NumNodes wrong")
@@ -403,18 +424,18 @@ func TestDistributedFusedMatchesVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(fus.Close)
-	if _, err := vec.Coordinator.Load(testSF, 42); err != nil {
+	if _, err := vec.Coordinator.LoadSQL(testSF, 42, representativeSQL(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fus.Coordinator.Load(testSF, 42); err != nil {
+	if _, err := fus.Coordinator.LoadSQL(testSF, 42, representativeSQL(t)); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range tpch.RepresentativeQueries {
-		want, err := vec.Coordinator.Run(q)
+		want, err := vec.Coordinator.RunSQL(q)
 		if err != nil {
 			t.Fatalf("Q%d vector: %v", q, err)
 		}
-		got, err := fus.Coordinator.Run(q)
+		got, err := fus.Coordinator.RunSQL(q)
 		if err != nil {
 			t.Fatalf("Q%d fused: %v", q, err)
 		}
@@ -430,7 +451,7 @@ func TestLoadRejectsBadExecMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(lc.Close)
-	if _, err := lc.Coordinator.Load(testSF, 42); err == nil {
+	if _, err := lc.Coordinator.LoadSQL(testSF, 42, tpchSQL(t, 6)); err == nil {
 		t.Fatal("load with unknown exec mode should fail")
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"wimpi/internal/hardware"
 	"wimpi/internal/obs"
 	sqlpkg "wimpi/internal/sql"
-	"wimpi/internal/tpch"
 )
 
 // Coordinator-side metrics on the shared default registry.
@@ -62,7 +61,7 @@ type Config struct {
 	// reproducible (default 1).
 	Seed int64
 
-	// AllowPartial makes Run return a merged result over the surviving
+	// AllowPartial makes RunSQL return a merged result over the surviving
 	// partitions (flagged via DistResult.Partial plus a
 	// *PartialClusterError) instead of failing outright when nodes die.
 	AllowPartial bool
@@ -228,20 +227,8 @@ type LoadStats struct {
 	Duration time.Duration
 }
 
-// Load makes every worker generate and register its partition.
-func (c *Coordinator) Load(sf float64, seed uint64) (*LoadStats, error) {
-	return c.LoadContext(context.Background(), sf, seed)
-}
-
-// LoadContext is Load with cancellation and deadlines. Per-node loads
-// are retried on transport failure; a terminally failed node yields a
-// *PartialClusterError (a load cannot be partial — every partition is
-// needed).
-func (c *Coordinator) LoadContext(ctx context.Context, sf float64, seed uint64) (*LoadStats, error) {
-	return c.loadContext(ctx, sf, seed, nil)
-}
-
-// LoadSQL is Load plus SQL shipping: each statement in stmts is split
+// LoadSQL makes every worker generate and register its partition and
+// ships the statements it will run: each statement in stmts is split
 // with sqlpkg.Distribute, the per-node partial halves ride along in
 // every LoadRequest, and the merge halves stay here for RunSQL. Every
 // node receives the same texts, so a re-dispatched partition plans
@@ -250,7 +237,10 @@ func (c *Coordinator) LoadSQL(sf float64, seed uint64, stmts map[int]string) (*L
 	return c.LoadSQLContext(context.Background(), sf, seed, stmts)
 }
 
-// LoadSQLContext is LoadSQL with cancellation and deadlines.
+// LoadSQLContext is LoadSQL with cancellation and deadlines. Per-node
+// loads are retried on transport failure; a terminally failed node
+// yields a *PartialClusterError (a load cannot be partial — every
+// partition is needed).
 func (c *Coordinator) LoadSQLContext(ctx context.Context, sf float64, seed uint64, stmts map[int]string) (*LoadStats, error) {
 	ids := make([]int, 0, len(stmts))
 	for id := range stmts {
@@ -267,17 +257,6 @@ func (c *Coordinator) LoadSQLContext(ctx context.Context, sf float64, seed uint6
 		dist[id] = d
 		partials[id] = d.Partial
 	}
-	stats, err := c.loadContext(ctx, sf, seed, partials)
-	if err != nil {
-		return nil, err
-	}
-	c.sqlMu.Lock()
-	c.sqlDist = dist
-	c.sqlMu.Unlock()
-	return stats, nil
-}
-
-func (c *Coordinator) loadContext(ctx context.Context, sf float64, seed uint64, partials map[int]string) (*LoadStats, error) {
 	//lint:allow determinism,taintflow -- measured wall clock for LoadStats reporting; results never depend on it
 	start := time.Now()
 	stats := &LoadStats{NodeBytes: make([]int64, len(c.conns))}
@@ -310,21 +289,25 @@ func (c *Coordinator) loadContext(ctx context.Context, sf float64, seed uint64, 
 		return nil, &PartialClusterError{Op: "load", Failed: failed, Total: len(c.conns)}
 	}
 	stats.Duration = time.Since(start)
+	c.sqlMu.Lock()
+	c.sqlDist = dist
+	c.sqlMu.Unlock()
 	return stats, nil
 }
 
 // DistResult is the outcome of one distributed query.
 type DistResult struct {
-	// Query is the TPC-H query number.
+	// Query is the statement id LoadSQL shipped (the TPC-H query number
+	// for TPC-H texts).
 	Query int
 	// Table is the merged final result.
 	Table *colstore.Table
 	// NodeCounters holds each participating node's work profile.
 	NodeCounters []exec.Counters
-	// NodePlans holds each participating node's rendered SQL optimizer
-	// report (empty strings for hand-built plans). Planning is
-	// worker-independent, so these are identical across nodes — including
-	// a node that ran a re-dispatched foreign partition.
+	// NodePlans holds each participating node's rendered optimizer report
+	// for the partial statement. Planning is worker-independent, so these
+	// are identical across nodes — including a node that ran a
+	// re-dispatched foreign partition.
 	NodePlans []string
 	// NodeDBBytes holds each participating node's resident data size.
 	NodeDBBytes []int64
@@ -395,18 +378,13 @@ func (res *DistResult) buildSpans(parts []part, failedAt []error, mergeCtr exec.
 	res.Root = root
 }
 
-// Run executes the distributed form of query q across the cluster.
-func (c *Coordinator) Run(q int) (*DistResult, error) {
-	return c.RunContext(context.Background(), q)
-}
-
 // part is one partition's successful partial result.
 type part struct {
 	table *colstore.Table
 	ctr   exec.Counters
 	bytes int64
 	db    int64
-	plan  string        // rendered optimizer report (SQL partials only)
+	plan  string        // rendered optimizer report of the partial
 	dur   time.Duration // round-trip wall time of the winning attempt
 }
 
@@ -419,22 +397,6 @@ type outcome struct {
 	backup bool
 }
 
-// RunContext executes the distributed form of query q with
-// cancellation, per-RPC deadlines, retry, and — when enabled —
-// straggler/failure re-dispatch and graceful degradation. On node
-// failure it returns a *PartialClusterError; with Config.AllowPartial
-// the error additionally carries the merged result over surviving
-// partitions.
-func (c *Coordinator) RunContext(ctx context.Context, q int) (*DistResult, error) {
-	dq, err := tpch.DistQueryFor(q)
-	if err != nil {
-		return nil, err
-	}
-	return c.runDist(ctx, q, dq.SingleNode, false, func(parts []*colstore.Table) (*colstore.Table, exec.Counters, error) {
-		return dq.MergePartials(parts, c.cfg.WorkersPerNode)
-	})
-}
-
 // RunSQL executes a statement shipped by the last LoadSQL: per-node
 // partials planned from the shipped text, merged by planning and
 // running the statement's merge half here.
@@ -442,31 +404,42 @@ func (c *Coordinator) RunSQL(id int) (*DistResult, error) {
 	return c.RunSQLContext(context.Background(), id)
 }
 
-// RunSQLContext is RunSQL with cancellation and deadlines. It shares
-// the fan-out machinery of RunContext, so retry, straggler re-dispatch,
-// and graceful degradation all apply to SQL statements too.
+// RunSQLContext is RunSQL with cancellation, per-RPC deadlines, retry,
+// and — when enabled — straggler/failure re-dispatch and graceful
+// degradation. On node failure it returns a *PartialClusterError; with
+// Config.AllowPartial the error additionally carries the merged result
+// over surviving partitions.
 func (c *Coordinator) RunSQLContext(ctx context.Context, id int) (*DistResult, error) {
+	d, err := c.statement(id)
+	if err != nil {
+		return nil, err
+	}
+	return c.runDist(ctx, id, d)
+}
+
+// statement returns the distributed form of statement id shipped by the
+// last LoadSQL.
+func (c *Coordinator) statement(id int) (*sqlpkg.DistSQL, error) {
 	c.sqlMu.Lock()
 	d := c.sqlDist[id]
 	c.sqlMu.Unlock()
 	if d == nil {
 		return nil, fmt.Errorf("cluster: no SQL loaded for statement %d (use LoadSQL)", id)
 	}
-	return c.runDist(ctx, id, d.SingleNode, true, func(parts []*colstore.Table) (*colstore.Table, exec.Counters, error) {
-		if d.SingleNode {
-			if len(parts) != 1 {
-				return nil, exec.Counters{}, fmt.Errorf("cluster: statement %d is single-node but got %d partials", id, len(parts))
-			}
-			return parts[0], exec.Counters{}, nil
-		}
-		return c.mergeSQLPartials(d.Merge, parts)
-	})
+	return d, nil
 }
 
-// mergeSQLPartials concatenates the per-node partial tables, exposes
-// them as the table "partials", and plans and runs the merge statement
-// over them.
-func (c *Coordinator) mergeSQLPartials(mergeText string, parts []*colstore.Table) (*colstore.Table, exec.Counters, error) {
+// merge combines the per-node partials of statement id: a single-node
+// statement's one partial is its answer; otherwise the partials are
+// concatenated, exposed as the table "partials", and the merge statement
+// is planned and run over them here.
+func (c *Coordinator) merge(id int, d *sqlpkg.DistSQL, parts []*colstore.Table) (*colstore.Table, exec.Counters, error) {
+	if d.SingleNode {
+		if len(parts) != 1 {
+			return nil, exec.Counters{}, fmt.Errorf("cluster: statement %d is single-node but got %d partials", id, len(parts))
+		}
+		return parts[0], exec.Counters{}, nil
+	}
 	all, err := colstore.Concat(parts...)
 	if err != nil {
 		return nil, exec.Counters{}, fmt.Errorf("cluster: sql merge: %w", err)
@@ -474,7 +447,7 @@ func (c *Coordinator) mergeSQLPartials(mergeText string, parts []*colstore.Table
 	all.Name = "partials"
 	db := engine.NewDB(engine.Config{Workers: c.cfg.WorkersPerNode, TargetLLCBytes: c.cfg.TargetLLCBytes})
 	db.Register(all)
-	pl, err := sqlpkg.Plan(db, mergeText, sqlpkg.Options{LLCBytes: c.cfg.TargetLLCBytes})
+	pl, err := sqlpkg.Plan(db, d.Merge, sqlpkg.Options{LLCBytes: c.cfg.TargetLLCBytes})
 	if err != nil {
 		return nil, exec.Counters{}, fmt.Errorf("cluster: sql merge plan: %w", err)
 	}
@@ -485,7 +458,7 @@ func (c *Coordinator) mergeSQLPartials(mergeText string, parts []*colstore.Table
 	return res.Table, res.Counters, nil
 }
 
-func (c *Coordinator) runDist(ctx context.Context, q int, singleNode, useSQL bool, merge func([]*colstore.Table) (*colstore.Table, exec.Counters, error)) (*DistResult, error) {
+func (c *Coordinator) runDist(ctx context.Context, q int, d *sqlpkg.DistSQL) (*DistResult, error) {
 	// Cancel stragglers' in-flight RPCs when we return early.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -493,7 +466,7 @@ func (c *Coordinator) runDist(ctx context.Context, q int, singleNode, useSQL boo
 	//lint:allow determinism,taintflow -- measured wall clock for DistResult reporting; merged results never depend on it
 	start := time.Now()
 	participants := len(c.conns)
-	if singleNode {
+	if d.SingleNode {
 		participants = 1
 	}
 
@@ -506,7 +479,7 @@ func (c *Coordinator) runDist(ctx context.Context, q int, singleNode, useSQL boo
 			}
 			//lint:allow determinism -- round-trip wall time feeds the node span only, never the merged result
 			issueStart := time.Now()
-			resp, n, err := c.callRetry(ctx, target, &Request{Type: "query", Query: q, ForNode: forNode, SQL: useSQL})
+			resp, n, err := c.callRetry(ctx, target, &Request{Type: "query", Query: q, ForNode: forNode})
 			o := outcome{node: partition, conn: target, err: err, backup: backup}
 			if err == nil {
 				t, terr := resp.Table.Table()
@@ -665,7 +638,7 @@ collect:
 		res.Partial = true
 		//lint:allow determinism,taintflow -- merge wall time feeds the merge span only
 		mergeStart := time.Now()
-		merged, mergeCtr, err := merge(tables)
+		merged, mergeCtr, err := c.merge(q, d, tables)
 		if err != nil {
 			return nil, perr
 		}
@@ -679,7 +652,7 @@ collect:
 
 	//lint:allow determinism,taintflow -- merge wall time feeds the merge span only
 	mergeStart := time.Now()
-	merged, mergeCtr, err := merge(tables)
+	merged, mergeCtr, err := c.merge(q, d, tables)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,9 @@ import (
 
 	"wimpi/internal/cluster/faultconn"
 	"wimpi/internal/colstore"
+	"wimpi/internal/engine"
 	"wimpi/internal/plan"
+	sqlpkg "wimpi/internal/sql"
 	"wimpi/internal/tpch"
 )
 
@@ -62,13 +64,18 @@ func baselineTables(t *testing.T) map[int]*colstore.Table {
 			return
 		}
 		defer lc.Close()
-		if _, err := lc.Coordinator.Load(testSF, chaosSeed); err != nil {
+		stmts, err := tpch.Statements(tpch.RepresentativeQueries)
+		if err != nil {
+			chaosErr = err
+			return
+		}
+		if _, err := lc.Coordinator.LoadSQL(testSF, chaosSeed, stmts); err != nil {
 			chaosErr = err
 			return
 		}
 		chaosBaseline = map[int]*colstore.Table{}
 		for _, q := range tpch.RepresentativeQueries {
-			res, err := lc.Coordinator.Run(q)
+			res, err := lc.Coordinator.RunSQL(q)
 			if err != nil {
 				chaosErr = fmt.Errorf("baseline Q%d: %w", q, err)
 				return
@@ -80,6 +87,16 @@ func baselineTables(t *testing.T) map[int]*colstore.Table {
 		t.Fatal(chaosErr)
 	}
 	return chaosBaseline
+}
+
+// distributed is TPC-H query q split for the cluster.
+func distributed(t *testing.T, q int) *sqlpkg.DistSQL {
+	t.Helper()
+	d, err := sqlpkg.Distribute(tpch.MustSQL(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 func assertIdentical(t *testing.T, q int, got *colstore.Table, baseline map[int]*colstore.Table) {
@@ -125,11 +142,11 @@ func TestChaosFaultClasses(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(lc.Close)
-			if _, err := lc.Coordinator.LoadContext(ctx, testSF, chaosSeed); err != nil {
+			if _, err := lc.Coordinator.LoadSQLContext(ctx, testSF, chaosSeed, representativeSQL(t)); err != nil {
 				t.Fatal(err)
 			}
 			for _, q := range tpch.RepresentativeQueries {
-				res, err := lc.Coordinator.RunContext(ctx, q)
+				res, err := lc.Coordinator.RunSQLContext(ctx, q)
 				if err != nil {
 					t.Fatalf("Q%d: %v", q, err)
 				}
@@ -157,17 +174,16 @@ func TestChaosRedispatchByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(lc.Close)
-	if _, err := lc.Coordinator.LoadContext(ctx, testSF, chaosSeed); err != nil {
+	if _, err := lc.Coordinator.LoadSQLContext(ctx, testSF, chaosSeed, representativeSQL(t)); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range tpch.RepresentativeQueries {
-		res, err := lc.Coordinator.RunContext(ctx, q)
+		res, err := lc.Coordinator.RunSQLContext(ctx, q)
 		if err != nil {
 			t.Fatalf("Q%d: %v", q, err)
 		}
 		assertIdentical(t, q, res.Table, baseline)
-		dq, _ := tpch.DistQueryFor(q)
-		if !dq.SingleNode && res.Redispatches < 1 {
+		if !distributed(t, q).SingleNode && res.Redispatches < 1 {
 			t.Errorf("Q%d: expected at least one re-dispatch, got %d", q, res.Redispatches)
 		}
 		if res.Partial {
@@ -197,28 +213,31 @@ func TestChaosRedispatchUnderMemBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(lc.Close)
-	if _, err := lc.Coordinator.LoadContext(ctx, testSF, chaosSeed); err != nil {
+	if _, err := lc.Coordinator.LoadSQLContext(ctx, testSF, chaosSeed, representativeSQL(t)); err != nil {
 		t.Fatal(err)
 	}
+	catalog := engine.NewDB(engine.Config{})
+	tpchMini(t).RegisterAll(catalog)
 	spilled, ran := false, 0
 	for _, q := range tpch.RepresentativeQueries {
-		dq, err := tpch.DistQueryFor(q)
+		d := distributed(t, q)
+		partial, err := sqlpkg.Plan(catalog, d.Partial, sqlpkg.Options{UniqueKeys: tpch.TableKeys()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !plan.Spillable(dq.Partial()) {
+		if !plan.Spillable(partial.Node) {
 			// A per-node partial with no join has nothing to spill: the
 			// budget cancels it (the single-node MemLimitError semantics),
 			// so it is out of scope for the spill acceptance run.
 			continue
 		}
 		ran++
-		res, err := lc.Coordinator.RunContext(ctx, q)
+		res, err := lc.Coordinator.RunSQLContext(ctx, q)
 		if err != nil {
 			t.Fatalf("Q%d: %v", q, err)
 		}
 		assertIdentical(t, q, res.Table, baseline)
-		if !dq.SingleNode && res.Redispatches < 1 {
+		if !d.SingleNode && res.Redispatches < 1 {
 			t.Errorf("Q%d: expected at least one re-dispatch, got %d", q, res.Redispatches)
 		}
 		for _, nc := range res.NodeCounters {
@@ -253,15 +272,14 @@ func TestChaosPartialResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(lc.Close)
-	if _, err := lc.Coordinator.LoadContext(ctx, testSF, chaosSeed); err != nil {
+	if _, err := lc.Coordinator.LoadSQLContext(ctx, testSF, chaosSeed, representativeSQL(t)); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range tpch.RepresentativeQueries {
-		dq, _ := tpch.DistQueryFor(q)
 		start := time.Now()
-		res, err := lc.Coordinator.RunContext(ctx, q)
+		res, err := lc.Coordinator.RunSQLContext(ctx, q)
 		elapsed := time.Since(start)
-		if dq.SingleNode {
+		if distributed(t, q).SingleNode {
 			// Q13 runs on node 0 only; node 1's fault never fires.
 			if err != nil {
 				t.Fatalf("Q%d (single-node): %v", q, err)
@@ -306,10 +324,10 @@ func TestChaosPartialWithoutAllowPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(lc.Close)
-	if _, err := lc.Coordinator.LoadContext(ctx, 0.005, chaosSeed); err != nil {
+	if _, err := lc.Coordinator.LoadSQLContext(ctx, 0.005, chaosSeed, tpchSQL(t, 6)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := lc.Coordinator.RunContext(ctx, 6)
+	res, err := lc.Coordinator.RunSQLContext(ctx, 6)
 	var perr *PartialClusterError
 	if !errors.As(err, &perr) {
 		t.Fatalf("want PartialClusterError, got %v", err)
@@ -342,11 +360,11 @@ func TestChaosStragglerRedispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(lc.Close)
-	if _, err := lc.Coordinator.LoadContext(ctx, testSF, chaosSeed); err != nil {
+	if _, err := lc.Coordinator.LoadSQLContext(ctx, testSF, chaosSeed, representativeSQL(t)); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	res, err := lc.Coordinator.RunContext(ctx, 1)
+	res, err := lc.Coordinator.RunSQLContext(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,12 +396,12 @@ func TestChaosReproducible(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer lc.Close()
-		if _, err := lc.Coordinator.LoadContext(ctx, testSF, chaosSeed); err != nil {
+		if _, err := lc.Coordinator.LoadSQLContext(ctx, testSF, chaosSeed, representativeSQL(t)); err != nil {
 			t.Fatal(err)
 		}
 		out := map[int]*colstore.Table{}
 		for _, q := range tpch.RepresentativeQueries {
-			res, err := lc.Coordinator.RunContext(ctx, q)
+			res, err := lc.Coordinator.RunSQLContext(ctx, q)
 			if err != nil {
 				t.Fatalf("Q%d: %v", q, err)
 			}
@@ -431,7 +449,7 @@ func TestCloseBoundedWithDeadWorker(t *testing.T) {
 }
 
 // TestChaosLoadFailureTyped: a node whose load responses always die
-// surfaces as a typed PartialClusterError from Load, not a hang.
+// surfaces as a typed PartialClusterError from LoadSQL, not a hang.
 func TestChaosLoadFailureTyped(t *testing.T) {
 	ctx := chaosCtx(t, 30*time.Second)
 	plan := &faultconn.Plan{Seed: 10, Rules: []faultconn.Rule{
@@ -444,7 +462,7 @@ func TestChaosLoadFailureTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(lc.Close)
-	_, err = lc.Coordinator.LoadContext(ctx, 0.002, 1)
+	_, err = lc.Coordinator.LoadSQLContext(ctx, 0.002, 1, tpchSQL(t, 6))
 	var perr *PartialClusterError
 	if !errors.As(err, &perr) {
 		t.Fatalf("want PartialClusterError from load, got %v", err)

@@ -8,6 +8,7 @@ import (
 	"wimpi/internal/exec"
 	"wimpi/internal/hardware"
 	"wimpi/internal/plan"
+	sqlpkg "wimpi/internal/sql"
 	"wimpi/internal/tpch"
 )
 
@@ -55,17 +56,22 @@ func NewHybrid(c *Coordinator, full *tpch.Dataset, workers int) (*HybridCoordina
 	return &HybridCoordinator{Coordinator: c, localDB: db}, nil
 }
 
-// Run executes a distributed query; queries that touch no partitioned
-// table execute locally on the front-end server.
+// Run executes statement q shipped by the last LoadSQL. A statement that
+// touches no partitioned table (sql.DistSQL.SingleNode) runs its partial
+// text here, on the front-end server; the rest run on the workers.
 func (h *HybridCoordinator) Run(q int) (*DistResult, error) {
-	dq, err := tpch.DistQueryFor(q)
+	d, err := h.statement(q)
 	if err != nil {
 		return nil, err
 	}
-	if !dq.SingleNode {
-		return h.Coordinator.Run(q)
+	if !d.SingleNode {
+		return h.RunSQL(q)
 	}
-	res, err := h.localDB.RunQuery(context.Background(), dq.Partial(), engine.QueryOpts{})
+	pl, err := sqlpkg.Plan(h.localDB, d.Partial, sqlpkg.Options{UniqueKeys: tpch.TableKeys()})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: hybrid local Q%d: %w", q, err)
+	}
+	res, err := h.localDB.RunQuery(context.Background(), pl.Node, engine.QueryOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: hybrid local Q%d: %w", q, err)
 	}

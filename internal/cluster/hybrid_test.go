@@ -15,7 +15,7 @@ func TestHybridCoordinatorQ13RunsOnFrontEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lc.Close()
-	if _, err := lc.Coordinator.Load(0.005, 42); err != nil {
+	if _, err := lc.Coordinator.LoadSQL(0.005, 42, tpchSQL(t, 6, 13)); err != nil {
 		t.Fatal(err)
 	}
 	hy, err := NewHybrid(lc.Coordinator, full, 2)
@@ -32,7 +32,7 @@ func TestHybridCoordinatorQ13RunsOnFrontEnd(t *testing.T) {
 	if hres.NodesUsed != 0 {
 		t.Errorf("hybrid Q13 used %d workers, want 0", hres.NodesUsed)
 	}
-	plain, err := lc.Coordinator.Run(13)
+	plain, err := lc.Coordinator.RunSQL(13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,13 +46,13 @@ func TestHybridCoordinatorQ13RunsOnFrontEnd(t *testing.T) {
 	if h6.NodesUsed != 3 {
 		t.Errorf("hybrid Q6 used %d workers, want 3", h6.NodesUsed)
 	}
-	p6, err := lc.Coordinator.Run(6)
+	p6, err := lc.Coordinator.RunSQL(6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	compareTables(t, 6, h6.Table, p6.Table)
 
-	// Unsupported queries still error.
+	// Statements the load did not ship error.
 	if _, err := hy.Run(2); err == nil {
 		t.Error("hybrid Run(2) should error")
 	}
@@ -65,7 +65,7 @@ func TestSimulateHybridMovesMemoryPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lc.Close()
-	if _, err := lc.Coordinator.Load(0.02, 7); err != nil {
+	if _, err := lc.Coordinator.LoadSQL(0.02, 7, tpchSQL(t, 13)); err != nil {
 		t.Fatal(err)
 	}
 	hy, err := NewHybrid(lc.Coordinator, full, 2)
@@ -87,7 +87,7 @@ func TestSimulateHybridMovesMemoryPressure(t *testing.T) {
 	}
 
 	// Plain WimPi: Q13 on a thrashing Pi node.
-	plain, err := lc.Coordinator.Run(13)
+	plain, err := lc.Coordinator.RunSQL(13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +126,12 @@ func TestNewHybridValidation(t *testing.T) {
 	}
 	if hy == nil {
 		t.Fatal("nil hybrid")
+	}
+	if _, err := hy.Run(13); err == nil {
+		t.Error("hybrid Run before LoadSQL should error")
+	}
+	if _, err := lc.Coordinator.LoadSQL(0.001, 1, tpchSQL(t, 13)); err != nil {
+		t.Fatal(err)
 	}
 	res, err := hy.Run(13)
 	if err != nil {

@@ -10,28 +10,23 @@ import (
 	"wimpi/internal/tpch"
 )
 
-// representativeSQL returns the SQL texts of the representative queries,
-// keyed by query number — the statement set LoadSQL ships.
-func representativeSQL(t *testing.T) map[int]string {
-	t.Helper()
+// TestSQLDistributedMatchesSingleNode: every representative query, with
+// random substitution parameters, run across a 3-node cluster — per-node
+// partials planned from the shipped partial statements, coordinator
+// merge planned from the merge statement — returns exactly the
+// single-node answer, and every node makes the same planning decisions.
+func TestSQLDistributedMatchesSingleNode(t *testing.T) {
+	p := tpch.RandomParams(3)
 	stmts := make(map[int]string, len(tpch.RepresentativeQueries))
 	for _, q := range tpch.RepresentativeQueries {
-		text, err := tpch.SQL(q)
+		text, err := tpch.SQLP(q, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		stmts[q] = text
 	}
-	return stmts
-}
-
-// TestSQLDistributedMatchesSingleNode: every representative query run
-// from SQL text across a 3-node cluster — per-node partials planned from
-// the shipped partial statements, coordinator merge planned from the
-// merge statement — returns exactly the single-node hand-built answer.
-func TestSQLDistributedMatchesSingleNode(t *testing.T) {
 	lc := startCluster(t, 3)
-	if _, err := lc.Coordinator.LoadSQL(testSF, 42, representativeSQL(t)); err != nil {
+	if _, err := lc.Coordinator.LoadSQL(testSF, 42, stmts); err != nil {
 		t.Fatal(err)
 	}
 
@@ -43,7 +38,11 @@ func TestSQLDistributedMatchesSingleNode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Q%d: %v", q, err)
 		}
-		want, err := single.RunQuery(context.Background(), tpch.MustQuery(q), engine.QueryOpts{})
+		node, err := tpch.QueryP(single, q, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := single.RunQuery(context.Background(), node, engine.QueryOpts{})
 		if err != nil {
 			t.Fatalf("Q%d single: %v", q, err)
 		}
@@ -61,10 +60,10 @@ func TestSQLDistributedMatchesSingleNode(t *testing.T) {
 		// its own partition's statistics — so compare with the numbers
 		// stripped. (Exact byte identity holds when the partition is the
 		// same: see TestSQLRedispatchPlansIdentical.)
-		for i, p := range res.NodePlans {
-			if stripEstimates(p) != stripEstimates(res.NodePlans[0]) {
+		for i, np := range res.NodePlans {
+			if stripEstimates(np) != stripEstimates(res.NodePlans[0]) {
 				t.Errorf("Q%d: node %d plan decisions differ from node 0:\n%s\nvs\n%s",
-					q, i, res.NodePlans[0], p)
+					q, i, res.NodePlans[0], np)
 			}
 		}
 	}
@@ -88,11 +87,12 @@ func stripEstimates(s string) string {
 	return b.String()
 }
 
-// TestSQLRunWithoutLoadSQLFails: RunSQL before any LoadSQL is a clear
-// coordinator-side error, not a worker round trip.
+// TestSQLRunWithoutLoadSQLFails: RunSQL of a statement the last LoadSQL
+// did not ship is a clear coordinator-side error, not a worker round
+// trip.
 func TestSQLRunWithoutLoadSQLFails(t *testing.T) {
 	lc := startCluster(t, 2)
-	if _, err := lc.Coordinator.Load(testSF, 42); err != nil {
+	if _, err := lc.Coordinator.LoadSQL(testSF, 42, tpchSQL(t, 6)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := lc.Coordinator.RunSQL(1); err == nil || !strings.Contains(err.Error(), "no SQL loaded") {
@@ -131,11 +131,11 @@ func TestSQLRedispatchPlansIdentical(t *testing.T) {
 
 	for _, q := range tpch.RepresentativeQueries {
 		// Partition 1 at home (worker 1) vs re-dispatched to worker 0.
-		home := workers[1].handle(&Request{Type: "query", Query: q, ForNode: -1, SQL: true})
+		home := workers[1].handle(&Request{Type: "query", Query: q, ForNode: -1})
 		if home.Err != "" {
 			t.Fatalf("Q%d home: %s", q, home.Err)
 		}
-		moved := workers[0].handle(&Request{Type: "query", Query: q, ForNode: 1, SQL: true})
+		moved := workers[0].handle(&Request{Type: "query", Query: q, ForNode: 1})
 		if moved.Err != "" {
 			t.Fatalf("Q%d re-dispatched: %s", q, moved.Err)
 		}

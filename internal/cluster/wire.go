@@ -129,7 +129,8 @@ type Request struct {
 	Type string
 	// Load parameterizes a "load" request.
 	Load *LoadRequest
-	// Query is the TPC-H query number for a "query" request.
+	// Query names the statement a "query" request runs: the worker plans
+	// the partial SQL text shipped with the load (LoadRequest.SQL[Query]).
 	Query int
 	// ForNode, when >= 0, asks the worker to run the query over
 	// partition ForNode instead of its own — the straggler/failure
@@ -138,10 +139,6 @@ type Request struct {
 	// partial is byte-identical to what the original node would have
 	// produced. -1 (the coordinator's default) means "your partition".
 	ForNode int
-	// SQL makes a "query" request plan the partial SQL text shipped
-	// with the load (LoadRequest.SQL[Query]) instead of the hand-built
-	// distributed plan registry.
-	SQL bool
 	// IperfBytes is the payload size for an "iperf" request.
 	IperfBytes int64
 }
@@ -188,9 +185,9 @@ type Response struct {
 	Table *WireTable
 	// Counters is the work profile of the partial execution.
 	Counters exec.Counters
-	// Plan is the rendered optimizer report of a SQL partial (empty for
-	// hand-built plans) — the coordinator compares these across nodes
-	// and re-dispatches to prove planning is worker-independent.
+	// Plan is the rendered optimizer report of the partial — the
+	// coordinator compares these across nodes and re-dispatches to prove
+	// planning is worker-independent.
 	Plan string
 	// DBBytes reports the worker's resident data size after a load.
 	DBBytes int64

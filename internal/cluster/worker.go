@@ -124,7 +124,7 @@ func (w *Worker) handle(req *Request) *Response {
 	case "load":
 		return w.handleLoad(req.Load)
 	case "query":
-		return w.handleQuery(req.Query, req.ForNode, req.SQL)
+		return w.handleQuery(req.Query, req.ForNode)
 	default:
 		return &Response{Err: fmt.Sprintf("unknown request type %q", req.Type)}
 	}
@@ -221,7 +221,7 @@ func (w *Worker) spareDB(node int) (*engine.DB, error) {
 	return db, nil
 }
 
-func (w *Worker) handleQuery(q, forNode int, useSQL bool) *Response {
+func (w *Worker) handleQuery(q, forNode int) *Response {
 	w.mu.Lock()
 	db := w.db
 	loaded := w.loaded
@@ -239,44 +239,29 @@ func (w *Worker) handleQuery(q, forNode int, useSQL bool) *Response {
 		}
 		db = sdb
 	}
-	if useSQL {
-		text, ok := last.SQL[q]
-		if !ok {
-			return &Response{Err: fmt.Sprintf("no SQL shipped for query %d in the last load", q)}
-		}
-		// Planned here, against this node's catalog. The optimizer is
-		// catalog-dependent and worker-independent, and every node holds
-		// the same replicated dimension tables plus an equal-share
-		// lineitem partition, so a foreign partition re-dispatched here
-		// plans — and answers — exactly like its home node.
-		pl, err := sqlpkg.Plan(db, text, sqlpkg.Options{
-			LLCBytes: last.TargetLLCBytes, UniqueKeys: tpch.TableKeys(),
-		})
-		if err != nil {
-			return &Response{Err: fmt.Sprintf("query %d: plan: %v", q, err)}
-		}
-		res, err := db.RunQuery(context.Background(), pl.Node, engine.QueryOpts{})
-		if err != nil {
-			return &Response{Err: fmt.Sprintf("query %d: %v", q, err)}
-		}
-		return &Response{
-			Table:    ToWire(res.Table),
-			Counters: res.Counters,
-			DBBytes:  dbBytes,
-			Plan:     obs.RenderPlanChoices(pl.Report.Choices),
-		}
+	text, ok := last.SQL[q]
+	if !ok {
+		return &Response{Err: fmt.Sprintf("no SQL shipped for query %d in the last load", q)}
 	}
-	dq, err := tpch.DistQueryFor(q)
+	// Planned here, against this node's catalog. The optimizer is
+	// catalog-dependent and worker-independent, and every node holds the
+	// same replicated dimension tables plus an equal-share lineitem
+	// partition, so a foreign partition re-dispatched here plans — and
+	// answers — exactly like its home node.
+	pl, err := sqlpkg.Plan(db, text, sqlpkg.Options{
+		LLCBytes: last.TargetLLCBytes, UniqueKeys: tpch.TableKeys(),
+	})
 	if err != nil {
-		return &Response{Err: err.Error()}
+		return &Response{Err: fmt.Sprintf("query %d: plan: %v", q, err)}
 	}
-	res, err := db.RunQuery(context.Background(), dq.Partial(), engine.QueryOpts{})
+	res, err := db.RunQuery(context.Background(), pl.Node, engine.QueryOpts{})
 	if err != nil {
-		return &Response{Err: fmt.Sprintf("Q%d: %v", q, err)}
+		return &Response{Err: fmt.Sprintf("query %d: %v", q, err)}
 	}
 	return &Response{
 		Table:    ToWire(res.Table),
 		Counters: res.Counters,
 		DBBytes:  dbBytes,
+		Plan:     obs.RenderPlanChoices(pl.Report.Choices),
 	}
 }

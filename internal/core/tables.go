@@ -55,7 +55,8 @@ type TableIIResult struct {
 	MemSeqShare map[int]float64
 }
 
-// TableII runs all 22 TPC-H queries once on the host engine and
+// TableII runs all 22 TPC-H queries once on the host engine — each
+// planned from its SQL text, as the paper's MonetDB runs them — and
 // simulates each comparison point's runtime from the recorded work.
 func (h *Harness) TableII() (*TableIIResult, error) {
 	_, db := h.sfDatabase()
@@ -67,7 +68,7 @@ func (h *Harness) TableII() (*TableIIResult, error) {
 		MemSeqShare: make(map[int]float64),
 	}
 	for _, q := range tpch.QueryNumbers() {
-		r, err := db.RunQuery(context.Background(), tpch.MustQuery(q), engine.QueryOpts{})
+		r, err := db.RunQuery(context.Background(), tpch.MustQuery(db, q), engine.QueryOpts{})
 		if err != nil {
 			return nil, fmt.Errorf("core: table II Q%d: %w", q, err)
 		}
@@ -154,7 +155,7 @@ func (h *Harness) TableIII() (*TableIIIResult, error) {
 	}
 	// Server rows: single-node execution.
 	for _, q := range res.Queries {
-		r, err := db.RunQuery(context.Background(), tpch.MustQuery(q), engine.QueryOpts{})
+		r, err := db.RunQuery(context.Background(), tpch.MustQuery(db, q), engine.QueryOpts{})
 		if err != nil {
 			return nil, fmt.Errorf("core: table III Q%d servers: %w", q, err)
 		}
@@ -169,20 +170,24 @@ func (h *Harness) TableIII() (*TableIIIResult, error) {
 		res.WimPi[q] = make(map[int]float64)
 		res.Thrashed[q] = make(map[int]bool)
 	}
+	stmts, err := tpch.Statements(res.Queries)
+	if err != nil {
+		return nil, err
+	}
 	// WimPi rows: one real cluster per size.
 	for _, n := range h.Opt.ClusterSizes {
 		lc, err := cluster.StartLocal(n, cluster.WorkerConfig{Source: cluster.SharedSource(data)}, 4)
 		if err != nil {
 			return nil, fmt.Errorf("core: start %d-node cluster: %w", n, err)
 		}
-		if _, err := lc.Coordinator.Load(h.Opt.DistSF, h.Opt.Seed); err != nil {
+		if _, err := lc.Coordinator.LoadSQL(h.Opt.DistSF, h.Opt.Seed, stmts); err != nil {
 			lc.Close()
 			return nil, fmt.Errorf("core: load %d-node cluster: %w", n, err)
 		}
 		opt := cluster.DefaultSimOptions()
 		opt.NodeProfile.RAMBytes = res.NodeRAMBytes
 		for _, q := range res.Queries {
-			dr, err := lc.Coordinator.Run(q)
+			dr, err := lc.Coordinator.RunSQL(q)
 			if err != nil {
 				lc.Close()
 				return nil, fmt.Errorf("core: %d-node Q%d: %w", n, q, err)

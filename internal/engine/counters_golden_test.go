@@ -1,6 +1,7 @@
 package engine_test
 
-// Work-profile golden: the exec.Counters of all 22 TPC-H queries under
+// Work-profile golden: the exec.Counters of all 22 TPC-H queries, planned
+// from their SQL texts, under
 // the three join regimes the planner can pick (chained at the default
 // LLC budget, forced radix, forced spill). The counters are the inputs
 // of the simulated Table II/III, so a refactor that claims "same work"
@@ -18,6 +19,7 @@ import (
 	"testing"
 
 	"wimpi/internal/engine"
+	"wimpi/internal/sql"
 	"wimpi/internal/tpch"
 )
 
@@ -38,12 +40,14 @@ func TestCountersGolden(t *testing.T) {
 		db := engine.NewDB(c.cfg)
 		data.RegisterAll(db)
 		for _, q := range tpch.QueryNumbers() {
-			p, err := tpch.Query(q)
+			pl, err := sql.Plan(db, tpch.MustSQL(q), sql.Options{
+				LLCBytes: c.cfg.TargetLLCBytes, UniqueKeys: tpch.TableKeys(),
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			fmt.Fprintf(&sb, "== %s Q%d\n", c.name, q)
-			res, err := db.RunQuery(context.Background(), p, engine.QueryOpts{Workers: 2})
+			res, err := db.RunQuery(context.Background(), pl.Node, engine.QueryOpts{Workers: 2})
 			if err != nil {
 				// Joinless plans have nothing to spill; the budget cancels them.
 				fmt.Fprintf(&sb, "error: %v\n", err)

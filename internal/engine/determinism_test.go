@@ -40,13 +40,14 @@ func assertTablesIdentical(t *testing.T, want, got *colstore.Table, label string
 }
 
 // TestQueriesDeterministicAcrossWorkers runs all 22 TPC-H queries at
-// 1, 2, 4, and 8 workers and requires byte-identical results.
+// 1, 2, 4, and 8 workers and requires byte-identical results. Each
+// query's one planned tree serves every run.
 func TestQueriesDeterministicAcrossWorkers(t *testing.T) {
 	db := determinismDB(t)
 	for _, q := range tpch.QueryNumbers() {
 		q := q
 		t.Run(fmt.Sprintf("Q%d", q), func(t *testing.T) {
-			p, err := tpch.Query(q)
+			p, err := tpch.Query(db, q)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -49,7 +49,7 @@ func TestQueriesFusedMatchVector(t *testing.T) {
 	for _, q := range tpch.QueryNumbers() {
 		q := q
 		t.Run(fmt.Sprintf("Q%d", q), func(t *testing.T) {
-			p, err := tpch.Query(q)
+			p, err := tpch.Query(dbs[plan.ExecVector], q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func TestQueriesFusedMatchVector(t *testing.T) {
 // fused-pipeline operator with its mode decision.
 func TestFusedTracedMatchesRun(t *testing.T) {
 	dbs := fusedModeDBs(t)
-	p, err := tpch.Query(6)
+	p, err := tpch.Query(dbs[plan.ExecVector], 6)
 	if err != nil {
 		t.Fatal(err)
 	}

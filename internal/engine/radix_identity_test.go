@@ -46,7 +46,7 @@ func TestRadixPlansByteIdentical(t *testing.T) {
 	for _, q := range tpch.QueryNumbers() {
 		q := q
 		t.Run(fmt.Sprintf("Q%d", q), func(t *testing.T) {
-			p, err := tpch.Query(q)
+			p, err := tpch.Query(direct, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func TestRadixPlansDeterministicAcrossWorkers(t *testing.T) {
 	for _, q := range tpch.QueryNumbers() {
 		q := q
 		t.Run(fmt.Sprintf("Q%d", q), func(t *testing.T) {
-			p, err := tpch.Query(q)
+			p, err := tpch.Query(radix, q)
 			if err != nil {
 				t.Fatal(err)
 			}

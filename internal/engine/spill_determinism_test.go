@@ -55,7 +55,7 @@ func TestQueriesIdenticalUnderSpillBudget(t *testing.T) {
 	}
 	spilledQueries := 0
 	for _, q := range tpch.QueryNumbers() {
-		p, err := tpch.Query(q)
+		p, err := tpch.Query(base, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestQueryOptsBudgetOverridesConfig(t *testing.T) {
 	data := spillSuiteDataset()
 	db := engine.NewDB(engine.Config{})
 	data.RegisterAll(db)
-	p := tpch.MustQuery(3)
+	p := tpch.MustQuery(db, 3)
 
 	unlimited, err := db.RunQuery(context.Background(), p, engine.QueryOpts{})
 	if err != nil {

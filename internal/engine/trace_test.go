@@ -54,7 +54,7 @@ func TestSpanTreeDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for _, q := range []int{1, 6} {
 		t.Run(fmt.Sprintf("Q%d", q), func(t *testing.T) {
-			p, err := tpch.Query(q)
+			p, err := tpch.Query(determinismDB(t), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +117,7 @@ func configuredDB(t *testing.T, cfg engine.Config) *engine.DB {
 // table and the same total counters, and a traced run's root span holds
 // exactly those counters.
 func TestRunTracedMatchesRun(t *testing.T) {
-	p := tpch.MustQuery(3)
+	p := tpch.MustQuery(determinismDB(t), 3)
 	want, err := determinismDB(t).RunQuery(context.Background(), p, engine.QueryOpts{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestRunTracedMatchesRun(t *testing.T) {
 // time to the scan/aggregate pipeline.
 func TestExplainAnalyzeQ1OnPi(t *testing.T) {
 	db := determinismDB(t)
-	p, err := tpch.Query(1)
+	p, err := tpch.Query(db, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,8 +66,8 @@ func Compile(ctx *Context, n Node) Node {
 }
 
 // compileNode recursively rewrites pipelines. Unknown node types (for
-// example query-defined function nodes) are returned unchanged — their
-// internals execute exactly as before.
+// example the SQL layer's CTE and scalar-subquery nodes) are returned
+// unchanged — their internals execute exactly as before.
 func compileNode(ctx *Context, n Node) Node {
 	switch v := n.(type) {
 	case *GroupBy:
@@ -106,13 +106,6 @@ func compileNode(ctx *Context, n Node) Node {
 		c := *v
 		c.Input = compileNode(ctx, v.Input)
 		return &c
-	case *Rename:
-		if f, ok := tryFuse(ctx, n, nil, nil); ok {
-			return f
-		}
-		c := *v
-		c.Input = compileNode(ctx, v.Input)
-		return &c
 	case *Limit:
 		c := *v
 		c.Input = compileNode(ctx, v.Input)
@@ -142,10 +135,6 @@ type projectStage struct{ cols []NamedExpr }
 
 func (projectStage) stageName() string { return "project" }
 
-type renameStage struct{ pairs [][2]string }
-
-func (renameStage) stageName() string { return "rename" }
-
 // probeStage is a hash-join probe whose build side is a pipeline breaker
 // executed as a regular (recursively compiled) subplan.
 type probeStage struct {
@@ -159,7 +148,7 @@ type probeStage struct {
 func (probeStage) stageName() string { return "probe" }
 
 // Fused executes one compiled pipeline: a driver (base-table scan or any
-// generic subplan), a chain of filter/project/rename/probe stages
+// generic subplan), a chain of filter/project/probe stages
 // carried on selection vectors, and a sink (group-by, sort, or plain
 // materialization). When its compile-time decision chose vector
 // execution (auto mode), it delegates to the original operator chain —
@@ -263,9 +252,6 @@ func extractChain(ctx *Context, n Node) (scan *Scan, input Node, stages []fusedS
 			}
 			rev = append(rev, projectStage{cols: v.Cols})
 			cur = v.Input
-		case *Rename:
-			rev = append(rev, renameStage{pairs: v.Pairs})
-			cur = v.Input
 		case *HashJoin:
 			if len(v.BuildKeys) == 0 || len(v.BuildKeys) > 2 || len(v.BuildKeys) != len(v.ProbeKeys) {
 				c := *v
@@ -283,7 +269,7 @@ func extractChain(ctx *Context, n Node) (scan *Scan, input Node, stages []fusedS
 			})
 			cur = v.Probe
 		default:
-			// Unknown node (function node, limit, nested sink): let it
+			// Unknown node (CTE, limit, nested sink): let it
 			// drive the pipeline as a regular subplan.
 			input = compileNode(ctx, cur)
 			return nil, input, reverseStages(rev), true
@@ -315,8 +301,6 @@ func rebuildChain(scan *Scan, input Node, stages []fusedStage, group *GroupBy, o
 			n = &Filter{Input: n, Pred: s.pred}
 		case projectStage:
 			n = &Project{Input: n, Cols: s.cols}
-		case renameStage:
-			n = &Rename{Input: n, Pairs: s.pairs}
 		case probeStage:
 			n = &HashJoin{Build: s.build, Probe: n, BuildKeys: s.buildKeys, ProbeKeys: s.probeKeys,
 				Kind: s.kind, CountAs: s.countAs, Sideways: s.sideways}
@@ -382,8 +366,6 @@ func (f *Fused) run(ctx *Context) (*colstore.Table, error) {
 			err = st.applyFilter(s.pred)
 		case projectStage:
 			err = st.applyProject(s.cols)
-		case renameStage:
-			err = st.applyRename(s.pairs)
 		case probeStage:
 			err = st.applyProbe(&s)
 		}
@@ -604,23 +586,6 @@ func (st *fusedState) applyProject(cols []NamedExpr) error {
 		newScope = append(newScope, binding{name: ne.Name, kind: bindExpr, expr: ne.Expr, deps: deps})
 	}
 	st.scope = newScope
-	return nil
-}
-
-func (st *fusedState) applyRename(pairs [][2]string) error {
-	for _, pr := range pairs {
-		found := false
-		for i := range st.scope {
-			if st.scope[i].name == pr[0] {
-				st.scope[i].name = pr[1]
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("plan: rename: no column %q", pr[0])
-		}
-	}
 	return nil
 }
 
@@ -934,7 +899,7 @@ func (st *fusedState) sinkOrder(o *OrderBy) (*colstore.Table, error) {
 }
 
 // sinkPlain materializes the full scope: the pipeline's output feeds a
-// pipeline breaker (join build, limit, function node) or is the query
+// pipeline breaker (join build, limit, CTE) or is the query
 // result.
 func (st *fusedState) sinkPlain() (*colstore.Table, error) {
 	out, err := st.materializeTable(st.scope)
@@ -1157,8 +1122,6 @@ func estimateModes(f *Fused, driver *colstore.Table) (vec, fus exec.Counters) {
 				cur *= autoSelSemi
 			}
 			chargeGather(&vec, cur) // vector gathers the join output
-		case renameStage:
-			// Renames touch metadata only; no cost either way.
 		}
 	}
 	// Fused pays one gather at the sink (narrowed to the needed columns

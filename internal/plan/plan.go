@@ -3,9 +3,9 @@
 // a result table, in the operator-at-a-time style of column stores like
 // MonetDB (the system used in the paper's TPC-H study).
 //
-// Plans are built by hand (package tpch, library users) or by the SQL
-// front end (package sql), which lowers a statement onto these operators
-// and optimizes the tree. The executor records all work in an
+// Plans come from the SQL front end (package sql), which lowers a
+// statement onto these operators and optimizes the tree, or are built by
+// hand by library users and tests. The executor records all work in an
 // exec.Counters so the hardware layer can simulate runtimes for the
 // paper's ten comparison points.
 package plan
@@ -94,6 +94,29 @@ type Context struct {
 	// sideways holds the probe keys of every running hash join that
 	// publishes them to a KeyFilter, while its build side executes.
 	sideways map[*KeySet][]int64
+	// memo holds the tables Memo computed during this run.
+	memo map[any]*colstore.Table
+}
+
+// Memo returns the table computed under key during this run, calling
+// compute the first time the run asks for it — how a node read by
+// several parents (a WITH table referenced twice) executes once per run.
+// The table lives on the Context, not in the node, so one plan tree can
+// run any number of times, concurrently too; RunContext drops it when
+// the run ends.
+func (c *Context) Memo(key any, compute func() (*colstore.Table, error)) (*colstore.Table, error) {
+	if t, ok := c.memo[key]; ok {
+		return t, nil
+	}
+	t, err := compute()
+	if err != nil {
+		return nil, err
+	}
+	if c.memo == nil {
+		c.memo = map[any]*colstore.Table{}
+	}
+	c.memo[key] = t
+	return t, nil
 }
 
 // area returns the query's spill area, creating it on first use.
@@ -210,6 +233,7 @@ func RunContext(ctx *Context, n Node) (*Result, error) {
 	}
 	t, err := compiled.Execute(ctx)
 	ctx.spillOK = false
+	ctx.memo = nil
 	if a := ctx.spillArea; a != nil {
 		ctx.spillArea = nil
 		if cerr := a.Close(); cerr != nil && err == nil {
@@ -431,41 +455,6 @@ func (p *Project) Explain(depth int) string {
 		parts[i] = fmt.Sprintf("%s=%s", ne.Name, ne.Expr)
 	}
 	return fmt.Sprintf("%sproject %s\n%s", pad(depth), strings.Join(parts, ", "), p.Input.Explain(depth+1))
-}
-
-// Rename relabels columns (for example the second nation table in Q7).
-type Rename struct {
-	// Input is the child operator.
-	Input Node
-	// Pairs lists {from, to} column name pairs.
-	Pairs [][2]string
-}
-
-// Execute implements Node.
-func (r *Rename) Execute(ctx *Context) (*colstore.Table, error) {
-	in, err := r.Input.Execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	schema := make(colstore.Schema, len(in.Schema))
-	copy(schema, in.Schema)
-	for _, pr := range r.Pairs {
-		i := in.Schema.Index(pr[0])
-		if i < 0 {
-			return nil, fmt.Errorf("plan: rename: no column %q", pr[0])
-		}
-		schema[i].Name = pr[1]
-	}
-	return colstore.NewTable(in.Name, schema, in.Cols)
-}
-
-// Explain implements Node.
-func (r *Rename) Explain(depth int) string {
-	parts := make([]string, len(r.Pairs))
-	for i, pr := range r.Pairs {
-		parts[i] = pr[0] + "->" + pr[1]
-	}
-	return fmt.Sprintf("%srename %s\n%s", pad(depth), strings.Join(parts, ", "), r.Input.Explain(depth+1))
 }
 
 // Limit returns the first N rows of its input.

@@ -120,7 +120,7 @@ func TestScanAndFilter(t *testing.T) {
 	}
 }
 
-func TestProjectAndRename(t *testing.T) {
+func TestProject(t *testing.T) {
 	cat := testCatalog()
 	out := mustRun(t, cat, &Project{
 		Input: &Scan{Table: "orders"},
@@ -140,16 +140,6 @@ func TestProjectAndRename(t *testing.T) {
 		t.Error("year column wrong")
 	}
 
-	ren := mustRun(t, cat, &Rename{
-		Input: &Scan{Table: "cust"},
-		Pairs: [][2]string{{"c_id", "id2"}},
-	})
-	if ren.Schema.Index("id2") < 0 || ren.Schema.Index("c_id") >= 0 {
-		t.Error("rename failed")
-	}
-	if _, err := Run(cat, 1, &Rename{Input: &Scan{Table: "cust"}, Pairs: [][2]string{{"zzz", "a"}}}); err == nil {
-		t.Error("rename of missing column should error")
-	}
 	if _, err := Run(cat, 1, &Project{Input: &Scan{Table: "cust"}, Cols: []NamedExpr{{Name: "x", Expr: exec.Col{Name: "zzz"}}}}); err == nil {
 		t.Error("project of missing column should error")
 	}
@@ -224,7 +214,10 @@ func TestHashJoinTwoKeyAndErrors(t *testing.T) {
 	cat := testCatalog()
 	// Two-key self join on (o_cust, o_status-as-key is string; use o_id+o_cust).
 	out := mustRun(t, cat, &HashJoin{
-		Build:     &Rename{Input: &Scan{Table: "orders", Columns: []string{"o_id", "o_cust"}}, Pairs: [][2]string{{"o_id", "b_id"}, {"o_cust", "b_cust"}}},
+		Build: &Project{Input: &Scan{Table: "orders"}, Cols: []NamedExpr{
+			{Name: "b_id", Expr: exec.Col{Name: "o_id"}},
+			{Name: "b_cust", Expr: exec.Col{Name: "o_cust"}},
+		}},
 		Probe:     &Scan{Table: "orders"},
 		BuildKeys: []string{"b_id", "b_cust"},
 		ProbeKeys: []string{"o_id", "o_cust"},
@@ -428,9 +421,9 @@ func TestExplainCoversAllNodes(t *testing.T) {
 		Input: &Limit{
 			Input: &GroupBy{
 				Input: &HashJoin{
-					Build:     &Rename{Input: &Scan{Table: "cust"}, Pairs: [][2]string{{"c_id", "id"}}},
+					Build:     &KeyFilter{Input: &Scan{Table: "cust"}, Keys: []string{"c_id"}, Set: &KeySet{From: []string{"x"}}},
 					Probe:     &Project{Input: &Filter{Input: &Scan{Table: "orders", Columns: []string{"o_id"}, Pred: exec.TruePred{}}, Pred: exec.TruePred{}}, Cols: []NamedExpr{{Name: "x", Expr: exec.Col{Name: "o_id"}}}},
-					BuildKeys: []string{"id"},
+					BuildKeys: []string{"c_id"},
 					ProbeKeys: []string{"x"},
 					Kind:      Semi,
 				},
@@ -443,7 +436,7 @@ func TestExplainCoversAllNodes(t *testing.T) {
 		N:    5,
 	}
 	s := Explain(n)
-	for _, want := range []string{"order by", "limit", "group by", "hash join (semi)", "rename", "project", "filter", "scan cust", "scan orders"} {
+	for _, want := range []string{"order by", "limit", "group by", "hash join (semi)", "keyfilter [c_id] in probe [x]", "project", "filter", "scan cust", "scan orders"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("explain missing %q in:\n%s", want, s)
 		}

@@ -356,8 +356,6 @@ func hasSpillableJoin(n Node) bool {
 		return hasSpillableJoin(v.Input)
 	case *Project:
 		return hasSpillableJoin(v.Input)
-	case *Rename:
-		return hasSpillableJoin(v.Input)
 	case *Limit:
 		return hasSpillableJoin(v.Input)
 	case *OrderBy:

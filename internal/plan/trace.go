@@ -38,8 +38,6 @@ func opName(n Node) string {
 		return "select"
 	case *Project:
 		return "project"
-	case *Rename:
-		return "rename"
 	case *Limit:
 		return "limit"
 	case *OrderBy:
@@ -62,7 +60,7 @@ func opName(n Node) string {
 // instrument returns a deep copy of the plan with every node wrapped in
 // a spanNode. It understands all node types defined in this package and
 // descends through foreign nodes that implement ChildRewriter; other
-// unknown nodes (e.g. query-defined function nodes) are wrapped without
+// unknown nodes (e.g. a library user's own node types) are wrapped without
 // descending into their internals.
 func instrument(n Node) Node { return instrumentSeen(n, map[Node]Node{}) }
 
@@ -81,10 +79,6 @@ func instrumentSeen(n Node, seen map[Node]Node) Node {
 		c.Input = instrument(v.Input)
 		return wrap(&c)
 	case *Project:
-		c := *v
-		c.Input = instrument(v.Input)
-		return wrap(&c)
-	case *Rename:
 		c := *v
 		c.Input = instrument(v.Input)
 		return wrap(&c)

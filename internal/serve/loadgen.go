@@ -19,8 +19,10 @@ import (
 type MixEntry struct {
 	// Name labels the query in reports (e.g. "q6").
 	Name string
-	// Plan is the query; one tree may be run concurrently (plan trees
-	// are read-only during execution).
+	// Plan is the query, typically planned once from SQL (tpch.Query);
+	// every client runs this one tree, concurrently. Plan trees are
+	// read-only during execution: per-run state such as a CTE's table
+	// lives on the run's plan.Context.
 	Plan plan.Node
 }
 

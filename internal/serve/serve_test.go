@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -34,15 +35,16 @@ func testDB(t *testing.T, poolWorkers int) (*engine.DB, func()) {
 	return db, pool.Close
 }
 
-func testMix(t *testing.T) []MixEntry {
+// testMix plans TPC-H queries qs against db, one tree per query.
+func testMix(t *testing.T, db *engine.DB, qs ...int) []MixEntry {
 	t.Helper()
 	var mix []MixEntry
-	for _, n := range []int{1, 3, 6, 13} {
-		q, err := tpch.Query(n)
+	for _, n := range qs {
+		q, err := tpch.Query(db, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mix = append(mix, MixEntry{Name: "q" + string(rune('0'+n%10)), Plan: q})
+		mix = append(mix, MixEntry{Name: fmt.Sprintf("q%d", n), Plan: q})
 	}
 	return mix
 }
@@ -64,7 +66,7 @@ func TestServeConcurrentClientsByteIdentical(t *testing.T) {
 	rep, err := RunLoad(context.Background(), s, LoadConfig{
 		Clients:          clients,
 		QueriesPerClient: 4,
-		Mix:              testMix(t),
+		Mix:              testMix(t, db, 1, 3, 6, 13),
 		Tenants:          []string{"alpha", "beta", "gamma"},
 		Seed:             11,
 		Verify:           true,
@@ -83,6 +85,30 @@ func TestServeConcurrentClientsByteIdentical(t *testing.T) {
 	}
 }
 
+// TestServeReusesSQLPlanTrees: RunLoad hands every client the same
+// planned tree per query, and with the result cache off every request
+// executes it, so the plans that hold CTEs and scalar subqueries run
+// concurrently many times over — each still byte-identical to its serial
+// run.
+func TestServeReusesSQLPlanTrees(t *testing.T) {
+	db, closePool := testDB(t, 2)
+	defer closePool()
+	s := New(Config{DB: db, MaxConcurrent: 4, MaxQueue: 16, Registry: obs.NewRegistry()})
+	rep, err := RunLoad(context.Background(), s, LoadConfig{
+		Clients:          8,
+		QueriesPerClient: 4,
+		Mix:              testMix(t, db, 2, 11, 15, 17, 20, 21, 22),
+		Seed:             5,
+		Verify:           true,
+	})
+	if err != nil {
+		t.Fatalf("load run: %v (report %+v)", err, rep)
+	}
+	if rep.Errors != 0 || rep.CacheHits != 0 {
+		t.Fatalf("load run: %d errors, %d cache hits, want none", rep.Errors, rep.CacheHits)
+	}
+}
+
 // TestServeOverload: with one execution slot and a one-deep queue, the
 // first extra query waits and the second is shed with *OverloadError —
 // not queued unboundedly, not failed some other way. The slot is pinned
@@ -92,7 +118,7 @@ func TestServeOverload(t *testing.T) {
 	db, closePool := testDB(t, 1)
 	defer closePool()
 	s := New(Config{DB: db, MaxConcurrent: 1, MaxQueue: 1, Registry: obs.NewRegistry()})
-	q := tpch.MustQuery(1)
+	q := tpch.MustQuery(db, 1)
 
 	release, err := s.admit(context.Background())
 	if err != nil {
@@ -136,7 +162,7 @@ func TestServeResultCache(t *testing.T) {
 	db, closePool := testDB(t, 2)
 	defer closePool()
 	s := New(Config{DB: db, CacheEntries: 8, Registry: obs.NewRegistry()})
-	q6 := tpch.MustQuery(6)
+	q6 := tpch.MustQuery(db, 6)
 	first, err := s.RunPlan(context.Background(), "t", q6)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +183,7 @@ func TestServeResultCache(t *testing.T) {
 	if ok, why := colstore.TablesIdentical(first.Table, second.Table); !ok {
 		t.Fatalf("cached result differs: %s", why)
 	}
-	q1, err := s.RunPlan(context.Background(), "t", tpch.MustQuery(1))
+	q1, err := s.RunPlan(context.Background(), "t", tpch.MustQuery(db, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +228,7 @@ func TestServeTenantMemBudget(t *testing.T) {
 	defer closePool()
 	s := New(Config{DB: db, Registry: obs.NewRegistry()})
 	s.SetTenant(TenantConfig{Name: "cramped", MemLimitBytes: 64 << 10})
-	q := tpch.MustQuery(3) // joins: spillable under a budget
+	q := tpch.MustQuery(db, 3) // joins: spillable under a budget
 
 	roomy, err := s.RunPlan(context.Background(), "roomy", q)
 	if err != nil {
@@ -223,7 +249,7 @@ func TestServeTenantMemBudget(t *testing.T) {
 	}
 
 	// Q1 has no join: nothing to spill, so the budget still cancels.
-	_, err = s.RunPlan(context.Background(), "cramped", tpch.MustQuery(1))
+	_, err = s.RunPlan(context.Background(), "cramped", tpch.MustQuery(db, 1))
 	var mem *plan.MemLimitError
 	if !errors.As(err, &mem) {
 		t.Fatalf("non-spillable plan err = %v, want *plan.MemLimitError", err)
@@ -238,7 +264,7 @@ func TestServeTenantRateLimitCancel(t *testing.T) {
 	s := New(Config{DB: db, Registry: obs.NewRegistry()})
 	// 1 query per hour, burst 1: the first query drains the bucket.
 	s.SetTenant(TenantConfig{Name: "slow", QueriesPerSec: 1.0 / 3600, Burst: 1})
-	q := tpch.MustQuery(6)
+	q := tpch.MustQuery(db, 6)
 	if _, err := s.RunPlan(context.Background(), "slow", q); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +287,7 @@ func TestServeTenantMetricsLabeled(t *testing.T) {
 	defer closePool()
 	reg := obs.NewRegistry()
 	s := New(Config{DB: db, Registry: reg})
-	q := tpch.MustQuery(6)
+	q := tpch.MustQuery(db, 6)
 	for _, tenant := range []string{"red", "blue"} {
 		if _, err := s.RunPlan(context.Background(), tenant, q); err != nil {
 			t.Fatal(err)

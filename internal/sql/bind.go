@@ -2,6 +2,7 @@ package sql
 
 import (
 	"wimpi/internal/colstore"
+	"wimpi/internal/exec"
 	"wimpi/internal/hardware"
 	"wimpi/internal/plan"
 )
@@ -58,6 +59,21 @@ type planner struct {
 	model hardware.Model
 	pi    hardware.Profile
 	llc   int64 // resolved LLC bytes for strategy prediction
+	// running marks a planner lowering a block at run time (see atRun).
+	running bool
+}
+
+// atRun returns the planner a run lowers a deferred block with, once its
+// scalar subqueries have values. Runs of one plan may overlap, so it
+// shares only what planning left read-only: it keeps its own estimation
+// counters, records no choices in the plan's report, and places no key
+// filter inside a CTE memo, which belongs to the tree every run shares.
+func (pl *planner) atRun() *planner {
+	c := *pl
+	c.st = &stats{cat: pl.cat, ctr: &exec.Counters{}}
+	c.rep = nil
+	c.running = true
+	return &c
 }
 
 // bindFrom resolves the FROM items of a block into relations and a

@@ -31,12 +31,12 @@ type DistSQL struct {
 // correctly: sum re-sums, count becomes sumi, min/max re-apply, and avg
 // splits into a hidden sum + count pair recombined at merge.
 //
-// Correctness rests on the cluster layout invariant the hand-built
-// distributed plans also rely on: any grouping or semi-join against
-// lineitem is local to one partition (lineitem is partitioned by
-// l_orderkey and an order's lines never straddle nodes), so per-node
-// group partials are disjoint-or-mergeable and re-aggregation over the
-// concatenation equals aggregation over the union.
+// Correctness rests on the cluster layout invariant: any grouping or
+// semi-join against lineitem is local to one partition (lineitem is
+// partitioned by l_orderkey and an order's lines never straddle nodes),
+// so per-node group partials are disjoint-or-mergeable and
+// re-aggregation over the concatenation equals aggregation over the
+// union.
 func Distribute(text string) (*DistSQL, error) {
 	stmt, err := Parse(text)
 	if err != nil {

@@ -1,19 +1,18 @@
 package sql
 
-import (
-	"testing"
+import "testing"
 
-	"wimpi/internal/tpch"
-)
+// TPCHSeeds holds the 22 TPC-H texts. Package tpch imports this one, so
+// the external test package fills it (seeds_test.go).
+var TPCHSeeds []string
 
 // fuzzSeeds is the corpus every fuzz target starts from: all 22 TPC-H
 // texts plus a pile of malformed statements that exercise error paths.
 func fuzzSeeds(f *testing.F) {
-	for q := 1; q <= 22; q++ {
-		text, err := tpch.SQL(q)
-		if err != nil {
-			f.Fatal(err)
-		}
+	if len(TPCHSeeds) != 22 {
+		f.Fatalf("%d TPC-H seed texts, want 22", len(TPCHSeeds))
+	}
+	for _, text := range TPCHSeeds {
 		f.Add(text)
 	}
 	for _, s := range []string{

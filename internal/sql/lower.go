@@ -79,8 +79,7 @@ func (pl *planner) lowerBlock(b *SelectBlock, resolved map[*SubqueryExpr]float64
 	}
 
 	// Scalar subqueries defer lowering: run them first, fold the values
-	// into constants, then plan the block (the hand-built queries'
-	// imperative shape).
+	// into constants, then plan the block.
 	if resolved == nil {
 		var subs []*SubqueryExpr
 		for _, e := range []Expr{b.Where, b.Having} {
@@ -105,7 +104,7 @@ func (pl *planner) lowerBlock(b *SelectBlock, resolved map[*SubqueryExpr]float64
 				for i, s := range subs {
 					m[s] = vals[i]
 				}
-				n, _, err := pl.lowerBlock(b, m)
+				n, _, err := pl.atRun().lowerBlock(b, m)
 				return n, err
 			}
 			rows := 1024.0

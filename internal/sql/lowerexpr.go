@@ -390,8 +390,7 @@ func flattenOr(e Expr) []Expr {
 }
 
 // fuseDateRanges rewrites a `col >= lo` / `col < hi` conjunct pair into
-// the engine's half-open DateRange predicate, the idiom every hand-built
-// TPC-H plan uses for its date windows.
+// the engine's half-open DateRange predicate, one kernel per date window.
 func fuseDateRanges(ps []exec.Pred) []exec.Pred {
 	out := make([]exec.Pred, 0, len(ps))
 	used := make([]bool, len(ps))

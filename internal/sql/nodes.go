@@ -10,27 +10,19 @@ import (
 
 // memoNode executes its input once per query run and serves the
 // materialized table to every consumer — the plan-layer form of a WITH
-// common table expression referenced more than once. Plan trees execute
-// single-threaded at this level (parallelism lives inside operators),
-// so no locking is needed.
+// common table expression referenced more than once. The table is kept
+// on the run's plan.Context (plan.Context.Memo), never in the node, so
+// one planned tree can run any number of times, concurrently too.
 type memoNode struct {
 	name  string
 	inner plan.Node
-	t     *colstore.Table
 	// shared marks a CTE the statement references more than once.
 	shared bool
 }
 
 // Execute implements plan.Node.
 func (m *memoNode) Execute(ctx *plan.Context) (*colstore.Table, error) {
-	if m.t == nil {
-		t, err := m.inner.Execute(ctx)
-		if err != nil {
-			return nil, err
-		}
-		m.t = t
-	}
-	return m.t, nil
+	return ctx.Memo(m, func() (*colstore.Table, error) { return m.inner.Execute(ctx) })
 }
 
 // Explain implements plan.Node.
@@ -43,10 +35,9 @@ func (m *memoNode) Explain(depth int) string {
 // spill-capability scan behind memory budgets) see through the memo.
 func (m *memoNode) Children() []plan.Node { return []plan.Node{m.inner} }
 
-// RewriteChildren implements plan.ChildRewriter. A table the memo already
-// holds is kept: the copy is the same CTE, run at most once.
+// RewriteChildren implements plan.ChildRewriter.
 func (m *memoNode) RewriteChildren(rewrite func(plan.Node) plan.Node) plan.Node {
-	return &memoNode{name: m.name, inner: rewrite(m.inner), t: m.t, shared: m.shared}
+	return &memoNode{name: m.name, inner: rewrite(m.inner), shared: m.shared}
 }
 
 // scalarPlan is one scalar subquery: a plan whose result is a single
@@ -70,17 +61,15 @@ func scalarOf(t *colstore.Table) (float64, error) {
 	return 0, fmt.Errorf("sql: scalar subquery column is not numeric")
 }
 
-// deferredNode handles scalar subqueries: it executes the subquery
-// plans first, folds their values into the enclosing block's
-// comparison predicates as constants, and only then builds and runs
-// the block's plan — the same imperative shape as the engine's
-// hand-built funcNode queries.
+// deferredNode handles scalar subqueries: each run executes the subquery
+// plans first, folds their values into the enclosing block's comparison
+// predicates as constants, and only then builds and runs the block's
+// plan. The block is built per run and kept by nobody, so the node's
+// EXPLAIN and the spill-capability scan see the subqueries only.
 type deferredNode struct {
 	name    string
 	scalars []scalarPlan
 	build   func(vals []float64) (plan.Node, error)
-	// cached built node for Explain before execution; nil until run.
-	built plan.Node
 }
 
 // Execute implements plan.Node.
@@ -101,21 +90,17 @@ func (d *deferredNode) Execute(ctx *plan.Context) (*colstore.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.built = n
 	return n.Execute(ctx)
 }
 
-// Children implements plan.ChildNodes: the scalar subquery plans, plus
-// the built block when available. Before execution the block does not
-// exist yet, so capability scans (e.g. spill) see only the scalars —
-// conservative, since an unseen join keeps MemLimitError semantics.
+// Children implements plan.ChildNodes: the scalar subquery plans. The
+// block does not exist before a run builds it, so capability scans (e.g.
+// spill) are conservative here: an unseen join keeps MemLimitError
+// semantics.
 func (d *deferredNode) Children() []plan.Node {
-	out := make([]plan.Node, 0, len(d.scalars)+1)
+	out := make([]plan.Node, len(d.scalars))
 	for i := range d.scalars {
-		out = append(out, d.scalars[i].node)
-	}
-	if d.built != nil {
-		out = append(out, d.built)
+		out[i] = d.scalars[i].node
 	}
 	return out
 }
@@ -143,9 +128,6 @@ func (d *deferredNode) Explain(depth int) string {
 	out := pad + d.name + "\n"
 	for i := range d.scalars {
 		out += pad + fmt.Sprintf("  scalar[%d]:\n", i) + d.scalars[i].node.Explain(depth+2)
-	}
-	if d.built != nil {
-		out += d.built.Explain(depth + 1)
 	}
 	return out
 }

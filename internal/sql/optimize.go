@@ -10,7 +10,9 @@ import (
 	"wimpi/internal/plan"
 )
 
-// Report collects the cost-based optimizer's decisions for EXPLAIN.
+// Report collects the cost-based optimizer's decisions for EXPLAIN: those
+// made by Plan. A block with scalar subqueries is lowered by each run, once
+// their values are known, and reports nothing.
 type Report struct {
 	Choices []obs.PlanChoice
 }

@@ -8,9 +8,10 @@
 // FROM items attach as hash-join build sides in text order, and WHERE
 // conjuncts classify into scan predicates, join edges, semi/anti joins,
 // and residual filters. The optimizer then permutes steps only within
-// windows where reordering provably cannot change result bytes, so a
-// SQL statement always produces output byte-identical to the
-// corresponding hand-built plan regardless of cost-model decisions.
+// windows where reordering provably cannot change result bytes, and
+// places key filters only where they cannot either, so a statement
+// produces output byte-identical to its canonical lowering (Options.NoOpt)
+// regardless of cost-model decisions.
 package sql
 
 import (
@@ -43,8 +44,8 @@ type Planned struct {
 
 // Plan parses, binds, lowers and optimizes one SQL statement against a
 // catalog. The returned plan runs through engine.DB.RunQuery (or
-// plan.RunContext) like any hand-built tree; CTEs memoize per Plan call,
-// so re-plan for each independent run.
+// plan.RunContext) like any other tree, as often as the caller likes and
+// from several goroutines at once: CTEs memoize per run.
 func Plan(cat plan.Catalog, text string, o Options) (*Planned, error) {
 	stmt, err := Parse(text)
 	if err != nil {

@@ -19,7 +19,7 @@ func (pl *planner) join(j *plan.HashJoin) plan.Node {
 	slot, keys := &j.Build, j.BuildKeys
 	var exact []string
 	for {
-		next, k, e, ok := below(*slot, keys, exact)
+		next, k, e, ok := below(*slot, keys, exact, !pl.running)
 		if !ok {
 			break
 		}
@@ -41,10 +41,10 @@ func (pl *planner) join(j *plan.HashJoin) plan.Node {
 //     groups' rows: count, sumi, min and max do, a sum or average does
 //     when its argument is a plain column whose values the filter checks
 //     at run time (plan.KeyFilter.Exact);
-//   - the memo of a CTE the statement references once.
+//   - the memo of a CTE the statement references once, when intoMemo.
 //
 // Anything else stops it: a join, a sort or limit, a shared CTE, a scan.
-func below(n plan.Node, keys, exact []string) (*plan.Node, []string, []string, bool) {
+func below(n plan.Node, keys, exact []string, intoMemo bool) (*plan.Node, []string, []string, bool) {
 	//lint:allow exhaustive -- any operator not listed stops the walk
 	switch v := n.(type) {
 	case *plan.Filter:
@@ -69,7 +69,7 @@ func below(n plan.Node, keys, exact []string) (*plan.Node, []string, []string, b
 		}
 		return &v.Input, keys, exact, true
 	case *memoNode:
-		return &v.inner, keys, exact, !v.shared
+		return &v.inner, keys, exact, intoMemo && !v.shared
 	}
 	return nil, nil, nil, false
 }

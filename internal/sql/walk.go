@@ -118,9 +118,9 @@ func collectScalarSubs(e Expr, out []*SubqueryExpr) []*SubqueryExpr {
 }
 
 // evalScalar evaluates a literal/subquery arithmetic tree numerically,
-// with the subquery values already resolved. It mirrors the imperative
-// threshold arithmetic of the hand-built queries exactly (same
-// association order, so identical float bits).
+// with the subquery values already resolved, in the statement's own
+// association order, so the threshold has the same float bits on every
+// run and every node.
 func evalScalar(e Expr, resolved map[*SubqueryExpr]float64) (float64, error) {
 	switch ex := e.(type) {
 	case *NumLit:

@@ -9,8 +9,7 @@ import (
 )
 
 func TestCompressKeysPreservesAnswers(t *testing.T) {
-	db, ref := sharedFixture(t)
-	_ = db
+	_, ref := sharedFixture(t)
 	compressed := CompressKeys(sharedData)
 	cdb := engine.NewDB(engine.Config{Workers: 2})
 	compressed.RegisterAll(cdb)
@@ -18,7 +17,7 @@ func TestCompressKeysPreservesAnswers(t *testing.T) {
 	// The l_orderkey-heavy queries must return identical answers over
 	// the RLE-compressed column.
 	for _, q := range []int{1, 3, 4, 12, 18, 21} {
-		res, err := cdb.RunQuery(context.Background(), MustQuery(q), engine.QueryOpts{})
+		res, err := cdb.RunQuery(context.Background(), MustQuery(cdb, q), engine.QueryOpts{})
 		if err != nil {
 			t.Fatalf("Q%d over compressed data: %v", q, err)
 		}

@@ -16,7 +16,7 @@ import (
 func TestQueryResultInvariants(t *testing.T) {
 	db, _ := sharedFixture(t)
 	get := func(q int) *colstore.Table {
-		res, err := db.RunQuery(context.Background(), MustQuery(q), engine.QueryOpts{})
+		res, err := db.RunQuery(context.Background(), MustQuery(db, q), engine.QueryOpts{})
 		if err != nil {
 			t.Fatalf("Q%d: %v", q, err)
 		}
@@ -198,32 +198,5 @@ func TestScalingProportionality(t *testing.T) {
 	ls, lb := small.Tables["lineitem"].NumRows(), big.Tables["lineitem"].NumRows()
 	if ratio := float64(lb) / float64(ls); ratio < 1.9 || ratio > 2.1 {
 		t.Errorf("lineitem scaling ratio = %g, want ~2", ratio)
-	}
-}
-
-func TestDistQueryRegistry(t *testing.T) {
-	for _, q := range RepresentativeQueries {
-		dq, err := DistQueryFor(q)
-		if err != nil {
-			t.Fatalf("Q%d: %v", q, err)
-		}
-		if dq.Num != q || dq.Partial == nil {
-			t.Errorf("Q%d: malformed DistQuery", q)
-		}
-		if q == 13 {
-			if !dq.SingleNode {
-				t.Error("Q13 should be single-node")
-			}
-		} else if dq.Merge == nil {
-			t.Errorf("Q%d: missing merge plan", q)
-		}
-	}
-	if _, err := DistQueryFor(2); err == nil {
-		t.Error("Q2 should have no distributed form")
-	}
-	// Single-node merge validation.
-	dq, _ := DistQueryFor(13)
-	if _, _, err := dq.MergePartials(nil, 1); err == nil {
-		t.Error("Q13 MergePartials with 0 partials should error")
 	}
 }

@@ -15,10 +15,10 @@ func TestDefaultParamsMatchValidationValues(t *testing.T) {
 		p.Q6Discount != 0.06 || p.Q13Word1 != "special" || p.Q19Brand2 != "Brand#23" {
 		t.Errorf("defaults diverge from the spec validation values: %+v", p)
 	}
-	// QueryP with defaults must equal Query exactly.
+	// QueryP with defaults must match the oracle's validation answers.
 	db, ref := sharedFixture(t)
 	for _, q := range RepresentativeQueries {
-		node, err := QueryP(q, DefaultParams())
+		node, err := QueryP(db, q, DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestRandomParamsWithinSpecRanges(t *testing.T) {
 
 // TestParameterizedQueriesMatchReference is the qgen-style correctness
 // sweep: several random parameter sets through all eight representative
-// queries, engine vs. independent reference.
+// queries' SQL texts, engine vs. independent reference.
 func TestParameterizedQueriesMatchReference(t *testing.T) {
 	db, ref := sharedFixture(t)
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -94,7 +94,7 @@ func TestParameterizedQueriesMatchReference(t *testing.T) {
 		for _, q := range RepresentativeQueries {
 			q := q
 			t.Run(fmt.Sprintf("seed%d/Q%d", seed, q), func(t *testing.T) {
-				node, err := QueryP(q, p)
+				node, err := QueryP(db, q, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -114,7 +114,7 @@ func TestParameterizedQueriesMatchReference(t *testing.T) {
 
 func TestQueryPFallsBackForUnparameterized(t *testing.T) {
 	db, ref := sharedFixture(t)
-	node, err := QueryP(11, RandomParams(5))
+	node, err := QueryP(db, 11, RandomParams(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestQueryPFallsBackForUnparameterized(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareRows(t, 11, tableRows(res.Table), want)
-	if _, err := QueryP(99, DefaultParams()); err == nil {
+	if _, err := QueryP(db, 99, DefaultParams()); err == nil {
 		t.Error("QueryP(99) should error")
 	}
 	if _, err := (&Reference{}).QueryP(99, DefaultParams()); err == nil {

@@ -122,12 +122,14 @@ func compareRows(t *testing.T, q int, got, want [][]any) {
 	}
 }
 
+// TestAllQueriesMatchReference plans every query's SQL text and checks
+// the answer against the row-at-a-time oracle.
 func TestAllQueriesMatchReference(t *testing.T) {
 	db, ref := sharedFixture(t)
 	for _, q := range QueryNumbers() {
 		q := q
 		t.Run(fmt.Sprintf("Q%d", q), func(t *testing.T) {
-			node, err := Query(q)
+			node, err := Query(db, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,13 +150,14 @@ func TestAllQueriesMatchReference(t *testing.T) {
 }
 
 func TestQueryRegistry(t *testing.T) {
+	db, _ := sharedFixture(t)
 	if len(QueryNumbers()) != 22 {
 		t.Fatalf("expected 22 queries, got %d", len(QueryNumbers()))
 	}
-	if _, err := Query(0); err == nil {
+	if _, err := Query(db, 0); err == nil {
 		t.Error("Query(0) should error")
 	}
-	if _, err := Query(23); err == nil {
+	if _, err := Query(db, 23); err == nil {
 		t.Error("Query(23) should error")
 	}
 	for _, q := range RepresentativeQueries {
@@ -168,7 +171,7 @@ func TestQueryRegistry(t *testing.T) {
 			t.Error("MustQuery(0) did not panic")
 		}
 	}()
-	MustQuery(0)
+	MustQuery(db, 0)
 }
 
 func TestQueriesNonEmptyResults(t *testing.T) {
@@ -177,7 +180,7 @@ func TestQueriesNonEmptyResults(t *testing.T) {
 	// whose tiny-SF selectivity can legitimately be empty.
 	mayBeEmpty := map[int]bool{2: true, 16: true, 17: true, 18: true, 20: true, 21: true}
 	for _, q := range QueryNumbers() {
-		res, err := db.RunQuery(context.Background(), MustQuery(q), engine.QueryOpts{})
+		res, err := db.RunQuery(context.Background(), MustQuery(db, q), engine.QueryOpts{})
 		if err != nil {
 			t.Fatalf("Q%d: %v", q, err)
 		}
@@ -193,7 +196,7 @@ func TestQueriesParallelConsistency(t *testing.T) {
 	db1 := engine.NewDB(engine.Config{Workers: 1})
 	sharedData.RegisterAll(db1)
 	for _, q := range RepresentativeQueries {
-		res, err := db1.RunQuery(context.Background(), MustQuery(q), engine.QueryOpts{})
+		res, err := db1.RunQuery(context.Background(), MustQuery(db1, q), engine.QueryOpts{})
 		if err != nil {
 			t.Fatalf("Q%d: %v", q, err)
 		}

@@ -4,22 +4,22 @@ import (
 	"fmt"
 
 	"wimpi/internal/colstore"
+	"wimpi/internal/plan"
+	"wimpi/internal/sql"
 )
 
-// SQL returns the SQL text for TPC-H query n (1..22), phrased so that
-// the frontend's canonical lowering reproduces the hand-built plan of
-// Query(n) byte-for-byte. The texts follow the frontend's conventions:
-// the first FROM item is the probe spine, GROUP BY names output
-// aliases, and scalar-subquery arithmetic mirrors the hand-built
-// threshold expressions exactly (same association order, so identical
-// float bits).
+// SQL returns the SQL text for TPC-H query n (1..22) with the
+// specification's validation parameters. The texts follow the frontend's
+// conventions: the first FROM item is the probe spine, GROUP BY names
+// output aliases, and a scalar subquery's threshold arithmetic is written
+// in one association order, so its float bits are fixed.
 func SQL(n int) (string, error) { return SQLP(n, DefaultParams()) }
 
 // SQLP returns the SQL text for query n with the given substitution
-// parameters. As with QueryP, only the eight representative queries are
-// parameterized; the rest use their validation values regardless.
+// parameters. Only the eight representative queries are parameterized;
+// the rest use their validation values regardless.
 func SQLP(n int, p Params) (string, error) {
-	if n < 1 || n > len(sqlBuilders) || sqlBuilders[n-1] == nil {
+	if n < 1 || n > len(sqlBuilders) {
 		return "", fmt.Errorf("tpch: no query %d", n)
 	}
 	return sqlBuilders[n-1](p), nil
@@ -33,6 +33,62 @@ func MustSQL(n int) string {
 	}
 	return s
 }
+
+// Statements returns the SQL texts of queries qs keyed by query number:
+// the statement set a cluster coordinator ships (cluster.Coordinator.LoadSQL).
+func Statements(qs []int) (map[int]string, error) {
+	out := make(map[int]string, len(qs))
+	for _, q := range qs {
+		s, err := SQL(q)
+		if err != nil {
+			return nil, err
+		}
+		out[q] = s
+	}
+	return out, nil
+}
+
+// Query plans TPC-H query n (1..22) against cat: its SQL text with the
+// validation parameters, through the optimizer with the TPC-H unique
+// keys — the plan the benchmark and the serve tier run. Each call plans
+// afresh against the catalog's current statistics.
+func Query(cat plan.Catalog, n int) (plan.Node, error) { return QueryP(cat, n, DefaultParams()) }
+
+// QueryP is Query with the given substitution parameters.
+func QueryP(cat plan.Catalog, n int, p Params) (plan.Node, error) {
+	text, err := SQLP(n, p)
+	if err != nil {
+		return nil, err
+	}
+	pl, err := sql.Plan(cat, text, sql.Options{UniqueKeys: TableKeys()})
+	if err != nil {
+		return nil, fmt.Errorf("tpch: Q%d: %w", n, err)
+	}
+	return pl.Node, nil
+}
+
+// MustQuery is Query for known-valid numbers.
+func MustQuery(cat plan.Catalog, n int) plan.Node {
+	q, err := Query(cat, n)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
+
+// QueryNumbers lists all implemented queries.
+func QueryNumbers() []int {
+	out := make([]int, len(sqlBuilders))
+	for i := range out {
+		out[i] = i + 1
+	}
+	return out
+}
+
+// RepresentativeQueries is the eight-query subset used by the paper's
+// distributed (Table III) and execution-strategy (Figure 4) experiments,
+// covering the main TPC-H chokepoints.
+var RepresentativeQueries = []int{1, 3, 4, 5, 6, 13, 14, 19}
 
 // TableKeys declares the base tables' unique keys for the planner
 // (sql.Options.UniqueKeys). Lineitem has none.
@@ -55,6 +111,14 @@ var sqlBuilders = [22]func(Params) string{
 
 // ds renders an int32 date as a SQL date literal body.
 func ds(d int32) string { return colstore.FormatDate(d) }
+
+func date(s string) int32 { return colstore.MustDate(s) }
+
+// q6DiscountBand returns the spec's DISCOUNT-0.01 .. DISCOUNT+0.01 band
+// with a half-cent guard so exact-hundredth discounts compare robustly.
+func q6DiscountBand(p Params) (lo, hi float64) {
+	return p.Q6Discount - 0.01 - 0.005, p.Q6Discount + 0.01 + 0.005
+}
 
 func sql1(p Params) string {
 	return fmt.Sprintf(`
