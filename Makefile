@@ -26,6 +26,7 @@ test-procs: build
 # Stock go vet passes.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; }
 
 # The code, tests included, type-checks for the Raspberry Pi: the 3B+'s
 # 64-bit ABI and its stock 32-bit one, where int is 32 bits wide. The
@@ -186,10 +187,11 @@ bench-scaling:
 	$(GO) test -run '^$$' -bench BenchmarkParallelScaling -benchtime 3x .
 
 # Radix-partitioned vs chained hash join sweep (BENCH_join.json, with
-# host and simulated-Pi speedups reported side by side), fused-vs-vector
-# execution on Q1/Q6/Q14 (BENCH_fused.json), and the budget-bounded
-# spill vs swap-thrash trajectory (BENCH_spill.json).
+# host and simulated-Pi speedups reported side by side) and the
+# budget-bounded spill vs swap-thrash trajectory (BENCH_spill.json).
+# Fused against vector is timed on all 22 queries by every traced run of
+# the repository benchmark (engine.fused_over_vector).
 # WIMPI_BENCH_BIG=1 adds a join build side that also overflows a
 # server-class host LLC.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkJoinRadixVsChained|BenchmarkFusedVsVector|BenchmarkSpill' -benchtime 3x .
+	$(GO) test -run '^$$' -bench 'BenchmarkJoinRadixVsChained|BenchmarkSpill' -benchtime 3x .

@@ -781,88 +781,3 @@ func BenchmarkAblationHybridCluster(b *testing.B) {
 		b.ReportMetric(sim.Total*1000, "sim-ms")
 	})
 }
-
-// BenchmarkFusedVsVector measures fused pipeline compilation against
-// operator-at-a-time execution on scan-heavy queries (Q1, Q6 — one
-// pipeline, no joins) and a join-bearing query (Q14). Each mode reports
-// host wall clock and the simulated Pi 3B+ time of its recorded work
-// profile; the fused path's win is the materialization traffic it never
-// generates, which on the bandwidth-starved Pi is worth more than on
-// the host. Results land in BENCH_fused.json; auto should track the
-// faster engine per query within noise.
-func BenchmarkFusedVsVector(b *testing.B) {
-	const workers = 4
-	data, _ := fixture(b)
-	model := hardware.DefaultModel()
-	pi := hardware.Pi()
-	modes := []plan.ExecMode{plan.ExecVector, plan.ExecFused, plan.ExecAuto}
-	dbs := map[plan.ExecMode]*engine.DB{}
-	for _, m := range modes {
-		db := engine.NewDB(engine.Config{Workers: workers, Exec: m})
-		data.RegisterAll(db)
-		dbs[m] = db
-	}
-	type fusedBenchResult struct {
-		Query          int     `json:"query"`
-		VectorNsPerOp  float64 `json:"vector_ns_per_op"`
-		FusedNsPerOp   float64 `json:"fused_ns_per_op"`
-		AutoNsPerOp    float64 `json:"auto_ns_per_op"`
-		VectorSimPiMs  float64 `json:"vector_sim_pi_ms"`
-		FusedSimPiMs   float64 `json:"fused_sim_pi_ms"`
-		AutoSimPiMs    float64 `json:"auto_sim_pi_ms"`
-		HostSpeedup    float64 `json:"host_speedup"`
-		SimPiSpeedup   float64 `json:"sim_pi_speedup"`
-		AutoVsBestPiMs float64 `json:"auto_vs_best_pi_ms"`
-	}
-	var results []fusedBenchResult
-	for _, q := range []int{1, 6, 14} {
-		node, err := tpch.Query(dbs[plan.ExecVector], q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := fusedBenchResult{Query: q}
-		for _, m := range modes {
-			m := m
-			b.Run(fmt.Sprintf("Q%d/%s", q, m), func(b *testing.B) {
-				var ctr exec.Counters
-				for i := 0; i < b.N; i++ {
-					r, err := dbs[m].RunQuery(context.Background(), node, engine.QueryOpts{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					ctr = r.Counters
-				}
-				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-				sim := model.QueryTime(&pi, ctr, workers).Seconds() * 1000
-				b.ReportMetric(sim, "simPi-ms")
-				switch m {
-				case plan.ExecVector:
-					res.VectorNsPerOp, res.VectorSimPiMs = ns, sim
-				case plan.ExecFused:
-					res.FusedNsPerOp, res.FusedSimPiMs = ns, sim
-				case plan.ExecAuto:
-					res.AutoNsPerOp, res.AutoSimPiMs = ns, sim
-				}
-			})
-		}
-		if res.FusedNsPerOp > 0 {
-			res.HostSpeedup = res.VectorNsPerOp / res.FusedNsPerOp
-		}
-		if res.FusedSimPiMs > 0 {
-			res.SimPiSpeedup = res.VectorSimPiMs / res.FusedSimPiMs
-		}
-		best := res.VectorSimPiMs
-		if res.FusedSimPiMs < best {
-			best = res.FusedSimPiMs
-		}
-		res.AutoVsBestPiMs = res.AutoSimPiMs - best
-		results = append(results, res)
-	}
-	out, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_fused.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}

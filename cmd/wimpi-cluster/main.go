@@ -62,7 +62,7 @@ func main() {
 	redispatch := flag.Bool("redispatch", false, "coordinator: re-issue failed/straggling partitions to healthy peers")
 	stragglerMult := flag.Float64("straggler-mult", 4, "coordinator: straggler threshold as multiple of median response time")
 	explain := flag.Bool("explain", false, "coordinator: print each query's exchange span tree (per-node partials + merge)")
-	execMode := flag.String("exec", "vector", "coordinator: per-node execution mode (vector, fused, or auto), shipped with every load")
+	execMode := flag.String("exec", "vector", "coordinator: per-node execution mode (vector or fused), shipped with every load")
 	memBudget := flag.String("mem-budget", "", "coordinator: per-query memory budget on every node (e.g. 256MB), shipped with the load; joins beyond it spill to each worker's local disk (empty = unbounded)")
 	metricsOut := flag.String("metrics-out", "", "coordinator: write Prometheus-text metrics to this file before exiting")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus metrics over HTTP at this address (GET /metrics)")

@@ -9,7 +9,7 @@
 //	wimpi -sf 0.1 -q 1 -explain    # EXPLAIN ANALYZE: span tree + simulated time
 //	wimpi -sf 0.01 -q 3 -explain -mem-budget 64KB   # ... with the spill joiner's partitions
 //	wimpi -sf 0.1 -q 1 -simulate   # show simulated per-hardware times
-//	wimpi -sf 0.1 -q 6 -exec auto  # cost-model choice of vector vs fused pipelines
+//	wimpi -sf 0.1 -q 6 -exec fused # run compiled (fused) pipelines instead of vector operators
 //	wimpi -sf 0.1 -sql "select count(*) as n from orders"
 //	wimpi -sf 0.1 -sql-file q.sql -plan   # optimizer report + physical plan
 package main
@@ -40,7 +40,7 @@ func main() {
 	sqlFile := flag.String("sql-file", "", "read a SQL statement from this file instead of a numbered query")
 	workers := flag.Int("workers", 0, "engine parallelism (0 = one per core)")
 	llc := flag.Int64("llc", 0, "LLC budget in bytes for radix-partitioned plans (0 = Pi-sized default, negative disables)")
-	execMode := flag.String("exec", "vector", "execution mode: vector (operator-at-a-time), fused (compiled pipelines), or auto (cost-model pick per pipeline)")
+	execMode := flag.String("exec", "vector", "execution mode: vector (operator-at-a-time) or fused (compiled pipelines)")
 	planOnly := flag.Bool("plan", false, "print the physical plan instead of executing")
 	explain := flag.Bool("explain", false, "EXPLAIN ANALYZE: execute, then print the operator span tree with wall and simulated time")
 	profileName := flag.String("profile", "Pi 3B+", "hardware profile attributed in -explain output (see hardware.Profiles)")
@@ -143,8 +143,8 @@ func main() {
 	// chosen-vs-alternative report, printed under -plan and -explain.
 	runOne := func(label string, node plan.Node, choices string) {
 		if *planOnly {
-			// Planned against the loaded catalog so auto-mode decisions
-			// (which price pipelines from table statistics) are visible.
+			// db.Explain compiles for the -exec mode, so fused
+			// pipelines are visible.
 			fmt.Printf("-- %s --\n", label)
 			if choices != "" {
 				fmt.Print(choices)

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -444,14 +446,22 @@ func TestDistributedFusedMatchesVector(t *testing.T) {
 }
 
 // TestLoadRejectsBadExecMode pins the wire validation: a load carrying
-// an unknown exec mode must fail loudly, not silently fall back.
+// an unknown exec mode — including "auto", which older coordinators
+// could send — must fail loudly with the worker's typed error, not
+// silently fall back to vector.
 func TestLoadRejectsBadExecMode(t *testing.T) {
-	lc, err := StartLocalFaulty(1, WorkerConfig{}, Config{WorkersPerNode: 1, Exec: "bogus"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(lc.Close)
-	if _, err := lc.Coordinator.LoadSQL(testSF, 42, tpchSQL(t, 6)); err == nil {
-		t.Fatal("load with unknown exec mode should fail")
+	for _, mode := range []string{"bogus", "auto"} {
+		t.Run(mode, func(t *testing.T) {
+			lc, err := StartLocalFaulty(1, WorkerConfig{}, Config{WorkersPerNode: 1, Exec: mode}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(lc.Close)
+			_, err = lc.Coordinator.LoadSQL(testSF, 42, tpchSQL(t, 6))
+			var we *WorkerError
+			if !errors.As(err, &we) || !strings.Contains(we.Msg, "want vector or fused") {
+				t.Fatalf("load with exec mode %q: err = %v, want a *WorkerError naming vector and fused", mode, err)
+			}
+		})
 	}
 }

@@ -35,8 +35,8 @@ type Config struct {
 	// is shipped with every load so re-dispatched partitions plan — and
 	// answer — identically on whichever node ends up running them.
 	TargetLLCBytes int64
-	// Exec is each node's execution mode ("vector", "fused", or "auto";
-	// empty selects vector). Like TargetLLCBytes it is shipped with every
+	// Exec is each node's execution mode ("vector" or "fused"; empty
+	// selects vector). Like TargetLLCBytes it is shipped with every
 	// load so re-dispatched partitions plan identically everywhere.
 	Exec string
 	// MemBudgetBytes is each node's per-query memory budget (see

@@ -157,8 +157,8 @@ type LoadRequest struct {
 	// default; it must be identical cluster-wide so a re-dispatched
 	// partition plans the same everywhere.
 	TargetLLCBytes int64
-	// Exec is the execution mode ("vector", "fused", or "auto"; empty
-	// selects vector — see plan.ParseExecMode). Shipped with the load so
+	// Exec is the execution mode ("vector" or "fused"; empty selects
+	// vector — see plan.ParseExecMode). Shipped with the load so
 	// every node, including one executing a re-dispatched foreign
 	// partition, plans with the same mode.
 	Exec string

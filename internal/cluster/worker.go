@@ -56,6 +56,9 @@ type Worker struct {
 	loaded   bool
 	dbBytes  int64
 	lastLoad *LoadRequest
+	// lastCfg is the engine configuration built from lastLoad, its exec
+	// mode parsed once, when the load was accepted; spares reuse it.
+	lastCfg engine.Config
 
 	// spare holds engines over foreign partitions, built on demand when
 	// the coordinator re-dispatches another node's partition query here
@@ -152,10 +155,11 @@ func (w *Worker) handleLoad(l *LoadRequest) *Response {
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
-	db := engine.NewDB(engine.Config{
+	cfg := engine.Config{
 		Workers: workers, TargetLLCBytes: l.TargetLLCBytes, Exec: mode,
 		MemBudgetBytes: l.MemBudgetBytes,
-	})
+	}
+	db := engine.NewDB(cfg)
 	d.RegisterAll(db)
 
 	lcopy := *l
@@ -166,6 +170,7 @@ func (w *Worker) handleLoad(l *LoadRequest) *Response {
 	w.loaded = true
 	w.dbBytes = db.SizeBytes()
 	w.lastLoad = &lcopy
+	w.lastCfg = cfg
 	w.mu.Unlock()
 
 	// A reload invalidates any cached foreign partitions.
@@ -176,11 +181,12 @@ func (w *Worker) handleLoad(l *LoadRequest) *Response {
 }
 
 // spareDB returns an engine over partition `node`, regenerating it (or
-// fetching it from Source) with the last load's parameters. Spares are
+// fetching it from Source) with the last load's parameters, into an
+// engine configured exactly like the partition's home node. Spares are
 // cached: a re-dispatch storm rebuilds each partition at most once.
 func (w *Worker) spareDB(node int) (*engine.DB, error) {
 	w.mu.Lock()
-	last := w.lastLoad
+	last, cfg := w.lastLoad, w.lastCfg
 	w.mu.Unlock()
 	if last == nil {
 		return nil, fmt.Errorf("no data loaded")
@@ -206,13 +212,7 @@ func (w *Worker) spareDB(node int) (*engine.DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("regenerate partition %d: %v", node, err)
 	}
-	// The mode string was validated when the original load was accepted,
-	// so the spare engine plans exactly like the partition's home node.
-	mode, _ := plan.ParseExecMode(l.Exec)
-	db := engine.NewDB(engine.Config{
-		Workers: l.Workers, TargetLLCBytes: l.TargetLLCBytes, Exec: mode,
-		MemBudgetBytes: l.MemBudgetBytes,
-	})
+	db := engine.NewDB(cfg)
 	d.RegisterAll(db)
 	if w.spare == nil {
 		w.spare = map[int]*engine.DB{}

@@ -50,10 +50,9 @@ type Config struct {
 	// direct paths are byte-identical.
 	TargetLLCBytes int64
 	// Exec selects the execution strategy: plan.ExecVector (the default)
-	// runs plans operator-at-a-time, plan.ExecFused compiles pipelines
-	// into fused kernels, and plan.ExecAuto lets the hardware cost model
-	// pick per pipeline. Like TargetLLCBytes it changes which code runs,
-	// never the result.
+	// runs plans operator-at-a-time, and plan.ExecFused compiles
+	// pipelines into fused kernels. Like TargetLLCBytes it changes which
+	// code runs, never the result.
 	Exec plan.ExecMode
 	// Pool, when non-nil, is a shared morsel worker pool: concurrent
 	// queries (traced or not) interleave over its fixed workers
@@ -250,8 +249,7 @@ func (db *DB) run(ctx context.Context, p plan.Node, opts QueryOpts, traced bool)
 }
 
 // Explain renders a plan without executing it, after applying the
-// database's execution-mode compilation so fused pipelines (and the
-// auto decision behind them) are visible.
+// database's execution-mode compilation so fused pipelines are visible.
 func (db *DB) Explain(p plan.Node) string {
 	return plan.Explain(plan.Compile(db.planCtx(db.Workers()), p))
 }

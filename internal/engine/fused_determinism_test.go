@@ -1,8 +1,8 @@
 package engine_test
 
 // Fused-engine parity suite: every TPC-H query must produce
-// byte-identical results under fused and auto execution, at every worker
-// count, against the vector baseline. The fused compiler feeds the same
+// byte-identical results under fused execution, at every worker count,
+// against the vector baseline. The fused compiler feeds the same
 // key vectors, the same sink kernels, and the same planning decisions
 // (radix vs chained build, Bloom pre-filter threshold) as the vector
 // path, so the result bytes — floating-point sums included — must never
@@ -32,7 +32,7 @@ func fusedModeDBs(t *testing.T) map[plan.ExecMode]*engine.DB {
 	fusedOnce.Do(func() {
 		fusedData = tpch.Generate(tpch.Config{SF: 0.01, Seed: 42})
 		fusedDBs = map[plan.ExecMode]*engine.DB{}
-		for _, mode := range []plan.ExecMode{plan.ExecVector, plan.ExecFused, plan.ExecAuto} {
+		for _, mode := range []plan.ExecMode{plan.ExecVector, plan.ExecFused} {
 			db := engine.NewDB(engine.Config{Exec: mode})
 			fusedData.RegisterAll(db)
 			fusedDBs[mode] = db
@@ -41,8 +41,8 @@ func fusedModeDBs(t *testing.T) map[plan.ExecMode]*engine.DB {
 	return fusedDBs
 }
 
-// TestQueriesFusedMatchVector runs all 22 TPC-H queries under fused and
-// auto execution at 1, 2, 4, and 8 workers and requires byte-identical
+// TestQueriesFusedMatchVector runs all 22 TPC-H queries under fused
+// execution at 1, 2, 4, and 8 workers and requires byte-identical
 // results against the single-worker vector baseline.
 func TestQueriesFusedMatchVector(t *testing.T) {
 	dbs := fusedModeDBs(t)
@@ -57,15 +57,13 @@ func TestQueriesFusedMatchVector(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range []plan.ExecMode{plan.ExecFused, plan.ExecAuto} {
-				for _, w := range []int{1, 2, 4, 8} {
-					res, err := dbs[mode].RunQuery(context.Background(), p, engine.QueryOpts{Workers: w})
-					if err != nil {
-						t.Fatalf("%s workers=%d: %v", mode, w, err)
-					}
-					assertTablesIdentical(t, base.Table, res.Table,
-						fmt.Sprintf("Q%d %s workers=%d vs vector baseline", q, mode, w))
+			for _, w := range []int{1, 2, 4, 8} {
+				res, err := dbs[plan.ExecFused].RunQuery(context.Background(), p, engine.QueryOpts{Workers: w})
+				if err != nil {
+					t.Fatalf("fused workers=%d: %v", w, err)
 				}
+				assertTablesIdentical(t, base.Table, res.Table,
+					fmt.Sprintf("Q%d fused workers=%d vs vector baseline", q, w))
 			}
 		})
 	}
@@ -73,7 +71,7 @@ func TestQueriesFusedMatchVector(t *testing.T) {
 
 // TestFusedTracedMatchesRun checks that tracing a fused execution does
 // not perturb its results, and that the span tree surfaces the
-// fused-pipeline operator with its mode decision.
+// fused-pipeline operator labeled with its pipeline shape.
 func TestFusedTracedMatchesRun(t *testing.T) {
 	dbs := fusedModeDBs(t)
 	p, err := tpch.Query(dbs[plan.ExecVector], 6)
@@ -91,11 +89,11 @@ func TestFusedTracedMatchesRun(t *testing.T) {
 	assertTablesIdentical(t, base.Table, res.Table, "Q6 fused traced vs vector")
 	found := false
 	res.Root.Walk(func(sp *obs.Span, _ int) {
-		if sp.Op == "fused-pipeline" && strings.Contains(sp.Label, "fused:") {
+		if sp.Op == "fused-pipeline" && strings.HasPrefix(sp.Label, "fused pipeline ") {
 			found = true
 		}
 	})
 	if !found {
-		t.Error("traced fused execution should surface a fused-pipeline span labeled with its mode decision")
+		t.Error("traced fused execution should surface a fused-pipeline span labeled \"fused pipeline <shape>\"")
 	}
 }

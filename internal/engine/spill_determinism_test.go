@@ -39,20 +39,12 @@ func spillSuiteDataset() *tpch.Dataset {
 
 // TestQueriesIdenticalUnderSpillBudget is the acceptance gate for
 // budget-bounded execution: all 22 queries, unlimited vs spill-forced,
-// across 1/2/4/8 workers and the vector/fused/auto engines.
+// across 1/2/4/8 workers and the vector/fused engines.
 func TestQueriesIdenticalUnderSpillBudget(t *testing.T) {
 	data := spillSuiteDataset()
 	base := engine.NewDB(engine.Config{})
 	data.RegisterAll(base)
 
-	modes := []struct {
-		name string
-		mode plan.ExecMode
-	}{
-		{"vector", plan.ExecVector},
-		{"fused", plan.ExecFused},
-		{"auto", plan.ExecAuto},
-	}
 	spilledQueries := 0
 	for _, q := range tpch.QueryNumbers() {
 		p, err := tpch.Query(base, q)
@@ -65,15 +57,15 @@ func TestQueriesIdenticalUnderSpillBudget(t *testing.T) {
 		}
 		spillable := plan.Spillable(p)
 		sawSpill := false
-		for _, m := range modes {
+		for _, mode := range []plan.ExecMode{plan.ExecVector, plan.ExecFused} {
 			db := engine.NewDB(engine.Config{
-				Exec:           m.mode,
+				Exec:           mode,
 				MemBudgetBytes: spillBudgetBytes,
 				SpillDir:       t.TempDir(),
 			})
 			data.RegisterAll(db)
 			for _, w := range []int{1, 2, 4, 8} {
-				label := fmt.Sprintf("Q%d %s workers=%d", q, m.name, w)
+				label := fmt.Sprintf("Q%d %s workers=%d", q, mode, w)
 				res, err := db.RunQuery(context.Background(), p, engine.QueryOpts{Workers: w})
 				if !spillable {
 					// Nothing to spill: the budget may only cancel.

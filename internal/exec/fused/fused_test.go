@@ -64,7 +64,7 @@ func TestCompileRowLookupCharging(t *testing.T) {
 	}
 
 	var ctr exec.Counters
-	mk(256 << 10)(0, nil, &ctr) // fits the LLC
+	mk(256<<10)(0, nil, &ctr) // fits the LLC
 	if ctr.CacheRandomAccesses != 1 || ctr.RandomAccesses != 0 {
 		t.Errorf("cache-resident probe mischarged: %+v", ctr)
 	}
@@ -73,7 +73,7 @@ func TestCompileRowLookupCharging(t *testing.T) {
 	}
 
 	ctr = exec.Counters{}
-	mk(4 << 20)(0, nil, &ctr) // overflows the LLC
+	mk(4<<20)(0, nil, &ctr) // overflows the LLC
 	if ctr.RandomAccesses != 1 || ctr.CacheRandomAccesses != 0 {
 		t.Errorf("DRAM probe mischarged: %+v", ctr)
 	}

@@ -54,9 +54,9 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // hot path is one binary search plus two atomic adds; bucket bounds are
 // immutable after construction.
 type Histogram struct {
-	bounds []float64      // upper bounds, ascending; +Inf is implicit
-	counts []atomic.Int64 // len(bounds)+1, last is the +Inf bucket
-	count  atomic.Int64
+	bounds  []float64      // upper bounds, ascending; +Inf is implicit
+	counts  []atomic.Int64 // len(bounds)+1, last is the +Inf bucket
+	count   atomic.Int64
 	sumBits atomic.Uint64 // float64 sum, CAS-updated
 }
 

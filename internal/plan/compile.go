@@ -18,7 +18,6 @@ import (
 	"wimpi/internal/colstore"
 	"wimpi/internal/exec"
 	"wimpi/internal/exec/fused"
-	"wimpi/internal/hardware"
 )
 
 // ExecMode selects the engine's execution style.
@@ -32,10 +31,6 @@ const (
 	ExecVector ExecMode = "vector"
 	// ExecFused compiles every supported pipeline into a fused kernel.
 	ExecFused ExecMode = "fused"
-	// ExecAuto lets the hardware cost model choose per pipeline, pricing
-	// the eliminated materializations against the fused path's extra
-	// selective accesses.
-	ExecAuto ExecMode = "auto"
 )
 
 // ParseExecMode parses a -exec flag value; the empty string selects
@@ -46,16 +41,14 @@ func ParseExecMode(s string) (ExecMode, error) {
 		return ExecVector, nil
 	case ExecFused:
 		return ExecFused, nil
-	case ExecAuto:
-		return ExecAuto, nil
 	default:
-		return "", fmt.Errorf("plan: unknown exec mode %q (want vector, fused, or auto)", s)
+		return "", fmt.Errorf("plan: unknown exec mode %q (want vector or fused)", s)
 	}
 }
 
 // Compile rewrites a plan for the context's execution mode. Vector mode
-// (and the zero value) returns the plan unchanged; fused and auto modes
-// rewrite each supported pipeline into a Fused node. The input tree is
+// (and the zero value) returns the plan unchanged; fused mode rewrites
+// each supported pipeline into a Fused node. The input tree is
 // never mutated — rewritten paths are copies — so shared plan values
 // stay reusable under any mode.
 func Compile(ctx *Context, n Node) Node {
@@ -150,39 +143,23 @@ func (probeStage) stageName() string { return "probe" }
 // Fused executes one compiled pipeline: a driver (base-table scan or any
 // generic subplan), a chain of filter/project/probe stages
 // carried on selection vectors, and a sink (group-by, sort, or plain
-// materialization). When its compile-time decision chose vector
-// execution (auto mode), it delegates to the original operator chain —
-// the decision and its reason stay visible in EXPLAIN either way.
+// materialization).
 type Fused struct {
 	scan   *Scan // base-table driver (nil when input drives the pipeline)
 	input  Node  // generic driver (nil when scan is set)
 	stages []fusedStage
 	group  *GroupBy // group-by sink (aggregation over the survivors)
 	order  *OrderBy // sort sink
-	// fallback is the original operator chain (with inner pipelines
-	// compiled); it renders EXPLAIN and executes when useFused is false.
-	fallback Node
-	useFused bool
-	why      string
+	// chain is the original operator chain (with inner pipelines
+	// compiled); it only renders EXPLAIN.
+	chain Node
 }
 
-// Mode reports the decided execution mode for this pipeline.
-func (f *Fused) Mode() ExecMode {
-	if f.useFused {
-		return ExecFused
-	}
-	return ExecVector
-}
-
-// Why reports the human-readable reason for the mode decision.
-func (f *Fused) Why() string { return f.why }
-
-// Explain implements Node. The first line carries the pipeline shape,
-// the decided mode, and the reason — it doubles as the EXPLAIN ANALYZE
-// span label, satisfying "which mode won and why".
+// Explain implements Node. The first line carries the pipeline shape —
+// it doubles as the EXPLAIN ANALYZE span label — and the operator chain
+// it replaces follows, indented.
 func (f *Fused) Explain(depth int) string {
-	return fmt.Sprintf("%sfused pipeline %s [%s: %s]\n%s",
-		pad(depth), f.shape(), f.Mode(), f.why, f.fallback.Explain(depth+1))
+	return fmt.Sprintf("%sfused pipeline %s\n%s", pad(depth), f.shape(), f.chain.Explain(depth+1))
 }
 
 // tryFuse attempts to compile the chain rooted at top (the sink's input,
@@ -210,10 +187,8 @@ func tryFuse(ctx *Context, top Node, group *GroupBy, order *OrderBy) (Node, bool
 			}
 		}
 	}
-	f := &Fused{scan: scan, input: input, stages: stages, group: group, order: order}
-	f.fallback = rebuildChain(scan, input, stages, group, order)
-	f.useFused, f.why = decideMode(ctx, f)
-	return f, true
+	return &Fused{scan: scan, input: input, stages: stages, group: group, order: order,
+		chain: rebuildChain(scan, input, stages, group, order)}, true
 }
 
 // extractChain walks down from the sink input, collecting fusable stages
@@ -286,8 +261,7 @@ func reverseStages(rev []fusedStage) []fusedStage {
 }
 
 // rebuildChain reconstructs the original operator chain (driver, stages,
-// sink) with compiled build subtrees, for EXPLAIN and for the vector
-// fallback of auto-mode decisions.
+// sink) with compiled build subtrees, for EXPLAIN.
 func rebuildChain(scan *Scan, input Node, stages []fusedStage, group *GroupBy, order *OrderBy) Node {
 	var n Node
 	if scan != nil {
@@ -325,36 +299,6 @@ func rebuildChain(scan *Scan, input Node, stages []fusedStage, group *GroupBy, o
 // pipeline opens child spans for its phases (join-build, fused-probe,
 // gather).
 func (f *Fused) Execute(ctx *Context) (*colstore.Table, error) {
-	if !f.useFused {
-		return f.fallback.Execute(ctx)
-	}
-	return f.run(ctx)
-}
-
-// shape summarizes the pipeline as driver→stages→sink.
-func (f *Fused) shape() string {
-	parts := make([]string, 0, len(f.stages)+2)
-	if f.scan != nil {
-		parts = append(parts, "scan "+f.scan.Table)
-	} else {
-		parts = append(parts, "input")
-	}
-	for _, st := range f.stages {
-		parts = append(parts, st.stageName())
-	}
-	switch {
-	case f.group != nil:
-		parts = append(parts, "group-by")
-	case f.order != nil:
-		parts = append(parts, "sort")
-	default:
-		parts = append(parts, "materialize")
-	}
-	return strings.Join(parts, "→")
-}
-
-// run executes the fused pipeline proper.
-func (f *Fused) run(ctx *Context) (*colstore.Table, error) {
 	st, err := f.start(ctx)
 	if err != nil {
 		return nil, err
@@ -381,6 +325,28 @@ func (f *Fused) run(ctx *Context) (*colstore.Table, error) {
 	default:
 		return st.sinkPlain()
 	}
+}
+
+// shape summarizes the pipeline as driver→stages→sink.
+func (f *Fused) shape() string {
+	parts := make([]string, 0, len(f.stages)+2)
+	if f.scan != nil {
+		parts = append(parts, "scan "+f.scan.Table)
+	} else {
+		parts = append(parts, "input")
+	}
+	for _, st := range f.stages {
+		parts = append(parts, st.stageName())
+	}
+	switch {
+	case f.group != nil:
+		parts = append(parts, "group-by")
+	case f.order != nil:
+		parts = append(parts, "sort")
+	default:
+		parts = append(parts, "materialize")
+	}
+	return strings.Join(parts, "→")
 }
 
 // start resolves the driver and evaluates the scan predicate (the
@@ -1013,122 +979,4 @@ func dedupNames(names []string) []string {
 		}
 	}
 	return out
-}
-
-// Auto-mode cost estimation. The estimate prices only what differs
-// between the engines: the vector path's per-boundary gathers against
-// the fused path's selective accesses plus single sink gather. Estimated
-// selectivities are fixed constants — the decision must depend only on
-// the plan and the catalog, never on execution order or worker count, so
-// re-dispatched cluster partitions plan identically.
-const (
-	// autoSelFilter is the assumed fraction of rows surviving a filter.
-	autoSelFilter = 0.5
-	// autoSelSemi is the assumed fraction surviving a semi or anti join.
-	autoSelSemi = 0.5
-)
-
-// decideMode picks the execution mode for one compiled pipeline and
-// explains the choice.
-func decideMode(ctx *Context, f *Fused) (bool, string) {
-	if ctx.Exec == ExecFused {
-		return true, "exec=fused"
-	}
-	if f.scan == nil {
-		return false, "auto: non-scan driver, keeping vector"
-	}
-	t, err := ctx.Cat.Table(f.scan.Table)
-	if err != nil {
-		return false, "auto: driver table unknown, keeping vector"
-	}
-	if len(f.scan.Columns) > 0 {
-		if p, err := t.Project(f.scan.Columns...); err == nil {
-			t = p
-		}
-	}
-	rows := t.NumRows()
-	if rows < ctx.parallelMinRows() {
-		return false, fmt.Sprintf("auto: driver %d rows below fusion threshold %d", rows, ctx.parallelMinRows())
-	}
-	vec, fus := estimateModes(f, t)
-	model := hardware.DefaultModel()
-	pi := hardware.Pi()
-	tv := model.OperatorTime(&pi, vec, 1)
-	tf := model.OperatorTime(&pi, fus, 1)
-	if tf <= tv {
-		return true, fmt.Sprintf("auto: fused saves %v (est %v vs %v on %s)", tv-tf, tf, tv, pi.Name)
-	}
-	return false, fmt.Sprintf("auto: vector faster by %v (est %v vs %v on %s)", tf-tv, tv, tf, pi.Name)
-}
-
-// estimateModes builds the differential work profiles of the two
-// engines for one pipeline: vec carries the vector path's intermediate
-// materializations, fus the fused path's selective accesses and final
-// gather. Shared work (predicate kernels, probe kernels, aggregation)
-// appears in neither.
-func estimateModes(f *Fused, driver *colstore.Table) (vec, fus exec.Counters) {
-	rows := float64(driver.NumRows())
-	width := float64(driver.SizeBytes()) / rows
-	ncols := int64(driver.NumCols())
-
-	chargeGatherAt := func(c *exec.Counters, r, w float64, nc int64) {
-		c.TuplesMaterialized += int64(r)
-		c.BytesMaterialized += int64(r * w)
-		c.SeqBytes += int64(r * w)
-		c.RandomAccesses += int64(r) * nc
-	}
-	chargeGather := func(c *exec.Counters, r float64) { chargeGatherAt(c, r, width, ncols) }
-
-	// A group-by sink materializes only the key and aggregate-argument
-	// columns; everything else is priced at full driver width.
-	sinkWidth, sinkCols := width, ncols
-	if f.group != nil {
-		need := append([]string(nil), f.group.Keys...)
-		for _, a := range f.group.Aggs {
-			if cols, ok := exprCols(a.Arg); ok {
-				need = append(need, cols...)
-			}
-		}
-		if n := int64(len(dedupNames(need))); n > 0 && n < ncols {
-			sinkWidth = width * float64(n) / float64(ncols)
-			sinkCols = n
-		}
-	}
-
-	cur := rows
-	if f.scan.Pred != nil {
-		cur *= autoSelFilter
-		chargeGather(&vec, cur) // vector gathers the filtered scan
-	}
-	computed := 0
-	for _, st := range f.stages {
-		switch s := st.(type) {
-		case filterStage:
-			fus.RandomAccesses += int64(cur) // fused re-reads through the selection
-			cur *= autoSelFilter
-			chargeGather(&vec, cur)
-		case projectStage:
-			for _, ne := range s.cols {
-				if _, ok := ne.Expr.(exec.Col); !ok {
-					computed++
-					vec.SeqBytes += int64(cur) * 16 // eval + materialize at current cardinality
-					vec.BytesMaterialized += int64(cur) * 8
-				}
-			}
-		case probeStage:
-			fus.RandomAccesses += int64(cur) // selective key extraction
-			switch s.kind {
-			case Semi, Anti:
-				cur *= autoSelSemi
-			}
-			chargeGather(&vec, cur) // vector gathers the join output
-		}
-	}
-	// Fused pays one gather at the sink (narrowed to the needed columns
-	// for group-by sinks), plus the deferred computed columns at final
-	// cardinality.
-	chargeGatherAt(&fus, cur, sinkWidth, sinkCols)
-	fus.SeqBytes += int64(cur) * 16 * int64(computed)
-	fus.BytesMaterialized += int64(cur) * 8 * int64(computed)
-	return vec, fus
 }

@@ -3,13 +3,13 @@ package plan
 // Property suite for the fused pipeline compiler: any supported plan
 // shape, over adversarial inputs (duplicate-heavy keys, skewed
 // distributions, NaN-bearing floats), must produce byte-identical
-// results under vector, fused, and auto execution at every worker
-// count.
+// results under vector and fused execution at every worker count.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"wimpi/internal/colstore"
@@ -50,24 +50,22 @@ func adversarialTable(rng *rand.Rand, name string, n, keyRange int) *colstore.Ta
 	return b.Build()
 }
 
-// assertModesIdentical runs the plan under every execution mode and
-// worker count and requires byte-identical results against the
-// single-worker vector baseline.
+// assertModesIdentical runs the plan fused at every worker count and
+// requires byte-identical results against the single-worker vector
+// baseline.
 func assertModesIdentical(t *testing.T, cat Catalog, n Node, label string) {
 	t.Helper()
 	base, err := RunContext(&Context{Cat: cat, Workers: 1, Exec: ExecVector}, n)
 	if err != nil {
 		t.Fatalf("%s: vector baseline: %v", label, err)
 	}
-	for _, mode := range []ExecMode{ExecFused, ExecAuto} {
-		for _, w := range []int{1, 2, 4} {
-			got, err := RunContext(&Context{Cat: cat, Workers: w, Exec: mode}, n)
-			if err != nil {
-				t.Fatalf("%s: %s workers=%d: %v", label, mode, w, err)
-			}
-			if ok, why := colstore.TablesIdentical(base.Table, got.Table); !ok {
-				t.Fatalf("%s: %s workers=%d diverges from vector: %s", label, mode, w, why)
-			}
+	for _, w := range []int{1, 2, 4} {
+		got, err := RunContext(&Context{Cat: cat, Workers: w, Exec: ExecFused}, n)
+		if err != nil {
+			t.Fatalf("%s: fused workers=%d: %v", label, w, err)
+		}
+		if ok, why := colstore.TablesIdentical(base.Table, got.Table); !ok {
+			t.Fatalf("%s: fused workers=%d diverges from vector: %s", label, w, why)
 		}
 	}
 }
@@ -253,13 +251,15 @@ func TestCompileLeavesVectorPlansAlone(t *testing.T) {
 
 // TestParseExecMode pins the flag surface.
 func TestParseExecMode(t *testing.T) {
-	for s, want := range map[string]ExecMode{"": ExecVector, "vector": ExecVector, "fused": ExecFused, "auto": ExecAuto} {
+	for s, want := range map[string]ExecMode{"": ExecVector, "vector": ExecVector, "fused": ExecFused} {
 		got, err := ParseExecMode(s)
 		if err != nil || got != want {
 			t.Errorf("ParseExecMode(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseExecMode("bogus"); err == nil {
-		t.Error("ParseExecMode should reject unknown modes")
+	for _, s := range []string{"bogus", "auto"} {
+		if _, err := ParseExecMode(s); err == nil || !strings.Contains(err.Error(), "want vector or fused") {
+			t.Errorf("ParseExecMode(%q) error = %v; want a rejection naming vector and fused", s, err)
+		}
 	}
 }

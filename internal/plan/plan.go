@@ -56,10 +56,10 @@ type Context struct {
 	// operator span tree (see RunContext). A nil tracer is a valid no-op,
 	// so operators call it unconditionally.
 	Trace *obs.Tracer
-	// Exec selects the execution style: vector (the default),
-	// fused, or auto (see ExecMode). Like LLCBytes it may change which
-	// code runs but never the result: the fused engine is byte-identical
-	// to the vector engine at every worker count.
+	// Exec selects the execution style: vector (the default) or fused
+	// (see ExecMode). Like LLCBytes it may change which code runs but
+	// never the result: the fused engine is byte-identical to the vector
+	// engine at every worker count.
 	Exec ExecMode
 	// Ctx, when non-nil, cancels the query: kernels observe it at every
 	// morsel boundary, the failing operator unwinds, and RunContext
@@ -205,8 +205,8 @@ func Run(cat Catalog, workers int, n Node) (*Result, error) {
 
 // RunContext executes a plan under a caller-configured context (worker
 // count, morsel granularity, LLC budget, exec mode, cancellation). A nil
-// Ctr gets fresh counters. Fused and auto modes compile the plan first;
-// the input tree is never mutated.
+// Ctr gets fresh counters. Fused mode compiles the plan first; the
+// input tree is never mutated.
 //
 // A non-nil Trace asks for a traced run (EXPLAIN ANALYZE): every operator
 // opens a span and the result carries the span tree. The tracer is

@@ -372,10 +372,7 @@ func hasSpillableJoin(n Node) bool {
 				return true
 			}
 		}
-		if v.input != nil && hasSpillableJoin(v.input) {
-			return true
-		}
-		return v.fallback != nil && hasSpillableJoin(v.fallback)
+		return v.input != nil && hasSpillableJoin(v.input)
 	case ChildNodes:
 		for _, c := range v.Children() {
 			if hasSpillableJoin(c) {

@@ -34,11 +34,17 @@ func TestSpillJoinMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []ExecMode{ExecVector, ExecFused, ExecAuto} {
+	// "auto" is the zero ExecMode: a caller that names no engine gets
+	// the default one. The label is older than that meaning and is kept
+	// so the subtest IDs stay stable.
+	for _, m := range []struct {
+		name string
+		mode ExecMode
+	}{{"vector", ExecVector}, {"fused", ExecFused}, {"auto", ""}} {
 		for _, w := range []int{1, 2, 4, 8} {
-			t.Run(fmt.Sprintf("%s-w%d", mode, w), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s-w%d", m.name, w), func(t *testing.T) {
 				got, err := RunContext(&Context{
-					Cat: cat, Workers: w, Exec: mode,
+					Cat: cat, Workers: w, Exec: m.mode,
 					MemLimitBytes: spillBudget, SpillDir: t.TempDir(),
 				}, p)
 				if err != nil {

@@ -108,25 +108,20 @@ func instrumentSeen(n Node, seen map[Node]Node) Node {
 		}
 		return &c
 	case *Fused:
+		// Instrument the subplans the pipeline executes: the generic
+		// driver and every probe's build side. Phase spans (join-build,
+		// fused-probe, gather) come from the pipeline itself.
 		c := *v
-		if c.useFused {
-			// Instrument the subplans the fused path actually executes:
-			// the generic driver and every probe's build side. Phase
-			// spans (join-build, fused-probe, gather) come from the
-			// pipeline itself.
-			if c.input != nil {
-				c.input = instrument(v.input)
+		if c.input != nil {
+			c.input = instrument(v.input)
+		}
+		c.stages = make([]fusedStage, len(v.stages))
+		copy(c.stages, v.stages)
+		for i, st := range c.stages {
+			if ps, ok := st.(probeStage); ok {
+				ps.build = instrument(ps.build)
+				c.stages[i] = ps
 			}
-			c.stages = make([]fusedStage, len(v.stages))
-			copy(c.stages, v.stages)
-			for i, st := range c.stages {
-				if ps, ok := st.(probeStage); ok {
-					ps.build = instrument(ps.build)
-					c.stages[i] = ps
-				}
-			}
-		} else {
-			c.fallback = instrument(v.fallback)
 		}
 		return wrap(&c)
 	case *spanNode:

@@ -160,21 +160,21 @@ type SubqueryExpr struct {
 	Pos Pos
 }
 
-func (e *ColRef) pos() Pos      { return e.Pos }
-func (e *NumLit) pos() Pos      { return e.Pos }
-func (e *StrLit) pos() Pos      { return e.Pos }
-func (e *DateLit) pos() Pos     { return e.Pos }
-func (e *IntervalLit) pos() Pos { return e.Pos }
-func (e *BinExpr) pos() Pos     { return e.Pos }
-func (e *NotExpr) pos() Pos     { return e.Pos }
-func (e *InExpr) pos() Pos      { return e.Pos }
-func (e *BetweenExpr) pos() Pos { return e.Pos }
-func (e *LikeExpr) pos() Pos    { return e.Pos }
-func (e *CaseExpr) pos() Pos    { return e.Pos }
-func (e *FuncExpr) pos() Pos    { return e.Pos }
+func (e *ColRef) pos() Pos       { return e.Pos }
+func (e *NumLit) pos() Pos       { return e.Pos }
+func (e *StrLit) pos() Pos       { return e.Pos }
+func (e *DateLit) pos() Pos      { return e.Pos }
+func (e *IntervalLit) pos() Pos  { return e.Pos }
+func (e *BinExpr) pos() Pos      { return e.Pos }
+func (e *NotExpr) pos() Pos      { return e.Pos }
+func (e *InExpr) pos() Pos       { return e.Pos }
+func (e *BetweenExpr) pos() Pos  { return e.Pos }
+func (e *LikeExpr) pos() Pos     { return e.Pos }
+func (e *CaseExpr) pos() Pos     { return e.Pos }
+func (e *FuncExpr) pos() Pos     { return e.Pos }
 func (e *SubqueryExpr) pos() Pos { return e.Pos }
 
-// quoteStr renders a string literal with '' escaping.
+// quoteStr renders a string literal with ” escaping.
 func quoteStr(s string) string {
 	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
 }

@@ -129,7 +129,7 @@ func (pl *planner) lowerBlock(b *SelectBlock, resolved map[*SubqueryExpr]float64
 	}
 	wraps := make([][]wrapT, nrel)
 	type edgeT struct {
-		pos              int
+		pos             int
 		nearCol, relCol string
 	}
 	edges := make([][]edgeT, nrel)
