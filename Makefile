@@ -186,12 +186,8 @@ bench-pairs:
 bench-scaling:
 	$(GO) test -run '^$$' -bench BenchmarkParallelScaling -benchtime 3x .
 
-# Radix-partitioned vs chained hash join sweep (BENCH_join.json, with
-# host and simulated-Pi speedups reported side by side) and the
-# budget-bounded spill vs swap-thrash trajectory (BENCH_spill.json).
+# The budget-bounded spill vs swap-thrash trajectory (BENCH_spill.json).
 # Fused against vector is timed on all 22 queries by every traced run of
 # the repository benchmark (engine.fused_over_vector).
-# WIMPI_BENCH_BIG=1 adds a join build side that also overflows a
-# server-class host LLC.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkJoinRadixVsChained|BenchmarkSpill' -benchtime 3x .
+	$(GO) test -run '^$$' -bench 'BenchmarkSpill' -benchtime 3x .

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"strconv"
 	"sync"
@@ -464,120 +463,6 @@ func BenchmarkAblationSwap(b *testing.B) {
 			}
 			b.ReportMetric(sim*1000, "simPi-ms")
 		})
-	}
-}
-
-// BenchmarkJoinRadixVsChained measures the cache-conscious join layer:
-// the chained hash table probed directly versus the radix-partitioned
-// table whose per-partition footprint fits the Pi's 512 KiB LLC. Build
-// sides sweep from below the Pi LLC to many times it; the probe side is
-// 4x the build with a ~50% hit rate. Each variant reports host wall
-// clock and the simulated Pi 3B+ time of its recorded work profile —
-// the paper's methodology, and the metric on which the partitioned path
-// must win once the build exceeds the target LLC (the dev host's own
-// LLC is typically orders of magnitude larger than a wimpy node's, so
-// the host-time crossover only appears at the WIMPI_BENCH_BIG=1 size
-// that exceeds the host cache too). Results land in BENCH_join.json.
-func BenchmarkJoinRadixVsChained(b *testing.B) {
-	const workers, morselRows = 4, 4096
-	target := int64(plan.DefaultLLCBytes)
-	model := hardware.DefaultModel()
-	pi := hardware.Pi()
-	type joinBenchResult struct {
-		BuildRows      int     `json:"build_rows"`
-		ProbeRows      int     `json:"probe_rows"`
-		TableBytes     int64   `json:"table_bytes"`
-		LLCFactor      float64 `json:"llc_factor"`
-		ChainedNsPerOp float64 `json:"chained_ns_per_op"`
-		RadixNsPerOp   float64 `json:"radix_ns_per_op"`
-		ChainedSimPiMs float64 `json:"chained_sim_pi_ms"`
-		RadixSimPiMs   float64 `json:"radix_sim_pi_ms"`
-		HostSpeedup    float64 `json:"host_speedup"`
-		SimPiSpeedup   float64 `json:"sim_pi_speedup"`
-	}
-	sizes := []int{4 << 10, 16 << 10, 64 << 10, 256 << 10}
-	if os.Getenv("WIMPI_BENCH_BIG") != "" {
-		// Big enough that the chained table also overflows a server-class
-		// host LLC, so the crossover shows up in host wall clock too.
-		sizes = append(sizes, 8<<20)
-	}
-	var results []joinBenchResult
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range sizes {
-		build := make([]int64, n)
-		for i := range build {
-			build[i] = rng.Int63()
-		}
-		probe := make([]int64, 4*n)
-		for i := range probe {
-			if i%2 == 0 {
-				probe[i] = build[rng.Intn(n)]
-			} else {
-				probe[i] = rng.Int63()
-			}
-		}
-		res := joinBenchResult{
-			BuildRows:  n,
-			ProbeRows:  len(probe),
-			TableBytes: exec.JoinTableBytes(n),
-			LLCFactor:  float64(exec.JoinTableBytes(n)) / float64(target),
-		}
-		b.Run(fmt.Sprintf("rows=%d-llcx=%.1f/chained", n, res.LLCFactor), func(b *testing.B) {
-			var ctr exec.Counters
-			for i := 0; i < b.N; i++ {
-				ctr = exec.Counters{}
-				jt, err := exec.BuildJoinTableParallel(build, workers, morselRows, &ctr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if bi, _, err := jt.InnerJoin(probe, workers, morselRows, &ctr); err != nil || len(bi) == 0 {
-					b.Fatal("empty join")
-				}
-			}
-			res.ChainedNsPerOp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			res.ChainedSimPiMs = model.OperatorTime(&pi, ctr, workers).Seconds() * 1000
-			b.ReportMetric(res.ChainedSimPiMs, "simPi-ms")
-		})
-		b.Run(fmt.Sprintf("rows=%d-llcx=%.1f/radix", n, res.LLCFactor), func(b *testing.B) {
-			var ctr exec.Counters
-			for i := 0; i < b.N; i++ {
-				ctr = exec.Counters{}
-				rt, err := exec.BuildRadixJoinTable(build, target/2, exec.RadixJoinConfig{}, workers, morselRows, &ctr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if bi, _, err := rt.InnerJoin(probe, workers, morselRows, &ctr); err != nil || len(bi) == 0 {
-					b.Fatal("empty join")
-				}
-			}
-			res.RadixNsPerOp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			res.RadixSimPiMs = model.OperatorTime(&pi, ctr, workers).Seconds() * 1000
-			b.ReportMetric(res.RadixSimPiMs, "simPi-ms")
-		})
-		if res.RadixNsPerOp > 0 {
-			res.HostSpeedup = res.ChainedNsPerOp / res.RadixNsPerOp
-		}
-		if res.RadixSimPiMs > 0 {
-			res.SimPiSpeedup = res.ChainedSimPiMs / res.RadixSimPiMs
-		}
-		results = append(results, res)
-	}
-	out, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_join.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	// Host and simulated-Pi speedups side by side: on a dev host with a
-	// large LLC the radix join usually loses host wall clock (speedup
-	// < 1) while winning on the simulated Pi — which is why the planner's
-	// radix decision is priced on the target profile's cost model, never
-	// on host timings.
-	fmt.Printf("\njoin radix-vs-chained speedups (>1 = radix wins)\n")
-	fmt.Printf("%12s %8s %14s %16s\n", "build_rows", "llc_x", "host_speedup", "sim_pi_speedup")
-	for _, r := range results {
-		fmt.Printf("%12d %8.1f %14.2f %16.2f\n", r.BuildRows, r.LLCFactor, r.HostSpeedup, r.SimPiSpeedup)
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"wimpi/internal/cluster"
 	"wimpi/internal/cluster/faultconn"
 	"wimpi/internal/engine"
+	"wimpi/internal/hardware"
 	"wimpi/internal/obs"
 	"wimpi/internal/spill"
 	"wimpi/internal/tpch"
@@ -233,7 +234,7 @@ func runCoordinator(cfg cluster.Config, addrList string, sf float64, seed uint64
 		if explain && res.Root != nil {
 			opt := cluster.DefaultSimOptions()
 			fmt.Print(obs.ExplainAnalyze(res.Root, obs.ExplainOptions{
-				Profile: &opt.NodeProfile, Model: opt.Model,
+				Sim: hardware.Sim{Model: opt.Model, Profile: &opt.NodeProfile},
 			}))
 		}
 		if simulate {

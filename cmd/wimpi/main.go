@@ -39,7 +39,7 @@ func main() {
 	sqlText := flag.String("sql", "", "run this SQL statement instead of a numbered query")
 	sqlFile := flag.String("sql-file", "", "read a SQL statement from this file instead of a numbered query")
 	workers := flag.Int("workers", 0, "engine parallelism (0 = one per core)")
-	llc := flag.Int64("llc", 0, "LLC budget in bytes for radix-partitioned plans (0 = Pi-sized default, negative disables)")
+	llc := flag.Int64("llc", 0, "LLC budget in bytes for the radix-partitioned group-by (0 = Pi-sized default, negative disables)")
 	execMode := flag.String("exec", "vector", "execution mode: vector (operator-at-a-time) or fused (compiled pipelines)")
 	planOnly := flag.Bool("plan", false, "print the physical plan instead of executing")
 	explain := flag.Bool("explain", false, "EXPLAIN ANALYZE: execute, then print the operator span tree with wall and simulated time")
@@ -158,7 +158,7 @@ func main() {
 				fatalf("%s: %v", label, err)
 			}
 			out := obs.ExplainAnalyze(res.Root, obs.ExplainOptions{
-				Profile: &explainProfile, Model: model,
+				Sim: hardware.Sim{Model: model, Profile: &explainProfile},
 			})
 			fmt.Printf("-- %s (explain analyze): %d rows in %v (host) --\n",
 				label, res.Table.NumRows(), res.HostDuration.Round(time.Microsecond))
@@ -189,9 +189,7 @@ func main() {
 	}
 
 	for _, st := range stmts {
-		pl, err := sql.Plan(db, st.text, sql.Options{
-			LLCBytes: *llc, UniqueKeys: tpch.TableKeys(),
-		})
+		pl, err := sql.Plan(db, st.text, sql.Options{UniqueKeys: tpch.TableKeys()})
 		if err != nil {
 			fatalf("%s: %v", st.label, err)
 		}

@@ -30,8 +30,8 @@ type Config struct {
 	// WorkersPerNode is each node's intra-query parallelism (a Pi 3B+
 	// has four cores).
 	WorkersPerNode int
-	// TargetLLCBytes is each node's planning cache budget for
-	// radix-partitioned operators (see engine.Config.TargetLLCBytes). It
+	// TargetLLCBytes is each node's planning cache budget for the
+	// radix-partitioned group-by (see engine.Config.TargetLLCBytes). It
 	// is shipped with every load so re-dispatched partitions plan — and
 	// answer — identically on whichever node ends up running them.
 	TargetLLCBytes int64
@@ -447,7 +447,7 @@ func (c *Coordinator) merge(id int, d *sqlpkg.DistSQL, parts []*colstore.Table) 
 	all.Name = "partials"
 	db := engine.NewDB(engine.Config{Workers: c.cfg.WorkersPerNode, TargetLLCBytes: c.cfg.TargetLLCBytes})
 	db.Register(all)
-	pl, err := sqlpkg.Plan(db, d.Merge, sqlpkg.Options{LLCBytes: c.cfg.TargetLLCBytes})
+	pl, err := sqlpkg.Plan(db, d.Merge, sqlpkg.Options{})
 	if err != nil {
 		return nil, exec.Counters{}, fmt.Errorf("cluster: sql merge plan: %w", err)
 	}

@@ -152,8 +152,8 @@ type LoadRequest struct {
 	Node, NumNodes int
 	// Workers is the worker's intra-query parallelism (a Pi has 4 cores).
 	Workers int
-	// TargetLLCBytes is the planning cache budget for radix-partitioned
-	// operators (see engine.Config.TargetLLCBytes). Zero selects the
+	// TargetLLCBytes is the planning cache budget for the radix-partitioned
+	// group-by (see engine.Config.TargetLLCBytes). Zero selects the
 	// default; it must be identical cluster-wide so a re-dispatched
 	// partition plans the same everywhere.
 	TargetLLCBytes int64

@@ -248,9 +248,7 @@ func (w *Worker) handleQuery(q, forNode int) *Response {
 	// same replicated dimension tables plus an equal-share lineitem
 	// partition, so a foreign partition re-dispatched here plans — and
 	// answers — exactly like its home node.
-	pl, err := sqlpkg.Plan(db, text, sqlpkg.Options{
-		LLCBytes: last.TargetLLCBytes, UniqueKeys: tpch.TableKeys(),
-	})
+	pl, err := sqlpkg.Plan(db, text, sqlpkg.Options{UniqueKeys: tpch.TableKeys()})
 	if err != nil {
 		return &Response{Err: fmt.Sprintf("query %d: plan: %v", q, err)}
 	}

@@ -1,9 +1,8 @@
 package engine_test
 
 // Work-profile golden: the exec.Counters of all 22 TPC-H queries, planned
-// from their SQL texts, under
-// the three join regimes the planner can pick (chained at the default
-// LLC budget, forced radix, forced spill). The counters are the inputs
+// from their SQL texts, under the two regimes the join planner can pick
+// between (resident at the default budgets, forced spill). The counters are the inputs
 // of the simulated Table II/III, so a refactor that claims "same work"
 // has to leave this file byte-identical; a change that means to move
 // work regenerates it with -update and shows the diff in review.
@@ -32,7 +31,6 @@ func TestCountersGolden(t *testing.T) {
 		cfg  engine.Config
 	}{
 		{"default", engine.Config{}},
-		{"radix", engine.Config{TargetLLCBytes: 1 << 14}},
 		{"spill", engine.Config{MemBudgetBytes: spillBudgetBytes, SpillDir: t.TempDir()}},
 	}
 	var sb strings.Builder
@@ -40,9 +38,7 @@ func TestCountersGolden(t *testing.T) {
 		db := engine.NewDB(c.cfg)
 		data.RegisterAll(db)
 		for _, q := range tpch.QueryNumbers() {
-			pl, err := sql.Plan(db, tpch.MustSQL(q), sql.Options{
-				LLCBytes: c.cfg.TargetLLCBytes, UniqueKeys: tpch.TableKeys(),
-			})
+			pl, err := sql.Plan(db, tpch.MustSQL(q), sql.Options{UniqueKeys: tpch.TableKeys()})
 			if err != nil {
 				t.Fatal(err)
 			}

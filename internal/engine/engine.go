@@ -42,12 +42,12 @@ type Config struct {
 	// Workers bounds intra-query parallelism. Values < 1 select the
 	// runtime default, runtime.GOMAXPROCS(0).
 	Workers int
-	// TargetLLCBytes is the last-level-cache budget the planner sizes
-	// radix-partitioned joins and aggregations against. Zero selects
+	// TargetLLCBytes is the last-level-cache budget the planner sizes the
+	// radix-partitioned group-by against. Zero selects
 	// plan.DefaultLLCBytes (the smallest LLC among the paper's hardware
-	// profiles); negative disables the partitioned paths. Unlike Workers
-	// it changes which plan runs, never its result: partitioned and
-	// direct paths are byte-identical.
+	// profiles); negative disables the partitioned group-by. Unlike
+	// Workers it changes which plan runs, never its result: partitioned
+	// and direct paths are byte-identical.
 	TargetLLCBytes int64
 	// Exec selects the execution strategy: plan.ExecVector (the default)
 	// runs plans operator-at-a-time, and plan.ExecFused compiles

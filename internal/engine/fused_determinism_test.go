@@ -4,9 +4,8 @@ package engine_test
 // byte-identical results under fused execution, at every worker count,
 // against the vector baseline. The fused compiler feeds the same
 // key vectors, the same sink kernels, and the same planning decisions
-// (radix vs chained build, Bloom pre-filter threshold) as the vector
-// path, so the result bytes — floating-point sums included — must never
-// diverge.
+// (one buildJoin picks every join layout) as the vector path, so the
+// result bytes — floating-point sums included — must never diverge.
 
 import (
 	"context"

@@ -1,9 +1,9 @@
 package engine_test
 
-// Radix-path identity suite: the cache-conscious partitioned join and
-// group-by plans must be byte-identical to the direct plans on every
-// TPC-H query, at every worker count. TargetLLCBytes is the only knob
-// varied — it changes which plan runs, never its result.
+// Radix-path identity suite: the cache-conscious partitioned group-by
+// must be byte-identical to the direct one on every TPC-H query, at every
+// worker count. TargetLLCBytes is the only knob varied — it changes which
+// plan runs, never its result.
 
 import (
 	"context"
@@ -27,8 +27,8 @@ func radixIdentityDBs(t *testing.T) (*engine.DB, *engine.DB) {
 	t.Helper()
 	radixOnce.Do(func() {
 		data := tpch.Generate(tpch.Config{SF: 0.01, Seed: 42})
-		// 16 KiB is far below any real LLC; every join build past the row
-		// floor and every sizable group-by takes the partitioned path.
+		// 16 KiB is far below any real LLC; every sizable group-by whose
+		// keys arrive unclustered takes the partitioned path.
 		radixDetDB = engine.NewDB(engine.Config{TargetLLCBytes: 1 << 14})
 		directDetDB = engine.NewDB(engine.Config{TargetLLCBytes: -1})
 		data.RegisterAll(radixDetDB)

@@ -175,7 +175,7 @@ func TestExplainAnalyzeQ1OnPi(t *testing.T) {
 	}
 	pi := hardware.Pi()
 	out := obs.ExplainAnalyze(res.Root, obs.ExplainOptions{
-		Profile: &pi, Model: hardware.DefaultModel(), MaskWall: true,
+		Sim: hardware.Sim{Model: hardware.DefaultModel(), Profile: &pi}, MaskWall: true,
 	})
 	if !strings.Contains(out, "scan lineitem") {
 		t.Errorf("rendering missing scan operator:\n%s", out)

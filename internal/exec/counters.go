@@ -59,10 +59,10 @@ type Counters struct {
 	MergeBytes int64
 	// CacheRandomAccesses counts data-dependent accesses into structures
 	// deliberately sized to stay cache-resident — the per-partition hash
-	// tables and Bloom blocks of the radix join and group-by paths. The
-	// hardware model charges them at LLC rather than DRAM latency (as
-	// long as MaxPartitionBytes fits the profile's LLC), which is the
-	// whole point of radix partitioning on wimpy nodes.
+	// tables of the spill join and the radix group-by. The hardware model
+	// charges them at LLC rather than DRAM latency (as long as
+	// MaxPartitionBytes fits the profile's LLC), which is the whole point
+	// of radix partitioning on wimpy nodes.
 	CacheRandomAccesses int64
 	// PartitionBytes counts bytes streamed by radix partition passes:
 	// sequential reads plus bounded-fanout scattered writes. The model
@@ -70,7 +70,7 @@ type Counters struct {
 	// up front to turn DRAM random accesses into CacheRandomAccesses.
 	PartitionBytes int64
 	// MaxPartitionBytes tracks the footprint of the largest cache-sized
-	// structure (per-partition table, Bloom filter) a partitioned path
+	// structure (a per-partition table or grouper) a partitioned path
 	// built. The hardware model compares it against the profile LLC to
 	// decide whether CacheRandomAccesses really hit cache.
 	MaxPartitionBytes int64
@@ -173,7 +173,8 @@ func (c *Counters) ObserveHashBytes(n int64) {
 }
 
 // ObservePartitionBytes records the footprint of a cache-sized structure
-// built by a partitioned path (per-partition hash table, Bloom filter).
+// built by a partitioned path, such as a spill-join partition's table or
+// a radix group-by partition's grouper.
 func (c *Counters) ObservePartitionBytes(n int64) {
 	if n > c.MaxPartitionBytes {
 		c.MaxPartitionBytes = n

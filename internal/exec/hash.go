@@ -39,9 +39,8 @@ func nextPow2(n int) int {
 }
 
 // JoinProber is the probe side of a built join, whatever the layout of
-// its build side: the chained or positional JoinTable, the compact
-// RadixJoinTable, or the plan layer's spill joiner over compact
-// partitions on disk. All
+// its build side: the chained or positional JoinTable, or the plan
+// layer's spill joiner over compact partitions, resident or on disk. All
 // implementations return byte-identical match sets — probe rows
 // ascending, a key's duplicate build rows in descending row order — at
 // every worker count, so everything downstream of a probe is shared.

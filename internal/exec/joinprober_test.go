@@ -10,11 +10,11 @@ import (
 	"wimpi/internal/jointest"
 )
 
-// TestJoinProberConformance runs the resident JoinProber implementations
-// — the chained layout at every build fan-out, the positional layout and
-// the compact layout with and without its Bloom pre-filter — through the
-// shared conformance table. internal/plan runs the spill joiner through
-// the same table.
+// TestJoinProberConformance runs the JoinTable layouts — the chained one
+// at every build fan-out and the positional one — through the shared
+// conformance table. internal/plan runs the spill joiner, the compact
+// layout's PartTable kernels, through the same table, all partitions
+// resident and some spilled.
 func TestJoinProberConformance(t *testing.T) {
 	impls := []jointest.Impl{{
 		// The public entry: sequential below its thresholds, partitioned
@@ -76,35 +76,6 @@ func TestJoinProberConformance(t *testing.T) {
 			}
 		},
 	})
-	for _, bloom := range []bool{false, true} {
-		bloom := bloom
-		impls = append(impls, jointest.Impl{
-			Name: fmt.Sprintf("radix-bloom=%t", bloom),
-			Build: func(t *testing.T, build []int64, _, w, mr int, ctr *exec.Counters) exec.JoinProber {
-				// 2 KiB partitions: a two-pass fan-out on the larger inputs.
-				rt, err := exec.BuildRadixJoinTable(build, 2<<10, exec.RadixJoinConfig{Bloom: bloom}, w, mr, ctr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(build) > 0 && rt.NumPartitions() < 2 {
-					t.Fatalf("expected a multi-partition build, got %d", rt.NumPartitions())
-				}
-				if rt.NumBuildRows() != len(build) {
-					t.Fatalf("NumBuildRows = %d, want %d", rt.NumBuildRows(), len(build))
-				}
-				return rt
-			},
-			CountersFrom: 1,
-			Check: func(t *testing.T, in jointest.Input, ctr, _ exec.Counters) {
-				if len(in.Build) > 0 && (ctr.CacheRandomAccesses == 0 || ctr.MaxPartitionBytes == 0) {
-					t.Fatalf("compact layout charged no cache-resident work: %+v", ctr)
-				}
-				if ctr.RandomAccesses != 0 {
-					t.Fatalf("compact layout charged %d DRAM random accesses", ctr.RandomAccesses)
-				}
-			},
-		})
-	}
 	jointest.Run(t, impls)
 }
 

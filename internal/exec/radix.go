@@ -93,33 +93,30 @@ type RadixPartitions struct {
 // NumPartitions reports the partition count.
 func (rp *RadixPartitions) NumPartitions() int { return len(rp.Off) - 1 }
 
-// RadixPartitionKeys scatters keys into 2^bits partitions. rows gives
-// each key's original row index; nil means the identity (keys[i] is row
-// i). The input slices are never modified. The first pass runs
+// RadixPartitionKeys scatters keys into 2^bits partitions, recording
+// each key's original row index. The input slice is never modified. The first pass runs
 // morsel-parallel over the input; later passes refine one segment per
 // morsel. ctr is charged one streaming read per histogram pass and a
 // read+write stream per scatter pass (PartitionBytes). The only
 // possible error is the query's cancellation; a partially scattered
 // permutation must never be consumed.
-func RadixPartitionKeys(keys []int64, rows []int32, bits uint, workers, morselRows int, ctr *Counters) (*RadixPartitions, error) {
+func RadixPartitionKeys(keys []int64, bits uint, workers, morselRows int, ctr *Counters) (*RadixPartitions, error) {
 	n := len(keys)
 	if bits == 0 {
-		if rows == nil {
-			rows = make([]int32, n)
-			if err := runMorselsInfallible(workers, n, morselRows, ctr, func(m, lo, hi int, c *Counters) {
-				for i := lo; i < hi; i++ {
-					rows[i] = int32(i)
-				}
-				c.IntOps += int64(hi - lo)
-			}); err != nil {
-				return nil, err
+		rows := make([]int32, n)
+		if err := runMorselsInfallible(workers, n, morselRows, ctr, func(m, lo, hi int, c *Counters) {
+			for i := lo; i < hi; i++ {
+				rows[i] = int32(i)
 			}
+			c.IntOps += int64(hi - lo)
+		}); err != nil {
+			return nil, err
 		}
 		return &RadixPartitions{Keys: keys, Rows: rows, Off: []int32{0, int32(n)}, Bits: 0}, nil
 	}
 
 	rp := &RadixPartitions{Bits: bits}
-	srcK, srcR := keys, rows // srcR may be nil on the first pass (identity)
+	srcK, srcR := keys, []int32(nil) // the first pass reads no row ids: row i is key i
 	dstK := make([]int64, n)
 	dstR := make([]int32, n)
 	off := []int32{0, int32(n)}
@@ -132,7 +129,7 @@ func RadixPartitionKeys(keys []int64, rows []int32, bits uint, workers, morselRo
 		fan := 1 << b
 		newOff := make([]int32, (len(off)-1)*fan+1)
 		if done == 0 {
-			if err := radixFirstPass(srcK, srcR, dstK, dstR, newOff, b, workers, morselRows, ctr); err != nil {
+			if err := radixFirstPass(srcK, dstK, dstR, newOff, b, workers, morselRows, ctr); err != nil {
 				return nil, err
 			}
 		} else {
@@ -161,8 +158,8 @@ func RadixPartitionKeys(keys []int64, rows []int32, bits uint, workers, morselRo
 // radixFirstPass scatters the whole input by its top b partition bits,
 // morsel-parallel: a histogram pass gives every (morsel, bucket) pair a
 // disjoint write window, and filling windows in morsel order keeps the
-// scatter stable. srcR == nil means identity row indexes.
-func radixFirstPass(srcK []int64, srcR []int32, dstK []int64, dstR, newOff []int32, b uint, workers, morselRows int, ctr *Counters) error {
+// scatter stable. Each key's row index is its input position.
+func radixFirstPass(srcK []int64, dstK []int64, dstR, newOff []int32, b uint, workers, morselRows int, ctr *Counters) error {
 	n := len(srcK)
 	fan := 1 << b
 	shift := 64 - b
@@ -206,11 +203,7 @@ func radixFirstPass(srcK []int64, srcR []int32, dstK []int64, dstR, newOff []int
 		for i := lo; i < hi; i++ {
 			t := mix64(uint64(srcK[i])) >> shift
 			dstK[pos[t]] = srcK[i]
-			if srcR == nil {
-				dstR[pos[t]] = int32(i)
-			} else {
-				dstR[pos[t]] = srcR[i]
-			}
+			dstR[pos[t]] = int32(i)
 			pos[t]++
 		}
 		c.IntOps += int64(hi - lo)

@@ -76,7 +76,7 @@ func TestRadixPartitionKeysInvariants(t *testing.T) {
 	for name, keys := range radixKeySets(n) {
 		for _, bits := range []uint{0, 4, RadixBitsPerPass + 2} {
 			var ctr Counters
-			rp := must(RadixPartitionKeys(keys, nil, bits, 4, 1024, &ctr))
+			rp := must(RadixPartitionKeys(keys, bits, 4, 1024, &ctr))
 			if got, want := rp.NumPartitions(), 1<<bits; got != want {
 				t.Fatalf("%s bits=%d: NumPartitions = %d, want %d", name, bits, got, want)
 			}
@@ -132,7 +132,7 @@ func TestRadixPartitionKeysWorkerIndependent(t *testing.T) {
 		var base *RadixPartitions
 		for _, w := range []int{1, 2, 4, 8} {
 			var ctr Counters
-			rp := must(RadixPartitionKeys(keys, nil, RadixBitsPerPass+3, w, 777, &ctr))
+			rp := must(RadixPartitionKeys(keys, RadixBitsPerPass+3, w, 777, &ctr))
 			if base == nil {
 				base = rp
 				continue
@@ -164,7 +164,7 @@ func TestRadixPartitionKeysDoesNotMutateInput(t *testing.T) {
 	orig := append([]int64(nil), keys...)
 	for _, bits := range []uint{RadixBitsPerPass - 1, RadixBitsPerPass, RadixBitsPerPass + 1, 2 * RadixBitsPerPass} {
 		var ctr Counters
-		must(RadixPartitionKeys(keys, nil, bits, 4, 512, &ctr))
+		must(RadixPartitionKeys(keys, bits, 4, 512, &ctr))
 		for i := range keys {
 			if keys[i] != orig[i] {
 				t.Fatalf("bits=%d: input keys[%d] mutated", bits, i)
@@ -209,7 +209,7 @@ func TestRadixGatherAlignsPayloads(t *testing.T) {
 		ivals[i] = int64(i) * 3
 	}
 	var ctr Counters
-	rp := must(RadixPartitionKeys(keys, nil, 5, 4, 512, &ctr))
+	rp := must(RadixPartitionKeys(keys, 5, 4, 512, &ctr))
 	gf := must(rp.GatherF64(fvals, 4, 512, &ctr))
 	gi := must(rp.GatherI64(ivals, 4, 512, &ctr))
 	for i := range gf {

@@ -9,12 +9,12 @@ package exec
 // JoinTable's DRAM pointer chase.
 //
 // The per-partition probe kernels are written once, as PartTable
-// methods, and driven two ways, both with partitions as morsels:
-// RadixJoinTable runs them over resident partitions; the plan layer's
-// spill joiner also runs them over partitions read back from the spill
-// area. Every partition's table packs its groups into its own window of
-// one payload array shared by the whole build side, so a group is
-// addressed by a global payload index and outlives its table.
+// methods, and driven by the plan layer's spill joiner, with partitions
+// as morsels: over the resident prefix of partitions and over those read
+// back from the spill area alike. Every partition's table packs its
+// groups into its own window of one payload array shared by the whole
+// build side, so a group is addressed by a global payload index and
+// outlives its table.
 //
 // Probe results are byte-identical to JoinTable's: the chained table
 // visits a key's duplicates in descending build-row order (inserts
@@ -29,14 +29,6 @@ package exec
 // partition's table (2x slots of key+group, payload row, amortized group
 // arrays); RadixBits uses it to pick the fan-out.
 const RadixBuildBytesPerRow = 32
-
-// RadixJoinConfig controls BuildRadixTables.
-type RadixJoinConfig struct {
-	// Bloom adds a probe-side pre-filter built over the build keys.
-	// Worth it only for selective joins (large probe, small hit rate);
-	// the planner decides.
-	Bloom bool
-}
 
 // PartTable is one radix partition's compact table: open addressing
 // over distinct keys, each mapping to a dense group whose build rows are
@@ -208,13 +200,13 @@ func CollectFlags(flags []bool, want bool, ctr *Counters) []int32 {
 	return out
 }
 
-// FillMatches is the inner join's fill, for every driver of the count
-// pass: it turns counts into output windows (MatchOffsets) and sweeps
-// the probe rows in their original order, as row morsels, each matching
-// row writing its group — counts[row] build rows from payload[first[row]],
-// reversed — into its window. The sweep needs no table, no probe
-// partition and no spilled segment, which is what lets a driver visit
-// every partition once; its writes stream forward.
+// FillMatches is the inner join's fill after the count pass: it turns
+// counts into output windows (MatchOffsets) and sweeps the probe rows in
+// their original order, as row morsels, each matching row writing its
+// group — counts[row] build rows from payload[first[row]], reversed —
+// into its window. The sweep needs no table, no probe partition and no
+// spilled segment, which is what lets the driver visit every partition
+// once; its writes stream forward.
 func FillMatches(payload, counts, first []int32, workers, morselRows int, ctr *Counters) (buildIdx, probeIdx []int32, err error) {
 	offs, total, err := MatchOffsets(counts, ctr)
 	if err != nil {
@@ -239,173 +231,4 @@ func FillMatches(payload, counts, first []int32, workers, morselRows int, ctr *C
 		return nil, nil, err
 	}
 	return buildIdx, probeIdx, nil
-}
-
-// RadixJoinTable is the compact layout with every partition resident:
-// probe sides are partitioned before probing, and partitions run as
-// morsels.
-type RadixJoinTable struct {
-	rp      *RadixPartitions
-	parts   []PartTable
-	payload []int32 // build rows grouped by key; partition p owns [Off[p], Off[p+1])
-	bloom   *Bloom
-}
-
-// BuildRadixJoinTable partitions keys so each partition's table fits
-// targetPartBytes, then builds the per-partition tables. It is the
-// convenience entry; the planner calls RadixPartitionKeys and
-// BuildRadixTables separately so the partition phase gets its own span.
-func BuildRadixJoinTable(keys []int64, targetPartBytes int64, cfg RadixJoinConfig, workers, morselRows int, ctr *Counters) (*RadixJoinTable, error) {
-	bits := RadixBits(len(keys), RadixBuildBytesPerRow, targetPartBytes)
-	rp, err := RadixPartitionKeys(keys, nil, bits, workers, morselRows, ctr)
-	if err != nil {
-		return nil, err
-	}
-	return BuildRadixTables(rp, cfg, workers, morselRows, ctr)
-}
-
-// BuildRadixTables builds one compact table per partition of the
-// already-partitioned build side. Partitions are independent morsels;
-// each table's inserts and payload writes stay within its own
-// cache-sized range. The only possible error is the query's
-// cancellation, and a partially built table must never be probed.
-func BuildRadixTables(rp *RadixPartitions, cfg RadixJoinConfig, workers, morselRows int, ctr *Counters) (*RadixJoinTable, error) {
-	rt := &RadixJoinTable{rp: rp, parts: make([]PartTable, rp.NumPartitions()), payload: make([]int32, len(rp.Rows))}
-	if err := runMorselsInfallible(workers, len(rt.parts), 1, ctr, func(p, _, _ int, c *Counters) {
-		lo, hi := rp.Off[p], rp.Off[p+1]
-		rt.parts[p] = BuildPartTable(rp.Keys[lo:hi], rp.Rows[lo:hi], rt.payload[lo:hi], c)
-	}); err != nil {
-		return nil, err
-	}
-	if cfg.Bloom {
-		rt.bloom = NewBloom(rp.Keys, ctr)
-	}
-	ctr.ObserveHashBytes(rt.SizeBytes())
-	return rt, nil
-}
-
-// SizeBytes reports the table's total memory footprint.
-//
-//lint:allow costaccounting -- metadata sum over the fixed partition count, not data-path work
-func (rt *RadixJoinTable) SizeBytes() int64 {
-	n := int64(len(rt.rp.Rows))*(4+4) + int64(len(rt.rp.Keys))*8
-	for i := range rt.parts {
-		n += rt.parts[i].sizeBytes()
-	}
-	if rt.bloom != nil {
-		n += rt.bloom.SizeBytes()
-	}
-	return n
-}
-
-// NumBuildRows reports the number of indexed build rows.
-func (rt *RadixJoinTable) NumBuildRows() int { return len(rt.rp.Rows) }
-
-// NumPartitions reports the build fan-out.
-func (rt *RadixJoinTable) NumPartitions() int { return len(rt.parts) }
-
-// partitionProbe routes the probe side through the Bloom pre-filter (if
-// any) and radix-partitions it with the build's fan-out. Rows rejected
-// by the filter have no match by construction, so dropping them before
-// partitioning changes no output.
-func (rt *RadixJoinTable) partitionProbe(probeKeys []int64, workers, morselRows int, ctr *Counters) (*RadixPartitions, error) {
-	keys, rows := probeKeys, []int32(nil)
-	if rt.bloom != nil {
-		sel, err := rt.bloom.FilterKeys(probeKeys, workers, morselRows, ctr)
-		if err != nil {
-			return nil, err
-		}
-		if len(sel) < len(probeKeys) {
-			keys, err = gatherKeysAt(probeKeys, sel, workers, morselRows, ctr)
-			if err != nil {
-				return nil, err
-			}
-			rows = sel
-		}
-	}
-	return RadixPartitionKeys(keys, rows, rt.rp.Bits, workers, morselRows, ctr)
-}
-
-// gatherKeysAt compacts keys down to the selected rows (ascending sel,
-// so the reads stream forward).
-func gatherKeysAt(keys []int64, sel []int32, workers, morselRows int, ctr *Counters) ([]int64, error) {
-	out := make([]int64, len(sel))
-	if err := runMorselsInfallible(workers, len(sel), morselRows, ctr, func(m, lo, hi int, c *Counters) {
-		for i := lo; i < hi; i++ {
-			out[i] = keys[sel[i]]
-		}
-		c.SeqBytes += int64(hi-lo) * 12
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// eachPart runs one kernel pass: fn once per partition, as a morsel,
-// with the partition's table and its probe keys and rows.
-func (rt *RadixJoinTable) eachPart(pp *RadixPartitions, workers int, ctr *Counters, fn func(p int, pt *PartTable, pkeys []int64, prows []int32, c *Counters)) error {
-	return runMorselsInfallible(workers, len(rt.parts), 1, ctr, func(p, _, _ int, c *Counters) {
-		lo, hi := pp.Off[p], pp.Off[p+1]
-		fn(p, &rt.parts[p], pp.Keys[lo:hi], pp.Rows[lo:hi], c)
-	})
-}
-
-// InnerJoin implements JoinProber: a count pass over the partitions,
-// then FillMatches over the probe rows.
-func (rt *RadixJoinTable) InnerJoin(probeKeys []int64, workers, morselRows int, ctr *Counters) (buildIdx, probeIdx []int32, err error) {
-	pp, err := rt.partitionProbe(probeKeys, workers, morselRows, ctr)
-	if err != nil {
-		return nil, nil, err
-	}
-	counts := make([]int32, len(probeKeys))
-	first := make([]int32, len(probeKeys))
-	if err := rt.eachPart(pp, workers, ctr, func(p int, pt *PartTable, pkeys []int64, prows []int32, c *Counters) {
-		pt.CountMatches(pkeys, prows, rt.rp.Off[p], counts, first, c)
-	}); err != nil {
-		return nil, nil, err
-	}
-	return FillMatches(rt.payload, counts, first, workers, morselRows, ctr)
-}
-
-// SemiJoin implements JoinProber.
-func (rt *RadixJoinTable) SemiJoin(probeKeys []int64, workers, morselRows int, ctr *Counters) ([]int32, error) {
-	return rt.selJoin(probeKeys, true, workers, morselRows, ctr)
-}
-
-// AntiJoin implements JoinProber. Bloom-rejected rows are correct anti
-// matches: the filter has no false negatives.
-func (rt *RadixJoinTable) AntiJoin(probeKeys []int64, workers, morselRows int, ctr *Counters) ([]int32, error) {
-	return rt.selJoin(probeKeys, false, workers, morselRows, ctr)
-}
-
-// selJoin flags the probe rows that match and collects those whose flag
-// equals want.
-func (rt *RadixJoinTable) selJoin(probeKeys []int64, want bool, workers, morselRows int, ctr *Counters) ([]int32, error) {
-	pp, err := rt.partitionProbe(probeKeys, workers, morselRows, ctr)
-	if err != nil {
-		return nil, err
-	}
-	hit := make([]bool, len(probeKeys))
-	if err := rt.eachPart(pp, workers, ctr, func(_ int, pt *PartTable, pkeys []int64, prows []int32, c *Counters) {
-		pt.FlagMatches(pkeys, prows, hit, c)
-	}); err != nil {
-		return nil, err
-	}
-	return CollectFlags(hit, want, ctr), nil
-}
-
-// CountPerProbe implements JoinProber.
-func (rt *RadixJoinTable) CountPerProbe(probeKeys []int64, workers, morselRows int, ctr *Counters) ([]int64, error) {
-	pp, err := rt.partitionProbe(probeKeys, workers, morselRows, ctr)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(probeKeys))
-	if err := rt.eachPart(pp, workers, ctr, func(_ int, pt *PartTable, pkeys []int64, prows []int32, c *Counters) {
-		pt.CountPerProbe(pkeys, prows, out, c)
-	}); err != nil {
-		return nil, err
-	}
-	ctr.SeqBytes += int64(len(probeKeys)) * 8
-	return out, nil
 }

@@ -223,6 +223,26 @@ func (m Model) OperatorTime(p *Profile, c exec.Counters, dop int) time.Duration 
 	return time.Duration((b.Total - b.OverheadSeconds) * float64(time.Second))
 }
 
+// Sim prices recorded work on one profile at a degree of parallelism
+// (DOP <= 0: all its cores): the simulated columns of EXPLAIN ANALYZE
+// (obs.Simulator).
+type Sim struct {
+	Model   Model
+	Profile *Profile
+	DOP     int
+}
+
+// Name implements obs.Simulator.
+func (s Sim) Name() string { return s.Profile.Name }
+
+// OperatorTime implements obs.Simulator.
+func (s Sim) OperatorTime(c exec.Counters) (time.Duration, string) {
+	return s.Model.OperatorTime(s.Profile, c, s.DOP), s.Model.Explain(s.Profile, c, s.DOP).Dominant()
+}
+
+// OverheadSeconds implements obs.Simulator.
+func (s Sim) OverheadSeconds() float64 { return s.Profile.QueryOverheadSec }
+
 // EnergyJoules estimates the energy consumed running at full load for
 // the given simulated duration: TDP × time, the paper's methodology
 // (Section III-B.1). Profiles without a public TDP return 0.

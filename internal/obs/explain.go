@@ -5,24 +5,29 @@ import (
 	"strings"
 	"time"
 
-	"wimpi/internal/hardware"
+	"wimpi/internal/exec"
 )
 
 // ExplainOptions parameterize the EXPLAIN ANALYZE rendering of a span
 // tree.
 type ExplainOptions struct {
-	// Profile selects the hardware the simulated columns are computed
-	// for; nil omits the simulated columns entirely.
-	Profile *hardware.Profile
-	// Model converts counters to simulated time (zero value is unusable;
-	// pass hardware.DefaultModel()).
-	Model hardware.Model
-	// DOP is the degree of parallelism for the simulation; <= 0 means
-	// all of the profile's cores.
-	DOP int
+	// Sim computes the simulated columns (hardware.Sim does, for one
+	// profile); nil omits them entirely.
+	Sim Simulator
 	// MaskWall replaces measured wall-clock fields with a fixed
 	// placeholder so renderings are byte-stable for golden tests.
 	MaskWall bool
+}
+
+// Simulator prices recorded work on one hardware profile.
+type Simulator interface {
+	// Name names the profile.
+	Name() string
+	// OperatorTime is the simulated time of the work in c, without the
+	// per-query overhead, and the resource that bounds it.
+	OperatorTime(c exec.Counters) (time.Duration, string)
+	// OverheadSeconds is the fixed time the profile adds to every query.
+	OverheadSeconds() float64
 }
 
 const wallMask = "   <wall>  <pct>"
@@ -40,15 +45,16 @@ func ExplainAnalyze(root *Span, opt ExplainOptions) string {
 	var totalSim time.Duration
 	root.Walk(func(sp *Span, _ int) {
 		totalWall += sp.SelfWall()
-		if opt.Profile != nil {
-			totalSim += opt.Model.OperatorTime(opt.Profile, sp.SelfCounters(), opt.DOP)
+		if opt.Sim != nil {
+			t, _ := opt.Sim.OperatorTime(sp.SelfCounters())
+			totalSim += t
 		}
 	})
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-44s %10s %10s %6s", "operator", "rows", "wall", "wall%")
-	if opt.Profile != nil {
-		fmt.Fprintf(&b, " %12s %6s %9s", "sim("+opt.Profile.Name+")", "sim%", "bound")
+	if opt.Sim != nil {
+		fmt.Fprintf(&b, " %12s %6s %9s", "sim("+opt.Sim.Name()+")", "sim%", "bound")
 	}
 	b.WriteString("\n")
 	root.Walk(func(sp *Span, depth int) {
@@ -66,12 +72,10 @@ func ExplainAnalyze(root *Span, opt ExplainOptions) string {
 			fmt.Fprintf(&b, " %10s %5.1f%%",
 				sp.SelfWall().Round(time.Microsecond), pct(float64(sp.SelfWall()), float64(totalWall)))
 		}
-		if opt.Profile != nil {
-			self := sp.SelfCounters()
-			simSelf := opt.Model.OperatorTime(opt.Profile, self, opt.DOP)
-			bd := opt.Model.Explain(opt.Profile, self, opt.DOP)
+		if opt.Sim != nil {
+			simSelf, bound := opt.Sim.OperatorTime(sp.SelfCounters())
 			fmt.Fprintf(&b, " %11.4fs %5.1f%% %9s",
-				simSelf.Seconds(), pct(float64(simSelf), float64(totalSim)), bd.Dominant())
+				simSelf.Seconds(), pct(float64(simSelf), float64(totalSim)), bound)
 		}
 		b.WriteString("\n")
 	})
@@ -80,9 +84,9 @@ func ExplainAnalyze(root *Span, opt ExplainOptions) string {
 	} else {
 		fmt.Fprintf(&b, "total: %d operators, %s wall", root.NumSpans(), totalWall.Round(time.Microsecond))
 	}
-	if opt.Profile != nil {
+	if opt.Sim != nil {
 		fmt.Fprintf(&b, ", %.4fs simulated on %s (+%.3fs per-query overhead)",
-			totalSim.Seconds(), opt.Profile.Name, opt.Model.Explain(opt.Profile, root.Counters, opt.DOP).OverheadSeconds)
+			totalSim.Seconds(), opt.Sim.Name(), opt.Sim.OverheadSeconds())
 	}
 	b.WriteString("\n")
 	return b.String()

@@ -36,9 +36,7 @@ func goldenTree() *Span {
 func TestExplainAnalyzeGolden(t *testing.T) {
 	pi := hardware.Pi()
 	got := ExplainAnalyze(goldenTree(), ExplainOptions{
-		Profile:  &pi,
-		Model:    hardware.DefaultModel(),
-		DOP:      4,
+		Sim:      hardware.Sim{Model: hardware.DefaultModel(), Profile: &pi, DOP: 4},
 		MaskWall: true,
 	})
 	const want = `operator                                           rows       wall  wall%  sim(Pi 3B+)   sim%     bound

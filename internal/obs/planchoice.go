@@ -23,8 +23,8 @@ type PlanChoice struct {
 	ChosenCost    time.Duration
 	// Reordered is true when Chosen differs from Canonical.
 	Reordered bool
-	// Notes carries per-step strategy predictions (radix vs chained
-	// build, Bloom pre-filter) for the chosen order.
+	// Notes carries per-step build-layout predictions (positional up to
+	// a key span, else chained) for the chosen order.
 	Notes []string
 }
 

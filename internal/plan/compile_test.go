@@ -197,47 +197,6 @@ func TestFusedChainedJoinsProperty(t *testing.T) {
 	}
 }
 
-// TestFusedBloomThresholdParity pins the fused probe to the vector
-// path's Bloom pre-filter decision: with a probe side at least 4x the
-// build side the pre-filter engages, below that it must not, and in
-// both regimes the engines must agree — HashProbeTuples counts the
-// probes the join kernels actually perform, so any divergence in the
-// decision shows up as a counter mismatch, not just a perf difference.
-func TestFusedBloomThresholdParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	// Build large enough that exec.JoinTableBytes exceeds the default
-	// LLC, forcing the radix join path where the Bloom choice lives.
-	build := adversarialTable(rng, "b", 40000, 40000)
-	for _, probeRows := range []int{3 * 40000, 5 * 40000} {
-		probe := adversarialTable(rng, "p", probeRows, 40000)
-		cat := memCatalog{"b": build, "p": probe}
-		node := &GroupBy{
-			Input: &HashJoin{
-				Build:     &Scan{Table: "b"},
-				Probe:     &Scan{Table: "p"},
-				BuildKeys: []string{"b_key"},
-				ProbeKeys: []string{"p_key"},
-				Kind:      Semi,
-			},
-			Keys: []string{"p_tag"},
-			Aggs: []AggSpec{{Name: "n", Func: Count}},
-		}
-		vec, err := RunContext(&Context{Cat: cat, Workers: 2, Exec: ExecVector}, node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fused, err := RunContext(&Context{Cat: cat, Workers: 2, Exec: ExecFused}, node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vctr, fctr := vec.Counters, fused.Counters; vctr.HashProbeTuples != fctr.HashProbeTuples {
-			t.Errorf("probe=%dx build: HashProbeTuples diverge (vector %d, fused %d) — Bloom threshold disagreement",
-				probeRows/40000, vctr.HashProbeTuples, fctr.HashProbeTuples)
-		}
-		assertModesIdentical(t, cat, node, fmt.Sprintf("bloom parity probe=%dx", probeRows/40000))
-	}
-}
-
 // TestCompileLeavesVectorPlansAlone pins the default: without an exec
 // mode the compiler must return the identical plan value.
 func TestCompileLeavesVectorPlansAlone(t *testing.T) {

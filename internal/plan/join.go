@@ -6,7 +6,6 @@ import (
 
 	"wimpi/internal/colstore"
 	"wimpi/internal/exec"
-	"wimpi/internal/hardware"
 )
 
 // JoinKind selects the semantics of a HashJoin.
@@ -133,22 +132,17 @@ func (c *Context) buildPhase(build *colstore.Table, keys []string, probeRows int
 // — the one place the layout is chosen, for the vector and the fused
 // engine and the key filter alike — and names the layout it chose. Every
 // input of the choice is something the query observes (the keys,
-// cardinalities, the memory budget, the LLC budget) and none is the
-// worker count, so both engines, every degree of parallelism and a
-// re-dispatched cluster worker pick the same physical join:
+// cardinalities, the memory budget) and none is the worker count, so both
+// engines, every degree of parallelism and a re-dispatched cluster worker
+// pick the same physical join:
 //
 //   - join state beyond the memory budget: the compact layout with its
 //     beyond-budget partitions streamed through the spill area, instead
 //     of letting the OS page a hash table through swap;
 //   - keys spanning at most PositionalMaxSpan values: the positional
 //     layout, which hashes nothing;
-//   - a chained table that would blow the LLC budget, where chooseRadix
-//     prices partitioning cheaper: the compact layout, resident. The
-//     partition pass gets its own span because it is the streaming price
-//     paid to keep every probe cache-resident;
 //   - otherwise the chained layout.
 func (c *Context) buildJoin(bk []int64, probeRows int) (exec.JoinProber, string, error) {
-	w, mr := c.workers(), c.morselRows()
 	if c.useSpillJoin(len(bk), probeRows) {
 		sj, err := c.buildSpillJoiner(bk, probeRows)
 		return sj, "radix, spilled", err
@@ -157,23 +151,8 @@ func (c *Context) buildJoin(bk []int64, probeRows int) (exec.JoinProber, string,
 		jt, err := exec.BuildPositionalJoinTable(bk, base, span, c.Ctr)
 		return jt, fmt.Sprintf("positional, %d slots", span), err
 	}
-	target := c.llcBytes()
-	radix, bloom, why := JoinStrategy(len(bk), probeRows, target)
-	if !radix {
-		jt, err := exec.BuildJoinTableParallel(bk, w, mr, c.Ctr)
-		return jt, "chained", err
-	}
-	bits := exec.RadixBits(len(bk), exec.RadixBuildBytesPerRow, target/2)
-	ksp := c.Trace.Begin("join-partition",
-		fmt.Sprintf("radix %d-way, %d pass(es); %s", 1<<bits, exec.RadixPasses(bits), why))
-	rp, err := exec.RadixPartitionKeys(bk, nil, bits, w, mr, c.Ctr)
-	if err != nil {
-		c.Trace.EndErr(ksp)
-		return nil, "", err
-	}
-	c.Trace.End(ksp, int64(len(bk)), int64(len(bk))*12)
-	rt, err := exec.BuildRadixTables(rp, exec.RadixJoinConfig{Bloom: bloom}, w, mr, c.Ctr)
-	return rt, "radix", err
+	jt, err := exec.BuildJoinTableParallel(bk, c.workers(), c.morselRows(), c.Ctr)
+	return jt, "chained", err
 }
 
 // PositionalMaxSpan is the widest key range buildJoin lays out
@@ -182,77 +161,6 @@ func (c *Context) buildJoin(bk []int64, probeRows int) (exec.JoinProber, string,
 // probe-key vector (8 bytes a row) the join already holds.
 func PositionalMaxSpan(buildRows, probeRows int) int64 {
 	return max(exec.JoinTableBytes(buildRows), 8*int64(probeRows)) / 4
-}
-
-// JoinStrategy is buildJoin's hashed layout decision, exported so
-// EXPLAIN predicts what runs: radix for the compact layout (chooseRadix),
-// bloom for its probe-side Bloom pre-filter, which pays when most probes
-// miss (the probe side dwarfs the build side) and the filter fits the LLC
-// budget (0 disables the partitioned paths).
-func JoinStrategy(buildRows, probeRows int, llcBytes int64) (radix, bloom bool, why string) {
-	radix, why = chooseRadix(buildRows, probeRows, llcBytes)
-	bloom = radix && probeRows >= 4*buildRows && exec.BloomBytes(buildRows) <= llcBytes
-	return radix, bloom, why
-}
-
-// radixMinBuildRows is the smallest build side worth partitioning; below
-// it the chained table fits comfortably in cache anyway and the pass
-// setup would dominate.
-const radixMinBuildRows = 1 << 12
-
-// chooseRadix decides between the chained and the compact layout by
-// pricing both with the hardware cost model on the wimpy reference
-// profile ("plan for the smallest node"). The differential profiles
-// carry only what differs: the chained table's DRAM-latency probes
-// against the compact path's partition streaming plus cache-resident
-// probes. The decision depends only on input cardinalities and the LLC
-// budget — never on the worker count — so the choice (and the
-// byte-exact output) is identical on one core, eight cores, and a
-// re-dispatched cluster worker.
-//
-// On a big-cached host the compact path often loses in wall-clock (the
-// chained table fits some L3 slice and partitioning is pure overhead);
-// it wins on the simulated Pi, whose 512 KiB LLC is the budget the
-// partitions are sized to. The measured side of that is
-// plan.join_build_ns_per_tuple and plan.join_probe_ns_per_tuple of the
-// traced `power` (mostly chained) and `spill` (compact) runs of
-// benchmark/, next to hardware.sim_*.
-func chooseRadix(buildRows, probeRows int, llcBytes int64) (bool, string) {
-	if llcBytes <= 0 {
-		return false, "chained: partitioned paths disabled"
-	}
-	if buildRows < radixMinBuildRows {
-		return false, fmt.Sprintf("chained: build %d rows below radix threshold %d", buildRows, radixMinBuildRows)
-	}
-	tableBytes := exec.JoinTableBytes(buildRows)
-	if tableBytes <= llcBytes {
-		return false, fmt.Sprintf("chained: table %dB fits LLC budget %dB", tableBytes, llcBytes)
-	}
-
-	// Chained: every probe is a DRAM-latency random access into the
-	// oversized table.
-	var chained exec.Counters
-	chained.RandomAccesses = int64(probeRows)
-	chained.MaxHashBytes = tableBytes
-
-	// Radix: both sides stream through the partition passes (histogram
-	// read + scatter read/write per pass, as the partitioner charges),
-	// then build and probe run cache-resident.
-	bits := exec.RadixBits(buildRows, exec.RadixBuildBytesPerRow, llcBytes/2)
-	passes := int64(exec.RadixPasses(bits))
-	var radix exec.Counters
-	radix.PartitionBytes = 3 * 12 * passes * int64(buildRows+probeRows)
-	radix.CacheRandomAccesses = int64(2*buildRows + probeRows)
-	radix.MaxPartitionBytes = exec.RadixBuildBytesPerRow * int64(buildRows) >> bits
-
-	model := hardware.DefaultModel()
-	pi := hardware.Pi()
-	tc := model.OperatorTime(&pi, chained, 1)
-	tr := model.OperatorTime(&pi, radix, 1)
-	if tr <= tc {
-		return true, fmt.Sprintf("radix: saves %v on %s (est %v vs %v)", tc-tr, pi.Name, tr, tc)
-	}
-	return false, fmt.Sprintf("chained: radix overhead loses %v on %s (est %v vs %v)", tr-tc, pi.Name, tr, tc)
 }
 
 // probePhase probes with the probe side's keys pk and gathers the output.

@@ -17,8 +17,8 @@ func intTable(name, col string, v []int64) *colstore.Table {
 // TestPositionalRule pins buildJoin's positional bound: build keys
 // spanning exactly PositionalMaxSpan slots take the positional layout and
 // one slot more the chained one, whichever side of the bound's max sets
-// it — at 1, 2 and 8 workers in both engines, with the same answer every
-// time.
+// it and however far the chained table outgrows the default LLC budget —
+// at 1, 2 and 8 workers in both engines, with the same answer every time.
 func TestPositionalRule(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -26,6 +26,7 @@ func TestPositionalRule(t *testing.T) {
 	}{
 		{"chained table sets the bound", 1000, 100},
 		{"probe keys set the bound", 10, 1000},
+		{"past the LLC budget", 1 << 16, 1 << 18},
 	} {
 		bound := PositionalMaxSpan(tc.build, tc.probe)
 		for _, span := range []int64{bound, bound + 1} {

@@ -44,13 +44,13 @@ type Context struct {
 	// only on input size, never on Workers, so results are bit-identical
 	// at every degree of parallelism.
 	MorselRows int
-	// LLCBytes is the last-level-cache budget the planner sizes
-	// partitioned joins and aggregations against. Zero selects
-	// DefaultLLCBytes; negative disables the partitioned paths entirely.
-	// Like MorselRows it must never vary with Workers: the partitioned
-	// vs. direct decision depends only on input cardinalities and this
-	// budget, so results stay bit-identical at every degree of
-	// parallelism, including cluster re-dispatch.
+	// LLCBytes is the last-level-cache budget the planner sizes the
+	// radix-partitioned group-by against. Zero selects DefaultLLCBytes;
+	// negative disables the partitioned group-by. Like MorselRows it must
+	// never vary with Workers: the partitioned vs. direct decision depends
+	// only on the estimated group count and this budget, so results stay
+	// bit-identical at every degree of parallelism, including cluster
+	// re-dispatch.
 	LLCBytes int64
 	// Trace, when non-nil, makes RunContext a traced run that collects an
 	// operator span tree (see RunContext). A nil tracer is a valid no-op,
@@ -136,8 +136,8 @@ const DefaultMinParallelRows = 1 << 15
 
 // DefaultLLCBytes is the planning cache budget when Context.LLCBytes is
 // zero: the Raspberry Pi 3B+'s 512 KiB shared L2, the smallest LLC among
-// the paper's comparison points. Sizing partitions for the smallest
-// cache keeps partitioned plans cache-resident on every profile.
+// the paper's comparison points. Sizing the group-by's partitions for the
+// smallest cache keeps them cache-resident on every profile.
 const DefaultLLCBytes = 512 << 10
 
 func (c *Context) workers() int {
@@ -162,7 +162,7 @@ func (c *Context) morselRows() int {
 }
 
 // llcBytes resolves the planning cache budget; 0 means the partitioned
-// paths are disabled.
+// group-by is disabled.
 func (c *Context) llcBytes() int64 {
 	switch {
 	case c.LLCBytes < 0:

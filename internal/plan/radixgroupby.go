@@ -72,8 +72,9 @@ func radixGroupBytesPerRow(naggs int) int64 {
 	return int64(24 + 4 + 16*naggs)
 }
 
-// useRadixGroupBy mirrors useRadixJoin: the decision depends only on the
-// estimated group count and the LLC budget, never the worker count.
+// useRadixGroupBy partitions a group-by whose grouper would outgrow the
+// LLC budget. The decision depends only on the estimated group count and
+// the budget, never the worker count.
 func useRadixGroupBy(estGroups int, llcBytes int64) bool {
 	return llcBytes > 0 && exec.GrouperBytes(estGroups) > llcBytes
 }
@@ -104,7 +105,7 @@ func (g *GroupBy) groupedRadix(ctx *Context, in *colstore.Table, packed []int64,
 	bits := exec.RadixBits(estGroups, radixGroupBytesPerRow(len(g.Aggs)), target/2)
 	sp := ctx.Trace.Begin("group-partition",
 		fmt.Sprintf("radix %d-way, %d pass(es)", 1<<bits, exec.RadixPasses(bits)))
-	rp, err := exec.RadixPartitionKeys(packed, nil, bits, w, mr, ctx.Ctr)
+	rp, err := exec.RadixPartitionKeys(packed, bits, w, mr, ctx.Ctr)
 	if err != nil {
 		ctx.Trace.EndErr(sp)
 		return nil, err

@@ -16,10 +16,11 @@ import (
 // to the on-disk spill area — one segment per side, since the scatter
 // leaves them contiguous. The degradation is planned and priced —
 // charged sequential spill I/O instead of the cliff-edge swap model —
-// and the output is byte-identical to the in-memory join, because it is
-// the in-memory join's kernels that run: the spill joiner is the second
-// driver of the per-partition probe kernels exec.RadixJoinTable drives
-// over resident partitions, and owns only residency, segments and spans.
+// and the output is byte-identical to the in-memory join's, because the
+// probe kernels return the chained table's match order. The spill joiner
+// is the only driver of exec.PartTable's per-partition kernels — with
+// every partition resident it is a resident radix join — and owns only
+// residency, segments and spans.
 //
 // Every join kind visits a partition once: its segment range is read
 // once, its table built once, each probe key looked up once. The inner
@@ -120,7 +121,7 @@ func (c *Context) buildSpillJoiner(bk []int64, probeRows int) (*spillJoiner, err
 // partitionBuild scatters the build keys, picks the resident prefix and
 // spills the rest.
 func (c *Context) partitionBuild(bk []int64, probeRows int, bits uint) (*spillJoiner, error) {
-	rp, err := exec.RadixPartitionKeys(bk, nil, bits, c.workers(), c.morselRows(), c.Ctr)
+	rp, err := exec.RadixPartitionKeys(bk, bits, c.workers(), c.morselRows(), c.Ctr)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +208,7 @@ type partBuf struct {
 // table built there and then. The buffers double as the semaphore that
 // bounds the spilled partitions in memory whatever the worker count.
 func (sj *spillJoiner) probePass(pk []int64, w, mr int, ctr *exec.Counters, fn partKernel) error {
-	pp, err := exec.RadixPartitionKeys(pk, nil, sj.rp.Bits, w, mr, ctr)
+	pp, err := exec.RadixPartitionKeys(pk, sj.rp.Bits, w, mr, ctr)
 	if err != nil {
 		return err
 	}

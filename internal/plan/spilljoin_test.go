@@ -87,6 +87,10 @@ func TestJoinProberConformance(t *testing.T) {
 			// depends on the worker count but who runs them.
 			CountersFrom: 1,
 			Check: func(t *testing.T, in jointest.Input, ctr, _ exec.Counters) {
+				if len(in.Build) > 0 && (ctr.CacheRandomAccesses == 0 || ctr.MaxPartitionBytes == 0) || ctr.RandomAccesses != 0 {
+					t.Fatalf("compact layout charged %d DRAM and %d cache-resident random accesses, largest partition %d bytes",
+						ctr.RandomAccesses, ctr.CacheRandomAccesses, ctr.MaxPartitionBytes)
+				}
 				spilled := resident < 1<<bits && len(in.Build)+len(in.Probe) > 0
 				if (ctr.SpillWriteBytes > 0) != spilled {
 					t.Fatalf("resident %d of %d partitions: wrote %d spill bytes", resident, 1<<bits, ctr.SpillWriteBytes)
@@ -114,7 +118,7 @@ func handBuiltSpillJoiner(t *testing.T, c *Context, build []int64, bits uint, re
 			t.Error(err)
 		}
 	})
-	rp, err := exec.RadixPartitionKeys(build, nil, bits, c.workers(), c.morselRows(), c.Ctr)
+	rp, err := exec.RadixPartitionKeys(build, bits, c.workers(), c.morselRows(), c.Ctr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,6 @@ type planner struct {
 	rep   *Report
 	model hardware.Model
 	pi    hardware.Profile
-	llc   int64 // resolved LLC bytes for strategy prediction
 	// running marks a planner lowering a block at run time (see atRun).
 	running bool
 }

@@ -214,27 +214,20 @@ func (pl *planner) windowCost(win []step, perm []int, rows float64, cols int) ti
 
 // strategyNotes predicts, per join step of the chosen order, the build
 // layout the executor will pick at run time — positional up to a key
-// span, else radix-partitioned or chained, and whether the radix build
-// carries a Bloom pre-filter — by asking the executor's own decision
-// (plan.PositionalMaxSpan, plan.JoinStrategy) on the planner's
-// estimates, so EXPLAIN can show it before running anything. The key
-// span itself is known only once the build side has run.
+// span, else chained — by asking the executor's own bound
+// (plan.PositionalMaxSpan) on the planner's estimates, so EXPLAIN can
+// show it before running anything. The key span itself is known only
+// once the build side has run.
 func (pl *planner) strategyNotes(chosen []step, rows float64) []string {
 	var notes []string
 	for i := range chosen {
 		s := &chosen[i]
 		switch s.kind {
 		case stepInner, stepSemi, stepAnti:
-			build := "chained build"
-			if radix, bloom, _ := plan.JoinStrategy(int(s.buildRows), int(rows), pl.llc); bloom {
-				build = "radix build, bloom prefilter"
-			} else if radix {
-				build = "radix build, no bloom"
-			}
 			// The bound follows the estimates, so it sits in parentheses
 			// with them, apart from the decisions.
-			notes = append(notes, fmt.Sprintf("%s: positional (if keys span ≤ %d), else %s (build ~%d rows, probe ~%d rows)",
-				s.label, plan.PositionalMaxSpan(int(s.buildRows), int(rows)), build, int64(s.buildRows), int64(rows)))
+			notes = append(notes, fmt.Sprintf("%s: positional (if keys span ≤ %d), else chained build (build ~%d rows, probe ~%d rows)",
+				s.label, plan.PositionalMaxSpan(int(s.buildRows), int(rows)), int64(s.buildRows), int64(rows)))
 		}
 		rows *= s.sel
 	}

@@ -196,15 +196,16 @@ func TestPlansGolden(t *testing.T) {
 }
 
 // TestStrategyNotesMatchExecutor: EXPLAIN's build notes come from the
-// executor's own decision, and only the radix layout carries a Bloom
-// pre-filter, so no note may pair a chained build with one.
+// executor's own decision, whose only resident layouts are positional
+// and chained, so every note predicts a chained build past the
+// positional bound.
 func TestStrategyNotesMatchExecutor(t *testing.T) {
 	db := reportDB(4)
 	for q := 1; q <= 22; q++ {
 		for _, c := range planSQL(t, db, q).Report.Choices {
 			for _, note := range c.Notes {
-				if strings.Contains(note, "chained") && strings.Contains(note, "bloom") {
-					t.Errorf("Q%d: %q predicts a Bloom filter on a chained build", q, note)
+				if !strings.Contains(note, " else chained build (") {
+					t.Errorf("Q%d: %q does not predict a chained build past the positional bound", q, note)
 				}
 			}
 		}

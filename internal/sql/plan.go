@@ -22,10 +22,6 @@ import (
 
 // Options configures planning.
 type Options struct {
-	// LLCBytes is the last-level-cache budget used to predict join build
-	// strategies. Zero selects the engine default; negative disables
-	// cache-aware predictions (matching plan.Context semantics).
-	LLCBytes int64
 	// NoOpt disables the optimizer — step reordering and key filters;
 	// lowering stays canonical (statement text order).
 	NoOpt bool
@@ -61,7 +57,6 @@ func Plan(cat plan.Catalog, text string, o Options) (*Planned, error) {
 		rep:   rep,
 		model: hardware.DefaultModel(),
 		pi:    hardware.Pi(),
-		llc:   resolveLLC(o.LLCBytes),
 	}
 	for i := range stmt.CTEs {
 		c := &stmt.CTEs[i]
@@ -85,17 +80,4 @@ func Plan(cat plan.Catalog, text string, o Options) (*Planned, error) {
 		return nil, err
 	}
 	return &Planned{Node: node, Report: rep}, nil
-}
-
-// resolveLLC mirrors plan.Context's LLC handling so the planner's
-// strategy predictions match what the executor will actually do: zero
-// means the engine default, negative disables cache-aware paths.
-func resolveLLC(llc int64) int64 {
-	if llc == 0 {
-		return plan.DefaultLLCBytes
-	}
-	if llc < 0 {
-		return 0
-	}
-	return llc
 }
