@@ -39,7 +39,6 @@ func main() {
 	sqlText := flag.String("sql", "", "run this SQL statement instead of a numbered query")
 	sqlFile := flag.String("sql-file", "", "read a SQL statement from this file instead of a numbered query")
 	workers := flag.Int("workers", 0, "engine parallelism (0 = one per core)")
-	llc := flag.Int64("llc", 0, "LLC budget in bytes for the radix-partitioned group-by (0 = Pi-sized default, negative disables)")
 	execMode := flag.String("exec", "vector", "execution mode: vector (operator-at-a-time) or fused (compiled pipelines)")
 	planOnly := flag.Bool("plan", false, "print the physical plan instead of executing")
 	explain := flag.Bool("explain", false, "EXPLAIN ANALYZE: execute, then print the operator span tree with wall and simulated time")
@@ -128,8 +127,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "(snapshot written to %s) ", *save)
 	}
 	db := engine.NewDB(engine.Config{
-		Workers: *workers, TargetLLCBytes: *llc, Exec: mode,
-		MemBudgetBytes: memBudgetBytes, SpillDir: *spillDir,
+		Workers: *workers, Exec: mode, MemBudgetBytes: memBudgetBytes,
+		SpillDir: *spillDir,
 	})
 	data.RegisterAll(db)
 	fmt.Fprintf(os.Stderr, "done in %v (%.1f MB, %d workers)\n", time.Since(start).Round(time.Millisecond),

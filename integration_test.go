@@ -191,6 +191,10 @@ func TestCLIAnalyzeAndSnapshot(t *testing.T) {
 	if out, err := exec.Command(filepath.Join(binaries(t), "wimpi"), "-analyze").CombinedOutput(); err == nil {
 		t.Errorf("wimpi -analyze should be an unknown flag:\n%s", out)
 	}
+	// Nothing is sized against an LLC budget any more: -llc is gone too.
+	if out, err := exec.Command(filepath.Join(binaries(t), "wimpi"), "-llc", "0").CombinedOutput(); err == nil {
+		t.Errorf("wimpi -llc should be an unknown flag:\n%s", out)
+	}
 	dir := filepath.Join(t.TempDir(), "snap")
 	run(t, "wimpi", "-sf", "0.005", "-q", "6", "-save", dir, "-rows", "0")
 	out = run(t, "wimpi", "-load", dir, "-q", "6", "-rows", "1")

@@ -30,14 +30,10 @@ type Config struct {
 	// WorkersPerNode is each node's intra-query parallelism (a Pi 3B+
 	// has four cores).
 	WorkersPerNode int
-	// TargetLLCBytes is each node's planning cache budget for the
-	// radix-partitioned group-by (see engine.Config.TargetLLCBytes). It
-	// is shipped with every load so re-dispatched partitions plan — and
-	// answer — identically on whichever node ends up running them.
-	TargetLLCBytes int64
 	// Exec is each node's execution mode ("vector" or "fused"; empty
-	// selects vector). Like TargetLLCBytes it is shipped with every
-	// load so re-dispatched partitions plan identically everywhere.
+	// selects vector). It is shipped with every load so re-dispatched
+	// partitions plan — and answer — identically on whichever node ends
+	// up running them.
 	Exec string
 	// MemBudgetBytes is each node's per-query memory budget (see
 	// engine.Config.MemBudgetBytes); zero means unbounded. Shipped with
@@ -268,8 +264,8 @@ func (c *Coordinator) LoadSQLContext(ctx context.Context, sf float64, seed uint6
 			defer wg.Done()
 			resp, _, err := c.callRetry(ctx, i, &Request{Type: "load", ForNode: -1, Load: &LoadRequest{
 				SF: sf, Seed: seed, Node: i, NumNodes: len(c.conns),
-				Workers: c.cfg.WorkersPerNode, TargetLLCBytes: c.cfg.TargetLLCBytes,
-				Exec: c.cfg.Exec, MemBudgetBytes: c.cfg.MemBudgetBytes, SQL: partials,
+				Workers: c.cfg.WorkersPerNode, Exec: c.cfg.Exec,
+				MemBudgetBytes: c.cfg.MemBudgetBytes, SQL: partials,
 			}})
 			if err != nil {
 				errs[i] = err
@@ -445,7 +441,7 @@ func (c *Coordinator) merge(id int, d *sqlpkg.DistSQL, parts []*colstore.Table) 
 		return nil, exec.Counters{}, fmt.Errorf("cluster: sql merge: %w", err)
 	}
 	all.Name = "partials"
-	db := engine.NewDB(engine.Config{Workers: c.cfg.WorkersPerNode, TargetLLCBytes: c.cfg.TargetLLCBytes})
+	db := engine.NewDB(engine.Config{Workers: c.cfg.WorkersPerNode})
 	db.Register(all)
 	pl, err := sqlpkg.Plan(db, d.Merge, sqlpkg.Options{})
 	if err != nil {

@@ -152,11 +152,6 @@ type LoadRequest struct {
 	Node, NumNodes int
 	// Workers is the worker's intra-query parallelism (a Pi has 4 cores).
 	Workers int
-	// TargetLLCBytes is the planning cache budget for the radix-partitioned
-	// group-by (see engine.Config.TargetLLCBytes). Zero selects the
-	// default; it must be identical cluster-wide so a re-dispatched
-	// partition plans the same everywhere.
-	TargetLLCBytes int64
 	// Exec is the execution mode ("vector" or "fused"; empty selects
 	// vector — see plan.ParseExecMode). Shipped with the load so
 	// every node, including one executing a re-dispatched foreign

@@ -156,8 +156,7 @@ func (w *Worker) handleLoad(l *LoadRequest) *Response {
 		return &Response{Err: err.Error()}
 	}
 	cfg := engine.Config{
-		Workers: workers, TargetLLCBytes: l.TargetLLCBytes, Exec: mode,
-		MemBudgetBytes: l.MemBudgetBytes,
+		Workers: workers, Exec: mode, MemBudgetBytes: l.MemBudgetBytes,
 	}
 	db := engine.NewDB(cfg)
 	d.RegisterAll(db)

@@ -42,17 +42,10 @@ type Config struct {
 	// Workers bounds intra-query parallelism. Values < 1 select the
 	// runtime default, runtime.GOMAXPROCS(0).
 	Workers int
-	// TargetLLCBytes is the last-level-cache budget the planner sizes the
-	// radix-partitioned group-by against. Zero selects
-	// plan.DefaultLLCBytes (the smallest LLC among the paper's hardware
-	// profiles); negative disables the partitioned group-by. Unlike
-	// Workers it changes which plan runs, never its result: partitioned
-	// and direct paths are byte-identical.
-	TargetLLCBytes int64
 	// Exec selects the execution strategy: plan.ExecVector (the default)
 	// runs plans operator-at-a-time, and plan.ExecFused compiles
-	// pipelines into fused kernels. Like TargetLLCBytes it changes which
-	// code runs, never the result.
+	// pipelines into fused kernels. It changes which code runs, never the
+	// result.
 	Exec plan.ExecMode
 	// Pool, when non-nil, is a shared morsel worker pool: concurrent
 	// queries (traced or not) interleave over its fixed workers
@@ -163,7 +156,6 @@ func (db *DB) planCtx(workers int) *plan.Context {
 	return &plan.Context{
 		Cat:           db,
 		Workers:       workers,
-		LLCBytes:      db.cfg.TargetLLCBytes,
 		Exec:          db.cfg.Exec,
 		MemLimitBytes: db.cfg.MemBudgetBytes,
 		SpillDir:      db.spillDir(),

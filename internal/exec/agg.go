@@ -59,7 +59,7 @@ func (g *Grouper) GroupIDs(keys []int64, ctr *Counters) []int32 {
 }
 
 // GroupIDsCacheResident is GroupIDs for groupers deliberately sized to
-// stay cache-resident — the radix group-by's per-partition tables. It
+// stay cache-resident — the clustered group-by's per-chunk tables. It
 // writes the IDs into out (len(out) == len(keys)) instead of allocating.
 // The per-tuple accesses charge CacheRandomAccesses instead of
 // RandomAccesses, and the footprint is recorded as a partition footprint
@@ -71,13 +71,6 @@ func (g *Grouper) GroupIDsCacheResident(keys []int64, out []int32, ctr *Counters
 	ctr.CacheRandomAccesses += int64(len(keys))
 	ctr.AggUpdates += int64(len(keys))
 	ctr.ObservePartitionBytes(int64(len(g.slotKeys)) * 12)
-}
-
-// GrouperBytes predicts a Grouper's table footprint once n distinct keys
-// are resident (capacity stays at least twice the group count), letting
-// the planner compare an aggregation hash table against the LLC.
-func GrouperBytes(n int) int64 {
-	return int64(nextPow2(n*2+1)) * 12
 }
 
 func (g *Grouper) groupID(k int64) int32 {

@@ -59,10 +59,10 @@ type Counters struct {
 	MergeBytes int64
 	// CacheRandomAccesses counts data-dependent accesses into structures
 	// deliberately sized to stay cache-resident — the per-partition hash
-	// tables of the spill join and the radix group-by. The hardware model
-	// charges them at LLC rather than DRAM latency (as long as
-	// MaxPartitionBytes fits the profile's LLC), which is the whole point
-	// of radix partitioning on wimpy nodes.
+	// tables of the spill join and the clustered group-by's chunk
+	// groupers. The hardware model charges them at LLC rather than DRAM
+	// latency (as long as MaxPartitionBytes fits the profile's LLC), which
+	// is the whole point of cache-sized partitions on wimpy nodes.
 	CacheRandomAccesses int64
 	// PartitionBytes counts bytes streamed by radix partition passes:
 	// sequential reads plus bounded-fanout scattered writes. The model
@@ -174,7 +174,7 @@ func (c *Counters) ObserveHashBytes(n int64) {
 
 // ObservePartitionBytes records the footprint of a cache-sized structure
 // built by a partitioned path, such as a spill-join partition's table or
-// a radix group-by partition's grouper.
+// a clustered group-by chunk's grouper.
 func (c *Counters) ObservePartitionBytes(n int64) {
 	if n > c.MaxPartitionBytes {
 		c.MaxPartitionBytes = n

@@ -13,7 +13,7 @@ import (
 // decoded into a dense 8-byte-per-row array. The counters reflect that:
 // the dense paths charge SeqBytes equal to the compressed footprint
 // (c.SizeBytes()), exactly like the RLE kernels, which is how the
-// hardware model and the LLC-aware planner see the smaller footprint.
+// hardware model sees the smaller footprint.
 
 func cmpU64(op CmpOp, a, b uint64) bool {
 	switch op {

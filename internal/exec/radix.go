@@ -4,10 +4,11 @@ package exec
 // partitions by the high bits of an independent hash, at most
 // RadixBitsPerPass bits per pass, so one pass never keeps more than 64
 // write streams live — small enough that every stream's tail stays in
-// the TLB and store buffers even on a wimpy core. Partitioning converts
-// the DRAM-latency random probes of a big hash join or aggregation into
-// a few sequential passes plus cache-resident work per partition, which
-// is the access-aware execution style the paper argues wimpy nodes need.
+// the TLB and store buffers even on a wimpy core. The spill joiner
+// partitions a join over its memory budget this way, converting the
+// DRAM-latency random probes of a big hash join into a few sequential
+// passes plus cache-resident work per partition, which is the
+// access-aware execution style the paper argues wimpy nodes need.
 //
 // Determinism: partition assignment is a pure function of the key, every
 // scatter pass is stable (parallel first passes write per-(morsel,
@@ -49,30 +50,6 @@ func RadixOf(k int64, bits uint) int {
 	return int(mix64(uint64(k)) >> (64 - bits))
 }
 
-// RadixBits returns the fan-out (in bits) that brings a per-partition
-// structure of rows*bytesPerRow total bytes under targetBytes, capped at
-// MaxRadixBits.
-//
-//lint:allow costaccounting -- fan-out arithmetic over at most MaxRadixBits iterations, not data-path work
-func RadixBits(rows int, bytesPerRow, targetBytes int64) uint {
-	if rows <= 0 || targetBytes <= 0 {
-		return 0
-	}
-	need := int64(rows) * bytesPerRow
-	var bits uint
-	for need > targetBytes && bits < MaxRadixBits {
-		need >>= 1
-		bits++
-	}
-	return bits
-}
-
-// RadixPasses returns the number of scatter passes a bits-bit fan-out
-// takes.
-func RadixPasses(bits uint) int {
-	return int((bits + RadixBitsPerPass - 1) / RadixBitsPerPass)
-}
-
 // RadixPartitions is a key vector scattered into 2^Bits partitions.
 type RadixPartitions struct {
 	// Keys holds the permuted keys; partition p occupies
@@ -86,8 +63,6 @@ type RadixPartitions struct {
 	Off []int32
 	// Bits is the fan-out in bits.
 	Bits uint
-	// Passes is the number of scatter passes taken.
-	Passes int
 }
 
 // NumPartitions reports the partition count.
@@ -140,10 +115,10 @@ func RadixPartitionKeys(keys []int64, bits uint, workers, morselRows int, ctr *C
 		newOff[len(newOff)-1] = int32(n)
 		off = newOff
 		done += b
-		rp.Passes++
 		if done < bits {
-			if rp.Passes == 1 {
-				// Never scatter back into the caller's slices.
+			if srcR == nil {
+				// The first pass read the caller's keys: never scatter
+				// back into them.
 				srcK = make([]int64, n)
 				srcR = make([]int32, n)
 			}
@@ -244,44 +219,4 @@ func radixRefinePass(srcK []int64, srcR []int32, dstK []int64, dstR, off, newOff
 		c.IntOps += int64(hi-lo) * 2
 		c.PartitionBytes += int64(hi-lo) * radixElemBytes * 3
 	})
-}
-
-// GatherF64 permutes vals into partition order (out[i] =
-// vals[rp.Rows[i]]). Aggregate arguments are carried to their partitions
-// this way; the charge models the values riding along the partition
-// passes (one read+write stream per pass), which is how a
-// payload-carrying radix scatter behaves.
-func (rp *RadixPartitions) GatherF64(vals []float64, workers, morselRows int, ctr *Counters) ([]float64, error) {
-	out := make([]float64, len(rp.Rows))
-	passes := int64(rp.Passes)
-	if passes < 1 {
-		passes = 1
-	}
-	if err := runMorselsInfallible(workers, len(rp.Rows), morselRows, ctr, func(m, lo, hi int, c *Counters) {
-		for i := lo; i < hi; i++ {
-			out[i] = vals[rp.Rows[i]]
-		}
-		c.PartitionBytes += int64(hi-lo) * 16 * passes
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// GatherI64 is GatherF64 for int64 payloads.
-func (rp *RadixPartitions) GatherI64(vals []int64, workers, morselRows int, ctr *Counters) ([]int64, error) {
-	out := make([]int64, len(rp.Rows))
-	passes := int64(rp.Passes)
-	if passes < 1 {
-		passes = 1
-	}
-	if err := runMorselsInfallible(workers, len(rp.Rows), morselRows, ctr, func(m, lo, hi int, c *Counters) {
-		for i := lo; i < hi; i++ {
-			out[i] = vals[rp.Rows[i]]
-		}
-		c.PartitionBytes += int64(hi-lo) * 16 * passes
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -169,53 +168,6 @@ func TestRadixPartitionKeysDoesNotMutateInput(t *testing.T) {
 			if keys[i] != orig[i] {
 				t.Fatalf("bits=%d: input keys[%d] mutated", bits, i)
 			}
-		}
-	}
-}
-
-func TestRadixBitsAndPasses(t *testing.T) {
-	// 1e6 rows at 32 B/row = 32 MB; a 512 KiB target needs 64 partitions.
-	if got := RadixBits(1_000_000, 32, 512<<10); got != 6 {
-		t.Fatalf("RadixBits(1e6, 32, 512K) = %d, want 6", got)
-	}
-	// Tiny builds need no partitioning at all.
-	if got := RadixBits(100, 32, 512<<10); got != 0 {
-		t.Fatalf("RadixBits(100, ...) = %d, want 0", got)
-	}
-	// The fan-out is capped even for absurd inputs.
-	if got := RadixBits(math.MaxInt32, 32, 1); got != MaxRadixBits {
-		t.Fatalf("RadixBits huge = %d, want cap %d", got, MaxRadixBits)
-	}
-	if RadixPasses(0) != 0 {
-		t.Fatal("RadixPasses(0) != 0")
-	}
-	if RadixPasses(RadixBitsPerPass) != 1 {
-		t.Fatalf("RadixPasses(%d) != 1", RadixBitsPerPass)
-	}
-	if RadixPasses(RadixBitsPerPass+1) != 2 {
-		t.Fatalf("RadixPasses(%d) != 2", RadixBitsPerPass+1)
-	}
-}
-
-// TestRadixGatherAlignsPayloads checks GatherF64/GatherI64 route payload
-// columns through the same permutation as the keys.
-func TestRadixGatherAlignsPayloads(t *testing.T) {
-	const n = 10000
-	keys := radixKeySets(n)["dup-heavy"]
-	fvals := make([]float64, n)
-	ivals := make([]int64, n)
-	for i := range fvals {
-		fvals[i] = float64(i) * 1.5
-		ivals[i] = int64(i) * 3
-	}
-	var ctr Counters
-	rp := must(RadixPartitionKeys(keys, 5, 4, 512, &ctr))
-	gf := must(rp.GatherF64(fvals, 4, 512, &ctr))
-	gi := must(rp.GatherI64(ivals, 4, 512, &ctr))
-	for i := range gf {
-		r := rp.Rows[i]
-		if gf[i] != fvals[r] || gi[i] != ivals[r] {
-			t.Fatalf("gather misaligned at %d: row %d", i, r)
 		}
 	}
 }

@@ -27,7 +27,7 @@ package exec
 
 // RadixBuildBytesPerRow estimates the per-build-row footprint of a
 // partition's table (2x slots of key+group, payload row, amortized group
-// arrays); RadixBits uses it to pick the fan-out.
+// arrays); the spill joiner sizes its fan-out with it.
 const RadixBuildBytesPerRow = 32
 
 // PartTable is one radix partition's compact table: open addressing

@@ -3,10 +3,9 @@ package plan
 // Property test and micro-benchmark for the order-aware group-by. The
 // claim under test is the one groupedClustered makes: on every input
 // clusteredCuts accepts — whatever the key position, encoding, morsel
-// size and worker count — aggregate returns the table groupedMorsel and
-// groupedRadix return, bit for bit, with counters that do not depend on
-// the worker count; and every input it must refuse still takes the old
-// paths.
+// size and worker count — aggregate returns the table groupedMorsel
+// returns, bit for bit, with counters that do not depend on the worker
+// count; and every input it must refuse still takes the morsel path.
 
 import (
 	"fmt"
@@ -115,11 +114,11 @@ var keyEncodings = []struct {
 	{"for", func(c *colstore.Int64s) (colstore.Column, bool) { return colstore.FoRCompressInt64(c) }},
 }
 
-// clusteredTestTable is radixTestTable's value columns beside the two
+// clusteredTestTable is groupTestTable's value columns beside the two
 // key columns k and t.
 func clusteredTestTable(t *testing.T, rng *rand.Rand, k colstore.Column, tv []int64) *colstore.Table {
 	t.Helper()
-	vals := radixTestTable(rng, tv)
+	vals := groupTestTable(rng, tv)
 	in, err := colstore.NewTable("t",
 		colstore.Schema{{Name: "k", Type: colstore.Int64}, {Name: "t", Type: colstore.Int64},
 			{Name: "v", Type: colstore.Float64}, {Name: "nanv", Type: colstore.Float64}, {Name: "iv", Type: colstore.Int64}},
@@ -133,7 +132,7 @@ func clusteredTestTable(t *testing.T, rng *rand.Rand, k colstore.Column, tv []in
 func TestClusteredGroupByProperty(t *testing.T) {
 	const n = 20000
 	for _, shape := range clusteredShapes {
-		g := radixTestGroupBy()
+		g := groupTestGroupBy()
 		g.Keys = shape.keys
 		for _, morsel := range []int{64, 1000, 0} {
 			rng := rand.New(rand.NewSource(int64(morsel) + 1))
@@ -156,10 +155,6 @@ func TestClusteredGroupByProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				byRadix, err := g.groupedRadix(ctx, in, packed, n, radixTarget(t, n, len(g.Aggs), 4))
-				if err != nil {
-					t.Fatal(err)
-				}
 				var base exec.Counters
 				for _, w := range []int{1, 2, 4, 8} {
 					label := fmt.Sprintf("%s, morsel %d, %s, workers %d", shape.name, morsel, enc.name, w)
@@ -174,9 +169,6 @@ func TestClusteredGroupByProperty(t *testing.T) {
 					}
 					if same, where := colstore.TablesIdentical(byMorsel, got); !same {
 						t.Fatalf("%s: differs from groupedMorsel: %s", label, where)
-					}
-					if same, where := colstore.TablesIdentical(byRadix, got); !same {
-						t.Fatalf("%s: differs from groupedRadix: %s", label, where)
 					}
 					if shape.clustered && (ctx.Ctr.PartitionBytes != 0 || ctx.Ctr.RandomAccesses != int64(got.NumRows()*len(g.Keys))) {
 						t.Fatalf("%s: clustered path scattered or probed outside the cache: %+v", label, *ctx.Ctr)
@@ -194,7 +186,7 @@ func TestClusteredGroupByProperty(t *testing.T) {
 	// Empty input: aggregate never offers it to the order-aware path (it is
 	// below every parallel threshold), and the path itself makes no rows
 	// of the one empty chunk the cutter returns.
-	g := radixTestGroupBy()
+	g := groupTestGroupBy()
 	g.Keys = []string{"k", "t"}
 	in := clusteredTestTable(t, rand.New(rand.NewSource(1)), &colstore.Int64s{}, nil)
 	ctx := &Context{Cat: memCatalog{"t": in}, Ctr: &exec.Counters{}, Workers: 4, MinParallelRows: 1}
@@ -212,8 +204,8 @@ func TestClusteredGroupByProperty(t *testing.T) {
 
 // BenchmarkGroupByClustered times aggregate end to end — detection, key
 // extraction, fold, output — on Q18- and Q21-shaped inputs, down the
-// order-aware path and, with it switched off, down the radix path the
-// same input took before.
+// order-aware path and, with it switched off, down the morsel path the
+// same input would take otherwise.
 func BenchmarkGroupByClustered(b *testing.B) {
 	const n = 600_000
 	rng := rand.New(rand.NewSource(1))
@@ -233,20 +225,20 @@ func BenchmarkGroupByClustered(b *testing.B) {
 	aggs := []AggSpec{{Name: "n", Func: Count}, {Name: "s", Func: Sum, Arg: exec.Col{Name: "v"}}}
 	for _, keys := range [][]string{{"orderkey"}, {"orderkey", "suppkey"}} {
 		g := &GroupBy{Keys: keys, Aggs: aggs}
-		for _, path := range []string{"clustered", "radix"} {
+		for _, path := range []string{"clustered", "morsel"} {
 			b.Run(fmt.Sprintf("keys=%d/%s", len(keys), path), func(b *testing.B) {
-				clusteredOff = path == "radix"
+				clusteredOff = path == "morsel"
 				defer func() { clusteredOff = false }()
 				ctx := &Context{Cat: memCatalog{"t": in}, Ctr: &exec.Counters{}, Workers: runtime.GOMAXPROCS(0)}
+				if _, cuts := g.clusteredCuts(ctx, in); (cuts != nil) != (path == "clustered") {
+					b.Fatal("takes the wrong path")
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := g.aggregate(ctx, in); err != nil {
 						b.Fatal(err)
 					}
-				}
-				if (ctx.Ctr.PartitionBytes == 0) != (path == "clustered") {
-					b.Fatalf("took the wrong path: %d partition bytes", ctx.Ctr.PartitionBytes)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
 			})

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"wimpi/internal/colstore"
@@ -96,9 +97,8 @@ func (g *GroupBy) aggregate(ctx *Context, in *colstore.Table) (*colstore.Table, 
 	// regardless of worker count. Morsel boundaries depend only on input
 	// size, and partial aggregates merge in morsel order, so the result
 	// (floating-point sums included) is bit-identical at every degree of
-	// parallelism. When the estimated group count would blow the LLC
-	// budget, the radix-partitioned variant (byte-identical by
-	// construction) keeps every grouper cache-resident.
+	// parallelism. An input arriving clustered on a key aggregates in
+	// cache-sized chunks instead (byte-identical by construction).
 	if in.NumRows() >= ctx.parallelMinRows() {
 		if key, cuts := g.clusteredCuts(ctx, in); cuts != nil {
 			return g.groupedClustered(ctx, in, key, cuts)
@@ -106,11 +106,6 @@ func (g *GroupBy) aggregate(ctx *Context, in *colstore.Table) (*colstore.Table, 
 		packed, err := packKeysParallel(ctx, in, g.Keys)
 		if err != nil {
 			return nil, err
-		}
-		if target := ctx.llcBytes(); target > 0 {
-			if est := estimateGroups(packed, ctx.Ctr); useRadixGroupBy(est, target) {
-				return g.groupedRadix(ctx, in, packed, est, target)
-			}
 		}
 		return g.groupedMorsel(ctx, in, packed)
 	}
@@ -363,8 +358,28 @@ func packKeys(t *colstore.Table, names []string, ctr *exec.Counters) ([]int64, e
 	if len(vecs) == 1 {
 		return vecs[0], nil
 	}
-	// Compute bit widths.
-	bits := make([]uint, len(vecs))
+	widths, err := keyWidths(vecs, names)
+	if err != nil {
+		return nil, err
+	}
+	n := t.NumRows()
+	out := make([]int64, n)
+	copy(out, vecs[0])
+	for i := 1; i < len(vecs); i++ {
+		b := widths[i]
+		v := vecs[i]
+		for r := 0; r < n; r++ {
+			out[r] = out[r]<<b | v[r]
+		}
+	}
+	ctr.IntOps += int64(n) * int64(len(vecs))
+	return out, nil
+}
+
+// keyWidths sizes each key column's bit width from its maximum value,
+// rejecting negative keys and key sets wider than 63 bits.
+func keyWidths(vecs [][]int64, names []string) ([]uint, error) {
+	widths := make([]uint, len(vecs))
 	var total uint
 	for i, v := range vecs {
 		var max int64
@@ -376,28 +391,13 @@ func packKeys(t *colstore.Table, names []string, ctr *exec.Counters) ([]int64, e
 				max = x
 			}
 		}
-		b := uint(1)
-		for int64(1)<<b <= max {
-			b++
-		}
-		bits[i] = b
-		total += b
+		widths[i] = uint(bits.Len64(uint64(max | 1)))
+		total += widths[i]
 	}
 	if total > 63 {
 		return nil, fmt.Errorf("plan: group keys %v need %d bits, max 63", names, total)
 	}
-	n := t.NumRows()
-	out := make([]int64, n)
-	copy(out, vecs[0])
-	for i := 1; i < len(vecs); i++ {
-		b := bits[i]
-		v := vecs[i]
-		for r := 0; r < n; r++ {
-			out[r] = out[r]<<b | v[r]
-		}
-	}
-	ctr.IntOps += int64(n) * int64(len(vecs))
-	return out, nil
+	return widths, nil
 }
 
 // aggState holds the accumulators for one aggregate spec — for a single
@@ -655,34 +655,16 @@ func packKeysParallel(ctx *Context, t *colstore.Table, names []string) ([]int64,
 	if len(vecs) == 1 {
 		return vecs[0], nil
 	}
-	bits := make([]uint, len(vecs))
-	var total uint
-	for i, v := range vecs {
-		var max int64
-		for _, x := range v {
-			if x < 0 {
-				return nil, fmt.Errorf("plan: group key %s has negative value %d", names[i], x)
-			}
-			if x > max {
-				max = x
-			}
-		}
-		b := uint(1)
-		for int64(1)<<b <= max {
-			b++
-		}
-		bits[i] = b
-		total += b
-	}
-	if total > 63 {
-		return nil, fmt.Errorf("plan: group keys %v need %d bits, max 63", names, total)
+	widths, err := keyWidths(vecs, names)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]int64, n)
-	err := exec.RunMorsels(w, n, mr, ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
+	err = exec.RunMorsels(w, n, mr, ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
 		for r := lo; r < hi; r++ {
 			k := vecs[0][r]
 			for i := 1; i < len(vecs); i++ {
-				k = k<<bits[i] | vecs[i][r]
+				k = k<<widths[i] | vecs[i][r]
 			}
 			out[r] = k
 		}

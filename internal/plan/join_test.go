@@ -17,7 +17,7 @@ func intTable(name, col string, v []int64) *colstore.Table {
 // TestPositionalRule pins buildJoin's positional bound: build keys
 // spanning exactly PositionalMaxSpan slots take the positional layout and
 // one slot more the chained one, whichever side of the bound's max sets
-// it and however far the chained table outgrows the default LLC budget —
+// it and however far the chained table outgrows the Pi's 512 KiB LLC —
 // at 1, 2 and 8 workers in both engines, with the same answer every time.
 func TestPositionalRule(t *testing.T) {
 	for _, tc := range []struct {

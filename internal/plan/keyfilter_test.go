@@ -18,7 +18,7 @@ import (
 // integers, which is the condition KeyFilter.Exact checks.
 func TestGroupByUnderGroupDeletion(t *testing.T) {
 	const n = 20000
-	g := radixTestGroupBy()
+	g := groupTestGroupBy()
 	packed := func(ctx *Context, in *colstore.Table) []int64 {
 		p, err := packKeysParallel(ctx, in, g.Keys)
 		if err != nil {
@@ -31,13 +31,9 @@ func TestGroupByUnderGroupDeletion(t *testing.T) {
 		keys  func(rng *rand.Rand) []int64
 		group func(ctx *Context, in *colstore.Table) (*colstore.Table, error)
 	}{
-		{"morsel", func(rng *rand.Rand) []int64 { return radixKeyDists[2].keys(rng, n) },
+		{"morsel", func(rng *rand.Rand) []int64 { return groupKeyDists[2].keys(rng, n) },
 			func(ctx *Context, in *colstore.Table) (*colstore.Table, error) {
 				return g.groupedMorsel(ctx, in, packed(ctx, in))
-			}},
-		{"radix", func(rng *rand.Rand) []int64 { return radixKeyDists[2].keys(rng, n) },
-			func(ctx *Context, in *colstore.Table) (*colstore.Table, error) {
-				return g.groupedRadix(ctx, in, packed(ctx, in), n, radixTarget(t, n, len(g.Aggs), 4))
 			}},
 		{"clustered", func(rng *rand.Rand) []int64 { return nonNegative(ascendingRuns(rng, n, 7, 97)) },
 			func(ctx *Context, in *colstore.Table) (*colstore.Table, error) {
@@ -51,7 +47,7 @@ func TestGroupByUnderGroupDeletion(t *testing.T) {
 	for _, path := range paths {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			in := radixTestTable(rng, path.keys(rng))
+			in := groupTestTable(rng, path.keys(rng))
 			for i, v := range in.MustCol("v").(*colstore.Float64s).V {
 				in.MustCol("v").(*colstore.Float64s).V[i] = math.Round(v)
 			}

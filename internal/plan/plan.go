@@ -44,22 +44,14 @@ type Context struct {
 	// only on input size, never on Workers, so results are bit-identical
 	// at every degree of parallelism.
 	MorselRows int
-	// LLCBytes is the last-level-cache budget the planner sizes the
-	// radix-partitioned group-by against. Zero selects DefaultLLCBytes;
-	// negative disables the partitioned group-by. Like MorselRows it must
-	// never vary with Workers: the partitioned vs. direct decision depends
-	// only on the estimated group count and this budget, so results stay
-	// bit-identical at every degree of parallelism, including cluster
-	// re-dispatch.
-	LLCBytes int64
 	// Trace, when non-nil, makes RunContext a traced run that collects an
 	// operator span tree (see RunContext). A nil tracer is a valid no-op,
 	// so operators call it unconditionally.
 	Trace *obs.Tracer
 	// Exec selects the execution style: vector (the default) or fused
-	// (see ExecMode). Like LLCBytes it may change which code runs but
-	// never the result: the fused engine is byte-identical to the vector
-	// engine at every worker count.
+	// (see ExecMode). It may change which code runs but never the
+	// result: the fused engine is byte-identical to the vector engine at
+	// every worker count.
 	Exec ExecMode
 	// Ctx, when non-nil, cancels the query: kernels observe it at every
 	// morsel boundary, the failing operator unwinds, and RunContext
@@ -134,12 +126,6 @@ func (c *Context) area() (*spill.Area, error) {
 // DefaultMinParallelRows is the default parallelism threshold.
 const DefaultMinParallelRows = 1 << 15
 
-// DefaultLLCBytes is the planning cache budget when Context.LLCBytes is
-// zero: the Raspberry Pi 3B+'s 512 KiB shared L2, the smallest LLC among
-// the paper's comparison points. Sizing the group-by's partitions for the
-// smallest cache keeps them cache-resident on every profile.
-const DefaultLLCBytes = 512 << 10
-
 func (c *Context) workers() int {
 	if c.Workers < 1 {
 		return 1
@@ -159,19 +145,6 @@ func (c *Context) morselRows() int {
 		return exec.DefaultMorselRows
 	}
 	return c.MorselRows
-}
-
-// llcBytes resolves the planning cache budget; 0 means the partitioned
-// group-by is disabled.
-func (c *Context) llcBytes() int64 {
-	switch {
-	case c.LLCBytes < 0:
-		return 0
-	case c.LLCBytes == 0:
-		return DefaultLLCBytes
-	default:
-		return c.LLCBytes
-	}
 }
 
 // Node is one operator of a physical plan.
@@ -204,7 +177,7 @@ func Run(cat Catalog, workers int, n Node) (*Result, error) {
 }
 
 // RunContext executes a plan under a caller-configured context (worker
-// count, morsel granularity, LLC budget, exec mode, cancellation). A nil
+// count, morsel granularity, exec mode, cancellation). A nil
 // Ctr gets fresh counters. Fused mode compiles the plan first; the
 // input tree is never mutated.
 //

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"wimpi/internal/colstore"
 	"wimpi/internal/exec"
@@ -385,6 +386,31 @@ func TestGroupByMultiKeyAndScalar(t *testing.T) {
 		Aggs: []AggSpec{{Name: "n", Func: Count}},
 	}); err == nil {
 		t.Error("float group key should error")
+	}
+	// A key of 2^62 needs 63 bits, so beside any second key the pair is
+	// too wide: it must be refused, not hang sizing the key. Neither
+	// column is non-decreasing, so the parallel context packs the keys
+	// itself instead of cutting clustered chunks.
+	wide := memCatalog{"w": colstore.MustNewTable("w",
+		colstore.Schema{{Name: "a", Type: colstore.Int64}, {Name: "b", Type: colstore.Int64}},
+		[]colstore.Column{&colstore.Int64s{V: []int64{1 << 62, 0}}, &colstore.Int64s{V: []int64{1, 0}}})}
+	for _, minRows := range []int{0, 1} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := RunContext(&Context{Cat: wide, Workers: 2, MinParallelRows: minRows}, &GroupBy{
+				Input: &Scan{Table: "w"}, Keys: []string{"a", "b"},
+				Aggs: []AggSpec{{Name: "n", Func: Count}},
+			})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("MinParallelRows %d: a 64-bit key pair should error", minRows)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("MinParallelRows %d: sizing a key of 2^62 hangs", minRows)
+		}
 	}
 }
 

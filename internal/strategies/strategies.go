@@ -69,8 +69,7 @@ const (
 	lookupBytes = 16
 	// cacheResidentBytes is the lookup-table footprint below which
 	// probes count as cache-resident: the Pi 3B+'s 512 KiB LLC, matching
-	// plan.DefaultLLCBytes (not imported — plan depends on exec, which
-	// this package shares).
+	// hardware.Pi().LLCBytes.
 	cacheResidentBytes = 512 << 10
 )
 
