@@ -77,9 +77,10 @@ race:
 chaos:
 	$(GO) test -race -timeout 120s -run 'Chaos|Fault|Frame|Close|Worker' ./internal/cluster/...
 
-# Native Go fuzzing over the wire decoder, the fault-plan parser, and
-# the compressed int encodings. Targets run one at a time (the fuzz
-# engine's requirement).
+# Native Go fuzzing over the wire decoder, the fault-plan parser, the
+# compressed int encodings, and POST /query (same answer twice through
+# the serving caches). Targets run one at a time (the fuzz engine's
+# requirement).
 fuzz:
 	$(GO) test -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
 	$(GO) test -fuzz FuzzReadMsg -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
@@ -88,6 +89,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParser -fuzztime $(FUZZTIME) -run '^$$' ./internal/sql/
 	$(GO) test -fuzz FuzzBitPackRoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/colstore/
 	$(GO) test -fuzz FuzzFoRRoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/colstore/
+	$(GO) test -fuzz FuzzServeQuery -fuzztime $(FUZZTIME) -run '^$$' ./internal/serve/
 
 # EXPLAIN ANALYZE smoke test: run Q1 with -explain and assert the span
 # tree came back non-empty (the scan operator must appear with its sim

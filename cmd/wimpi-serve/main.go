@@ -1,11 +1,15 @@
 // Command wimpi-serve runs the multi-tenant serving runtime over an
 // in-memory TPC-H dataset: an HTTP front door with admission control, a
 // shared fair-share morsel worker pool, per-tenant rate limits and
-// memory budgets, and a plan-fingerprint result cache.
+// memory budgets, a plan-fingerprint result cache, and a statement cache
+// that maps a repeated SQL text to its planned tree and fingerprint, so
+// a result-cache hit skips planning.
 //
 // Usage:
 //
 //	wimpi-serve [-sf 0.1] [-workers N] [-addr :8080] [-cache 64]
+//
+// -cache bounds each of the two caches; 0 disables both.
 //
 // Load-generator mode drives a concurrent TPC-H mix against the
 // serving path in-process and reports QPS and latency percentiles
@@ -16,6 +20,8 @@
 //
 // In -load mode every result is verified byte-identical to a serial
 // execution of the same plan; any divergence or error fails the run.
+// Its clients hold trees planned once, so only the result cache applies
+// there; POST /query goes through both caches.
 package main
 
 import (
@@ -41,7 +47,7 @@ func main() {
 	seed := flag.Uint64("seed", 42, "dataset seed")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "shared morsel pool size")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
-	cache := flag.Int("cache", 64, "result cache entries (0 disables)")
+	cache := flag.Int("cache", 64, "result and statement cache entries, each (0 disables both)")
 	maxConc := flag.Int("max-concurrent", 0, "admitted queries bound (0 = worker count)")
 	maxQueue := flag.Int("max-queue", 0, "admission wait-queue bound (0 = 4x concurrent)")
 

@@ -19,8 +19,8 @@ import (
 )
 
 // TestHTTPQueryMetricsHealthz drives the HTTP front end-to-end: a SQL
-// query (twice, to see the cache), the Prometheus export, health, and
-// the bad-request paths.
+// query (twice, to see both caches), bad SQL (twice, to see it is
+// counted and not cached), the Prometheus export, and health.
 func TestHTTPQueryMetricsHealthz(t *testing.T) {
 	db, closePool := testDB(t, 2)
 	defer closePool()
@@ -57,6 +57,29 @@ func TestHTTPQueryMetricsHealthz(t *testing.T) {
 		t.Fatalf("cache hits = %v, want [false true]", hits)
 	}
 
+	// Bad SQL is a 400, not a 500, with the same message every time: a
+	// plan error is not cached. It still counts as the tenant's query.
+	var badBodies []string
+	for i := 0; i < 2; i++ {
+		resp, err := http.Post(srv.URL+"/query", "application/json",
+			strings.NewReader(`{"tenant":"web","sql":"selectt nonsense"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad SQL status = %d, want 400", resp.StatusCode)
+		}
+		badBodies = append(badBodies, string(msg))
+	}
+	if badBodies[0] != badBodies[1] {
+		t.Fatalf("bad SQL bodies differ: %q then %q", badBodies[0], badBodies[1])
+	}
+
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -66,8 +89,15 @@ func TestHTTPQueryMetricsHealthz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(metrics), `wimpi_serve_queries_total{tenant="web"}`) {
-		t.Fatalf("metrics missing tenant series:\n%s", metrics)
+	for _, want := range []string{
+		`wimpi_serve_queries_total{tenant="web"} 4`,
+		`wimpi_serve_errors_total{tenant="web"} 2`,
+		"wimpi_serve_cache_hits_total 1\n",
+		"wimpi_serve_statement_cache_hits_total 1\n",
+	} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("metrics missing %q:\n%s", want, metrics)
+		}
 	}
 
 	resp, err = http.Get(srv.URL + "/healthz")
@@ -75,17 +105,6 @@ func TestHTTPQueryMetricsHealthz(t *testing.T) {
 		t.Fatalf("healthz: %v status %v", err, resp.StatusCode)
 	}
 	resp.Body.Close()
-
-	// Bad SQL is a 400, not a 500.
-	resp, err = http.Post(srv.URL+"/query", "application/json",
-		strings.NewReader(`{"tenant":"web","sql":"selectt nonsense"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad SQL status = %d, want 400", resp.StatusCode)
-	}
 }
 
 // TestHTTPQueryQ13NeedsUniqueKeys pins Config.UniqueKeys: Q13's SQL text

@@ -10,7 +10,10 @@
 // the caller can turn into a retry-after. Per-tenant token buckets
 // bound each tenant's query rate, per-tenant memory budgets cancel
 // queries that outgrow their slice of DRAM, and a result cache keyed on
-// plan fingerprints absorbs repeated dashboards-style workloads.
+// plan fingerprints absorbs repeated dashboards-style workloads. A
+// statement cache in front of it maps a repeated SQL text straight to
+// its planned tree and fingerprint, so a result-cache hit costs two map
+// lookups, not a plan.
 //
 // Results are bit-identical to serial execution: admission, pooling,
 // and caching change when and where a morsel runs, never the morsel
@@ -32,8 +35,8 @@ import (
 // Config shapes a Server.
 type Config struct {
 	// DB is the engine to serve. Register tables before serving begins;
-	// the result cache assumes they are immutable thereafter (the
-	// engine's normal lifecycle).
+	// the result and statement caches assume they are immutable
+	// thereafter (the engine's normal lifecycle).
 	DB *engine.DB
 	// MaxConcurrent bounds admitted (executing) queries; < 1 selects the
 	// database's worker count.
@@ -41,7 +44,8 @@ type Config struct {
 	// MaxQueue bounds queries waiting for admission; beyond it callers
 	// get an *OverloadError immediately. < 1 selects 4*MaxConcurrent.
 	MaxQueue int
-	// CacheEntries bounds the result cache; 0 disables caching.
+	// CacheEntries bounds the result cache and, separately, the
+	// statement cache; 0 disables both.
 	CacheEntries int
 	// Registry receives serving metrics; nil selects obs.Default.
 	Registry *obs.Registry
@@ -76,7 +80,8 @@ type Server struct {
 	slots    chan struct{}
 	maxQueue int
 	queued   atomic.Int64
-	cache    *resultCache
+	cache    *lru[*engine.Result] // by plan fingerprint
+	stmts    *lru[statement]      // by exact SQL text
 	tenants  *tenantSet
 
 	metricAdmitted  *obs.Counter
@@ -84,6 +89,14 @@ type Server struct {
 	metricQueueLen  *obs.Gauge
 	metricCacheHits *obs.Counter
 	metricCacheSize *obs.Gauge
+	metricStmtHits  *obs.Counter
+}
+
+// statement is one query ready to serve: its plan tree and, when the
+// caches are on, the tree's fingerprint.
+type statement struct {
+	node plan.Node
+	fp   string
 }
 
 // New builds a server over db.
@@ -115,9 +128,11 @@ func New(cfg Config) *Server {
 		metricQueueLen:  reg.Gauge("wimpi_serve_queue_depth"),
 		metricCacheHits: reg.Counter("wimpi_serve_cache_hits_total"),
 		metricCacheSize: reg.Gauge("wimpi_serve_cache_bytes"),
+		metricStmtHits:  reg.Counter("wimpi_serve_statement_cache_hits_total"),
 	}
 	if cfg.CacheEntries > 0 {
-		s.cache = newResultCache(cfg.CacheEntries)
+		s.cache = newLRU(cfg.CacheEntries, func(r *engine.Result) int64 { return r.Table.SizeBytes() })
+		s.stmts = newLRU[statement](cfg.CacheEntries, nil)
 	}
 	s.tenants = newTenantSet(reg)
 	return s
@@ -175,25 +190,40 @@ func (s *Server) admit(ctx context.Context) (func(), error) {
 // tenant's rate limit, the result cache, admission control, and
 // execution under the tenant's pool weight and memory budget.
 func (s *Server) RunPlan(ctx context.Context, tenant string, p plan.Node) (*QueryResult, error) {
+	return s.serve(ctx, tenant, func() (statement, error) { return s.newStatement(p), nil })
+}
+
+// RunSQL serves one SQL statement as RunPlan does, planning it after the
+// rate limit — or, for a text the statement cache holds, not at all.
+func (s *Server) RunSQL(ctx context.Context, tenant, text string) (*QueryResult, error) {
+	return s.serve(ctx, tenant, func() (statement, error) { return s.prepare(text) })
+}
+
+// serve is RunPlan's and RunSQL's one body: it throttles the tenant,
+// resolves the statement, and runs it, observing every outcome on the
+// tenant's metrics — a statement that fails to plan included.
+func (s *Server) serve(ctx context.Context, tenant string, resolve func() (statement, error)) (*QueryResult, error) {
 	tn := s.tenants.get(tenant)
 	//lint:allow determinism,taintflow -- serving latency is measured and exported; results never depend on it
 	start := time.Now()
-	res, err := s.runPlan(ctx, tn, p)
+	res, err := s.run(ctx, tn, resolve)
 	tn.observe(time.Since(start), err)
 	return res, err
 }
 
-func (s *Server) runPlan(ctx context.Context, tn *tenant, p plan.Node) (*QueryResult, error) {
+func (s *Server) run(ctx context.Context, tn *tenant, resolve func() (statement, error)) (*QueryResult, error) {
 	if err := tn.throttle(ctx); err != nil {
 		return nil, err
 	}
-	var fp string
+	st, err := resolve()
+	if err != nil {
+		return nil, err
+	}
 	if s.cache != nil {
-		fp = plan.Fingerprint(p)
-		if res, ok := s.cache.get(fp); ok {
+		if res, ok := s.cache.get(st.fp); ok {
 			s.metricCacheHits.Inc()
 			tn.metricCacheHits.Inc()
-			return &QueryResult{Result: res, CacheHit: true, Fingerprint: fp}, nil
+			return &QueryResult{Result: res, CacheHit: true, Fingerprint: st.fp}, nil
 		}
 	}
 	release, err := s.admit(ctx)
@@ -201,7 +231,7 @@ func (s *Server) runPlan(ctx context.Context, tn *tenant, p plan.Node) (*QueryRe
 		return nil, err
 	}
 	defer release()
-	res, err := s.db.RunQuery(ctx, p, engine.QueryOpts{
+	res, err := s.db.RunQuery(ctx, st.node, engine.QueryOpts{
 		Workers:       tn.cfg.Workers,
 		Weight:        tn.cfg.Weight,
 		MemLimitBytes: tn.cfg.MemLimitBytes,
@@ -210,16 +240,39 @@ func (s *Server) runPlan(ctx context.Context, tn *tenant, p plan.Node) (*QueryRe
 		return nil, err
 	}
 	if s.cache != nil {
-		s.metricCacheSize.Set(s.cache.put(fp, res))
+		s.metricCacheSize.Set(s.cache.put(st.fp, res))
 	}
-	return &QueryResult{Result: res, Fingerprint: fp}, nil
+	return &QueryResult{Result: res, Fingerprint: st.fp}, nil
 }
 
-// RunSQL plans and serves one SQL statement.
-func (s *Server) RunSQL(ctx context.Context, tenant, text string) (*QueryResult, error) {
+// newStatement wraps a plan tree, fingerprinting it when the result
+// cache needs the key.
+func (s *Server) newStatement(p plan.Node) statement {
+	st := statement{node: p}
+	if s.cache != nil {
+		st.fp = plan.Fingerprint(p)
+	}
+	return st
+}
+
+// prepare returns text's statement: from the statement cache when the
+// same text was planned before, else planned and fingerprinted once and
+// cached. A text that fails to plan is not cached, so it fails the same
+// way on every request.
+func (s *Server) prepare(text string) (statement, error) {
+	if s.stmts != nil {
+		if st, ok := s.stmts.get(text); ok {
+			s.metricStmtHits.Inc()
+			return st, nil
+		}
+	}
 	planned, err := sql.Plan(s.db, text, sql.Options{UniqueKeys: s.keys})
 	if err != nil {
-		return nil, err
+		return statement{}, err
 	}
-	return s.RunPlan(ctx, tenant, planned.Node)
+	st := s.newStatement(planned.Node)
+	if s.stmts != nil {
+		s.stmts.put(text, st)
+	}
+	return st, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"wimpi/internal/exec"
 	"wimpi/internal/obs"
 	"wimpi/internal/plan"
+	"wimpi/internal/sql"
 	"wimpi/internal/tpch"
 )
 
@@ -195,26 +197,157 @@ func TestServeResultCache(t *testing.T) {
 	}
 }
 
-// TestServeCacheEviction: the LRU bound holds.
+// TestServeCacheEviction: the LRU bound holds for both instantiations —
+// results, whose byte total follows evictions, and statements.
 func TestServeCacheEviction(t *testing.T) {
-	c := newResultCache(2)
 	mk := func() *engine.Result {
 		b := colstore.NewTableBuilder("t", colstore.Schema{{Name: "v", Type: colstore.Int64}})
 		b.Int(0, 1)
 		b.EndRow()
 		return &engine.Result{Table: b.Build()}
 	}
-	c.put("a", mk())
-	c.put("b", mk())
-	c.put("c", mk()) // evicts a
-	if _, ok := c.get("a"); ok {
-		t.Fatal("LRU did not evict the oldest entry")
+	results := newLRU(2, func(r *engine.Result) int64 { return r.Table.SizeBytes() })
+	one := mk().Table.SizeBytes()
+	results.put("a", mk())
+	results.put("b", mk())
+	if got := results.put("c", mk()); got != 2*one { // evicts a
+		t.Fatalf("cache bytes = %d, want %d", got, 2*one)
 	}
-	if _, ok := c.get("b"); !ok {
-		t.Fatal("evicted a live entry")
+	stmts := newLRU[statement](2, nil)
+	stmts.put("a", statement{fp: "a"})
+	stmts.put("b", statement{fp: "b"})
+	stmts.get("a") // b is now the least recent
+	if got := stmts.put("c", statement{fp: "c"}); got != 0 {
+		t.Fatalf("statement cache bytes = %d, want 0", got)
 	}
-	if c.len() != 2 {
-		t.Fatalf("cache len = %d, want 2", c.len())
+	for _, c := range []struct {
+		name       string
+		get        func(string) bool
+		len        int
+		gone, kept string
+	}{
+		{"results", func(k string) bool { _, ok := results.get(k); return ok }, results.len(), "a", "b"},
+		{"statements", func(k string) bool { _, ok := stmts.get(k); return ok }, stmts.len(), "b", "a"},
+	} {
+		if c.get(c.gone) {
+			t.Errorf("%s: LRU did not evict the least recent entry %q", c.name, c.gone)
+		}
+		if !c.get(c.kept) || !c.get("c") {
+			t.Errorf("%s: evicted a live entry", c.name)
+		}
+		if c.len != 2 {
+			t.Errorf("%s: len = %d, want 2", c.name, c.len)
+		}
+	}
+}
+
+// TestServeStatementCache: a repeated SQL text is served from the
+// cached tree and fingerprint, with the result a cache-less server
+// computes; with CacheEntries 0 every request plans afresh and no
+// statement hit is counted.
+func TestServeStatementCache(t *testing.T) {
+	db, closePool := testDB(t, 2)
+	defer closePool()
+	text, err := tpch.SQL(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveTwice := func(entries int) (*Server, *obs.Registry, [2]statement, *QueryResult) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		s := New(Config{DB: db, CacheEntries: entries, Registry: reg})
+		var sts [2]statement
+		var res *QueryResult
+		for i := range sts {
+			if sts[i], err = s.prepare(text); err != nil {
+				t.Fatal(err)
+			}
+			if res, err = s.RunSQL(context.Background(), "t", text); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s, reg, sts, res
+	}
+
+	cached, reg, sts, got := serveTwice(4)
+	if sts[0].node != sts[1].node {
+		t.Fatal("repeated text was planned again")
+	}
+	planned, err := sql.Plan(db, text, sql.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := plan.Fingerprint(planned.Node); sts[1].fp != want || got.Fingerprint != want {
+		t.Fatalf("cached fingerprint %q, served %q, want %q", sts[1].fp, got.Fingerprint, want)
+	}
+	if n := reg.Counter("wimpi_serve_statement_cache_hits_total").Value(); n != 3 {
+		t.Fatalf("statement hits = %d, want 3 (of 4 lookups)", n)
+	}
+	if cached.stmts.len() != 1 {
+		t.Fatalf("statement cache holds %d entries, want 1", cached.stmts.len())
+	}
+
+	_, reg, sts, want := serveTwice(0)
+	if sts[0].node == sts[1].node {
+		t.Fatal("CacheEntries 0 reused a planned tree")
+	}
+	if n := reg.Counter("wimpi_serve_statement_cache_hits_total").Value(); n != 0 {
+		t.Fatalf("CacheEntries 0 counted %d statement hits", n)
+	}
+	if ok, why := colstore.TablesIdentical(want.Table, got.Table); !ok {
+		t.Fatalf("statement-cached result differs from the cache-less one: %s", why)
+	}
+}
+
+// TestServeReusesStatementsConcurrently: eight clients send all 22 TPC-H
+// texts through RunSQL in their own orders with four cache entries, so
+// statements and results churn and cached trees — the CTE and
+// scalar-subquery ones too — run from several goroutines at once. Every
+// result equals the serial run of a freshly planned tree.
+func TestServeReusesStatementsConcurrently(t *testing.T) {
+	db, closePool := testDB(t, 2)
+	defer closePool()
+	keys := tpch.TableKeys()
+	texts := make([]string, 22)
+	want := make([]*colstore.Table, len(texts))
+	for i := range texts {
+		var err error
+		if texts[i], err = tpch.SQL(i + 1); err != nil {
+			t.Fatal(err)
+		}
+		planned, err := sql.Plan(db, texts[i], sql.Options{UniqueKeys: keys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.RunQuery(context.Background(), planned.Node, engine.QueryOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Table
+	}
+
+	reg := obs.NewRegistry()
+	s := New(Config{DB: db, MaxConcurrent: 4, MaxQueue: 16, CacheEntries: 4, Registry: reg, UniqueKeys: keys})
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for _, i := range rand.New(rand.NewSource(int64(c))).Perm(len(texts)) {
+				res, err := s.RunSQL(context.Background(), fmt.Sprintf("c%d", c), texts[i])
+				if err != nil {
+					t.Errorf("client %d Q%d: %v", c, i+1, err)
+					continue
+				}
+				if ok, why := colstore.TablesIdentical(want[i], res.Table); !ok {
+					t.Errorf("client %d Q%d differs from the serial run: %s", c, i+1, why)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if s.stmts.len() > 4 || s.cache.len() > 4 {
+		t.Fatalf("caches hold %d statements, %d results; bound is 4", s.stmts.len(), s.cache.len())
 	}
 }
 
