@@ -313,8 +313,11 @@ func TestThrottledLinkBandwidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The paper's iperf measured ~220 Mbit/s; allow generous tolerance
-	// for the gob/TCP overheads of the measurement itself.
-	if bps < 120e6 || bps > 280e6 {
+	// for the gob/TCP overheads of the measurement itself. The upper
+	// bound is the throttle's contract and holds everywhere; the lower
+	// one is a wall-clock rate the race detector's slowdown can push
+	// under on a small host, so it holds only without the detector.
+	if bps > 280e6 || !raceEnabled && bps < 120e6 {
 		t.Errorf("throttled link = %.0f Mbit/s, want ~220", bps/1e6)
 	}
 }

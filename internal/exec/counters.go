@@ -58,19 +58,19 @@ type Counters struct {
 	// perfect scaling.
 	MergeBytes int64
 	// CacheRandomAccesses counts data-dependent accesses into structures
-	// deliberately sized to stay cache-resident — the per-partition hash
-	// tables of the spill join and the clustered group-by's chunk
-	// groupers. The hardware model charges them at LLC rather than DRAM
-	// latency (as long as MaxPartitionBytes fits the profile's LLC), which
-	// is the whole point of cache-sized partitions on wimpy nodes.
+	// deliberately sized to stay cache-resident — the clustered
+	// group-by's chunk groupers and the lookup tables of Figure 4's
+	// strategies and fused.CompileRow; no join charges them. The hardware
+	// model charges them at LLC rather than DRAM latency (as long as
+	// MaxPartitionBytes fits the profile's LLC), which is the whole point
+	// of cache-sized structures on wimpy nodes.
 	CacheRandomAccesses int64
 	// PartitionBytes counts bytes streamed by radix partition passes:
 	// sequential reads plus bounded-fanout scattered writes. The model
-	// charges them at full-parallel sequential bandwidth — the price paid
-	// up front to turn DRAM random accesses into CacheRandomAccesses.
+	// charges them at full-parallel sequential bandwidth.
 	PartitionBytes int64
 	// MaxPartitionBytes tracks the footprint of the largest cache-sized
-	// structure (a per-partition table or grouper) a partitioned path
+	// structure (a chunk's grouper or a strategy's lookup table) a query
 	// built. The hardware model compares it against the profile LLC to
 	// decide whether CacheRandomAccesses really hit cache.
 	MaxPartitionBytes int64
@@ -172,9 +172,9 @@ func (c *Counters) ObserveHashBytes(n int64) {
 	}
 }
 
-// ObservePartitionBytes records the footprint of a cache-sized structure
-// built by a partitioned path, such as a spill-join partition's table or
-// a clustered group-by chunk's grouper.
+// ObservePartitionBytes records the footprint of a cache-sized structure,
+// such as a clustered group-by chunk's grouper or a strategy's lookup
+// table.
 func (c *Counters) ObservePartitionBytes(n int64) {
 	if n > c.MaxPartitionBytes {
 		c.MaxPartitionBytes = n

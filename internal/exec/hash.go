@@ -40,7 +40,8 @@ func nextPow2(n int) int {
 
 // JoinProber is the probe side of a built join, whatever the layout of
 // its build side: the chained or positional JoinTable, or the plan
-// layer's spill joiner over compact partitions, resident or on disk. All
+// layer's spill joiner, whose radix partitions — resident or on disk —
+// each build a chained JoinTable over one shared next array. All
 // implementations return byte-identical match sets — probe rows
 // ascending, a key's duplicate build rows in descending row order — at
 // every worker count, so everything downstream of a probe is shared.
@@ -132,14 +133,8 @@ func partHash(k int64, bits uint) int {
 	return int((uint64(k) * 0xBF58476D1CE4E5B9) >> (64 - bits))
 }
 
-// buildJoinPart inserts rows (ascending build-row ids; nil means every
-// key, in order) into a fresh table, prepending duplicates to their
-// key's chain in next.
-func buildJoinPart(keys []int64, rows, next []int32) joinPart {
-	n := len(rows)
-	if rows == nil {
-		n = len(keys)
-	}
+// newJoinPart returns an empty table sized for n build rows.
+func newJoinPart(n int) joinPart {
 	capacity := nextPow2(n*2 + 1)
 	jp := joinPart{
 		slotKeys: make([]int64, capacity),
@@ -149,20 +144,37 @@ func buildJoinPart(keys []int64, rows, next []int32) joinPart {
 	for i := range jp.slotHead {
 		jp.slotHead[i] = -1
 	}
-	mask := uint64(capacity - 1)
+	return jp
+}
+
+// insert finds key k's slot and prepends build row r to its chain in
+// next — the one per-row insert of every hashed build.
+func (jp *joinPart) insert(k int64, r int32, next []int32) {
+	mask := uint64(len(jp.slotKeys) - 1)
+	slot := hashKey(k, jp.shift) & mask
+	for jp.slotHead[slot] >= 0 && jp.slotKeys[slot] != k {
+		slot = (slot + 1) & mask
+	}
+	jp.slotKeys[slot] = k
+	next[r] = jp.slotHead[slot]
+	jp.slotHead[slot] = r
+}
+
+// buildJoinPart inserts rows (ascending build-row ids; nil means every
+// key, in order) into a fresh table, prepending duplicates to their
+// key's chain in next.
+func buildJoinPart(keys []int64, rows, next []int32) joinPart {
+	n := len(rows)
+	if rows == nil {
+		n = len(keys)
+	}
+	jp := newJoinPart(n)
 	for i := 0; i < n; i++ {
 		r := int32(i)
 		if rows != nil {
 			r = rows[i]
 		}
-		k := keys[r]
-		slot := hashKey(k, jp.shift) & mask
-		for jp.slotHead[slot] >= 0 && jp.slotKeys[slot] != k {
-			slot = (slot + 1) & mask
-		}
-		jp.slotKeys[slot] = k
-		next[r] = jp.slotHead[slot]
-		jp.slotHead[slot] = r
+		jp.insert(keys[r], r, next)
 	}
 	return jp
 }

@@ -12,9 +12,9 @@ import (
 
 // TestJoinProberConformance runs the JoinTable layouts — the chained one
 // at every build fan-out and the positional one — through the shared
-// conformance table. internal/plan runs the spill joiner, the compact
-// layout's PartTable kernels, through the same table, all partitions
-// resident and some spilled.
+// conformance table. internal/plan runs the spill joiner, whose radix
+// partitions build chained tables over one shared next array, through
+// the same table, all partitions resident and some spilled.
 func TestJoinProberConformance(t *testing.T) {
 	impls := []jointest.Impl{{
 		// The public entry: sequential below its thresholds, partitioned

@@ -5,10 +5,9 @@ package exec
 // RadixBitsPerPass bits per pass, so one pass never keeps more than 64
 // write streams live — small enough that every stream's tail stays in
 // the TLB and store buffers even on a wimpy core. The spill joiner
-// partitions a join over its memory budget this way, converting the
-// DRAM-latency random probes of a big hash join into a few sequential
-// passes plus cache-resident work per partition, which is the
-// access-aware execution style the paper argues wimpy nodes need.
+// partitions a join over its memory budget this way: a partition is the
+// unit that can leave memory, and a few sequential passes are the price
+// of cutting the join into budget-sized pieces.
 //
 // Determinism: partition assignment is a pure function of the key, every
 // scatter pass is stable (parallel first passes write per-(morsel,

@@ -58,8 +58,9 @@ type Breakdown struct {
 	// whole hash working set fits the LLC).
 	MemRandSeconds float64
 	// MemCacheSeconds is latency time of random accesses into structures
-	// the partitioned paths sized to stay cache-resident; it is charged
-	// at LLC latency as long as MaxPartitionBytes fits the profile LLC.
+	// sized to stay cache-resident (clustered group-by chunks, Figure 4's
+	// lookup tables); it is charged at LLC latency as long as
+	// MaxPartitionBytes fits the profile LLC.
 	MemCacheSeconds float64
 	// PartitionSeconds is streaming time of radix partition passes,
 	// charged at full-parallel sequential bandwidth alongside
@@ -113,10 +114,10 @@ func (m Model) Explain(p *Profile, c exec.Counters, dop int) Breakdown {
 	}
 	memRand := float64(c.RandomAccesses) * lat / (fcores * m.MLP)
 
-	// Accesses the partitioned paths promised to keep cache-resident hit
-	// LLC latency — unless the largest partition structure actually
-	// overflowed this profile's LLC, in which case the promise is void
-	// and they degrade to DRAM latency.
+	// Accesses into structures sized to stay cache-resident hit LLC
+	// latency — unless the largest such structure actually overflowed
+	// this profile's LLC, in which case the promise is void and they
+	// degrade to DRAM latency.
 	cacheLat := p.LLCLatency
 	if c.MaxPartitionBytes > p.LLCBytes {
 		cacheLat = p.DRAMLatency

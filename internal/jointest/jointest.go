@@ -37,9 +37,9 @@ const (
 // a wide tail, two packed columns), the degenerate sides, and the
 // degenerate partitionings: a build of one key (every match a long
 // reversed duplicate run) and a build confined to the first of 16 radix
-// partitions (every other partition of a compact layout is empty — for
-// the spill joiner, every spilled one); and compact key ranges for the
-// positional layout.
+// partitions (every other partition of the spill joiner is empty, every
+// spilled one among them); and compact key ranges for the positional
+// layout.
 func Inputs() []Input {
 	rng := rand.New(rand.NewSource(16))
 	fill := func(n int, key func(i int) int64) []int64 {

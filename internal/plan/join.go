@@ -136,9 +136,9 @@ func (c *Context) buildPhase(build *colstore.Table, keys []string, probeRows int
 // engines, every degree of parallelism and a re-dispatched cluster worker
 // pick the same physical join:
 //
-//   - join state beyond the memory budget: the compact layout with its
-//     beyond-budget partitions streamed through the spill area, instead
-//     of letting the OS page a hash table through swap;
+//   - join state beyond the memory budget: radix partitions, each with a
+//     chained table, the beyond-budget ones streamed through the spill
+//     area, instead of letting the OS page a hash table through swap;
 //   - keys spanning at most PositionalMaxSpan values: the positional
 //     layout, which hashes nothing;
 //   - otherwise the chained layout.

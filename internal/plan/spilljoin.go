@@ -9,29 +9,28 @@ import (
 )
 
 // Budget-bounded spill join. When a hash join's build+probe state would
-// not fit the query's memory budget, buildJoin picks the compact layout
-// (exec.PartTable per radix partition) with the partition as the spill
-// unit: both sides are partitioned with the same fan-out, a resident
-// prefix of partitions stays in memory, and the partitions beyond it go
-// to the on-disk spill area — one segment per side, since the scatter
-// leaves them contiguous. The degradation is planned and priced —
-// charged sequential spill I/O instead of the cliff-edge swap model —
-// and the output is byte-identical to the in-memory join's, because the
-// probe kernels return the chained table's match order. The spill joiner
-// is the only driver of exec.PartTable's per-partition kernels — with
-// every partition resident it is a resident radix join — and owns only
-// residency, segments and spans.
+// not fit the query's memory budget, buildJoin radix-partitions it with
+// the partition as the spill unit: both sides are partitioned with the
+// same fan-out, a resident prefix of partitions stays in memory, and the
+// partitions beyond it go to the on-disk spill area — one segment per
+// side, since the scatter leaves them contiguous. Every partition builds
+// a chained exec.JoinTable of its own (exec.BuildPartitionJoinTable).
+// The degradation is planned and priced — charged sequential spill I/O
+// instead of the cliff-edge swap model — and the output is
+// byte-identical to the in-memory join's, because a partition's chains
+// are the chained table's. The spill joiner is the only driver of the
+// per-partition kernels and owns only residency, segments and spans.
 //
 // Every join kind visits a partition once: its segment range is read
 // once, its table built once, each probe key looked up once. The inner
-// join can afford that because its count pass leaves, per probe row, the
-// match count and the start of the matched group in one payload array
-// covering the whole build side (4 bytes per build row, each partition's
-// table packing into its own window), so exec.FillMatches fills the
-// output from the payload alone, with no table and no partition in
-// sight. Partitions run as morsels: the resident ones at full
-// parallelism against tables built once with the joiner, the spilled
-// ones with at most spilledInFlight read back at a time.
+// join can afford that because every partition chains its rows into one
+// next array covering the whole build side (4 bytes per build row,
+// indexed by build row), where the chains outlive the partition's table:
+// the count pass leaves, per probe row, the chain's length and head, and
+// exec.FillMatches fills the output by walking next alone, with no table
+// and no partition in sight. Partitions run as morsels: the resident
+// ones at full parallelism against tables built once with the joiner,
+// the spilled ones with at most spilledInFlight read back at a time.
 //
 // The spill decision depends only on input cardinalities and the budget
 // — never on Workers — so results stay bit-identical at every degree of
@@ -86,17 +85,17 @@ func spillBits(buildRows, probeRows int, budget int64) uint {
 // the I/O and the probe taking turns.
 const spilledInFlight = 2
 
-// spillJoiner is the budget-bounded exec.JoinProber: the compact join
-// layout with its beyond-budget partitions spilled to disk.
+// spillJoiner is the budget-bounded exec.JoinProber: a radix-partitioned
+// chained join with its beyond-budget partitions spilled to disk.
 type spillJoiner struct {
 	ctx      *Context
 	resident int // partitions < resident stay in memory
 	// rp is the partitioned build side: Off spans every partition, Keys
 	// and Rows hold the resident prefix only.
-	rp      *exec.RadixPartitions
-	seg     *spill.Segment   // the build partitions beyond the prefix; nil when they are empty
-	tables  []exec.PartTable // the resident partitions' tables
-	payload []int32          // build rows grouped by key; partition p packs into [Off[p], Off[p+1])
+	rp     *exec.RadixPartitions
+	seg    *spill.Segment    // the build partitions beyond the prefix; nil when they are empty
+	tables []*exec.JoinTable // the resident partitions' tables
+	next   []int32           // build row -> next build row with the same key, or -1; every partition's chains
 }
 
 // buildSpillJoiner partitions the build keys, spills the partitions
@@ -146,7 +145,7 @@ func (c *Context) partitionBuild(bk []int64, probeRows int, bits uint) (*spillJo
 // newSpillJoiner takes over the partitioned build side rp, of which the
 // first resident partitions stay in memory.
 func (c *Context) newSpillJoiner(rp *exec.RadixPartitions, resident int) (*spillJoiner, error) {
-	sj := &spillJoiner{ctx: c, resident: resident, rp: rp, payload: make([]int32, len(rp.Rows))}
+	sj := &spillJoiner{ctx: c, resident: resident, rp: rp, next: make([]int32, len(rp.Rows))}
 	var err error
 	sj.seg, err = sj.spillTail(rp, c.Ctr)
 	return sj, err
@@ -182,17 +181,17 @@ func (sj *spillJoiner) spillTail(rp *exec.RadixPartitions, ctr *exec.Counters) (
 // buildResident builds the tables of the resident partitions, once for
 // every probe of the joiner.
 func (sj *spillJoiner) buildResident() error {
-	sj.tables = make([]exec.PartTable, sj.resident)
+	sj.tables = make([]*exec.JoinTable, sj.resident)
 	return exec.RunMorsels(sj.ctx.workers(), sj.resident, 1, sj.ctx.Ctr, func(p, _, _ int, c *exec.Counters) error {
 		lo, hi := sj.rp.Off[p], sj.rp.Off[p+1]
-		sj.tables[p] = exec.BuildPartTable(sj.rp.Keys[lo:hi], sj.rp.Rows[lo:hi], sj.payload[lo:hi], c)
+		sj.tables[p] = exec.BuildPartitionJoinTable(sj.rp.Keys[lo:hi], sj.rp.Rows[lo:hi], sj.next, c)
 		return nil
 	})
 }
 
-// partKernel is one per-partition probe kernel: partition p's table and
+// partKernel is one per-partition probe kernel: a partition's table and
 // its probe keys with their original probe-row ids.
-type partKernel func(p int, pt *exec.PartTable, pkeys []int64, prows []int32, c *exec.Counters)
+type partKernel func(jt *exec.JoinTable, pkeys []int64, prows []int32, c *exec.Counters)
 
 // partBuf holds one spilled partition read back: both sides of it.
 type partBuf struct {
@@ -233,7 +232,7 @@ func (sj *spillJoiner) probePass(pk []int64, w, mr int, ctr *exec.Counters, fn p
 	return exec.RunMorsels(w, np, 1, ctr, func(p, _, _ int, c *exec.Counters) error {
 		if p < sj.resident {
 			lo, hi := pp.Off[p], pp.Off[p+1]
-			fn(p, &sj.tables[p], pp.Keys[lo:hi], pp.Rows[lo:hi], c)
+			fn(sj.tables[p], pp.Keys[lo:hi], pp.Rows[lo:hi], c)
 			return nil
 		}
 		buf := <-bufs
@@ -244,7 +243,7 @@ func (sj *spillJoiner) probePass(pk []int64, w, mr int, ctr *exec.Counters, fn p
 }
 
 // spilledPart reads spilled partition p of both sides into buf, builds
-// its table into the partition's payload window and runs fn over it.
+// its table, chaining its rows into next again, and runs fn over it.
 func (sj *spillJoiner) spilledPart(p int, pp *exec.RadixPartitions, pseg *spill.Segment, buf *partBuf, c *exec.Counters, fn partKernel) error {
 	sctx := sj.ctx.Sched.Context()
 	lo, hi := sj.rp.Off[p], sj.rp.Off[p+1]
@@ -257,8 +256,7 @@ func (sj *spillJoiner) spilledPart(p int, pp *exec.RadixPartitions, pseg *spill.
 	if err := pseg.ReadAt(sctx, int(plo-pp.Off[sj.resident]), pkeys, prows, c); err != nil {
 		return err
 	}
-	pt := exec.BuildPartTable(bkeys, brows, sj.payload[lo:hi], c)
-	fn(p, &pt, pkeys, prows, c)
+	fn(exec.BuildPartitionJoinTable(bkeys, brows, sj.next, c), pkeys, prows, c)
 	return nil
 }
 
@@ -282,12 +280,12 @@ func (sj *spillJoiner) endProbe(sp *obs.Span, rows, width int, err error) {
 func (sj *spillJoiner) InnerJoin(pk []int64, w, mr int, ctr *exec.Counters) (bi, pi []int32, err error) {
 	sp := sj.beginProbe("inner")
 	counts := make([]int32, len(pk))
-	first := make([]int32, len(pk))
-	err = sj.probePass(pk, w, mr, ctr, func(p int, pt *exec.PartTable, pkeys []int64, prows []int32, c *exec.Counters) {
-		pt.CountMatches(pkeys, prows, sj.rp.Off[p], counts, first, c)
+	heads := make([]int32, len(pk))
+	err = sj.probePass(pk, w, mr, ctr, func(jt *exec.JoinTable, pkeys []int64, prows []int32, c *exec.Counters) {
+		jt.CountChains(pkeys, prows, counts, heads, c)
 	})
 	if err == nil {
-		bi, pi, err = exec.FillMatches(sj.payload, counts, first, w, mr, ctr)
+		bi, pi, err = exec.FillMatches(sj.next, counts, heads, w, mr, ctr)
 	}
 	sj.endProbe(sp, len(bi), 8, err)
 	return bi, pi, err
@@ -308,8 +306,8 @@ func (sj *spillJoiner) AntiJoin(pk []int64, w, mr int, ctr *exec.Counters) ([]in
 func (sj *spillJoiner) selJoin(kind string, want bool, pk []int64, w, mr int, ctr *exec.Counters) ([]int32, error) {
 	sp := sj.beginProbe(kind)
 	hit := make([]bool, len(pk))
-	err := sj.probePass(pk, w, mr, ctr, func(_ int, pt *exec.PartTable, pkeys []int64, prows []int32, c *exec.Counters) {
-		pt.FlagMatches(pkeys, prows, hit, c)
+	err := sj.probePass(pk, w, mr, ctr, func(jt *exec.JoinTable, pkeys []int64, prows []int32, c *exec.Counters) {
+		jt.FlagMatches(pkeys, prows, hit, c)
 	})
 	var out []int32
 	if err == nil {
@@ -323,8 +321,8 @@ func (sj *spillJoiner) selJoin(kind string, want bool, pk []int64, w, mr int, ct
 func (sj *spillJoiner) CountPerProbe(pk []int64, w, mr int, ctr *exec.Counters) ([]int64, error) {
 	sp := sj.beginProbe("left-count")
 	out := make([]int64, len(pk))
-	err := sj.probePass(pk, w, mr, ctr, func(_ int, pt *exec.PartTable, pkeys []int64, prows []int32, c *exec.Counters) {
-		pt.CountPerProbe(pkeys, prows, out, c)
+	err := sj.probePass(pk, w, mr, ctr, func(jt *exec.JoinTable, pkeys []int64, prows []int32, c *exec.Counters) {
+		jt.CountMatchesTo(pkeys, prows, out, c)
 	})
 	if err == nil {
 		ctr.SeqBytes += int64(len(pk)) * 8

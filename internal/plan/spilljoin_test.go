@@ -86,11 +86,7 @@ func TestJoinProberConformance(t *testing.T) {
 			// Partitions are morsels with counters of their own: nothing
 			// depends on the worker count but who runs them.
 			CountersFrom: 1,
-			Check: func(t *testing.T, in jointest.Input, ctr, _ exec.Counters) {
-				if len(in.Build) > 0 && (ctr.CacheRandomAccesses == 0 || ctr.MaxPartitionBytes == 0) || ctr.RandomAccesses != 0 {
-					t.Fatalf("compact layout charged %d DRAM and %d cache-resident random accesses, largest partition %d bytes",
-						ctr.RandomAccesses, ctr.CacheRandomAccesses, ctr.MaxPartitionBytes)
-				}
+			Check: func(t *testing.T, in jointest.Input, ctr, chained exec.Counters) {
 				spilled := resident < 1<<bits && len(in.Build)+len(in.Probe) > 0
 				if (ctr.SpillWriteBytes > 0) != spilled {
 					t.Fatalf("resident %d of %d partitions: wrote %d spill bytes", resident, 1<<bits, ctr.SpillWriteBytes)
@@ -98,9 +94,23 @@ func TestJoinProberConformance(t *testing.T) {
 				// Single visit: the build side's segment is read once by each
 				// of the four probes, each probe's own segment once.
 				writes := ctr.SpillWriteBytes
-				if wantRead := writes + 3*buildSpillBytes(in.Build, bits, resident); ctr.SpillReadBytes != wantRead {
+				spilledRows := buildSpilledRows(in.Build, bits, resident)
+				if wantRead := writes + 3*12*spilledRows; ctr.SpillReadBytes != wantRead {
 					t.Fatalf("resident %d of %d partitions: read %d spill bytes, want %d (wrote %d)",
 						resident, 1<<bits, ctr.SpillReadBytes, wantRead, writes)
+				}
+				// Partitions build and probe chained tables, charged per tuple
+				// as the chained table is — a spilled partition is built once
+				// by each probe, a resident one once with the joiner — and
+				// nothing as cache-resident.
+				wantBuild := chained.HashBuildTuples + 3*spilledRows
+				if ctr.HashBuildTuples != wantBuild || ctr.HashProbeTuples != chained.HashProbeTuples {
+					t.Fatalf("charged %d build and %d probe tuples, want %d and %d",
+						ctr.HashBuildTuples, ctr.HashProbeTuples, wantBuild, chained.HashProbeTuples)
+				}
+				if ctr.CacheRandomAccesses != 0 || ctr.MaxPartitionBytes != 0 {
+					t.Fatalf("charged %d cache-resident random accesses, largest partition %d bytes",
+						ctr.CacheRandomAccesses, ctr.MaxPartitionBytes)
 				}
 			},
 		})
@@ -132,13 +142,13 @@ func handBuiltSpillJoiner(t *testing.T, c *Context, build []int64, bits uint, re
 	return sj
 }
 
-// buildSpillBytes is the size of the segment a build side leaves beyond
-// the first resident of its 2^bits partitions.
-func buildSpillBytes(build []int64, bits uint, resident int) int64 {
+// buildSpilledRows counts the build rows beyond the first resident of
+// the side's 2^bits partitions: those its segment holds, 12 bytes each.
+func buildSpilledRows(build []int64, bits uint, resident int) int64 {
 	var n int64
 	for _, k := range build {
 		if exec.RadixOf(k, bits) >= resident {
-			n += 12
+			n++
 		}
 	}
 	return n
@@ -234,7 +244,7 @@ func TestSpillJoinCancelMidProbe(t *testing.T) {
 			c := &Context{Ctr: ctr, Sched: sched, Workers: w, MorselRows: 1000, MemLimitBytes: 1 << 20, SpillDir: t.TempDir()}
 			sj := handBuiltSpillJoiner(t, c, in.Build, 4, 3)
 			var visited atomic.Int32
-			err := sj.probePass(in.Probe, w, 1000, ctr, func(p int, _ *exec.PartTable, _ []int64, _ []int32, _ *exec.Counters) {
+			err := sj.probePass(in.Probe, w, 1000, ctr, func(_ *exec.JoinTable, _ []int64, _ []int32, _ *exec.Counters) {
 				if visited.Add(1) == 6 { // the third spilled partition at w=1
 					sched.Cancel(cause)
 				}

@@ -3,12 +3,13 @@
 #
 #   scripts/bench-pairs.sh BASE [WORKLOAD] [N]
 #
-# Builds ./benchmark at revision BASE (in a throw-away git worktree under
-# .bench_build/) and at the working tree, then runs N untraced pairs of
-# WORKLOAD with seeds 1..N, alternating which side goes first. Every run
-# is appended to BENCH_pairs_base.json / BENCH_pairs_head.json (started
-# afresh each invocation); the script prints stream_ms per pair, the win
-# count, and the benchmark's own -compare table over the two files.
+# Builds ./benchmark at revision BASE (from a throw-away `git archive`
+# copy under .bench_build/) and at the working tree, then runs N
+# untraced pairs of WORKLOAD with seeds 1..N, alternating which side
+# goes first. Every run is appended to BENCH_pairs_base.json /
+# BENCH_pairs_head.json (started afresh each invocation); the script
+# prints stream_ms per pair, the win count, and the benchmark's own
+# -compare table over the two files.
 # Nothing else on the machine should be running while it does.
 set -eu
 
@@ -19,12 +20,11 @@ n=${3:-10}
 cd "$(git rev-parse --show-toplevel)"
 build=.bench_build
 src=$build/base-src
-mkdir -p $build
-if [ -d $src ]; then git worktree remove --force $src; fi
-git worktree prune
-git worktree add --detach --force $src "$base" >/dev/null
+rm -rf $src
+mkdir -p $src
+git archive "$base" | tar -x -C $src
 (cd $src && go build -o ../bench-base ./benchmark)
-git worktree remove --force $src
+rm -rf $src
 go build -o $build/bench-head ./benchmark
 
 base_out=BENCH_pairs_base.json
