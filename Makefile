@@ -78,7 +78,7 @@ chaos:
 	$(GO) test -race -timeout 120s -run 'Chaos|Fault|Frame|Close|Worker' ./internal/cluster/...
 
 # Native Go fuzzing over the wire decoder, the fault-plan parser, the
-# compressed int encodings, and POST /query (same answer twice through
+# RLE int encoding, and POST /query (same answer twice through
 # the serving caches). Targets run one at a time (the fuzz engine's
 # requirement).
 fuzz:
@@ -87,8 +87,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParsePlan -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
 	$(GO) test -fuzz FuzzLexer -fuzztime $(FUZZTIME) -run '^$$' ./internal/sql/
 	$(GO) test -fuzz FuzzParser -fuzztime $(FUZZTIME) -run '^$$' ./internal/sql/
-	$(GO) test -fuzz FuzzBitPackRoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/colstore/
-	$(GO) test -fuzz FuzzFoRRoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/colstore/
+	$(GO) test -fuzz FuzzRLERoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/colstore/
 	$(GO) test -fuzz FuzzServeQuery -fuzztime $(FUZZTIME) -run '^$$' ./internal/serve/
 
 # EXPLAIN ANALYZE smoke test: run Q1 with -explain and assert the span

@@ -29,18 +29,14 @@ func TablesIdentical(a, b *Table) (bool, string) {
 	return true, ""
 }
 
-// int64Reader returns a row accessor for any int64 encoding — dense,
-// run-length, bit-packed, or frame-of-reference — so comparisons and
-// concatenation see logical values regardless of layout.
+// int64Reader returns a row accessor for either int64 encoding — dense
+// or run-length — so comparisons and concatenation see logical values
+// regardless of layout.
 func int64Reader(c Column) (func(i int) int64, int, bool) {
 	switch cc := c.(type) {
 	case *Int64s:
 		return func(i int) int64 { return cc.V[i] }, len(cc.V), true
 	case *RLEInt64:
-		return func(i int) int64 { return cc.Value(int32(i)) }, cc.Len(), true
-	case *BitPackedInt64:
-		return func(i int) int64 { return cc.Value(int32(i)) }, cc.Len(), true
-	case *FoRInt64:
 		return func(i int) int64 { return cc.Value(int32(i)) }, cc.Len(), true
 	}
 	return nil, 0, false

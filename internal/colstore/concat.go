@@ -32,9 +32,8 @@ func Concat(tables ...*Table) (*Table, error) {
 	for ci, f := range first.Schema {
 		switch f.Type {
 		case Int64:
-			// Int64 inputs may arrive in any encoding (dense, RLE,
-			// bit-packed, frame-of-reference); the concatenation reads
-			// logical values and produces a dense column.
+			// Int64 inputs may arrive dense or RLE; the concatenation
+			// reads logical values and produces a dense column.
 			v := make([]int64, 0, total)
 			for _, t := range tables {
 				if dense, ok := t.Cols[ci].(*Int64s); ok {

@@ -113,3 +113,101 @@ func TestRLEInTable(t *testing.T) {
 		t.Fatal("slice through table wrong")
 	}
 }
+
+func TestConcatEncodedInt64Columns(t *testing.T) {
+	mk := func(c Column) *Table {
+		return MustNewTable("t", Schema{{Name: "k", Type: Int64}}, []Column{c})
+	}
+	a := []int64{5, 5, 5, 9}
+	b := []int64{0, 1, 2, 3}
+	c := []int64{1 << 40, 1 << 40, 1<<40 + 1}
+	got, err := Concat(mk(CompressInt64(&Int64s{V: a})), mk(&Int64s{V: b}), mk(CompressInt64(&Int64s{V: c})), mk(&Int64s{V: nil}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(append(append([]int64{}, a...), b...), c...)
+	if ok, why := ColumnsIdentical(got.Cols[0], &Int64s{V: want}); !ok {
+		t.Fatalf("concat across encodings: %s", why)
+	}
+}
+
+func TestColumnsIdenticalAcrossEncodings(t *testing.T) {
+	vals := []int64{3, 1, 4, 1, 5, 9, 2, 6}
+	dense := &Int64s{V: vals}
+	rle := CompressInt64(dense)
+	for _, pair := range [][2]Column{{rle, dense}, {dense, rle}, {rle, CompressInt64(dense)}} {
+		if ok, why := ColumnsIdentical(pair[0], pair[1]); !ok {
+			t.Fatalf("%T vs %T: %s", pair[0], pair[1], why)
+		}
+	}
+	other := &Int64s{V: []int64{3, 1, 4, 1, 5, 9, 2, 7}}
+	if ok, _ := ColumnsIdentical(rle, other); ok {
+		t.Fatal("differing columns reported identical")
+	}
+	shorter := &Int64s{V: vals[:7]}
+	if ok, _ := ColumnsIdentical(rle, shorter); ok {
+		t.Fatal("length mismatch reported identical")
+	}
+}
+
+// FuzzRLERoundTrip checks that an RLE column reads back as the dense
+// column it encodes: Decode, Value, Slice(lo, hi) and Gather(sel) all
+// agree with the dense reads. A nonzero mod folds the values into
+// [0, mod) so runs are common; mod 0 keeps the raw int64 boundaries.
+func FuzzRLERoundTrip(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint16(0), uint16(0), []byte{})
+	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint8(0), uint16(1), uint16(2), []byte{1, 0, 1})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24}, uint8(2), uint16(1), uint16(3), []byte{2, 2, 0})
+	f.Fuzz(func(t *testing.T, raw []byte, mod uint8, lo, hi uint16, selRaw []byte) {
+		vals := fuzzInt64s(raw)
+		if mod != 0 {
+			for i, v := range vals {
+				vals[i] = int64(uint64(v) % uint64(mod))
+			}
+		}
+		dense := &Int64s{V: vals}
+		r := CompressInt64(dense)
+		if r.Len() != len(vals) {
+			t.Fatalf("len %d, want %d", r.Len(), len(vals))
+		}
+		if ok, why := ColumnsIdentical(r.Decode(), dense); !ok {
+			t.Fatalf("decode mismatch: %s", why)
+		}
+		for i, want := range vals {
+			if got := r.Value(int32(i)); got != want {
+				t.Fatalf("row %d: got %d, want %d", i, got, want)
+			}
+		}
+		n := len(vals)
+		l, h := int(lo)%(n+1), int(hi)%(n+1)
+		if l > h {
+			l, h = h, l
+		}
+		if ok, why := ColumnsIdentical(r.Slice(l, h), dense.Slice(l, h)); !ok {
+			t.Fatalf("slice [%d,%d) mismatch: %s", l, h, why)
+		}
+		if n == 0 {
+			return
+		}
+		sel := make([]int32, len(selRaw))
+		for i, b := range selRaw {
+			sel[i] = int32(int(b) % n)
+		}
+		if ok, why := ColumnsIdentical(r.Gather(sel), dense.Gather(sel)); !ok {
+			t.Fatalf("gather %v mismatch: %s", sel, why)
+		}
+	})
+}
+
+// fuzzInt64s reinterprets fuzz bytes as little-endian int64 values.
+func fuzzInt64s(raw []byte) []int64 {
+	vals := make([]int64, len(raw)/8)
+	for i := range vals {
+		var u uint64
+		for j := 0; j < 8; j++ {
+			u |= uint64(raw[i*8+j]) << (8 * j)
+		}
+		vals[i] = int64(u)
+	}
+	return vals
+}

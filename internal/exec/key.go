@@ -36,16 +36,6 @@ func KeysInto(dst []int64, col colstore.Column, sel []int32, ctr *Counters) erro
 				dst[i] = c.Value(s)
 			}
 			ops = 4 // binary search per row
-		case *colstore.BitPackedInt64:
-			for i, s := range sel {
-				dst[i] = c.Value(s)
-			}
-			ops = 1
-		case *colstore.FoRInt64:
-			for i, s := range sel {
-				dst[i] = c.Value(s)
-			}
-			ops = 1
 		case *colstore.Int64s:
 			for i, s := range sel {
 				dst[i] = c.V[s]
@@ -77,12 +67,6 @@ func KeysInto(dst []int64, col colstore.Column, sel []int32, ctr *Counters) erro
 				run[j] = v
 			}
 		}
-		ctr.IntOps += int64(c.Len())
-	case *colstore.BitPackedInt64:
-		c.DecodeInto(dst, 0)
-		ctr.IntOps += int64(c.Len())
-	case *colstore.FoRInt64:
-		c.Codes.DecodeInto(dst, c.Ref)
 		ctr.IntOps += int64(c.Len())
 	case *colstore.Int64s:
 		copy(dst, c.V)

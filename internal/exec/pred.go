@@ -35,10 +35,6 @@ func (p CmpI) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error)
 		return SelInt64(ic, p.Op, p.V, in, ctr), nil
 	case *colstore.RLEInt64:
 		return SelRLEInt64(ic, p.Op, p.V, in, ctr), nil
-	case *colstore.BitPackedInt64:
-		return SelBitPackedInt64(ic, p.Op, p.V, in, ctr), nil
-	case *colstore.FoRInt64:
-		return SelFoRInt64(ic, p.Op, p.V, in, ctr), nil
 	default:
 		return nil, fmt.Errorf("exec: %s is %s, want int64", p.Column, c.Type())
 	}
@@ -46,6 +42,60 @@ func (p CmpI) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error)
 
 // String implements Pred.
 func (p CmpI) String() string { return fmt.Sprintf("%s %s %d", p.Column, p.Op, p.V) }
+
+// InI selects rows whose int64 column is any of Vals (SQL IN over
+// integers).
+type InI struct {
+	// Column names the int64 column; Vals is the IN list.
+	Column string
+	Vals   []int64
+}
+
+// Sel implements Pred.
+func (p InI) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) {
+	c, err := t.ColByName(p.Column)
+	if err != nil {
+		return nil, err
+	}
+	switch ic := c.(type) {
+	case *colstore.Int64s:
+		return SelInt64In(ic, p.Vals, in, ctr), nil
+	case *colstore.RLEInt64:
+		return SelRLEInt64In(ic, p.Vals, in, ctr), nil
+	default:
+		return nil, fmt.Errorf("exec: %s is %s, want int64", p.Column, c.Type())
+	}
+}
+
+// String implements Pred.
+func (p InI) String() string { return fmt.Sprintf("%s in %d", p.Column, p.Vals) }
+
+// SelInt64In selects rows whose dense int64 value is in vals.
+func SelInt64In(c *colstore.Int64s, vals []int64, in []int32, ctr *Counters) []int32 {
+	want := make(map[int64]struct{}, len(vals))
+	for _, v := range vals {
+		want[v] = struct{}{}
+	}
+	ctr.IntOps += int64(len(vals))
+	if in == nil {
+		chargeSel(ctr, len(c.V), 8, true)
+		out := make([]int32, 0, len(c.V)/2)
+		for i, v := range c.V {
+			if _, ok := want[v]; ok {
+				out = append(out, int32(i))
+			}
+		}
+		return out
+	}
+	chargeSel(ctr, len(in), 8, false)
+	out := make([]int32, 0, len(in))
+	for _, i := range in {
+		if _, ok := want[c.V[i]]; ok {
+			out = append(out, i)
+		}
+	}
+	return out
+}
 
 // CmpF compares a float64 column against a literal.
 type CmpF struct {

@@ -105,3 +105,24 @@ func TestCmpIPredOverRLE(t *testing.T) {
 		t.Errorf("got %v want %v", got, want)
 	}
 }
+
+func TestAsInt64Encodings(t *testing.T) {
+	vals := []int64{10, 10, 10, 999, -4, -4}
+	dense := &colstore.Int64s{V: vals}
+	rle := colstore.CompressInt64(dense)
+	for _, col := range []colstore.Column{dense, rle} {
+		var c Counters
+		got, err := AsInt64(col, &c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range vals {
+			if got[i] != vals[i] {
+				t.Fatalf("%T row %d: %d, want %d", col, i, got[i], vals[i])
+			}
+		}
+	}
+	if _, err := AsInt64(&colstore.Float64s{V: []float64{1}}, &Counters{}); err == nil {
+		t.Fatal("float column must not convert")
+	}
+}

@@ -255,6 +255,14 @@ func TestEnergy(t *testing.T) {
 	if e := IdleEnergyJoules(&pi, 10*time.Second); e != 19 {
 		t.Errorf("Pi idle energy = %g J, want 19", e)
 	}
+	// A dual-socket machine draws both CPUs' power.
+	gold, _ := ByName("op-gold")
+	if e := EnergyJoules(&gold, time.Second); e != 330 {
+		t.Errorf("op-gold energy = %g J, want 330", e)
+	}
+	if e := IdleEnergyJoules(&gold, time.Second); e != 140 {
+		t.Errorf("op-gold idle energy = %g J, want 140", e)
+	}
 	a1, _ := ByName("a1.metal")
 	if EnergyJoules(&a1, time.Second) != 0 {
 		t.Error("profiles without TDP should report zero energy")

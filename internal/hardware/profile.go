@@ -61,7 +61,7 @@ type Profile struct {
 	// TDPWatts is the CPU thermal design power; for the Pi it is the
 	// maximum draw of the whole board (zero when not public).
 	TDPWatts float64
-	// IdleWatts is the idle power draw used by the energy-
+	// IdleWatts is the idle power draw per socket used by the energy-
 	// proportionality analysis (Section III-B.2).
 	IdleWatts float64
 

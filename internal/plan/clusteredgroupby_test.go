@@ -102,16 +102,13 @@ func nonNegative(keys []int64) []int64 {
 	return keys
 }
 
-// keyEncodings are the int encodings the k column is tested under; each
-// reports false when the values do not fit it.
+// keyEncodings are the int encodings the k column is tested under.
 var keyEncodings = []struct {
 	name   string
-	encode func(c *colstore.Int64s) (colstore.Column, bool)
+	encode func(c *colstore.Int64s) colstore.Column
 }{
-	{"plain", func(c *colstore.Int64s) (colstore.Column, bool) { return c, true }},
-	{"rle", func(c *colstore.Int64s) (colstore.Column, bool) { return colstore.CompressInt64(c), true }},
-	{"bit-packed", func(c *colstore.Int64s) (colstore.Column, bool) { return colstore.BitPackInt64(c) }},
-	{"for", func(c *colstore.Int64s) (colstore.Column, bool) { return colstore.FoRCompressInt64(c) }},
+	{"plain", func(c *colstore.Int64s) colstore.Column { return c }},
+	{"rle", func(c *colstore.Int64s) colstore.Column { return colstore.CompressInt64(c) }},
 }
 
 // clusteredTestTable is groupTestTable's value columns beside the two
@@ -138,11 +135,7 @@ func TestClusteredGroupByProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(morsel) + 1))
 			kv, tv := shape.gen(rng, n, morsel)
 			for _, enc := range keyEncodings {
-				k, ok := enc.encode(&colstore.Int64s{V: kv})
-				if !ok {
-					continue // negative keys do not bit-pack
-				}
-				in := clusteredTestTable(t, rng, k, tv)
+				in := clusteredTestTable(t, rng, enc.encode(&colstore.Int64s{V: kv}), tv)
 				newCtx := func(workers int) *Context {
 					return &Context{Cat: memCatalog{"t": in}, Ctr: &exec.Counters{}, Workers: workers, MinParallelRows: 1, MorselRows: morsel}
 				}

@@ -111,7 +111,8 @@ func writeColumn(w *bufio.Writer, c colstore.Column) error {
 			}
 		}
 	case *colstore.RLEInt64:
-		// Snapshots store the dense form; re-compress after loading.
+		// Snapshots store the dense form, so a reloaded column is
+		// dense: nothing re-compresses it.
 		return writeColumn(w, col.Decode())
 	default:
 		return fmt.Errorf("unsupported column type %T", c)
