@@ -78,9 +78,10 @@ chaos:
 	$(GO) test -race -timeout 120s -run 'Chaos|Fault|Frame|Close|Worker' ./internal/cluster/...
 
 # Native Go fuzzing over the wire decoder, the fault-plan parser, the
-# RLE int encoding, and POST /query (same answer twice through
-# the serving caches). Targets run one at a time (the fuzz engine's
-# requirement).
+# RLE int encoding, the string dictionary (against a map + slice oracle),
+# the compiled LIKE matcher (against a backtracking reference), and
+# POST /query (same answer twice through the serving caches). Targets
+# run one at a time (the fuzz engine's requirement).
 fuzz:
 	$(GO) test -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
 	$(GO) test -fuzz FuzzReadMsg -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
@@ -88,6 +89,8 @@ fuzz:
 	$(GO) test -fuzz FuzzLexer -fuzztime $(FUZZTIME) -run '^$$' ./internal/sql/
 	$(GO) test -fuzz FuzzParser -fuzztime $(FUZZTIME) -run '^$$' ./internal/sql/
 	$(GO) test -fuzz FuzzRLERoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/colstore/
+	$(GO) test -fuzz FuzzDict -fuzztime $(FUZZTIME) -run '^$$' ./internal/colstore/
+	$(GO) test -fuzz FuzzLike -fuzztime $(FUZZTIME) -run '^$$' ./internal/exec/
 	$(GO) test -fuzz FuzzServeQuery -fuzztime $(FUZZTIME) -run '^$$' ./internal/serve/
 
 # EXPLAIN ANALYZE smoke test: run Q1 with -explain and assert the span

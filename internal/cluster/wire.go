@@ -104,8 +104,15 @@ func (w *WireTable) Table() (*colstore.Table, error) {
 			cols[i] = &colstore.Bools{V: nilSafe(wc.Bools)}
 		case colstore.String:
 			d := colstore.NewDict()
-			for _, v := range wc.Dict {
-				d.Add(v)
+			for j, v := range wc.Dict {
+				if int(d.Add(v)) != j {
+					return nil, fmt.Errorf("cluster: column %d: duplicate dictionary value %q", i, v)
+				}
+			}
+			for _, c := range wc.Codes {
+				if c < 0 || int(c) >= d.Len() {
+					return nil, fmt.Errorf("cluster: column %d: dictionary code %d out of range", i, c)
+				}
 			}
 			cols[i] = &colstore.Strings{Codes: nilSafe(wc.Codes), Dict: d}
 		default:

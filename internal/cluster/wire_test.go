@@ -60,6 +60,30 @@ func TestWireTableRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestWireTableRejectsCorruptDictionary: a repeated dictionary value
+// would shift every later code by one, and a code outside the dictionary
+// would panic at its first decode; both are decode errors instead.
+func TestWireTableRejectsCorruptDictionary(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		codes []int32
+		dict  []string
+	}{
+		{"duplicate value", []int32{0, 1, 2, 3}, []string{"a", "b", "a", "c"}},
+		{"code past the end", []int32{0, 2}, []string{"a", "b"}},
+		{"negative code", []int32{0, -1}, []string{"a", "b"}},
+	} {
+		w := &WireTable{
+			Name:   "t",
+			Fields: colstore.Schema{{Name: "s", Type: colstore.String}},
+			Cols:   []wireColumn{{Type: colstore.String, Codes: c.codes, Dict: c.dict}},
+		}
+		if _, err := w.Table(); err == nil {
+			t.Errorf("%s: decoded without error", c.name)
+		}
+	}
+}
+
 func TestWorkerErrorPaths(t *testing.T) {
 	w := NewWorker(WorkerConfig{})
 	if resp := w.handle(&Request{Type: "bogus"}); resp.Err == "" {

@@ -74,8 +74,8 @@ func Concat(tables ...*Table) (*Table, error) {
 			for _, t := range tables {
 				sc := t.Cols[ci].(*Strings)
 				remap := make([]int32, sc.Dict.Len())
-				for code, val := range sc.Dict.Values() {
-					remap[code] = dict.Add(val)
+				for code := range remap {
+					remap[code] = dict.Add(sc.Dict.Value(int32(code)))
 				}
 				for _, c := range sc.Codes {
 					codes = append(codes, remap[c])

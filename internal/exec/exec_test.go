@@ -118,8 +118,8 @@ func TestMatchLikeAgainstRegexp(t *testing.T) {
 		re := likeToRegexp(p)
 		for _, s := range alphabet {
 			want := re.MatchString(s)
-			if got := MatchLike(s, p); got != want {
-				t.Errorf("MatchLike(%q, %q) = %v, want %v", s, p, got, want)
+			if got := CompileLike(p).Match(s); got != want {
+				t.Errorf("CompileLike(%q).Match(%q) = %v, want %v", p, s, got, want)
 			}
 		}
 	}
@@ -136,8 +136,8 @@ func TestMatchLikePropertyRandom(t *testing.T) {
 		}
 		p := pb.String()
 		want := likeToRegexp(p).MatchString(s)
-		if got := MatchLike(s, p); got != want {
-			t.Fatalf("MatchLike(%q, %q) = %v, want %v", s, p, got, want)
+		if got := CompileLike(p).Match(s); got != want {
+			t.Fatalf("CompileLike(%q).Match(%q) = %v, want %v", p, s, got, want)
 		}
 	}
 }
@@ -188,13 +188,13 @@ func TestStringMasks(t *testing.T) {
 			t.Errorf("NotLikeMask not complement at %d", i)
 		}
 	}
-	pre := PrefixMask(d, "dark", &ctr)
+	pre := LikeMask(d, "dark%", &ctr)
 	if !pre[codes[2]] || pre[codes[1]] {
-		t.Errorf("PrefixMask wrong: %v", pre)
+		t.Errorf("LikeMask(dark%%) wrong: %v", pre)
 	}
-	sub := ContainsMask(d, "een", &ctr)
+	sub := LikeMask(d, "%een%", &ctr)
 	if !sub[codes[1]] || !sub[codes[2]] || sub[codes[3]] {
-		t.Errorf("ContainsMask wrong: %v", sub)
+		t.Errorf("LikeMask(%%een%%) wrong: %v", sub)
 	}
 }
 

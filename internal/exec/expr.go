@@ -100,46 +100,96 @@ func Mul(l, r Expr) Expr { return Arith{Op: MulOp, L: l, R: r} }
 // Div returns l / r.
 func Div(l, r Expr) Expr { return Arith{Op: DivOp, L: l, R: r} }
 
-// Eval implements Expr.
+// arithBlock is the rows of a constant operand Arith materialises.
+const arithBlock = 1024
+
+// Eval implements Expr. A constant operand is one block, charged as the
+// column ConstF.Eval streamed; a nested Arith hands over its fresh buffer
+// for the result. A column operand is never written.
 func (e Arith) Eval(t *colstore.Table, ctr *Counters) (colstore.Column, error) {
-	lc, err := e.L.Eval(t, ctr)
+	l, err := e.operand(e.L, t, ctr)
 	if err != nil {
 		return nil, err
 	}
-	rc, err := e.R.Eval(t, ctr)
+	r, err := e.operand(e.R, t, ctr)
 	if err != nil {
 		return nil, err
 	}
-	lv, err := AsFloat64(lc, ctr)
-	if err != nil {
-		return nil, fmt.Errorf("exec: %s: %w", e, err)
+	var out []float64
+	switch {
+	case l.fresh:
+		out = l.v
+	case r.fresh:
+		out = r.v
+	default:
+		out = make([]float64, t.NumRows())
 	}
-	rv, err := AsFloat64(rc, ctr)
-	if err != nil {
-		return nil, fmt.Errorf("exec: %s: %w", e, err)
-	}
-	out := make([]float64, len(lv))
-	switch e.Op {
-	case AddOp:
-		for i := range out {
-			out[i] = lv[i] + rv[i]
-		}
-	case SubOp:
-		for i := range out {
-			out[i] = lv[i] - rv[i]
-		}
-	case MulOp:
-		for i := range out {
-			out[i] = lv[i] * rv[i]
-		}
-	case DivOp:
-		for i := range out {
-			out[i] = lv[i] / rv[i]
-		}
+	for lo := 0; lo < len(out); lo += arithBlock {
+		hi := min(lo+arithBlock, len(out))
+		e.Op.apply(out[lo:hi], l.rows(lo, hi), r.rows(lo, hi))
 	}
 	ctr.FloatOps += int64(len(out))
 	ctr.SeqBytes += int64(len(out)) * 8
 	return &colstore.Float64s{V: out}, nil
+}
+
+// apply sets out[i] = a[i] op b[i]; out may be a or b.
+func (op ArithOp) apply(out, a, b []float64) {
+	a, b = a[:len(out)], b[:len(out)]
+	switch op {
+	case AddOp:
+		for i := range out {
+			out[i] = a[i] + b[i]
+		}
+	case SubOp:
+		for i := range out {
+			out[i] = a[i] - b[i]
+		}
+	case MulOp:
+		for i := range out {
+			out[i] = a[i] * b[i]
+		}
+	case DivOp:
+		for i := range out {
+			out[i] = a[i] / b[i]
+		}
+	}
+}
+
+// arithArg is one evaluated Arith operand: a column's values, or one
+// block of a constant. fresh marks values no other expression holds.
+type arithArg struct {
+	v               []float64
+	constant, fresh bool
+}
+
+// rows returns the operand's values for rows [lo, hi).
+func (a arithArg) rows(lo, hi int) []float64 {
+	if a.constant {
+		return a.v[:hi-lo]
+	}
+	return a.v[lo:hi]
+}
+
+func (e Arith) operand(x Expr, t *colstore.Table, ctr *Counters) (arithArg, error) {
+	if k, ok := x.(ConstF); ok {
+		ctr.SeqBytes += int64(t.NumRows()) * 8
+		v := make([]float64, min(t.NumRows(), arithBlock))
+		for i := range v {
+			v[i] = k.V
+		}
+		return arithArg{v: v, constant: true}, nil
+	}
+	c, err := x.Eval(t, ctr)
+	if err != nil {
+		return arithArg{}, err
+	}
+	v, err := AsFloat64(c, ctr)
+	if err != nil {
+		return arithArg{}, fmt.Errorf("exec: %s: %w", e, err)
+	}
+	_, nested := x.(Arith)
+	return arithArg{v: v, fresh: nested}, nil
 }
 
 // String implements Expr.

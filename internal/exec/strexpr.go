@@ -32,8 +32,8 @@ func (e PrefixExpr) Eval(t *colstore.Table, ctr *Counters) (colstore.Column, err
 	}
 	prefDict := colstore.NewDict()
 	remap := make([]int32, sc.Dict.Len())
-	for code, v := range sc.Dict.Values() {
-		p := v
+	for code := range remap {
+		p := sc.Dict.Value(int32(code))
 		if len(p) > e.N {
 			p = p[:e.N]
 		}

@@ -1,40 +1,74 @@
 package exec
 
-import "wimpi/internal/colstore"
+import (
+	"strings"
 
-// MatchLike reports whether s matches a SQL LIKE pattern. The matcher
-// supports the '%' (any run, including empty) and '_' (any single byte)
-// wildcards, which covers every pattern in TPC-H (e.g.
+	"wimpi/internal/colstore"
+)
+
+// LikeMatcher is a SQL LIKE pattern compiled once: the pattern split on
+// its '%' wildcards (any run, including empty) into segments, in which
+// '_' matches any single byte. That covers every pattern in TPC-H (e.g.
 // '%special%requests%', 'PROMO%', 'MED%').
-func MatchLike(s, pattern string) bool {
-	return likeMatch(s, pattern)
+type LikeMatcher struct {
+	segs []string
+	wild bool // some segment holds a '_'
 }
 
-func likeMatch(s, p string) bool {
-	// Iterative two-pointer matcher with backtracking to the last '%'.
-	si, pi := 0, 0
-	star, match := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(p) && p[pi] == '%':
-			star = pi
-			match = si
-			pi++
-		case star >= 0:
-			pi = star + 1
-			match++
-			si = match
-		default:
+// CompileLike compiles a LIKE pattern.
+func CompileLike(pattern string) LikeMatcher {
+	return LikeMatcher{segs: strings.Split(pattern, "%"), wild: strings.IndexByte(pattern, '_') >= 0}
+}
+
+// Match reports whether s matches: the first and last segments anchored
+// at the ends of s, each middle one at its leftmost fit in between (which
+// leaves the most room for the rest, so no other fit needs trying).
+//
+//lint:allow costaccounting -- per-value helper; LikeMask charges per dictionary entry
+func (m LikeMatcher) Match(s string) bool {
+	first, last := m.segs[0], m.segs[len(m.segs)-1]
+	if len(m.segs) == 1 {
+		return len(s) == len(first) && m.at(s, first)
+	}
+	if len(s) < len(first)+len(last) || !m.at(s, first) || !m.at(s[len(s)-len(last):], last) {
+		return false
+	}
+	s = s[len(first) : len(s)-len(last)]
+	for _, seg := range m.segs[1 : len(m.segs)-1] {
+		i := m.index(s, seg)
+		if i < 0 {
+			return false
+		}
+		s = s[i+len(seg):]
+	}
+	return true
+}
+
+// at reports whether seg matches the start of s, which holds at least
+// len(seg) bytes.
+func (m LikeMatcher) at(s, seg string) bool {
+	if !m.wild {
+		return s[:len(seg)] == seg
+	}
+	for i := 0; i < len(seg); i++ {
+		if seg[i] != '_' && seg[i] != s[i] {
 			return false
 		}
 	}
-	for pi < len(p) && p[pi] == '%' {
-		pi++
+	return true
+}
+
+// index returns the leftmost offset of s where seg matches, or -1.
+func (m LikeMatcher) index(s, seg string) int {
+	if !m.wild {
+		return strings.Index(s, seg)
 	}
-	return pi == len(p)
+	for i := 0; i+len(seg) <= len(s); i++ {
+		if m.at(s[i:], seg) {
+			return i
+		}
+	}
+	return -1
 }
 
 // EqMask returns a code mask matching exactly s. If s is not in the
@@ -79,7 +113,7 @@ func InMask(d *colstore.Dict, ctr *Counters, vals ...string) []bool {
 // operation per dictionary entry.
 func LikeMask(d *colstore.Dict, pattern string, ctr *Counters) []bool {
 	ctr.IntOps += int64(d.Len()) * 8 // rough per-string matching cost
-	return d.MatchMask(func(s string) bool { return likeMatch(s, pattern) })
+	return d.MatchMask(CompileLike(pattern).Match)
 }
 
 // NotLikeMask returns the complement of LikeMask.
@@ -89,32 +123,4 @@ func NotLikeMask(d *colstore.Dict, pattern string, ctr *Counters) []bool {
 		mask[i] = !mask[i]
 	}
 	return mask
-}
-
-// PrefixMask returns a code mask matching values with the given prefix
-// (LIKE 'prefix%').
-func PrefixMask(d *colstore.Dict, prefix string, ctr *Counters) []bool {
-	ctr.IntOps += int64(d.Len()) * 4
-	return d.MatchMask(func(s string) bool {
-		return len(s) >= len(prefix) && s[:len(prefix)] == prefix
-	})
-}
-
-// ContainsMask returns a code mask matching values containing the given
-// substring (LIKE '%sub%').
-func ContainsMask(d *colstore.Dict, sub string, ctr *Counters) []bool {
-	ctr.IntOps += int64(d.Len()) * 8
-	return d.MatchMask(func(s string) bool { return containsStr(s, sub) })
-}
-
-func containsStr(s, sub string) bool {
-	if len(sub) == 0 {
-		return true
-	}
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

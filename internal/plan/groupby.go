@@ -341,8 +341,11 @@ func (g *GroupBy) Explain(depth int) string {
 
 // packKeys encodes one or more grouping columns into single 64-bit keys,
 // sizing each component's bit width from its maximum value. Negative key
-// values are rejected.
+// values are rejected. A dense single key is the column's own (ownKeys).
 func packKeys(t *colstore.Table, names []string, ctr *exec.Counters) ([]int64, error) {
+	if k, ok := ownKeys(t, names, nil, ctr); ok {
+		return k, nil
+	}
 	vecs := make([][]int64, len(names))
 	for i, name := range names {
 		c, err := t.ColByName(name)
@@ -631,6 +634,9 @@ func growI(s *[]int64, n int, fill int64) {
 // and bit packing — split into morsels. Bit widths come from exact
 // global maxima, so the encoding is identical to the sequential pack.
 func packKeysParallel(ctx *Context, t *colstore.Table, names []string) ([]int64, error) {
+	if k, ok := ownKeys(t, names, nil, ctx.Ctr); ok {
+		return k, nil
+	}
 	w := ctx.workers()
 	n := t.NumRows()
 	mr := ctx.morselRows()

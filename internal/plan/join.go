@@ -278,12 +278,30 @@ func joinKeysInto(dst []int64, t *colstore.Table, names []string, sel []int32, l
 	return exec.CombineKeysInto(dst, dst, low, 31, ctr)
 }
 
+// ownKeys returns a dense single key column's own storage, charged as the
+// copy it replaces. Safe because nothing writes into a key vector.
+func ownKeys(t *colstore.Table, names []string, sel []int32, ctr *exec.Counters) ([]int64, bool) {
+	if len(names) != 1 || sel != nil {
+		return nil, false
+	}
+	c, err := t.ColByName(names[0])
+	v, ok := c.(*colstore.Int64s)
+	if err != nil || !ok {
+		return nil, false
+	}
+	ctr.SeqBytes += v.SizeBytes()
+	return v.V, true
+}
+
 // joinKeysParallel extracts the join keys of t's rows — all of them, or
 // those a non-nil sel names — with the per-row key extraction and packing
 // split into morsels, each decoding straight into its slot of the output.
 // Both kernels are elementwise, so the output is identical to the
-// sequential path.
+// sequential path. A dense single key is the column's own (ownKeys).
 func joinKeysParallel(ctx *Context, t *colstore.Table, names []string, sel []int32) ([]int64, error) {
+	if k, ok := ownKeys(t, names, sel, ctx.Ctr); ok {
+		return k, nil
+	}
 	n := t.NumRows()
 	if sel != nil {
 		n = len(sel)

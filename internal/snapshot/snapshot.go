@@ -216,7 +216,9 @@ func readColumn(r *bufio.Reader, ty colstore.Type, rows int) (colstore.Column, e
 			if err != nil {
 				return nil, err
 			}
-			dict.Add(s)
+			if int(dict.Add(s)) != i {
+				return nil, fmt.Errorf("duplicate dictionary value %q", s)
+			}
 		}
 		codes := make([]int32, rows)
 		if err := binary.Read(r, binary.LittleEndian, codes); err != nil {

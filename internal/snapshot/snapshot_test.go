@@ -130,6 +130,30 @@ func TestCorruptionDetection(t *testing.T) {
 	}
 }
 
+// TestRejectsDuplicateDictionaryValue: a dictionary that repeats a value
+// would shift every later code by one, even when every code is in range.
+func TestRejectsDuplicateDictionaryValue(t *testing.T) {
+	d := colstore.NewDict()
+	codes := []int32{d.Add("alpha"), d.Add("gamma"), d.Add("alpha")}
+	d.Add("delta") // in the dictionary, used by no row
+	tbl, err := colstore.NewTable("dup", colstore.Schema{{Name: "s", Type: colstore.String}},
+		[]colstore.Column{&colstore.Strings{Codes: codes, Dict: d}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteTable(&buf, tbl); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadTable(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("intact table: %v", err)
+	}
+	bad := bytes.Replace(buf.Bytes(), []byte("delta"), []byte("alpha"), 1)
+	if _, err := ReadTable(bytes.NewReader(bad)); err == nil {
+		t.Error("dictionary with a repeated value accepted")
+	}
+}
+
 func TestDatasetSaveLoad(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "snap")
 	d := tpch.Generate(tpch.Config{SF: 0.002, Seed: 77})
