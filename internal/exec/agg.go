@@ -49,13 +49,46 @@ func (g *Grouper) resize(capacity int) {
 // unseen keys.
 func (g *Grouper) GroupIDs(keys []int64, ctr *Counters) []int32 {
 	out := make([]int32, len(keys))
+	g.GroupIDsInto(keys, out, ctr)
+	return out
+}
+
+// GroupIDsInto is GroupIDs into a caller's buffer (len(out) ==
+// len(keys)).
+func (g *Grouper) GroupIDsInto(keys []int64, out []int32, ctr *Counters) {
 	for i, k := range keys {
 		out[i] = g.groupID(k)
 	}
 	ctr.RandomAccesses += int64(len(keys))
 	ctr.AggUpdates += int64(len(keys))
 	ctr.ObserveHashBytes(int64(len(g.slotKeys)) * 12)
-	return out
+}
+
+// DirectGroupIDs is a Grouper for keys that all lie in [0, len(slots)):
+// the key itself indexes slots, so nothing is hashed or probed. It writes
+// each key's dense group ID into out (len(out) == len(keys)), in order of
+// first occurrence, and returns groupKeys[:0] extended by each group's
+// key — what a fresh Grouper's GroupIDs and GroupKeys would give. Every
+// slot must hold -1 on entry, and does again on return. Charges are a
+// Grouper probe's, with the slot table as the hash footprint.
+func DirectGroupIDs(keys []int64, slots, out []int32, groupKeys []int64, ctr *Counters) []int64 {
+	groupKeys = groupKeys[:0]
+	for i, k := range keys {
+		gid := slots[k]
+		if gid < 0 {
+			gid = int32(len(groupKeys))
+			slots[k] = gid
+			groupKeys = append(groupKeys, k)
+		}
+		out[i] = gid
+	}
+	for _, k := range groupKeys {
+		slots[k] = -1
+	}
+	ctr.RandomAccesses += int64(len(keys))
+	ctr.AggUpdates += int64(len(keys))
+	ctr.ObserveHashBytes(int64(len(slots)) * 4)
+	return groupKeys
 }
 
 // GroupIDsCacheResident is GroupIDs for groupers deliberately sized to
@@ -130,15 +163,53 @@ func growI64(s *[]int64, n int, fill int64) {
 	}
 }
 
-// ScatterSumF64 adds vals[i] to (*acc)[gids[i]].
-func ScatterSumF64(gids []int32, vals []float64, acc *[]float64, ngroups int, ctr *Counters) {
-	growF64(acc, ngroups, 0)
-	a := *acc
-	for i, g := range gids {
-		a[g] += vals[i]
+// ScatterSumsF64 adds vals[j][i] to accs[j][gids[i]] for every j and i;
+// each accs[j] must already hold an accumulator per group. One loop over
+// the rows serves up to four accumulators: with few groups, one
+// accumulator's adds form a store-to-load chain through a single cache
+// line, and four independent chains overlap. Each accumulator still adds
+// its values in row order, so every sum is bit-identical to a loop of its
+// own, and each is charged as one.
+func ScatterSumsF64(gids []int32, vals, accs [][]float64, ctr *Counters) {
+	n := len(gids)
+	for j := 0; j < len(vals); j += 4 {
+		switch len(vals) - j {
+		case 1:
+			a0, v0 := accs[j], vals[j][:n]
+			for i, g := range gids {
+				a0[g] += v0[i]
+			}
+		case 2:
+			a0, v0 := accs[j], vals[j][:n]
+			a1, v1 := accs[j+1], vals[j+1][:n]
+			for i, g := range gids {
+				a0[g] += v0[i]
+				a1[g] += v1[i]
+			}
+		case 3:
+			a0, v0 := accs[j], vals[j][:n]
+			a1, v1 := accs[j+1], vals[j+1][:n]
+			a2, v2 := accs[j+2], vals[j+2][:n]
+			for i, g := range gids {
+				a0[g] += v0[i]
+				a1[g] += v1[i]
+				a2[g] += v2[i]
+			}
+		default:
+			a0, v0 := accs[j], vals[j][:n]
+			a1, v1 := accs[j+1], vals[j+1][:n]
+			a2, v2 := accs[j+2], vals[j+2][:n]
+			a3, v3 := accs[j+3], vals[j+3][:n]
+			for i, g := range gids {
+				a0[g] += v0[i]
+				a1[g] += v1[i]
+				a2[g] += v2[i]
+				a3[g] += v3[i]
+			}
+		}
 	}
-	ctr.AggUpdates += int64(len(gids))
-	ctr.FloatOps += int64(len(gids))
+	ctr.AggUpdates += int64(n) * int64(len(vals))
+	ctr.FloatOps += int64(n) * int64(len(vals))
 }
 
 // ScatterSumI64 adds vals[i] to (*acc)[gids[i]].
@@ -152,15 +223,16 @@ func ScatterSumI64(gids []int32, vals []int64, acc *[]int64, ngroups int, ctr *C
 	ctr.IntOps += int64(len(gids))
 }
 
-// ScatterCount increments (*acc)[gids[i]] for every i.
-func ScatterCount(gids []int32, acc *[]int64, ngroups int, ctr *Counters) {
-	growI64(acc, ngroups, 0)
-	a := *acc
+// ScatterCount increments counts[gids[i]] for every i; counts must
+// already hold a counter per group. The count is taken once for users
+// aggregates that all need it — COUNT and every AVG — and each is
+// charged the scatter it would have run alone.
+func ScatterCount(gids []int32, counts []int64, users int, ctr *Counters) {
 	for _, g := range gids {
-		a[g]++
+		counts[g]++
 	}
-	ctr.AggUpdates += int64(len(gids))
-	ctr.IntOps += int64(len(gids))
+	ctr.AggUpdates += int64(len(gids)) * int64(users)
+	ctr.IntOps += int64(len(gids)) * int64(users)
 }
 
 // ScatterMinF64 folds vals[i] into (*acc)[gids[i]] with min. New groups

@@ -1,9 +1,11 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -365,18 +367,18 @@ func TestScatterAggKernels(t *testing.T) {
 	fvals := []float64{1, 2, 3, 4, 5, 6}
 	ivals := []int64{10, 20, 30, 40, 50, 60}
 	var ctr Counters
-	var sums []float64
-	ScatterSumF64(gids, fvals, &sums, 3, &ctr)
+	sums := make([]float64, 3)
+	ScatterSumsF64(gids, [][]float64{fvals}, [][]float64{sums}, &ctr)
 	if sums[0] != 10 || sums[1] != 7 || sums[2] != 4 {
-		t.Errorf("ScatterSumF64 = %v", sums)
+		t.Errorf("ScatterSumsF64 = %v", sums)
 	}
 	var isums []int64
 	ScatterSumI64(gids, ivals, &isums, 3, &ctr)
 	if isums[0] != 100 || isums[1] != 70 || isums[2] != 40 {
 		t.Errorf("ScatterSumI64 = %v", isums)
 	}
-	var counts []int64
-	ScatterCount(gids, &counts, 3, &ctr)
+	counts := make([]int64, 3)
+	ScatterCount(gids, counts, 1, &ctr)
 	if counts[0] != 3 || counts[1] != 2 || counts[2] != 1 {
 		t.Errorf("ScatterCount = %v", counts)
 	}
@@ -408,6 +410,84 @@ func TestScatterAggKernels(t *testing.T) {
 	}
 }
 
+// TestScatterSumsF64: folding k value vectors at once — every remainder
+// of the four-wide blocks — gives each accumulator the bits its own loop
+// gives, NaN, ±Inf and −0 included, and charges k scatters.
+func TestScatterSumsF64(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	// The NaN is the one Inf − Inf makes, so every NaN a sum can end in
+	// has the same bits whichever operand the hardware propagates.
+	specials := []float64{math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	specials = append(specials, specials[0]+specials[1])
+	const n, ng = 1000, 5
+	gids := make([]int32, n)
+	for i := range gids {
+		gids[i] = int32(rng.Intn(ng))
+	}
+	for k := 1; k <= 9; k++ {
+		vals := make([][]float64, k)
+		want, got := make([][]float64, k), make([][]float64, k)
+		for j := range vals {
+			vals[j] = make([]float64, n)
+			for i := range vals[j] {
+				vals[j][i] = rng.NormFloat64() * 1e3
+				if rng.Intn(50) == 0 {
+					vals[j][i] = specials[rng.Intn(len(specials))]
+				}
+			}
+			want[j], got[j] = make([]float64, ng), make([]float64, ng)
+			for i, g := range gids {
+				want[j][g] += vals[j][i]
+			}
+		}
+		var ctr Counters
+		ScatterSumsF64(gids, vals, got, &ctr)
+		for j := range want {
+			for g := range want[j] {
+				if math.Float64bits(got[j][g]) != math.Float64bits(want[j][g]) {
+					t.Fatalf("k=%d: accumulator %d group %d = %v, its own loop gives %v", k, j, g, got[j][g], want[j][g])
+				}
+			}
+		}
+		if wantCtr := (Counters{AggUpdates: int64(n * k), FloatOps: int64(n * k)}); ctr != wantCtr {
+			t.Fatalf("k=%d: charges %+v, want %+v", k, ctr, wantCtr)
+		}
+	}
+}
+
+// TestDirectGroupIDs: indexing a slot table by the key gives the IDs and
+// group keys a fresh Grouper gives, charges its probes, and leaves every
+// slot as it found it.
+func TestDirectGroupIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	slots := make([]int32, 300)
+	for i := range slots {
+		slots[i] = -1
+	}
+	for _, span := range []int{1, 7, 300} {
+		keys := make([]int64, 2000)
+		for i := range keys {
+			keys[i] = rng.Int63n(int64(span))
+		}
+		var wantCtr, gotCtr Counters
+		g := NewGrouper(256)
+		want := g.GroupIDs(keys, &wantCtr)
+		got := make([]int32, len(keys))
+		gk := DirectGroupIDs(keys, slots[:span], got, []int64{99}, &gotCtr)
+		if !slices.Equal(got, want) || !slices.Equal(gk, g.GroupKeys()) {
+			t.Fatalf("span %d: ids or group keys differ from a Grouper's", span)
+		}
+		if gotCtr.RandomAccesses != wantCtr.RandomAccesses || gotCtr.AggUpdates != wantCtr.AggUpdates || gotCtr.MaxHashBytes != int64(span)*4 {
+			t.Fatalf("span %d: charges %+v, a Grouper charges %+v", span, gotCtr, wantCtr)
+		}
+		for i, s := range slots {
+			if s != -1 {
+				t.Fatalf("span %d: slot %d left at %d", span, i, s)
+			}
+		}
+	}
+}
+
 func TestScatterSumPropertyMatchesMap(t *testing.T) {
 	f := func(keys8 []uint8, vals []float64) bool {
 		n := len(keys8)
@@ -421,8 +501,8 @@ func TestScatterSumPropertyMatchesMap(t *testing.T) {
 		var ctr Counters
 		g := NewGrouper(4)
 		gids := g.GroupIDs(keys, &ctr)
-		var sums []float64
-		ScatterSumF64(gids, vals[:n], &sums, g.NumGroups(), &ctr)
+		sums := make([]float64, g.NumGroups())
+		ScatterSumsF64(gids, [][]float64{vals[:n]}, [][]float64{sums}, &ctr)
 		oracle := map[int64]float64{}
 		for i := 0; i < n; i++ {
 			oracle[keys[i]] += vals[i]

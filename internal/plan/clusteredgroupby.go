@@ -16,71 +16,11 @@ package plan
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
-	"sync"
 
 	"wimpi/internal/colstore"
 	"wimpi/internal/exec"
 )
-
-// groupScratch is the per-worker state one chunk's aggregation needs: the
-// cache-sized grouper and the chunk-local accumulators. A worker carries
-// one scratch from chunk to chunk (and query to query) instead of
-// allocating each slice afresh every time.
-type groupScratch struct {
-	gr    exec.Grouper
-	keys  []int64   // the chunk's packed keys
-	vec   []int64   // one trailing key column of the chunk
-	gids  []int32   // the chunk's local group ids
-	f     []float64 // sum / min / max per local group
-	cur   []float64 // foldSumF64Morsels: the open morsel's partial
-	lastM []int32   // foldSumF64Morsels: the open morsel per local group
-	i     []int64   // count / integer sum per local group
-}
-
-var groupScratchPool = sync.Pool{New: func() any { return new(groupScratch) }}
-
-// groupsTable assembles the clustered aggregation's output: the key
-// columns gathered at each group's first row, then one finished
-// accumulator column per aggregate (outI for Count and SumI, outF for
-// the rest), all in global first-occurrence order.
-func (g *GroupBy) groupsTable(ctx *Context, in *colstore.Table, firstRow []int32, outF [][]float64, outI [][]int64) (*colstore.Table, error) {
-	ngroups := len(firstRow)
-	schema := make(colstore.Schema, 0, len(g.Keys)+len(g.Aggs))
-	cols := make([]colstore.Column, 0, len(g.Keys)+len(g.Aggs))
-	for _, k := range g.Keys {
-		c, err := in.ColByName(k)
-		if err != nil {
-			return nil, err
-		}
-		schema = append(schema, colstore.Field{Name: k, Type: c.Type()})
-		cols = append(cols, c.Gather(firstRow))
-	}
-	ctx.Ctr.RandomAccesses += int64(ngroups) * int64(len(g.Keys))
-
-	for si, spec := range g.Aggs {
-		var col colstore.Column
-		if outI[si] != nil {
-			col = &colstore.Int64s{V: outI[si]}
-		} else {
-			col = &colstore.Float64s{V: outF[si]}
-		}
-		if spec.Func == Avg {
-			ctx.Ctr.FloatOps += int64(ngroups)
-		}
-		schema = append(schema, colstore.Field{Name: spec.Name, Type: col.Type()})
-		cols = append(cols, col)
-	}
-	out, err := colstore.NewTable("", schema, cols)
-	if err != nil {
-		return nil, err
-	}
-	ctx.Ctr.TuplesMaterialized += int64(ngroups)
-	ctx.Ctr.BytesMaterialized += out.SizeBytes()
-	observe(ctx, in, out)
-	return out, nil
-}
 
 // clusteredCuts looks for a key column that arrives clustered — values
 // never decreasing, so every group is one contiguous row range — and
@@ -112,25 +52,17 @@ var clusteredOff bool
 // no group crosses. The chunks are the partitions — no scatter, no
 // n-sized scratch — and each folds with the kernels below in a pooled
 // per-worker scratch.
-func (g *GroupBy) groupedClustered(ctx *Context, in *colstore.Table, key string, cuts []int32) (*colstore.Table, error) {
+func (g *GroupBy) groupedClustered(ctx *Context, in *colstore.Table, keys *groupKeys, key string, cuts []int32) (*colstore.Table, error) {
 	nc := len(cuts) - 1
 	sp := ctx.Trace.Begin("group-partition", fmt.Sprintf("clustered on %s, %d chunks", key, nc))
 	ctx.Trace.End(sp, int64(in.NumRows()), 0)
 
-	keyCols := make([]colstore.Column, len(g.Keys))
-	for i, k := range g.Keys {
-		c, err := in.ColByName(k)
-		if err != nil {
-			return nil, err
-		}
-		keyCols[i] = c
-	}
 	mr := ctx.morselRows()
 	parts := make([]groupPart, nc)
 	err := exec.RunMorsels(ctx.workers(), nc, 1, ctx.Ctr, func(c, _, _ int, ctr *exec.Counters) error {
 		s := groupScratchPool.Get().(*groupScratch)
 		defer groupScratchPool.Put(s)
-		return g.aggChunk(&parts[c], s, in, keyCols, int(cuts[c]), int(cuts[c+1]), mr, ctr)
+		return g.aggChunk(&parts[c], s, in, keys, int(cuts[c]), int(cuts[c+1]), mr, ctr)
 	})
 	if err != nil {
 		return nil, err
@@ -146,81 +78,48 @@ func (g *GroupBy) groupedClustered(ctx *Context, in *colstore.Table, key string,
 	for i := range parts {
 		firstRow = append(firstRow, parts[i].firstRow...)
 	}
-	outF := make([][]float64, len(g.Aggs))
-	outI := make([][]int64, len(g.Aggs))
-	for si, spec := range g.Aggs {
-		if spec.Func == Count || spec.Func == SumI {
-			outI[si] = make([]int64, 0, ngroups)
-			for i := range parts {
-				outI[si] = append(outI[si], parts[i].aggs[si].i...)
-			}
-		} else {
-			outF[si] = make([]float64, 0, ngroups)
-			for i := range parts {
-				outF[si] = append(outF[si], parts[i].aggs[si].f...)
-			}
+	aggs := make([]aggState, len(g.Aggs))
+	for si := range aggs {
+		st, first := &aggs[si], parts[0].aggs[si]
+		if first.f != nil {
+			st.f = make([]float64, 0, ngroups)
+		}
+		if first.i != nil {
+			st.i = make([]int64, 0, ngroups)
+		}
+		for i := range parts {
+			st.f = append(st.f, parts[i].aggs[si].f...)
+			st.i = append(st.i, parts[i].aggs[si].i...)
 		}
 	}
 	ctx.Ctr.MergeBytes += int64(ngroups) * int64(4+8*len(g.Aggs))
-	return g.groupsTable(ctx, in, firstRow, outF, outI)
+	return g.groupsTable(ctx, in, firstRow, aggs)
 }
 
 // aggChunk aggregates rows [lo, hi) — whole groups only — into p.
-func (g *GroupBy) aggChunk(p *groupPart, s *groupScratch, in *colstore.Table, keyCols []colstore.Column, lo, hi, morselRows int, ctr *exec.Counters) error {
-	// Extract and pack the keys. IDs never leave the chunk, so bit widths
-	// come from the chunk's own maxima.
-	n := hi - lo
-	keys, vec := resized(&s.keys, n), resized(&s.vec, n)
-	var total uint
-	for i, c := range keyCols {
-		dst := keys
-		if i > 0 {
-			dst = vec
-		}
-		if err := exec.KeysInto(dst, c.Slice(lo, hi), nil, ctr); err != nil {
-			return fmt.Errorf("plan: group key %s: %w", g.Keys[i], err)
-		}
-		if len(keyCols) == 1 {
-			break
-		}
-		var max int64
-		for _, x := range dst {
-			if x < 0 {
-				return fmt.Errorf("plan: group key %s has negative value %d", g.Keys[i], x)
-			}
-			if x > max {
-				max = x
-			}
-		}
-		b := uint(bits.Len64(uint64(max | 1)))
-		if total += b; total > 63 {
-			return fmt.Errorf("plan: group keys %v need more than 63 bits", g.Keys)
-		}
-		if i > 0 {
-			for r, x := range vec {
-				keys[r] = keys[r]<<b | x
-			}
-		}
-		ctr.IntOps += int64(n)
+func (g *GroupBy) aggChunk(p *groupPart, s *groupScratch, in *colstore.Table, keys *groupKeys, lo, hi, morselRows int, ctr *exec.Counters) error {
+	// IDs never leave the chunk, so several keys pack in the bit widths
+	// of the chunk's own key ranges.
+	local := *keys
+	if err := local.sizeRows(lo, hi); err != nil {
+		return err
+	}
+	packed, err := local.pack(s, lo, hi, ctr)
+	if err != nil {
+		return err
 	}
 
 	// Local group IDs, dense in first-occurrence order: by comparing
 	// neighbours when the packed key itself never decreases, through a
 	// cache-resident grouper otherwise.
-	gids := resized(&s.gids, n)
-	ng, sorted := exec.GroupIDsSorted(keys, gids, ctr)
+	gids := resized(&s.gids, hi-lo)
+	ng, sorted := exec.GroupIDsSorted(packed, gids, ctr)
 	if !sorted {
 		s.gr.Reset(256)
-		s.gr.GroupIDsCacheResident(keys, gids, ctr)
+		s.gr.GroupIDsCacheResident(packed, gids, ctr)
 		ng = s.gr.NumGroups()
 	}
-	first := make([]int32, 0, ng)
-	for i, gid := range gids {
-		if int(gid) == len(first) {
-			first = append(first, int32(lo+i))
-		}
-	}
-	p.firstRow = first
+	p.firstRow = firstRows(gids, lo, ng)
 
 	p.aggs = make([]aggState, len(g.Aggs))
 	var sub *colstore.Table
@@ -250,47 +149,53 @@ func (g *GroupBy) aggChunk(p *groupPart, s *groupScratch, in *colstore.Table, ke
 	return nil
 }
 
-// resized returns *buf at length n, reusing its storage when it is large
-// enough. The contents are unspecified.
-func resized[T any](buf *[]T, n int) []T {
-	if cap(*buf) < n {
-		*buf = make([]T, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
 // The fold kernels aggregate one chunk into the scratch's local
 // accumulators; the returned slice is valid until the scratch's next
 // fold of the same kind.
 
-// fold aggregates one chunk's rows for one aggregate and returns the
-// finished accumulator per local group: i for Count and SumI, f for the
-// rest. The chunk's first row is row base of the input.
+// fold aggregates one chunk's rows for one aggregate and returns its
+// accumulators per local group: i for Count and SumI, the sums in f and
+// the counts in i for Avg, f for the rest. The chunk's first row is row
+// base of the input.
 func (s *groupScratch) fold(fn AggFunc, gids []int32, base int, fv []float64, iv []int64, ng, morselRows int, ctr *exec.Counters) (f []float64, i []int64) {
 	switch fn {
 	case Count:
 		return nil, s.foldCount(gids, ng, ctr)
 	case SumI:
-		return nil, s.foldSumI64(gids, iv, ng, ctr)
+		i = resized(&s.i, ng)
+		clear(i)
+		exec.ScatterSumI64(gids, iv, &i, ng, ctr)
+		return nil, i
 	case Sum:
 		return s.foldSumF64Morsels(gids, base, fv, ng, morselRows, ctr), nil
 	case Avg:
-		sums := s.foldSumF64Morsels(gids, base, fv, ng, morselRows, ctr)
-		for lg, n := range s.foldCount(gids, ng, ctr) {
-			sums[lg] /= float64(n) // a group has a row
-		}
-		return sums, nil
+		return s.foldSumF64Morsels(gids, base, fv, ng, morselRows, ctr), s.foldCount(gids, ng, ctr)
+	case Min:
+		f = filled(&s.f, ng, math.Inf(1))
+		exec.ScatterMinF64(gids, fv, &f, ng, math.Inf(1), ctr)
+		return f, nil
 	default:
-		return s.foldMinMaxF64(gids, fv, ng, fn == Max, ctr), nil
+		f = filled(&s.f, ng, math.Inf(-1))
+		exec.ScatterMaxF64(gids, fv, &f, ng, math.Inf(-1), ctr)
+		return f, nil
 	}
+}
+
+// filled returns *buf at length n with every entry v.
+func filled(buf *[]float64, n int, v float64) []float64 {
+	out := resized(buf, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
 }
 
 // foldSumF64Morsels sums vals per group, cutting the fold at every morsel
 // boundary of the original row numbers base+i: within a morsel values add
 // left to right, and completed morsel partials add in morsel order. That
 // is bit-for-bit the association groupedMorsel produces with per-morsel
-// ScatterSumF64 partials merged in morsel order.
+// partials merged in morsel order. The chunk is walked one morsel segment
+// at a time, so no row pays a division to find its morsel.
 func (s *groupScratch) foldSumF64Morsels(gids []int32, base int, vals []float64, ng, morselRows int, ctr *exec.Counters) []float64 {
 	tot, cur, lastM := resized(&s.f, ng), resized(&s.cur, ng), resized(&s.lastM, ng)
 	clear(tot)
@@ -298,16 +203,21 @@ func (s *groupScratch) foldSumF64Morsels(gids []int32, base int, vals []float64,
 	for i := range lastM {
 		lastM[i] = -1
 	}
-	for i, gid := range gids {
-		m := int32((base + i) / morselRows)
-		if m != lastM[gid] {
-			if lastM[gid] >= 0 {
-				tot[gid] += cur[gid]
-				cur[gid] = 0
+	for lo := 0; lo < len(gids); {
+		m := (base + lo) / morselRows
+		hi := min(len(gids), (m+1)*morselRows-base)
+		seg := vals[lo:hi]
+		for i, gid := range gids[lo:hi] {
+			if lastM[gid] != int32(m) {
+				if lastM[gid] >= 0 {
+					tot[gid] += cur[gid]
+					cur[gid] = 0
+				}
+				lastM[gid] = int32(m)
 			}
-			lastM[gid] = m
+			cur[gid] += seg[i]
 		}
-		cur[gid] += vals[i]
+		lo = hi
 	}
 	for gid := range tot {
 		if lastM[gid] >= 0 {
@@ -323,53 +233,6 @@ func (s *groupScratch) foldSumF64Morsels(gids []int32, base int, vals []float64,
 func (s *groupScratch) foldCount(gids []int32, ng int, ctr *exec.Counters) []int64 {
 	out := resized(&s.i, ng)
 	clear(out)
-	for _, gid := range gids {
-		out[gid]++
-	}
-	ctr.AggUpdates += int64(len(gids))
-	ctr.IntOps += int64(len(gids))
-	return out
-}
-
-// foldSumI64 sums int64 vals per group (exact, so no morsel cuts needed).
-func (s *groupScratch) foldSumI64(gids []int32, vals []int64, ng int, ctr *exec.Counters) []int64 {
-	out := resized(&s.i, ng)
-	clear(out)
-	for i, gid := range gids {
-		out[gid] += vals[i]
-	}
-	ctr.AggUpdates += int64(len(gids))
-	ctr.IntOps += int64(len(gids))
-	return out
-}
-
-// foldMinMaxF64 folds min (or max) per group with the strict comparison
-// the Scatter kernels use: NaN inputs are skipped and equal-comparing
-// values keep the first in row order, so the result is independent of
-// the morsel decomposition.
-func (s *groupScratch) foldMinMaxF64(gids []int32, vals []float64, ng int, max bool, ctr *exec.Counters) []float64 {
-	fill := math.Inf(1)
-	if max {
-		fill = math.Inf(-1)
-	}
-	out := resized(&s.f, ng)
-	for i := range out {
-		out[i] = fill
-	}
-	if max {
-		for i, gid := range gids {
-			if vals[i] > out[gid] {
-				out[gid] = vals[i]
-			}
-		}
-	} else {
-		for i, gid := range gids {
-			if vals[i] < out[gid] {
-				out[gid] = vals[i]
-			}
-		}
-	}
-	ctr.AggUpdates += int64(len(gids))
-	ctr.FloatOps += int64(len(gids))
+	exec.ScatterCount(gids, out, 1, ctr)
 	return out
 }

@@ -9,6 +9,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -140,11 +141,7 @@ func TestClusteredGroupByProperty(t *testing.T) {
 					return &Context{Cat: memCatalog{"t": in}, Ctr: &exec.Counters{}, Workers: workers, MinParallelRows: 1, MorselRows: morsel}
 				}
 				ctx := newCtx(1)
-				packed, err := packKeysParallel(ctx, in, g.Keys)
-				if err != nil {
-					t.Fatal(err)
-				}
-				byMorsel, err := g.groupedMorsel(ctx, in, packed)
+				byMorsel, err := g.groupedMorsel(ctx, in, mustGroupKeys(t, g, in))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -186,11 +183,59 @@ func TestClusteredGroupByProperty(t *testing.T) {
 	for _, run := range []func() (*colstore.Table, error){
 		func() (*colstore.Table, error) { return g.aggregate(ctx, in) },
 		func() (*colstore.Table, error) {
-			return g.groupedClustered(ctx, in, "k", exec.ClusteredCuts(in.MustCol("k"), 16, ctx.Ctr))
+			return g.groupedClustered(ctx, in, mustGroupKeys(t, g, in), "k", exec.ClusteredCuts(in.MustCol("k"), 16, ctx.Ctr))
 		},
 	} {
 		if got, err := run(); err != nil || got.NumRows() != 0 || got.NumCols() != len(g.Keys)+len(g.Aggs) {
 			t.Fatalf("empty input: %v, %v", got, err)
+		}
+	}
+}
+
+// foldSumF64MorselsByDivision is the chunk fold finding each row's
+// morsel by dividing its row number: the reference the segment walk of
+// groupScratch.foldSumF64Morsels must match bit for bit.
+func foldSumF64MorselsByDivision(gids []int32, base int, vals []float64, ng, morselRows int) []float64 {
+	tot, cur, lastM := make([]float64, ng), make([]float64, ng), make([]int32, ng)
+	for i := range lastM {
+		lastM[i] = -1
+	}
+	for i, gid := range gids {
+		m := int32((base + i) / morselRows)
+		if m != lastM[gid] {
+			if lastM[gid] >= 0 {
+				tot[gid] += cur[gid]
+				cur[gid] = 0
+			}
+			lastM[gid] = m
+		}
+		cur[gid] += vals[i]
+	}
+	for gid := range tot {
+		if lastM[gid] >= 0 {
+			tot[gid] += cur[gid]
+		}
+	}
+	return tot
+}
+
+func TestFoldSumF64MorselsMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var s groupScratch
+	for trial := 0; trial < 300; trial++ {
+		n, ng := 1+rng.Intn(400), 1+rng.Intn(20)
+		base, morsel := rng.Intn(1000), 1+rng.Intn(64)
+		gids, vals := make([]int32, n), make([]float64, n)
+		for i := range gids {
+			gids[i] = int32(rng.Intn(ng))
+			vals[i] = rng.NormFloat64() * 1e6
+		}
+		want := foldSumF64MorselsByDivision(gids, base, vals, ng, morsel)
+		got := s.foldSumF64Morsels(gids, base, vals, ng, morsel, &exec.Counters{})
+		for g := range want {
+			if math.Float64bits(got[g]) != math.Float64bits(want[g]) {
+				t.Fatalf("n %d base %d morsel %d: group %d = %v, the per-row division fold gives %v", n, base, morsel, g, got[g], want[g])
+			}
 		}
 	}
 }

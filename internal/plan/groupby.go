@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
+	"sync"
 
 	"wimpi/internal/colstore"
 	"wimpi/internal/exec"
@@ -93,6 +95,10 @@ func (g *GroupBy) aggregate(ctx *Context, in *colstore.Table) (*colstore.Table, 
 	if len(g.Keys) == 0 {
 		return g.scalar(ctx, in)
 	}
+	keys, err := g.groupKeys(in)
+	if err != nil {
+		return nil, err
+	}
 	// The morsel path is taken whenever the input is large enough —
 	// regardless of worker count. Morsel boundaries depend only on input
 	// size, and partial aggregates merge in morsel order, so the result
@@ -101,60 +107,35 @@ func (g *GroupBy) aggregate(ctx *Context, in *colstore.Table) (*colstore.Table, 
 	// cache-sized chunks instead (byte-identical by construction).
 	if in.NumRows() >= ctx.parallelMinRows() {
 		if key, cuts := g.clusteredCuts(ctx, in); cuts != nil {
-			return g.groupedClustered(ctx, in, key, cuts)
+			return g.groupedClustered(ctx, in, keys, key, cuts)
 		}
-		packed, err := packKeysParallel(ctx, in, g.Keys)
-		if err != nil {
-			return nil, err
-		}
-		return g.groupedMorsel(ctx, in, packed)
+		return g.groupedMorsel(ctx, in, keys)
 	}
-	packed, err := packKeys(in, g.Keys, ctx.Ctr)
+	return g.groupedSequential(ctx, in, keys)
+}
+
+// groupedSequential aggregates an input too small for morsels: one
+// Grouper over all of its keys, and one fold per aggregate kind.
+func (g *GroupBy) groupedSequential(ctx *Context, in *colstore.Table, keys *groupKeys) (*colstore.Table, error) {
+	n := in.NumRows()
+	if err := keys.sizeRows(0, n); err != nil {
+		return nil, err
+	}
+	s := groupScratchPool.Get().(*groupScratch)
+	defer groupScratchPool.Put(s)
+	packed, err := keys.pack(s, 0, n, ctx.Ctr)
 	if err != nil {
 		return nil, err
 	}
 	grouper := exec.NewGrouper(1024)
-	gids := grouper.GroupIDs(packed, ctx.Ctr)
+	gids := resized(&s.gids, n)
+	grouper.GroupIDsInto(packed, gids, ctx.Ctr)
 	ngroups := grouper.NumGroups()
-
-	firstRow := make([]int32, ngroups)
-	for i := range firstRow {
-		firstRow[i] = -1
-	}
-	for i, gid := range gids {
-		if firstRow[gid] < 0 {
-			firstRow[gid] = int32(i)
-		}
-	}
-
-	schema := make(colstore.Schema, 0, len(g.Keys)+len(g.Aggs))
-	cols := make([]colstore.Column, 0, len(g.Keys)+len(g.Aggs))
-	for _, k := range g.Keys {
-		c, err := in.ColByName(k)
-		if err != nil {
-			return nil, err
-		}
-		schema = append(schema, colstore.Field{Name: k, Type: c.Type()})
-		cols = append(cols, c.Gather(firstRow))
-	}
-	ctx.Ctr.RandomAccesses += int64(ngroups) * int64(len(g.Keys))
-
-	for _, spec := range g.Aggs {
-		col, err := evalAgg(ctx, in, spec, gids, ngroups)
-		if err != nil {
-			return nil, err
-		}
-		schema = append(schema, colstore.Field{Name: spec.Name, Type: col.Type()})
-		cols = append(cols, col)
-	}
-	out, err := colstore.NewTable("", schema, cols)
+	aggs, err := g.foldAggs(in, gids, ngroups, ctx.Ctr)
 	if err != nil {
 		return nil, err
 	}
-	ctx.Ctr.TuplesMaterialized += int64(ngroups)
-	ctx.Ctr.BytesMaterialized += out.SizeBytes()
-	observe(ctx, in, out)
-	return out, nil
+	return g.groupsTable(ctx, in, firstRows(gids, 0, ngroups), aggs)
 }
 
 func (g *GroupBy) scalar(ctx *Context, in *colstore.Table) (*colstore.Table, error) {
@@ -270,60 +251,6 @@ func evalAggArgI(in *colstore.Table, spec AggSpec, ctr *exec.Counters) ([]int64,
 	return iv, nil
 }
 
-func evalAgg(ctx *Context, in *colstore.Table, spec AggSpec, gids []int32, ngroups int) (colstore.Column, error) {
-	if spec.Func == Count && spec.Arg == nil {
-		var counts []int64
-		exec.ScatterCount(gids, &counts, ngroups, ctx.Ctr)
-		return &colstore.Int64s{V: counts}, nil
-	}
-	if spec.Func == SumI {
-		iv, err := aggArgI(ctx, in, spec)
-		if err != nil {
-			return nil, err
-		}
-		var sums []int64
-		exec.ScatterSumI64(gids, iv, &sums, ngroups, ctx.Ctr)
-		return &colstore.Int64s{V: sums}, nil
-	}
-	vals, err := aggArg(ctx, in, spec)
-	if err != nil {
-		return nil, err
-	}
-	switch spec.Func {
-	case Sum:
-		var sums []float64
-		exec.ScatterSumF64(gids, vals, &sums, ngroups, ctx.Ctr)
-		return &colstore.Float64s{V: sums}, nil
-	case Count:
-		var counts []int64
-		exec.ScatterCount(gids, &counts, ngroups, ctx.Ctr)
-		return &colstore.Int64s{V: counts}, nil
-	case Avg:
-		var sums []float64
-		var counts []int64
-		exec.ScatterSumF64(gids, vals, &sums, ngroups, ctx.Ctr)
-		exec.ScatterCount(gids, &counts, ngroups, ctx.Ctr)
-		out := make([]float64, ngroups)
-		for i := range out {
-			if counts[i] > 0 {
-				out[i] = sums[i] / float64(counts[i])
-			}
-		}
-		ctx.Ctr.FloatOps += int64(ngroups)
-		return &colstore.Float64s{V: out}, nil
-	case Min:
-		var mins []float64
-		exec.ScatterMinF64(gids, vals, &mins, ngroups, math.Inf(1), ctx.Ctr)
-		return &colstore.Float64s{V: mins}, nil
-	case Max:
-		var maxs []float64
-		exec.ScatterMaxF64(gids, vals, &maxs, ngroups, math.Inf(-1), ctx.Ctr)
-		return &colstore.Float64s{V: maxs}, nil
-	default:
-		return nil, fmt.Errorf("plan: unknown aggregate %d", spec.Func)
-	}
-}
-
 // Explain implements Node.
 func (g *GroupBy) Explain(depth int) string {
 	aggs := make([]string, len(g.Aggs))
@@ -339,68 +266,262 @@ func (g *GroupBy) Explain(depth int) string {
 		g.Input.Explain(depth+1))
 }
 
-// packKeys encodes one or more grouping columns into single 64-bit keys,
-// sizing each component's bit width from its maximum value. Negative key
-// values are rejected. A dense single key is the column's own (ownKeys).
-func packKeys(t *colstore.Table, names []string, ctr *exec.Counters) ([]int64, error) {
-	if k, ok := ownKeys(t, names, nil, ctr); ok {
-		return k, nil
-	}
-	vecs := make([][]int64, len(names))
-	for i, name := range names {
-		c, err := t.ColByName(name)
+// directMaxSpan bounds the packed key space whose group IDs come from a
+// table indexed by the key itself: 4 096 int32 slots, 16 KiB, far inside
+// the Pi's 512 KiB L2. A morsel clears only the slots its groups took —
+// at most one per row, and never more than an eighth of a default
+// morsel's rows.
+const directMaxSpan = 1 << 12
+
+// groupKeys turns a group-by's key columns into one int64 per row: a
+// single key as it is, several packed side by side, each in the bit width
+// its maximum needs.
+type groupKeys struct {
+	names  []string
+	cols   []colstore.Column
+	widths []uint // per column, set by size for two or more keys
+	// span > 0 says every packed key lies in [0, span), small enough
+	// (directMaxSpan) for group IDs by direct index.
+	span int
+}
+
+// groupKeys looks up g's key columns in in.
+func (g *GroupBy) groupKeys(in *colstore.Table) (*groupKeys, error) {
+	k := &groupKeys{names: g.Keys, cols: make([]colstore.Column, len(g.Keys))}
+	for i, name := range g.Keys {
+		c, err := in.ColByName(name)
 		if err != nil {
 			return nil, err
 		}
-		v, err := exec.KeysFromColumn(c, nil, ctr)
-		if err != nil {
-			return nil, fmt.Errorf("plan: group key %s: %w", name, err)
-		}
-		vecs[i] = v
+		k.cols[i] = c
 	}
-	if len(vecs) == 1 {
-		return vecs[0], nil
-	}
-	widths, err := keyWidths(vecs, names)
-	if err != nil {
-		return nil, err
-	}
-	n := t.NumRows()
-	out := make([]int64, n)
-	copy(out, vecs[0])
-	for i := 1; i < len(vecs); i++ {
-		b := widths[i]
-		v := vecs[i]
-		for r := 0; r < n; r++ {
-			out[r] = out[r]<<b | v[r]
-		}
-	}
-	ctr.IntOps += int64(n) * int64(len(vecs))
-	return out, nil
+	return k, nil
 }
 
-// keyWidths sizes each key column's bit width from its maximum value,
-// rejecting negative keys and key sets wider than 63 bits.
-func keyWidths(vecs [][]int64, names []string) ([]uint, error) {
-	widths := make([]uint, len(vecs))
-	var total uint
-	for i, v := range vecs {
-		var max int64
-		for _, x := range v {
-			if x < 0 {
-				return nil, fmt.Errorf("plan: group key %s has negative value %d", names[i], x)
-			}
-			if x > max {
-				max = x
-			}
+// ranges returns bounds on each key column's keys over rows [lo, hi)
+// (keyRange). It writes nothing and charges nothing: the widths it sizes
+// are bookkeeping, not per-row work.
+func (k *groupKeys) ranges(lo, hi int) (mins, maxs []int64, err error) {
+	mins, maxs = make([]int64, len(k.cols)), make([]int64, len(k.cols))
+	for i, c := range k.cols {
+		if mins[i], maxs[i], err = keyRange(sliceRows(c, lo, hi)); err != nil {
+			return nil, nil, fmt.Errorf("plan: group key %s: %w", k.names[i], err)
 		}
-		widths[i] = uint(bits.Len64(uint64(max | 1)))
-		total += widths[i]
+	}
+	return mins, maxs, nil
+}
+
+// sizeRows sizes the packing of several keys from the keys of rows
+// [lo, hi), for the paths that never index by the key (sequential and
+// clustered): a single key needs no sizing there, so it is not scanned.
+func (k *groupKeys) sizeRows(lo, hi int) error {
+	if len(k.cols) == 1 {
+		return nil
+	}
+	mins, maxs, err := k.ranges(lo, hi)
+	if err != nil {
+		return err
+	}
+	return k.size(mins, maxs)
+}
+
+// sizeParallel is sizeRows over all n rows, with the ranges taken in
+// morsels.
+func (k *groupKeys) sizeParallel(ctx *Context, n int) error {
+	nm := exec.NumMorsels(n, ctx.morselRows())
+	partMins, partMaxs := make([][]int64, nm), make([][]int64, nm)
+	err := exec.RunMorsels(ctx.workers(), n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, _ *exec.Counters) error {
+		var err error
+		partMins[m], partMaxs[m], err = k.ranges(lo, hi)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	mins, maxs := partMins[0], partMaxs[0]
+	for m := 1; m < nm; m++ {
+		for i := range mins {
+			mins[i] = min(mins[i], partMins[m][i])
+			maxs[i] = max(maxs[i], partMaxs[m][i])
+		}
+	}
+	return k.size(mins, maxs)
+}
+
+// size lays out the packed key from each column's key range. A single key
+// is used as it is — negative values included — and indexes the direct
+// table when it lies in [0, directMaxSpan). Several keys must be
+// non-negative and fit 63 bits together; they index the direct table
+// when the largest packed key does.
+func (k *groupKeys) size(mins, maxs []int64) error {
+	k.span = 0
+	if len(k.cols) == 1 {
+		if mins[0] >= 0 && maxs[0] < directMaxSpan {
+			k.span = int(maxs[0]) + 1
+		}
+		return nil
+	}
+	k.widths = make([]uint, len(k.cols))
+	var total uint
+	for i := range k.cols {
+		if mins[i] < 0 {
+			return fmt.Errorf("plan: group key %s has negative value %d", k.names[i], mins[i])
+		}
+		k.widths[i] = uint(bits.Len64(uint64(maxs[i] | 1)))
+		total += k.widths[i]
 	}
 	if total > 63 {
-		return nil, fmt.Errorf("plan: group keys %v need %d bits, max 63", names, total)
+		return fmt.Errorf("plan: group keys %v need %d bits, max 63", k.names, total)
 	}
-	return widths, nil
+	top := maxs[0]
+	for i := 1; i < len(k.cols); i++ {
+		top = top<<k.widths[i] | maxs[i]
+	}
+	if top < directMaxSpan {
+		k.span = int(top) + 1
+	}
+	return nil
+}
+
+// pack returns the packed keys of rows [lo, hi). A dense single key is
+// read in place, charged as the copy it replaces; anything else decodes
+// into s, charged what extracting (and packing) it costs. Keys are read
+// only — nothing writes into a key vector.
+func (k *groupKeys) pack(s *groupScratch, lo, hi int, ctr *exec.Counters) ([]int64, error) {
+	if v, ok := k.cols[0].(*colstore.Int64s); ok && len(k.cols) == 1 {
+		ctr.SeqBytes += int64(hi-lo) * 8
+		return v.V[lo:hi], nil
+	}
+	n := hi - lo
+	keys := resized(&s.keys, n)
+	for i, c := range k.cols {
+		dst := keys
+		if i > 0 {
+			dst = resized(&s.vec, n)
+		}
+		if err := exec.KeysInto(dst, sliceRows(c, lo, hi), nil, ctr); err != nil {
+			return nil, fmt.Errorf("plan: group key %s: %w", k.names[i], err)
+		}
+		if i > 0 {
+			w := k.widths[i]
+			for r, x := range dst {
+				keys[r] = keys[r]<<w | x
+			}
+		}
+	}
+	if len(k.cols) > 1 {
+		ctr.IntOps += int64(n) * int64(len(k.cols))
+	}
+	return keys, nil
+}
+
+// sliceRows is c's rows [lo, hi), or c itself when that is all of it.
+func sliceRows(c colstore.Column, lo, hi int) colstore.Column {
+	if lo == 0 && hi == c.Len() {
+		return c
+	}
+	return c.Slice(lo, hi)
+}
+
+// keyRange returns bounds on the keys of a key column — the smallest and
+// largest value of ints and day number of dates, [0, 1] for bools, the
+// dictionary's code range for strings — and (0, 0) for an empty one. It
+// accepts exactly the columns exec.KeysInto does.
+func keyRange(col colstore.Column) (lo, hi int64, err error) {
+	if col.Len() == 0 {
+		return 0, 0, nil
+	}
+	switch c := col.(type) {
+	case *colstore.Int64s:
+		lo, hi = spanOf(c.V)
+	case *colstore.RLEInt64:
+		lo, hi = spanOf(c.Vals)
+	case *colstore.Dates:
+		l, h := spanOf(c.V)
+		lo, hi = int64(l), int64(h)
+	case *colstore.Strings:
+		// Codes index the dictionary, whose size bounds them unscanned.
+		lo, hi = 0, int64(c.Dict.Len())-1
+	case *colstore.Bools:
+		lo, hi = 0, 1
+	default:
+		return 0, 0, fmt.Errorf("exec: column type %s cannot be a key", col.Type())
+	}
+	return lo, hi, nil
+}
+
+// spanOf returns the smallest and largest of a non-empty v.
+func spanOf[T int32 | int64](v []T) (lo, hi T) {
+	lo, hi = v[0], v[0]
+	for _, x := range v[1:] {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	return lo, hi
+}
+
+// groupScratch is one worker's reusable state for aggregating a morsel
+// or a clustered chunk: the key and group-ID vectors, the grouper and the
+// direct table, and the chunk fold's local accumulators. A worker carries
+// one scratch from morsel to morsel (and query to query) instead of
+// allocating each slice afresh every time.
+type groupScratch struct {
+	gr    exec.Grouper
+	slots []int32   // the direct table: directMaxSpan entries, all -1 between uses
+	gk    []int64   // the direct table's group keys, in first-occurrence order
+	keys  []int64   // the packed keys
+	vec   []int64   // one trailing key column
+	gids  []int32   // the local group ids
+	f     []float64 // sum / min / max per local group
+	cur   []float64 // foldSumF64Morsels: the open morsel's partial
+	lastM []int32   // foldSumF64Morsels: the open morsel per local group
+	i     []int64   // count / integer sum per local group
+}
+
+var groupScratchPool = sync.Pool{New: func() any { return new(groupScratch) }}
+
+// resized returns *buf at length n, reusing its storage when it is large
+// enough. The contents are unspecified.
+func resized[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// groupIDs assigns the local group IDs of one morsel's packed keys into
+// s.gids, in first-occurrence order, and returns them with each group's
+// key: by direct index when the key space is small, through the scratch's
+// hash grouper otherwise.
+func (s *groupScratch) groupIDs(keys []int64, span int, ctr *exec.Counters) ([]int32, []int64) {
+	gids := resized(&s.gids, len(keys))
+	if span > 0 {
+		if s.slots == nil {
+			s.slots = make([]int32, directMaxSpan)
+			for i := range s.slots {
+				s.slots[i] = -1
+			}
+		}
+		s.gk = exec.DirectGroupIDs(keys, s.slots[:span], gids, s.gk, ctr)
+		return gids, s.gk
+	}
+	s.gr.Reset(256)
+	s.gr.GroupIDsInto(keys, gids, ctr)
+	return gids, s.gr.GroupKeys()
+}
+
+// firstRows returns, for group IDs dense in first-occurrence order, the
+// row base+i of each group's first occurrence.
+func firstRows(gids []int32, base, ngroups int) []int32 {
+	first := make([]int32, 0, ngroups)
+	for i, gid := range gids {
+		if int(gid) == len(first) {
+			if first = append(first, int32(base+i)); len(first) == ngroups {
+				break
+			}
+		}
+	}
+	return first
 }
 
 // aggState holds the accumulators for one aggregate spec — for a single
@@ -411,31 +532,84 @@ type aggState struct {
 	i []int64
 }
 
-// groupPart is one morsel's thread-local aggregation state.
+// groupPart is one morsel's (or clustered chunk's) aggregation state.
 type groupPart struct {
-	grouper  *exec.Grouper
+	keys     []int64 // local gid -> packed key (morsels only)
 	firstRow []int32 // local gid -> global row of first occurrence
 	aggs     []aggState
 }
 
-// groupedMorsel is the morsel-parallel grouped aggregation over
-// already-packed keys: each morsel aggregates into a thread-local hash
-// table, and the locals are folded into the global table in a final
-// single pass, in morsel order. Because global group IDs are assigned in
-// order of first key occurrence across morsels processed in order, group
-// order matches the sequential Grouper exactly.
-func (g *GroupBy) groupedMorsel(ctx *Context, in *colstore.Table, packed []int64) (*colstore.Table, error) {
-	n := in.NumRows()
-	var err error
-	nm := exec.NumMorsels(n, ctx.morselRows())
-	parts := make([]*groupPart, nm)
-	err = exec.RunMorsels(ctx.workers(), n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
-		p, err := g.aggMorsel(in, packed, lo, hi, ctr)
-		if err != nil {
-			return err
+// foldAggs evaluates every aggregate's argument over t and folds it into
+// ngroups fresh per-group accumulators, gids[i] naming row i's group. All
+// sums share one pass over the rows (exec.ScatterSumsF64), and Count and
+// every Avg share one count; a Count's argument is never evaluated.
+func (g *GroupBy) foldAggs(t *colstore.Table, gids []int32, ngroups int, ctr *exec.Counters) ([]aggState, error) {
+	aggs := make([]aggState, len(g.Aggs))
+	var sumVals, sumAccs [][]float64
+	var counted []int // the specs that take the shared count
+	for si, spec := range g.Aggs {
+		st := &aggs[si]
+		switch spec.Func {
+		case Count:
+			counted = append(counted, si)
+		case SumI:
+			iv, err := evalAggArgI(t, spec, ctr)
+			if err != nil {
+				return nil, err
+			}
+			st.i = make([]int64, ngroups)
+			exec.ScatterSumI64(gids, iv, &st.i, ngroups, ctr)
+		case Sum, Avg, Min, Max:
+			vals, err := evalAggArg(t, spec, ctr)
+			if err != nil {
+				return nil, err
+			}
+			switch spec.Func {
+			case Min:
+				exec.ScatterMinF64(gids, vals, &st.f, ngroups, math.Inf(1), ctr)
+			case Max:
+				exec.ScatterMaxF64(gids, vals, &st.f, ngroups, math.Inf(-1), ctr)
+			default:
+				st.f = make([]float64, ngroups)
+				sumVals, sumAccs = append(sumVals, vals), append(sumAccs, st.f)
+				if spec.Func == Avg {
+					counted = append(counted, si)
+				}
+			}
+		default:
+			return nil, fmt.Errorf("plan: unknown aggregate %d", spec.Func)
 		}
-		parts[m] = p
-		return nil
+	}
+	exec.ScatterSumsF64(gids, sumVals, sumAccs, ctr)
+	if len(counted) > 0 {
+		counts := make([]int64, ngroups)
+		exec.ScatterCount(gids, counts, len(counted), ctr)
+		for j, si := range counted {
+			if j > 0 {
+				counts = slices.Clone(counts)
+			}
+			aggs[si].i = counts
+		}
+	}
+	return aggs, nil
+}
+
+// groupedMorsel is the morsel-parallel grouped aggregation: each morsel
+// packs its own keys, assigns local group IDs and folds every aggregate
+// in one pass, and the locals are folded into the global table in a
+// final single pass, in morsel order. Because global group IDs are
+// assigned in order of first key occurrence across morsels processed in
+// order, group order matches the sequential Grouper exactly.
+func (g *GroupBy) groupedMorsel(ctx *Context, in *colstore.Table, keys *groupKeys) (*colstore.Table, error) {
+	n := in.NumRows()
+	if err := keys.sizeParallel(ctx, n); err != nil {
+		return nil, err
+	}
+	parts := make([]groupPart, exec.NumMorsels(n, ctx.morselRows()))
+	err := exec.RunMorsels(ctx.workers(), n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
+		s := groupScratchPool.Get().(*groupScratch)
+		defer groupScratchPool.Put(s)
+		return g.aggMorsel(&parts[m], s, in, keys, lo, hi, ctr)
 	})
 	if err != nil {
 		return nil, err
@@ -446,8 +620,7 @@ func (g *GroupBy) groupedMorsel(ctx *Context, in *colstore.Table, packed []int64
 	var firstRow []int32
 	aggs := make([]aggState, len(g.Aggs))
 	for _, p := range parts {
-		lkeys := p.grouper.GroupKeys()
-		g2l := merged.GroupIDs(lkeys, ctx.Ctr)
+		g2l := merged.GroupIDs(p.keys, ctx.Ctr)
 		ng := merged.NumGroups()
 		for len(firstRow) < ng {
 			firstRow = append(firstRow, -1)
@@ -460,122 +633,23 @@ func (g *GroupBy) groupedMorsel(ctx *Context, in *colstore.Table, packed []int64
 		for si := range g.Aggs {
 			mergeAggState(&aggs[si], &p.aggs[si], g2l, ng, g.Aggs[si].Func)
 		}
-		ctx.Ctr.AggUpdates += int64(len(lkeys)) * int64(len(g.Aggs))
-		ctx.Ctr.MergeBytes += int64(len(lkeys)) * int64(12+16*len(g.Aggs))
+		ctx.Ctr.AggUpdates += int64(len(p.keys)) * int64(len(g.Aggs))
+		ctx.Ctr.MergeBytes += int64(len(p.keys)) * int64(12+16*len(g.Aggs))
 	}
-	ngroups := merged.NumGroups()
-
-	schema := make(colstore.Schema, 0, len(g.Keys)+len(g.Aggs))
-	cols := make([]colstore.Column, 0, len(g.Keys)+len(g.Aggs))
-	for _, k := range g.Keys {
-		c, err := in.ColByName(k)
-		if err != nil {
-			return nil, err
-		}
-		schema = append(schema, colstore.Field{Name: k, Type: c.Type()})
-		cols = append(cols, c.Gather(firstRow))
-	}
-	ctx.Ctr.RandomAccesses += int64(ngroups) * int64(len(g.Keys))
-
-	for si, spec := range g.Aggs {
-		st := &aggs[si]
-		var col colstore.Column
-		switch spec.Func {
-		case Count, SumI:
-			growI(&st.i, ngroups, 0)
-			col = &colstore.Int64s{V: st.i}
-		case Sum:
-			growF(&st.f, ngroups, 0)
-			col = &colstore.Float64s{V: st.f}
-		case Avg:
-			growF(&st.f, ngroups, 0)
-			growI(&st.i, ngroups, 0)
-			out := make([]float64, ngroups)
-			for i := range out {
-				if st.i[i] > 0 {
-					out[i] = st.f[i] / float64(st.i[i])
-				}
-			}
-			ctx.Ctr.FloatOps += int64(ngroups)
-			col = &colstore.Float64s{V: out}
-		case Min:
-			growF(&st.f, ngroups, math.Inf(1))
-			col = &colstore.Float64s{V: st.f}
-		case Max:
-			growF(&st.f, ngroups, math.Inf(-1))
-			col = &colstore.Float64s{V: st.f}
-		default:
-			return nil, fmt.Errorf("plan: unknown aggregate %d", spec.Func)
-		}
-		schema = append(schema, colstore.Field{Name: spec.Name, Type: col.Type()})
-		cols = append(cols, col)
-	}
-	out, err := colstore.NewTable("", schema, cols)
-	if err != nil {
-		return nil, err
-	}
-	ctx.Ctr.TuplesMaterialized += int64(ngroups)
-	ctx.Ctr.BytesMaterialized += out.SizeBytes()
-	observe(ctx, in, out)
-	return out, nil
+	return g.groupsTable(ctx, in, firstRow, aggs)
 }
 
-// aggMorsel aggregates rows [lo, hi) into a fresh thread-local state.
-func (g *GroupBy) aggMorsel(in *colstore.Table, packed []int64, lo, hi int, ctr *exec.Counters) (*groupPart, error) {
-	sub := in.Slice(lo, hi)
-	p := &groupPart{grouper: exec.NewGrouper(256), aggs: make([]aggState, len(g.Aggs))}
-	gids := p.grouper.GroupIDs(packed[lo:hi], ctr)
-	ng := p.grouper.NumGroups()
-	p.firstRow = make([]int32, ng)
-	for i := range p.firstRow {
-		p.firstRow[i] = -1
+// aggMorsel aggregates rows [lo, hi) into p, working in s.
+func (g *GroupBy) aggMorsel(p *groupPart, s *groupScratch, in *colstore.Table, keys *groupKeys, lo, hi int, ctr *exec.Counters) error {
+	packed, err := keys.pack(s, lo, hi, ctr)
+	if err != nil {
+		return err
 	}
-	for i, gid := range gids {
-		if p.firstRow[gid] < 0 {
-			p.firstRow[gid] = int32(lo + i)
-		}
-	}
-	for si, spec := range g.Aggs {
-		st := &p.aggs[si]
-		switch spec.Func {
-		case Count:
-			exec.ScatterCount(gids, &st.i, ng, ctr)
-		case SumI:
-			iv, err := evalAggArgI(sub, spec, ctr)
-			if err != nil {
-				return nil, err
-			}
-			exec.ScatterSumI64(gids, iv, &st.i, ng, ctr)
-		case Sum:
-			vals, err := evalAggArg(sub, spec, ctr)
-			if err != nil {
-				return nil, err
-			}
-			exec.ScatterSumF64(gids, vals, &st.f, ng, ctr)
-		case Avg:
-			vals, err := evalAggArg(sub, spec, ctr)
-			if err != nil {
-				return nil, err
-			}
-			exec.ScatterSumF64(gids, vals, &st.f, ng, ctr)
-			exec.ScatterCount(gids, &st.i, ng, ctr)
-		case Min:
-			vals, err := evalAggArg(sub, spec, ctr)
-			if err != nil {
-				return nil, err
-			}
-			exec.ScatterMinF64(gids, vals, &st.f, ng, math.Inf(1), ctr)
-		case Max:
-			vals, err := evalAggArg(sub, spec, ctr)
-			if err != nil {
-				return nil, err
-			}
-			exec.ScatterMaxF64(gids, vals, &st.f, ng, math.Inf(-1), ctr)
-		default:
-			return nil, fmt.Errorf("plan: unknown aggregate %d", spec.Func)
-		}
-	}
-	return p, nil
+	gids, gk := s.groupIDs(packed, keys.span, ctr)
+	p.keys = slices.Clone(gk)
+	p.firstRow = firstRows(gids, lo, len(gk))
+	p.aggs, err = g.foldAggs(in.Slice(lo, hi), gids, len(gk), ctr)
+	return err
 }
 
 // mergeAggState folds a morsel's local accumulators into the global
@@ -630,55 +704,50 @@ func growI(s *[]int64, n int, fill int64) {
 	}
 }
 
-// packKeysParallel is packKeys with the per-row work — key extraction
-// and bit packing — split into morsels. Bit widths come from exact
-// global maxima, so the encoding is identical to the sequential pack.
-func packKeysParallel(ctx *Context, t *colstore.Table, names []string) ([]int64, error) {
-	if k, ok := ownKeys(t, names, nil, ctx.Ctr); ok {
-		return k, nil
-	}
-	w := ctx.workers()
-	n := t.NumRows()
-	mr := ctx.morselRows()
-	vecs := make([][]int64, len(names))
-	for i, name := range names {
-		c, err := t.ColByName(name)
+// groupsTable assembles a grouped aggregation's output: the key columns
+// gathered at each group's first row, then one finished accumulator
+// column per aggregate (i for Count and SumI, f for the rest, an Avg's
+// sums divided by its counts), all in global first-occurrence order.
+func (g *GroupBy) groupsTable(ctx *Context, in *colstore.Table, firstRow []int32, aggs []aggState) (*colstore.Table, error) {
+	ngroups := len(firstRow)
+	schema := make(colstore.Schema, 0, len(g.Keys)+len(g.Aggs))
+	cols := make([]colstore.Column, 0, len(g.Keys)+len(g.Aggs))
+	for _, k := range g.Keys {
+		c, err := in.ColByName(k)
 		if err != nil {
 			return nil, err
 		}
-		out := make([]int64, n)
-		err = exec.RunMorsels(w, n, mr, ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
-			if err := exec.KeysInto(out[lo:hi], c.Slice(lo, hi), nil, ctr); err != nil {
-				return fmt.Errorf("plan: group key %s: %w", name, err)
+		schema = append(schema, colstore.Field{Name: k, Type: c.Type()})
+		cols = append(cols, c.Gather(firstRow))
+	}
+	ctx.Ctr.RandomAccesses += int64(ngroups) * int64(len(g.Keys))
+
+	for si, spec := range g.Aggs {
+		st := &aggs[si]
+		var col colstore.Column
+		switch spec.Func {
+		case Count, SumI:
+			col = &colstore.Int64s{V: st.i}
+		case Avg:
+			for i, n := range st.i {
+				if n > 0 {
+					st.f[i] /= float64(n)
+				}
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			ctx.Ctr.FloatOps += int64(ngroups)
+			col = &colstore.Float64s{V: st.f}
+		default:
+			col = &colstore.Float64s{V: st.f}
 		}
-		vecs[i] = out
+		schema = append(schema, colstore.Field{Name: spec.Name, Type: col.Type()})
+		cols = append(cols, col)
 	}
-	if len(vecs) == 1 {
-		return vecs[0], nil
-	}
-	widths, err := keyWidths(vecs, names)
+	out, err := colstore.NewTable("", schema, cols)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int64, n)
-	err = exec.RunMorsels(w, n, mr, ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
-		for r := lo; r < hi; r++ {
-			k := vecs[0][r]
-			for i := 1; i < len(vecs); i++ {
-				k = k<<widths[i] | vecs[i][r]
-			}
-			out[r] = k
-		}
-		ctr.IntOps += int64(hi-lo) * int64(len(vecs))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	ctx.Ctr.TuplesMaterialized += int64(ngroups)
+	ctx.Ctr.BytesMaterialized += out.SizeBytes()
+	observe(ctx, in, out)
 	return out, nil
 }

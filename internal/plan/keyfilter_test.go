@@ -19,13 +19,6 @@ import (
 func TestGroupByUnderGroupDeletion(t *testing.T) {
 	const n = 20000
 	g := groupTestGroupBy()
-	packed := func(ctx *Context, in *colstore.Table) []int64 {
-		p, err := packKeysParallel(ctx, in, g.Keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
 	paths := []struct {
 		name  string
 		keys  func(rng *rand.Rand) []int64
@@ -33,7 +26,7 @@ func TestGroupByUnderGroupDeletion(t *testing.T) {
 	}{
 		{"morsel", func(rng *rand.Rand) []int64 { return groupKeyDists[2].keys(rng, n) },
 			func(ctx *Context, in *colstore.Table) (*colstore.Table, error) {
-				return g.groupedMorsel(ctx, in, packed(ctx, in))
+				return g.groupedMorsel(ctx, in, mustGroupKeys(t, g, in))
 			}},
 		{"clustered", func(rng *rand.Rand) []int64 { return nonNegative(ascendingRuns(rng, n, 7, 97)) },
 			func(ctx *Context, in *colstore.Table) (*colstore.Table, error) {
@@ -41,7 +34,7 @@ func TestGroupByUnderGroupDeletion(t *testing.T) {
 				if cuts == nil {
 					return nil, fmt.Errorf("input is not clustered")
 				}
-				return g.groupedClustered(ctx, in, key, cuts)
+				return g.groupedClustered(ctx, in, mustGroupKeys(t, g, in), key, cuts)
 			}},
 	}
 	for _, path := range paths {

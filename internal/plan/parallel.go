@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"fmt"
+
 	"wimpi/internal/colstore"
 	"wimpi/internal/exec"
 )
@@ -49,16 +51,20 @@ func parallelSel(ctx *Context, t *colstore.Table, pred exec.Pred) ([]int32, erro
 // into morsels. Expression kernels are elementwise, so evaluating on
 // zero-copy slices and concatenating the chunks in morsel order is
 // bit-identical to a whole-table evaluation. Plain column references
-// stay zero-copy, and chunk types the stitcher does not understand fall
-// back to a sequential evaluation.
+// stay zero-copy, and a string-producing expression (exec.PrefixExpr, the
+// only one) evaluates whole: its chunks would each hold a dictionary of
+// their own, which concatChunks cannot stitch.
 func evalExprParallel(ctx *Context, in *colstore.Table, e exec.Expr) (colstore.Column, error) {
 	n := in.NumRows()
 	w := ctx.workers()
 	if w == 1 || n < ctx.parallelMinRows() {
 		return e.Eval(in, ctx.Ctr)
 	}
-	if _, ok := e.(exec.Col); ok {
+	switch e.(type) {
+	case exec.Col, exec.PrefixExpr:
 		return e.Eval(in, ctx.Ctr)
+	case exec.Arith, exec.CaseWhenF, exec.ConstF, exec.YearExpr:
+		// Fixed-width results: evaluated in morsels and stitched.
 	}
 	nm := exec.NumMorsels(n, ctx.morselRows())
 	chunks := make([]colstore.Column, nm)
@@ -73,60 +79,45 @@ func evalExprParallel(ctx *Context, in *colstore.Table, e exec.Expr) (colstore.C
 	if err != nil {
 		return nil, err
 	}
-	out, ok := concatChunks(chunks, n)
-	if !ok {
-		return e.Eval(in, ctx.Ctr)
+	out, err := concatChunks(chunks, n)
+	if err != nil {
+		return nil, fmt.Errorf("plan: %s: %w", e, err)
 	}
 	ctx.Ctr.MergeBytes += out.SizeBytes()
 	return out, nil
 }
 
 // concatChunks stitches per-morsel expression results into one column.
-// It handles the fixed-width types expressions produce; anything else
-// reports false so the caller can fall back.
-func concatChunks(chunks []colstore.Column, n int) (colstore.Column, bool) {
+// It handles the fixed-width types expressions produce; anything else is
+// an error.
+func concatChunks(chunks []colstore.Column, n int) (colstore.Column, error) {
 	switch chunks[0].(type) {
 	case *colstore.Float64s:
-		out := make([]float64, 0, n)
-		for _, c := range chunks {
-			f, ok := c.(*colstore.Float64s)
-			if !ok {
-				return nil, false
-			}
-			out = append(out, f.V...)
-		}
-		return &colstore.Float64s{V: out}, true
+		v, err := concatOf(chunks, n, func(c *colstore.Float64s) []float64 { return c.V })
+		return &colstore.Float64s{V: v}, err
 	case *colstore.Int64s:
-		out := make([]int64, 0, n)
-		for _, c := range chunks {
-			f, ok := c.(*colstore.Int64s)
-			if !ok {
-				return nil, false
-			}
-			out = append(out, f.V...)
-		}
-		return &colstore.Int64s{V: out}, true
+		v, err := concatOf(chunks, n, func(c *colstore.Int64s) []int64 { return c.V })
+		return &colstore.Int64s{V: v}, err
 	case *colstore.Dates:
-		out := make([]int32, 0, n)
-		for _, c := range chunks {
-			f, ok := c.(*colstore.Dates)
-			if !ok {
-				return nil, false
-			}
-			out = append(out, f.V...)
-		}
-		return &colstore.Dates{V: out}, true
+		v, err := concatOf(chunks, n, func(c *colstore.Dates) []int32 { return c.V })
+		return &colstore.Dates{V: v}, err
 	case *colstore.Bools:
-		out := make([]bool, 0, n)
-		for _, c := range chunks {
-			f, ok := c.(*colstore.Bools)
-			if !ok {
-				return nil, false
-			}
-			out = append(out, f.V...)
-		}
-		return &colstore.Bools{V: out}, true
+		v, err := concatOf(chunks, n, func(c *colstore.Bools) []bool { return c.V })
+		return &colstore.Bools{V: v}, err
 	default:
-		return nil, false
+		return nil, fmt.Errorf("cannot stitch %T morsel results", chunks[0])
 	}
+}
+
+// concatOf appends the values of chunks, all of type C, in order.
+func concatOf[C colstore.Column, T any](chunks []colstore.Column, n int, values func(C) []T) ([]T, error) {
+	out := make([]T, 0, n)
+	for _, c := range chunks {
+		cc, ok := c.(C)
+		if !ok {
+			return nil, fmt.Errorf("cannot stitch %T and %T morsel results", chunks[0], c)
+		}
+		out = append(out, values(cc)...)
+	}
+	return out, nil
 }

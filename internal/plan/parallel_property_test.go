@@ -10,6 +10,7 @@ package plan
 //     those are compared within a small relative tolerance.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -188,6 +189,41 @@ func TestParallelPlansMatchSequentialOracle(t *testing.T) {
 			// Join/sort/filter outputs are exact; aggregates may differ
 			// in float summation order only.
 			compareTables(t, name, seq, par, false)
+		}
+	}
+}
+
+// TestStringProjectionEvaluatesOnce: a substring projection past the
+// parallel threshold evaluates once, whole, whatever the worker count —
+// its morsel chunks could not be stitched — so the work it charges does
+// not depend on the worker count.
+func TestStringProjectionEvaluatesOnce(t *testing.T) {
+	const n = 40000
+	b := colstore.NewTableBuilder("s", colstore.Schema{{Name: "phone", Type: colstore.String}})
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < n; i++ {
+		b.Str(0, fmt.Sprintf("%02d-%03d", rng.Intn(25), rng.Intn(1000)))
+		b.EndRow()
+	}
+	cat := memCatalog{"s": b.Build()}
+	p := &Project{Input: &Scan{Table: "s"}, Cols: []NamedExpr{{Name: "cc", Expr: exec.PrefixExpr{Col: "phone", N: 2}}}}
+	var want *colstore.Table
+	var wantCtr exec.Counters
+	for _, w := range []int{1, 2, 8} {
+		ctx := &Context{Cat: cat, Ctr: &exec.Counters{}, Workers: w}
+		got, err := p.Execute(ctx)
+		if err != nil {
+			t.Fatalf("workers %d: %v", w, err)
+		}
+		if w == 1 {
+			want, wantCtr = got, *ctx.Ctr
+			continue
+		}
+		if same, where := colstore.TablesIdentical(want, got); !same {
+			t.Fatalf("workers %d: differs: %s", w, where)
+		}
+		if *ctx.Ctr != wantCtr {
+			t.Fatalf("workers %d: charges\n%+v\nworkers 1 charge\n%+v", w, *ctx.Ctr, wantCtr)
 		}
 	}
 }
