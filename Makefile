@@ -125,28 +125,36 @@ serve-smoke:
 		-max-p99-ms $(SERVE_P99_MS) -bench-out BENCH_serve.json
 
 # Budget determinism smoke test: force an inner (Q3), a semi (Q4) and a
-# left-count (Q13) join through the spill joiner with a budget far below
-# their join state, at one worker and at four (partitions are morsels),
-# and require the same answer as the unlimited run and an empty spill
-# directory afterwards (the engine suite proves the answers across all
+# left-count (Q13) join through the spill joiner with a budget below
+# their build side's state, at one worker and at four (partitions are
+# morsels), and require the same answer as the unlimited run, a
+# spill-partition row (`radix N-way, budget`) in -explain, and an empty
+# spill directory afterwards. Q8 is the negative case: every build side
+# it has fits half the budget, so its probe streams — same answer, and
+# no spill-partition row. The engine suite proves the answers across all
 # 22 queries; this catches CLI-level wiring of -mem-budget, -workers and
-# -spill-dir). Each run lands in a file before it is filtered, so a run
+# -spill-dir, and a change of the spill rule that would silently drop
+# the coverage. Each run lands in a file before it is filtered, so a run
 # that fails stops the target instead of diffing two empty outputs.
 SPILL_SMOKE_FILTER = grep -v -e '(host)' -e '^generating'
 spill-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/spill"; \
 	$(GO) build -o "$$tmp/wimpi" ./cmd/wimpi; \
-	for q in 3 4 13; do \
+	for q in 3 4 13 8; do \
 		"$$tmp/wimpi" -sf 0.01 -q $$q -rows 3 > "$$tmp/raw"; \
 		$(SPILL_SMOKE_FILTER) "$$tmp/raw" > "$$tmp/free.out"; \
+		want=yes; test $$q != 8 || want=no; \
 		for w in 1 4; do \
 			"$$tmp/wimpi" -sf 0.01 -q $$q -rows 3 -workers $$w -mem-budget 64KB -spill-dir "$$tmp/spill" > "$$tmp/raw"; \
 			$(SPILL_SMOKE_FILTER) "$$tmp/raw" > "$$tmp/budget.out"; \
 			diff "$$tmp/free.out" "$$tmp/budget.out"; \
+			"$$tmp/wimpi" -sf 0.01 -q $$q -workers $$w -explain -mem-budget 64KB -spill-dir "$$tmp/spill" > "$$tmp/explain.out"; \
+			spilled=no; grep -Eq 'radix [0-9]+-way, budget ' "$$tmp/explain.out" && spilled=yes; \
+			test $$spilled = $$want || { echo "spill-smoke: Q$$q at $$w worker(s): spill-partition row in -explain: $$spilled, want $$want"; exit 1; }; \
 			test -z "$$(ls -A "$$tmp/spill")" || { echo "spill-smoke: Q$$q at $$w worker(s) left files in the spill directory"; exit 1; }; \
 		done; \
 	done; \
-	echo "spill-smoke: Q3, Q4, Q13 identical under the budget at 1 and 4 workers; spill directory empty"
+	echo "spill-smoke: Q3, Q4, Q13 spilled and Q8 streamed under the budget at 1 and 4 workers, each identical to the unlimited run; spill directory empty"
 
 # The tier-1 gate: everything a change must pass before merging.
 check: build test test-procs vet lint race explain-smoke serve-smoke spill-smoke

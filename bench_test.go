@@ -468,9 +468,11 @@ func BenchmarkAblationSwap(b *testing.B) {
 }
 
 // BenchmarkSpill traces the memory-wall trajectory the spill scheduler
-// replaces: a join whose state sweeps from under the budget to ~20x it,
-// run (a) unlimited and (b) under the budget through the on-disk spill
-// path. Each point reports the host time of the spilled run and two
+// replaces: a join whose build-side state sweeps from a third of the
+// budget to 11x it, run (a) unlimited and (b) under the budget. The join
+// takes the on-disk spill path once its build state passes half the
+// budget; below that, the first point, its probe side streams past an
+// in-memory table and nothing spills. Each point reports the host time of the spilled run and two
 // simulated Pi times for the same budget-sized node: the spilled run
 // priced by the sequential-spill model, and the unlimited run priced by
 // the swap-thrash model (what the node would do if the engine let the
@@ -528,10 +530,10 @@ func BenchmarkSpill(b *testing.B) {
 		})
 		budgeted.Register(bt)
 		budgeted.Register(pt)
-		// The join's in-memory state: build-side partition elements plus
-		// the probe side the partition pass streams (12 bytes/row each
-		// side, plus the built partition tables).
-		state := int64(n)*(12+exec.RadixBuildBytesPerRow) + int64(4*n)*12
+		// The join state the spill decision weighs: the build side's
+		// partition elements (12 bytes/row) plus their share of the built
+		// partition tables. The probe side streams and does not count.
+		state := int64(n) * (12 + exec.RadixBuildBytesPerRow)
 		res := spillBenchResult{
 			BuildRows: n, ProbeRows: 4 * n,
 			StateBytes: state, BudgetBytes: budget,

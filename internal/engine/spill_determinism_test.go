@@ -20,10 +20,24 @@ import (
 	"wimpi/internal/tpch"
 )
 
-// spillBudgetBytes is far below every TPC-H join's build+probe state at
-// the test scale factor, so each join-bearing query is forced through
-// the spill scheduler.
+// spillBudgetBytes is the budget of the engine's other budgeted tests
+// and of counters.golden's spill block. A join spills when its build
+// side's state (44 bytes a row) passes half the budget — the probe side
+// streams past a build that fits and holds no join state — so this
+// budget spills the joins with 745 build rows or more: at SF 0.01 those
+// of make spill-smoke's Q3, Q4 and Q13, and none of Q8's or Q17's.
 const spillBudgetBytes = 64 << 10
+
+// spillSuiteBudgetBytes is the budget TestQueriesIdenticalUnderSpillBudget
+// forces with: half of it is 2.9 build rows, so every join-bearing query
+// with a build side of three rows or more spills.
+const spillSuiteBudgetBytes = 256
+
+// neverSpills names the join-bearing queries no budget makes spill at
+// the suite's scale factor, and why.
+var neverSpills = map[int]string{
+	18: "its IN-subquery build side is empty at SF 0.01",
+}
 
 var (
 	spillSuiteOnce sync.Once
@@ -60,7 +74,7 @@ func TestQueriesIdenticalUnderSpillBudget(t *testing.T) {
 		for _, mode := range []plan.ExecMode{plan.ExecVector, plan.ExecFused} {
 			db := engine.NewDB(engine.Config{
 				Exec:           mode,
-				MemBudgetBytes: spillBudgetBytes,
+				MemBudgetBytes: spillSuiteBudgetBytes,
 				SpillDir:       t.TempDir(),
 			})
 			data.RegisterAll(db)
@@ -89,8 +103,12 @@ func TestQueriesIdenticalUnderSpillBudget(t *testing.T) {
 				}
 			}
 		}
-		if spillable && !sawSpill {
-			t.Errorf("Q%d: spillable plan never spilled under a %d-byte budget", q, spillBudgetBytes)
+		why, exempt := neverSpills[q]
+		switch {
+		case spillable && exempt && sawSpill:
+			t.Errorf("Q%d spilled under a %d-byte budget, but %s", q, spillSuiteBudgetBytes, why)
+		case spillable && !exempt && !sawSpill:
+			t.Errorf("Q%d: spillable plan never spilled under a %d-byte budget", q, spillSuiteBudgetBytes)
 		}
 		if sawSpill {
 			spilledQueries++

@@ -136,18 +136,22 @@ func (c *Context) buildPhase(build *colstore.Table, keys []string, probeRows int
 // engines, every degree of parallelism and a re-dispatched cluster worker
 // pick the same physical join:
 //
-//   - join state beyond the memory budget: radix partitions, each with a
-//     chained table, the beyond-budget ones streamed through the spill
-//     area, instead of letting the OS page a hash table through swap;
-//   - keys spanning at most PositionalMaxSpan values: the positional
-//     layout, which hashes nothing;
+//   - a build side over half the memory budget: radix partitions, each
+//     with a chained table, the beyond-budget ones streamed through the
+//     spill area, instead of letting the OS page a hash table through swap;
+//   - keys spanning at most PositionalMaxSpan values, an array capped at
+//     half a spilling budget: the positional layout, which hashes nothing;
 //   - otherwise the chained layout.
 func (c *Context) buildJoin(bk []int64, probeRows int) (exec.JoinProber, string, error) {
-	if c.useSpillJoin(len(bk), probeRows) {
+	if c.useSpillJoin(len(bk)) {
 		sj, err := c.buildSpillJoiner(bk, probeRows)
 		return sj, "radix, spilled", err
 	}
-	if base, span, ok := exec.KeySpan(bk, c.Ctr); ok && int64(span) <= PositionalMaxSpan(len(bk), probeRows) {
+	maxSpan := PositionalMaxSpan(len(bk), probeRows)
+	if c.spillOK {
+		maxSpan = min(maxSpan, c.MemLimitBytes/2/4) // a build that fits keeps its array under half the budget
+	}
+	if base, span, ok := exec.KeySpan(bk, c.Ctr); ok && int64(span) <= maxSpan {
 		jt, err := exec.BuildPositionalJoinTable(bk, base, span, c.Ctr)
 		return jt, fmt.Sprintf("positional, %d slots", span), err
 	}

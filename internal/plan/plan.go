@@ -69,16 +69,16 @@ type Context struct {
 	// degrades smoothly through charged disk I/O.
 	MemLimitBytes int64
 	// SpillDir, when non-empty, enables budget-bounded spilling: joins
-	// whose state would exceed MemLimitBytes stream radix partitions
-	// through a bounded spill area created under this directory. Empty
-	// keeps the cancel-only budget behavior.
+	// whose build side would claim over half of MemLimitBytes stream radix
+	// partitions through a bounded spill area created under this
+	// directory. Empty keeps the cancel-only budget behavior.
 	SpillDir string
 	// SpillAreaBytes, when positive, bounds the on-disk spill area
 	// (spill.DefaultAreaLimit otherwise).
 	SpillAreaBytes int64
 
-	// spillOK records whether the compiled plan contains a spillable
-	// operator; RunContext sets it before execution and clears it after.
+	// spillOK records that spilling enforces the budget (SpillDir, a budget
+	// and a spillable plan); RunContext sets it for the run's duration.
 	spillOK bool
 	// spillArea is the query's lazily created spill area, closed (and its
 	// files removed) by RunContext when the query finishes.

@@ -8,8 +8,8 @@ import (
 	"wimpi/internal/spill"
 )
 
-// Budget-bounded spill join. When a hash join's build+probe state would
-// not fit the query's memory budget, buildJoin radix-partitions it with
+// Budget-bounded spill join. When a hash join's build side would not fit
+// half the query's memory budget, buildJoin radix-partitions it with
 // the partition as the spill unit: both sides are partitioned with the
 // same fan-out, a resident prefix of partitions stays in memory, and the
 // partitions beyond it go to the on-disk spill area — one segment per
@@ -46,27 +46,22 @@ const (
 	spillProbeBytesPerRow = 12
 )
 
-// joinStateBytes estimates the resident footprint of a fully in-memory
-// hash join of the given cardinalities.
-func joinStateBytes(buildRows, probeRows int) int64 {
-	return int64(buildRows)*spillBuildBytesPerRow + int64(probeRows)*spillProbeBytesPerRow
-}
-
-// useSpillJoin reports whether a join of the given cardinalities must
-// take the spill path: spilling is enabled, a budget is set, and the
-// join state would claim more than half the budget (the other half is
-// the query's base columns and intermediates).
-func (c *Context) useSpillJoin(buildRows, probeRows int) bool {
-	return c.SpillDir != "" && c.spillOK && c.MemLimitBytes > 0 &&
-		joinStateBytes(buildRows, probeRows) > c.MemLimitBytes/2
+// useSpillJoin reports whether a join with buildRows build rows must
+// take the spill path: the budget is enforced by spilling, and the build
+// side's state would claim more than half the budget (the other half is
+// the query's base columns and intermediates). The probe side streams
+// past a build that fits and holds no join state; spilling it would buy
+// no memory, as the probe table stays resident for the gather.
+func (c *Context) useSpillJoin(buildRows int) bool {
+	return c.spillOK && int64(buildRows)*spillBuildBytesPerRow > c.MemLimitBytes/2
 }
 
 // spillBits picks the fan-out that brings one partition's share of the
-// join state under a quarter of the budget, so a partition's build
-// table, probe entries, and working state fit comfortably inside the
-// resident half.
+// join state — both sides, as a spilled partition's buffer holds both —
+// under a quarter of the budget, so a partition's build table, probe
+// entries, and working state fit comfortably inside the resident half.
 func spillBits(buildRows, probeRows int, budget int64) uint {
-	state := joinStateBytes(buildRows, probeRows)
+	state := int64(buildRows)*spillBuildBytesPerRow + int64(probeRows)*spillProbeBytesPerRow
 	target := budget / 4
 	if target <= 0 {
 		return exec.MaxRadixBits

@@ -327,14 +327,43 @@ func TestBudgetStillCancelsWithoutSpillableOperator(t *testing.T) {
 }
 
 // TestSpillDecisionIgnoresWorkers: the spill fan-out and resident prefix
-// depend only on cardinalities and the budget.
+// depend only on cardinalities and the budget, and whether a join spills
+// at all depends on its build side alone.
 func TestSpillDecisionIgnoresWorkers(t *testing.T) {
-	ctx := &Context{MemLimitBytes: spillBudget, SpillDir: "x", spillOK: true}
-	if !ctx.useSpillJoin(4_000, 120_000) {
+	ctx := &Context{MemLimitBytes: spillBudget, SpillDir: t.TempDir(), spillOK: true, Ctr: &exec.Counters{}}
+	if !ctx.useSpillJoin(4_000) {
 		t.Fatal("join state above budget must take the spill path")
 	}
-	if ctx.useSpillJoin(100, 100) {
-		t.Fatal("tiny join must stay in memory")
+	// A 100-row build stays in memory however large the probe side.
+	small := make([]int64, 100)
+	for i := range small {
+		small[i] = int64(i * 7)
+	}
+	for _, probeRows := range []int{0, 100, 1 << 20, 1 << 30} {
+		if _, layout, err := ctx.buildJoin(small, probeRows); err != nil || layout == "radix, spilled" {
+			t.Fatalf("100 build rows against %d probe rows: layout %q, err %v; want resident", probeRows, layout, err)
+		}
+	}
+	// The largest build whose state fits half the budget stays; one more
+	// row spills, even with no probe rows at all.
+	fit := int(spillBudget / 2 / spillBuildBytesPerRow)
+	if ctx.useSpillJoin(fit) {
+		t.Fatalf("%d build rows (%d B) fit half of a %d B budget", fit, fit*spillBuildBytesPerRow, spillBudget)
+	}
+	big := make([]int64, fit+1)
+	for i := range big {
+		big[i] = int64(i)
+	}
+	jp, layout, err := ctx.buildJoin(big, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if layout != "radix, spilled" {
+		t.Fatalf("%d build rows, no probe rows: layout %q, want radix, spilled", fit+1, layout)
+	}
+	jp.(*spillJoiner).seg.Close()
+	if err := ctx.spillArea.Close(); err != nil {
+		t.Fatal(err)
 	}
 	bits := spillBits(4_000, 120_000, spillBudget)
 	if bits == 0 {
@@ -342,5 +371,71 @@ func TestSpillDecisionIgnoresWorkers(t *testing.T) {
 	}
 	if b2 := spillBits(4_000, 120_000, spillBudget); b2 != bits {
 		t.Fatalf("spillBits not deterministic: %d vs %d", bits, b2)
+	}
+}
+
+// TestResidentBuildStreamsProbe: a build side under half the budget
+// joins in memory against a probe side twenty times the budget, for
+// every join kind — nothing is partitioned or written, and the result
+// is the unbudgeted run's. Whatever its keys span, the table it keeps is
+// under half the budget: keys spread over the whole probe domain would
+// lay out a positional array of 8 bytes a probe row without the budget.
+func TestResidentBuildStreamsProbe(t *testing.T) {
+	const budget = 64 << 10
+	const nBuild, nProbe = 500, 120_000 // build 22 KB of state, probe 1.4 MB of keys
+	if nBuild*spillBuildBytesPerRow > budget/2 || nProbe*spillProbeBytesPerRow < 20*budget {
+		t.Fatal("sizes no longer bracket the budget")
+	}
+	// stride 2 spans 1 000 keys (a 4 KB positional array); stride 240
+	// spans the probe domain (479 KB positional without a budget).
+	for _, stride := range []int{2, nProbe / nBuild} {
+		bb := colstore.NewTableBuilder("dim", colstore.Schema{
+			{Name: "d_id", Type: colstore.Int64},
+			{Name: "d_val", Type: colstore.Int64},
+		})
+		for i := 0; i < nBuild; i++ {
+			bb.Int(0, int64(i*stride)) // one probe key in stride matches
+			bb.Int(1, int64(i%17))
+			bb.EndRow()
+		}
+		pb := colstore.NewTableBuilder("fact", colstore.Schema{
+			{Name: "f_dim", Type: colstore.Int64},
+			{Name: "f_amt", Type: colstore.Float64},
+		})
+		for i := 0; i < nProbe; i++ {
+			pb.Int(0, int64(i%(stride*nBuild)))
+			pb.Float(1, float64(i%991))
+			pb.EndRow()
+		}
+		cat := memCatalog{"dim": bb.Build(), "fact": pb.Build()}
+		for _, kind := range []JoinKind{Inner, Semi, Anti, LeftCount} {
+			t.Run(fmt.Sprintf("stride%d/%s", stride, kind), func(t *testing.T) {
+				p := &HashJoin{
+					Build: &Scan{Table: "dim"}, BuildKeys: []string{"d_id"},
+					Probe: &Scan{Table: "fact"}, ProbeKeys: []string{"f_dim"},
+					Kind: kind,
+				}
+				want, err := RunContext(&Context{Cat: cat, Workers: 2}, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := RunContext(&Context{Cat: cat, Workers: 2, MemLimitBytes: budget, SpillDir: t.TempDir()}, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok, why := colstore.TablesIdentical(want.Table, got.Table); !ok {
+					t.Fatalf("budgeted result differs from unbudgeted: %s", why)
+				}
+				if c := got.Counters; c.SpillWriteBytes != 0 || c.PartitionBytes != 0 {
+					t.Fatalf("resident build spilled: wrote %d, partitioned %d bytes", c.SpillWriteBytes, c.PartitionBytes)
+				}
+				if h := got.Counters.MaxHashBytes; h > budget/2 {
+					t.Fatalf("resident build's table is %d B, over half of the %d B budget", h, budget)
+				}
+				if h := want.Counters.MaxHashBytes; stride > 2 && h <= budget/2 {
+					t.Fatalf("unbudgeted table is only %d B: the wide keys no longer test the budget's bound", h)
+				}
+			})
+		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package spill implements the bounded on-disk spill area behind the
-// engine's budget-bounded operators. When a join's build+probe state
-// would exceed plan.Context.MemLimitBytes, the radix partitions beyond
+// engine's budget-bounded operators. When a join's build side would
+// claim over half of plan.Context.MemLimitBytes (its probe side streams
+// past a build that fits), the radix partitions of both sides beyond
 // the resident set are written here — one segment per join side — and
 // read back one partition at a time: planned, sequential, charged I/O
 // instead of the OS paging the engine's random accesses through swap.

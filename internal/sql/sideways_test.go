@@ -217,7 +217,7 @@ func TestKeyFiltersUnderBudget(t *testing.T) {
 	data := fixture()
 	free := engine.NewDB(engine.Config{})
 	data.RegisterAll(free)
-	budgeted := engine.NewDB(engine.Config{MemBudgetBytes: 64 << 10, SpillDir: t.TempDir()})
+	budgeted := engine.NewDB(engine.Config{MemBudgetBytes: spillBudget, SpillDir: t.TempDir()})
 	data.RegisterAll(budgeted)
 	for _, q := range []int{4, 20, 21} {
 		want, err := free.RunQuery(context.Background(), planSQL(t, free, q).Node, engine.QueryOpts{})
@@ -231,8 +231,9 @@ func TestKeyFiltersUnderBudget(t *testing.T) {
 		if ok, why := colstore.TablesIdentical(want.Table, got.Table); !ok {
 			t.Fatalf("Q%d: budgeted result differs: %s", q, why)
 		}
-		if spans := strings.Join(keyFilterSpans(got.Root), "\n"); !strings.Contains(spans, "→") || got.Counters.SpillWriteBytes == 0 {
-			t.Fatalf("Q%d: want a filter that ran and a spill:\n%s\n%+v", q, spans, got.Counters)
+		if spans := strings.Join(keyFilterSpans(got.Root), "\n"); !strings.Contains(spans, "→") ||
+			!strings.Contains(spans, "radix, spilled") || got.Counters.SpillWriteBytes == 0 {
+			t.Fatalf("Q%d: want a filter that ran, a spilled key set and a spill:\n%s\n%+v", q, spans, got.Counters)
 		}
 	}
 }

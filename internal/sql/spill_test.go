@@ -29,6 +29,12 @@ func TestSQLPlansAreSpillable(t *testing.T) {
 	}
 }
 
+// spillBudget is the budget the SQL spill tests force with. A join
+// spills when its build side passes half the budget (over 93 build rows
+// here); at SF 0.01 each of Q3, Q5 and Q10 has such a join and each of
+// Q4, Q20 and Q21 such a key set.
+const spillBudget = 8 << 10
+
 // TestSQLSpillsUnderBudget: a SQL-planned join query under a tiny
 // budget runs through the spill scheduler and stays byte-identical to
 // the unbudgeted run.
@@ -36,7 +42,7 @@ func TestSQLSpillsUnderBudget(t *testing.T) {
 	data := fixture()
 	free := engine.NewDB(engine.Config{})
 	data.RegisterAll(free)
-	budgeted := engine.NewDB(engine.Config{MemBudgetBytes: 64 << 10, SpillDir: t.TempDir()})
+	budgeted := engine.NewDB(engine.Config{MemBudgetBytes: spillBudget, SpillDir: t.TempDir()})
 	data.RegisterAll(budgeted)
 	for _, q := range []int{3, 5, 10} {
 		t.Run(fmt.Sprintf("Q%d", q), func(t *testing.T) {
