@@ -4,7 +4,7 @@ GO ?= go
 # and soak runs override it (FUZZTIME=2m make fuzz).
 FUZZTIME ?= 10s
 
-.PHONY: build test test-procs vet cross lint lint-report lint-bench race chaos fuzz explain-smoke serve-smoke spill-smoke check loc bench bench-compare bench-pairs bench-scaling bench-smoke
+.PHONY: build test test-procs vet cross lint lint-report lint-bench race chaos fuzz explain-smoke serve-smoke spill-smoke examples check loc bench bench-compare bench-pairs bench-scaling bench-smoke
 
 build:
 	$(GO) build ./...
@@ -156,8 +156,16 @@ spill-smoke:
 	done; \
 	echo "spill-smoke: Q3, Q4, Q13 spilled and Q8 streamed under the budget at 1 and 4 workers, each identical to the unlimited run; spill directory empty"
 
+# Every example runs to completion (a non-zero exit fails the target):
+# they are the library's callers outside the tree's own packages.
+examples:
+	@for e in examples/*/; do \
+		echo "examples: $$e"; \
+		$(GO) run ./$$e > /dev/null || { echo "examples: $$e failed"; exit 1; }; \
+	done
+
 # The tier-1 gate: everything a change must pass before merging.
-check: build test test-procs vet lint race explain-smoke serve-smoke spill-smoke
+check: build test test-procs vet lint race explain-smoke serve-smoke spill-smoke examples
 
 # The north star's "net line count goes down", as a number: non-test,
 # non-generated Go lines per package group (internal/x, cmd/x, …), and —

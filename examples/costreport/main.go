@@ -10,7 +10,6 @@ import (
 	"sort"
 	"time"
 
-	"wimpi/internal/costmodel"
 	"wimpi/internal/engine"
 	"wimpi/internal/hardware"
 	"wimpi/internal/tpch"
@@ -54,11 +53,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		msrp, err := costmodel.MSRPImprovement(pi, 1, total[name], &p)
+		msrp, err := hardware.Improvement((*hardware.Profile).MSRP, pi, 1, total[name], &p)
 		if err != nil {
 			log.Fatal(err)
 		}
-		energy, err := costmodel.EnergyImprovement(pi, 1, total[name], &p)
+		energy, err := hardware.Improvement((*hardware.Profile).Watts, pi, 1, total[name], &p)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -69,7 +68,7 @@ func main() {
 	fmt.Println("\nPi 3B+ vs the Cloud instances (the paper's Figure 6, hourly):")
 	for _, p := range hardware.CloudProfiles() {
 		p := p
-		hourly, err := costmodel.HourlyImprovement(pi, 1, total[p.Name], &p)
+		hourly, err := hardware.Improvement((*hardware.Profile).Hourly, pi, 1, total[p.Name], &p)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 	"log"
 	"time"
 
-	"wimpi/internal/costmodel"
 	"wimpi/internal/hardware"
 	"wimpi/internal/powersim"
 )
@@ -32,14 +31,14 @@ func main() {
 	activeS := activeHours * secsPerHour
 	idleS := idleHours * secsPerHour
 
-	goldActiveW := gold.TDPWatts * float64(gold.Sockets)
-	goldIdleW := gold.IdleWatts * float64(gold.Sockets)
-	wimpiActiveW := costmodel.ClusterWatts(nodes)
-	wimpiIdleW := pi.IdleWatts * nodes
+	wimpiActiveW := pi.Watts() * nodes
+	wimpiIdleW := pi.WattsIdle() * nodes
 
-	server := costmodel.IdleDutyCycleJoules(goldActiveW, goldIdleW, activeS, idleS, false)
-	wimpiOn := costmodel.IdleDutyCycleJoules(wimpiActiveW, wimpiIdleW, activeS, idleS, false)
-	wimpiOff := costmodel.IdleDutyCycleJoules(wimpiActiveW, wimpiIdleW, activeS, idleS, true)
+	// A day's energy: active draw over the batch window plus idle draw
+	// over the rest, unless the idle nodes are powered off.
+	server := gold.Watts()*activeS + gold.WattsIdle()*idleS
+	wimpiOn := wimpiActiveW*activeS + wimpiIdleW*idleS
+	wimpiOff := wimpiActiveW * activeS
 
 	kwh := func(j float64) float64 { return j / 3.6e6 }
 	fmt.Printf("daily duty cycle: %g h active, %g h idle\n\n", activeHours, idleHours)
@@ -52,7 +51,7 @@ func main() {
 	// Fine-grained elasticity: keep only a 4-node "hot" slice alive
 	// during idle hours for interactive queries.
 	hot := 4
-	wimpiHot := costmodel.IdleDutyCycleJoules(wimpiActiveW, pi.IdleWatts*float64(hot), activeS, idleS, false)
+	wimpiHot := wimpiActiveW*activeS + pi.WattsIdle()*float64(hot)*idleS
 	fmt.Printf("keeping a %d-node hot slice instead: %.2f kWh/day (%.0f%% saved vs server)\n",
 		hot, kwh(wimpiHot), 100*(1-wimpiHot/server))
 

@@ -68,5 +68,5 @@ func main() {
 	tPi := model.QueryTime(&pi, res.Counters, pi.TotalCores())
 	tE5 := model.QueryTime(&e5, res.Counters, e5.TotalCores())
 	fmt.Printf("\nsimulated: Pi 3B+ %.3fs, op-e5 %.3fs (Pi %.1fx slower, %.0fx cheaper)\n",
-		tPi.Seconds(), tE5.Seconds(), tPi.Seconds()/tE5.Seconds(), 2*e5.MSRPUSD/35)
+		tPi.Seconds(), tE5.Seconds(), tPi.Seconds()/tE5.Seconds(), e5.MSRP()/pi.MSRP())
 }

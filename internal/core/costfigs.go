@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"wimpi/internal/costmodel"
 	"wimpi/internal/hardware"
 )
 
@@ -21,9 +20,9 @@ type NormalizedResult struct {
 	Dist map[int]map[int]map[string]float64
 }
 
-type normMetric func(piTime time.Duration, piNodes int, serverTime time.Duration, server *hardware.Profile) (float64, error)
-
-func (h *Harness) normalized(name string, t2 *TableIIResult, t3 *TableIIIResult, servers []hardware.Profile, metric normMetric) (*NormalizedResult, error) {
+// normalized divides each runtime by what the machine costs in price's
+// unit ((*hardware.Profile).MSRP, Hourly or Watts).
+func (h *Harness) normalized(name string, t2 *TableIIResult, t3 *TableIIIResult, servers []hardware.Profile, price func(*hardware.Profile) float64) (*NormalizedResult, error) {
 	res := &NormalizedResult{
 		Name: name,
 		SF1:  map[int]map[string]float64{},
@@ -34,7 +33,7 @@ func (h *Harness) normalized(name string, t2 *TableIIResult, t3 *TableIIIResult,
 		res.SF1[q] = map[string]float64{}
 		for i := range servers {
 			s := &servers[i]
-			v, err := metric(pi, 1, secs(row[s.Name]), s)
+			v, err := hardware.Improvement(price, pi, 1, secs(row[s.Name]), s)
 			if err != nil {
 				return nil, fmt.Errorf("core: %s figure Q%d %s: %w", name, q, s.Name, err)
 			}
@@ -47,7 +46,7 @@ func (h *Harness) normalized(name string, t2 *TableIIResult, t3 *TableIIIResult,
 			res.Dist[q][n] = map[string]float64{}
 			for i := range servers {
 				s := &servers[i]
-				v, err := metric(secs(wim), n, secs(t3.Servers[q][s.Name]), s)
+				v, err := hardware.Improvement(price, secs(wim), n, secs(t3.Servers[q][s.Name]), s)
 				if err != nil {
 					return nil, fmt.Errorf("core: %s figure Q%d %s: %w", name, q, s.Name, err)
 				}
@@ -63,19 +62,19 @@ func secs(s float64) time.Duration { return time.Duration(s * float64(time.Secon
 // Figure5 regenerates the MSRP-normalized comparison (On-Premises
 // servers only — the Cloud SKUs have no public MSRP).
 func (h *Harness) Figure5(t2 *TableIIResult, t3 *TableIIIResult) (*NormalizedResult, error) {
-	return h.normalized("MSRP", t2, t3, hardware.OnPrem(), costmodel.MSRPImprovement)
+	return h.normalized("MSRP", t2, t3, hardware.OnPrem(), (*hardware.Profile).MSRP)
 }
 
 // Figure6 regenerates the hourly-cost-normalized comparison (Cloud
 // servers).
 func (h *Harness) Figure6(t2 *TableIIResult, t3 *TableIIIResult) (*NormalizedResult, error) {
-	return h.normalized("Hourly", t2, t3, hardware.CloudProfiles(), costmodel.HourlyImprovement)
+	return h.normalized("Hourly", t2, t3, hardware.CloudProfiles(), (*hardware.Profile).Hourly)
 }
 
 // Figure7 regenerates the TDP-energy-normalized comparison (On-Premises
 // servers).
 func (h *Harness) Figure7(t2 *TableIIResult, t3 *TableIIIResult) (*NormalizedResult, error) {
-	return h.normalized("Energy", t2, t3, hardware.OnPrem(), costmodel.EnergyImprovement)
+	return h.normalized("Energy", t2, t3, hardware.OnPrem(), (*hardware.Profile).Watts)
 }
 
 // Render formats a normalized figure. Values above 1.0 favor the

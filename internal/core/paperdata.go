@@ -87,18 +87,3 @@ var PaperTableIIIWimPi = map[int]map[int]float64{
 	14: {4: 0.280, 8: 0.167, 12: 0.108, 16: 0.103, 20: 0.085, 24: 0.104},
 	19: {4: 0.624, 8: 0.423, 12: 0.351, 16: 0.325, 20: 0.270, 24: 0.220},
 }
-
-// PaperClaims collects the paper's headline qualitative findings, which
-// the harness checks against measured output (EXPERIMENTS.md records the
-// outcome of each).
-var PaperClaims = []string{
-	"Fig 2a/2b: Pi single-core FP within 2-3x of op-e5, 5-6x of op-gold/m5.metal; z1d.metal best single-core",
-	"Fig 2c: Pi single-core sysbench ~equal to op-e5; servers 1.2-3.9x better",
-	"Fig 2d: Pi 1-core bandwidth 5-11x below servers; all-core 20-99x; 24 nodes ~ op-e5",
-	"Table II: Pi on average ~10x slower at SF 1; worst on scan-bound Q1; best on CPU-bound Q11/Q16",
-	"Table III: 4-node thrash cliff, 10-100x jump once partitions fit; Q13 flat (single node)",
-	"Fig 4: access-aware best, data-centric worst, gaps less pronounced on the Pi",
-	"Fig 5: single Pi 6-64x better MSRP-normalized; Q13 always loses; Q6/Q14/Q19 degrade with more nodes",
-	"Fig 6: Pi beats all cloud servers on hourly cost for every query (up to 10,000x / 1,200x)",
-	"Fig 7: Pi 2-22x better energy at SF 1 (median ~10x); best on selective queries (Q6), not scans (Q1)",
-}

@@ -332,16 +332,6 @@ func median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-func argmax(m map[int]float64) (int, float64) {
-	bestK, bestV := 0, math.Inf(-1)
-	for k, v := range m {
-		if v > bestV {
-			bestK, bestV = k, v
-		}
-	}
-	return bestK, bestV
-}
-
 // rankAscending returns each key's 1-based rank by ascending value.
 func rankAscending(m map[int]float64) map[int]int {
 	type kv struct {

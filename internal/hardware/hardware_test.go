@@ -249,33 +249,132 @@ func TestModelPartitionStreaming(t *testing.T) {
 
 func TestEnergy(t *testing.T) {
 	pi := Pi()
-	if e := EnergyJoules(&pi, 10*time.Second); e != 51 {
-		t.Errorf("Pi energy = %g J, want 51", e)
+	if e := pi.Watts() * 10; e != 51 {
+		t.Errorf("Pi energy over 10 s = %g J, want 51", e)
 	}
-	if e := IdleEnergyJoules(&pi, 10*time.Second); e != 19 {
-		t.Errorf("Pi idle energy = %g J, want 19", e)
+	if e := pi.WattsIdle() * 10; e != 19 {
+		t.Errorf("Pi idle energy over 10 s = %g J, want 19", e)
 	}
 	// A dual-socket machine draws both CPUs' power.
 	gold, _ := ByName("op-gold")
-	if e := EnergyJoules(&gold, time.Second); e != 330 {
-		t.Errorf("op-gold energy = %g J, want 330", e)
+	if w := gold.Watts(); w != 330 {
+		t.Errorf("op-gold draw = %g W, want 330", w)
 	}
-	if e := IdleEnergyJoules(&gold, time.Second); e != 140 {
-		t.Errorf("op-gold idle energy = %g J, want 140", e)
-	}
-	a1, _ := ByName("a1.metal")
-	if EnergyJoules(&a1, time.Second) != 0 {
-		t.Error("profiles without TDP should report zero energy")
+	if w := gold.WattsIdle(); w != 140 {
+		t.Errorf("op-gold idle draw = %g W, want 140", w)
 	}
 }
 
-func TestIntFpAllCoreHelpers(t *testing.T) {
-	e5, _ := ByName("op-e5")
-	if e5.IntOpsAll() != e5.IntOpsPerCore*20*1.25 {
-		t.Error("IntOpsAll wrong")
+func TestEnergyHelpers(t *testing.T) {
+	pi := Pi()
+	if e := pi.Watts() * (10 * time.Second).Seconds(); e != 51 {
+		t.Errorf("Pi energy over 10 s = %g J, want 51", e)
 	}
-	if e5.FpOpsAll() != e5.FpOpsPerCore*20*1.25 {
-		t.Error("FpOpsAll wrong")
+	// A duty cycle of 100 s active and 900 s idle, with the idle node
+	// left on or powered off (the sum examples/energyproportional uses).
+	on := pi.Watts()*100 + pi.WattsIdle()*900
+	off := pi.Watts() * 100
+	if on <= off {
+		t.Error("powering off idle nodes must save energy")
+	}
+	if off < 509.9 || off > 510.1 {
+		t.Errorf("active-only energy = %v", off)
+	}
+	if on < 2219.9 || on > 2220.1 {
+		t.Errorf("duty-cycle energy = %v", on)
+	}
+}
+
+func TestServerCostAccessors(t *testing.T) {
+	e5, _ := ByName("op-e5")
+	if msrp := e5.MSRP(); msrp != 2*1389 {
+		t.Errorf("op-e5 MSRP = %v (dual socket should double)", msrp)
+	}
+	if w := e5.Watts(); w != 190 {
+		t.Errorf("op-e5 watts = %v", w)
+	}
+	if h := e5.Hourly(); h != 0 {
+		t.Errorf("on-prem server has an hourly price %v", h)
+	}
+	for _, cloud := range CloudProfiles() {
+		if cloud.MSRP() != 0 || cloud.Watts() != 0 {
+			t.Errorf("cloud SKU %s should have no MSRP or TDP", cloud.Name)
+		}
+	}
+	pi := Pi()
+	if msrp := pi.MSRP() * 24; msrp != 840 {
+		t.Errorf("24-node cluster MSRP = %v, want $840 (paper)", msrp)
+	}
+	if w := pi.Watts() * 24; w < 122.3 || w > 122.5 {
+		t.Errorf("cluster watts = %v, want ~122.4 (the paper's ~122 W)", w)
+	}
+	if h := pi.Hourly() * 10; h < 0.0039 || h > 0.0041 {
+		t.Errorf("cluster hourly = %v", h)
+	}
+}
+
+func TestImprovementSemantics(t *testing.T) {
+	srv, _ := ByName("op-e5")
+	flat := func(*Profile) float64 { return 100 }
+	// Same cost, the Pi twice as fast: 2x improvement.
+	if got, err := Improvement(flat, time.Second, 1, 2*time.Second, &srv); err != nil || got != 2 {
+		t.Errorf("improvement = %v, %v", got, err)
+	}
+	// The Pi twice as slow but 10x cheaper: 5x improvement (the paper's
+	// worked example in Section III).
+	tenth := func(p *Profile) float64 {
+		if p.Category == SBC {
+			return 10
+		}
+		return 100
+	}
+	if got, err := Improvement(tenth, 2*time.Second, 1, time.Second, &srv); err != nil || got != 5 {
+		t.Errorf("improvement = %v, %v, want 5", got, err)
+	}
+	if got, err := Improvement(tenth, 0, 1, time.Second, &srv); err != nil || got != 0 {
+		t.Errorf("zero runtime should yield 0, got %v, %v", got, err)
+	}
+}
+
+func TestFigureMetrics(t *testing.T) {
+	e5, _ := ByName("op-e5")
+	// Paper Q6 SF1: Pi 0.099s vs op-e5 0.028s.
+	pi := 99 * time.Millisecond
+	srv := 28 * time.Millisecond
+	msrp, err := Improvement((*Profile).MSRP, pi, 1, srv, &e5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// (0.028*2778)/(0.099*35) = ~22.4 — inside the paper's 7-41x band.
+	if msrp < 20 || msrp > 25 {
+		t.Errorf("Q6 MSRP improvement = %.1f, want ~22", msrp)
+	}
+	energy, err := Improvement((*Profile).Watts, pi, 1, srv, &e5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// (0.028*190)/(0.099*5.1) = ~10.5 — the paper's ~10x median.
+	if energy < 9 || energy > 12 {
+		t.Errorf("Q6 energy improvement = %.1f, want ~10.5", energy)
+	}
+	m5, _ := ByName("m5.metal")
+	hourly, err := Improvement((*Profile).Hourly, pi, 1, 8*time.Millisecond, &m5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// (0.008*4.608)/(0.099*0.0004) = ~930 — the paper's "up to 10,000x"
+	// hourly dominance.
+	if hourly < 800 || hourly > 1100 {
+		t.Errorf("hourly improvement = %.0f", hourly)
+	}
+	if _, err := Improvement((*Profile).Hourly, pi, 1, srv, &e5); err == nil {
+		t.Error("on-prem server has no hourly price")
+	}
+	if _, err := Improvement((*Profile).MSRP, pi, 1, srv, &m5); err == nil {
+		t.Error("cloud SKU has no MSRP")
+	}
+	if _, err := Improvement((*Profile).Watts, pi, 1, srv, &m5); err == nil {
+		t.Error("cloud SKU has no TDP")
 	}
 }
 

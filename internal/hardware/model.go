@@ -243,17 +243,3 @@ func (s Sim) OperatorTime(c exec.Counters) (time.Duration, string) {
 
 // OverheadSeconds implements obs.Simulator.
 func (s Sim) OverheadSeconds() float64 { return s.Profile.QueryOverheadSec }
-
-// EnergyJoules estimates the whole machine's energy running at full
-// load for the given simulated duration: TDP × sockets × time, the
-// paper's methodology (Section III-B.1) and costmodel.ServerWatts'
-// draw. Profiles without a public TDP return 0.
-func EnergyJoules(p *Profile, d time.Duration) float64 {
-	return p.TDPWatts * float64(p.Sockets) * d.Seconds()
-}
-
-// IdleEnergyJoules estimates the whole machine's energy drawn while
-// idle for the duration: idle watts × sockets × time (Section III-B.2).
-func IdleEnergyJoules(p *Profile, d time.Duration) float64 {
-	return p.IdleWatts * float64(p.Sockets) * d.Seconds()
-}

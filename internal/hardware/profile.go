@@ -15,9 +15,16 @@
 // The calibration scalars are set from the public specifications in
 // Table I and the relative microbenchmark scores reported in Figure 2;
 // they are not measurements of the physical machines.
+//
+// The package is also the one home of each machine's price and power
+// draw (Profile.MSRP, Hourly, Watts, WattsIdle) and of the Section III
+// normalization that divides a runtime by them (Improvement).
 package hardware
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // Category groups profiles as in Table I.
 type Category string
@@ -64,6 +71,9 @@ type Profile struct {
 	// IdleWatts is the idle power draw per socket used by the energy-
 	// proportionality analysis (Section III-B.2).
 	IdleWatts float64
+	// BootWatts is the whole board's draw while booting, used by the
+	// power-policy simulation (zero where it is not modelled).
+	BootWatts float64
 
 	// Calibrated throughput scalars.
 
@@ -94,14 +104,42 @@ type Profile struct {
 // TotalCores returns physical cores across sockets.
 func (p *Profile) TotalCores() int { return p.Cores * p.Sockets }
 
-// IntOpsAll returns all-core integer throughput.
-func (p *Profile) IntOpsAll() float64 {
-	return p.IntOpsPerCore * float64(p.TotalCores()) * p.SMTSpeedup
-}
+// MSRP returns the whole machine's purchase price: MSRP per CPU times
+// sockets (the paper doubles the On-Premises prices because both are
+// dual-socket). Zero when the price is not public (the Cloud SKUs).
+func (p *Profile) MSRP() float64 { return p.MSRPUSD * float64(p.Sockets) }
 
-// FpOpsAll returns all-core floating-point throughput.
-func (p *Profile) FpOpsAll() float64 {
-	return p.FpOpsPerCore * float64(p.TotalCores()) * p.SMTSpeedup
+// Hourly returns the whole machine's hourly price: the EC2 on-demand
+// price of the instance, or the Pi's electricity cost (zero for the
+// On-Premises servers).
+func (p *Profile) Hourly() float64 { return p.HourlyUSD }
+
+// Watts returns the whole machine's draw at full load: TDP times
+// sockets (Section III-B.1). Zero when the TDP is not public.
+func (p *Profile) Watts() float64 { return p.TDPWatts * float64(p.Sockets) }
+
+// WattsIdle returns the whole machine's idle draw: idle watts times
+// sockets (Section III-B.2).
+func (p *Profile) WattsIdle() float64 { return p.IdleWatts * float64(p.Sockets) }
+
+// Improvement returns the paper's Section III normalized improvement of
+// a piNodes-node Pi configuration over a server: (tServer × price of
+// the server) / (tPi × price of piNodes Pis), where price is one of
+// (*Profile).MSRP (Figure 5), Hourly (Figure 6) or Watts (Figure 7).
+// Above 1 favors the Pi, below 1 the server — the paper's dotted
+// break-even line. It errors when the server has no price in that unit,
+// and is 0 for a zero Pi runtime.
+func Improvement(price func(*Profile) float64, tPi time.Duration, piNodes int, tServer time.Duration, server *Profile) (float64, error) {
+	cost := price(server)
+	if cost <= 0 {
+		return 0, fmt.Errorf("hardware: %s has no price in this unit", server.Name)
+	}
+	pi := Pi()
+	den := tPi.Seconds() * (price(&pi) * float64(piNodes))
+	if den <= 0 {
+		return 0, nil
+	}
+	return tServer.Seconds() * cost / den, nil
 }
 
 // MemBW returns the sequential bandwidth achievable with the given
@@ -114,11 +152,7 @@ func (p *Profile) MemBW(cores int) float64 {
 	return bw
 }
 
-const (
-	gb  = 1e9
-	mb  = 1e6
-	kib = 1024.0
-)
+const gb = 1e9
 
 // Profiles returns the paper's ten comparison points in Table I order.
 // The slice is freshly allocated; callers may modify their copy.
@@ -209,7 +243,7 @@ func Profiles() []Profile {
 			Name: "Pi 3B+", Category: SBC, CPU: "ARM Cortex-A53",
 			FreqGHz: 1.4, Cores: 4, Sockets: 1, SMTSpeedup: 1.0,
 			LLCBytes: 512 * 1024, MSRPUSD: 35, HourlyUSD: 0.0004,
-			TDPWatts: 5.1, IdleWatts: 1.9,
+			TDPWatts: 5.1, IdleWatts: 1.9, BootWatts: 4.0,
 			IntOpsPerCore: 0.90 * gb, FpOpsPerCore: 0.35 * gb,
 			MemBW1: 2.2 * gb, MemBWAll: 2.6 * gb,
 			DRAMLatency: 180e-9, LLCLatency: 40e-9,

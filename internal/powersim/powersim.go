@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"wimpi/internal/hardware"
 )
 
 // NodePower describes one node's power draw per state, in watts.
@@ -26,12 +28,12 @@ type NodePower struct {
 	BootW float64
 }
 
-// PiPower returns the Raspberry Pi 3B+ draw (5.1 W max, ~1.9 W idle);
-// boot draw approximates active.
-func PiPower() NodePower { return NodePower{ActiveW: 5.1, IdleW: 1.9, BootW: 4.0} }
-
-// ServerPower returns a dual-socket op-gold-class draw.
-func ServerPower() NodePower { return NodePower{ActiveW: 330, IdleW: 140, BootW: 250} }
+// PiPower returns the Raspberry Pi 3B+ draw, read from its hardware
+// profile.
+func PiPower() NodePower {
+	pi := hardware.Pi()
+	return NodePower{ActiveW: pi.Watts(), IdleW: pi.WattsIdle(), BootW: pi.BootWatts}
+}
 
 // Cluster describes the simulated hardware.
 type Cluster struct {

@@ -3,6 +3,8 @@ package powersim
 import (
 	"testing"
 	"time"
+
+	"wimpi/internal/hardware"
 )
 
 func piCluster(n int) Cluster {
@@ -152,11 +154,16 @@ func TestPeriodicTrace(t *testing.T) {
 }
 
 func TestPowerModels(t *testing.T) {
-	pi, srv := PiPower(), ServerPower()
-	if pi.ActiveW <= pi.IdleW || srv.ActiveW <= srv.IdleW {
+	pi := PiPower()
+	if pi.ActiveW <= pi.IdleW {
 		t.Error("active draw must exceed idle")
 	}
-	if srv.IdleW/srv.ActiveW <= pi.IdleW/pi.ActiveW {
-		t.Error("servers should be less energy-proportional than Pis")
+	for _, srv := range hardware.OnPrem() {
+		if srv.Watts() <= srv.WattsIdle() {
+			t.Errorf("%s: active draw must exceed idle", srv.Name)
+		}
+		if srv.WattsIdle()/srv.Watts() <= pi.IdleW/pi.ActiveW {
+			t.Errorf("%s should be less energy-proportional than the Pi", srv.Name)
+		}
 	}
 }
