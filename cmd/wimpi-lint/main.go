@@ -1,9 +1,9 @@
-// Command wimpi-lint is the multichecker for the wimpi invariant suite:
-// determinism and taint flow, path-sensitive cost accounting, hot-loop
-// allocations, sealed-set exhaustiveness, context discipline, goroutine
-// hygiene, and wire-protocol error handling (see internal/lint). It
-// also runs the stock `go vet` passes alongside the custom analyzers,
-// so one invocation gives the full static gate:
+// Command wimpi-lint is the multichecker for the wimpi invariant suite,
+// seven analyzers: determinism as taint flow, path-sensitive cost
+// accounting, hot-loop allocations, sealed-set exhaustiveness, context
+// discipline, goroutine hygiene, and wire-protocol error handling (see
+// internal/lint). It also runs the stock `go vet` passes alongside the
+// custom analyzers, so one invocation gives the full static gate:
 //
 //	wimpi-lint ./...
 //
@@ -14,7 +14,9 @@
 //	-list           print the suite and exit
 //	-json           emit findings as a JSON array on stdout
 //	-sarif file     additionally write findings as SARIF 2.1.0 to file
-//	-deadline d     fail if the run takes longer than d (0 disables)
+//	-deadline d     fail if the run takes longer than d (0 disables);
+//	                `make lint` and `make lint-report` pass 120s, so the
+//	                suite's own cost is gated on every run CI makes
 //
 // The exit status is non-zero if any analyzer (or vet) reports a
 // finding. Findings are suppressed only by an audited

@@ -173,7 +173,6 @@ func (c *Coordinator) callRetry(ctx context.Context, node int, req *Request) (*R
 		if c.cfg.RPCTimeout > 0 {
 			attemptCtx, cancel = context.WithTimeout(ctx, c.cfg.RPCTimeout)
 		}
-		//lint:allow determinism -- RPC latency is measured for the metrics histogram only
 		attemptStart := time.Now()
 		resp, n, err := c.conns[node].call(attemptCtx, req)
 		metricRPCLatency.Observe(time.Since(attemptStart).Seconds())
@@ -253,7 +252,7 @@ func (c *Coordinator) LoadSQLContext(ctx context.Context, sf float64, seed uint6
 		dist[id] = d
 		partials[id] = d.Partial
 	}
-	//lint:allow determinism,taintflow -- measured wall clock for LoadStats reporting; results never depend on it
+	//lint:allow taintflow -- measured wall clock for LoadStats reporting; results never depend on it
 	start := time.Now()
 	stats := &LoadStats{NodeBytes: make([]int64, len(c.conns))}
 	errs := make([]error, len(c.conns))
@@ -459,7 +458,7 @@ func (c *Coordinator) runDist(ctx context.Context, q int, d *sqlpkg.DistSQL) (*D
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	//lint:allow determinism,taintflow -- measured wall clock for DistResult reporting; merged results never depend on it
+	//lint:allow taintflow -- measured wall clock for DistResult reporting; merged results never depend on it
 	start := time.Now()
 	participants := len(c.conns)
 	if d.SingleNode {
@@ -473,7 +472,6 @@ func (c *Coordinator) runDist(ctx context.Context, q int, d *sqlpkg.DistSQL) (*D
 			if backup {
 				forNode = partition
 			}
-			//lint:allow determinism -- round-trip wall time feeds the node span only, never the merged result
 			issueStart := time.Now()
 			resp, n, err := c.callRetry(ctx, target, &Request{Type: "query", Query: q, ForNode: forNode})
 			o := outcome{node: partition, conn: target, err: err, backup: backup}
@@ -632,7 +630,7 @@ collect:
 			return nil, perr
 		}
 		res.Partial = true
-		//lint:allow determinism,taintflow -- merge wall time feeds the merge span only
+		//lint:allow taintflow -- merge wall time feeds the merge span only
 		mergeStart := time.Now()
 		merged, mergeCtr, err := c.merge(q, d, tables)
 		if err != nil {
@@ -646,7 +644,7 @@ collect:
 		return res, perr
 	}
 
-	//lint:allow determinism,taintflow -- merge wall time feeds the merge span only
+	//lint:allow taintflow -- merge wall time feeds the merge span only
 	mergeStart := time.Now()
 	merged, mergeCtr, err := c.merge(q, d, tables)
 	if err != nil {

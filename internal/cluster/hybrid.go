@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"wimpi/internal/engine"
-	"wimpi/internal/exec"
 	"wimpi/internal/hardware"
 	"wimpi/internal/plan"
 	sqlpkg "wimpi/internal/sql"
@@ -110,15 +109,4 @@ func SimulateHybrid(res *DistResult, opt SimOptions, front hardware.Profile) Sim
 	}
 	b.Total = b.NodeSeconds + b.NetworkSeconds + b.MergeSeconds
 	return b
-}
-
-// CountersTotal is a small helper summing a result's node counters,
-// used by reports and tests.
-func CountersTotal(res *DistResult) exec.Counters {
-	var total exec.Counters
-	for _, c := range res.NodeCounters {
-		total.Add(c)
-	}
-	total.Add(res.MergeCounters)
-	return total
 }

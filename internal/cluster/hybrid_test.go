@@ -137,8 +137,7 @@ func TestNewHybridValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := CountersTotal(res)
-	if total.TuplesScanned == 0 {
-		t.Error("CountersTotal lost the merge counters")
+	if res.MergeCounters.TuplesScanned == 0 {
+		t.Error("hybrid result has no merge counters")
 	}
 }

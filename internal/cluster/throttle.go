@@ -70,7 +70,7 @@ func (t *throttledConn) Write(p []byte) (int, error) {
 func MeasureLinkBandwidth(c *Coordinator, node int, payloadBytes int64) (float64, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	//lint:allow determinism,taintflow -- the iperf reproduction measures real elapsed transfer time by definition
+	//lint:allow taintflow -- the iperf reproduction measures real elapsed transfer time by definition
 	start := time.Now()
 	resp, _, err := c.conns[node].call(ctx, &Request{Type: "iperf", IperfBytes: payloadBytes, ForNode: -1})
 	if err != nil {

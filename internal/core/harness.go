@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"wimpi/internal/engine"
 	"wimpi/internal/hardware"
@@ -24,7 +23,12 @@ type Options struct {
 	// ClusterSizes are the WimPi configurations of Table III.
 	ClusterSizes []int
 	// HostWorkers is the host-side engine parallelism used to run the
-	// experiments (it does not affect simulated times).
+	// experiments. At 2 or more workers the charged work, and so every
+	// simulated time, is the same at any count; at 1 several kernels
+	// take a one-worker shortcut that skips their partition and merge
+	// passes, which charges less (EXPERIMENTS.md, "One worker charges
+	// less"). The default is the Pi's core count, so the study's
+	// simulated numbers do not depend on the host's CPUs.
 	HostWorkers int
 	// EmulatePaperGeometry scales each simulated node's RAM by
 	// DistSF/10 so that the Table III memory-pressure cliff appears at
@@ -41,7 +45,7 @@ func DefaultOptions() Options {
 		DistSF:               1,
 		Seed:                 42,
 		ClusterSizes:         append([]int(nil), PaperClusterSizes...),
-		HostWorkers:          runtime.NumCPU(),
+		HostWorkers:          hardware.Pi().Cores,
 		EmulatePaperGeometry: true,
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"wimpi/internal/colstore"
 	"wimpi/internal/engine"
+	"wimpi/internal/exec"
 	"wimpi/internal/plan"
 	"wimpi/internal/tpch"
 )
@@ -41,7 +42,11 @@ func assertTablesIdentical(t *testing.T, want, got *colstore.Table, label string
 
 // TestQueriesDeterministicAcrossWorkers runs all 22 TPC-H queries at
 // 1, 2, 4, and 8 workers and requires byte-identical results. Each
-// query's one planned tree serves every run.
+// query's one planned tree serves every run. From 2 workers up the work
+// profile must match too, field for field: the simulated times derive
+// from it alone. One worker is the exception: several kernels take a
+// one-worker shortcut that skips their partition and merge passes and
+// so charges less (EXPERIMENTS.md, "One worker charges less").
 func TestQueriesDeterministicAcrossWorkers(t *testing.T) {
 	db := determinismDB(t)
 	for _, q := range tpch.QueryNumbers() {
@@ -55,6 +60,7 @@ func TestQueriesDeterministicAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var work exec.Counters
 			for _, w := range []int{2, 4, 8} {
 				res, err := db.RunQuery(context.Background(), p, engine.QueryOpts{Workers: w})
 				if err != nil {
@@ -62,6 +68,11 @@ func TestQueriesDeterministicAcrossWorkers(t *testing.T) {
 				}
 				assertTablesIdentical(t, base.Table, res.Table,
 					fmt.Sprintf("Q%d workers=%d", q, w))
+				if w == 2 {
+					work = res.Counters
+				} else if res.Counters != work {
+					t.Errorf("Q%d workers=%d counters differ from workers=2:\n got %+v\nwant %+v", q, w, res.Counters, work)
+				}
 			}
 		})
 	}

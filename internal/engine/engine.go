@@ -231,7 +231,7 @@ func (db *DB) run(ctx context.Context, p plan.Node, opts QueryOpts, traced bool)
 	if traced {
 		pctx.Trace = &obs.Tracer{} // asks plan.RunContext for a span tree
 	}
-	//lint:allow determinism,taintflow -- measured wall clock, reported as HostDuration; results never depend on it
+	//lint:allow taintflow -- measured wall clock, reported as HostDuration; results never depend on it
 	start := time.Now()
 	res, err := plan.RunContext(pctx, p)
 	if err != nil {

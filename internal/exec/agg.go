@@ -271,32 +271,6 @@ func ScatterMaxF64(gids []int32, vals []float64, acc *[]float64, ngroups int, fi
 	ctr.FloatOps += int64(len(gids))
 }
 
-// ScatterMinI64 folds vals[i] into (*acc)[gids[i]] with min.
-func ScatterMinI64(gids []int32, vals []int64, acc *[]int64, ngroups int, fill int64, ctr *Counters) {
-	growI64(acc, ngroups, fill)
-	a := *acc
-	for i, g := range gids {
-		if vals[i] < a[g] {
-			a[g] = vals[i]
-		}
-	}
-	ctr.AggUpdates += int64(len(gids))
-	ctr.IntOps += int64(len(gids))
-}
-
-// ScatterMaxI64 folds vals[i] into (*acc)[gids[i]] with max.
-func ScatterMaxI64(gids []int32, vals []int64, acc *[]int64, ngroups int, fill int64, ctr *Counters) {
-	growI64(acc, ngroups, fill)
-	a := *acc
-	for i, g := range gids {
-		if vals[i] > a[g] {
-			a[g] = vals[i]
-		}
-	}
-	ctr.AggUpdates += int64(len(gids))
-	ctr.IntOps += int64(len(gids))
-}
-
 // SumF64 returns the sum of vals (ungrouped aggregate).
 func SumF64(vals []float64, ctr *Counters) float64 {
 	var s float64

@@ -195,9 +195,3 @@ func (c *Counters) ObserveLiveBytes(n int64) {
 		c.PeakLiveBytes = n
 	}
 }
-
-// TotalOps returns the combined op count used by simple CPU-cost
-// summaries.
-func (c *Counters) TotalOps() int64 {
-	return c.IntOps + c.FloatOps + c.RandomAccesses + c.AggUpdates
-}

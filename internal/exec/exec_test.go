@@ -392,16 +392,6 @@ func TestScatterAggKernels(t *testing.T) {
 	if maxs[0] != 6 || maxs[1] != 5 || maxs[2] != 4 {
 		t.Errorf("ScatterMaxF64 = %v", maxs)
 	}
-	var imins []int64
-	ScatterMinI64(gids, ivals, &imins, 3, 1<<62, &ctr)
-	if imins[0] != 10 || imins[1] != 20 || imins[2] != 40 {
-		t.Errorf("ScatterMinI64 = %v", imins)
-	}
-	var imaxs []int64
-	ScatterMaxI64(gids, ivals, &imaxs, 3, -(1 << 62), &ctr)
-	if imaxs[0] != 60 || imaxs[1] != 50 || imaxs[2] != 40 {
-		t.Errorf("ScatterMaxI64 = %v", imaxs)
-	}
 	if SumF64(fvals, &ctr) != 21 {
 		t.Error("SumF64 wrong")
 	}
@@ -528,9 +518,9 @@ func TestCombineKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range keys {
-		h, l := SplitKey(keys[i], 20)
+		h, l := keys[i]>>20, keys[i]&(1<<20-1)
 		if h != hi[i] || l != lo[i] {
-			t.Errorf("SplitKey mismatch at %d: %d %d", i, h, l)
+			t.Errorf("CombineKeys(%d, %d) = %d, unpacks to %d %d", hi[i], lo[i], keys[i], h, l)
 		}
 	}
 	if _, err := CombineKeys([]int64{1}, []int64{1 << 21}, 20, &ctr); err == nil {
@@ -614,16 +604,16 @@ func TestSortTableMultiKey(t *testing.T) {
 			t.Fatalf("sorted order = %v, want %v", gotI, wantI)
 		}
 	}
-	top, err := TopN(tbl, []SortKey{{Column: "i", Desc: true}}, 2, &ctr)
+	top, err := TopNParallel(tbl, []SortKey{{Column: "i", Desc: true}}, 2, 1, 0, &ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if top.NumRows() != 2 || top.MustCol("i").(*colstore.Int64s).V[0] != 4 {
-		t.Errorf("TopN wrong")
+		t.Errorf("TopNParallel wrong")
 	}
-	topAll, _ := TopN(tbl, []SortKey{{Column: "i"}}, 100, &ctr)
+	topAll, _ := TopNParallel(tbl, []SortKey{{Column: "i"}}, 100, 1, 0, &ctr)
 	if topAll.NumRows() != 5 {
-		t.Error("TopN with n > rows should return all")
+		t.Error("TopNParallel with n > rows should return all")
 	}
 	if _, err := SortTable(tbl, []SortKey{{Column: "missing"}}, &ctr); err == nil {
 		t.Error("sort by missing column should error")
@@ -675,8 +665,8 @@ func TestCountersAddAndObserve(t *testing.T) {
 	if a.PeakLiveBytes != 100 {
 		t.Error("ObserveLiveBytes lowered the peak")
 	}
-	if a.TotalOps() <= 0 {
-		t.Error("TotalOps not positive")
+	if a.IntOps != 8 || a.FloatOps != 10 || a.RandomAccesses != 6 {
+		t.Error("Add op sums wrong")
 	}
 }
 

@@ -331,7 +331,7 @@ func buildJoinTableBits(keys []int64, bits uint, workers, morselRows int, ctr *C
 
 // SizeBytes reports the table's memory footprint.
 //
-//lint:allow costaccounting -- metadata sum over the fixed partition count, not data-path work
+//lint:allow pathcost -- metadata sum over the fixed partition count, not data-path work
 func (jt *JoinTable) SizeBytes() int64 {
 	n := int64(len(jt.next)+len(jt.heads)) * 4
 	for i := range jt.parts {
@@ -354,7 +354,7 @@ func (jt *JoinTable) Next(row int32) int32 { return jt.next[row] }
 
 // CountMatches returns the number of build rows with key k.
 //
-//lint:allow costaccounting -- per-key helper; CountPerProbe charges the whole probe batch
+//lint:allow pathcost -- per-key helper; CountPerProbe charges the whole probe batch
 func (jt *JoinTable) CountMatches(k int64) int64 {
 	var n int64
 	for b := jt.lookup(k); b >= 0; b = jt.next[b] {

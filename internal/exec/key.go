@@ -129,8 +129,3 @@ func CombineKeysInto(dst, hi, lo []int64, loBits uint, ctr *Counters) error {
 	ctr.IntOps += int64(len(hi)) * 2
 	return nil
 }
-
-// SplitKey unpacks a key produced by CombineKeys.
-func SplitKey(k int64, loBits uint) (hi, lo int64) {
-	return k >> loBits, k & (int64(1)<<loBits - 1)
-}

@@ -213,20 +213,6 @@ func TestCmpOpStrings(t *testing.T) {
 	}
 }
 
-func TestSelBoolKernel(t *testing.T) {
-	tbl := predTable()
-	var ctr Counters
-	bc := tbl.MustCol("flag").(*colstore.Bools)
-	got := SelBool(bc, true, nil, &ctr)
-	if !equalSel(got, []int32{0, 2, 4}) {
-		t.Errorf("SelBool dense = %v", got)
-	}
-	got = SelBool(bc, false, []int32{0, 1, 3}, &ctr)
-	if !equalSel(got, []int32{1, 3}) {
-		t.Errorf("SelBool sel = %v", got)
-	}
-}
-
 func sameSel(a, b []int32) bool {
 	if len(a) != len(b) {
 		return false

@@ -135,7 +135,7 @@ type batch struct {
 // NewPool starts a pool of size worker goroutines. size < 1 selects 1.
 // Close joins them.
 //
-//lint:allow costaccounting -- pool construction moves no data; morsel callbacks charge Counters
+//lint:allow pathcost -- pool construction moves no data; morsel callbacks charge Counters
 func NewPool(size int) *Pool {
 	if size < 1 {
 		size = 1

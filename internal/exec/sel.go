@@ -198,28 +198,6 @@ func SelFloat64Range(c *colstore.Float64s, lo, hi float64, in []int32, ctr *Coun
 	return out
 }
 
-// SelBool selects rows whose value equals want.
-func SelBool(c *colstore.Bools, want bool, in []int32, ctr *Counters) []int32 {
-	if in == nil {
-		chargeSel(ctr, len(c.V), 1, true)
-		out := make([]int32, 0, len(c.V)/2)
-		for i, v := range c.V {
-			if v == want {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	chargeSel(ctr, len(in), 1, false)
-	out := make([]int32, 0, len(in))
-	for _, i := range in {
-		if c.V[i] == want {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // SelStrMask selects rows whose dictionary code is set in mask. Combined
 // with the mask builders in strings.go this implements every string
 // predicate (=, <>, IN, LIKE) with one predicate evaluation per distinct
@@ -295,7 +273,7 @@ func SelUnion(a, b []int32, ctr *Counters) []int32 {
 
 // SelAll returns the dense selection vector [0, n).
 //
-//lint:allow costaccounting -- identity vector setup; consuming kernels charge per selected row via chargeSel
+//lint:allow pathcost -- identity vector setup; consuming kernels charge per selected row via chargeSel
 func SelAll(n int) []int32 {
 	out := make([]int32, n)
 	for i := range out {

@@ -268,21 +268,9 @@ func SortTableParallel(t *colstore.Table, keys []SortKey, workers, morselRows in
 	return out, nil
 }
 
-// TopN materializes the first n rows of t ordered by keys. TPC-H result
-// sets after aggregation are small, so a full sort followed by a slice is
-// adequate.
-func TopN(t *colstore.Table, keys []SortKey, n int, ctr *Counters) (*colstore.Table, error) {
-	sorted, err := SortTable(t, keys, ctr)
-	if err != nil {
-		return nil, err
-	}
-	if n < sorted.NumRows() {
-		return sorted.Slice(0, n), nil
-	}
-	return sorted, nil
-}
-
-// TopNParallel is TopN backed by the parallel sort.
+// TopNParallel materializes the first n rows of t ordered by keys.
+// TPC-H result sets after aggregation are small, so a full (parallel)
+// sort followed by a slice is adequate.
 func TopNParallel(t *colstore.Table, keys []SortKey, n, workers, morselRows int, ctr *Counters) (*colstore.Table, error) {
 	sorted, err := SortTableParallel(t, keys, workers, morselRows, ctr)
 	if err != nil {

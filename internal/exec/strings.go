@@ -24,7 +24,7 @@ func CompileLike(pattern string) LikeMatcher {
 // at the ends of s, each middle one at its leftmost fit in between (which
 // leaves the most room for the rest, so no other fit needs trying).
 //
-//lint:allow costaccounting -- per-value helper; LikeMask charges per dictionary entry
+//lint:allow pathcost -- per-value helper; LikeMask charges per dictionary entry
 func (m LikeMatcher) Match(s string) bool {
 	first, last := m.segs[0], m.segs[len(m.segs)-1]
 	if len(m.segs) == 1 {

@@ -31,7 +31,7 @@ type Clock interface {
 
 type realClock struct{}
 
-//lint:allow determinism,taintflow -- pacing is inherently wall-clock-driven; it throttles work, never reorders results
+//lint:allow taintflow -- pacing is inherently wall-clock-driven; it throttles work, never reorders results
 func (realClock) Now() time.Time { return time.Now() }
 
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }

@@ -11,14 +11,6 @@ import (
 // catches them) and allowlisted or conforming negatives (proving the
 // directive and the happy paths stay silent).
 
-func TestDeterminismFixture(t *testing.T) {
-	linttest.Run(t, "testdata/determinism", lint.Determinism)
-}
-
-func TestCostAccountingFixture(t *testing.T) {
-	linttest.Run(t, "testdata/costaccounting", lint.CostAccounting)
-}
-
 func TestCtxCheckFixture(t *testing.T) {
 	linttest.Run(t, "testdata/ctxcheck", lint.CtxCheck)
 }
@@ -48,7 +40,7 @@ func TestExhaustiveFixture(t *testing.T) {
 }
 
 func TestUnusedDirectiveFixture(t *testing.T) {
-	linttest.RunAll(t, "testdata/unuseddirective", lint.Determinism)
+	linttest.RunAll(t, "testdata/unuseddirective", lint.TaintFlow)
 }
 
 func TestSuiteScoping(t *testing.T) {
@@ -56,15 +48,15 @@ func TestSuiteScoping(t *testing.T) {
 		pkg  string
 		want []string
 	}{
-		{"wimpi/internal/exec", []string{"determinism", "taintflow", "costaccounting", "pathcost", "hotalloc", "exhaustive", "goroutines", "closecheck"}},
-		{"wimpi/internal/exec/fused", []string{"determinism", "taintflow", "costaccounting", "pathcost", "hotalloc", "exhaustive", "goroutines", "closecheck"}},
-		{"wimpi/internal/cluster", []string{"determinism", "taintflow", "ctxcheck", "closecheck"}},
-		{"wimpi/internal/cluster/faultconn", []string{"determinism", "taintflow", "ctxcheck", "closecheck"}},
-		{"wimpi/internal/plan", []string{"determinism", "taintflow", "hotalloc", "exhaustive", "goroutines", "closecheck"}},
-		{"wimpi/internal/flow", []string{"determinism", "taintflow"}},
-		{"wimpi/internal/serve", []string{"determinism", "taintflow", "goroutines", "closecheck"}},
-		{"wimpi/internal/sql", []string{"determinism", "taintflow", "exhaustive", "closecheck"}},
-		{"wimpi/internal/spill", []string{"costaccounting", "pathcost", "ctxcheck"}},
+		{"wimpi/internal/exec", []string{"taintflow", "pathcost", "hotalloc", "exhaustive", "goroutines", "closecheck"}},
+		{"wimpi/internal/exec/fused", []string{"taintflow", "pathcost", "hotalloc", "exhaustive", "goroutines", "closecheck"}},
+		{"wimpi/internal/cluster", []string{"taintflow", "ctxcheck", "closecheck"}},
+		{"wimpi/internal/cluster/faultconn", []string{"taintflow", "ctxcheck", "closecheck"}},
+		{"wimpi/internal/plan", []string{"taintflow", "hotalloc", "exhaustive", "goroutines", "closecheck"}},
+		{"wimpi/internal/flow", []string{"taintflow"}},
+		{"wimpi/internal/serve", []string{"taintflow", "goroutines", "closecheck"}},
+		{"wimpi/internal/sql", []string{"taintflow", "exhaustive", "closecheck"}},
+		{"wimpi/internal/spill", []string{"pathcost", "ctxcheck"}},
 		{"wimpi/internal/hardware", nil},
 		{"wimpi/cmd/wimpi-bench", nil},
 	}

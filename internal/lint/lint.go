@@ -276,7 +276,7 @@ func auditAllows(ai *allowIndex, ran []*Analyzer) []Diagnostic {
 		switch {
 		case ranNames[e.name]:
 			msg = fmt.Sprintf("lint:allow %s suppresses nothing; remove the stale directive", e.name)
-		case knownAnalyzerNames[e.name]:
+		case knownAnalyzerName(e.name):
 			continue // analyzer scoped out of this package's run
 		default:
 			msg = fmt.Sprintf("lint:allow names unknown analyzer %q", e.name)

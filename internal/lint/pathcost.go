@@ -1,14 +1,18 @@
 package lint
 
-// Analyzer "pathcost": the path-sensitive upgrade of costaccounting.
-// costaccounting asks "does this kernel touch its Counters at all?";
-// pathcost asks "does *every path* through it charge before
-// returning?" — including early exits, error paths, and selective
-// branches. The simulated hardware model sums counter charges, so a
-// kernel that bails out after scanning half a column without charging
-// under-reports exactly the work the wimpy-node comparison depends on.
+// Analyzer "pathcost": every exported looping kernel in the counters'
+// home subtree must charge *exec.Counters — and charge them on every
+// path. The simulated runtimes in the paper's comparison are derived
+// entirely from these counters, so a kernel that does work without
+// charging it makes the wimpy nodes look faster than they are: exactly
+// the unaccounted-work skew Sirin & Ailamaki warn about for OLAP cost
+// attribution.
 //
-// The analysis runs forward over the CFG with two may-facts per block:
+// Three findings, coarse to fine: a looping exported function with no
+// Counters in scope at all; a Counters parameter never referenced; and
+// a path through a kernel that does reference its Counters but returns
+// (or falls off the end) after data work it never charged. The path
+// check runs forward over the CFG with two may-facts per block:
 //
 //	clean — some path reaches here having done no data work yet
 //	dirty — some path reaches here with uncharged data work
@@ -18,23 +22,25 @@ package lint
 // Any use of a Counters-typed value (charging a field, calling a
 // method, forwarding it) settles every path through that point. A
 // dirty fact reaching a return — or falling off the end of the body —
-// is the finding.
+// is the finding. Panic paths are exempt by CFG construction (panic
+// edges bypass the return machinery).
 //
-// Scope: exported functions in the counters' home subtree that loop
-// and already reference Counters somewhere (kernels with no Counters
-// at all are costaccounting's finding; double-reporting helps nobody).
-// Panic paths are exempt by CFG construction (panic edges bypass the
-// return machinery).
+// fmt.Stringer's String() is exempt; per-element helpers whose callers
+// charge in bulk opt out with `//lint:allow pathcost -- <reason>`.
 
 import (
 	"go/ast"
 	"go/types"
 )
 
+// countersPkg is the home of the work-counter type every kernel must
+// charge.
+const countersPkg = "wimpi/internal/exec"
+
 // PathCost is the pathcost analyzer.
 var PathCost = &Analyzer{
 	Name: "pathcost",
-	Doc:  "every path through an exported looping kernel must charge *exec.Counters before returning, including early exits",
+	Doc:  "exported kernels that loop over data must charge *exec.Counters, on every path to a return, early exits included",
 	Run:  runPathCost,
 }
 
@@ -48,18 +54,73 @@ func runPathCost(pass *Pass) {
 			if isStringer(pass, fd) || !containsLoop(fd.Body) {
 				continue
 			}
-			// Only functions that take Counters themselves are kernels;
-			// a compiler whose generated closures charge their own ctr
-			// parameter (exec/fused's CompileRow) is per-query code.
-			if len(countersParamNames(pass, fd)) == 0 {
-				continue
+			ctrParams := countersParamNames(pass, fd)
+			switch {
+			case usesCounters(pass, fd.Body, true):
+				// Only functions that take Counters themselves get the
+				// path check; a compiler whose generated closures charge
+				// their own ctr parameter (exec/fused's CompileRow) is
+				// per-query code.
+				if len(ctrParams) > 0 {
+					checkPathCost(pass, fd)
+				}
+			case len(ctrParams) > 0:
+				pass.Reportf(fd.Name.Pos(), "kernel %s accepts a *exec.Counters (%s) but never charges or forwards it", fd.Name.Name, ctrParams[0])
+			default:
+				pass.Reportf(fd.Name.Pos(), "exported kernel %s loops over data but has no *exec.Counters to charge: the hardware model will under-count this work", fd.Name.Name)
 			}
-			if !countersUsedInBody(pass, fd.Body) {
-				continue // costaccounting's finding, not ours
-			}
-			checkPathCost(pass, fd)
 		}
 	}
+}
+
+// isStringer reports whether fd is a fmt.Stringer String() string
+// method — formatting loops are not kernel work.
+func isStringer(pass *Pass, fd *ast.FuncDecl) bool {
+	if fd.Name.Name != "String" || fd.Recv == nil {
+		return false
+	}
+	obj, ok := pass.Info.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return false
+	}
+	sig := obj.Type().(*types.Signature)
+	return sig.Params().Len() == 0 && sig.Results().Len() == 1 &&
+		types.Identical(sig.Results().At(0).Type(), types.Typ[types.String])
+}
+
+// containsLoop reports whether body has any for/range statement,
+// including inside function literals (morsel callbacks count as the
+// kernel's own loop).
+func containsLoop(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n.(type) {
+		case *ast.ForStmt, *ast.RangeStmt:
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// countersParamNames returns the names of fd's parameters (and
+// receiver) whose type is (*)exec.Counters.
+func countersParamNames(pass *Pass, fd *ast.FuncDecl) []string {
+	var names []string
+	for _, fl := range []*ast.FieldList{fd.Recv, fd.Type.Params} {
+		if fl == nil {
+			continue
+		}
+		for _, field := range fl.List {
+			for _, name := range field.Names {
+				obj := pass.Info.Defs[name]
+				if obj != nil && isNamed(obj.Type(), countersPkg, "Counters") {
+					names = append(names, name.Name)
+				}
+			}
+		}
+	}
+	return names
 }
 
 // costFact is the lattice element. Bottom is the zero value (no path
@@ -100,7 +161,7 @@ func (p *costProblem) Transfer(b *Block, in costFact) costFact {
 		st.clean, st.dirty = false, true
 	}
 	for _, n := range b.Nodes {
-		if nodeUsesCounters(p.pass, n) {
+		if usesCounters(p.pass, n, false) {
 			st.clean, st.dirty = false, false
 			continue
 		}
@@ -200,18 +261,20 @@ func stmtDoesWork(n ast.Node) bool {
 	return found
 }
 
-// nodeUsesCounters reports whether the node references any
-// Counters-typed identifier — a charge, a method call, or forwarding
-// to a callee that charges.
-func nodeUsesCounters(pass *Pass, n ast.Node) bool {
+// usesCounters reports whether n references any Counters-typed
+// identifier — a charge, a method call, or forwarding to a callee that
+// charges. Nested function literals count only with intoClosures: the
+// whole-body check takes a morsel callback's charge as the kernel's,
+// while the CFG transfer leaves closure bodies to their own blocks.
+func usesCounters(pass *Pass, n ast.Node, intoClosures bool) bool {
 	used := false
 	ast.Inspect(n, func(m ast.Node) bool {
-		if fl, ok := m.(*ast.FuncLit); ok && fl != n {
-			return false // closure bodies have their own blocks
+		if fl, ok := m.(*ast.FuncLit); ok && fl != n && !intoClosures {
+			return false
 		}
 		id, ok := m.(*ast.Ident)
 		if !ok {
-			return true
+			return !used
 		}
 		if obj := pass.Info.Uses[id]; obj != nil && isNamed(obj.Type(), countersPkg, "Counters") {
 			used = true

@@ -485,14 +485,13 @@ func (f *taintFlow) callTaint(st *taintState, call *ast.CallExpr) taintVal {
 
 	if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil {
 		path := fn.Pkg().Path()
-		sig, _ := fn.Type().(*types.Signature)
 		switch {
 		case isPkgFunc(obj, "time", "Now"):
 			if !f.pass.Allowed(call.Pos()) {
 				return taintVal{}.addSource(TaintWallClock, call.Pos())
 			}
 			return taintVal{}
-		case (path == "math/rand" || path == "math/rand/v2") && sig != nil && sig.Recv() == nil && !seededRandConstructors[fn.Name()]:
+		case isGlobalRand(fn):
 			if !f.pass.Allowed(call.Pos()) {
 				return taintVal{}.addSource(TaintRand, call.Pos())
 			}
@@ -526,6 +525,26 @@ func (f *taintFlow) callTaint(st *taintState, call *ast.CallExpr) taintVal {
 		t = t.union(f.exprTaint(st, sel.X))
 	}
 	return t
+}
+
+// seededRandConstructors are the math/rand entry points that do not
+// touch the global source and therefore stay reproducible when given a
+// fixed seed.
+var seededRandConstructors = map[string]bool{
+	"New":       true,
+	"NewSource": true,
+	"NewZipf":   true,
+}
+
+// isGlobalRand reports whether fn is a package-level math/rand (or
+// math/rand/v2) function that draws from the shared unseeded source.
+func isGlobalRand(fn *types.Func) bool {
+	if fn.Pkg() == nil {
+		return false
+	}
+	path := fn.Pkg().Path()
+	sig, _ := fn.Type().(*types.Signature)
+	return (path == "math/rand" || path == "math/rand/v2") && sig != nil && sig.Recv() == nil && !seededRandConstructors[fn.Name()]
 }
 
 // fmtPointerTaint flags %p formatting as a pointer-identity source.

@@ -1,7 +1,10 @@
-// Spill-I/O and compressed-kernel loop shapes for pathcost: every
-// early exit out of a chunked spill write/read or a code-space scan
-// must charge the work already done, or the hardware model prices the
-// spill (and the coded scan) below what actually ran.
+// Spill-I/O and compressed-kernel loop shapes for pathcost: a spill
+// drain or a coded-column unpack that loops without any Counters in
+// scope makes disk bandwidth (or decode work) free in the simulated
+// wimpy-node comparison, and every early exit out of a chunked spill
+// write/read or a code-space scan must charge the work already done,
+// or the hardware model prices the spill (and the coded scan) below
+// what actually ran.
 package fixture
 
 import (
@@ -64,4 +67,45 @@ func CodedScanCharged(words []uint64, code uint64, ctr *exec.Counters) bool {
 	}
 	ctr.SeqBytes += int64(len(words)) * 8
 	return false
+}
+
+// SpillDrainUncharged reads a spilled segment back with no counters.
+func SpillDrainUncharged(r io.Reader, total int) ([]byte, error) { // want "loops over data but has no *exec.Counters"
+	out := make([]byte, 0, total)
+	buf := make([]byte, 64)
+	for len(out) < total {
+		n, err := r.Read(buf)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, buf[:n]...)
+	}
+	return out, nil
+}
+
+// UnpackIgnored decodes bit-packed codes but drops its counters.
+func UnpackIgnored(words []uint64, width uint, n int, ctr *exec.Counters) []uint64 { // want "never charges or forwards it"
+	out := make([]uint64, 0, n)
+	mask := uint64(1)<<width - 1
+	for i := 0; i < n; i++ {
+		bit := uint(i) * width
+		w := words[bit/64] >> (bit % 64)
+		out = append(out, w&mask)
+	}
+	return out
+}
+
+// SpillDrainCharged charges every chunk read: the segment-reader shape.
+func SpillDrainCharged(r io.Reader, total int, ctr *exec.Counters) ([]byte, error) {
+	out := make([]byte, 0, total)
+	buf := make([]byte, 64)
+	for len(out) < total {
+		n, err := r.Read(buf)
+		ctr.SpillReadBytes += int64(n)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, buf[:n]...)
+	}
+	return out, nil
 }

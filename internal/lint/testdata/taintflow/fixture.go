@@ -4,6 +4,7 @@
 package fixture
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -94,4 +95,94 @@ func RandResult() int {
 func SeededRand(seed int64) int {
 	r := rand.New(rand.NewSource(seed))
 	return r.Intn(100)
+}
+
+// WallClock returns a wall-clock read directly.
+func WallClock() int64 {
+	return time.Now().UnixNano() // want "tainted by the wall clock"
+}
+
+// MeasuredSection is allowed as a whole by its doc comment.
+//
+//lint:allow taintflow -- fixture: measured wall-clock section
+func MeasuredSection() time.Time {
+	return time.Now()
+}
+
+// GlobalRand returns a global-source draw directly.
+func GlobalRand() int {
+	return rand.Intn(10) // want "tainted by the global math/rand source"
+}
+
+// GlobalShuffle returns nothing, yet v's order differs on every run.
+func GlobalShuffle(v []int) {
+	rand.Shuffle(len(v), func(i, j int) { v[i], v[j] = v[j], v[i] }) // want "shared unseeded source"
+}
+
+// MissingReason exercises the mandatory-reason rule.
+func MissingReason() int {
+	//lint:allow taintflow // want "missing its mandatory"
+	return 0
+}
+
+// CmpFloatNaive calls NaN "equal" to everything: not a total order.
+func CmpFloatNaive(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0 // want "float comparator returns 0 without a math.IsNaN check"
+	}
+}
+
+// CmpFloatLitNaive triggers inside a function literal too.
+var CmpFloatLitNaive = func(a, b float32) int {
+	if a < b {
+		return -1
+	}
+	if a > b {
+		return 1
+	}
+	return 0 // want "float comparator returns 0 without a math.IsNaN check"
+}
+
+// CmpFloatTotal orders NaN explicitly, after everything else.
+func CmpFloatTotal(a, b float64) int {
+	an, bn := math.IsNaN(a), math.IsNaN(b)
+	switch {
+	case an && bn:
+		return 0
+	case an:
+		return 1
+	case bn:
+		return -1
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// CmpIntTies is an integer comparator: ties are exact, no finding.
+func CmpIntTies(a, b int64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// FloatBuckets takes a float but returns a count, not an ordering.
+func FloatBuckets(x float64) (n int, ok bool) {
+	if x > 0 {
+		return 1, true
+	}
+	return 0, false
 }

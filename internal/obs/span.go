@@ -126,7 +126,7 @@ func (t *Tracer) Begin(op, label string) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := &Span{Op: op, Label: label, before: *t.ctr}
-	//lint:allow determinism,taintflow -- span wall time is measured and reported, never fed back into results
+	//lint:allow taintflow -- span wall time is measured and reported, never fed back into results
 	s.start = time.Now()
 	if len(t.stack) == 0 {
 		if t.root == nil {
@@ -161,7 +161,6 @@ func (t *Tracer) finish(s *Span, rows, bytes int64, errd bool) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	//lint:allow determinism -- span wall time is measured and reported, never fed back into results
 	now := time.Now()
 	for len(t.stack) > 0 {
 		top := t.stack[len(t.stack)-1]

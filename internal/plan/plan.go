@@ -73,9 +73,6 @@ type Context struct {
 	// partitions through a bounded spill area created under this
 	// directory. Empty keeps the cancel-only budget behavior.
 	SpillDir string
-	// SpillAreaBytes, when positive, bounds the on-disk spill area
-	// (spill.DefaultAreaLimit otherwise).
-	SpillAreaBytes int64
 
 	// spillOK records that spilling enforces the budget (SpillDir, a budget
 	// and a spillable plan); RunContext sets it for the run's duration.
@@ -111,10 +108,11 @@ func (c *Context) Memo(key any, compute func() (*colstore.Table, error)) (*colst
 	return t, nil
 }
 
-// area returns the query's spill area, creating it on first use.
+// area returns the query's spill area, creating it on first use with
+// spill.DefaultAreaLimit on disk.
 func (c *Context) area() (*spill.Area, error) {
 	if c.spillArea == nil {
-		a, err := spill.NewArea(c.SpillDir, c.SpillAreaBytes)
+		a, err := spill.NewArea(c.SpillDir, 0)
 		if err != nil {
 			return nil, err
 		}

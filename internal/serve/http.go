@@ -57,7 +57,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "serve: empty sql", http.StatusBadRequest)
 		return
 	}
-	//lint:allow determinism,taintflow -- reported latency; results never depend on it
+	//lint:allow taintflow -- reported latency; results never depend on it
 	start := time.Now()
 	res, err := s.RunSQL(r.Context(), req.Tenant, req.SQL)
 	if err != nil {

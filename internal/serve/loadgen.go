@@ -98,7 +98,7 @@ func RunLoad(ctx context.Context, s *Server, cfg LoadConfig) (*LoadReport, error
 	}
 	samples := make([][]sample, cfg.Clients)
 
-	//lint:allow determinism,taintflow -- load-gen throughput is measured wall time, reported only
+	//lint:allow taintflow -- load-gen throughput is measured wall time, reported only
 	start := time.Now()
 	var wg sync.WaitGroup
 	for c := 0; c < cfg.Clients; c++ {
@@ -110,7 +110,7 @@ func RunLoad(ctx context.Context, s *Server, cfg LoadConfig) (*LoadReport, error
 			out := make([]sample, 0, cfg.QueriesPerClient)
 			for q := 0; q < cfg.QueriesPerClient; q++ {
 				mi := rng.Intn(len(cfg.Mix))
-				//lint:allow determinism,taintflow -- per-query latency sample, reported only
+				//lint:allow taintflow -- per-query latency sample, reported only
 				t0 := time.Now()
 				res, err := s.RunPlan(ctx, tenant, cfg.Mix[mi].Plan)
 				sm := sample{mix: mi, latency: time.Since(t0), err: err}

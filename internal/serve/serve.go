@@ -204,7 +204,7 @@ func (s *Server) RunSQL(ctx context.Context, tenant, text string) (*QueryResult,
 // tenant's metrics — a statement that fails to plan included.
 func (s *Server) serve(ctx context.Context, tenant string, resolve func() (statement, error)) (*QueryResult, error) {
 	tn := s.tenants.get(tenant)
-	//lint:allow determinism,taintflow -- serving latency is measured and exported; results never depend on it
+	//lint:allow taintflow -- serving latency is measured and exported; results never depend on it
 	start := time.Now()
 	res, err := s.run(ctx, tn, resolve)
 	tn.observe(time.Since(start), err)

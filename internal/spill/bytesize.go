@@ -11,7 +11,7 @@ import (
 // optionally followed by "b" or "ib") scales by the binary unit.
 // "0" and "" mean unlimited.
 //
-//lint:allow costaccounting -- flag parsing at startup, not per-query kernel work
+//lint:allow pathcost -- flag parsing at startup, not per-query kernel work
 func ParseByteSize(s string) (int64, error) {
 	t := strings.ToLower(strings.TrimSpace(s))
 	if t == "" {

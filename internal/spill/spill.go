@@ -70,7 +70,7 @@ func (a *Area) UsedBytes() int64 { return a.used }
 
 // Close closes every segment and removes the area.
 //
-//lint:allow costaccounting -- closes a query's handful of segment files, not data-path work
+//lint:allow pathcost -- closes a query's handful of segment files, not data-path work
 func (a *Area) Close() error {
 	if a == nil || a.dir == "" {
 		return nil
