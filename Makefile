@@ -76,7 +76,7 @@ chaos:
 	$(GO) test -race -timeout 120s -run 'Chaos|Fault|Frame|Close|Worker' ./internal/cluster/...
 
 # Native Go fuzzing over the wire decoder, the fault-plan parser, the
-# RLE int encoding, the string dictionary (against a map + slice oracle),
+# SQL lexer and parser, the string dictionary (against a map + slice oracle),
 # the compiled LIKE matcher (against a backtracking reference), and
 # POST /query (same answer twice through the serving caches). Targets
 # run one at a time (the fuzz engine's requirement).
@@ -86,7 +86,6 @@ fuzz:
 	$(GO) test -fuzz FuzzParsePlan -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
 	$(GO) test -fuzz FuzzLexer -fuzztime $(FUZZTIME) -run '^$$' ./internal/sql/
 	$(GO) test -fuzz FuzzParser -fuzztime $(FUZZTIME) -run '^$$' ./internal/sql/
-	$(GO) test -fuzz FuzzRLERoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/colstore/
 	$(GO) test -fuzz FuzzDict -fuzztime $(FUZZTIME) -run '^$$' ./internal/colstore/
 	$(GO) test -fuzz FuzzLike -fuzztime $(FUZZTIME) -run '^$$' ./internal/exec/
 	$(GO) test -fuzz FuzzServeQuery -fuzztime $(FUZZTIME) -run '^$$' ./internal/serve/

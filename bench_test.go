@@ -595,33 +595,6 @@ func BenchmarkFullStudy(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRLECompression ablates §III-C.2 key compression: Q18
-// (whose first aggregation streams the full l_orderkey column) over
-// dense versus RLE-encoded keys, reporting the simulated Pi runtime —
-// the bandwidth-for-CPU trade the paper suggests for bandwidth-starved
-// nodes.
-func BenchmarkAblationRLECompression(b *testing.B) {
-	data, _ := fixture(b)
-	model := hardware.DefaultModel()
-	pi := hardware.Pi()
-	run := func(b *testing.B, d *tpch.Dataset) {
-		db := engine.NewDB(engine.Config{Workers: 0})
-		d.RegisterAll(db)
-		q18 := tpch.MustQuery(db, 18)
-		var sim float64
-		for i := 0; i < b.N; i++ {
-			res, err := db.RunQuery(context.Background(), q18, engine.QueryOpts{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sim = model.QueryTime(&pi, res.Counters, 4).Seconds()
-		}
-		b.ReportMetric(sim*1000, "simPi-ms")
-	}
-	b.Run("dense-keys", func(b *testing.B) { run(b, data) })
-	b.Run("rle-keys", func(b *testing.B) { run(b, tpch.CompressKeys(data)) })
-}
-
 // BenchmarkAblationHybridCluster ablates the §III-C.1 hybrid/NAM
 // architecture: the memory-hungry Q13 on a plain WimPi cluster (one
 // thrashing Pi) versus a hybrid cluster whose server front end runs it.

@@ -81,45 +81,6 @@ func TestWireTableRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireTableDensifiesEncodedColumns: an RLE int column densifies to
-// a plain int64 frame on the wire instead of silently serializing as an
-// empty column.
-func TestWireTableDensifiesEncodedColumns(t *testing.T) {
-	const n = 257
-	v := make([]int64, n)
-	for i := range v {
-		v[i] = 1_000_000 + int64(i%7)
-	}
-	plain := &colstore.Int64s{V: v}
-	rle := colstore.CompressInt64(&colstore.Int64s{V: append([]int64(nil), v...)})
-
-	orig, err := colstore.NewTable("t", colstore.Schema{
-		{Name: "plain", Type: colstore.Int64},
-		{Name: "rle", Type: colstore.Int64},
-	}, []colstore.Column{plain, rle})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ToWire(orig).Table()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"plain", "rle"} {
-		col, ok := got.MustCol(name).(*colstore.Int64s)
-		if !ok {
-			t.Fatalf("column %q did not arrive as plain int64", name)
-		}
-		if len(col.V) != n {
-			t.Fatalf("column %q: %d rows on the wire, want %d", name, len(col.V), n)
-		}
-		for i, want := range v {
-			if col.V[i] != want {
-				t.Fatalf("column %q row %d = %d, want %d", name, i, col.V[i], want)
-			}
-		}
-	}
-}
-
 func TestConcatRemapsDictionaries(t *testing.T) {
 	mk := func(vals ...string) *colstore.Table {
 		b := colstore.NewTableBuilder("t", colstore.Schema{{Name: "s", Type: colstore.String}})

@@ -71,18 +71,6 @@ func ToWire(t *colstore.Table) *WireTable {
 		case *colstore.Strings:
 			wc.Codes = col.Codes
 			wc.Dict = col.Dict.Values()
-		default:
-			// An RLE int column densifies for the wire: the encoding
-			// is a node-local storage choice, and a plain frame keeps
-			// the protocol independent of it. Without this, an encoded
-			// column would serialize as an empty one.
-			if rd, n, ok := colstore.Int64Reader(c); ok {
-				v := make([]int64, n)
-				for r := range v {
-					v[r] = rd(r)
-				}
-				wc.Ints = v
-			}
 		}
 	}
 	return w

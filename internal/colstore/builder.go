@@ -93,11 +93,6 @@ func (b *TableBuilder) Str(i int, v string) {
 	b.strs[i] = append(b.strs[i], b.dicts[i].Add(v))
 }
 
-// StrCode appends a pre-interned dictionary code to string column i.
-func (b *TableBuilder) StrCode(i int, code int32) {
-	b.strs[i] = append(b.strs[i], code)
-}
-
 // EndRow marks the end of a row and validates that every column received
 // exactly one value.
 func (b *TableBuilder) EndRow() {

@@ -46,21 +46,6 @@ func (t Type) String() string {
 	}
 }
 
-// Width returns the in-memory width in bytes of one value of the type.
-// String columns report the width of a dictionary code.
-func (t Type) Width() int64 {
-	switch t {
-	case Int64, Float64:
-		return 8
-	case Date, String:
-		return 4
-	case Bool:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // Column is an immutable, densely packed, typed vector of values.
 //
 // Kernels in package exec type-switch on the concrete implementations

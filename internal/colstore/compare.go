@@ -29,42 +29,30 @@ func TablesIdentical(a, b *Table) (bool, string) {
 	return true, ""
 }
 
-// int64Reader returns a row accessor for either int64 encoding — dense
-// or run-length — so comparisons and concatenation see logical values
-// regardless of layout.
-func int64Reader(c Column) (func(i int) int64, int, bool) {
-	switch cc := c.(type) {
-	case *Int64s:
-		return func(i int) int64 { return cc.V[i] }, len(cc.V), true
-	case *RLEInt64:
-		return func(i int) int64 { return cc.Value(int32(i)) }, cc.Len(), true
+// Int64Reader returns a row accessor and the length of an int64 column,
+// or false for a column of any other type.
+func Int64Reader(c Column) (func(i int) int64, int, bool) {
+	cc, ok := c.(*Int64s)
+	if !ok {
+		return nil, 0, false
 	}
-	return nil, 0, false
+	return func(i int) int64 { return cc.V[i] }, len(cc.V), true
 }
 
-// Int64Reader is int64Reader for callers outside the package (the wire
-// layer densifies encoded columns before gob encoding, the engine's
-// table formatter renders cells from any encoding).
-func Int64Reader(c Column) (func(i int) int64, int, bool) { return int64Reader(c) }
-
 // ColumnsIdentical reports whether two columns hold bit-identical
-// values (see TablesIdentical). Like strings (compared by value across
-// dictionary layouts), int64 columns compare by logical value across
-// encodings: an RLE column equals the plain column it decodes to.
+// values (see TablesIdentical).
 func ColumnsIdentical(a, b Column) (bool, string) {
-	if ra, na, ok := int64Reader(a); ok {
-		rb, nb, okB := int64Reader(b)
-		if !okB || na != nb {
+	switch ca := a.(type) {
+	case *Int64s:
+		cb, ok := b.(*Int64s)
+		if !ok || len(ca.V) != len(cb.V) {
 			return false, "type/length mismatch"
 		}
-		for i := 0; i < na; i++ {
-			if ra(i) != rb(i) {
-				return false, fmt.Sprintf("row %d: %d vs %d", i, ra(i), rb(i))
+		for i := range ca.V {
+			if ca.V[i] != cb.V[i] {
+				return false, fmt.Sprintf("row %d: %d vs %d", i, ca.V[i], cb.V[i])
 			}
 		}
-		return true, ""
-	}
-	switch ca := a.(type) {
 	case *Float64s:
 		cb, ok := b.(*Float64s)
 		if !ok || len(ca.V) != len(cb.V) {

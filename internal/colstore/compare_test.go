@@ -79,25 +79,40 @@ func TestColumnsIdenticalDictionaryLayouts(t *testing.T) {
 	}
 }
 
+// The two tests below are named for the run-length int64 encoding they once
+// set against the dense one; the dense form is the only int64 form left, so
+// they keep its equal, differing-value and length-mismatch checks.
 func TestColumnsIdenticalRLEVersusPlain(t *testing.T) {
-	plain := &Int64s{V: []int64{7, 7, 7, 9, 9, 11}}
-	rle := CompressInt64(plain)
-	// RLE vs RLE.
-	if ok, why := ColumnsIdentical(rle, CompressInt64(plain)); !ok {
-		t.Errorf("identical RLE columns differ: %s", why)
+	vals := []int64{7, 7, 7, 9, 9, 11}
+	a := &Int64s{V: vals}
+	if ok, why := ColumnsIdentical(a, &Int64s{V: append([]int64(nil), vals...)}); !ok {
+		t.Errorf("equal int64 columns differ: %s", why)
 	}
-	// Encoding-agnostic: RLE vs the plain column it decodes to.
-	if ok, why := ColumnsIdentical(rle, plain); !ok {
-		t.Errorf("RLE vs plain with same values differ: %s", why)
+	if ok, _ := ColumnsIdentical(a, &Int64s{V: []int64{7, 7, 7, 9, 9, 12}}); ok {
+		t.Error("differing int64 columns compared identical")
 	}
-	if ok, why := ColumnsIdentical(plain, rle); !ok {
-		t.Errorf("plain vs RLE with same values differ: %s", why)
-	}
-	other := &Int64s{V: []int64{7, 7, 7, 9, 9, 12}}
-	if ok, _ := ColumnsIdentical(rle, other); ok {
-		t.Error("RLE vs differing plain compared identical")
-	}
-	if ok, _ := ColumnsIdentical(rle, &Int64s{V: []int64{7, 7, 7}}); ok {
+	if ok, _ := ColumnsIdentical(a, &Int64s{V: vals[:3]}); ok {
 		t.Error("length mismatch compared identical")
+	}
+}
+
+func TestColumnsIdenticalAcrossEncodings(t *testing.T) {
+	vals := []int64{3, 1, 4, 1, 5, 9, 2, 6}
+	dense := &Int64s{V: vals}
+	if ok, why := ColumnsIdentical(dense, &Int64s{V: append([]int64(nil), vals...)}); !ok {
+		t.Fatalf("equal int64 columns differ: %s", why)
+	}
+	other := &Int64s{V: []int64{3, 1, 4, 1, 5, 9, 2, 7}}
+	if ok, _ := ColumnsIdentical(dense, other); ok {
+		t.Fatal("differing columns reported identical")
+	}
+	shorter := &Int64s{V: vals[:7]}
+	if ok, _ := ColumnsIdentical(dense, shorter); ok {
+		t.Fatal("length mismatch reported identical")
+	}
+	// The same values held as dates are a different column.
+	dates := &Dates{V: []int32{3, 1, 4, 1, 5, 9, 2, 6}}
+	if ok, _ := ColumnsIdentical(dense, dates); ok {
+		t.Fatal("int64 and date columns reported identical")
 	}
 }

@@ -32,22 +32,9 @@ func Concat(tables ...*Table) (*Table, error) {
 	for ci, f := range first.Schema {
 		switch f.Type {
 		case Int64:
-			// Int64 inputs may arrive dense or RLE; the concatenation
-			// reads logical values and produces a dense column.
 			v := make([]int64, 0, total)
 			for _, t := range tables {
-				if dense, ok := t.Cols[ci].(*Int64s); ok {
-					v = append(v, dense.V...)
-					continue
-				}
-				r, n, ok := int64Reader(t.Cols[ci])
-				if !ok {
-					return nil, fmt.Errorf("colstore: concat: unhandled int64 encoding %T in column %q",
-						t.Cols[ci], f.Name)
-				}
-				for i := 0; i < n; i++ {
-					v = append(v, r(i))
-				}
+				v = append(v, t.Cols[ci].(*Int64s).V...)
 			}
 			cols[ci] = &Int64s{V: v}
 		case Float64:

@@ -167,23 +167,19 @@ func TestDict(t *testing.T) {
 	}
 }
 
-func TestTypeStringAndWidth(t *testing.T) {
+func TestTypeString(t *testing.T) {
 	for _, c := range []struct {
-		ty    Type
-		name  string
-		width int64
+		ty   Type
+		name string
 	}{
-		{Int64, "int64", 8}, {Float64, "float64", 8}, {Date, "date", 4},
-		{String, "string", 4}, {Bool, "bool", 1},
+		{Int64, "int64"}, {Float64, "float64"}, {Date, "date"},
+		{String, "string"}, {Bool, "bool"},
 	} {
 		if c.ty.String() != c.name {
 			t.Errorf("%v.String() = %q", c.ty, c.ty.String())
 		}
-		if c.ty.Width() != c.width {
-			t.Errorf("%v.Width() = %d", c.ty, c.ty.Width())
-		}
 	}
-	if Type(99).String() == "" || Type(99).Width() != 0 {
+	if Type(99).String() == "" {
 		t.Error("unknown type handling wrong")
 	}
 }
@@ -197,7 +193,7 @@ func TestBuilderSharedDictAndGrow(t *testing.T) {
 	b.Grow(4)
 	b.Str(0, "pre")
 	b.EndRow()
-	b.StrCode(0, shared.Add("new"))
+	b.Str(0, "new")
 	b.EndRow()
 	tbl := b.Build()
 	col := tbl.MustCol("s").(*Strings)
@@ -324,5 +320,24 @@ func TestConcatAllTypes(t *testing.T) {
 	}).Build()
 	if _, err := Concat(mk(0), other); err == nil {
 		t.Error("field-name mismatch accepted")
+	}
+}
+
+// Named for the int64 encodings Concat once mixed; it keeps the dense case,
+// with an empty input and values wider than 32 bits.
+func TestConcatEncodedInt64Columns(t *testing.T) {
+	mk := func(c Column) *Table {
+		return MustNewTable("t", Schema{{Name: "k", Type: Int64}}, []Column{c})
+	}
+	a := []int64{5, 5, 5, 9}
+	b := []int64{0, 1, 2, 3}
+	c := []int64{1 << 40, 1 << 40, 1<<40 + 1}
+	got, err := Concat(mk(&Int64s{V: a}), mk(&Int64s{V: b}), mk(&Int64s{V: nil}), mk(&Int64s{V: c}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(append(append([]int64{}, a...), b...), c...)
+	if ok, why := ColumnsIdentical(got.Cols[0], &Int64s{V: want}); !ok {
+		t.Fatalf("concat of int64 columns: %s", why)
 	}
 }

@@ -303,10 +303,6 @@ func formatCell(c colstore.Column, row int) string {
 	case *colstore.Bools:
 		return fmt.Sprintf("%t", col.V[row])
 	default:
-		// An RLE int column decodes per cell.
-		if rd, _, ok := colstore.Int64Reader(c); ok {
-			return fmt.Sprintf("%d", rd(row))
-		}
 		return "?"
 	}
 }

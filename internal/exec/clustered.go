@@ -59,28 +59,20 @@ func (rc *runCutter) feed(vals []int64, base int) (int, bool) {
 // fewer than 2*chunk rows apart (the last pair may be closer).
 //
 // The pass is sequential and stops at the first descent — a few rows into
-// an unsorted column — and is charged for what it read: the compressed
-// footprint for encoded columns, one comparison per value.
+// an unsorted column — and is charged for what it read: the bytes of the
+// rows it decoded, one comparison per value.
 func ClusteredCuts(col colstore.Column, chunk int, ctr *Counters) []int32 {
 	n, chunk := col.Len(), max(chunk, 1)
 	rc := runCutter{chunk: chunk, prev: math.MinInt64, cuts: make([]int32, 1, n/chunk+2)}
 	ok := true
 	switch c := col.(type) {
-	case *colstore.RLEInt64:
-		// Runs arrive pre-cut; adjacent runs differ by construction.
-		r := 0
-		for ; ok && r < len(c.Vals); r++ {
-			ok = rc.boundary(c.Vals[r], int(c.Starts[r]))
-		}
-		ctr.SeqBytes += int64(r) * 12
-		ctr.IntOps += int64(r)
 	case *colstore.Int64s:
 		var read int
 		read, ok = rc.feed(c.V, 0)
 		ctr.SeqBytes += int64(read) * 8
 		ctr.IntOps += int64(read)
 	default:
-		// Every other key encoding decodes block by block through
+		// Every other key type decodes block by block through
 		// KeysInto, which charges the bytes; blocks start small so an
 		// unsorted column costs a handful of rows.
 		var buf [1024]int64

@@ -69,15 +69,12 @@ func (p ColCmpI) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, err
 	if err != nil {
 		return nil, err
 	}
-	av, err := AsInt64(ac, ctr)
-	if err != nil {
-		return nil, fmt.Errorf("exec: ColCmpI: %s and %s columns: %w", ac.Type(), bc.Type(), err)
+	av, okA := ac.(*colstore.Int64s)
+	bv, okB := bc.(*colstore.Int64s)
+	if !okA || !okB {
+		return nil, fmt.Errorf("exec: ColCmpI: %s and %s columns, want int64", ac.Type(), bc.Type())
 	}
-	bv, err := AsInt64(bc, ctr)
-	if err != nil {
-		return nil, fmt.Errorf("exec: ColCmpI: %s and %s columns: %w", ac.Type(), bc.Type(), err)
-	}
-	return SelColCmpI64(&colstore.Int64s{V: av}, &colstore.Int64s{V: bv}, p.Op, in, ctr), nil
+	return SelColCmpI64(av, bv, p.Op, in, ctr), nil
 }
 
 // String implements Pred.

@@ -271,28 +271,14 @@ func (e CaseWhenF) String() string {
 	return fmt.Sprintf("case when <pred> then %s else %s end", e.Then, e.Else)
 }
 
-// AsInt64 returns the column's values as a dense int64 slice, decoding
-// RLE. The result aliases the column's storage for dense columns. This
-// is the explicit materialization point for operators without a coded
-// path (aggregate arguments); the decode is charged at the compressed
-// read footprint plus per-row unpack work.
-func AsInt64(c colstore.Column, ctr *Counters) ([]int64, error) {
-	switch v := c.(type) {
-	case *colstore.Int64s:
-		return v.V, nil
-	case *colstore.RLEInt64:
-		out := make([]int64, v.Len())
-		for i, val := range v.Vals {
-			for j := v.Starts[i]; j < v.Starts[i+1]; j++ {
-				out[j] = val
-			}
-		}
-		ctr.SeqBytes += v.SizeBytes()
-		ctr.IntOps += int64(v.Len())
-		return out, nil
-	default:
+// AsInt64 returns an int64 column's values; the result aliases the
+// column's storage.
+func AsInt64(c colstore.Column) ([]int64, error) {
+	v, ok := c.(*colstore.Int64s)
+	if !ok {
 		return nil, fmt.Errorf("exec: cannot treat %s column as int64", c.Type())
 	}
+	return v.V, nil
 }
 
 // AsFloat64 returns the column's values as a float64 slice, promoting
@@ -304,17 +290,6 @@ func AsFloat64(c colstore.Column, ctr *Counters) ([]float64, error) {
 	case *colstore.Int64s:
 		out := make([]float64, len(v.V))
 		for i, x := range v.V {
-			out[i] = float64(x)
-		}
-		ctr.IntOps += int64(len(out))
-		return out, nil
-	case *colstore.RLEInt64:
-		iv, err := AsInt64(c, ctr)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, len(iv))
-		for i, x := range iv {
 			out[i] = float64(x)
 		}
 		ctr.IntOps += int64(len(out))

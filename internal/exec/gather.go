@@ -93,7 +93,7 @@ func gatherColumn(c colstore.Column, sel []int32, workers, morselRows int, ctr *
 		}
 		return &colstore.Strings{Codes: out, Dict: col.Dict}, nil
 	default:
-		// RLE and any future encodings keep their own Gather semantics.
+		// Any other Column implementation keeps its own Gather.
 		return c.Gather(sel), nil
 	}
 }

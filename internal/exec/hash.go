@@ -340,9 +340,6 @@ func (jt *JoinTable) SizeBytes() int64 {
 	return n
 }
 
-// NumBuildRows reports the number of indexed build rows.
-func (jt *JoinTable) NumBuildRows() int { return len(jt.next) }
-
 // Lookup returns the first build row whose key is k, or -1. Callers that
 // need all duplicates follow the chain with Next. Unlike the batch probe
 // methods, Lookup charges no counters; single-row callers (the

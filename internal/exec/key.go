@@ -23,19 +23,12 @@ func KeysFromColumn(col colstore.Column, sel []int32, ctr *Counters) ([]int64, e
 }
 
 // KeysInto is KeysFromColumn into a caller's buffer: dst must hold one
-// key per selected row (col.Len() with a nil sel). Every encoding decodes
-// straight into dst — encoded columns read only their compressed bytes
-// and are charged at that footprint — so a morsel of a large column
-// lands in its slot of the operator's key vector without a copy.
+// key per selected row (col.Len() with a nil sel). Every key type
+// decodes straight into dst, so a morsel of a large column lands in its
+// slot of the operator's key vector without a copy.
 func KeysInto(dst []int64, col colstore.Column, sel []int32, ctr *Counters) error {
 	if sel != nil {
-		ops := int64(0) // per-row decode work beyond the access itself
 		switch c := col.(type) {
-		case *colstore.RLEInt64:
-			for i, s := range sel {
-				dst[i] = c.Value(s)
-			}
-			ops = 4 // binary search per row
 		case *colstore.Int64s:
 			for i, s := range sel {
 				dst[i] = c.V[s]
@@ -56,18 +49,9 @@ func KeysInto(dst []int64, col colstore.Column, sel []int32, ctr *Counters) erro
 			return fmt.Errorf("exec: column type %s cannot be a key", col.Type())
 		}
 		ctr.RandomAccesses += int64(len(sel))
-		ctr.IntOps += int64(len(sel)) * ops
 		return nil
 	}
 	switch c := col.(type) {
-	case *colstore.RLEInt64:
-		for i, v := range c.Vals {
-			run := dst[c.Starts[i]:c.Starts[i+1]]
-			for j := range run {
-				run[j] = v
-			}
-		}
-		ctr.IntOps += int64(c.Len())
 	case *colstore.Int64s:
 		copy(dst, c.V)
 	case *colstore.Dates:
@@ -85,7 +69,6 @@ func KeysInto(dst []int64, col colstore.Column, sel []int32, ctr *Counters) erro
 	default:
 		return fmt.Errorf("exec: column type %s cannot be a key", col.Type())
 	}
-	// Dense and encoded columns alike stream their own footprint once.
 	ctr.SeqBytes += col.SizeBytes()
 	return nil
 }

@@ -30,14 +30,11 @@ func (p CmpI) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error)
 	if err != nil {
 		return nil, err
 	}
-	switch ic := c.(type) {
-	case *colstore.Int64s:
-		return SelInt64(ic, p.Op, p.V, in, ctr), nil
-	case *colstore.RLEInt64:
-		return SelRLEInt64(ic, p.Op, p.V, in, ctr), nil
-	default:
+	ic, ok := c.(*colstore.Int64s)
+	if !ok {
 		return nil, fmt.Errorf("exec: %s is %s, want int64", p.Column, c.Type())
 	}
+	return SelInt64(ic, p.Op, p.V, in, ctr), nil
 }
 
 // String implements Pred.
@@ -57,14 +54,11 @@ func (p InI) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) 
 	if err != nil {
 		return nil, err
 	}
-	switch ic := c.(type) {
-	case *colstore.Int64s:
-		return SelInt64In(ic, p.Vals, in, ctr), nil
-	case *colstore.RLEInt64:
-		return SelRLEInt64In(ic, p.Vals, in, ctr), nil
-	default:
+	ic, ok := c.(*colstore.Int64s)
+	if !ok {
 		return nil, fmt.Errorf("exec: %s is %s, want int64", p.Column, c.Type())
 	}
+	return SelInt64In(ic, p.Vals, in, ctr), nil
 }
 
 // String implements Pred.

@@ -183,6 +183,17 @@ func TestExprEval(t *testing.T) {
 	}
 }
 
+func TestAsInt64(t *testing.T) {
+	orig := &colstore.Int64s{V: []int64{10, 10, 999, -4}}
+	v, err := AsInt64(orig)
+	if err != nil || &v[0] != &orig.V[0] || len(v) != len(orig.V) {
+		t.Error("AsInt64 int should alias")
+	}
+	if _, err := AsInt64(&colstore.Float64s{V: []float64{1}}); err == nil {
+		t.Error("AsInt64 float should error")
+	}
+}
+
 func TestAsFloat64(t *testing.T) {
 	var ctr Counters
 	f, err := AsFloat64(&colstore.Int64s{V: []int64{1, 2}}, &ctr)
@@ -225,13 +236,9 @@ func sameSel(a, b []int32) bool {
 	return true
 }
 
-func TestInIPredAcrossEncodings(t *testing.T) {
-	vals := []int64{3, 3, 3, 7, 7, 2, 9, 2, 2, 2}
-	mk := func(c colstore.Column) *colstore.Table {
-		return colstore.MustNewTable("t", colstore.Schema{{Name: "k", Type: colstore.Int64}}, []colstore.Column{c})
-	}
-	dense := &colstore.Int64s{V: vals}
-	rle := colstore.CompressInt64(dense)
+func TestInIPred(t *testing.T) {
+	tbl := colstore.MustNewTable("t", colstore.Schema{{Name: "k", Type: colstore.Int64}},
+		[]colstore.Column{&colstore.Int64s{V: []int64{3, 3, 3, 7, 7, 2, 9, 2, 2, 2}}})
 	cases := []struct {
 		list []int64
 		want []int32
@@ -243,32 +250,30 @@ func TestInIPredAcrossEncodings(t *testing.T) {
 		{nil, nil},
 	}
 	for _, tc := range cases {
-		for _, col := range []colstore.Column{dense, rle} {
-			var c Counters
-			got, err := InI{Column: "k", Vals: tc.list}.Sel(mk(col), nil, &c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameSel(got, tc.want) {
-				t.Fatalf("%T in %v: %v, want %v", col, tc.list, got, tc.want)
-			}
-			// Selective path agrees with intersecting the dense answer.
-			in := []int32{1, 3, 6, 8}
-			gotSel, err := InI{Column: "k", Vals: tc.list}.Sel(mk(col), in, &c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wantSel []int32
-			for _, i := range in {
-				for _, w := range tc.want {
-					if i == w {
-						wantSel = append(wantSel, i)
-					}
+		var c Counters
+		got, err := InI{Column: "k", Vals: tc.list}.Sel(tbl, nil, &c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameSel(got, tc.want) {
+			t.Fatalf("in %v: %v, want %v", tc.list, got, tc.want)
+		}
+		// Selective path agrees with intersecting the full answer.
+		in := []int32{1, 3, 6, 8}
+		gotSel, err := InI{Column: "k", Vals: tc.list}.Sel(tbl, in, &c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantSel []int32
+		for _, i := range in {
+			for _, w := range tc.want {
+				if i == w {
+					wantSel = append(wantSel, i)
 				}
 			}
-			if !sameSel(gotSel, wantSel) {
-				t.Fatalf("%T in %v (sel): %v, want %v", col, tc.list, gotSel, wantSel)
-			}
+		}
+		if !sameSel(gotSel, wantSel) {
+			t.Fatalf("in %v (sel): %v, want %v", tc.list, gotSel, wantSel)
 		}
 	}
 }

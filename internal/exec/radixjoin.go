@@ -29,7 +29,7 @@ const RadixBuildBytesPerRow = 32
 // their ascending build-row ids, prepending every row to its key's chain
 // in next — the build side's next array, indexed by build row, of which
 // the partition writes only its own rows. It is charged like any chained
-// build; the table's SizeBytes and NumBuildRows count all of next.
+// build; the table's SizeBytes counts all of next.
 func BuildPartitionJoinTable(keys []int64, rows, next []int32, c *Counters) *JoinTable {
 	jp := newJoinPart(len(keys))
 	for i, k := range keys {

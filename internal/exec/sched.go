@@ -103,7 +103,6 @@ type Pool struct {
 	qs     []*poolQuery
 	closed bool
 	wg     sync.WaitGroup
-	size   int
 }
 
 // poolQuery is one attached query's scheduling state.
@@ -140,7 +139,7 @@ func NewPool(size int) *Pool {
 	if size < 1 {
 		size = 1
 	}
-	p := &Pool{size: size}
+	p := &Pool{}
 	p.cond = sync.NewCond(&p.mu)
 	for i := 0; i < size; i++ {
 		p.wg.Add(1)
@@ -154,9 +153,6 @@ func NewPool(size int) *Pool {
 	}
 	return p
 }
-
-// Size reports the number of pool workers.
-func (p *Pool) Size() int { return p.size }
 
 // Close stops the workers and waits for them to exit. Attached queries
 // keep working: their callers execute their own batches to completion.

@@ -41,12 +41,6 @@ func sortComparators(t *colstore.Table, keys []SortKey, ctr *Counters) ([]rowCmp
 		switch col := c.(type) {
 		case *colstore.Int64s:
 			f = func(a, b int32) int { return cmpOrder(col.V[a], col.V[b]) }
-		case *colstore.RLEInt64:
-			vals, err := AsInt64(c, ctr)
-			if err != nil {
-				return nil, err
-			}
-			f = func(a, b int32) int { return cmpOrder(vals[a], vals[b]) }
 		case *colstore.Float64s:
 			f = func(a, b int32) int { return cmpOrderF(col.V[a], col.V[b]) }
 		case *colstore.Dates:

@@ -2,7 +2,7 @@ package plan
 
 // Property test and micro-benchmark for the order-aware group-by. The
 // claim under test is the one groupedClustered makes: on every input
-// clusteredCuts accepts — whatever the key position, encoding, morsel
+// clusteredCuts accepts — whatever the key position, key type, morsel
 // size and worker count — aggregate returns the table groupedMorsel
 // returns, bit for bit, with counters that do not depend on the worker
 // count; and every input it must refuse still takes the morsel path.
@@ -103,22 +103,30 @@ func nonNegative(keys []int64) []int64 {
 	return keys
 }
 
-// keyEncodings are the int encodings the k column is tested under.
-var keyEncodings = []struct {
+// keyTypes are the column types the k column is tested as: int64,
+// which ClusteredCuts reads in place, and the same values as day
+// numbers, which it decodes block by block like every other key type.
+var keyTypes = []struct {
 	name   string
-	encode func(c *colstore.Int64s) colstore.Column
+	column func(c *colstore.Int64s) colstore.Column
 }{
-	{"plain", func(c *colstore.Int64s) colstore.Column { return c }},
-	{"rle", func(c *colstore.Int64s) colstore.Column { return colstore.CompressInt64(c) }},
+	{"int64", func(c *colstore.Int64s) colstore.Column { return c }},
+	{"date", func(c *colstore.Int64s) colstore.Column {
+		d := make([]int32, len(c.V))
+		for i, v := range c.V {
+			d[i] = int32(v)
+		}
+		return &colstore.Dates{V: d}
+	}},
 }
 
 // clusteredTestTable is groupTestTable's value columns beside the two
-// key columns k and t.
+// key columns k (of k's own type) and t.
 func clusteredTestTable(t *testing.T, rng *rand.Rand, k colstore.Column, tv []int64) *colstore.Table {
 	t.Helper()
 	vals := groupTestTable(rng, tv)
 	in, err := colstore.NewTable("t",
-		colstore.Schema{{Name: "k", Type: colstore.Int64}, {Name: "t", Type: colstore.Int64},
+		colstore.Schema{{Name: "k", Type: k.Type()}, {Name: "t", Type: colstore.Int64},
 			{Name: "v", Type: colstore.Float64}, {Name: "nanv", Type: colstore.Float64}, {Name: "iv", Type: colstore.Int64}},
 		[]colstore.Column{k, &colstore.Int64s{V: tv}, vals.MustCol("v"), vals.MustCol("nanv"), vals.MustCol("iv")})
 	if err != nil {
@@ -135,8 +143,8 @@ func TestClusteredGroupByProperty(t *testing.T) {
 		for _, morsel := range []int{64, 1000, 0} {
 			rng := rand.New(rand.NewSource(int64(morsel) + 1))
 			kv, tv := shape.gen(rng, n, morsel)
-			for _, enc := range keyEncodings {
-				in := clusteredTestTable(t, rng, enc.encode(&colstore.Int64s{V: kv}), tv)
+			for _, kt := range keyTypes {
+				in := clusteredTestTable(t, rng, kt.column(&colstore.Int64s{V: kv}), tv)
 				newCtx := func(workers int) *Context {
 					return &Context{Cat: memCatalog{"t": in}, Ctr: &exec.Counters{}, Workers: workers, MinParallelRows: 1, MorselRows: morsel}
 				}
@@ -147,7 +155,7 @@ func TestClusteredGroupByProperty(t *testing.T) {
 				}
 				var base exec.Counters
 				for _, w := range []int{1, 2, 4, 8} {
-					label := fmt.Sprintf("%s, morsel %d, %s, workers %d", shape.name, morsel, enc.name, w)
+					label := fmt.Sprintf("%s, morsel %d, %s, workers %d", shape.name, morsel, kt.name, w)
 					ctx := newCtx(w)
 					if _, cuts := g.clusteredCuts(ctx, in); (cuts != nil) != shape.clustered {
 						t.Fatalf("%s: clustered path taken = %v, want %v", label, cuts != nil, shape.clustered)

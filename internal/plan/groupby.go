@@ -204,7 +204,7 @@ func aggArgI(ctx *Context, in *colstore.Table, spec AggSpec) ([]int64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("plan: agg %s: %w", spec.Name, err)
 	}
-	iv, err := exec.AsInt64(c, ctx.Ctr)
+	iv, err := exec.AsInt64(c)
 	if err != nil {
 		return nil, fmt.Errorf("plan: agg %s: sumi needs an int64 argument: %w", spec.Name, err)
 	}
@@ -244,7 +244,7 @@ func evalAggArgI(in *colstore.Table, spec AggSpec, ctr *exec.Counters) ([]int64,
 	if err != nil {
 		return nil, fmt.Errorf("plan: agg %s: %w", spec.Name, err)
 	}
-	iv, err := exec.AsInt64(c, ctr)
+	iv, err := exec.AsInt64(c)
 	if err != nil {
 		return nil, fmt.Errorf("plan: agg %s: sumi needs an int64 argument: %w", spec.Name, err)
 	}
@@ -434,8 +434,6 @@ func keyRange(col colstore.Column) (lo, hi int64, err error) {
 	switch c := col.(type) {
 	case *colstore.Int64s:
 		lo, hi = spanOf(c.V)
-	case *colstore.RLEInt64:
-		lo, hi = spanOf(c.Vals)
 	case *colstore.Dates:
 		l, h := spanOf(c.V)
 		lo, hi = int64(l), int64(h)

@@ -110,10 +110,6 @@ func writeColumn(w *bufio.Writer, c colstore.Column) error {
 				return err
 			}
 		}
-	case *colstore.RLEInt64:
-		// Snapshots store the dense form, so a reloaded column is
-		// dense: nothing re-compresses it.
-		return writeColumn(w, col.Decode())
 	default:
 		return fmt.Errorf("unsupported column type %T", c)
 	}

@@ -79,26 +79,6 @@ func TestSpecialFloatsSurvive(t *testing.T) {
 	}
 }
 
-func TestRLEColumnsSnapshotDense(t *testing.T) {
-	dense := &colstore.Int64s{V: []int64{5, 5, 5, 9, 9}}
-	tbl := colstore.MustNewTable("t", colstore.Schema{{Name: "k", Type: colstore.Int64}},
-		[]colstore.Column{colstore.CompressInt64(dense)})
-	var buf bytes.Buffer
-	if err := WriteTable(&buf, tbl); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTable(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := got.MustCol("k").(*colstore.Int64s).V
-	for i := range dense.V {
-		if v[i] != dense.V[i] {
-			t.Fatalf("row %d: %d vs %d", i, v[i], dense.V[i])
-		}
-	}
-}
-
 func TestCorruptionDetection(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteTable(&buf, sampleTable()); err != nil {

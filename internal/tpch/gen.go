@@ -374,23 +374,3 @@ func genOrdersAndLineitem(cfg Config, orders, customers, parts, suppliers, node,
 	}
 	return ob.Build(), lb.Build()
 }
-
-// CompressKeys returns a copy of the dataset with lineitem's sorted key
-// columns (l_orderkey) run-length encoded — the paper's Section III-C.2
-// suggestion of spending CPU on heavier compression to relieve the Pi's
-// memory-bandwidth bottleneck. Query plans work unchanged: the engine's
-// kernels handle RLE columns natively for selections and key extraction
-// and decode on demand elsewhere.
-func CompressKeys(d *Dataset) *Dataset {
-	out := &Dataset{Tables: make(map[string]*colstore.Table, len(d.Tables)), Config: d.Config}
-	for name, t := range d.Tables {
-		out.Tables[name] = t
-	}
-	li := d.Tables["lineitem"]
-	cols := make([]colstore.Column, len(li.Cols))
-	copy(cols, li.Cols)
-	idx := li.Schema.Index("l_orderkey")
-	cols[idx] = colstore.CompressInt64(li.Cols[idx].(*colstore.Int64s))
-	out.Tables["lineitem"] = colstore.MustNewTable("lineitem", li.Schema, cols)
-	return out
-}
