@@ -115,11 +115,12 @@ explain-smoke:
 # front door — 64 concurrent clients over the TPC-H mix, every result
 # verified byte-identical to serial execution. The load generator exits
 # non-zero on any query error, any divergence, or a p99 above the bound,
-# and leaves BENCH_serve.json (QPS, p50/p95/p99) behind.
+# and leaves the gitignored serve-smoke.json (QPS, p50/p95/p99) behind;
+# no tracked file is rewritten.
 SERVE_P99_MS ?= 20000
 serve-smoke:
 	$(GO) run ./cmd/wimpi-serve -load -sf 0.05 -clients 64 -queries 5 \
-		-max-p99-ms $(SERVE_P99_MS) -bench-out BENCH_serve.json
+		-max-p99-ms $(SERVE_P99_MS) -bench-out serve-smoke.json
 
 # Budget determinism smoke test: force an inner (Q3), a semi (Q4) and a
 # left-count (Q13) join through the spill joiner with a budget below

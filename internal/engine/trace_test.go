@@ -6,10 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"wimpi/internal/colstore"
 	"wimpi/internal/engine"
 	"wimpi/internal/exec"
 	"wimpi/internal/hardware"
 	"wimpi/internal/obs"
+	"wimpi/internal/plan"
 	"wimpi/internal/tpch"
 )
 
@@ -197,5 +199,55 @@ func TestExplainAnalyzeQ1OnPi(t *testing.T) {
 	if total <= 0 || pipeline/total < 0.9 {
 		t.Errorf("scan/aggregate pipeline is %.1f%% of simulated time, want >= 90%%:\n%s",
 			100*pipeline/total, out)
+	}
+}
+
+// passNode is a plan node defined outside package plan that implements
+// only plan.Node: it runs its input through Context.Run and returns the
+// input's table.
+type passNode struct{ input plan.Node }
+
+func (p *passNode) Execute(ctx *plan.Context) (*colstore.Table, error) { return ctx.Run(p.input) }
+
+func (p *passNode) Explain(depth int) string {
+	return strings.Repeat("  ", depth) + "pass\n" + p.input.Explain(depth+1)
+}
+
+// TestForeignNodeTracedInPlace checks that a node from another package is
+// traced inside without any hook of its own: under RunTraced its input's
+// operator spans nest under its "node" span exactly as they stand in the
+// input's own traced run, and the table and counters equal RunQuery's.
+func TestForeignNodeTracedInPlace(t *testing.T) {
+	db := determinismDB(t)
+	inner := tpch.MustQuery(db, 3)
+	p := &passNode{input: inner}
+	plain, err := db.RunQuery(context.Background(), p, engine.QueryOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, err := db.RunTraced(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertTablesIdentical(t, plain.Table, traced.Table, "Q3 under passNode")
+	if traced.Counters != plain.Counters {
+		t.Errorf("counters diverge:\n plain  %+v\n traced %+v", plain.Counters, traced.Counters)
+	}
+	root := traced.Root
+	if root == nil || root.Op != "node" || root.Label != "pass" || len(root.Children) != 1 {
+		t.Fatalf("root span = %+v, want one node span labelled pass with one child", root)
+	}
+	direct, err := db.RunTraced(inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := flattenSpans(direct.Root), flattenSpans(root.Children[0])
+	if len(want) < 3 || len(got) != len(want) {
+		t.Fatalf("%d spans under pass, want %d (input's own traced run)", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("span %d under pass:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
 	}
 }

@@ -590,7 +590,7 @@ func TestSortTableMultiKey(t *testing.T) {
 	}
 	tbl := b.Build()
 	var ctr Counters
-	out, err := SortTable(tbl, []SortKey{{Column: "g"}, {Column: "v", Desc: true}}, &ctr)
+	out, err := SortTableParallel(tbl, []SortKey{{Column: "g"}, {Column: "v", Desc: true}}, 1, 0, &ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,7 +612,7 @@ func TestSortTableMultiKey(t *testing.T) {
 	if topAll.NumRows() != 5 {
 		t.Error("TopNParallel with n > rows should return all")
 	}
-	if _, err := SortTable(tbl, []SortKey{{Column: "missing"}}, &ctr); err == nil {
+	if _, err := SortTableParallel(tbl, []SortKey{{Column: "missing"}}, 1, 0, &ctr); err == nil {
 		t.Error("sort by missing column should error")
 	}
 }
@@ -625,7 +625,7 @@ func TestSortPropertyOrdering(t *testing.T) {
 			b.EndRow()
 		}
 		var ctr Counters
-		out, err := SortTable(b.Build(), []SortKey{{Column: "v"}}, &ctr)
+		out, err := SortTableParallel(b.Build(), []SortKey{{Column: "v"}}, 1, 0, &ctr)
 		if err != nil {
 			return false
 		}

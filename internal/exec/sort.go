@@ -231,22 +231,9 @@ func siftDown[T any](h []T, i int, less func(a, b T) bool) {
 	}
 }
 
-// SortTable materializes t ordered by keys.
-func SortTable(t *colstore.Table, keys []SortKey, ctr *Counters) (*colstore.Table, error) {
-	idx, err := ArgSort(t, keys, ctr)
-	if err != nil {
-		return nil, err
-	}
-	out := t.Gather(idx)
-	ctr.TuplesMaterialized += int64(out.NumRows())
-	ctr.BytesMaterialized += out.SizeBytes()
-	ctr.RandomAccesses += int64(out.NumRows()) * int64(out.NumCols())
-	return out, nil
-}
-
 // SortTableParallel materializes t ordered by keys using up to workers
-// goroutines for both the sort and the gather. Output is identical to
-// SortTable's.
+// goroutines for both the sort and the gather. Output is identical at
+// every worker count.
 func SortTableParallel(t *colstore.Table, keys []SortKey, workers, morselRows int, ctr *Counters) (*colstore.Table, error) {
 	idx, err := ArgSortParallel(t, keys, workers, morselRows, ctr)
 	if err != nil {

@@ -174,7 +174,7 @@ func TestStringSortUsesDictCodesOrMaterializes(t *testing.T) {
 	check := func(tab *colstore.Table, wantMaterialize bool) {
 		t.Helper()
 		var ctr Counters
-		out, err := SortTable(tab, []SortKey{{Column: "s"}}, &ctr)
+		out, err := SortTableParallel(tab, []SortKey{{Column: "s"}}, 1, 0, &ctr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -109,8 +109,8 @@ func compileNode(ctx *Context, n Node) Node {
 		return &c
 	case *Scan:
 		return v
-	case *Fused, *spanNode:
-		return n // already compiled or instrumented
+	case *Fused:
+		return n // already compiled
 	default:
 		return n
 	}
@@ -295,9 +295,8 @@ func rebuildChain(scan *Scan, input Node, stages []fusedStage, group *GroupBy, o
 }
 
 // Execute implements Node. The fused-pipeline span itself comes from
-// the instrumentation wrapper (labeled by Explain's first line); the
-// pipeline opens child spans for its phases (join-build, fused-probe,
-// gather).
+// Context.Run (labeled by Explain's first line); the pipeline opens
+// child spans for its phases (join-build, fused-probe, gather).
 func (f *Fused) Execute(ctx *Context) (*colstore.Table, error) {
 	st, err := f.start(ctx)
 	if err != nil {
@@ -358,7 +357,7 @@ func (f *Fused) start(ctx *Context) (*fusedState, error) {
 	if f.scan != nil {
 		driver, err = f.scan.open(ctx)
 	} else {
-		driver, err = f.input.Execute(ctx)
+		driver, err = ctx.Run(f.input)
 	}
 	if err != nil {
 		return nil, err
@@ -575,7 +574,7 @@ func (st *fusedState) applyProbe(ps *probeStage) error {
 		}
 		build, err = ctx.executeBuild(ps.build, ps.sideways, pk)
 	} else {
-		build, err = ps.build.Execute(ctx)
+		build, err = ctx.Run(ps.build)
 	}
 	if err != nil {
 		return err

@@ -78,7 +78,7 @@ type GroupBy struct {
 
 // Execute implements Node.
 func (g *GroupBy) Execute(ctx *Context) (*colstore.Table, error) {
-	in, err := g.Input.Execute(ctx)
+	in, err := ctx.Run(g.Input)
 	if err != nil {
 		return nil, err
 	}

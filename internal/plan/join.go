@@ -68,15 +68,15 @@ func (j *HashJoin) Execute(ctx *Context) (*colstore.Table, error) {
 	var pk []int64
 	var err error
 	if j.Sideways != nil {
-		if probe, err = j.Probe.Execute(ctx); err != nil {
+		if probe, err = ctx.Run(j.Probe); err != nil {
 			return nil, err
 		}
 		if pk, err = joinKeysParallel(ctx, probe, j.ProbeKeys, nil); err != nil {
 			return nil, err
 		}
 		build, err = ctx.executeBuild(j.Build, j.Sideways, pk)
-	} else if build, err = j.Build.Execute(ctx); err == nil {
-		probe, err = j.Probe.Execute(ctx)
+	} else if build, err = ctx.Run(j.Build); err == nil {
+		probe, err = ctx.Run(j.Probe)
 	}
 	if err != nil {
 		return nil, err

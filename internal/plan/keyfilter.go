@@ -32,7 +32,7 @@ func (c *Context) executeBuild(build Node, ks *KeySet, probeKeys []int64) (*cols
 	}
 	c.sideways[ks] = probeKeys
 	defer delete(c.sideways, ks)
-	return build.Execute(c)
+	return c.Run(build)
 }
 
 // KeyFilter is sideways information passing: it keeps the rows of its
@@ -96,7 +96,7 @@ func (f *KeyFilter) run(ctx *Context) (*colstore.Table, string, error) {
 			ctx.Trace.EndErr(ssp)
 			return nil, "", err
 		}
-	} else if t, err = f.Input.Execute(ctx); err != nil {
+	} else if t, err = ctx.Run(f.Input); err != nil {
 		return nil, "", err
 	}
 	read := t.NumRows()

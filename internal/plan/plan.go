@@ -169,11 +169,6 @@ type Result struct {
 	Root *obs.Span
 }
 
-// Run executes a plan against a catalog with fresh counters.
-func Run(cat Catalog, workers int, n Node) (*Result, error) {
-	return RunContext(&Context{Cat: cat, Workers: workers}, n)
-}
-
 // RunContext executes a plan under a caller-configured context (worker
 // count, morsel granularity, exec mode, cancellation). A nil
 // Ctr gets fresh counters. Fused mode compiles the plan first; the
@@ -197,12 +192,11 @@ func RunContext(ctx *Context, n Node) (*Result, error) {
 		tr := obs.NewTracer(ctx.Ctr)
 		tr.Hook = ctx.Trace.Hook
 		ctx.Trace = tr
-		compiled = instrument(compiled)
 	}
 	if ctx.SpillDir != "" && ctx.MemLimitBytes > 0 {
 		ctx.spillOK = hasSpillableJoin(compiled)
 	}
-	t, err := compiled.Execute(ctx)
+	t, err := ctx.Run(compiled)
 	ctx.spillOK = false
 	ctx.memo = nil
 	if a := ctx.spillArea; a != nil {
@@ -357,7 +351,7 @@ type Filter struct {
 
 // Execute implements Node.
 func (f *Filter) Execute(ctx *Context) (*colstore.Table, error) {
-	in, err := f.Input.Execute(ctx)
+	in, err := ctx.Run(f.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -397,7 +391,7 @@ type Project struct {
 
 // Execute implements Node.
 func (p *Project) Execute(ctx *Context) (*colstore.Table, error) {
-	in, err := p.Input.Execute(ctx)
+	in, err := ctx.Run(p.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -438,7 +432,7 @@ type Limit struct {
 
 // Execute implements Node.
 func (l *Limit) Execute(ctx *Context) (*colstore.Table, error) {
-	in, err := l.Input.Execute(ctx)
+	in, err := ctx.Run(l.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -465,7 +459,7 @@ type OrderBy struct {
 
 // Execute implements Node.
 func (o *OrderBy) Execute(ctx *Context) (*colstore.Table, error) {
-	in, err := o.Input.Execute(ctx)
+	in, err := ctx.Run(o.Input)
 	if err != nil {
 		return nil, err
 	}

@@ -76,9 +76,9 @@ func mustRun(t *testing.T, cat Catalog, n Node) *colstore.Table {
 	return out
 }
 
-// runTable is Run for tests that only look at the result table.
+// runTable is RunContext for tests that only look at the result table.
 func runTable(cat Catalog, workers int, n Node) (*colstore.Table, error) {
-	res, err := Run(cat, workers, n)
+	res, err := RunContext(&Context{Cat: cat, Workers: workers}, n)
 	if err != nil {
 		return nil, err
 	}
@@ -110,13 +110,13 @@ func TestScanAndFilter(t *testing.T) {
 		t.Fatalf("filter rows = %d", out.NumRows())
 	}
 	// Missing table and column errors.
-	if _, err := Run(cat, 1, &Scan{Table: "nope"}); err == nil {
+	if _, err := RunContext(&Context{Cat: cat, Workers: 1}, &Scan{Table: "nope"}); err == nil {
 		t.Error("scan of missing table should error")
 	}
-	if _, err := Run(cat, 1, &Scan{Table: "orders", Columns: []string{"zzz"}}); err == nil {
+	if _, err := RunContext(&Context{Cat: cat, Workers: 1}, &Scan{Table: "orders", Columns: []string{"zzz"}}); err == nil {
 		t.Error("projection of missing column should error")
 	}
-	if _, err := Run(cat, 1, &Filter{Input: &Scan{Table: "orders"}, Pred: exec.CmpI{Column: "zzz"}}); err == nil {
+	if _, err := RunContext(&Context{Cat: cat, Workers: 1}, &Filter{Input: &Scan{Table: "orders"}, Pred: exec.CmpI{Column: "zzz"}}); err == nil {
 		t.Error("filter on missing column should error")
 	}
 }
@@ -141,7 +141,7 @@ func TestProject(t *testing.T) {
 		t.Error("year column wrong")
 	}
 
-	if _, err := Run(cat, 1, &Project{Input: &Scan{Table: "cust"}, Cols: []NamedExpr{{Name: "x", Expr: exec.Col{Name: "zzz"}}}}); err == nil {
+	if _, err := RunContext(&Context{Cat: cat, Workers: 1}, &Project{Input: &Scan{Table: "cust"}, Cols: []NamedExpr{{Name: "x", Expr: exec.Col{Name: "zzz"}}}}); err == nil {
 		t.Error("project of missing column should error")
 	}
 }
@@ -229,28 +229,28 @@ func TestHashJoinTwoKeyAndErrors(t *testing.T) {
 	}
 
 	// Key list mismatch.
-	if _, err := Run(cat, 1, &HashJoin{
+	if _, err := RunContext(&Context{Cat: cat, Workers: 1}, &HashJoin{
 		Build: &Scan{Table: "cust"}, Probe: &Scan{Table: "orders"},
 		BuildKeys: []string{"c_id"}, ProbeKeys: []string{"o_cust", "o_id"},
 	}); err == nil {
 		t.Error("mismatched key lists should error")
 	}
 	// Duplicate output columns without rename.
-	if _, err := Run(cat, 1, &HashJoin{
+	if _, err := RunContext(&Context{Cat: cat, Workers: 1}, &HashJoin{
 		Build: &Scan{Table: "orders"}, Probe: &Scan{Table: "orders"},
 		BuildKeys: []string{"o_id"}, ProbeKeys: []string{"o_id"}, Kind: Inner,
 	}); err == nil {
 		t.Error("duplicate columns should error")
 	}
 	// Three keys unsupported.
-	if _, err := Run(cat, 1, &HashJoin{
+	if _, err := RunContext(&Context{Cat: cat, Workers: 1}, &HashJoin{
 		Build: &Scan{Table: "orders"}, Probe: &Scan{Table: "orders"},
 		BuildKeys: []string{"o_id", "o_cust", "o_total"}, ProbeKeys: []string{"o_id", "o_cust", "o_total"},
 	}); err == nil {
 		t.Error("three keys should error")
 	}
 	// Float key column.
-	if _, err := Run(cat, 1, &HashJoin{
+	if _, err := RunContext(&Context{Cat: cat, Workers: 1}, &HashJoin{
 		Build: &Scan{Table: "orders"}, Probe: &Scan{Table: "cust"},
 		BuildKeys: []string{"o_total"}, ProbeKeys: []string{"c_id"}, Kind: Semi,
 	}); err == nil {
@@ -369,19 +369,19 @@ func TestGroupByMultiKeyAndScalar(t *testing.T) {
 	}
 
 	// Error paths.
-	if _, err := Run(cat, 1, &GroupBy{
+	if _, err := RunContext(&Context{Cat: cat, Workers: 1}, &GroupBy{
 		Input: &Scan{Table: "orders"}, Keys: []string{"zzz"},
 		Aggs: []AggSpec{{Name: "n", Func: Count}},
 	}); err == nil {
 		t.Error("missing key should error")
 	}
-	if _, err := Run(cat, 1, &GroupBy{
+	if _, err := RunContext(&Context{Cat: cat, Workers: 1}, &GroupBy{
 		Input: &Scan{Table: "orders"}, Keys: []string{"o_cust"},
 		Aggs: []AggSpec{{Name: "s", Func: Sum}},
 	}); err == nil {
 		t.Error("sum without arg should error")
 	}
-	if _, err := Run(cat, 1, &GroupBy{
+	if _, err := RunContext(&Context{Cat: cat, Workers: 1}, &GroupBy{
 		Input: &Scan{Table: "orders"}, Keys: []string{"o_total"},
 		Aggs: []AggSpec{{Name: "n", Func: Count}},
 	}); err == nil {
@@ -500,14 +500,14 @@ func TestParallelSelMatchesSequential(t *testing.T) {
 		}
 	}
 	// Errors propagate from workers.
-	if _, err := Run(cat, 8, &Scan{Table: "big", Pred: exec.CmpI{Column: "zzz", Op: exec.Lt, V: 1}}); err == nil {
+	if _, err := RunContext(&Context{Cat: cat, Workers: 8}, &Scan{Table: "big", Pred: exec.CmpI{Column: "zzz", Op: exec.Lt, V: 1}}); err == nil {
 		t.Error("parallel sel should propagate errors")
 	}
 }
 
 func TestCountersCharged(t *testing.T) {
 	cat := testCatalog()
-	res, err := Run(cat, 1, &GroupBy{
+	res, err := RunContext(&Context{Cat: cat, Workers: 1}, &GroupBy{
 		Input: &Scan{Table: "orders", Pred: exec.CmpF{Column: "o_total", Op: exec.Gt, V: 0}},
 		Keys:  []string{"o_cust"},
 		Aggs:  []AggSpec{{Name: "s", Func: Sum, Arg: exec.Col{Name: "o_total"}}},

@@ -26,7 +26,7 @@ func TestAnalyzeMatchesRunAndAttributesWork(t *testing.T) {
 		Keys: []string{"c_name"},
 		Aggs: []AggSpec{{Name: "total", Func: Sum, Arg: exec.Col{Name: "o_total"}}},
 	}
-	plain, err := Run(cat, 1, node)
+	plain, err := RunContext(&Context{Cat: cat, Workers: 1}, node)
 	if err != nil {
 		t.Fatal(err)
 	}

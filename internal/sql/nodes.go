@@ -22,7 +22,7 @@ type memoNode struct {
 
 // Execute implements plan.Node.
 func (m *memoNode) Execute(ctx *plan.Context) (*colstore.Table, error) {
-	return ctx.Memo(m, func() (*colstore.Table, error) { return m.inner.Execute(ctx) })
+	return ctx.Memo(m, func() (*colstore.Table, error) { return ctx.Run(m.inner) })
 }
 
 // Explain implements plan.Node.
@@ -34,11 +34,6 @@ func (m *memoNode) Explain(depth int) string {
 // Children implements plan.ChildNodes, so plan-tree walks (notably the
 // spill-capability scan behind memory budgets) see through the memo.
 func (m *memoNode) Children() []plan.Node { return []plan.Node{m.inner} }
-
-// RewriteChildren implements plan.ChildRewriter.
-func (m *memoNode) RewriteChildren(rewrite func(plan.Node) plan.Node) plan.Node {
-	return &memoNode{name: m.name, inner: rewrite(m.inner), shared: m.shared}
-}
 
 // scalarPlan is one scalar subquery: a plan whose result is a single
 // row with the scalar in its only column.
@@ -76,7 +71,7 @@ type deferredNode struct {
 func (d *deferredNode) Execute(ctx *plan.Context) (*colstore.Table, error) {
 	vals := make([]float64, len(d.scalars))
 	for i := range d.scalars {
-		t, err := d.scalars[i].node.Execute(ctx)
+		t, err := ctx.Run(d.scalars[i].node)
 		if err != nil {
 			return nil, err
 		}
@@ -90,7 +85,7 @@ func (d *deferredNode) Execute(ctx *plan.Context) (*colstore.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return n.Execute(ctx)
+	return ctx.Run(n)
 }
 
 // Children implements plan.ChildNodes: the scalar subquery plans. The
@@ -103,23 +98,6 @@ func (d *deferredNode) Children() []plan.Node {
 		out[i] = d.scalars[i].node
 	}
 	return out
-}
-
-// RewriteChildren implements plan.ChildRewriter: the scalar subquery
-// plans now, the enclosing block when Execute builds it.
-func (d *deferredNode) RewriteChildren(rewrite func(plan.Node) plan.Node) plan.Node {
-	c := &deferredNode{name: d.name, scalars: make([]scalarPlan, len(d.scalars))}
-	for i := range d.scalars {
-		c.scalars[i] = scalarPlan{node: rewrite(d.scalars[i].node)}
-	}
-	c.build = func(vals []float64) (plan.Node, error) {
-		n, err := d.build(vals)
-		if err != nil {
-			return nil, err
-		}
-		return rewrite(n), nil
-	}
-	return c
 }
 
 // Explain implements plan.Node.
