@@ -699,16 +699,7 @@ type SimBreakdown struct {
 // set exceeds its 1 GB), plus partial-result transfer over the throttled
 // link, plus the coordinator-side merge.
 func Simulate(res *DistResult, opt SimOptions) SimBreakdown {
-	var b SimBreakdown
-	for _, ctr := range res.NodeCounters {
-		ex := opt.Model.Explain(&opt.NodeProfile, ctr, opt.NodeProfile.TotalCores())
-		if ex.Total > b.NodeSeconds {
-			b.NodeSeconds = ex.Total
-		}
-		if ex.SwapSeconds > 0 {
-			b.Thrashed = true
-		}
-	}
+	b := simulateNodes(res, opt)
 	if opt.LinkBandwidthBps > 0 {
 		b.NetworkSeconds = float64(res.BytesReceived*8) / opt.LinkBandwidthBps
 	}
@@ -720,5 +711,19 @@ func Simulate(res *DistResult, opt SimOptions) SimBreakdown {
 		b.MergeSeconds = 0
 	}
 	b.Total = b.NodeSeconds + b.NetworkSeconds + b.MergeSeconds
+	return b
+}
+
+// simulateNodes starts a breakdown with the slowest node's simulated
+// local time, and Thrashed set when any node swaps.
+func simulateNodes(res *DistResult, opt SimOptions) SimBreakdown {
+	var b SimBreakdown
+	for _, ctr := range res.NodeCounters {
+		ex := opt.Model.Explain(&opt.NodeProfile, ctr, opt.NodeProfile.TotalCores())
+		if ex.Total > b.NodeSeconds {
+			b.NodeSeconds = ex.Total
+		}
+		b.Thrashed = b.Thrashed || ex.SwapSeconds > 0
+	}
 	return b
 }

@@ -88,16 +88,7 @@ func (h *HybridCoordinator) Run(q int) (*DistResult, error) {
 // worker-side time on the node profile, front-end time (merge and
 // single-node queries) on the coordinator profile.
 func SimulateHybrid(res *DistResult, opt SimOptions, front hardware.Profile) SimBreakdown {
-	var b SimBreakdown
-	for _, ctr := range res.NodeCounters {
-		ex := opt.Model.Explain(&opt.NodeProfile, ctr, opt.NodeProfile.TotalCores())
-		if ex.Total > b.NodeSeconds {
-			b.NodeSeconds = ex.Total
-		}
-		if ex.SwapSeconds > 0 {
-			b.Thrashed = true
-		}
-	}
+	b := simulateNodes(res, opt)
 	if res.NodesUsed > 0 && opt.LinkBandwidthBps > 0 {
 		b.NetworkSeconds = float64(res.BytesReceived*8)/opt.LinkBandwidthBps +
 			opt.PerMessageLatency.Seconds()*float64(res.NodesUsed)

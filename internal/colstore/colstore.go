@@ -84,13 +84,7 @@ func (c *Int64s) Len() int { return len(c.V) }
 func (c *Int64s) SizeBytes() int64 { return int64(len(c.V)) * 8 }
 
 // Gather implements Column.
-func (c *Int64s) Gather(sel []int32) Column {
-	out := make([]int64, len(sel))
-	for i, s := range sel {
-		out[i] = c.V[s]
-	}
-	return &Int64s{V: out}
-}
+func (c *Int64s) Gather(sel []int32) Column { return &Int64s{V: gathered(c.V, sel)} }
 
 // Slice implements Column.
 func (c *Int64s) Slice(lo, hi int) Column { return &Int64s{V: c.V[lo:hi]} }
@@ -111,13 +105,7 @@ func (c *Float64s) Len() int { return len(c.V) }
 func (c *Float64s) SizeBytes() int64 { return int64(len(c.V)) * 8 }
 
 // Gather implements Column.
-func (c *Float64s) Gather(sel []int32) Column {
-	out := make([]float64, len(sel))
-	for i, s := range sel {
-		out[i] = c.V[s]
-	}
-	return &Float64s{V: out}
-}
+func (c *Float64s) Gather(sel []int32) Column { return &Float64s{V: gathered(c.V, sel)} }
 
 // Slice implements Column.
 func (c *Float64s) Slice(lo, hi int) Column { return &Float64s{V: c.V[lo:hi]} }
@@ -138,13 +126,7 @@ func (c *Dates) Len() int { return len(c.V) }
 func (c *Dates) SizeBytes() int64 { return int64(len(c.V)) * 4 }
 
 // Gather implements Column.
-func (c *Dates) Gather(sel []int32) Column {
-	out := make([]int32, len(sel))
-	for i, s := range sel {
-		out[i] = c.V[s]
-	}
-	return &Dates{V: out}
-}
+func (c *Dates) Gather(sel []int32) Column { return &Dates{V: gathered(c.V, sel)} }
 
 // Slice implements Column.
 func (c *Dates) Slice(lo, hi int) Column { return &Dates{V: c.V[lo:hi]} }
@@ -165,13 +147,7 @@ func (c *Bools) Len() int { return len(c.V) }
 func (c *Bools) SizeBytes() int64 { return int64(len(c.V)) }
 
 // Gather implements Column.
-func (c *Bools) Gather(sel []int32) Column {
-	out := make([]bool, len(sel))
-	for i, s := range sel {
-		out[i] = c.V[s]
-	}
-	return &Bools{V: out}
-}
+func (c *Bools) Gather(sel []int32) Column { return &Bools{V: gathered(c.V, sel)} }
 
 // Slice implements Column.
 func (c *Bools) Slice(lo, hi int) Column { return &Bools{V: c.V[lo:hi]} }
@@ -197,11 +173,7 @@ func (c *Strings) SizeBytes() int64 { return int64(len(c.Codes)) * 4 }
 
 // Gather implements Column. The result shares the receiver's dictionary.
 func (c *Strings) Gather(sel []int32) Column {
-	out := make([]int32, len(sel))
-	for i, s := range sel {
-		out[i] = c.Codes[s]
-	}
-	return &Strings{Codes: out, Dict: c.Dict}
+	return &Strings{Codes: gathered(c.Codes, sel), Dict: c.Dict}
 }
 
 // Slice implements Column.
@@ -211,3 +183,13 @@ func (c *Strings) Slice(lo, hi int) Column {
 
 // Value returns the string value at row i.
 func (c *Strings) Value(i int) string { return c.Dict.Value(c.Codes[i]) }
+
+// gathered returns, for each index i of sel, v[sel[i]]: the one loop
+// behind every column's Gather.
+func gathered[T any](v []T, sel []int32) []T {
+	out := make([]T, len(sel))
+	for i, s := range sel {
+		out[i] = v[s]
+	}
+	return out
+}

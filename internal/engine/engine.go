@@ -174,8 +174,9 @@ func (db *DB) spillDir() string {
 // QueryOpts shape one RunQuery call.
 type QueryOpts struct {
 	// Workers bounds the query's parallelism; < 1 selects the database
-	// default. With a shared pool this is the cap on pool workers
-	// helping the query at once, not a reservation.
+	// default. With a shared pool it caps the goroutines running the
+	// query's morsels at once — the caller and up to Workers-1 pool
+	// workers — and reserves none.
 	Workers int
 	// Weight is the query's fair-share weight in the shared pool; < 1
 	// selects 1. A weight-2 query receives twice the pool share of a

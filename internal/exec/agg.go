@@ -151,13 +151,8 @@ func (g *Grouper) GroupKeys() []int64 { return g.keys }
 // The Scatter* kernels accumulate per-group aggregate state. Accumulator
 // slices grow on demand so they can be shared across morsels.
 
-func growF64(s *[]float64, n int, fill float64) {
-	for len(*s) < n {
-		*s = append(*s, fill)
-	}
-}
-
-func growI64(s *[]int64, n int, fill int64) {
+// grow extends *s to n entries, each new one set to fill.
+func grow[T any](s *[]T, n int, fill T) {
 	for len(*s) < n {
 		*s = append(*s, fill)
 	}
@@ -214,7 +209,7 @@ func ScatterSumsF64(gids []int32, vals, accs [][]float64, ctr *Counters) {
 
 // ScatterSumI64 adds vals[i] to (*acc)[gids[i]].
 func ScatterSumI64(gids []int32, vals []int64, acc *[]int64, ngroups int, ctr *Counters) {
-	growI64(acc, ngroups, 0)
+	grow(acc, ngroups, 0)
 	a := *acc
 	for i, g := range gids {
 		a[g] += vals[i]
@@ -246,7 +241,7 @@ func ScatterCount(gids []int32, counts []int64, users int, ctr *Counters) {
 // morsel decomposition; an all-NaN group deterministically reports its
 // fill. See TestScatterMinMaxF64NaNOrderIndependent.
 func ScatterMinF64(gids []int32, vals []float64, acc *[]float64, ngroups int, fill float64, ctr *Counters) {
-	growF64(acc, ngroups, fill)
+	grow(acc, ngroups, fill)
 	a := *acc
 	for i, g := range gids {
 		if vals[i] < a[g] {
@@ -260,7 +255,7 @@ func ScatterMinF64(gids []int32, vals []float64, acc *[]float64, ngroups int, fi
 // ScatterMaxF64 folds vals[i] into (*acc)[gids[i]] with max. NaN inputs
 // are skipped, mirroring ScatterMinF64 (see its NaN note).
 func ScatterMaxF64(gids []int32, vals []float64, acc *[]float64, ngroups int, fill float64, ctr *Counters) {
-	growF64(acc, ngroups, fill)
+	grow(acc, ngroups, fill)
 	a := *acc
 	for i, g := range gids {
 		if vals[i] > a[g] {

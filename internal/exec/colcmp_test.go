@@ -24,20 +24,20 @@ func colcmpTable() *colstore.Table {
 func TestSelColCmpKernels(t *testing.T) {
 	tbl := colcmpTable()
 	var ctr Counters
-	a := tbl.MustCol("a").(*colstore.Int64s)
-	b := tbl.MustCol("b").(*colstore.Int64s)
-	if got := SelColCmpI64(a, b, Lt, nil, &ctr); !equalSel(got, []int32{0}) {
+	a := tbl.MustCol("a").(*colstore.Int64s).V
+	b := tbl.MustCol("b").(*colstore.Int64s).V
+	if got := SelColCmp(a, b, Lt, nil, &ctr); !equalSel(got, []int32{0}) {
 		t.Errorf("I64 Lt dense = %v", got)
 	}
-	if got := SelColCmpI64(a, b, Ge, []int32{0, 2, 3}, &ctr); !equalSel(got, []int32{2, 3}) {
+	if got := SelColCmp(a, b, Ge, []int32{0, 2, 3}, &ctr); !equalSel(got, []int32{2, 3}) {
 		t.Errorf("I64 Ge sel = %v", got)
 	}
-	x := tbl.MustCol("x").(*colstore.Float64s)
-	y := tbl.MustCol("y").(*colstore.Float64s)
-	if got := SelColCmpF64(x, y, Eq, nil, &ctr); !equalSel(got, []int32{1}) {
+	x := tbl.MustCol("x").(*colstore.Float64s).V
+	y := tbl.MustCol("y").(*colstore.Float64s).V
+	if got := SelColCmp(x, y, Eq, nil, &ctr); !equalSel(got, []int32{1}) {
 		t.Errorf("F64 Eq dense = %v", got)
 	}
-	if got := SelColCmpF64(x, y, Gt, []int32{0, 1, 2}, &ctr); !equalSel(got, []int32{2}) {
+	if got := SelColCmp(x, y, Gt, []int32{0, 1, 2}, &ctr); !equalSel(got, []int32{2}) {
 		t.Errorf("F64 Gt sel = %v", got)
 	}
 }

@@ -15,67 +15,177 @@ import (
 )
 
 func TestSelInt64DenseAndSel(t *testing.T) {
-	c := &colstore.Int64s{V: []int64{5, 1, 9, 3, 7, 3}}
+	c := []int64{5, 1, 9, 3, 7, 3}
 	var ctr Counters
-	got := SelInt64(c, Gt, 3, nil, &ctr)
+	got := SelCmp(c, Gt, 3, nil, &ctr)
 	want := []int32{0, 2, 4}
 	if !equalSel(got, want) {
-		t.Errorf("dense SelInt64 = %v, want %v", got, want)
+		t.Errorf("dense SelCmp = %v, want %v", got, want)
 	}
-	got = SelInt64(c, Le, 3, got, &ctr)
+	got = SelCmp(c, Le, 3, got, &ctr)
 	if len(got) != 0 {
-		t.Errorf("chained SelInt64 = %v, want empty", got)
+		t.Errorf("chained SelCmp = %v, want empty", got)
 	}
-	got = SelInt64(c, Eq, 3, []int32{0, 3, 5}, &ctr)
+	got = SelCmp(c, Eq, 3, []int32{0, 3, 5}, &ctr)
 	if !equalSel(got, []int32{3, 5}) {
-		t.Errorf("selective SelInt64 = %v", got)
+		t.Errorf("selective SelCmp = %v", got)
 	}
 	if ctr.TuplesScanned == 0 || ctr.IntOps == 0 {
 		t.Error("counters not charged")
 	}
 }
 
+// oracleCmp is op written out with Go's own operators, independent of
+// the kernels' compare.
+func oracleCmp[T int32 | int64 | float64](op CmpOp, a, b T) bool {
+	return map[CmpOp]bool{Eq: a == b, Ne: a != b, Lt: a < b, Le: a <= b, Gt: a > b, Ge: a >= b}[op]
+}
+
+// selShape is one column shape's test input: a and b are the operands of
+// the literal and row-wise compares, lits the literals and range bounds,
+// width the bytes the kernels charge per value read.
+type selShape[T int32 | int64 | float64] struct {
+	a, b  []T
+	lits  []T
+	width int64
+}
+
+// check runs SelCmp, SelRange and SelColCmp over every operator, literal
+// and bound pair, dense and through a selection of every other row, and
+// compares each result and charge with the oracle.
+func (s selShape[T]) check(t *testing.T) {
+	t.Helper()
+	n := len(s.a)
+	half := make([]int32, 0, n/2)
+	for i := 1; i < n; i += 2 {
+		half = append(half, int32(i))
+	}
+	for _, in := range [][]int32{nil, half} {
+		rows := in
+		if rows == nil {
+			rows = SelAll(n)
+		}
+		oracle := func(keep func(r int32) bool) []int32 {
+			out := []int32{}
+			for _, r := range rows {
+				if keep(r) {
+					out = append(out, r)
+				}
+			}
+			return out
+		}
+		charged := func(what string, ctr Counters, width int64) {
+			t.Helper()
+			want := Counters{TuplesScanned: int64(len(rows)), IntOps: int64(len(rows))}
+			if in == nil {
+				want.SeqBytes = int64(len(rows)) * width
+			} else {
+				want.RandomAccesses = int64(len(rows))
+			}
+			if ctr != want {
+				t.Errorf("%s (dense %v) charged %+v, want %+v", what, in == nil, ctr, want)
+			}
+		}
+		for _, op := range []CmpOp{Eq, Ne, Lt, Le, Gt, Ge} {
+			for _, lit := range s.lits {
+				var ctr Counters
+				got := SelCmp(s.a, op, lit, in, &ctr)
+				if want := oracle(func(r int32) bool { return oracleCmp(op, s.a[r], lit) }); !equalSel(got, want) {
+					t.Errorf("SelCmp %s %v (dense %v) = %v, want %v", op, lit, in == nil, got, want)
+				}
+				charged("SelCmp", ctr, s.width)
+			}
+			var ctr Counters
+			got := SelColCmp(s.a, s.b, op, in, &ctr)
+			if want := oracle(func(r int32) bool { return oracleCmp(op, s.a[r], s.b[r]) }); !equalSel(got, want) {
+				t.Errorf("SelColCmp %s (dense %v) = %v, want %v", op, in == nil, got, want)
+			}
+			charged("SelColCmp", ctr, 2*s.width)
+		}
+		for _, lo := range s.lits {
+			for _, hi := range s.lits {
+				var ctr Counters
+				got := SelRange(s.a, lo, hi, in, &ctr)
+				if want := oracle(func(r int32) bool { return lo <= s.a[r] && s.a[r] <= hi }); !equalSel(got, want) {
+					t.Errorf("SelRange [%v, %v] (dense %v) = %v, want %v", lo, hi, in == nil, got, want)
+				}
+				charged("SelRange", ctr, s.width)
+			}
+		}
+	}
+}
+
+// TestSelKernelsAgainstNaive checks the literal, range and row-wise
+// selection kernels of every column shape against an oracle, at the
+// edges of each type (extreme integers; NaN, the infinities and -0) and
+// on random values, and pins what each charges: 8, 8 and 4 bytes a value
+// for int64, float64 and date, twice that for a row-wise compare.
 func TestSelKernelsAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	n := 500
-	iv := make([]int64, n)
-	fv := make([]float64, n)
-	dv := make([]int32, n)
-	for i := 0; i < n; i++ {
-		iv[i] = rng.Int63n(100)
-		fv[i] = rng.Float64() * 100
-		dv[i] = int32(rng.Intn(1000))
+	negZero := math.Copysign(0, -1)
+	ints := selShape[int64]{
+		a:     []int64{math.MinInt64, math.MaxInt64, 0, -1, 1, math.MinInt64 + 1, math.MaxInt64 - 1, 50},
+		lits:  []int64{math.MinInt64, -1, 0, 50, math.MaxInt64},
+		width: 8,
 	}
-	ic := &colstore.Int64s{V: iv}
-	fc := &colstore.Float64s{V: fv}
-	dc := &colstore.Dates{V: dv}
-	var ctr Counters
-	for _, op := range []CmpOp{Eq, Ne, Lt, Le, Gt, Ge} {
-		got := SelInt64(ic, op, 50, nil, &ctr)
-		want := naiveSel(n, func(i int) bool { return cmpI64(op, iv[i], 50) })
+	floats := selShape[float64]{
+		a:     []float64{math.NaN(), math.Inf(1), math.Inf(-1), negZero, 0, 1.5, -1.5, math.MaxFloat64, 50},
+		lits:  []float64{math.NaN(), math.Inf(-1), negZero, 0, 50, math.Inf(1)},
+		width: 8,
+	}
+	dates := selShape[int32]{
+		a:     []int32{math.MinInt32, math.MaxInt32, 0, -1, 1, math.MinInt32 + 1, math.MaxInt32 - 1, 500},
+		lits:  []int32{math.MinInt32, -1, 0, 500, math.MaxInt32},
+		width: 4,
+	}
+	for i := 0; i < 200; i++ {
+		ints.a = append(ints.a, rng.Int63n(100))
+		floats.a = append(floats.a, rng.Float64()*100)
+		dates.a = append(dates.a, int32(rng.Intn(1000)))
+	}
+	// The row-wise compares pair each value with the column reversed, so
+	// every edge value meets every other.
+	ints.b = slices.Clone(ints.a)
+	slices.Reverse(ints.b)
+	floats.b = slices.Clone(floats.a)
+	slices.Reverse(floats.b)
+	dates.b = slices.Clone(dates.a)
+	slices.Reverse(dates.b)
+	t.Run("int64", ints.check)
+	t.Run("float64", floats.check)
+	t.Run("date", dates.check)
+	t.Run("DateRange", checkDateRangeHalfOpen)
+}
+
+// checkDateRangeHalfOpen pins DateRange's [Lo, Hi) meaning on top of the
+// closed SelRange, including the empty windows where Hi-1 would wrap:
+// they select nothing but still scan the column.
+func checkDateRangeHalfOpen(t *testing.T) {
+	v := []int32{math.MinInt32, math.MinInt32 + 1, -1, 0, 1, math.MaxInt32 - 1, math.MaxInt32}
+	tbl := colstore.MustNewTable("t", colstore.Schema{{Name: "d", Type: colstore.Date}},
+		[]colstore.Column{&colstore.Dates{V: v}})
+	for _, w := range [][2]int32{
+		{math.MinInt32, math.MaxInt32},
+		{-1, 1},
+		{0, 0},
+		{1, 0},
+		{math.MinInt32, math.MinInt32},
+		{0, math.MinInt32},
+		{math.MaxInt32, math.MaxInt32},
+	} {
+		p := DateRange{Column: "d", Lo: w[0], Hi: w[1]}
+		var ctr Counters
+		got, err := p.Sel(tbl, nil, &ctr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := naiveSel(len(v), func(i int) bool { return w[0] <= v[i] && v[i] < w[1] })
 		if !equalSel(got, want) {
-			t.Errorf("SelInt64 %s mismatch", op)
+			t.Errorf("DateRange [%d, %d) = %v, want %v", w[0], w[1], got, want)
 		}
-		gotF := SelFloat64(fc, op, 50, nil, &ctr)
-		wantF := naiveSel(n, func(i int) bool { return cmpF64(op, fv[i], 50) })
-		if !equalSel(gotF, wantF) {
-			t.Errorf("SelFloat64 %s mismatch", op)
+		if ctr.TuplesScanned != int64(len(v)) || ctr.SeqBytes != 4*int64(len(v)) {
+			t.Errorf("DateRange [%d, %d) charged %+v, want a full scan", w[0], w[1], ctr)
 		}
-		gotD := SelDate(dc, op, 500, nil, &ctr)
-		wantD := naiveSel(n, func(i int) bool { return cmpI64(op, int64(dv[i]), 500) })
-		if !equalSel(gotD, wantD) {
-			t.Errorf("SelDate %s mismatch", op)
-		}
-	}
-	gotR := SelDateRange(dc, 200, 400, nil, &ctr)
-	wantR := naiveSel(n, func(i int) bool { return dv[i] >= 200 && dv[i] < 400 })
-	if !equalSel(gotR, wantR) {
-		t.Error("SelDateRange mismatch")
-	}
-	gotFR := SelFloat64Range(fc, 25, 75, nil, &ctr)
-	wantFR := naiveSel(n, func(i int) bool { return fv[i] >= 25 && fv[i] <= 75 })
-	if !equalSel(gotFR, wantFR) {
-		t.Error("SelFloat64Range mismatch")
 	}
 }
 

@@ -38,62 +38,34 @@ func GatherTable(t *colstore.Table, sel []int32, workers, morselRows int, ctr *C
 func gatherColumn(c colstore.Column, sel []int32, workers, morselRows int, ctr *Counters) (colstore.Column, error) {
 	switch col := c.(type) {
 	case *colstore.Int64s:
-		out := make([]int64, len(sel))
-		err := runMorselsInfallible(workers, len(sel), morselRows, ctr, func(m, lo, hi int, _ *Counters) {
-			for i := lo; i < hi; i++ {
-				out[i] = col.V[sel[i]]
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &colstore.Int64s{V: out}, nil
+		v, err := gatherMorsels(col.V, sel, workers, morselRows, ctr)
+		return &colstore.Int64s{V: v}, err
 	case *colstore.Float64s:
-		out := make([]float64, len(sel))
-		err := runMorselsInfallible(workers, len(sel), morselRows, ctr, func(m, lo, hi int, _ *Counters) {
-			for i := lo; i < hi; i++ {
-				out[i] = col.V[sel[i]]
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &colstore.Float64s{V: out}, nil
+		v, err := gatherMorsels(col.V, sel, workers, morselRows, ctr)
+		return &colstore.Float64s{V: v}, err
 	case *colstore.Dates:
-		out := make([]int32, len(sel))
-		err := runMorselsInfallible(workers, len(sel), morselRows, ctr, func(m, lo, hi int, _ *Counters) {
-			for i := lo; i < hi; i++ {
-				out[i] = col.V[sel[i]]
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &colstore.Dates{V: out}, nil
+		v, err := gatherMorsels(col.V, sel, workers, morselRows, ctr)
+		return &colstore.Dates{V: v}, err
 	case *colstore.Bools:
-		out := make([]bool, len(sel))
-		err := runMorselsInfallible(workers, len(sel), morselRows, ctr, func(m, lo, hi int, _ *Counters) {
-			for i := lo; i < hi; i++ {
-				out[i] = col.V[sel[i]]
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &colstore.Bools{V: out}, nil
+		v, err := gatherMorsels(col.V, sel, workers, morselRows, ctr)
+		return &colstore.Bools{V: v}, err
 	case *colstore.Strings:
-		out := make([]int32, len(sel))
-		err := runMorselsInfallible(workers, len(sel), morselRows, ctr, func(m, lo, hi int, _ *Counters) {
-			for i := lo; i < hi; i++ {
-				out[i] = col.Codes[sel[i]]
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &colstore.Strings{Codes: out, Dict: col.Dict}, nil
+		v, err := gatherMorsels(col.Codes, sel, workers, morselRows, ctr)
+		return &colstore.Strings{Codes: v, Dict: col.Dict}, err
 	default:
 		// Any other Column implementation keeps its own Gather.
 		return c.Gather(sel), nil
 	}
+}
+
+// gatherMorsels returns v[sel[i]] for every i, each morsel writing its
+// own range of the output.
+func gatherMorsels[T any](v []T, sel []int32, workers, morselRows int, ctr *Counters) ([]T, error) {
+	out := make([]T, len(sel))
+	err := runMorselsInfallible(workers, len(sel), morselRows, ctr, func(_, lo, hi int, _ *Counters) {
+		for i := lo; i < hi; i++ {
+			out[i] = v[sel[i]]
+		}
+	})
+	return out, err
 }

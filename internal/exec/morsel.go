@@ -47,7 +47,7 @@ func NumMorsels(n, morselRows int) int {
 // calling goroutine). With a pool-attached Sched (Pool.Attach →
 // Counters.SetSched), morsels are published to the shared pool and the
 // calling goroutine participates, so the query always progresses while
-// pool workers contribute their fair share.
+// up to workers-1 pool workers contribute their fair share.
 //
 // Errors and cancellation: the first morsel error (in morsel order) is
 // returned and stops the dispatch of further morsels; in-flight morsels
@@ -89,7 +89,7 @@ func RunMorsels(workers, n, morselRows int, ctr *Counters, fn func(m, lo, hi int
 	var ran int // morsels that executed to completion or error
 	switch {
 	case sched != nil && sched.q != nil && w > 1:
-		b := runPooled(sched, n, morselRows, nm, fn)
+		b := runPooled(sched, w-1, n, morselRows, nm, fn)
 		parts, errs, ran = b.parts, b.errs, b.ranCount
 	case w == 1:
 		parts = make([]Counters, nm)

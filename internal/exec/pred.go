@@ -26,15 +26,11 @@ type CmpI struct {
 
 // Sel implements Pred.
 func (p CmpI) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) {
-	c, err := t.ColByName(p.Column)
+	c, err := column[*colstore.Int64s](t, p.Column)
 	if err != nil {
 		return nil, err
 	}
-	ic, ok := c.(*colstore.Int64s)
-	if !ok {
-		return nil, fmt.Errorf("exec: %s is %s, want int64", p.Column, c.Type())
-	}
-	return SelInt64(ic, p.Op, p.V, in, ctr), nil
+	return SelCmp(c.V, p.Op, p.V, in, ctr), nil
 }
 
 // String implements Pred.
@@ -50,15 +46,11 @@ type InI struct {
 
 // Sel implements Pred.
 func (p InI) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) {
-	c, err := t.ColByName(p.Column)
+	c, err := column[*colstore.Int64s](t, p.Column)
 	if err != nil {
 		return nil, err
 	}
-	ic, ok := c.(*colstore.Int64s)
-	if !ok {
-		return nil, fmt.Errorf("exec: %s is %s, want int64", p.Column, c.Type())
-	}
-	return SelInt64In(ic, p.Vals, in, ctr), nil
+	return SelInt64In(c, p.Vals, in, ctr), nil
 }
 
 // String implements Pred.
@@ -101,15 +93,11 @@ type CmpF struct {
 
 // Sel implements Pred.
 func (p CmpF) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) {
-	c, err := t.ColByName(p.Column)
+	c, err := column[*colstore.Float64s](t, p.Column)
 	if err != nil {
 		return nil, err
 	}
-	fc, ok := c.(*colstore.Float64s)
-	if !ok {
-		return nil, fmt.Errorf("exec: %s is %s, want float64", p.Column, c.Type())
-	}
-	return SelFloat64(fc, p.Op, p.V, in, ctr), nil
+	return SelCmp(c.V, p.Op, p.V, in, ctr), nil
 }
 
 // String implements Pred.
@@ -125,15 +113,11 @@ type CmpD struct {
 
 // Sel implements Pred.
 func (p CmpD) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) {
-	c, err := t.ColByName(p.Column)
+	c, err := column[*colstore.Dates](t, p.Column)
 	if err != nil {
 		return nil, err
 	}
-	dc, ok := c.(*colstore.Dates)
-	if !ok {
-		return nil, fmt.Errorf("exec: %s is %s, want date", p.Column, c.Type())
-	}
-	return SelDate(dc, p.Op, p.V, in, ctr), nil
+	return SelCmp(c.V, p.Op, p.V, in, ctr), nil
 }
 
 // String implements Pred.
@@ -150,15 +134,16 @@ type DateRange struct {
 
 // Sel implements Pred.
 func (p DateRange) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) {
-	c, err := t.ColByName(p.Column)
+	c, err := column[*colstore.Dates](t, p.Column)
 	if err != nil {
 		return nil, err
 	}
-	dc, ok := c.(*colstore.Dates)
-	if !ok {
-		return nil, fmt.Errorf("exec: %s is %s, want date", p.Column, c.Type())
+	lo, hi := p.Lo, p.Hi-1
+	if p.Hi <= p.Lo {
+		// [Lo, Hi) is empty, and Hi-1 wraps at math.MinInt32.
+		lo, hi = 1, 0
 	}
-	return SelDateRange(dc, p.Lo, p.Hi, in, ctr), nil
+	return SelRange(c.V, lo, hi, in, ctr), nil
 }
 
 // String implements Pred.
@@ -175,15 +160,11 @@ type FloatRange struct {
 
 // Sel implements Pred.
 func (p FloatRange) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) {
-	c, err := t.ColByName(p.Column)
+	c, err := column[*colstore.Float64s](t, p.Column)
 	if err != nil {
 		return nil, err
 	}
-	fc, ok := c.(*colstore.Float64s)
-	if !ok {
-		return nil, fmt.Errorf("exec: %s is %s, want float64", p.Column, c.Type())
-	}
-	return SelFloat64Range(fc, p.Lo, p.Hi, in, ctr), nil
+	return SelRange(c.V, p.Lo, p.Hi, in, ctr), nil
 }
 
 // String implements Pred.
@@ -203,7 +184,7 @@ type StrEq struct {
 
 // Sel implements Pred.
 func (p StrEq) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) {
-	sc, err := stringCol(t, p.Column)
+	sc, err := column[*colstore.Strings](t, p.Column)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +215,7 @@ type StrIn struct {
 
 // Sel implements Pred.
 func (p StrIn) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) {
-	sc, err := stringCol(t, p.Column)
+	sc, err := column[*colstore.Strings](t, p.Column)
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +237,7 @@ type Like struct {
 
 // Sel implements Pred.
 func (p Like) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) {
-	sc, err := stringCol(t, p.Column)
+	sc, err := column[*colstore.Strings](t, p.Column)
 	if err != nil {
 		return nil, err
 	}
@@ -287,20 +268,11 @@ type ColCmpD struct {
 
 // Sel implements Pred.
 func (p ColCmpD) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) {
-	ac, err := t.ColByName(p.A)
+	a, b, err := columnPair[*colstore.Dates](t, p.A, p.B)
 	if err != nil {
 		return nil, err
 	}
-	bc, err := t.ColByName(p.B)
-	if err != nil {
-		return nil, err
-	}
-	ad, aok := ac.(*colstore.Dates)
-	bd, bok := bc.(*colstore.Dates)
-	if !aok || !bok {
-		return nil, fmt.Errorf("exec: ColCmpD needs date columns, got %s and %s", ac.Type(), bc.Type())
-	}
-	return SelColCmpDates(ad, bd, p.Op, in, ctr), nil
+	return SelColCmp(a.V, b.V, p.Op, in, ctr), nil
 }
 
 // String implements Pred.
@@ -398,14 +370,27 @@ func (TruePred) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, erro
 // String implements Pred.
 func (TruePred) String() string { return "true" }
 
-func stringCol(t *colstore.Table, name string) (*colstore.Strings, error) {
+// column looks up the named column of t and asserts its concrete type.
+func column[C colstore.Column](t *colstore.Table, name string) (C, error) {
+	var want C
 	c, err := t.ColByName(name)
 	if err != nil {
-		return nil, err
+		return want, err
 	}
-	sc, ok := c.(*colstore.Strings)
+	tc, ok := c.(C)
 	if !ok {
-		return nil, fmt.Errorf("exec: %s is %s, want string", name, c.Type())
+		// Type does not read its receiver, so the nil want names C's type.
+		return want, fmt.Errorf("exec: %s is %s, want %s", name, c.Type(), want.Type())
 	}
-	return sc, nil
+	return tc, nil
+}
+
+// columnPair is column for the two operands of a row-wise compare.
+func columnPair[C colstore.Column](t *colstore.Table, a, b string) (C, C, error) {
+	ac, err := column[C](t, a)
+	if err != nil {
+		return ac, ac, err
+	}
+	bc, err := column[C](t, b)
+	return ac, bc, err
 }

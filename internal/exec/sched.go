@@ -17,6 +17,7 @@ package exec
 import (
 	"context"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -96,7 +97,8 @@ func (s *Sched) Release() {
 // own batch while it waits, so every query keeps at least one worker
 // even when the pool is saturated — pool workers are bonus helpers, and
 // a closed or empty pool degrades to plain single-caller execution
-// instead of deadlocking.
+// instead of deadlocking. A batch run at w workers admits at most w-1
+// helpers at once, the caller being the w-th.
 type Pool struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -124,6 +126,8 @@ type batch struct {
 	parts      []Counters
 	errs       []error
 
+	helpers  int  // most pool workers that may run its morsels at once
+	helping  int  // pool workers running its morsels now
 	next     int  // first unclaimed morsel
 	inflight int  // claimed but unfinished morsels
 	ranCount int  // morsels executed to completion or error
@@ -224,6 +228,7 @@ func (p *Pool) claimAny() (b *batch, m int, ok bool) {
 			m := b.next
 			b.next++
 			b.inflight++
+			b.helping++
 			best.served++
 			return b, m, true
 		}
@@ -234,21 +239,22 @@ func (p *Pool) claimAny() (b *batch, m int, ok bool) {
 	}
 }
 
-// runnable returns the query's first batch with unclaimed morsels,
-// pruning exhausted ones. Caller holds the pool lock.
+// runnable returns the query's first batch with unclaimed morsels and a
+// free helper slot, pruning exhausted ones. Caller holds the pool lock.
 func (q *poolQuery) runnable() *batch {
-	for len(q.batches) > 0 {
-		b := q.batches[0]
-		if b.stopped || b.next >= b.nm {
-			q.batches = q.batches[1:]
-			continue
-		}
+	for i := 0; i < len(q.batches); {
+		b := q.batches[i]
 		if b.sched.Context().Err() != nil {
 			b.stopped = true
-			q.batches = q.batches[1:]
+		}
+		if b.stopped || b.next >= b.nm {
+			q.batches = slices.Delete(q.batches, i, i+1)
 			continue
 		}
-		return b
+		if b.helping < b.helpers {
+			return b
+		}
+		i++
 	}
 	return nil
 }
@@ -270,16 +276,25 @@ func (p *Pool) claimOwn(b *batch) (m int, ok bool) {
 }
 
 // finish records one morsel's completion and closes done when the batch
-// drains. A morsel error stops further dispatch.
-func (p *Pool) finish(b *batch, m int) {
+// drains. A morsel error stops further dispatch. A helper that frees the
+// last slot of a full batch wakes one idle worker, which may take it.
+func (p *Pool) finish(b *batch, m int, helper bool) {
 	p.mu.Lock()
 	if b.errs[m] != nil {
 		b.stopped = true
+	}
+	wake := false
+	if helper {
+		wake = b.helping == b.helpers
+		b.helping--
 	}
 	b.inflight--
 	b.ranCount++
 	complete := b.inflight == 0 && (b.stopped || b.next >= b.nm || b.sched.Context().Err() != nil)
 	p.mu.Unlock()
+	if wake {
+		p.cond.Signal()
+	}
 	if complete {
 		select {
 		case <-b.done:
@@ -297,7 +312,7 @@ func (p *Pool) work() {
 			return
 		}
 		b.run(m)
-		p.finish(b, m)
+		p.finish(b, m, true)
 	}
 }
 
@@ -313,11 +328,12 @@ func (b *batch) run(m int) {
 
 // runPooled executes one RunMorsels decomposition through the query's
 // pool: the caller participates (guaranteeing progress even on a
-// saturated or closed pool) while pool workers steal morsels according
-// to the fair-share policy.
-func runPooled(s *Sched, n, morselRows, nm int, fn func(m, lo, hi int, ctr *Counters) error) *batch {
+// saturated or closed pool) while up to helpers pool workers steal
+// morsels according to the fair-share policy.
+func runPooled(s *Sched, helpers, n, morselRows, nm int, fn func(m, lo, hi int, ctr *Counters) error) *batch {
 	b := &batch{
 		sched:      s,
+		helpers:    helpers,
 		n:          n,
 		morselRows: morselRows,
 		nm:         nm,
@@ -334,7 +350,7 @@ func runPooled(s *Sched, n, morselRows, nm int, fn func(m, lo, hi int, ctr *Coun
 			break
 		}
 		b.run(m)
-		p.finish(b, m)
+		p.finish(b, m, false)
 	}
 	// The caller ran out of claimable morsels (exhausted, stopped, or
 	// cancelled); wait for in-flight morsels owned by pool workers.

@@ -228,6 +228,35 @@ func TestPoolCloseJoinsWorkers(t *testing.T) {
 	}
 }
 
+// TestPoolHonoursWorkerCap: a pooled RunMorsels at w workers runs at
+// most w morsels at once — the caller plus w-1 pool helpers — however
+// many idle workers the pool has.
+func TestPoolHonoursWorkerCap(t *testing.T) {
+	pool := NewPool(4)
+	defer pool.Close()
+	for _, w := range []int{2, 4, 6} {
+		sched := pool.Attach(context.Background(), 1)
+		var ctr Counters
+		ctr.SetSched(sched)
+		var running, peak atomic.Int64
+		err := RunMorsels(w, 6400, 100, &ctr, func(m, lo, hi int, c *Counters) error {
+			now := running.Add(1)
+			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+			}
+			time.Sleep(time.Millisecond)
+			running.Add(-1)
+			return nil
+		})
+		sched.Release()
+		if err != nil {
+			t.Fatalf("w=%d: %v", w, err)
+		}
+		if got := peak.Load(); got > int64(w) {
+			t.Errorf("w=%d: %d morsels ran at once, want at most %d", w, got, w)
+		}
+	}
+}
+
 // TestPoolFairShareWeights: with the pool saturated by two long
 // queries, the heavier query is served at least as many morsels as the
 // lighter one (exact ratios depend on timing; the invariant is that

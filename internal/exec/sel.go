@@ -1,6 +1,10 @@
 package exec
 
-import "wimpi/internal/colstore"
+import (
+	"unsafe"
+
+	"wimpi/internal/colstore"
+)
 
 // CmpOp is a comparison operator for selection kernels.
 type CmpOp uint8
@@ -39,24 +43,18 @@ func (op CmpOp) String() string {
 	}
 }
 
-func cmpI64(op CmpOp, a, b int64) bool {
-	switch op {
-	case Eq:
-		return a == b
-	case Ne:
-		return a != b
-	case Lt:
-		return a < b
-	case Le:
-		return a <= b
-	case Gt:
-		return a > b
-	default:
-		return a >= b
-	}
+// fixed is the element type of a fixed-width column: a date's day
+// number, an int64 or a float64. Each kernel over it is written once and
+// compiled per type, so the shared loop costs nothing per row.
+type fixed interface{ ~int32 | ~int64 | ~float64 }
+
+// valueBytes is the width a kernel charges for each value of T it reads.
+func valueBytes[T fixed]() int64 {
+	var v T
+	return int64(unsafe.Sizeof(v))
 }
 
-func cmpF64(op CmpOp, a, b float64) bool {
+func cmpFixed[T fixed](op CmpOp, a, b T) bool {
 	switch op {
 	case Eq:
 		return a == b
@@ -85,113 +83,49 @@ func chargeSel(ctr *Counters, n int, width int64, dense bool) {
 	}
 }
 
-// SelInt64 returns the row indexes (from in, or all rows when in is nil)
-// whose value satisfies op against val. The result is ascending whenever
-// in is ascending.
-func SelInt64(c *colstore.Int64s, op CmpOp, val int64, in []int32, ctr *Counters) []int32 {
+// SelCmp returns the row indexes (from in, or all rows when in is nil)
+// whose value in v satisfies op against val. The result is ascending
+// whenever in is ascending.
+func SelCmp[T fixed](v []T, op CmpOp, val T, in []int32, ctr *Counters) []int32 {
+	width := valueBytes[T]()
 	if in == nil {
-		chargeSel(ctr, len(c.V), 8, true)
-		out := make([]int32, 0, len(c.V)/2)
-		for i, v := range c.V {
-			if cmpI64(op, v, val) {
+		chargeSel(ctr, len(v), width, true)
+		out := make([]int32, 0, len(v)/2)
+		for i, x := range v {
+			if cmpFixed(op, x, val) {
 				out = append(out, int32(i))
 			}
 		}
 		return out
 	}
-	chargeSel(ctr, len(in), 8, false)
+	chargeSel(ctr, len(in), width, false)
 	out := make([]int32, 0, len(in))
 	for _, i := range in {
-		if cmpI64(op, c.V[i], val) {
+		if cmpFixed(op, v[i], val) {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
-// SelFloat64 is SelInt64 for float columns.
-func SelFloat64(c *colstore.Float64s, op CmpOp, val float64, in []int32, ctr *Counters) []int32 {
+// SelRange selects rows with lo <= value <= hi; an interval with hi < lo
+// selects nothing but is still scanned.
+func SelRange[T fixed](v []T, lo, hi T, in []int32, ctr *Counters) []int32 {
+	width := valueBytes[T]()
 	if in == nil {
-		chargeSel(ctr, len(c.V), 8, true)
-		out := make([]int32, 0, len(c.V)/2)
-		for i, v := range c.V {
-			if cmpF64(op, v, val) {
+		chargeSel(ctr, len(v), width, true)
+		out := make([]int32, 0, len(v)/2)
+		for i, x := range v {
+			if x >= lo && x <= hi {
 				out = append(out, int32(i))
 			}
 		}
 		return out
 	}
-	chargeSel(ctr, len(in), 8, false)
+	chargeSel(ctr, len(in), width, false)
 	out := make([]int32, 0, len(in))
 	for _, i := range in {
-		if cmpF64(op, c.V[i], val) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelDate is SelInt64 for date columns; val is a day number.
-func SelDate(c *colstore.Dates, op CmpOp, val int32, in []int32, ctr *Counters) []int32 {
-	if in == nil {
-		chargeSel(ctr, len(c.V), 4, true)
-		out := make([]int32, 0, len(c.V)/2)
-		for i, v := range c.V {
-			if cmpI64(op, int64(v), int64(val)) {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	chargeSel(ctr, len(in), 4, false)
-	out := make([]int32, 0, len(in))
-	for _, i := range in {
-		if cmpI64(op, int64(c.V[i]), int64(val)) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelDateRange selects rows with lo <= value < hi, the shape of every
-// TPC-H date-window predicate.
-func SelDateRange(c *colstore.Dates, lo, hi int32, in []int32, ctr *Counters) []int32 {
-	if in == nil {
-		chargeSel(ctr, len(c.V), 4, true)
-		out := make([]int32, 0, len(c.V)/2)
-		for i, v := range c.V {
-			if v >= lo && v < hi {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	chargeSel(ctr, len(in), 4, false)
-	out := make([]int32, 0, len(in))
-	for _, i := range in {
-		if v := c.V[i]; v >= lo && v < hi {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelFloat64Range selects rows with lo <= value <= hi.
-func SelFloat64Range(c *colstore.Float64s, lo, hi float64, in []int32, ctr *Counters) []int32 {
-	if in == nil {
-		chargeSel(ctr, len(c.V), 8, true)
-		out := make([]int32, 0, len(c.V)/2)
-		for i, v := range c.V {
-			if v >= lo && v <= hi {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	chargeSel(ctr, len(in), 8, false)
-	out := make([]int32, 0, len(in))
-	for _, i := range in {
-		if v := c.V[i]; v >= lo && v <= hi {
+		if x := v[i]; x >= lo && x <= hi {
 			out = append(out, i)
 		}
 	}
@@ -217,29 +151,6 @@ func SelStrMask(c *colstore.Strings, mask []bool, in []int32, ctr *Counters) []i
 	out := make([]int32, 0, len(in))
 	for _, i := range in {
 		if mask[c.Codes[i]] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelColCmpDates selects rows where cmp(a[i], b[i]) holds between two date
-// columns (e.g. l_commitdate < l_receiptdate in Q4 and Q12).
-func SelColCmpDates(a, b *colstore.Dates, op CmpOp, in []int32, ctr *Counters) []int32 {
-	if in == nil {
-		chargeSel(ctr, len(a.V), 8, true)
-		out := make([]int32, 0, len(a.V)/2)
-		for i := range a.V {
-			if cmpI64(op, int64(a.V[i]), int64(b.V[i])) {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	chargeSel(ctr, len(in), 8, false)
-	out := make([]int32, 0, len(in))
-	for _, i := range in {
-		if cmpI64(op, int64(a.V[i]), int64(b.V[i])) {
 			out = append(out, i)
 		}
 	}

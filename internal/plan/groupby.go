@@ -655,18 +655,18 @@ func (g *GroupBy) aggMorsel(p *groupPart, s *groupScratch, in *colstore.Table, k
 func mergeAggState(dst, src *aggState, g2l []int32, ng int, fn AggFunc) {
 	switch fn {
 	case Sum:
-		growF(&dst.f, ng, 0)
+		grow(&dst.f, ng, 0)
 		for lg, v := range src.f {
 			dst.f[g2l[lg]] += v
 		}
 	case Count, SumI:
-		growI(&dst.i, ng, 0)
+		grow(&dst.i, ng, 0)
 		for lg, v := range src.i {
 			dst.i[g2l[lg]] += v
 		}
 	case Avg:
-		growF(&dst.f, ng, 0)
-		growI(&dst.i, ng, 0)
+		grow(&dst.f, ng, 0)
+		grow(&dst.i, ng, 0)
 		for lg, v := range src.f {
 			dst.f[g2l[lg]] += v
 		}
@@ -674,14 +674,14 @@ func mergeAggState(dst, src *aggState, g2l []int32, ng int, fn AggFunc) {
 			dst.i[g2l[lg]] += v
 		}
 	case Min:
-		growF(&dst.f, ng, math.Inf(1))
+		grow(&dst.f, ng, math.Inf(1))
 		for lg, v := range src.f {
 			if v < dst.f[g2l[lg]] {
 				dst.f[g2l[lg]] = v
 			}
 		}
 	case Max:
-		growF(&dst.f, ng, math.Inf(-1))
+		grow(&dst.f, ng, math.Inf(-1))
 		for lg, v := range src.f {
 			if v > dst.f[g2l[lg]] {
 				dst.f[g2l[lg]] = v
@@ -690,13 +690,8 @@ func mergeAggState(dst, src *aggState, g2l []int32, ng int, fn AggFunc) {
 	}
 }
 
-func growF(s *[]float64, n int, fill float64) {
-	for len(*s) < n {
-		*s = append(*s, fill)
-	}
-}
-
-func growI(s *[]int64, n int, fill int64) {
+// grow extends *s to n entries, each new one set to fill.
+func grow[T any](s *[]T, n int, fill T) {
 	for len(*s) < n {
 		*s = append(*s, fill)
 	}
