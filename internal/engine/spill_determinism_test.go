@@ -21,7 +21,7 @@ import (
 )
 
 // spillBudgetBytes is the budget of the engine's other budgeted tests
-// and of counters.golden's spill block. A join spills when its build
+// and of spans.golden's spill block. A join spills when its build
 // side's state (44 bytes a row) passes half the budget — the probe side
 // streams past a build that fits and holds no join state — so this
 // budget spills the joins with 745 build rows or more: at SF 0.01 those

@@ -137,8 +137,8 @@ func (c *Counters) Add(o Counters) {
 
 // DiffCounters returns the work charged between two snapshots of the
 // same counter set: additive fields subtract (after - before), while
-// max-style fields (MaxHashBytes, PeakLiveBytes, MaxPartitionBytes) are
-// high-water marks and keep the after value. It is the snapshot delta used by operator
+// the high-water fields (MaxHashBytes, PeakLiveBytes, MaxPartitionBytes,
+// ResidentCapBytes) keep the after value. It is the snapshot delta used by operator
 // spans and EXPLAIN ANALYZE.
 func DiffCounters(before, after Counters) Counters {
 	return Counters{

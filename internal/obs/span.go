@@ -17,7 +17,7 @@ import (
 // rows, bytes, and counters are deterministic — morsel workers
 // accumulate into per-worker Counters that exec.RunMorsels merges in
 // morsel order, so a span's counter delta is bit-identical at every
-// degree of parallelism that takes the same kernel paths.
+// worker count from 2 up (one worker skips some merge passes).
 type Span struct {
 	// Op is the operator kind ("scan", "sort", "group-by", "hash-join",
 	// "join-build", "join-probe", "exchange", "node", "merge", ...).
@@ -57,8 +57,9 @@ func (s *Span) SelfWall() time.Duration {
 }
 
 // SelfCounters is the span's counter delta excluding its direct
-// children. Max-style fields (MaxHashBytes, PeakLiveBytes) are
-// high-water marks and keep the span's own inclusive value.
+// children. The high-water fields (MaxHashBytes, PeakLiveBytes,
+// MaxPartitionBytes, ResidentCapBytes) keep the query-wide mark at the
+// span's close, not the span's own, so spans.golden shows them per query.
 func (s *Span) SelfCounters() exec.Counters {
 	c := s.Counters
 	for _, ch := range s.Children {
@@ -112,8 +113,9 @@ func NewTracer(ctr *exec.Counters) *Tracer {
 	return &Tracer{ctr: ctr}
 }
 
-// Begin opens a span as a child of the innermost open span (or as the
-// root). It returns the span to pass to End. A nil tracer is a valid
+// Begin opens a span as a child of the innermost open span, or as the
+// root; a later top-level span stays out of the tree, its work in no span.
+// It returns the span to pass to End. A nil tracer is a valid
 // no-op tracer: Begin returns nil and End(nil, ...) does nothing, so
 // instrumented operators need no "is tracing on" branches.
 func (t *Tracer) Begin(op, label string) *Span {
@@ -128,17 +130,10 @@ func (t *Tracer) Begin(op, label string) *Span {
 	s := &Span{Op: op, Label: label, before: *t.ctr}
 	//lint:allow taintflow -- span wall time is measured and reported, never fed back into results
 	s.start = time.Now()
-	if len(t.stack) == 0 {
-		if t.root == nil {
-			t.root = s
-		} else {
-			// A second top-level span (e.g. a coordinator merge after the
-			// fan-out): keep one root by adopting it under the first.
-			t.root.Children = append(t.root.Children, s)
-		}
-	} else {
-		p := t.stack[len(t.stack)-1]
-		p.Children = append(p.Children, s)
+	if n := len(t.stack); n > 0 {
+		t.stack[n-1].Children = append(t.stack[n-1].Children, s)
+	} else if t.root == nil {
+		t.root = s
 	}
 	t.stack = append(t.stack, s)
 	return s

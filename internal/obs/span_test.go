@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"testing"
 
 	"wimpi/internal/exec"
@@ -54,16 +55,45 @@ func TestTracerOuterEndClosesInnerAsErrored(t *testing.T) {
 	}
 }
 
-func TestSecondTopLevelSpanAdoptedUnderRoot(t *testing.T) {
+// TestSelfCountersSumToRoot pins the invariant per-operator attribution
+// rests on: over the tree, the spans' self counters add up to the root's
+// inclusive counters and none is negative. The tree has nested spans, an
+// inner span closed by its parent's End, and a top-level span opened
+// after the root closed, whose charge belongs to no span of the tree.
+func TestSelfCountersSumToRoot(t *testing.T) {
 	var ctr exec.Counters
 	tr := NewTracer(&ctr)
-	a := tr.Begin("node", "node 0")
-	tr.End(a, 1, 1)
-	b := tr.Begin("merge", "merge partials")
-	tr.End(b, 1, 1)
-	root := tr.Root()
-	if root != a || len(root.Children) != 1 || root.Children[0] != b {
-		t.Fatalf("second top-level span not adopted: %+v", root)
+	root := tr.Begin("sort", "sort")
+	ctr.IntOps += 5
+	scan := tr.Begin("scan", "scan")
+	ctr.SeqBytes += 100
+	gather := tr.Begin("gather", "gather")
+	ctr.RandomAccesses += 7
+	ctr.ObserveHashBytes(64)
+	tr.End(scan, 10, 80) // closes gather implicitly
+	ctr.IntOps += 3
+	tr.End(root, 10, 80)
+	late := tr.Begin("merge", "merge")
+	ctr.IntOps += 11
+	ctr.ObserveHashBytes(128)
+	tr.End(late, 1, 8)
+
+	var sum exec.Counters
+	tr.Root().Walk(func(sp *Span, _ int) {
+		self := sp.SelfCounters()
+		v := reflect.ValueOf(self)
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() && v.Field(i).Int() < 0 {
+				t.Errorf("%s: self %s = %d", sp.Op, v.Type().Field(i).Name, v.Field(i).Int())
+			}
+		}
+		sum.Add(self)
+	})
+	if sum != root.Counters {
+		t.Errorf("self counters sum to %+v, root has %+v", sum, root.Counters)
+	}
+	if tr.Root() != root || root.NumSpans() != 3 || !gather.Err {
+		t.Errorf("tree = %d spans, gather errored %v; want 3 spans under the first root, gather errored", root.NumSpans(), gather.Err)
 	}
 }
 
