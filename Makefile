@@ -193,12 +193,15 @@ bench-compare:
 # A performance claim, measured the way the choosing-metrics guide asks:
 # N alternating pairs of BASE against the working tree on workload W
 # (scripts/bench-pairs.sh has the details; ~1 min per pair on power).
-#   make bench-pairs BASE=HEAD~1 W=power N=10
+# M names the metric whose wins are counted, in the direction
+# BENCHMARK.json gives it.
+#   make bench-pairs BASE=HEAD~1 W=power N=10 M=throughput_qps
 W ?= power
 N ?= 10
+M ?= stream_ms
 bench-pairs:
-	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<rev> [W=<workload>] [N=<pairs>]"; exit 2; }
-	scripts/bench-pairs.sh $(BASE) $(W) $(N)
+	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<rev> [W=<workload>] [N=<pairs>] [M=<metric>]"; exit 2; }
+	scripts/bench-pairs.sh $(BASE) $(W) $(N) $(M)
 
 # Parallel speedup on Q1/Q3/Q6/Q18 at 1/2/4/8 workers (SF via WIMPI_BENCH_SF).
 bench-scaling:

@@ -10,25 +10,23 @@ import (
 // one type (e.g. l_commitdate < l_receiptdate in Q4 and Q12,
 // s_nationkey = c_nationkey in Q5), charging both values of each row.
 func SelColCmp[T fixed](a, b []T, op CmpOp, in []int32, ctr *Counters) []int32 {
-	width := 2 * valueBytes[T]()
-	if in == nil {
-		chargeSel(ctr, len(a), width, true)
-		out := make([]int32, 0, len(a)/2)
-		for i := range a {
-			if cmpFixed(op, a[i], b[i]) {
-				out = append(out, int32(i))
-			}
-		}
-		return out
+	s := beginSel(ctr, len(a), in, 2*valueBytes[T]())
+	var n int
+	switch op {
+	case Eq:
+		n = keepRows(*s, in, func(i int32) bool { return a[i] == b[i] })
+	case Ne:
+		n = keepRows(*s, in, func(i int32) bool { return a[i] != b[i] })
+	case Lt:
+		n = keepRows(*s, in, func(i int32) bool { return a[i] < b[i] })
+	case Le:
+		n = keepRows(*s, in, func(i int32) bool { return a[i] <= b[i] })
+	case Gt:
+		n = keepRows(*s, in, func(i int32) bool { return a[i] > b[i] })
+	default:
+		n = keepRows(*s, in, func(i int32) bool { return a[i] >= b[i] })
 	}
-	chargeSel(ctr, len(in), width, false)
-	out := make([]int32, 0, len(in))
-	for _, i := range in {
-		if cmpFixed(op, a[i], b[i]) {
-			out = append(out, i)
-		}
-	}
-	return out
+	return endSel(s, n)
 }
 
 // ColCmpI compares two int64 columns row-wise.

@@ -74,8 +74,12 @@ func (s selShape[T]) check(t *testing.T) {
 			}
 			return out
 		}
-		charged := func(what string, ctr Counters, width int64) {
+		charged := func(what string, got []int32, ctr Counters, width int64) {
 			t.Helper()
+			if got == nil {
+				// nil would mean all rows to the next kernel.
+				t.Errorf("%s (dense %v) returned nil, want an empty selection", what, in == nil)
+			}
 			want := Counters{TuplesScanned: int64(len(rows)), IntOps: int64(len(rows))}
 			if in == nil {
 				want.SeqBytes = int64(len(rows)) * width
@@ -93,14 +97,14 @@ func (s selShape[T]) check(t *testing.T) {
 				if want := oracle(func(r int32) bool { return oracleCmp(op, s.a[r], lit) }); !equalSel(got, want) {
 					t.Errorf("SelCmp %s %v (dense %v) = %v, want %v", op, lit, in == nil, got, want)
 				}
-				charged("SelCmp", ctr, s.width)
+				charged("SelCmp", got, ctr, s.width)
 			}
 			var ctr Counters
 			got := SelColCmp(s.a, s.b, op, in, &ctr)
 			if want := oracle(func(r int32) bool { return oracleCmp(op, s.a[r], s.b[r]) }); !equalSel(got, want) {
 				t.Errorf("SelColCmp %s (dense %v) = %v, want %v", op, in == nil, got, want)
 			}
-			charged("SelColCmp", ctr, 2*s.width)
+			charged("SelColCmp", got, ctr, 2*s.width)
 		}
 		for _, lo := range s.lits {
 			for _, hi := range s.lits {
@@ -109,7 +113,7 @@ func (s selShape[T]) check(t *testing.T) {
 				if want := oracle(func(r int32) bool { return lo <= s.a[r] && s.a[r] <= hi }); !equalSel(got, want) {
 					t.Errorf("SelRange [%v, %v] (dense %v) = %v, want %v", lo, hi, in == nil, got, want)
 				}
-				charged("SelRange", ctr, s.width)
+				charged("SelRange", got, ctr, s.width)
 			}
 		}
 	}
@@ -119,7 +123,8 @@ func (s selShape[T]) check(t *testing.T) {
 // selection kernels of every column shape against an oracle, at the
 // edges of each type (extreme integers; NaN, the infinities and -0) and
 // on random values, and pins what each charges: 8, 8 and 4 bytes a value
-// for int64, float64 and date, twice that for a row-wise compare.
+// for int64, float64 and date, twice that for a row-wise compare. No
+// result may be nil, however few rows it keeps.
 func TestSelKernelsAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	negZero := math.Copysign(0, -1)

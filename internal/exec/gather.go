@@ -3,8 +3,9 @@ package exec
 import "wimpi/internal/colstore"
 
 // gatherParallelMinRows is the smallest selection worth splitting across
-// workers.
-const gatherParallelMinRows = 1 << 14
+// workers. Below one default morsel only the allocations split, and at
+// 16 Ki rows two workers gathered four columns slower than one.
+const gatherParallelMinRows = 1 << 15
 
 // GatherTable materializes t's rows named by sel, splitting the gather
 // across up to workers goroutines. Each morsel writes a disjoint range
@@ -12,7 +13,8 @@ const gatherParallelMinRows = 1 << 14
 // Callers charge materialization counters themselves, exactly as they
 // would for the sequential Gather; ctr only carries the query's
 // scheduling handle, and the only possible error is the query's
-// cancellation.
+// cancellation, which must propagate: a half-gathered table would flow
+// downstream as if complete.
 func GatherTable(t *colstore.Table, sel []int32, workers, morselRows int, ctr *Counters) (*colstore.Table, error) {
 	if workers <= 1 || len(sel) < gatherParallelMinRows {
 		if err := ctr.sched.Err(); err != nil {
@@ -20,52 +22,59 @@ func GatherTable(t *colstore.Table, sel []int32, workers, morselRows int, ctr *C
 		}
 		return t.Gather(sel), nil
 	}
+	// The runtime zeroes an allocation on the goroutine that makes it, so
+	// the workers allocate the output columns, one column a task.
 	cols := make([]colstore.Column, t.NumCols())
-	for ci, c := range t.Cols {
-		col, err := gatherColumn(c, sel, workers, morselRows, ctr)
-		if err != nil {
-			return nil, err
+	fills := make([]func(lo, hi int), len(cols))
+	err := runMorselsInfallible(workers, len(cols), 1, ctr, func(ci, _, _ int, _ *Counters) {
+		cols[ci], fills[ci] = gatherInto(t.Cols[ci], sel)
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Then one morsel pass fills every column's rows of the morsel.
+	err = runMorselsInfallible(workers, len(sel), morselRows, ctr, func(_, lo, hi int, _ *Counters) {
+		for _, fill := range fills {
+			fill(lo, hi)
 		}
-		cols[ci] = col
+	})
+	if err != nil {
+		return nil, err
 	}
 	return colstore.MustNewTable(t.Name, t.Schema, cols), nil
 }
 
-// gatherColumn gathers one column morsel-parallel. The callbacks are
-// infallible (disjoint writes of pre-sized output), so the only error is
-// the query's cancellation — which must propagate, or a half-gathered
-// column would flow downstream as if complete.
-func gatherColumn(c colstore.Column, sel []int32, workers, morselRows int, ctr *Counters) (colstore.Column, error) {
+// gatherInto allocates c gathered through sel and returns it with the
+// function that fills its rows [lo, hi).
+func gatherInto(c colstore.Column, sel []int32) (colstore.Column, func(lo, hi int)) {
 	switch col := c.(type) {
 	case *colstore.Int64s:
-		v, err := gatherMorsels(col.V, sel, workers, morselRows, ctr)
-		return &colstore.Int64s{V: v}, err
+		out := make([]int64, len(sel))
+		return &colstore.Int64s{V: out}, gatherRange(out, col.V, sel)
 	case *colstore.Float64s:
-		v, err := gatherMorsels(col.V, sel, workers, morselRows, ctr)
-		return &colstore.Float64s{V: v}, err
+		out := make([]float64, len(sel))
+		return &colstore.Float64s{V: out}, gatherRange(out, col.V, sel)
 	case *colstore.Dates:
-		v, err := gatherMorsels(col.V, sel, workers, morselRows, ctr)
-		return &colstore.Dates{V: v}, err
+		out := make([]int32, len(sel))
+		return &colstore.Dates{V: out}, gatherRange(out, col.V, sel)
 	case *colstore.Bools:
-		v, err := gatherMorsels(col.V, sel, workers, morselRows, ctr)
-		return &colstore.Bools{V: v}, err
+		out := make([]bool, len(sel))
+		return &colstore.Bools{V: out}, gatherRange(out, col.V, sel)
 	case *colstore.Strings:
-		v, err := gatherMorsels(col.Codes, sel, workers, morselRows, ctr)
-		return &colstore.Strings{Codes: v, Dict: col.Dict}, err
+		out := make([]int32, len(sel))
+		return &colstore.Strings{Codes: out, Dict: col.Dict}, gatherRange(out, col.Codes, sel)
 	default:
 		// Any other Column implementation keeps its own Gather.
-		return c.Gather(sel), nil
+		return c.Gather(sel), func(int, int) {}
 	}
 }
 
-// gatherMorsels returns v[sel[i]] for every i, each morsel writing its
-// own range of the output.
-func gatherMorsels[T any](v []T, sel []int32, workers, morselRows int, ctr *Counters) ([]T, error) {
-	out := make([]T, len(sel))
-	err := runMorselsInfallible(workers, len(sel), morselRows, ctr, func(_, lo, hi int, _ *Counters) {
-		for i := lo; i < hi; i++ {
-			out[i] = v[sel[i]]
+// gatherRange returns the fill of out[lo:hi] with v[sel[i]].
+func gatherRange[T any](out, v []T, sel []int32) func(lo, hi int) {
+	return func(lo, hi int) {
+		out, sel := out[lo:hi], sel[lo:hi]
+		for i, s := range sel {
+			out[i] = v[s]
 		}
-	})
-	return out, err
+	}
 }

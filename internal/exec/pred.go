@@ -8,12 +8,74 @@ import (
 
 // Pred is a filter predicate. Sel narrows an input selection vector (nil
 // means all rows) to the rows of t that satisfy the predicate, returning
-// an ascending selection vector whenever the input is ascending.
+// an ascending selection vector whenever the input is ascending. The
+// result is never nil, even when no row matches, because a nil
+// selection would mean all rows.
 type Pred interface {
 	// Sel evaluates the predicate.
 	Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error)
 	// String renders the predicate for EXPLAIN output.
 	String() string
+}
+
+// SelFunc is a predicate bound to a table by Bind: it selects from that
+// table, or from any row slice of it, with the per-table work done.
+type SelFunc func(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error)
+
+// binder is implemented by the predicates with per-table work to do
+// before they select: a string predicate's dictionary mask, and And and
+// Or, whose children may have one.
+type binder interface {
+	bind(t *colstore.Table, ctr *Counters) (SelFunc, error)
+}
+
+// Bind does p's per-table work over t once, charging it to ctr, and
+// returns the selection that remains. A caller that selects from many
+// slices of t (the morsels of a parallel scan) binds first, so that a
+// string predicate builds and charges its mask once, not once a morsel.
+func Bind(p Pred, t *colstore.Table, ctr *Counters) (SelFunc, error) {
+	if b, ok := p.(binder); ok {
+		return b.bind(t, ctr)
+	}
+	return p.Sel, nil
+}
+
+// selBound is Sel for a binder: bind to t, then select.
+func selBound(p binder, t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) {
+	sel, err := p.bind(t, ctr)
+	if err != nil {
+		return nil, err
+	}
+	return sel(t, in, ctr)
+}
+
+// bindAll binds each of ps to t.
+func bindAll(ps []Pred, t *colstore.Table, ctr *Counters) ([]SelFunc, error) {
+	out := make([]SelFunc, len(ps))
+	for i, p := range ps {
+		var err error
+		if out[i], err = Bind(p, t, ctr); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// bindMask builds the mask of t's string column name over its dictionary
+// and returns the selection through it.
+func bindMask(t *colstore.Table, name string, build func(d *colstore.Dict) []bool) (SelFunc, error) {
+	sc, err := column[*colstore.Strings](t, name)
+	if err != nil {
+		return nil, err
+	}
+	mask := build(sc.Dict)
+	return func(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) {
+		sc, err := column[*colstore.Strings](t, name)
+		if err != nil {
+			return nil, err
+		}
+		return SelStrMask(sc, mask, in, ctr), nil
+	}, nil
 }
 
 // CmpI compares an int64 column against a literal.
@@ -63,24 +125,11 @@ func SelInt64In(c *colstore.Int64s, vals []int64, in []int32, ctr *Counters) []i
 		want[v] = struct{}{}
 	}
 	ctr.IntOps += int64(len(vals))
-	if in == nil {
-		chargeSel(ctr, len(c.V), 8, true)
-		out := make([]int32, 0, len(c.V)/2)
-		for i, v := range c.V {
-			if _, ok := want[v]; ok {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	chargeSel(ctr, len(in), 8, false)
-	out := make([]int32, 0, len(in))
-	for _, i := range in {
-		if _, ok := want[c.V[i]]; ok {
-			out = append(out, i)
-		}
-	}
-	return out
+	s := beginSel(ctr, len(c.V), in, 8)
+	return endSel(s, keepRows(*s, in, func(i int32) bool {
+		_, ok := want[c.V[i]]
+		return ok
+	}))
 }
 
 // CmpF compares a float64 column against a literal.
@@ -184,17 +233,16 @@ type StrEq struct {
 
 // Sel implements Pred.
 func (p StrEq) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) {
-	sc, err := column[*colstore.Strings](t, p.Column)
-	if err != nil {
-		return nil, err
-	}
-	var mask []bool
-	if p.Negate {
-		mask = NeMask(sc.Dict, p.V, ctr)
-	} else {
-		mask = EqMask(sc.Dict, p.V)
-	}
-	return SelStrMask(sc, mask, in, ctr), nil
+	return selBound(p, t, in, ctr)
+}
+
+func (p StrEq) bind(t *colstore.Table, ctr *Counters) (SelFunc, error) {
+	return bindMask(t, p.Column, func(d *colstore.Dict) []bool {
+		if p.Negate {
+			return NeMask(d, p.V, ctr)
+		}
+		return EqMask(d, p.V)
+	})
 }
 
 // String implements Pred.
@@ -215,11 +263,11 @@ type StrIn struct {
 
 // Sel implements Pred.
 func (p StrIn) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) {
-	sc, err := column[*colstore.Strings](t, p.Column)
-	if err != nil {
-		return nil, err
-	}
-	return SelStrMask(sc, InMask(sc.Dict, ctr, p.Vals...), in, ctr), nil
+	return selBound(p, t, in, ctr)
+}
+
+func (p StrIn) bind(t *colstore.Table, ctr *Counters) (SelFunc, error) {
+	return bindMask(t, p.Column, func(d *colstore.Dict) []bool { return InMask(d, ctr, p.Vals...) })
 }
 
 // String implements Pred.
@@ -237,17 +285,16 @@ type Like struct {
 
 // Sel implements Pred.
 func (p Like) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) {
-	sc, err := column[*colstore.Strings](t, p.Column)
-	if err != nil {
-		return nil, err
-	}
-	var mask []bool
-	if p.Negate {
-		mask = NotLikeMask(sc.Dict, p.Pattern, ctr)
-	} else {
-		mask = LikeMask(sc.Dict, p.Pattern, ctr)
-	}
-	return SelStrMask(sc, mask, in, ctr), nil
+	return selBound(p, t, in, ctr)
+}
+
+func (p Like) bind(t *colstore.Table, ctr *Counters) (SelFunc, error) {
+	return bindMask(t, p.Column, func(d *colstore.Dict) []bool {
+		if p.Negate {
+			return NotLikeMask(d, p.Pattern, ctr)
+		}
+		return LikeMask(d, p.Pattern, ctr)
+	})
 }
 
 // String implements Pred.
@@ -290,18 +337,32 @@ func AndOf(ps ...Pred) Pred { return And{Preds: ps} }
 
 // Sel implements Pred.
 func (p And) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) {
-	sel := in
-	for _, sub := range p.Preds {
-		var err error
-		sel, err = sub.Sel(t, sel, ctr)
-		if err != nil {
-			return nil, err
-		}
-		if len(sel) == 0 {
-			return sel, nil
-		}
+	return selBound(p, t, in, ctr)
+}
+
+func (p And) bind(t *colstore.Table, ctr *Counters) (SelFunc, error) {
+	subs, err := bindAll(p.Preds, t, ctr)
+	if err != nil {
+		return nil, err
 	}
-	return sel, nil
+	return func(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) {
+		sel := in
+		for _, sub := range subs {
+			var err error
+			sel, err = sub(t, sel, ctr)
+			if err != nil {
+				return nil, err
+			}
+			if len(sel) == 0 {
+				return sel, nil
+			}
+		}
+		if sel == nil {
+			// No conjuncts: every row.
+			return SelAll(t.NumRows()), nil
+		}
+		return sel, nil
+	}, nil
 }
 
 // String implements Pred.
@@ -328,19 +389,29 @@ func OrOf(ps ...Pred) Pred { return Or{Preds: ps} }
 
 // Sel implements Pred.
 func (p Or) Sel(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) {
-	var acc []int32
-	for i, sub := range p.Preds {
-		s, err := sub.Sel(t, in, ctr)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			acc = s
-		} else {
-			acc = SelUnion(acc, s, ctr)
-		}
+	return selBound(p, t, in, ctr)
+}
+
+func (p Or) bind(t *colstore.Table, ctr *Counters) (SelFunc, error) {
+	subs, err := bindAll(p.Preds, t, ctr)
+	if err != nil {
+		return nil, err
 	}
-	return acc, nil
+	return func(t *colstore.Table, in []int32, ctr *Counters) ([]int32, error) {
+		acc := []int32{} // no disjuncts: no row
+		for i, sub := range subs {
+			s, err := sub(t, in, ctr)
+			if err != nil {
+				return nil, err
+			}
+			if i == 0 {
+				acc = s
+			} else {
+				acc = SelUnion(acc, s, ctr)
+			}
+		}
+		return acc, nil
+	}, nil
 }
 
 // String implements Pred.

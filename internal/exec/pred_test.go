@@ -277,3 +277,52 @@ func TestInIPred(t *testing.T) {
 		}
 	}
 }
+
+// TestSelNeverNil runs every predicate type where it keeps no row, dense,
+// through a selection and through an empty selection, and requires an
+// empty, non-nil result each time: the next kernel would read a nil
+// selection as all rows. TruePred and an empty And keep every row, so
+// they are checked keeping all and keeping none.
+func TestSelNeverNil(t *testing.T) {
+	tbl := predTable()
+	none := []Pred{
+		CmpI{Column: "qty", Op: Gt, V: 100},
+		InI{Column: "qty", Vals: []int64{7}},
+		CmpF{Column: "price", Op: Lt, V: 0},
+		CmpD{Column: "ship", Op: Lt, V: 0},
+		DateRange{Column: "ship", Lo: 0, Hi: 1},
+		FloatRange{Column: "price", Lo: 200, Hi: 300},
+		StrEq{Column: "mode", V: "RAIL"},
+		StrIn{Column: "mode", Vals: []string{"RAIL", "FOB"}},
+		Like{Column: "mode", Pattern: "X%"},
+		Like{Column: "mode", Pattern: "%", Negate: true},
+		ColCmpD{A: "ship", B: "ship", Op: Ne},
+		ColCmpI{A: "qty", B: "qty", Op: Lt},
+		ColCmpF{A: "price", B: "price", Op: Gt},
+		AndOf(CmpI{Column: "qty", Op: Lt, V: 20}, CmpI{Column: "qty", Op: Gt, V: 20}),
+		AndOf(StrEq{Column: "mode", V: "AIR"}, Like{Column: "mode", Pattern: "%REG"}),
+		OrOf(),
+		OrOf(StrEq{Column: "mode", V: "RAIL"}, CmpI{Column: "qty", Op: Gt, V: 100}),
+	}
+	for _, p := range none {
+		for _, in := range [][]int32{nil, {0, 2, 4}, {}} {
+			var ctr Counters
+			got, err := p.Sel(tbl, in, &ctr)
+			if err != nil {
+				t.Fatalf("%s: %v", p, err)
+			}
+			if got == nil || len(got) != 0 {
+				t.Errorf("%s over %#v = %#v, want an empty non-nil selection", p, in, got)
+			}
+		}
+	}
+	for _, p := range []Pred{TruePred{}, AndOf()} {
+		var ctr Counters
+		if got, err := p.Sel(tbl, nil, &ctr); err != nil || len(got) != tbl.NumRows() {
+			t.Errorf("%s over all rows = %v, %v; want every row", p, got, err)
+		}
+		if got, err := p.Sel(tbl, []int32{}, &ctr); err != nil || got == nil || len(got) != 0 {
+			t.Errorf("%s over no rows = %#v, %v; want an empty non-nil selection", p, got, err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"sync"
 	"unsafe"
 
 	"wimpi/internal/colstore"
@@ -54,82 +55,89 @@ func valueBytes[T fixed]() int64 {
 	return int64(unsafe.Sizeof(v))
 }
 
-func cmpFixed[T fixed](op CmpOp, a, b T) bool {
-	switch op {
-	case Eq:
-		return a == b
-	case Ne:
-		return a != b
-	case Lt:
-		return a < b
-	case Le:
-		return a <= b
-	case Gt:
-		return a > b
-	default:
-		return a >= b
-	}
-}
+// selPool holds the selection kernels' scratch: each kernel writes every
+// candidate row into a buffer as long as its input, then copies the kept
+// prefix out. Reusing the buffer keeps a selective scan from allocating
+// (and zeroing) an output the size of its input.
+var selPool = sync.Pool{New: func() any { return new([]int32) }}
 
-// chargeSel records the cost of examining n values of the given width,
-// either as a sequential scan (dense) or through a selection vector.
-func chargeSel(ctr *Counters, n int, width int64, dense bool) {
-	ctr.TuplesScanned += int64(n)
-	ctr.IntOps += int64(n)
-	if dense {
+// beginSel charges a kernel that reads width bytes of each candidate (all
+// n rows as a sequential scan, or the rows of in through the selection
+// vector) and lends it a scratch buffer with room for every candidate.
+func beginSel(ctr *Counters, n int, in []int32, width int64) *[]int32 {
+	if in == nil {
 		ctr.SeqBytes += int64(n) * width
 	} else {
+		n = len(in)
 		ctr.RandomAccesses += int64(n)
 	}
+	ctr.TuplesScanned += int64(n)
+	ctr.IntOps += int64(n)
+	s := selPool.Get().(*[]int32)
+	if cap(*s) < n {
+		*s = make([]int32, n)
+	}
+	*s = (*s)[:n]
+	return s
+}
+
+// endSel returns the first n rows of the scratch as an exact-size
+// selection and puts the scratch back. The result is never nil, even
+// when empty: a nil selection means all rows.
+func endSel(s *[]int32, n int) []int32 {
+	out := append([]int32{}, (*s)[:n]...)
+	selPool.Put(s)
+	return out
+}
+
+// keepRows is the one loop of every selection kernel. It writes each
+// candidate row (every row below len(out) when in is nil, else each row
+// of in, in order) to out[n] and then advances n by whether keep accepts
+// it, so the loop has no data-dependent branch. Callers pass a func
+// literal with the operator already chosen; keepRows and the literal
+// both inline into the kernel.
+func keepRows(out, in []int32, keep func(i int32) bool) int {
+	n := 0
+	for j := range out {
+		i := int32(j)
+		if in != nil {
+			i = in[j]
+		}
+		out[n] = i
+		n += int(b2i(keep(i)))
+	}
+	return n
 }
 
 // SelCmp returns the row indexes (from in, or all rows when in is nil)
 // whose value in v satisfies op against val. The result is ascending
 // whenever in is ascending.
 func SelCmp[T fixed](v []T, op CmpOp, val T, in []int32, ctr *Counters) []int32 {
-	width := valueBytes[T]()
-	if in == nil {
-		chargeSel(ctr, len(v), width, true)
-		out := make([]int32, 0, len(v)/2)
-		for i, x := range v {
-			if cmpFixed(op, x, val) {
-				out = append(out, int32(i))
-			}
-		}
-		return out
+	s := beginSel(ctr, len(v), in, valueBytes[T]())
+	var n int
+	switch op {
+	case Eq:
+		n = keepRows(*s, in, func(i int32) bool { return v[i] == val })
+	case Ne:
+		n = keepRows(*s, in, func(i int32) bool { return v[i] != val })
+	case Lt:
+		n = keepRows(*s, in, func(i int32) bool { return v[i] < val })
+	case Le:
+		n = keepRows(*s, in, func(i int32) bool { return v[i] <= val })
+	case Gt:
+		n = keepRows(*s, in, func(i int32) bool { return v[i] > val })
+	default:
+		n = keepRows(*s, in, func(i int32) bool { return v[i] >= val })
 	}
-	chargeSel(ctr, len(in), width, false)
-	out := make([]int32, 0, len(in))
-	for _, i := range in {
-		if cmpFixed(op, v[i], val) {
-			out = append(out, i)
-		}
-	}
-	return out
+	return endSel(s, n)
 }
 
 // SelRange selects rows with lo <= value <= hi; an interval with hi < lo
 // selects nothing but is still scanned.
 func SelRange[T fixed](v []T, lo, hi T, in []int32, ctr *Counters) []int32 {
-	width := valueBytes[T]()
-	if in == nil {
-		chargeSel(ctr, len(v), width, true)
-		out := make([]int32, 0, len(v)/2)
-		for i, x := range v {
-			if x >= lo && x <= hi {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	chargeSel(ctr, len(in), width, false)
-	out := make([]int32, 0, len(in))
-	for _, i := range in {
-		if x := v[i]; x >= lo && x <= hi {
-			out = append(out, i)
-		}
-	}
-	return out
+	s := beginSel(ctr, len(v), in, valueBytes[T]())
+	// & rather than &&: a second branch per row is what keepRows avoids.
+	return endSel(s, keepRows(*s, in, func(i int32) bool { return b2i(v[i] >= lo)&b2i(v[i] <= hi) != 0 }))
 }
 
 // SelStrMask selects rows whose dictionary code is set in mask. Combined
@@ -137,24 +145,8 @@ func SelRange[T fixed](v []T, lo, hi T, in []int32, ctr *Counters) []int32 {
 // predicate (=, <>, IN, LIKE) with one predicate evaluation per distinct
 // value.
 func SelStrMask(c *colstore.Strings, mask []bool, in []int32, ctr *Counters) []int32 {
-	if in == nil {
-		chargeSel(ctr, len(c.Codes), 4, true)
-		out := make([]int32, 0, len(c.Codes)/2)
-		for i, code := range c.Codes {
-			if mask[code] {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	chargeSel(ctr, len(in), 4, false)
-	out := make([]int32, 0, len(in))
-	for _, i := range in {
-		if mask[c.Codes[i]] {
-			out = append(out, i)
-		}
-	}
-	return out
+	s := beginSel(ctr, len(c.Codes), in, 4)
+	return endSel(s, keepRows(*s, in, func(i int32) bool { return mask[c.Codes[i]] }))
 }
 
 // SelUnion merges two ascending selection vectors, removing duplicates.
@@ -184,7 +176,7 @@ func SelUnion(a, b []int32, ctr *Counters) []int32 {
 
 // SelAll returns the dense selection vector [0, n).
 //
-//lint:allow pathcost -- identity vector setup; consuming kernels charge per selected row via chargeSel
+//lint:allow pathcost -- identity vector setup; consuming kernels charge per selected row via beginSel
 func SelAll(n int) []int32 {
 	out := make([]int32, n)
 	for i := range out {

@@ -503,10 +503,14 @@ func narrowSelParallel(ctx *Context, t *colstore.Table, pred exec.Pred, sel []in
 	if w == 1 || n < ctx.parallelMinRows() {
 		return pred.Sel(t, sel, ctx.Ctr)
 	}
+	bound, err := exec.Bind(pred, t, ctx.Ctr)
+	if err != nil {
+		return nil, err
+	}
 	nm := exec.NumMorsels(n, ctx.morselRows())
 	outs := make([][]int32, nm)
-	err := exec.RunMorsels(w, n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
-		s, err := pred.Sel(t, sel[lo:hi], ctr)
+	err = exec.RunMorsels(w, n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
+		s, err := bound(t, sel[lo:hi], ctr)
 		if err != nil {
 			return err
 		}

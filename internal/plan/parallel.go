@@ -8,9 +8,10 @@ import (
 )
 
 // parallelSel evaluates pred over t through the shared morsel scheduler
-// (exec.RunMorsels). Each morsel evaluates the predicate on a zero-copy
-// slice with private counters; match indexes are offset back to
-// table-global row numbers and concatenated in morsel order, so the
+// (exec.RunMorsels). The predicate is bound to t first, so its per-table
+// work (a string mask) is done once; then each morsel selects from a
+// zero-copy slice with private counters, match indexes are offset back
+// to table-global row numbers and concatenated in morsel order, so the
 // output is identical to a sequential evaluation at any worker count.
 func parallelSel(ctx *Context, t *colstore.Table, pred exec.Pred) ([]int32, error) {
 	w := ctx.workers()
@@ -18,11 +19,15 @@ func parallelSel(ctx *Context, t *colstore.Table, pred exec.Pred) ([]int32, erro
 	if w == 1 || n < ctx.parallelMinRows() {
 		return pred.Sel(t, nil, ctx.Ctr)
 	}
+	bound, err := exec.Bind(pred, t, ctx.Ctr)
+	if err != nil {
+		return nil, err
+	}
 	nm := exec.NumMorsels(n, ctx.morselRows())
 	sels := make([][]int32, nm)
-	err := exec.RunMorsels(w, n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
+	err = exec.RunMorsels(w, n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
 		sub := t.Slice(lo, hi)
-		sel, err := pred.Sel(sub, nil, ctr)
+		sel, err := bound(sub, nil, ctr)
 		if err != nil {
 			return err
 		}

@@ -1,23 +1,34 @@
 #!/bin/sh
 # bench-pairs: section 8 of the choosing-metrics guide as one command.
 #
-#   scripts/bench-pairs.sh BASE [WORKLOAD] [N]
+#   scripts/bench-pairs.sh BASE [WORKLOAD] [N] [METRIC]
 #
 # Builds ./benchmark at revision BASE (from a throw-away `git archive`
 # copy under .bench_build/) and at the working tree, then runs N
 # untraced pairs of WORKLOAD with seeds 1..N, alternating which side
 # goes first. Every run is appended to BENCH_pairs_base.json /
 # BENCH_pairs_head.json (started afresh each invocation); the script
-# prints stream_ms per pair, the win count, and the benchmark's own
-# -compare table over the two files.
+# prints METRIC (default stream_ms) per pair, the win count, and the
+# benchmark's own -compare table over the two files. A win is a pair in
+# which the working tree's METRIC is better in the direction
+# BENCHMARK.json's `better` gives it.
 # Nothing else on the machine should be running while it does.
 set -eu
 
-base=${1:?usage: bench-pairs.sh BASE [WORKLOAD] [N]}
+base=${1:?usage: bench-pairs.sh BASE [WORKLOAD] [N] [METRIC]}
 workload=${2:-power}
 n=${3:-10}
+metric=${4:-stream_ms}
 
 cd "$(git rev-parse --show-toplevel)"
+better=$(awk -v m="\"$metric\"," '$1 == "\"name\":" { hit = $2 == m } hit && $1 == "\"better\":" { gsub(/[",]/, "", $2); print $2; exit }' BENCHMARK.json)
+case $better in
+lower | higher) ;;
+*)
+	echo "bench-pairs.sh: BENCHMARK.json declares no metric $metric" >&2
+	exit 2
+	;;
+esac
 build=.bench_build
 src=$build/base-src
 rm -rf $src
@@ -32,16 +43,16 @@ head_out=BENCH_pairs_head.json
 rm -f $base_out $head_out
 
 # run SIDE SEED: one untraced run, result appended to SIDE's file; prints
-# the run's stream_ms.
+# the run's METRIC.
 run() {
 	eval "out=\$${1}_out"
 	$build/bench-$1 -workload "$workload" -seed "$2" -out "$out" |
-		tail -n 1 | sed -n 's/.*"stream_ms":{"value":\([0-9.]*\).*/\1/p'
+		tail -n 1 | sed -n "s/.*\"$metric\":{\"value\":\([0-9.eE+-]*\).*/\1/p"
 }
 
 wins=0
 losses=0
-echo "pair  seed  first  base stream_ms  head stream_ms"
+printf 'pair  seed  first  %14s  %14s\n' "base $metric" "head $metric"
 i=1
 while [ "$i" -le "$n" ]; do
 	if [ $((i % 2)) -eq 1 ]; then
@@ -54,12 +65,12 @@ while [ "$i" -le "$n" ]; do
 		b=$(run base "$i")
 	fi
 	printf '%4d  %4d  %-5s  %14.1f  %14.1f\n' "$i" "$i" "$first" "$b" "$h"
-	case $(echo "$h $b" | awk '{ print ($1 < $2) ? "win" : ($1 > $2) ? "loss" : "tie" }') in
+	case $(echo "$h $b $better" | awk '{ d = ($3 == "lower") ? $2 - $1 : $1 - $2; print (d > 0) ? "win" : (d < 0) ? "loss" : "tie" }') in
 	win) wins=$((wins + 1)) ;;
 	loss) losses=$((losses + 1)) ;;
 	esac
 	i=$((i + 1))
 done
-echo "head lower than base in $wins of $n pairs ($losses higher, $((n - wins - losses)) tied)"
+echo "head better ($better $metric) than base in $wins of $n pairs ($losses worse, $((n - wins - losses)) tied)"
 echo
 $build/bench-head -compare $base_out $head_out
