@@ -4,7 +4,7 @@ GO ?= go
 # and soak runs override it (FUZZTIME=2m make fuzz).
 FUZZTIME ?= 10s
 
-.PHONY: build test test-procs vet cross lint lint-report race chaos fuzz explain-smoke serve-smoke spill-smoke examples check loc bench bench-compare bench-pairs bench-scaling bench-smoke
+.PHONY: build test test-procs vet cross lint lint-report race chaos fuzz explain-smoke serve-smoke spill-smoke examples check loc alloc-gate bench bench-compare bench-pairs bench-scaling bench-smoke
 
 build:
 	$(GO) build ./...
@@ -71,9 +71,11 @@ race:
 	$(GO) test -race -count=10 -run 'Reus' ./internal/sql ./internal/serve
 
 # Fault-injection suite: chaos tests, wire-protocol hardening, and the
-# faultconn package itself, all under the race detector.
+# faultconn package itself, all under the race detector; with -tags
+# chaos, also the wall-clock soak of the throttled link
+# (TestThrottledLinkBandwidth, which a starved host fails).
 chaos:
-	$(GO) test -race -timeout 120s -run 'Chaos|Fault|Frame|Close|Worker' ./internal/cluster/...
+	$(GO) test -race -tags chaos -timeout 120s -run 'Chaos|Fault|Frame|Close|Worker|ThrottledLink' ./internal/cluster/...
 
 # Native Go fuzzing over the wire decoder, the fault-plan parser, the
 # SQL lexer and parser, the string dictionary (against a map + slice oracle),
@@ -179,6 +181,13 @@ loc:
 		git diff --numstat $$base -- '*.go' ':!*_test.go' | \
 		awk '{ $(LOC_GROUP); a[g] += $$1; d[g] += $$2; ta += $$1; td += $$2 } \
 			END { for (g in a) printf "%+8d  %s (+%d -%d)\n", a[g] - d[g], g, a[g], d[g]; printf "%+8d  total (+%d -%d)\n", ta - td, ta, td }' | sort -k2
+
+# Host allocations per TPC-H query against the committed BENCH_alloc.txt
+# (scripts/alloc-gate.sh; BenchmarkTableII at SF 0.1, -cpu 2, ~1 min):
+# B/op or allocs/op more than 3 % above it fails. UPDATE=1 rewrites the
+# file instead; a change that moves it says why in CHANGES.md.
+alloc-gate:
+	scripts/alloc-gate.sh $(if $(UPDATE),update)
 
 # The repository benchmark (benchmark/README.md): four workloads, each
 # untraced then traced, appended to BENCH_run.json (~2.5 min).

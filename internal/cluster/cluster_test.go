@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"wimpi/internal/colstore"
 	"wimpi/internal/engine"
 	"wimpi/internal/exec"
+	"wimpi/internal/flow"
 	"wimpi/internal/hardware"
 	"wimpi/internal/tpch"
 )
@@ -253,28 +255,47 @@ func TestCoordinatorErrors(t *testing.T) {
 	}
 }
 
-func TestThrottledLinkBandwidth(t *testing.T) {
-	lc, err := StartLocal(1, WorkerConfig{LinkBandwidthBps: PiLinkBandwidthBps}, 1)
-	if err != nil {
-		t.Fatal(err)
+// TestThrottledConnPacing checks the link throttle against a fake clock
+// instead of a real link: N bytes written through a throttled conn at
+// the Pi's 220 Mbit/s advance the clock by N·8/220e6 s, less what the
+// 64 KiB burst lets through at once. The wall-clock rate over loopback
+// is TestThrottledLinkBandwidth, in make chaos.
+func TestThrottledConnPacing(t *testing.T) {
+	clk := &steppingClock{now: time.Unix(1_000_000, 0)}
+	start := clk.Now()
+	conn := &throttledConn{Conn: discardConn{}, bucket: newLinkBucket(PiLinkBandwidthBps, clk)}
+	const n = 4 << 20
+	if m, err := conn.Write(make([]byte, n)); err != nil || m != n {
+		t.Fatalf("Write = %d, %v; want %d, nil", m, err, n)
 	}
-	defer lc.Close()
-	bps, err := MeasureLinkBandwidth(lc.Coordinator, 0, 4<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The paper's iperf measured ~220 Mbit/s; allow generous tolerance
-	// for the gob/TCP overheads of the measurement itself. The upper
-	// bound is the throttle's contract and holds everywhere; the lower
-	// one is a wall-clock rate the race detector's slowdown can push
-	// under on a small host, so it holds only without the detector.
-	if bps > 280e6 || !raceEnabled && bps < 120e6 {
-		t.Errorf("throttled link = %.0f Mbit/s, want ~220", bps/1e6)
+	got := clk.Now().Sub(start).Seconds()
+	want := float64(n-64<<10) * 8 / PiLinkBandwidthBps
+	if math.Abs(got-want) > 1e-6 {
+		t.Errorf("%d bytes took %.9f s of link time, want %.9f s", n, got, want)
 	}
 }
 
+// steppingClock is a flow.Clock whose time moves only when a waiter
+// sleeps: After(d) advances it by d and fires at once. One goroutine
+// uses it.
+type steppingClock struct{ now time.Time }
+
+func (c *steppingClock) Now() time.Time { return c.now }
+
+func (c *steppingClock) After(d time.Duration) <-chan time.Time {
+	c.now = c.now.Add(d)
+	ch := make(chan time.Time, 1)
+	ch <- c.now
+	return ch
+}
+
+// discardConn is a net.Conn whose writes all succeed and go nowhere.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
 func TestTokenBucketPacing(t *testing.T) {
-	b := newLinkBucket(8e6) // 1 MB/s
+	b := newLinkBucket(8e6, flow.RealClock) // 1 MB/s
 	start := time.Now()
 	for i := 0; i < 10; i++ {
 		if err := b.Wait(context.Background(), 32<<10); err != nil {

@@ -14,13 +14,13 @@ import (
 // Section II-C.3).
 const PiLinkBandwidthBps = 220e6
 
-// newLinkBucket builds the pacing bucket for one emulated link. The
-// bucket lives in package flow: FIFO-fair under concurrent writers (a
-// stream of small frames can no longer starve an older large write,
-// which the previous sleep-and-re-race bucket allowed) and cancellable
-// while queued.
-func newLinkBucket(bitsPerSec float64) *flow.TokenBucket {
-	return flow.NewTokenBucket(bitsPerSec/8, 64<<10)
+// newLinkBucket builds the pacing bucket for one emulated link, timed by
+// clock. The bucket lives in package flow: FIFO-fair under concurrent
+// writers (a stream of small frames can no longer starve an older large
+// write, which the previous sleep-and-re-race bucket allowed) and
+// cancellable while queued.
+func newLinkBucket(bitsPerSec float64, clock flow.Clock) *flow.TokenBucket {
+	return flow.NewTokenBucketClock(bitsPerSec/8, 64<<10, clock)
 }
 
 // throttledConn rate-limits writes on a connection, emulating a slow
@@ -36,7 +36,7 @@ func newThrottledConn(conn net.Conn, bitsPerSec float64) net.Conn {
 	if bitsPerSec <= 0 {
 		return conn
 	}
-	return &throttledConn{Conn: conn, bucket: newLinkBucket(bitsPerSec)}
+	return &throttledConn{Conn: conn, bucket: newLinkBucket(bitsPerSec, flow.RealClock)}
 }
 
 // Write paces p through the token bucket in link-MTU-sized chunks.

@@ -232,11 +232,18 @@ type CaseWhenF struct {
 	Pred Pred
 	// Then and Else are the branch expressions.
 	Then, Else Expr
+	// bound is Pred bound by BindExpr to the table evaluated, or to a
+	// table it is a row slice of; nil selects through Pred.
+	bound SelFunc
 }
 
 // Eval implements Expr.
 func (e CaseWhenF) Eval(t *colstore.Table, ctr *Counters) (colstore.Column, error) {
-	sel, err := e.Pred.Sel(t, nil, ctr)
+	selFn := e.bound
+	if selFn == nil {
+		selFn = e.Pred.Sel
+	}
+	sel, err := selFn(t, nil, ctr)
 	if err != nil {
 		return nil, err
 	}
@@ -269,6 +276,37 @@ func (e CaseWhenF) Eval(t *colstore.Table, ctr *Counters) (colstore.Column, erro
 // String implements Expr.
 func (e CaseWhenF) String() string {
 	return fmt.Sprintf("case when <pred> then %s else %s end", e.Then, e.Else)
+}
+
+// BindExpr returns e with the predicate of every CaseWhenF in it bound
+// to t (Bind). A caller that evaluates e over many row slices of t (the
+// morsels of a parallel evaluation) binds first, so that a string
+// predicate inside a CASE builds and charges its mask once, not once a
+// morsel.
+func BindExpr(e Expr, t *colstore.Table, ctr *Counters) (Expr, error) {
+	var err error
+	switch x := e.(type) {
+	case CaseWhenF:
+		if x.bound, err = Bind(x.Pred, t, ctr); err != nil {
+			return nil, err
+		}
+		if x.Then, err = BindExpr(x.Then, t, ctr); err != nil {
+			return nil, err
+		}
+		x.Else, err = BindExpr(x.Else, t, ctr)
+		return x, err
+	case Arith:
+		if x.L, err = BindExpr(x.L, t, ctr); err != nil {
+			return nil, err
+		}
+		x.R, err = BindExpr(x.R, t, ctr)
+		return x, err
+	case YearExpr:
+		x.Arg, err = BindExpr(x.Arg, t, ctr)
+		return x, err
+	case Col, ConstF, PrefixExpr:
+	}
+	return e, nil
 }
 
 // AsInt64 returns an int64 column's values; the result aliases the

@@ -456,19 +456,22 @@ func (jt *JoinTable) innerJoinMorsels(probeKeys []int64, workers, morselRows int
 	}); err != nil {
 		return nil, nil, err
 	}
-	buildIdx, err = concatMatches(bis)
+	buildIdx, err = ConcatMatches(bis)
 	if err != nil {
 		return nil, nil, err
 	}
-	probeIdx, _ = concatMatches(pis)
+	probeIdx, _ = ConcatMatches(pis)
 	ctr.MergeBytes += int64(len(buildIdx)) * 8
 	return buildIdx, probeIdx, nil
 }
 
-// concatMatches assembles per-chunk (or per-morsel) row-id vectors into
-// one exact-size vector, refusing — before it allocates — a total no
-// int32 row id can address.
-func concatMatches(chunks [][]int32) ([]int32, error) {
+// ConcatMatches assembles per-chunk (or per-morsel) row-id vectors, in
+// order, into one exact-size vector, refusing — before it allocates — a
+// total no int32 row id can address. The result is never nil, even when
+// empty, so it serves as a selection too.
+//
+//lint:allow pathcost -- each caller charges the copy as MergeBytes at its own width (a join's pairs, a selection's ids)
+func ConcatMatches(chunks [][]int32) ([]int32, error) {
 	var total int64
 	for _, c := range chunks {
 		total += int64(len(c))
@@ -519,10 +522,10 @@ func (jt *JoinTable) innerJoin(probeKeys []int64, ctr *Counters) (buildIdx, prob
 	if len(doneB) > 0 {
 		// More than one chunk: the assembly streams every emitted pair
 		// exactly once.
-		if buildIdx, err = concatMatches(append(doneB, cb)); err != nil {
+		if buildIdx, err = ConcatMatches(append(doneB, cb)); err != nil {
 			return nil, nil, err
 		}
-		probeIdx, _ = concatMatches(append(doneP, cp))
+		probeIdx, _ = ConcatMatches(append(doneP, cp))
 		ctr.SeqBytes += int64(len(buildIdx)) * 8
 	}
 	ctr.HashProbeTuples += int64(len(probeKeys))
@@ -564,7 +567,7 @@ func (jt *JoinTable) selJoinMorsels(probeKeys []int64, want bool, workers, morse
 	}); err != nil {
 		return nil, err
 	}
-	out, _ := concatMatches(sels) // at most one id per probe row
+	out, _ := ConcatMatches(sels) // at most one id per probe row
 	ctr.MergeBytes += int64(len(out)) * 4
 	return out, nil
 }

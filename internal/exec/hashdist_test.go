@@ -169,7 +169,7 @@ func TestConcatMatchesOverflow(t *testing.T) {
 	for i := range chunks {
 		chunks[i] = chunk
 	}
-	_, err := concatMatches(chunks)
+	_, err := ConcatMatches(chunks)
 	var over *JoinOverflowError
 	if !errors.As(err, &over) || over.Matches != int64(len(chunks))*joinEmitChunkRows {
 		t.Fatalf("err = %v, want *JoinOverflowError for %d pairs", err, int64(len(chunks))*joinEmitChunkRows)

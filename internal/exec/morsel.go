@@ -1,12 +1,6 @@
 package exec
 
-import (
-	"context"
-	"runtime/pprof"
-	"strconv"
-	"sync"
-	"sync/atomic"
-)
+import "context"
 
 // MorselHook, when non-nil, observes every morsel dispatch: the worker
 // count actually used and the number of morsels queued. The obs layer
@@ -42,12 +36,13 @@ func NumMorsels(n, morselRows int) int {
 // [lo, hi), and a private Counters that is merged race-free into ctr
 // after all morsels complete, in morsel order.
 //
-// Workers: with no Sched attached to ctr, up to workers goroutines pull
-// morsels from a shared queue (one worker runs them inline on the
-// calling goroutine). With a pool-attached Sched (Pool.Attach →
-// Counters.SetSched), morsels are published to the shared pool and the
-// calling goroutine participates, so the query always progresses while
-// up to workers-1 pool workers contribute their fair share.
+// Workers: the morsels form one batch (runBatch). The calling goroutine
+// drains it while up to workers-1 helpers drain it beside it: the
+// shared pool's workers, with their fair share, when ctr carries a
+// pool-attached Sched (Pool.Attach → Counters.SetSched), and goroutines
+// spawned for this call otherwise. With one worker there are no helpers,
+// so a 1-worker run is the sequential execution of exactly the same
+// decomposition, through the same claim and merge.
 //
 // Errors and cancellation: the first morsel error (in morsel order) is
 // returned and stops the dispatch of further morsels; in-flight morsels
@@ -55,10 +50,6 @@ func NumMorsels(n, morselRows int) int {
 // stops the same way and the cancellation cause is returned. On any
 // error nothing is merged into ctr — a failed or cancelled RunMorsels
 // charges no work, and its partial output must not be consumed.
-//
-// With one worker the morsels run inline on the calling goroutine, in
-// order, through the same per-morsel bookkeeping — so a 1-worker run is
-// the sequential execution of exactly the same decomposition.
 func RunMorsels(workers, n, morselRows int, ctr *Counters, fn func(m, lo, hi int, ctr *Counters) error) error {
 	if n <= 0 {
 		return nil
@@ -84,76 +75,13 @@ func RunMorsels(workers, n, morselRows int, ctr *Counters, fn func(m, lo, hi int
 	if nm == 1 {
 		return fn(0, 0, n, ctr)
 	}
-	var parts []Counters
-	var errs []error
-	var ran int // morsels that executed to completion or error
-	switch {
-	case sched != nil && sched.q != nil && w > 1:
-		b := runPooled(sched, w-1, n, morselRows, nm, fn)
-		parts, errs, ran = b.parts, b.errs, b.ranCount
-	case w == 1:
-		parts = make([]Counters, nm)
-		errs = make([]error, nm)
-		for m := 0; m < nm; m++ {
-			if err := sched.Err(); err != nil {
-				return err
-			}
-			lo := m * morselRows
-			hi := lo + morselRows
-			if hi > n {
-				hi = n
-			}
-			errs[m] = fn(m, lo, hi, &parts[m])
-			ran++
-			if errs[m] != nil {
-				break
-			}
-		}
-	default:
-		parts = make([]Counters, nm)
-		errs = make([]error, nm)
-		var next, completed atomic.Int64
-		var stopped atomic.Bool
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func(worker int) {
-				defer wg.Done()
-				// Label the goroutine so CPU profiles attribute samples to
-				// morsel workers rather than an anonymous spawn site.
-				pprof.Do(context.Background(), pprof.Labels("wimpi", "morsel-worker", "worker", strconv.Itoa(worker)), func(context.Context) {
-					for {
-						if stopped.Load() || sched.Err() != nil {
-							return
-						}
-						m := int(next.Add(1)) - 1
-						if m >= nm {
-							return
-						}
-						lo := m * morselRows
-						hi := lo + morselRows
-						if hi > n {
-							hi = n
-						}
-						errs[m] = fn(m, lo, hi, &parts[m])
-						completed.Add(1)
-						if errs[m] != nil {
-							stopped.Store(true)
-							return
-						}
-					}
-				})
-			}(i)
-		}
-		wg.Wait()
-		ran = int(completed.Load())
-	}
+	b := runBatch(sched, w-1, n, morselRows, nm, fn)
 	for m := 0; m < nm; m++ {
-		if errs[m] != nil {
-			return errs[m]
+		if b.errs[m] != nil {
+			return b.errs[m]
 		}
 	}
-	if ran < nm {
+	if b.next < nm {
 		// Dispatch stopped early with no morsel error: cancellation. The
 		// cause is returned and nothing merges — the partial decomposition
 		// must never look like a completed one.
@@ -162,8 +90,8 @@ func RunMorsels(workers, n, morselRows int, ctr *Counters, fn func(m, lo, hi int
 		}
 		return context.Cause(sched.Context())
 	}
-	for m := range parts {
-		ctr.Add(parts[m])
+	for m := range b.parts {
+		ctr.Add(b.parts[m])
 	}
 	return nil
 }

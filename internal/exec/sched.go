@@ -115,10 +115,16 @@ type poolQuery struct {
 	batches []*batch
 }
 
-// batch is one RunMorsels invocation routed through a pool: a fixed
-// morsel decomposition plus claim/finish bookkeeping.
+// batch is one RunMorsels decomposition of more than one morsel: a
+// fixed morsel split plus the claim/finish bookkeeping that its caller
+// and helpers share. mu guards the claim state (helping, next,
+// stopped): inside a pool it is the pool's lock, because pool workers
+// pick batches under it; outside one it is the batch's own ownLock.
 type batch struct {
 	sched      *Sched
+	q          *poolQuery // the query's pool membership; nil outside a pool
+	mu         *sync.Mutex
+	ownLock    sync.Mutex
 	n          int
 	morselRows int
 	nm         int
@@ -126,13 +132,13 @@ type batch struct {
 	parts      []Counters
 	errs       []error
 
-	helpers  int  // most pool workers that may run its morsels at once
-	helping  int  // pool workers running its morsels now
-	next     int  // first unclaimed morsel
-	inflight int  // claimed but unfinished morsels
-	ranCount int  // morsels executed to completion or error
-	stopped  bool // error or cancellation: dispatch no new morsels
-	done     chan struct{}
+	helpers int  // most pool workers that may run its morsels at once
+	helping int  // pool workers running its morsels now
+	next    int  // first unclaimed morsel
+	stopped bool // error or cancellation: dispatch no new morsels
+	// running counts claimed but unfinished morsels, plus the helpers
+	// spawned for this batch until they return.
+	running sync.WaitGroup
 }
 
 // NewPool starts a pool of size worker goroutines. size < 1 selects 1.
@@ -225,12 +231,8 @@ func (p *Pool) claimAny() (b *batch, m int, ok bool) {
 		}
 		if best != nil {
 			b := best.runnable()
-			m := b.next
-			b.next++
-			b.inflight++
 			b.helping++
-			best.served++
-			return b, m, true
+			return b, b.claimLocked(), true
 		}
 		if p.closed {
 			return nil, 0, false
@@ -259,51 +261,6 @@ func (q *poolQuery) runnable() *batch {
 	return nil
 }
 
-// claimOwn claims the next morsel of b for its calling goroutine.
-func (p *Pool) claimOwn(b *batch) (m int, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if b.stopped || b.next >= b.nm || b.sched.Context().Err() != nil {
-		return 0, false
-	}
-	m = b.next
-	b.next++
-	b.inflight++
-	if b.sched.q != nil {
-		b.sched.q.served++
-	}
-	return m, true
-}
-
-// finish records one morsel's completion and closes done when the batch
-// drains. A morsel error stops further dispatch. A helper that frees the
-// last slot of a full batch wakes one idle worker, which may take it.
-func (p *Pool) finish(b *batch, m int, helper bool) {
-	p.mu.Lock()
-	if b.errs[m] != nil {
-		b.stopped = true
-	}
-	wake := false
-	if helper {
-		wake = b.helping == b.helpers
-		b.helping--
-	}
-	b.inflight--
-	b.ranCount++
-	complete := b.inflight == 0 && (b.stopped || b.next >= b.nm || b.sched.Context().Err() != nil)
-	p.mu.Unlock()
-	if wake {
-		p.cond.Signal()
-	}
-	if complete {
-		select {
-		case <-b.done:
-		default:
-			close(b.done)
-		}
-	}
-}
-
 // work is one pool worker's loop.
 func (p *Pool) work() {
 	for {
@@ -312,8 +269,88 @@ func (p *Pool) work() {
 			return
 		}
 		b.run(m)
-		p.finish(b, m, true)
+		b.finish(m, true)
 	}
+}
+
+// runBatch runs one RunMorsels decomposition of nm > 1 morsels. The
+// calling goroutine drains the batch while up to helpers others drain
+// it beside it: the pool's workers, at their fair share, when s is
+// pool-attached, and goroutines spawned for this batch otherwise. It
+// returns once every claimed morsel has finished and every spawned
+// helper has exited, so no goroutine outlives RunMorsels.
+func runBatch(s *Sched, helpers, n, morselRows, nm int, fn func(m, lo, hi int, ctr *Counters) error) *batch {
+	b := &batch{
+		sched:      s,
+		n:          n,
+		morselRows: morselRows,
+		nm:         nm,
+		fn:         fn,
+		parts:      make([]Counters, nm),
+		errs:       make([]error, nm),
+	}
+	b.mu = &b.ownLock
+	if s != nil && s.q != nil {
+		b.q = s.q
+		b.mu = &s.q.pool.mu
+	}
+	switch {
+	case helpers == 0:
+	case b.q != nil:
+		b.helpers = helpers
+		b.q.pool.enqueue(b.q, b)
+	default:
+		b.running.Add(helpers)
+		for i := 1; i <= helpers; i++ {
+			go func(worker int) {
+				defer b.running.Done()
+				// Label the goroutine so CPU profiles attribute samples to
+				// morsel workers rather than an anonymous spawn site.
+				pprof.Do(context.Background(), pprof.Labels("wimpi", "morsel-worker", "worker", strconv.Itoa(worker)), func(context.Context) {
+					b.drain()
+				})
+			}(i)
+		}
+	}
+	b.drain()
+	b.running.Wait()
+	return b
+}
+
+// drain runs morsels of b on one of its own runners — the caller or a
+// helper spawned for the batch — until none is left to claim or dispatch
+// stopped.
+func (b *batch) drain() {
+	for {
+		m, ok := b.claimOwn()
+		if !ok {
+			return
+		}
+		b.run(m)
+		b.finish(m, false)
+	}
+}
+
+// claimOwn claims the next morsel of b for one of its own runners.
+func (b *batch) claimOwn() (m int, ok bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.stopped || b.next >= b.nm || b.sched.Err() != nil {
+		return 0, false
+	}
+	return b.claimLocked(), true
+}
+
+// claimLocked claims the next morsel and counts it as served to the
+// query's pool share. Caller holds b.mu and has checked that one is left.
+func (b *batch) claimLocked() int {
+	m := b.next
+	b.next++
+	b.running.Add(1)
+	if b.q != nil {
+		b.q.served++
+	}
+	return m
 }
 
 // run executes morsel m of the batch into its private counters.
@@ -326,39 +363,22 @@ func (b *batch) run(m int) {
 	b.errs[m] = b.fn(m, lo, hi, &b.parts[m])
 }
 
-// runPooled executes one RunMorsels decomposition through the query's
-// pool: the caller participates (guaranteeing progress even on a
-// saturated or closed pool) while up to helpers pool workers steal
-// morsels according to the fair-share policy.
-func runPooled(s *Sched, helpers, n, morselRows, nm int, fn func(m, lo, hi int, ctr *Counters) error) *batch {
-	b := &batch{
-		sched:      s,
-		helpers:    helpers,
-		n:          n,
-		morselRows: morselRows,
-		nm:         nm,
-		fn:         fn,
-		parts:      make([]Counters, nm),
-		errs:       make([]error, nm),
-		done:       make(chan struct{}),
+// finish records one morsel's completion. A morsel error stops further
+// dispatch. A pool helper that frees the last slot of a full batch wakes
+// one idle worker, which may take it.
+func (b *batch) finish(m int, poolHelper bool) {
+	b.mu.Lock()
+	if b.errs[m] != nil {
+		b.stopped = true
 	}
-	p := s.q.pool
-	p.enqueue(s.q, b)
-	for {
-		m, ok := p.claimOwn(b)
-		if !ok {
-			break
-		}
-		b.run(m)
-		p.finish(b, m, false)
+	wake := false
+	if poolHelper {
+		wake = b.helping == b.helpers
+		b.helping--
 	}
-	// The caller ran out of claimable morsels (exhausted, stopped, or
-	// cancelled); wait for in-flight morsels owned by pool workers.
-	p.mu.Lock()
-	waiting := b.inflight > 0
-	p.mu.Unlock()
-	if waiting {
-		<-b.done
+	b.mu.Unlock()
+	if wake {
+		b.q.pool.cond.Signal()
 	}
-	return b
+	b.running.Done()
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -40,15 +41,15 @@ func sortComparators(t *colstore.Table, keys []SortKey, ctr *Counters) ([]rowCmp
 		var f rowCmp
 		switch col := c.(type) {
 		case *colstore.Int64s:
-			f = func(a, b int32) int { return cmpOrder(col.V[a], col.V[b]) }
+			f = func(a, b int32) int { return cmp.Compare(col.V[a], col.V[b]) }
 		case *colstore.Float64s:
 			f = func(a, b int32) int { return cmpOrderF(col.V[a], col.V[b]) }
 		case *colstore.Dates:
-			f = func(a, b int32) int { return cmpOrder(int64(col.V[a]), int64(col.V[b])) }
+			f = func(a, b int32) int { return cmp.Compare(col.V[a], col.V[b]) }
 		case *colstore.Strings:
 			if col.Dict.CodeOrdered() {
 				codes := col.Codes
-				f = func(a, b int32) int { return cmpOrder(int64(codes[a]), int64(codes[b])) }
+				f = func(a, b int32) int { return cmp.Compare(codes[a], codes[b]) }
 			} else {
 				vals := make([]string, col.Len())
 				var bytes int64
@@ -62,10 +63,10 @@ func sortComparators(t *colstore.Table, keys []SortKey, ctr *Counters) ([]rowCmp
 				bytes += int64(len(vals)) * 16
 				ctr.BytesMaterialized += bytes
 				ctr.SeqBytes += bytes
-				f = func(a, b int32) int { return cmpOrderS(vals[a], vals[b]) }
+				f = func(a, b int32) int { return cmp.Compare(vals[a], vals[b]) }
 			}
 		case *colstore.Bools:
-			f = func(a, b int32) int { return cmpOrder(boolInt(col.V[a]), boolInt(col.V[b])) }
+			f = func(a, b int32) int { return cmp.Compare(b2i(col.V[a]), b2i(col.V[b])) }
 		default:
 			return nil, fmt.Errorf("exec: cannot sort by %s column", c.Type())
 		}
@@ -263,19 +264,9 @@ func TopNParallel(t *colstore.Table, keys []SortKey, n, workers, morselRows int,
 	return sorted, nil
 }
 
-func cmpOrder(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // cmpOrderF is a total order over float64: NaN compares equal to NaN
-// and greater than everything else (NaN sorts last ascending), and
+// and greater than everything else (NaN sorts last ascending, where
+// cmp.Compare sorts it first), and
 // -0 == +0. IEEE comparisons alone are not a strict weak ordering —
 // `<` and `>` are both false when either side is NaN, so a
 // NaN-oblivious comparator reports NaN "equal" to every value, and the
@@ -298,22 +289,4 @@ func cmpOrderF(a, b float64) int {
 	default:
 		return 0 // equal, including -0 == +0
 	}
-}
-
-func cmpOrderS(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func boolInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }

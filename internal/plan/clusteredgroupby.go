@@ -57,12 +57,16 @@ func (g *GroupBy) groupedClustered(ctx *Context, in *colstore.Table, keys *group
 	sp := ctx.Trace.Begin("group-partition", fmt.Sprintf("clustered on %s, %d chunks", key, nc))
 	ctx.Trace.End(sp, int64(in.NumRows()), 0)
 
+	specs, err := g.boundAggs(in, ctx.Ctr)
+	if err != nil {
+		return nil, err
+	}
 	mr := ctx.morselRows()
 	parts := make([]groupPart, nc)
-	err := exec.RunMorsels(ctx.workers(), nc, 1, ctx.Ctr, func(c, _, _ int, ctr *exec.Counters) error {
+	err = exec.RunMorsels(ctx.workers(), nc, 1, ctx.Ctr, func(c, _, _ int, ctr *exec.Counters) error {
 		s := groupScratchPool.Get().(*groupScratch)
 		defer groupScratchPool.Put(s)
-		return g.aggChunk(&parts[c], s, in, keys, int(cuts[c]), int(cuts[c+1]), mr, ctr)
+		return aggChunk(&parts[c], s, specs, in, keys, int(cuts[c]), int(cuts[c+1]), mr, ctr)
 	})
 	if err != nil {
 		return nil, err
@@ -97,7 +101,7 @@ func (g *GroupBy) groupedClustered(ctx *Context, in *colstore.Table, keys *group
 }
 
 // aggChunk aggregates rows [lo, hi) — whole groups only — into p.
-func (g *GroupBy) aggChunk(p *groupPart, s *groupScratch, in *colstore.Table, keys *groupKeys, lo, hi, morselRows int, ctr *exec.Counters) error {
+func aggChunk(p *groupPart, s *groupScratch, specs []AggSpec, in *colstore.Table, keys *groupKeys, lo, hi, morselRows int, ctr *exec.Counters) error {
 	// IDs never leave the chunk, so several keys pack in the bit widths
 	// of the chunk's own key ranges.
 	local := *keys
@@ -121,9 +125,9 @@ func (g *GroupBy) aggChunk(p *groupPart, s *groupScratch, in *colstore.Table, ke
 	}
 	p.firstRow = firstRows(gids, lo, ng)
 
-	p.aggs = make([]aggState, len(g.Aggs))
+	p.aggs = make([]aggState, len(specs))
 	var sub *colstore.Table
-	for si, spec := range g.Aggs {
+	for si, spec := range specs {
 		if sub == nil && spec.Func != Count {
 			sub = in.Slice(lo, hi)
 		}

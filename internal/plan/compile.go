@@ -520,15 +520,8 @@ func narrowSelParallel(ctx *Context, t *colstore.Table, pred exec.Pred, sel []in
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, s := range outs {
-		total += len(s)
-	}
-	out := make([]int32, 0, total)
-	for _, s := range outs {
-		out = append(out, s...)
-	}
-	ctx.Ctr.MergeBytes += int64(total) * 4
+	out, _ := exec.ConcatMatches(outs) // at most one id per row of sel
+	ctx.Ctr.MergeBytes += int64(len(out)) * 4
 	return out, nil
 }
 

@@ -131,7 +131,7 @@ func (g *GroupBy) groupedSequential(ctx *Context, in *colstore.Table, keys *grou
 	gids := resized(&s.gids, n)
 	grouper.GroupIDsInto(packed, gids, ctx.Ctr)
 	ngroups := grouper.NumGroups()
-	aggs, err := g.foldAggs(in, gids, ngroups, ctx.Ctr)
+	aggs, err := foldAggs(g.Aggs, in, gids, ngroups, ctx.Ctr)
 	if err != nil {
 		return nil, err
 	}
@@ -537,15 +537,33 @@ type groupPart struct {
 	aggs     []aggState
 }
 
+// boundAggs returns g's aggregates with every evaluated argument bound to
+// in (exec.BindExpr), for folding over morsels or chunks of in: a CASE
+// predicate's per-table work is then done once, not once a morsel. A
+// Count's argument is never evaluated, so it is not bound.
+func (g *GroupBy) boundAggs(in *colstore.Table, ctr *exec.Counters) ([]AggSpec, error) {
+	specs := slices.Clone(g.Aggs)
+	for i := range specs {
+		if specs[i].Func == Count {
+			continue
+		}
+		var err error
+		if specs[i].Arg, err = exec.BindExpr(specs[i].Arg, in, ctr); err != nil {
+			return nil, fmt.Errorf("plan: agg %s: %w", specs[i].Name, err)
+		}
+	}
+	return specs, nil
+}
+
 // foldAggs evaluates every aggregate's argument over t and folds it into
 // ngroups fresh per-group accumulators, gids[i] naming row i's group. All
 // sums share one pass over the rows (exec.ScatterSumsF64), and Count and
 // every Avg share one count; a Count's argument is never evaluated.
-func (g *GroupBy) foldAggs(t *colstore.Table, gids []int32, ngroups int, ctr *exec.Counters) ([]aggState, error) {
-	aggs := make([]aggState, len(g.Aggs))
+func foldAggs(specs []AggSpec, t *colstore.Table, gids []int32, ngroups int, ctr *exec.Counters) ([]aggState, error) {
+	aggs := make([]aggState, len(specs))
 	var sumVals, sumAccs [][]float64
 	var counted []int // the specs that take the shared count
-	for si, spec := range g.Aggs {
+	for si, spec := range specs {
 		st := &aggs[si]
 		switch spec.Func {
 		case Count:
@@ -603,11 +621,15 @@ func (g *GroupBy) groupedMorsel(ctx *Context, in *colstore.Table, keys *groupKey
 	if err := keys.sizeParallel(ctx, n); err != nil {
 		return nil, err
 	}
+	specs, err := g.boundAggs(in, ctx.Ctr)
+	if err != nil {
+		return nil, err
+	}
 	parts := make([]groupPart, exec.NumMorsels(n, ctx.morselRows()))
-	err := exec.RunMorsels(ctx.workers(), n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
+	err = exec.RunMorsels(ctx.workers(), n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
 		s := groupScratchPool.Get().(*groupScratch)
 		defer groupScratchPool.Put(s)
-		return g.aggMorsel(&parts[m], s, in, keys, lo, hi, ctr)
+		return aggMorsel(&parts[m], s, specs, in, keys, lo, hi, ctr)
 	})
 	if err != nil {
 		return nil, err
@@ -638,7 +660,7 @@ func (g *GroupBy) groupedMorsel(ctx *Context, in *colstore.Table, keys *groupKey
 }
 
 // aggMorsel aggregates rows [lo, hi) into p, working in s.
-func (g *GroupBy) aggMorsel(p *groupPart, s *groupScratch, in *colstore.Table, keys *groupKeys, lo, hi int, ctr *exec.Counters) error {
+func aggMorsel(p *groupPart, s *groupScratch, specs []AggSpec, in *colstore.Table, keys *groupKeys, lo, hi int, ctr *exec.Counters) error {
 	packed, err := keys.pack(s, lo, hi, ctr)
 	if err != nil {
 		return err
@@ -646,7 +668,7 @@ func (g *GroupBy) aggMorsel(p *groupPart, s *groupScratch, in *colstore.Table, k
 	gids, gk := s.groupIDs(packed, keys.span, ctr)
 	p.keys = slices.Clone(gk)
 	p.firstRow = firstRows(gids, lo, len(gk))
-	p.aggs, err = g.foldAggs(in.Slice(lo, hi), gids, len(gk), ctr)
+	p.aggs, err = foldAggs(specs, in.Slice(lo, hi), gids, len(gk), ctr)
 	return err
 }
 

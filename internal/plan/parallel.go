@@ -40,20 +40,14 @@ func parallelSel(ctx *Context, t *colstore.Table, pred exec.Pred) ([]int32, erro
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, s := range sels {
-		total += len(s)
-	}
-	out := make([]int32, 0, total)
-	for _, s := range sels {
-		out = append(out, s...)
-	}
-	ctx.Ctr.MergeBytes += int64(total) * 4
+	out, _ := exec.ConcatMatches(sels) // at most one id per row of t
+	ctx.Ctr.MergeBytes += int64(len(out)) * 4
 	return out, nil
 }
 
 // evalExprParallel evaluates e over in, splitting computed expressions
-// into morsels. Expression kernels are elementwise, so evaluating on
+// into morsels; a CASE predicate is bound to in first (exec.BindExpr), so
+// its per-table work is done once. Expression kernels are elementwise, so evaluating on
 // zero-copy slices and concatenating the chunks in morsel order is
 // bit-identical to a whole-table evaluation. Plain column references
 // stay zero-copy, and a string-producing expression (exec.PrefixExpr, the
@@ -71,10 +65,14 @@ func evalExprParallel(ctx *Context, in *colstore.Table, e exec.Expr) (colstore.C
 	case exec.Arith, exec.CaseWhenF, exec.ConstF, exec.YearExpr:
 		// Fixed-width results: evaluated in morsels and stitched.
 	}
+	bound, err := exec.BindExpr(e, in, ctx.Ctr)
+	if err != nil {
+		return nil, err
+	}
 	nm := exec.NumMorsels(n, ctx.morselRows())
 	chunks := make([]colstore.Column, nm)
-	err := exec.RunMorsels(w, n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
-		c, err := e.Eval(in.Slice(lo, hi), ctr)
+	err = exec.RunMorsels(w, n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
+		c, err := bound.Eval(in.Slice(lo, hi), ctr)
 		if err != nil {
 			return err
 		}

@@ -75,3 +75,81 @@ func TestStringPredicateChargesIndependentOfWorkers(t *testing.T) {
 		}
 	}
 }
+
+// caseTable is 1 000 rows of a string column s, an int64 column k
+// cycling through ten values, an int64 column c clustered in runs of
+// 100, and a float64 column x.
+func caseTable() memCatalog {
+	words := []string{"red apple", "green pear", "red plum", "blue fig", "pale green", "dark red", "gold", "grey"}
+	tb := colstore.NewTableBuilder("t", colstore.Schema{
+		{Name: "k", Type: colstore.Int64},
+		{Name: "c", Type: colstore.Int64},
+		{Name: "s", Type: colstore.String},
+		{Name: "x", Type: colstore.Float64},
+	})
+	for r := 0; r < 1000; r++ {
+		tb.Int(0, int64(r%10))
+		tb.Int(1, int64(r/100))
+		tb.Str(2, words[(r*7+r/13)%len(words)])
+		tb.Float(3, float64(r%17)/4)
+		tb.EndRow()
+	}
+	return memCatalog{"t": tb.Build()}
+}
+
+// redCase is `case when s like '%red%' then x else 0 end`.
+var redCase = exec.CaseWhenF{Pred: exec.Like{Column: "s", Pattern: "%red%"}, Then: exec.Col{Name: "x"}, Else: exec.ConstF{V: 0}}
+
+// TestCaseStringMaskChargedOnce: a CASE over a string predicate, evaluated
+// in 64-row morsels by a Project, charges the same work at 1, 2 and 4
+// workers: the predicate's dictionary mask is built once over the whole
+// input, not once a morsel. MergeBytes aside, which one worker does not
+// charge.
+func TestCaseStringMaskChargedOnce(t *testing.T) {
+	cat := caseTable()
+	node := &Project{Input: &Scan{Table: "t"}, Cols: []NamedExpr{{Name: "v", Expr: exec.Mul(redCase, exec.ConstF{V: 2})}}}
+	var want *Result
+	for _, w := range []int{1, 2, 4} {
+		got, err := RunContext(&Context{Cat: cat, Workers: w, MinParallelRows: 1, MorselRows: 64}, node)
+		if err != nil {
+			t.Fatalf("%d workers: %v", w, err)
+		}
+		got.Counters.MergeBytes = 0
+		if want == nil {
+			want = got
+			continue
+		}
+		if ok, why := colstore.TablesIdentical(want.Table, got.Table); !ok {
+			t.Errorf("%d workers: other values than one: %s", w, why)
+		}
+		if got.Counters != want.Counters {
+			t.Errorf("%d workers charged IntOps %d, one worker %d\n%+v\n%+v", w, got.Counters.IntOps, want.Counters.IntOps, got.Counters, want.Counters)
+		}
+	}
+}
+
+// TestGroupedCaseStringMaskChargedOnce: `sum(case when s like … end)`
+// grouped by a scattered key (the morsel path) and by a clustered one
+// (the chunked path) charges the same IntOps over one morsel as over
+// sixteen, at one worker and at two, beyond what the same sum over the
+// CASE's plain column charges: the mask is built once a group-by.
+func TestGroupedCaseStringMaskChargedOnce(t *testing.T) {
+	cat := caseTable()
+	intOps := func(key string, arg exec.Expr, w, morselRows int) int64 {
+		node := &GroupBy{Input: &Scan{Table: "t"}, Keys: []string{key}, Aggs: []AggSpec{{Name: "v", Func: Sum, Arg: arg}}}
+		res, err := RunContext(&Context{Cat: cat, Workers: w, MinParallelRows: 1, MorselRows: morselRows}, node)
+		if err != nil {
+			t.Fatalf("group by %s over %d-row morsels at %d workers: %v", key, morselRows, w, err)
+		}
+		return res.Counters.IntOps
+	}
+	for _, key := range []string{"k", "c"} {
+		for _, w := range []int{1, 2} {
+			one := intOps(key, redCase, w, 1000) - intOps(key, exec.Col{Name: "x"}, w, 1000)
+			sixteen := intOps(key, redCase, w, 64) - intOps(key, exec.Col{Name: "x"}, w, 64)
+			if one != sixteen {
+				t.Errorf("group by %s at %d workers: the CASE costs %d IntOps over one morsel, %d over sixteen", key, w, one, sixteen)
+			}
+		}
+	}
+}
