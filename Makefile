@@ -203,14 +203,18 @@ bench-compare:
 # N alternating pairs of BASE against the working tree on workload W
 # (scripts/bench-pairs.sh has the details; ~1 min per pair on power).
 # M names the metric whose wins are counted, in the direction
-# BENCHMARK.json gives it.
+# BENCHMARK.json gives it; P prefixes the two output files (P_base.json,
+# P_head.json), and S is the first seed (11 for the held-out pairs).
 #   make bench-pairs BASE=HEAD~1 W=power N=10 M=throughput_qps
+#   make bench-pairs BASE=HEAD~1 W=spill N=3 M=throughput_qps P=BENCH_pairs_spill S=11
 W ?= power
 N ?= 10
 M ?= stream_ms
+P ?= BENCH_pairs
+S ?= 1
 bench-pairs:
-	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<rev> [W=<workload>] [N=<pairs>] [M=<metric>]"; exit 2; }
-	scripts/bench-pairs.sh $(BASE) $(W) $(N) $(M)
+	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<rev> [W=<workload>] [N=<pairs>] [M=<metric>] [P=<prefix>] [S=<first seed>]"; exit 2; }
+	scripts/bench-pairs.sh $(BASE) $(W) $(N) $(M) $(P) $(S)
 
 # Parallel speedup on Q1/Q3/Q6/Q18 at 1/2/4/8 workers (SF via WIMPI_BENCH_SF).
 bench-scaling:

@@ -6,3 +6,6 @@ var BuildJoinTableBits = buildJoinTableBits
 
 // Bits reports the table's partition fan-out.
 func (jt *JoinTable) Bits() uint { return jt.bits }
+
+// Unique reports whether the build found every key once.
+func (jt *JoinTable) Unique() bool { return jt.unique }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // hashKey mixes a 64-bit key with a full multiply-shift (Fibonacci)
@@ -108,14 +109,17 @@ func JoinTableBytes(n int) int64 {
 //
 // A JoinTable built by BuildPositionalJoinTable has the positional
 // layout instead: no slots, but one head per key of a compact range,
-// heads[k-base], over the same next chains. Only lookup tells the two
-// apart, so every probe kernel is shared.
+// heads[k-base], over the same next chains; every probe kernel is shared
+// and picks its layout's lookup once, outside its row loop. A build
+// records whether its keys are unique (a spill partition's table leaves
+// unique false); a unique build's inner join does not walk next.
 type JoinTable struct {
-	parts []joinPart
-	next  []int32 // build row -> next build row with same key, or -1
-	bits  uint    // log2(len(parts))
-	heads []int32 // positional layout: key - base -> first build row, or -1
-	base  int64
+	parts  []joinPart
+	next   []int32 // build row -> next build row with same key, or -1
+	bits   uint    // log2(len(parts))
+	heads  []int32 // positional layout: key - base -> first build row, or -1
+	base   int64
+	unique bool // no key has two build rows
 }
 
 // joinPart is one open-addressing table of a JoinTable.
@@ -148,8 +152,9 @@ func newJoinPart(n int) joinPart {
 }
 
 // insert finds key k's slot and prepends build row r to its chain in
-// next — the one per-row insert of every hashed build.
-func (jp *joinPart) insert(k int64, r int32, next []int32) {
+// next — the one per-row insert of every hashed build — and reports
+// whether k was new.
+func (jp *joinPart) insert(k int64, r int32, next []int32) bool {
 	mask := uint64(len(jp.slotKeys) - 1)
 	slot := hashKey(k, jp.shift) & mask
 	for jp.slotHead[slot] >= 0 && jp.slotKeys[slot] != k {
@@ -158,32 +163,34 @@ func (jp *joinPart) insert(k int64, r int32, next []int32) {
 	jp.slotKeys[slot] = k
 	next[r] = jp.slotHead[slot]
 	jp.slotHead[slot] = r
+	return next[r] < 0
 }
 
 // buildJoinPart inserts rows (ascending build-row ids; nil means every
 // key, in order) into a fresh table, prepending duplicates to their
-// key's chain in next.
-func buildJoinPart(keys []int64, rows, next []int32) joinPart {
+// key's chain in next, and reports whether every key was new.
+func buildJoinPart(keys []int64, rows, next []int32) (jp joinPart, unique bool) {
 	n := len(rows)
 	if rows == nil {
 		n = len(keys)
 	}
-	jp := newJoinPart(n)
+	jp, unique = newJoinPart(n), true
 	for i := 0; i < n; i++ {
 		r := int32(i)
 		if rows != nil {
 			r = rows[i]
 		}
-		jp.insert(keys[r], r, next)
+		unique = jp.insert(keys[r], r, next) && unique
 	}
-	return jp
+	return jp, unique
 }
 
 // BuildJoinTable indexes the build-side keys sequentially. keys[i] is
 // the join key of build row i.
 func BuildJoinTable(keys []int64, ctr *Counters) *JoinTable {
 	jt := &JoinTable{next: make([]int32, len(keys))}
-	jt.parts = []joinPart{buildJoinPart(keys, nil, jt.next)}
+	jp, unique := buildJoinPart(keys, nil, jt.next)
+	jt.parts, jt.unique = []joinPart{jp}, unique
 	jt.chargeBuild(ctr)
 	return jt
 }
@@ -218,13 +225,14 @@ func BuildPositionalJoinTable(keys []int64, base int64, span int, ctr *Counters)
 	if err := ctr.sched.Err(); err != nil {
 		return nil, err
 	}
-	jt := &JoinTable{next: make([]int32, len(keys)), heads: make([]int32, span), base: base}
+	jt := &JoinTable{next: make([]int32, len(keys)), heads: make([]int32, span), base: base, unique: true}
 	for i := range jt.heads {
 		jt.heads[i] = -1
 	}
 	for r, k := range keys {
 		h := &jt.heads[k-base]
 		jt.next[r] = *h
+		jt.unique = *h < 0 && jt.unique
 		*h = int32(r)
 	}
 	ctr.SeqBytes += int64(span) * 4
@@ -316,11 +324,13 @@ func buildJoinTableBits(keys []int64, bits uint, workers, morselRows int, ctr *C
 	// Pass 3: build every partition's table in parallel. Each partition
 	// writes disjoint rows of the shared next array.
 	jt := &JoinTable{parts: make([]joinPart, p), next: make([]int32, n), bits: bits}
+	unique := make([]bool, p)
 	if err := runMorselsInfallible(workers, p, 1, ctr, func(pi, _, _ int, c *Counters) {
-		jt.parts[pi] = buildJoinPart(keys, partRows[pi], jt.next)
+		jt.parts[pi], unique[pi] = buildJoinPart(keys, partRows[pi], jt.next)
 	}); err != nil {
 		return nil, err
 	}
+	jt.unique = !slices.Contains(unique, false)
 
 	jt.chargeBuild(ctr)
 	// The two partition passes stream the keys twice and write one row
@@ -360,16 +370,21 @@ func (jt *JoinTable) CountMatches(k int64) int64 {
 	return n
 }
 
-// lookup returns the first build row for key k, or -1. The positional
-// bounds check wraps: a k below base lands beyond len(heads) too.
+// lookup returns the first build row for key k, or -1: one row's probe.
 func (jt *JoinTable) lookup(k int64) int32 {
 	if jt.heads != nil {
-		if i := uint64(k - jt.base); i < uint64(len(jt.heads)) {
-			return jt.heads[i]
-		}
-		return -1
+		return lookupPositional(jt.heads, jt.base, k)
 	}
 	return jt.lookupHashed(k)
+}
+
+// lookupPositional is lookup in the positional layout. The bounds check
+// wraps: a k below base lands beyond len(heads) too.
+func lookupPositional(heads []int32, base, k int64) int32 {
+	if i := uint64(k - base); i < uint64(len(heads)) {
+		return heads[i]
+	}
+	return -1
 }
 
 // lookupHashed is lookup in the chained layout.
@@ -400,9 +415,24 @@ func (jt *JoinTable) InnerJoin(probeKeys []int64, workers, morselRows int, ctr *
 		if err := ctr.sched.Err(); err != nil {
 			return nil, nil, err
 		}
-		return jt.innerJoin(probeKeys, ctr)
+		return jt.innerJoin(probeKeys, 0, ctr)
 	}
-	return jt.innerJoinMorsels(probeKeys, workers, morselRows, ctr)
+	nm := NumMorsels(len(probeKeys), morselRows)
+	bis := make([][]int32, nm)
+	pis := make([][]int32, nm)
+	if err := RunMorsels(workers, len(probeKeys), morselRows, ctr, func(m, lo, hi int, c *Counters) error {
+		var err error
+		bis[m], pis[m], err = jt.innerJoin(probeKeys[lo:hi], int32(lo), c)
+		return err
+	}); err != nil {
+		return nil, nil, err
+	}
+	if buildIdx, err = ConcatMatches(bis); err != nil {
+		return nil, nil, err
+	}
+	probeIdx, _ = ConcatMatches(pis)
+	ctr.MergeBytes += int64(len(buildIdx)) * 8
+	return buildIdx, probeIdx, nil
 }
 
 // boundMatches refuses, before a pair is emitted, an inner join with more
@@ -441,37 +471,16 @@ func (jt *JoinTable) boundMatches(probeKeys []int64, ctr *Counters) error {
 	return checkJoinMatches(total)
 }
 
-// innerJoinMorsels is InnerJoin without the size threshold.
-func (jt *JoinTable) innerJoinMorsels(probeKeys []int64, workers, morselRows int, ctr *Counters) (buildIdx, probeIdx []int32, err error) {
-	nm := NumMorsels(len(probeKeys), morselRows)
-	bis := make([][]int32, nm)
-	pis := make([][]int32, nm)
-	if err := RunMorsels(workers, len(probeKeys), morselRows, ctr, func(m, lo, hi int, c *Counters) error {
-		bi, pi, err := jt.innerJoin(probeKeys[lo:hi], c)
-		for i := range pi {
-			pi[i] += int32(lo)
-		}
-		bis[m], pis[m] = bi, pi
-		return err
-	}); err != nil {
-		return nil, nil, err
-	}
-	buildIdx, err = ConcatMatches(bis)
-	if err != nil {
-		return nil, nil, err
-	}
-	probeIdx, _ = ConcatMatches(pis)
-	ctr.MergeBytes += int64(len(buildIdx)) * 8
-	return buildIdx, probeIdx, nil
-}
-
 // ConcatMatches assembles per-chunk (or per-morsel) row-id vectors, in
-// order, into one exact-size vector, refusing — before it allocates — a
-// total no int32 row id can address. The result is never nil, even when
-// empty, so it serves as a selection too.
+// order, into one exact-size vector (a lone chunk as it is), refusing —
+// before it allocates — a total no int32 row id can address. The result
+// is never nil, even when empty, so it serves as a selection too.
 //
 //lint:allow pathcost -- each caller charges the copy as MergeBytes at its own width (a join's pairs, a selection's ids)
 func ConcatMatches(chunks [][]int32) ([]int32, error) {
+	if len(chunks) == 1 && chunks[0] != nil {
+		return chunks[0], nil
+	}
 	var total int64
 	for _, c := range chunks {
 		total += int64(len(c))
@@ -486,46 +495,98 @@ func ConcatMatches(chunks [][]int32) ([]int32, error) {
 	return out, nil
 }
 
-// joinEmitChunkRows bounds the match buffers innerJoin fills before
-// assembling the exact-size result.
+// joinEmitChunkRows bounds the probe kernels' scratch, and so the key
+// chunks a sequential probe walks, and innerJoin's emit chunks.
 const joinEmitChunkRows = 1 << 16
 
-// innerJoin is the sequential inner-join kernel. It emits (build row,
-// probe row) matches into fixed-size chunks, then assembles an
-// exact-size result in one pass. The naive append-doubling emit recopies
-// the whole match set on every growth — O(matches) hidden, uncharged
-// traffic on large probes; chunking bounds the live buffer, copies each
-// pair exactly once, and charges that copy. Probe rows are visited in
-// order, duplicate build rows in chain (descending row) order. InnerJoin
-// has bounded the output size before the walk starts.
-func (jt *JoinTable) innerJoin(probeKeys []int64, ctr *Counters) (buildIdx, probeIdx []int32, err error) {
-	first := len(probeKeys)
-	if first > joinEmitChunkRows {
-		first = joinEmitChunkRows
+// firstMatches is the branch-free row loop of the inner and count probes:
+// it writes each probe row's first build row and the row, offset by off,
+// to bi[m] and pi[m], and advances m by whether the row matched.
+func firstMatches(bi, pi []int32, keys []int64, off int32, lookup func(k int64) int32) int {
+	m := 0
+	for p, k := range keys {
+		b := lookup(k)
+		bi[m] = b
+		pi[m] = off + int32(p)
+		m += int(b2i(b >= 0))
 	}
-	cb := make([]int32, 0, first)
-	cp := make([]int32, 0, first)
-	var doneB, doneP [][]int32
-	for p, k := range probeKeys {
-		for b := jt.lookup(k); b >= 0; b = jt.next[b] {
-			if len(cb) == cap(cb) {
-				doneB = append(doneB, cb) //lint:allow hotalloc -- chunk-list growth, once per 4096 emitted rows
-				doneP = append(doneP, cp) //lint:allow hotalloc -- chunk-list growth, once per 4096 emitted rows
-				cb = make([]int32, 0, joinEmitChunkRows)
-				cp = make([]int32, 0, joinEmitChunkRows)
+	return m
+}
+
+// keepProbes is the semi and anti probes' loop, keepRows' twin: it keeps
+// the probe rows (offset by off) whose matched-ness equals want.
+func keepProbes(out []int32, keys []int64, off int32, want bool, lookup func(k int64) int32) int {
+	m := 0
+	for p, k := range keys {
+		out[m] = off + int32(p)
+		m += int(b2i((lookup(k) >= 0) == want))
+	}
+	return m
+}
+
+// probeFirst runs firstMatches with the table's lookup, both inlined.
+func (jt *JoinTable) probeFirst(bi, pi []int32, keys []int64, off int32) int {
+	if heads, base := jt.heads, jt.base; heads != nil {
+		return firstMatches(bi, pi, keys, off, func(k int64) int32 { return lookupPositional(heads, base, k) })
+	}
+	return firstMatches(bi, pi, keys, off, func(k int64) int32 { return jt.lookupHashed(k) })
+}
+
+// probeKeep runs keepProbes with the table's lookup, both inlined.
+func (jt *JoinTable) probeKeep(out []int32, keys []int64, off int32, want bool) int {
+	if heads, base := jt.heads, jt.base; heads != nil {
+		return keepProbes(out, keys, off, want, func(k int64) int32 { return lookupPositional(heads, base, k) })
+	}
+	return keepProbes(out, keys, off, want, func(k int64) int32 { return jt.lookupHashed(k) })
+}
+
+// innerJoin is the sequential inner-join kernel; probe row p is reported
+// as off+p. It finds each key chunk's first matches in pooled scratch. On
+// a unique build they are the result, copied out at exact size; else it
+// walks every match's chain into fixed-size emit chunks (append-doubling
+// would recopy the match set on every growth), duplicate build rows in
+// descending row order. Either way an output of more than the first emit
+// chunk is assembled in one charged pass. InnerJoin has bounded the
+// output size before the walk starts.
+func (jt *JoinTable) innerJoin(probeKeys []int64, off int32, ctr *Counters) (buildIdx, probeIdx []int32, err error) {
+	first := min(len(probeKeys), joinEmitChunkRows)
+	sb, sp := lendSel(first), lendSel(first)
+	doneB, doneP := make([][]int32, 0, 1), make([][]int32, 0, 1) // one key chunk: on the stack
+	var cb, cp []int32
+	if !jt.unique {
+		cb, cp = make([]int32, 0, first), make([]int32, 0, first)
+	}
+	for lo := 0; lo < len(probeKeys); lo += joinEmitChunkRows {
+		m := jt.probeFirst(*sb, *sp, probeKeys[lo:min(lo+joinEmitChunkRows, len(probeKeys))], off+int32(lo))
+		if jt.unique {
+			doneB = append(doneB, append([]int32{}, (*sb)[:m]...)) //lint:allow hotalloc -- one exact-size copy per chunk of joinEmitChunkRows probe rows
+			doneP = append(doneP, append([]int32{}, (*sp)[:m]...)) //lint:allow hotalloc -- one exact-size copy per chunk of joinEmitChunkRows probe rows
+			continue
+		}
+		for j, h := range (*sb)[:m] {
+			for b := h; b >= 0; b = jt.next[b] {
+				if len(cb) == cap(cb) {
+					doneB = append(doneB, cb)
+					doneP = append(doneP, cp)
+					cb = make([]int32, 0, joinEmitChunkRows)
+					cp = make([]int32, 0, joinEmitChunkRows)
+				}
+				cb = append(cb, b)
+				cp = append(cp, (*sp)[j])
 			}
-			cb = append(cb, b)
-			cp = append(cp, int32(p))
 		}
 	}
-	buildIdx, probeIdx = cb, cp
-	if len(doneB) > 0 {
-		// More than one chunk: the assembly streams every emitted pair
-		// exactly once.
-		if buildIdx, err = ConcatMatches(append(doneB, cb)); err != nil {
-			return nil, nil, err
-		}
-		probeIdx, _ = ConcatMatches(append(doneP, cp))
+	selPool.Put(sb)
+	selPool.Put(sp)
+	if cb != nil {
+		doneB, doneP = append(doneB, cb), append(doneP, cp)
+	}
+	if buildIdx, err = ConcatMatches(doneB); err != nil {
+		return nil, nil, err
+	}
+	probeIdx, _ = ConcatMatches(doneP)
+	if len(buildIdx) > first {
+		// The assembly streams every emitted pair exactly once.
 		ctr.SeqBytes += int64(len(buildIdx)) * 8
 	}
 	ctr.HashProbeTuples += int64(len(probeKeys))
@@ -550,20 +611,11 @@ func (jt *JoinTable) selJoin(probeKeys []int64, want bool, workers, morselRows i
 		if err := ctr.sched.Err(); err != nil {
 			return nil, err
 		}
-		return jt.selRows(probeKeys, want, ctr), nil
+		return jt.selRows(probeKeys, 0, want, ctr), nil
 	}
-	return jt.selJoinMorsels(probeKeys, want, workers, morselRows, ctr)
-}
-
-// selJoinMorsels is selJoin without the size threshold.
-func (jt *JoinTable) selJoinMorsels(probeKeys []int64, want bool, workers, morselRows int, ctr *Counters) ([]int32, error) {
 	sels := make([][]int32, NumMorsels(len(probeKeys), morselRows))
 	if err := runMorselsInfallible(workers, len(probeKeys), morselRows, ctr, func(m, lo, hi int, c *Counters) {
-		sel := jt.selRows(probeKeys[lo:hi], want, c)
-		for i := range sel {
-			sel[i] += int32(lo)
-		}
-		sels[m] = sel
+		sels[m] = jt.selRows(probeKeys[lo:hi], int32(lo), want, c)
 	}); err != nil {
 		return nil, err
 	}
@@ -572,14 +624,17 @@ func (jt *JoinTable) selJoinMorsels(probeKeys []int64, want bool, workers, morse
 	return out, nil
 }
 
-// selRows is the sequential semi/anti kernel.
-func (jt *JoinTable) selRows(probeKeys []int64, want bool, ctr *Counters) []int32 {
-	out := make([]int32, 0, len(probeKeys))
-	for p, k := range probeKeys {
-		if (jt.lookup(k) >= 0) == want {
-			out = append(out, int32(p))
-		}
+// selRows is the sequential semi/anti kernel; probe row p is reported as
+// off+p.
+func (jt *JoinTable) selRows(probeKeys []int64, off int32, want bool, ctr *Counters) []int32 {
+	s := lendSel(min(len(probeKeys), joinEmitChunkRows))
+	kept := make([][]int32, 0, 1) // one key chunk: on the stack
+	for lo := 0; lo < len(probeKeys); lo += joinEmitChunkRows {
+		m := jt.probeKeep(*s, probeKeys[lo:min(lo+joinEmitChunkRows, len(probeKeys))], off+int32(lo), want)
+		kept = append(kept, append([]int32{}, (*s)[:m]...))
 	}
+	selPool.Put(s)
+	out, _ := ConcatMatches(kept) // at most one id per probe row
 	ctr.HashProbeTuples += int64(len(probeKeys))
 	ctr.RandomAccesses += int64(len(probeKeys))
 	return out
@@ -587,20 +642,16 @@ func (jt *JoinTable) selRows(probeKeys []int64, want bool, ctr *Counters) []int3
 
 // CountPerProbe implements JoinProber.
 func (jt *JoinTable) CountPerProbe(probeKeys []int64, workers, morselRows int, ctr *Counters) ([]int64, error) {
+	out := make([]int64, len(probeKeys))
 	if workers <= 1 || len(probeKeys) < parallelProbeMinRows {
 		if err := ctr.sched.Err(); err != nil {
 			return nil, err
 		}
-		return jt.countRows(probeKeys, ctr), nil
+		jt.countRows(out, probeKeys, ctr)
+		return out, nil
 	}
-	return jt.countPerProbeMorsels(probeKeys, workers, morselRows, ctr)
-}
-
-// countPerProbeMorsels is CountPerProbe without the size threshold.
-func (jt *JoinTable) countPerProbeMorsels(probeKeys []int64, workers, morselRows int, ctr *Counters) ([]int64, error) {
-	out := make([]int64, len(probeKeys))
 	if err := runMorselsInfallible(workers, len(probeKeys), morselRows, ctr, func(m, lo, hi int, c *Counters) {
-		copy(out[lo:hi], jt.countRows(probeKeys[lo:hi], c))
+		jt.countRows(out[lo:hi], probeKeys[lo:hi], c)
 	}); err != nil {
 		return nil, err
 	}
@@ -608,21 +659,25 @@ func (jt *JoinTable) countPerProbeMorsels(probeKeys []int64, workers, morselRows
 	return out, nil
 }
 
-// countRows is the sequential count-per-probe kernel.
-func (jt *JoinTable) countRows(probeKeys []int64, ctr *Counters) []int64 {
-	out := make([]int64, len(probeKeys))
+// countRows is the sequential count-per-probe kernel: it writes the
+// match count of each matching probe row into out, which starts zeroed.
+func (jt *JoinTable) countRows(out []int64, probeKeys []int64, ctr *Counters) {
+	first := min(len(probeKeys), joinEmitChunkRows)
+	sb, sp := lendSel(first), lendSel(first)
 	var matches int64
-	for p, k := range probeKeys {
-		var n int64
-		for b := jt.lookup(k); b >= 0; b = jt.next[b] {
-			n++
+	for lo := 0; lo < len(probeKeys); lo += joinEmitChunkRows {
+		m := jt.probeFirst(*sb, *sp, probeKeys[lo:min(lo+joinEmitChunkRows, len(probeKeys))], int32(lo))
+		for j, h := range (*sb)[:m] {
+			for b := h; b >= 0; b = jt.next[b] {
+				out[(*sp)[j]]++
+				matches++
+			}
 		}
-		out[p] = n
-		matches += n
 	}
+	selPool.Put(sb)
+	selPool.Put(sp)
 	ctr.HashProbeTuples += int64(len(probeKeys))
 	ctr.RandomAccesses += int64(len(probeKeys)) + matches
-	return out
 }
 
 func log2(n int) int {

@@ -142,6 +142,55 @@ func TestInnerJoinChunkedEmit(t *testing.T) {
 	}
 }
 
+// TestUniqueInnerJoinChunkedEmit is TestInnerJoinChunkedEmit on unique
+// builds in both layouts: a sequential probe of more than one scratch
+// chunk of keys, checked against a nested-loop oracle. The assembly of
+// the chunks' matches is charged exactly when there are more matches than
+// joinEmitChunkRows, as the chained emit charges it.
+func TestUniqueInnerJoinChunkedEmit(t *testing.T) {
+	build := []int64{30, 10, 40, 50, 90, 20, 60}
+	const nProbe = joinEmitChunkRows*2 + 1234
+	builds := map[string]*JoinTable{"chained": BuildJoinTable(build, &Counters{})}
+	positional, err := BuildPositionalJoinTable(build, 10, 81, &Counters{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds["positional"] = positional
+	rng := rand.New(rand.NewSource(8))
+	for _, hitsOf8 := range []int{7, 1} {
+		probe := make([]int64, nProbe)
+		for i := range probe {
+			probe[i] = build[rng.Intn(len(build))] + b2i(rng.Intn(8) >= hitsOf8)
+		}
+		var wantB, wantP []int32
+		for p, k := range probe {
+			for b := len(build) - 1; b >= 0; b-- {
+				if build[b] == k {
+					wantB = append(wantB, int32(b))
+					wantP = append(wantP, int32(p))
+				}
+			}
+		}
+		for name, jt := range builds {
+			if !jt.unique {
+				t.Fatalf("%s: build of distinct keys is not unique", name)
+			}
+			var ctr Counters
+			bi, pi := must2(jt.InnerJoin(probe, 1, 0, &ctr))
+			if !int32sEqual(bi, wantB) || !int32sEqual(pi, wantP) {
+				t.Fatalf("%s: InnerJoin diverges from oracle (%d vs %d pairs)", name, len(bi), len(wantB))
+			}
+			var copied int64
+			if len(bi) > joinEmitChunkRows {
+				copied = int64(len(bi)) * 8
+			}
+			if ctr.SeqBytes != copied {
+				t.Errorf("%s, %d pairs: charged %d SeqBytes, want %d", name, len(bi), ctr.SeqBytes, copied)
+			}
+		}
+	}
+}
+
 // TestInnerJoinSingleChunkNoCopy: outputs that fit one chunk must not
 // charge an assembly copy.
 func TestInnerJoinSingleChunkNoCopy(t *testing.T) {

@@ -79,6 +79,41 @@ func TestJoinProberConformance(t *testing.T) {
 	jointest.Run(t, impls)
 }
 
+// TestJoinTableUniqueFlag: every build — sequential, partitioned at each
+// fan-out, and positional — calls its keys unique exactly when a naive
+// duplicate check does, on every conformance input.
+func TestJoinTableUniqueFlag(t *testing.T) {
+	for _, in := range jointest.Inputs() {
+		seen := make(map[int64]bool, len(in.Build))
+		want := true
+		for _, k := range in.Build {
+			want = want && !seen[k]
+			seen[k] = true
+		}
+		var ctr exec.Counters
+		builds := map[string]*exec.JoinTable{"sequential": exec.BuildJoinTable(in.Build, &ctr)}
+		for _, bits := range []uint{1, 3, 6} {
+			jt, err := exec.BuildJoinTableBits(in.Build, bits, 2, 1000, &ctr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			builds[fmt.Sprintf("partitioned-bits%d", bits)] = jt
+		}
+		if base, span, ok := exec.KeySpan(in.Build, &ctr); ok && span <= 1<<20 {
+			jt, err := exec.BuildPositionalJoinTable(in.Build, base, span, &ctr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			builds["positional"] = jt
+		}
+		for name, jt := range builds {
+			if jt.Unique() != want {
+				t.Errorf("%s/%s: Unique = %t, want %t", in.Name, name, jt.Unique(), want)
+			}
+		}
+	}
+}
+
 // TestKeySpan: the range an array indexed by key − base needs, refused
 // where its width does not fit an int — and computed without overflow
 // across the whole int64 range.

@@ -55,11 +55,21 @@ func valueBytes[T fixed]() int64 {
 	return int64(unsafe.Sizeof(v))
 }
 
-// selPool holds the selection kernels' scratch: each kernel writes every
-// candidate row into a buffer as long as its input, then copies the kept
-// prefix out. Reusing the buffer keeps a selective scan from allocating
-// (and zeroing) an output the size of its input.
+// selPool holds the selection kernels' and join probes' scratch: each
+// kernel writes every candidate row into a buffer as long as its input,
+// then copies the kept prefix out. Reusing the buffer keeps a selective
+// scan from allocating (and zeroing) an output the size of its input.
 var selPool = sync.Pool{New: func() any { return new([]int32) }}
+
+// lendSel lends a scratch buffer of n rows from selPool.
+func lendSel(n int) *[]int32 {
+	s := selPool.Get().(*[]int32)
+	if cap(*s) < n {
+		*s = make([]int32, n)
+	}
+	*s = (*s)[:n]
+	return s
+}
 
 // beginSel charges a kernel that reads width bytes of each candidate (all
 // n rows as a sequential scan, or the rows of in through the selection
@@ -73,12 +83,7 @@ func beginSel(ctr *Counters, n int, in []int32, width int64) *[]int32 {
 	}
 	ctr.TuplesScanned += int64(n)
 	ctr.IntOps += int64(n)
-	s := selPool.Get().(*[]int32)
-	if cap(*s) < n {
-		*s = make([]int32, n)
-	}
-	*s = (*s)[:n]
-	return s
+	return lendSel(n)
 }
 
 // endSel returns the first n rows of the scratch as an exact-size

@@ -39,7 +39,7 @@ const (
 // reversed duplicate run) and a build confined to the first of 16 radix
 // partitions (every other partition of the spill joiner is empty, every
 // spilled one among them); and compact key ranges for the positional
-// layout.
+// layout, and a build whose only duplicate is its last row.
 func Inputs() []Input {
 	rng := rand.New(rand.NewSource(16))
 	fill := func(n int, key func(i int) int64) []int64 {
@@ -106,11 +106,17 @@ func Inputs() []Input {
 	strided := fill(nBuild, func(i int) int64 { return 7 * int64(i) })
 	const base = 1000
 	edges := []int64{base - 1, base, base + nBuild - 1, base + nBuild, math.MinInt64, math.MaxInt64}
+	// Unique builds are the branch-free inner join's domain: unique,
+	// uniform, negative-base, strided and edge-probes. This one's only
+	// duplicate is its last row, which a build that checked a prefix of
+	// its inserts would call unique.
+	lastDup := append(slices.Clone(unique[:nBuild-1]), unique[0])
 	return append(inputs,
 		Input{Name: "negative-base", Build: negative, Probe: halfHits(negative)},
 		Input{Name: "strided", Build: strided, Probe: fill(nProbe, func(int) int64 { return rng.Int63n(7 * nBuild) })},
 		Input{Name: "edge-probes", Build: fill(nBuild, func(i int) int64 { return base + int64(i) }),
 			Probe: fill(nProbe, func(i int) int64 { return edges[i%len(edges)] })},
+		Input{Name: "last-row-duplicate", Build: lastDup, Probe: halfHits(lastDup)},
 	)
 }
 

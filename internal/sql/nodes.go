@@ -60,7 +60,7 @@ func scalarOf(t *colstore.Table) (float64, error) {
 // plans first, folds their values into the enclosing block's comparison
 // predicates as constants, and only then builds and runs the block's
 // plan. The block is built per run and kept by nobody, so the node's
-// EXPLAIN and the spill-capability scan see the subqueries only.
+// EXPLAIN shows the subqueries only.
 type deferredNode struct {
 	name    string
 	scalars []scalarPlan
@@ -88,14 +88,18 @@ func (d *deferredNode) Execute(ctx *plan.Context) (*colstore.Table, error) {
 	return ctx.Run(n)
 }
 
-// Children implements plan.ChildNodes: the scalar subquery plans. The
-// block does not exist before a run builds it, so capability scans (e.g.
-// spill) are conservative here: an unseen join keeps MemLimitError
-// semantics.
+// Children implements plan.ChildNodes: the scalar subquery plans, then
+// the block lowered from placeholder scalar values. Lowering runs no
+// query, and which joins the block holds does not depend on the values,
+// so capability scans (e.g. spill) see the joins a run will build. A
+// block that fails to lower is left out, and its joins stay unseen.
 func (d *deferredNode) Children() []plan.Node {
-	out := make([]plan.Node, len(d.scalars))
+	out := make([]plan.Node, len(d.scalars), len(d.scalars)+1)
 	for i := range d.scalars {
 		out[i] = d.scalars[i].node
+	}
+	if n, err := d.build(make([]float64, len(d.scalars))); err == nil {
+		out = append(out, n)
 	}
 	return out
 }

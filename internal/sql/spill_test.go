@@ -12,16 +12,15 @@ import (
 
 // TestSQLPlansAreSpillable: the spill-capability scan must see every
 // SQL-planned TPC-H join — including joins inside the frontend's memo
-// (CTE) nodes — so a memory budget spills those queries instead of
-// cancelling them. A deferred (scalar subquery) node shows only its
-// subqueries before a run builds its block, so Q15 and Q22, whose
-// subqueries join nothing, are not spillable (Q11's is: its CTE holds
-// semi joins); Q1 and Q6 have no join at all.
+// (CTE) nodes and inside the block a deferred (scalar subquery) node
+// builds at run time, as in Q15 and Q22, whose subqueries join nothing —
+// so a memory budget spills those queries instead of cancelling them.
+// Q1 and Q6 have no join at all.
 func TestSQLPlansAreSpillable(t *testing.T) {
 	data := fixture()
 	db := engine.NewDB(engine.Config{})
 	data.RegisterAll(db)
-	notSpillable := map[int]bool{1: true, 6: true, 15: true, 22: true}
+	notSpillable := map[int]bool{1: true, 6: true}
 	for q := 1; q <= 22; q++ {
 		if got := plan.Spillable(planSQL(t, db, q).Node); got == notSpillable[q] {
 			t.Errorf("Q%d: Spillable = %v, want %v", q, got, !notSpillable[q])

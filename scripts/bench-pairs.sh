@@ -1,13 +1,15 @@
 #!/bin/sh
 # bench-pairs: section 8 of the choosing-metrics guide as one command.
 #
-#   scripts/bench-pairs.sh BASE [WORKLOAD] [N] [METRIC]
+#   scripts/bench-pairs.sh BASE [WORKLOAD] [N] [METRIC] [PREFIX] [SEED]
 #
 # Builds ./benchmark at revision BASE (from a throw-away `git archive`
 # copy under .bench_build/) and at the working tree, then runs N
-# untraced pairs of WORKLOAD with seeds 1..N, alternating which side
-# goes first. Every run is appended to BENCH_pairs_base.json /
-# BENCH_pairs_head.json (started afresh each invocation); the script
+# untraced pairs of WORKLOAD with seeds SEED..SEED+N-1 (SEED defaults
+# to 1; 11 starts the held-out seeds), alternating which side goes
+# first. Every run is appended to PREFIX_base.json / PREFIX_head.json
+# (PREFIX defaults to BENCH_pairs; the files are started afresh each
+# invocation, so give each workload its own prefix to keep them); the script
 # prints METRIC (default stream_ms) per pair, the win count, and the
 # benchmark's own -compare table over the two files. A win is a pair in
 # which the working tree's METRIC is better in the direction
@@ -15,10 +17,12 @@
 # Nothing else on the machine should be running while it does.
 set -eu
 
-base=${1:?usage: bench-pairs.sh BASE [WORKLOAD] [N] [METRIC]}
+base=${1:?usage: bench-pairs.sh BASE [WORKLOAD] [N] [METRIC] [PREFIX] [SEED]}
 workload=${2:-power}
 n=${3:-10}
 metric=${4:-stream_ms}
+prefix=${5:-BENCH_pairs}
+seed0=${6:-1}
 
 cd "$(git rev-parse --show-toplevel)"
 better=$(awk -v m="\"$metric\"," '$1 == "\"name\":" { hit = $2 == m } hit && $1 == "\"better\":" { gsub(/[",]/, "", $2); print $2; exit }' BENCHMARK.json)
@@ -38,8 +42,8 @@ git archive "$base" | tar -x -C $src
 rm -rf $src
 go build -o $build/bench-head ./benchmark
 
-base_out=BENCH_pairs_base.json
-head_out=BENCH_pairs_head.json
+base_out=${prefix}_base.json
+head_out=${prefix}_head.json
 rm -f $base_out $head_out
 
 # run SIDE SEED: one untraced run, result appended to SIDE's file; prints
@@ -55,16 +59,17 @@ losses=0
 printf 'pair  seed  first  %14s  %14s\n' "base $metric" "head $metric"
 i=1
 while [ "$i" -le "$n" ]; do
+	seed=$((seed0 + i - 1))
 	if [ $((i % 2)) -eq 1 ]; then
 		first=base
-		b=$(run base "$i")
-		h=$(run head "$i")
+		b=$(run base "$seed")
+		h=$(run head "$seed")
 	else
 		first=head
-		h=$(run head "$i")
-		b=$(run base "$i")
+		h=$(run head "$seed")
+		b=$(run base "$seed")
 	fi
-	printf '%4d  %4d  %-5s  %14.1f  %14.1f\n' "$i" "$i" "$first" "$b" "$h"
+	printf '%4d  %4d  %-5s  %14.1f  %14.1f\n' "$i" "$seed" "$first" "$b" "$h"
 	case $(echo "$h $b $better" | awk '{ d = ($3 == "lower") ? $2 - $1 : $1 - $2; print (d > 0) ? "win" : (d < 0) ? "loss" : "tie" }') in
 	win) wins=$((wins + 1)) ;;
 	loss) losses=$((losses + 1)) ;;
