@@ -40,10 +40,10 @@ cross:
 	GOOS=linux GOARCH=arm GOARM=7 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/exec/ ./internal/plan/
 
-# wimpi-lint: the custom invariant suite, seven analyzers — the
-# dataflow-backed taintflow (determinism), pathcost (cost accounting),
-# hotalloc and exhaustive, and the context-discipline, goroutine-hygiene
-# and wire-protocol error-handling passes — plus the directive audit
+# wimpi-lint: the custom invariant suite, five analyzers — the
+# dataflow-backed taintflow (determinism) and pathcost (cost
+# accounting), exhaustive, and the context-discipline and wire-protocol
+# error-handling passes — plus the directive audit
 # that fails on stale `//lint:allow` lines and on names no analyzer
 # answers to. -novet because the stock passes run under `make vet`.
 # The whole-tree run (type check + CFG construction + fixpoint solving
@@ -183,9 +183,11 @@ loc:
 			END { for (g in a) printf "%+8d  %s (+%d -%d)\n", a[g] - d[g], g, a[g], d[g]; printf "%+8d  total (+%d -%d)\n", ta - td, ta, td }' | sort -k2
 
 # Host allocations per TPC-H query against the committed BENCH_alloc.txt
-# (scripts/alloc-gate.sh; BenchmarkTableII at SF 0.1, -cpu 2, ~1 min):
-# B/op or allocs/op more than 3 % above it fails. UPDATE=1 rewrites the
-# file instead; a change that moves it says why in CHANGES.md.
+# (scripts/alloc-gate.sh; BenchmarkTableII at SF 0.1, -cpu 2, ~25 s),
+# in its three blocks: the default engine, a 64 KiB memory budget and
+# the fused engine. B/op or allocs/op more than 3 % above it fails.
+# UPDATE=1 rewrites the file instead; a change that moves it says why
+# in CHANGES.md.
 alloc-gate:
 	scripts/alloc-gate.sh $(if $(UPDATE),update)
 

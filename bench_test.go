@@ -140,14 +140,34 @@ func BenchmarkParallelScaling(b *testing.B) {
 }
 
 // BenchmarkTableII runs each of the 22 TPC-H queries (one sub-benchmark
-// per query) and reports the simulated Pi 3B+ and op-e5 runtimes.
+// per query) and reports the simulated Pi 3B+ and op-e5 runtimes. Two
+// more blocks run them the way spans.golden's do, so that `make
+// alloc-gate` also counts the allocations of code only they reach:
+// spill/Q<n> under a 64 KiB memory budget, for each query
+// plan.Spillable accepts (the budget cancels the rest), and fused/Q<n>
+// in the fused engine. -bench 'BenchmarkTableII/Q' runs the default
+// block alone.
 func BenchmarkTableII(b *testing.B) {
-	_, db := fixture(b)
+	data, db := fixture(b)
+	spill := engine.NewDB(engine.Config{MemBudgetBytes: 64 << 10, SpillDir: b.TempDir()})
+	fused := engine.NewDB(engine.Config{Exec: plan.ExecFused})
+	data.RegisterAll(spill)
+	data.RegisterAll(fused)
+	benchQueries(b, db, nil)
+	b.Run("spill", func(b *testing.B) { benchQueries(b, spill, plan.Spillable) })
+	b.Run("fused", func(b *testing.B) { benchQueries(b, fused, nil) })
+}
+
+// benchQueries runs one sub-benchmark per TPC-H query on db, skipping
+// the queries whose plan keep (when non-nil) rejects.
+func benchQueries(b *testing.B, db *engine.DB, keep func(plan.Node) bool) {
 	model := hardware.DefaultModel()
 	pi := hardware.Pi()
 	e5, _ := hardware.ByName("op-e5")
 	for _, q := range tpch.QueryNumbers() {
-		q := q
+		if keep != nil && !keep(tpch.MustQuery(db, q)) {
+			continue
+		}
 		b.Run(fmt.Sprintf("Q%d", q), func(b *testing.B) {
 			p := tpch.MustQuery(db, q)
 			b.ResetTimer()

@@ -1,9 +1,9 @@
 // Command wimpi-lint is the multichecker for the wimpi invariant suite,
-// seven analyzers: determinism as taint flow, path-sensitive cost
-// accounting, hot-loop allocations, sealed-set exhaustiveness, context
-// discipline, goroutine hygiene, and wire-protocol error handling (see
-// internal/lint). It also runs the stock `go vet` passes alongside the
-// custom analyzers, so one invocation gives the full static gate:
+// five analyzers: determinism as taint flow, path-sensitive cost
+// accounting, sealed-set exhaustiveness, context discipline, and
+// wire-protocol error handling (see internal/lint). It also runs the
+// stock `go vet` passes alongside the custom analyzers, so one
+// invocation gives the full static gate:
 //
 //	wimpi-lint ./...
 //

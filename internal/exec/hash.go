@@ -559,8 +559,9 @@ func (jt *JoinTable) innerJoin(probeKeys []int64, off int32, ctr *Counters) (bui
 	for lo := 0; lo < len(probeKeys); lo += joinEmitChunkRows {
 		m := jt.probeFirst(*sb, *sp, probeKeys[lo:min(lo+joinEmitChunkRows, len(probeKeys))], off+int32(lo))
 		if jt.unique {
-			doneB = append(doneB, append([]int32{}, (*sb)[:m]...)) //lint:allow hotalloc -- one exact-size copy per chunk of joinEmitChunkRows probe rows
-			doneP = append(doneP, append([]int32{}, (*sp)[:m]...)) //lint:allow hotalloc -- one exact-size copy per chunk of joinEmitChunkRows probe rows
+			// One exact-size copy per chunk of joinEmitChunkRows probe rows.
+			doneB = append(doneB, append([]int32{}, (*sb)[:m]...))
+			doneP = append(doneP, append([]int32{}, (*sp)[:m]...))
 			continue
 		}
 		for j, h := range (*sb)[:m] {

@@ -153,7 +153,7 @@ func NewPool(size int) *Pool {
 	p.cond = sync.NewCond(&p.mu)
 	for i := 0; i < size; i++ {
 		p.wg.Add(1)
-		//lint:allow goroutines -- pool workers are joined by Close via p.wg
+		// Joined by Close via p.wg.
 		go func(worker int) {
 			defer p.wg.Done()
 			pprof.Do(context.Background(), pprof.Labels("wimpi", "pool-worker", "worker", strconv.Itoa(worker)), func(context.Context) {

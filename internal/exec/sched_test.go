@@ -204,12 +204,48 @@ func TestPoolCancelMidQuery(t *testing.T) {
 }
 
 // TestPoolCloseJoinsWorkers: Close waits for the worker goroutines, so
-// a closed pool leaks nothing. Later queries still run (callers execute
+// a closed pool leaks nothing, and it does not return while a worker is
+// still running a morsel. Later queries still run (callers execute
 // their own morsels when no pool worker helps).
 func TestPoolCloseJoinsWorkers(t *testing.T) {
+	// Two morsels at w = 2 that block until released: once both have
+	// entered, one runs on the caller and one on the pool's only worker,
+	// so Close must wait for the release.
+	busy := NewPool(1)
+	sched := busy.Attach(context.Background(), 1)
+	var ctr Counters
+	ctr.SetSched(sched)
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	ran := make(chan error, 1)
+	go func() {
+		ran <- RunMorsels(2, 2, 1, &ctr, func(m, lo, hi int, c *Counters) error {
+			entered <- struct{}{}
+			<-release
+			return nil
+		})
+	}()
+	<-entered
+	<-entered
+	closed := make(chan struct{})
+	go func() {
+		busy.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a pool worker was running a morsel")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-closed
+	if err := <-ran; err != nil {
+		t.Fatalf("RunMorsels: %v", err)
+	}
+	sched.Release()
+
 	before := runtime.NumGoroutine()
 	pool := NewPool(8)
-	sched := pool.Attach(context.Background(), 1)
+	sched = pool.Attach(context.Background(), 1)
 	sum, _ := poolSum(t, sched, 8, 100_000)
 	sched.Release()
 	if want := int64(100_000) * 99_999 / 2; sum != want {

@@ -15,10 +15,6 @@ func TestCtxCheckFixture(t *testing.T) {
 	linttest.Run(t, "testdata/ctxcheck", lint.CtxCheck)
 }
 
-func TestGoroutinesFixture(t *testing.T) {
-	linttest.Run(t, "testdata/goroutines", lint.Goroutines)
-}
-
 func TestCloseCheckFixture(t *testing.T) {
 	linttest.Run(t, "testdata/closecheck", lint.CloseCheck)
 }
@@ -29,10 +25,6 @@ func TestTaintFlowFixture(t *testing.T) {
 
 func TestPathCostFixture(t *testing.T) {
 	linttest.Run(t, "testdata/pathcost", lint.PathCost)
-}
-
-func TestHotAllocFixture(t *testing.T) {
-	linttest.Run(t, "testdata/hotalloc", lint.HotAlloc)
 }
 
 func TestExhaustiveFixture(t *testing.T) {
@@ -48,13 +40,13 @@ func TestSuiteScoping(t *testing.T) {
 		pkg  string
 		want []string
 	}{
-		{"wimpi/internal/exec", []string{"taintflow", "pathcost", "hotalloc", "exhaustive", "goroutines", "closecheck"}},
-		{"wimpi/internal/exec/fused", []string{"taintflow", "pathcost", "hotalloc", "exhaustive", "goroutines", "closecheck"}},
+		{"wimpi/internal/exec", []string{"taintflow", "pathcost", "exhaustive", "closecheck"}},
+		{"wimpi/internal/exec/fused", []string{"taintflow", "pathcost", "exhaustive", "closecheck"}},
 		{"wimpi/internal/cluster", []string{"taintflow", "ctxcheck", "closecheck"}},
 		{"wimpi/internal/cluster/faultconn", []string{"taintflow", "ctxcheck", "closecheck"}},
-		{"wimpi/internal/plan", []string{"taintflow", "hotalloc", "exhaustive", "goroutines", "closecheck"}},
+		{"wimpi/internal/plan", []string{"taintflow", "exhaustive", "closecheck"}},
 		{"wimpi/internal/flow", []string{"taintflow"}},
-		{"wimpi/internal/serve", []string{"taintflow", "goroutines", "closecheck"}},
+		{"wimpi/internal/serve", []string{"taintflow", "closecheck"}},
 		{"wimpi/internal/sql", []string{"taintflow", "exhaustive", "closecheck"}},
 		{"wimpi/internal/spill", []string{"pathcost", "ctxcheck"}},
 		{"wimpi/internal/hardware", nil},

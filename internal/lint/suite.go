@@ -14,7 +14,8 @@ type ScopedAnalyzer struct {
 	Packages []string
 }
 
-// Suite is the wimpi-lint analyzer suite with its package scopes:
+// Suite is the wimpi-lint analyzer suite, five analyzers with their
+// package scopes:
 //
 //   - taintflow guards every package that produces (or partitions)
 //     query results: kernels, the engine, the column store, plan
@@ -31,16 +32,11 @@ type ScopedAnalyzer struct {
 //     looping kernel must charge them on every path before return. A
 //     spill write that skips SpillWriteBytes makes disk I/O free in the
 //     simulated comparison.
-//   - hotalloc guards the kernel, fused, and plan layers, where a
-//     per-morsel allocation multiplies by morsel count into the exact
-//     DRAM traffic the wimpy-node budget cannot absorb.
 //   - exhaustive guards the packages that switch over sealed node sets:
 //     sql AST nodes, plan nodes, and exec expression/predicate nodes.
 //   - ctxcheck guards the cluster layer's RPC and wire protocol and the
 //     spill area's file I/O, whose chunked reads and writes must stop
 //     at a chunk boundary when the query is canceled.
-//   - goroutines guards the kernel and plan layers, where a leaked
-//     worker races on Counters past RunMorsels, and the serve layer.
 //   - closecheck guards the cluster layer too, and (as the
 //     error-discard analyzer) also guards the SQL frontend, where a
 //     swallowed bind or parse error would silently plan the wrong
@@ -48,6 +44,13 @@ type ScopedAnalyzer struct {
 //     stricter morsel-runner rule forbids dropping a RunMorsels error
 //     even with `_ =` — a dropped morsel error is a silently truncated
 //     query result.
+//
+// Two invariants are held by measured gates instead of an analyzer:
+// allocations in morsel callbacks and row loops by `make alloc-gate`,
+// which counts each query's B/op and allocs/op under the default, the
+// spill and the fused engine; and goroutine joins by the race detector
+// and the tests that a pool, a morsel batch and the load generator
+// join their workers.
 func Suite() []ScopedAnalyzer {
 	return []ScopedAnalyzer{
 		{TaintFlow, []string{
@@ -62,10 +65,8 @@ func Suite() []ScopedAnalyzer {
 			"wimpi/internal/sql/...",
 		}},
 		{PathCost, []string{"wimpi/internal/exec/...", "wimpi/internal/spill"}},
-		{HotAlloc, []string{"wimpi/internal/exec/...", "wimpi/internal/plan"}},
 		{Exhaustive, []string{"wimpi/internal/sql/...", "wimpi/internal/plan", "wimpi/internal/exec/..."}},
 		{CtxCheck, []string{"wimpi/internal/cluster/...", "wimpi/internal/spill"}},
-		{Goroutines, []string{"wimpi/internal/exec/...", "wimpi/internal/plan", "wimpi/internal/serve"}},
 		{CloseCheck, []string{
 			"wimpi/internal/cluster/...",
 			"wimpi/internal/exec/...",

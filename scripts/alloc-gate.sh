@@ -7,8 +7,12 @@
 #
 # Runs BenchmarkTableII at WIMPI_BENCH_SF=0.1 with -benchtime 5x
 # -benchmem at a fixed -cpu 2, five times over, and fails if any query's
-# B/op or allocs/op is more than 3 % above the baseline's. Allocations,
-# unlike ns/op, repeat run to run, so the bound is tight. What does
+# B/op or allocs/op is more than 3 % above the baseline's. It checks
+# each line of the benchmark's three blocks: Q<n> runs the default
+# engine, spill/Q<n> each query plan.Spillable accepts under a 64 KiB
+# memory budget, and fused/Q<n> the fused engine, so code that only a
+# budget or only fusion reaches is counted too. Allocations, unlike
+# ns/op, repeat run to run, so the bound is tight. What does
 # vary is additive: a kernel's sync.Pool scratch that a GC dropped, or
 # that sits in another P's private slot, is allocated afresh, which adds
 # one buffer to one run (Q2 moves in steps of 16 KB/op, 1.8 %). So each
@@ -30,7 +34,7 @@ WIMPI_BENCH_SF=0.1 go test -run '^$' -bench '^BenchmarkTableII$' \
 # One line per query, in run order: name, then the lowest B/op and the
 # lowest allocs/op over its runs.
 table() {
-	awk '$1 ~ /^BenchmarkTableII\/Q[0-9]+/ {
+	awk '$1 ~ /^BenchmarkTableII\/((spill|fused)\/)?Q[0-9]+-/ {
 		name = $1; sub(/^BenchmarkTableII\//, "", name); sub(/-[0-9]+$/, "", name)
 		for (i = 2; i < NF; i++) {
 			if ($(i + 1) == "B/op") b = $i + 0
@@ -46,7 +50,8 @@ table() {
 if [ "${1:-}" = update ]; then
 	{
 		echo "# BenchmarkTableII host allocations (WIMPI_BENCH_SF=0.1, -benchtime 5x, -cpu 2),"
-		echo "# each the lowest of five runs."
+		echo "# each the lowest of five runs. Q<n>: default engine; spill/Q<n>: 64 KiB"
+		echo "# memory budget, plan.Spillable queries only; fused/Q<n>: fused engine."
 		echo "# Written by scripts/alloc-gate.sh update; read by make alloc-gate."
 		echo "# query B/op allocs/op"
 		table "$out"
@@ -63,14 +68,14 @@ table "$out" | awk -v bound=$bound '
 	NR == FNR { if ($1 !~ /^#/) { b[$1] = $2; a[$1] = $3 }; next }
 	{
 		seen[$1] = 1
-		if (!($1 in b)) { printf "%-4s not in the baseline\n", $1; bad = 1; next }
+		if (!($1 in b)) { printf "%-8s not in the baseline\n", $1; bad = 1; next }
 		verdict = "ok"
 		if ($2 > b[$1] * bound || $3 > a[$1] * bound) { verdict = "WORSE"; bad = 1 }
-		printf "%-4s B/op %10d -> %10d (%+6.1f%%)  allocs/op %7d -> %7d (%+6.1f%%)  %s\n",
+		printf "%-8s B/op %10d -> %10d (%+6.1f%%)  allocs/op %7d -> %7d (%+6.1f%%)  %s\n",
 			$1, b[$1], $2, 100 * ($2 / b[$1] - 1), a[$1], $3, 100 * ($3 / a[$1] - 1), verdict
 	}
 	END {
-		for (q in b) if (!(q in seen)) { printf "%-4s in the baseline but not run\n", q; bad = 1 }
+		for (q in b) if (!(q in seen)) { printf "%-8s in the baseline but not run\n", q; bad = 1 }
 		if (bad) { print "alloc-gate: FAIL (bound +" (bound - 1) * 100 "% on B/op and allocs/op)"; exit 1 }
 		print "alloc-gate: ok"
 	}
