@@ -85,9 +85,11 @@ func BenchmarkSelect(b *testing.B) {
 }
 
 // BenchmarkGather times GatherTable over every other row of one column
-// of each kind, and of a four-column table over 16 Ki, 32 Ki and 64 Ki
-// selected rows (around gatherParallelMinRows), at one worker (the
-// sequential Gather) and at two (the morsel-parallel gather).
+// of each kind, and of a four-column table over 16 Ki and 32 Ki selected
+// rows (around gatherParallelMinRows), over all 64 Ki rows but the first
+// (dense, a full copy) and over all of them (identity, which hands over
+// the input's columns), at one worker (the sequential Gather) and at two
+// (the morsel-parallel gather).
 func BenchmarkGather(b *testing.B) {
 	tbl := benchTable()
 	run := func(name string, t *colstore.Table, sel []int32) {
@@ -110,9 +112,11 @@ func BenchmarkGather(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, sel := range [][]int32{everyOther(benchRows / 2), everyOther(benchRows), SelAll(benchRows)} {
+	for _, sel := range [][]int32{everyOther(benchRows / 2), everyOther(benchRows)} {
 		run(fmt.Sprintf("4cols/rows=%d", len(sel)), four, sel)
 	}
+	run("4cols/dense", four, SelAll(benchRows)[1:])
+	run("4cols/identity", four, SelAll(benchRows))
 }
 
 // BenchmarkJoinProbe times the sequential inner and semi probes of 32 Ki

@@ -10,16 +10,21 @@ const gatherParallelMinRows = 1 << 15
 // GatherTable materializes t's rows named by sel, splitting the gather
 // across up to workers goroutines. Each morsel writes a disjoint range
 // of every output column, so the result is identical to t.Gather(sel).
-// Callers charge materialization counters themselves, exactly as they
-// would for the sequential Gather; ctr only carries the query's
-// scheduling handle, and the only possible error is the query's
-// cancellation, which must propagate: a half-gathered table would flow
-// downstream as if complete.
+// An identity sel (every row of t, in order) copies nothing: the result
+// is a fresh header over t's own columns, which is safe because no
+// operator writes into an input column. Callers charge materialization
+// counters themselves, exactly as they would for the sequential Gather;
+// ctr only carries the query's scheduling handle, and the only possible
+// error is the query's cancellation, which must propagate: a
+// half-gathered table would flow downstream as if complete.
 func GatherTable(t *colstore.Table, sel []int32, workers, morselRows int, ctr *Counters) (*colstore.Table, error) {
+	if err := ctr.sched.Err(); err != nil {
+		return nil, err
+	}
+	if isIdentity(sel, t.NumRows()) {
+		return t.Slice(0, len(sel)), nil
+	}
 	if workers <= 1 || len(sel) < gatherParallelMinRows {
-		if err := ctr.sched.Err(); err != nil {
-			return nil, err
-		}
 		return t.Gather(sel), nil
 	}
 	// The runtime zeroes an allocation on the goroutine that makes it, so
@@ -42,6 +47,19 @@ func GatherTable(t *colstore.Table, sel []int32, workers, morselRows int, ctr *C
 		return nil, err
 	}
 	return colstore.MustNewTable(t.Name, t.Schema, cols), nil
+}
+
+// isIdentity reports whether sel names each of n rows once, in order.
+func isIdentity(sel []int32, n int) bool {
+	if len(sel) != n {
+		return false
+	}
+	for i, s := range sel {
+		if int(s) != i {
+			return false
+		}
+	}
+	return true
 }
 
 // gatherInto allocates c gathered through sel and returns it with the

@@ -5,6 +5,8 @@ package exec
 // oracle exactly — bit-for-bit, order included.
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -109,12 +111,9 @@ func TestArgSortParallelLarge(t *testing.T) {
 	}
 }
 
-// TestGatherTableMatchesSequential gathers a table with a column of
-// every kind through a random selection, morsel-parallel, and requires
-// exactly the sequential Gather's table.
-func TestGatherTableMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := gatherParallelMinRows * 2
+// everyKindTable builds n random rows of a table with a column of every
+// kind.
+func everyKindTable(rng *rand.Rand, n int) *colstore.Table {
 	b := colstore.NewTableBuilder("t", colstore.Schema{
 		{Name: "i", Type: colstore.Int64},
 		{Name: "f", Type: colstore.Float64},
@@ -131,7 +130,16 @@ func TestGatherTableMatchesSequential(t *testing.T) {
 		b.Str(4, []string{"x", "y", "z"}[rng.Intn(3)])
 		b.EndRow()
 	}
-	tbl := b.Build()
+	return b.Build()
+}
+
+// TestGatherTableMatchesSequential gathers a table with a column of
+// every kind through a random selection, morsel-parallel, and requires
+// exactly the sequential Gather's table.
+func TestGatherTableMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	n := gatherParallelMinRows * 2
+	tbl := everyKindTable(rng, n)
 	sel := make([]int32, n)
 	for i := range sel {
 		sel[i] = int32(rng.Intn(n))
@@ -142,5 +150,71 @@ func TestGatherTableMatchesSequential(t *testing.T) {
 	}
 	if ok, why := colstore.TablesIdentical(tbl.Gather(sel), got); !ok {
 		t.Fatal(why)
+	}
+}
+
+// colData returns a pointer to the first element of c's storage.
+func colData(c colstore.Column) any {
+	switch c := c.(type) {
+	case *colstore.Int64s:
+		return &c.V[0]
+	case *colstore.Float64s:
+		return &c.V[0]
+	case *colstore.Dates:
+		return &c.V[0]
+	case *colstore.Bools:
+		return &c.V[0]
+	case *colstore.Strings:
+		return &c.Codes[0]
+	}
+	panic("unknown column kind")
+}
+
+// TestGatherTableIdentity: an identity selection hands over the input's
+// columns, sharing their storage, at one worker and at eight; a
+// selection of the same length that is not the identity still copies;
+// an empty table gathers; and a cancelled query's identity gather fails.
+func TestGatherTableIdentity(t *testing.T) {
+	n := gatherParallelMinRows * 2
+	tbl := everyKindTable(rand.New(rand.NewSource(7)), n)
+	reverse, swapped, repeat := make([]int32, n), SelAll(n), SelAll(n)
+	for i := range reverse {
+		reverse[i] = int32(n - 1 - i)
+	}
+	swapped[n/2], swapped[n/2+1] = swapped[n/2+1], swapped[n/2]
+	repeat[1] = 0
+	cases := []struct {
+		name   string
+		sel    []int32
+		shared bool
+	}{{"identity", SelAll(n), true}, {"repeat", repeat, false}, {"reverse", reverse, false}, {"swapped", swapped, false}}
+	empty := everyKindTable(rand.New(rand.NewSource(7)), 0)
+	for _, w := range []int{1, 8} {
+		for _, c := range cases {
+			got, err := GatherTable(tbl, c.sel, w, 1024, &Counters{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok, why := colstore.TablesIdentical(tbl.Gather(c.sel), got); !ok {
+				t.Fatalf("W=%d %s: %s", w, c.name, why)
+			}
+			for i, col := range got.Cols {
+				if shared := colData(col) == colData(tbl.Cols[i]); shared != c.shared {
+					t.Fatalf("W=%d %s: column %d shares the input's storage: %v, want %v", w, c.name, i, shared, c.shared)
+				}
+			}
+		}
+		got, err := GatherTable(empty, []int32{}, w, 1024, &Counters{})
+		if err != nil || got.NumRows() != 0 || got.NumCols() != empty.NumCols() {
+			t.Fatalf("W=%d empty: %v, err %v", w, got, err)
+		}
+		sched := NewSched(context.Background())
+		var ctr Counters
+		ctr.SetSched(sched)
+		sched.Cancel(context.Canceled)
+		if _, err := GatherTable(tbl, cases[0].sel, w, 1024, &ctr); !errors.Is(err, context.Canceled) {
+			t.Fatalf("W=%d cancelled identity: err = %v, want context.Canceled", w, err)
+		}
+		sched.Release()
 	}
 }

@@ -2,7 +2,6 @@ package sql
 
 import (
 	"wimpi/internal/colstore"
-	"wimpi/internal/exec"
 	"wimpi/internal/hardware"
 	"wimpi/internal/plan"
 )
@@ -64,12 +63,12 @@ type planner struct {
 
 // atRun returns the planner a run lowers a deferred block with, once its
 // scalar subqueries have values. Runs of one plan may overlap, so it
-// shares only what planning left read-only: it keeps its own estimation
-// counters, records no choices in the plan's report, and places no key
-// filter inside a CTE memo, which belongs to the tree every run shares.
+// shares only what planning left read-only: the statistics, which charge
+// no query and hold no state; it records no choices in the plan's report,
+// and places no key filter inside a CTE memo, which belongs to the tree
+// every run shares.
 func (pl *planner) atRun() *planner {
 	c := *pl
-	c.st = &stats{cat: pl.cat, ctr: &exec.Counters{}}
 	c.rep = nil
 	c.running = true
 	return &c

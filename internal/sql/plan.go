@@ -15,7 +15,6 @@
 package sql
 
 import (
-	"wimpi/internal/exec"
 	"wimpi/internal/hardware"
 	"wimpi/internal/plan"
 )
@@ -52,7 +51,7 @@ func Plan(cat plan.Catalog, text string, o Options) (*Planned, error) {
 		cat:   cat,
 		keys:  o.UniqueKeys,
 		ctes:  make(map[string]*cteInfo),
-		st:    &stats{cat: cat, ctr: &exec.Counters{}},
+		st:    &stats{cat: cat},
 		opt:   !o.NoOpt,
 		rep:   rep,
 		model: hardware.DefaultModel(),

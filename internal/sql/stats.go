@@ -11,11 +11,10 @@ const statsSampleRows = 1024
 // stats estimates cardinalities from the catalog. Estimates depend only
 // on table contents and the statement text — never on the worker count —
 // so every node of a cluster plans its own partition deterministically.
+// Estimation work is not charged to any query's counters, and stats holds
+// no state of its own, so concurrent planners may share it.
 type stats struct {
 	cat plan.Catalog
-	// ctr accumulates the planner's own estimation work so optimization
-	// cost shows up in query counters like any other operator.
-	ctr *exec.Counters
 }
 
 // tableRows returns the base table's row count.
@@ -28,8 +27,9 @@ func (s *stats) tableRows(name string) float64 {
 }
 
 // predSel estimates a scan predicate's selectivity by evaluating it over
-// a deterministic strided sample of the table. Errors degrade to 1.0
-// (no pruning assumed) rather than failing planning.
+// a deterministic strided sample of the table's rows, selecting from the
+// table itself with the sample as the input rows, so no column is copied.
+// Errors degrade to 1.0 (no pruning assumed) rather than failing planning.
 func (s *stats) predSel(table string, p exec.Pred) float64 {
 	if p == nil {
 		return 1
@@ -42,24 +42,12 @@ func (s *stats) predSel(table string, p exec.Pred) float64 {
 	if rows == 0 {
 		return 1
 	}
-	k := rows
-	if k > statsSampleRows {
-		k = statsSampleRows
+	k := min(rows, statsSampleRows)
+	sample := make([]int32, k)
+	for i := range sample {
+		sample[i] = int32(int64(i) * int64(rows) / int64(k))
 	}
-	sel := make([]int32, k)
-	for i := 0; i < k; i++ {
-		sel[i] = int32(i * rows / k)
-		s.ctr.IntOps++
-	}
-	sample, err := exec.GatherTable(t, sel, 1, exec.DefaultMorselRows, s.ctr)
-	if err != nil {
-		// Planning-time sampling has no scheduling handle attached, so
-		// this never fires; fall back to the neutral selectivity anyway.
-		return 1
-	}
-	s.ctr.RandomAccesses += int64(k) * int64(t.NumCols())
-	s.ctr.SeqBytes += sample.SizeBytes()
-	hits, err := p.Sel(sample, nil, s.ctr)
+	hits, err := p.Sel(t, sample, &exec.Counters{})
 	if err != nil {
 		return 1
 	}
