@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wimpi/internal/colstore"
@@ -89,34 +90,50 @@ func BenchmarkSelect(b *testing.B) {
 // rows (around gatherParallelMinRows), over all 64 Ki rows but the first
 // (dense, a full copy) and over all of them (identity, which hands over
 // the input's columns), at one worker (the sequential Gather) and at two
-// (the morsel-parallel gather).
+// (the morsel-parallel gather). view/compose times a lazy gather of every
+// other row of a four-column view over all 64 Ki rows in reverse
+// (Table.View, one composed row list, sequential at either worker
+// count), and view/materialize the copy of its result (Materialize, one
+// gather from the roots).
 func BenchmarkGather(b *testing.B) {
 	tbl := benchTable()
-	run := func(name string, t *colstore.Table, sel []int32) {
+	run := func(name string, op func(w int, ctr *Counters) (*colstore.Table, error)) {
 		for _, w := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/W=%d", name, w), func(b *testing.B) {
 				var ctr Counters
 				for i := 0; i < b.N; i++ {
-					if _, err := GatherTable(t, sel, w, 0, &ctr); err != nil {
+					if _, err := op(w, &ctr); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		}
 	}
+	gather := func(name string, t *colstore.Table, sel []int32) {
+		run(name, func(w int, ctr *Counters) (*colstore.Table, error) { return GatherTable(t, sel, w, 0, ctr) })
+	}
 	for _, name := range []string{"i", "f", "d", "b", "s"} {
 		c := tbl.MustCol(name)
-		run(c.Type().String(), colstore.MustNewTable("t", colstore.Schema{{Name: name, Type: c.Type()}}, []colstore.Column{c}), everyOther(benchRows))
+		gather(c.Type().String(), colstore.MustNewTable("t", colstore.Schema{{Name: name, Type: c.Type()}}, []colstore.Column{c}), everyOther(benchRows))
 	}
 	four, err := tbl.Project("i", "f", "d", "s")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, sel := range [][]int32{everyOther(benchRows / 2), everyOther(benchRows)} {
-		run(fmt.Sprintf("4cols/rows=%d", len(sel)), four, sel)
+		gather(fmt.Sprintf("4cols/rows=%d", len(sel)), four, sel)
 	}
-	run("4cols/dense", four, SelAll(benchRows)[1:])
-	run("4cols/identity", four, SelAll(benchRows))
+	gather("4cols/dense", four, SelAll(benchRows)[1:])
+	gather("4cols/identity", four, SelAll(benchRows))
+
+	reverse := SelAll(benchRows)
+	slices.Reverse(reverse)
+	view, half := four.View(reverse), everyOther(benchRows)
+	composed := view.View(half)
+	run("view/compose", func(int, *Counters) (*colstore.Table, error) { return view.View(half), nil })
+	run("view/materialize", func(w int, ctr *Counters) (*colstore.Table, error) {
+		return Materialize(composed, nil, w, 0, ctr)
+	})
 }
 
 // BenchmarkJoinProbe times the sequential inner and semi probes of 32 Ki

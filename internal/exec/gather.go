@@ -1,6 +1,10 @@
 package exec
 
-import "wimpi/internal/colstore"
+import (
+	"slices"
+
+	"wimpi/internal/colstore"
+)
 
 // gatherParallelMinRows is the smallest selection worth splitting across
 // workers. Below one default morsel only the allocations split, and at
@@ -21,18 +25,83 @@ func GatherTable(t *colstore.Table, sel []int32, workers, morselRows int, ctr *C
 	if err := ctr.sched.Err(); err != nil {
 		return nil, err
 	}
-	if isIdentity(sel, t.NumRows()) {
+	if colstore.IsIdentity(sel, t.NumRows()) {
 		return t.Slice(0, len(sel)), nil
 	}
+	cols, err := gatherCols(t.Cols, sel, workers, morselRows, ctr)
+	if err != nil {
+		return nil, err
+	}
+	return colstore.MustNewTable(t.Name, t.Schema, cols), nil
+}
+
+// Materialize returns t with its view columns (colstore.View, made by a
+// lazy gather) copied into dense ones — those named in names, or every
+// one when names is nil — and t itself when there is none. The views
+// sharing one row list are gathered from their roots together, in one
+// pass of GatherTable's loops (an identity list hands over the roots).
+// Columns that are not views are shared. Charges nothing: the gather
+// that made a view charged its copy.
+//
+//lint:allow pathcost -- the lazy gather that made each view charged its copy
+func Materialize(t *colstore.Table, names []string, workers, morselRows int, ctr *Counters) (*colstore.Table, error) {
+	var cols []colstore.Column
+	var lists [][]int32
+	var groups [][]int // column indexes per row list
+	for i, c := range t.Cols {
+		v, ok := c.(*colstore.View)
+		if !ok || (names != nil && !slices.Contains(names, t.Schema[i].Name)) {
+			continue
+		}
+		if cols == nil {
+			cols = append([]colstore.Column(nil), t.Cols...)
+		}
+		g := colstore.RowListIndex(lists, v.Rows)
+		if g < 0 {
+			g = len(lists)
+			lists, groups = append(lists, v.Rows), append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	if cols == nil {
+		return t, nil
+	}
+	for g, rows := range lists {
+		bases := make([]colstore.Column, len(groups[g]))
+		for j, i := range groups[g] {
+			bases[j] = cols[i].(*colstore.View).Base
+		}
+		if err := ctr.sched.Err(); err != nil {
+			return nil, err
+		}
+		if !colstore.IsIdentity(rows, bases[0].Len()) {
+			var err error
+			if bases, err = gatherCols(bases, rows, workers, morselRows, ctr); err != nil {
+				return nil, err
+			}
+		}
+		for j, i := range groups[g] {
+			cols[i] = bases[j]
+		}
+	}
+	return colstore.MustNewTable(t.Name, t.Schema, cols), nil
+}
+
+// gatherCols returns each column gathered through sel: sequentially
+// below gatherParallelMinRows or at one worker, else in morsels.
+func gatherCols(in []colstore.Column, sel []int32, workers, morselRows int, ctr *Counters) ([]colstore.Column, error) {
+	cols := make([]colstore.Column, len(in))
 	if workers <= 1 || len(sel) < gatherParallelMinRows {
-		return t.Gather(sel), nil
+		for i, c := range in {
+			cols[i] = c.Gather(sel)
+		}
+		return cols, nil
 	}
 	// The runtime zeroes an allocation on the goroutine that makes it, so
 	// the workers allocate the output columns, one column a task.
-	cols := make([]colstore.Column, t.NumCols())
 	fills := make([]func(lo, hi int), len(cols))
 	err := runMorselsInfallible(workers, len(cols), 1, ctr, func(ci, _, _ int, _ *Counters) {
-		cols[ci], fills[ci] = gatherInto(t.Cols[ci], sel)
+		cols[ci], fills[ci] = gatherInto(in[ci], sel)
 	})
 	if err != nil {
 		return nil, err
@@ -46,20 +115,7 @@ func GatherTable(t *colstore.Table, sel []int32, workers, morselRows int, ctr *C
 	if err != nil {
 		return nil, err
 	}
-	return colstore.MustNewTable(t.Name, t.Schema, cols), nil
-}
-
-// isIdentity reports whether sel names each of n rows once, in order.
-func isIdentity(sel []int32, n int) bool {
-	if len(sel) != n {
-		return false
-	}
-	for i, s := range sel {
-		if int(s) != i {
-			return false
-		}
-	}
-	return true
+	return cols, nil
 }
 
 // gatherInto allocates c gathered through sel and returns it with the

@@ -218,3 +218,52 @@ func TestGatherTableIdentity(t *testing.T) {
 		sched.Release()
 	}
 }
+
+// TestMaterializeMatchesGather: a table whose columns are views over two
+// row lists (a selection composed onto a view, beside a column that was
+// dense before it) materializes, sequentially and morsel-parallel, to
+// exactly the eager Gather chain; a named subset copies only those
+// columns; and a cancelled query's materialization errors.
+func TestMaterializeMatchesGather(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	n := gatherParallelMinRows * 3
+	tbl := everyKindTable(rng, n)
+	first, second := make([]int32, n), make([]int32, gatherParallelMinRows*2)
+	for i := range first {
+		first[i] = int32(rng.Intn(n))
+	}
+	for i := range second {
+		second[i] = int32(rng.Intn(n))
+	}
+	mid := tbl.View(first)
+	mid.Cols[1] = tbl.Cols[1].Gather(first) // a dense column among views
+	views := mid.View(second)
+	want := tbl.Gather(first).Gather(second)
+	for _, w := range []int{1, 8} {
+		got, err := Materialize(views, nil, w, 1024, &Counters{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, why := colstore.TablesIdentical(want, got); !ok {
+			t.Fatalf("W=%d: %s", w, why)
+		}
+		part, err := Materialize(views, []string{"f", "s"}, w, 1024, &Counters{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range part.Cols {
+			_, view := c.(*colstore.View)
+			if name := part.Schema[i].Name; view != (name != "f" && name != "s") {
+				t.Fatalf("W=%d: column %s a view after materializing [f s]: %v", w, name, view)
+			}
+		}
+		sched := NewSched(context.Background())
+		var ctr Counters
+		ctr.SetSched(sched)
+		sched.Cancel(context.Canceled)
+		if _, err := Materialize(views, nil, w, 1024, &ctr); !errors.Is(err, context.Canceled) {
+			t.Fatalf("W=%d cancelled: err = %v, want context.Canceled", w, err)
+		}
+		sched.Release()
+	}
+}

@@ -205,7 +205,7 @@ func extractChain(ctx *Context, n Node) (scan *Scan, input Node, stages []fusedS
 			scan = v
 			return scan, nil, reverseStages(rev), true
 		case *Filter:
-			if _, ok := predCols(v.Pred); !ok {
+			if _, ok := PredCols(v.Pred); !ok {
 				c := *v
 				c.Input = compileNode(ctx, v.Input)
 				return nil, &c, reverseStages(rev), true
@@ -437,7 +437,7 @@ func (st *fusedState) resolveAll(names []string) ([]binding, error) {
 // vector; anything touching probed or computed columns evaluates over a
 // compact mini-table of just the referenced columns.
 func (st *fusedState) applyFilter(pred exec.Pred) error {
-	names, _ := predCols(pred) // validated at compile time
+	names, _ := PredCols(pred) // validated at compile time
 	bs, err := st.resolveAll(names)
 	if err != nil {
 		return err
@@ -569,7 +569,7 @@ func (st *fusedState) applyProbe(ps *probeStage) error {
 		if pk, err = st.probeKeyVec(ps.probeKeys); err != nil {
 			return err
 		}
-		build, err = ctx.executeBuild(ps.build, ps.sideways, pk)
+		build, err = ctx.executeBuild(ps.build, ps.sideways, pk, nil, true)
 	} else {
 		build, err = ctx.Run(ps.build)
 	}
@@ -748,7 +748,7 @@ func (st *fusedState) materializeTable(bs []binding) (*colstore.Table, error) {
 		if sel == nil {
 			out = view // dense: zero-copy, like an unfiltered scan
 		} else {
-			out, err = gather(ctx, view, sel)
+			out, err = gather(ctx, view, sel, true)
 			if err != nil {
 				return err
 			}
@@ -870,109 +870,4 @@ func (st *fusedState) sinkPlain() (*colstore.Table, error) {
 	}
 	observe(st.ctx, out)
 	return out, nil
-}
-
-// predCols lists the column names a predicate reads, reporting false for
-// predicate types the compiler cannot analyze (which then break the
-// pipeline at that filter).
-func predCols(p exec.Pred) ([]string, bool) {
-	switch v := p.(type) {
-	case exec.CmpI:
-		return []string{v.Column}, true
-	case exec.CmpF:
-		return []string{v.Column}, true
-	case exec.CmpD:
-		return []string{v.Column}, true
-	case exec.DateRange:
-		return []string{v.Column}, true
-	case exec.FloatRange:
-		return []string{v.Column}, true
-	case exec.StrEq:
-		return []string{v.Column}, true
-	case exec.StrIn:
-		return []string{v.Column}, true
-	case exec.InI:
-		return []string{v.Column}, true
-	case exec.Like:
-		return []string{v.Column}, true
-	case exec.ColCmpD:
-		return []string{v.A, v.B}, true
-	case exec.ColCmpI:
-		return []string{v.A, v.B}, true
-	case exec.ColCmpF:
-		return []string{v.A, v.B}, true
-	case exec.And:
-		return predListCols(v.Preds)
-	case exec.Or:
-		return predListCols(v.Preds)
-	case exec.TruePred:
-		return nil, true
-	default:
-		return nil, false
-	}
-}
-
-func predListCols(ps []exec.Pred) ([]string, bool) {
-	var out []string
-	for _, p := range ps {
-		cs, ok := predCols(p)
-		if !ok {
-			return nil, false
-		}
-		out = append(out, cs...)
-	}
-	return dedupNames(out), true
-}
-
-// exprCols lists the column names an expression reads, reporting false
-// for expression types the compiler cannot analyze.
-func exprCols(e exec.Expr) ([]string, bool) {
-	switch v := e.(type) {
-	case exec.Col:
-		return []string{v.Name}, true
-	case exec.ConstF:
-		return nil, true
-	case exec.Arith:
-		l, ok := exprCols(v.L)
-		if !ok {
-			return nil, false
-		}
-		r, ok := exprCols(v.R)
-		if !ok {
-			return nil, false
-		}
-		return dedupNames(append(l, r...)), true
-	case exec.YearExpr:
-		return exprCols(v.Arg)
-	case exec.PrefixExpr:
-		return []string{v.Col}, true
-	case exec.CaseWhenF:
-		p, ok := predCols(v.Pred)
-		if !ok {
-			return nil, false
-		}
-		t, ok := exprCols(v.Then)
-		if !ok {
-			return nil, false
-		}
-		el, ok := exprCols(v.Else)
-		if !ok {
-			return nil, false
-		}
-		return dedupNames(append(append(p, t...), el...)), true
-	default:
-		return nil, false
-	}
-}
-
-func dedupNames(names []string) []string {
-	seen := make(map[string]bool, len(names))
-	out := names[:0]
-	for _, n := range names {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	return out
 }

@@ -64,19 +64,21 @@ func (j *HashJoin) Execute(ctx *Context) (*colstore.Table, error) {
 	if len(j.BuildKeys) == 0 || len(j.BuildKeys) != len(j.ProbeKeys) {
 		return nil, fmt.Errorf("plan: hash join needs matching key lists, got %v and %v", j.BuildKeys, j.ProbeKeys)
 	}
+	// Each side's key columns are materialized, and kept for the output
+	// gathers; its other columns may stay views.
 	var build, probe *colstore.Table
 	var pk []int64
 	var err error
 	if j.Sideways != nil {
-		if probe, err = ctx.Run(j.Probe); err != nil {
+		if probe, err = ctx.runReading(j.Probe, j.ProbeKeys, false); err != nil {
 			return nil, err
 		}
 		if pk, err = joinKeysParallel(ctx, probe, j.ProbeKeys, nil); err != nil {
 			return nil, err
 		}
-		build, err = ctx.executeBuild(j.Build, j.Sideways, pk)
-	} else if build, err = ctx.Run(j.Build); err == nil {
-		probe, err = ctx.Run(j.Probe)
+		build, err = ctx.executeBuild(j.Build, j.Sideways, pk, j.BuildKeys, false)
+	} else if build, err = ctx.runReading(j.Build, j.BuildKeys, false); err == nil {
+		probe, err = ctx.runReading(j.Probe, j.ProbeKeys, false)
 	}
 	if err != nil {
 		return nil, err
@@ -176,11 +178,11 @@ func (j *HashJoin) probePhase(ctx *Context, jp exec.JoinProber, build, probe *co
 		if err != nil {
 			return nil, err
 		}
-		left, err := gather(ctx, probe, pi)
+		left, err := gather(ctx, probe, pi, false)
 		if err != nil {
 			return nil, err
 		}
-		right, err := gather(ctx, build, bi)
+		right, err := gather(ctx, build, bi, false)
 		if err != nil {
 			return nil, err
 		}
@@ -195,7 +197,7 @@ func (j *HashJoin) probePhase(ctx *Context, jp exec.JoinProber, build, probe *co
 		if err != nil {
 			return nil, err
 		}
-		out, err := gather(ctx, probe, sel)
+		out, err := gather(ctx, probe, sel, false)
 		if err != nil {
 			return nil, err
 		}
@@ -206,7 +208,7 @@ func (j *HashJoin) probePhase(ctx *Context, jp exec.JoinProber, build, probe *co
 		if err != nil {
 			return nil, err
 		}
-		out, err := gather(ctx, probe, sel)
+		out, err := gather(ctx, probe, sel, false)
 		if err != nil {
 			return nil, err
 		}
@@ -302,6 +304,7 @@ func ownKeys(t *colstore.Table, names []string, sel []int32, ctr *exec.Counters)
 // split into morsels, each decoding straight into its slot of the output.
 // Both kernels are elementwise, so the output is identical to the
 // sequential path. A dense single key is the column's own (ownKeys).
+// No key column may be a view: callers materialize them first.
 func joinKeysParallel(ctx *Context, t *colstore.Table, names []string, sel []int32) ([]int64, error) {
 	if k, ok := ownKeys(t, names, sel, ctx.Ctr); ok {
 		return k, nil

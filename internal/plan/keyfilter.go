@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"wimpi/internal/colstore"
@@ -25,14 +26,14 @@ type KeySet struct {
 const keyFilterRatio = 8
 
 // executeBuild runs a join's build side with the join's probe keys
-// published under ks.
-func (c *Context) executeBuild(build Node, ks *KeySet, probeKeys []int64) (*colstore.Table, error) {
+// published under ks, materializing the columns named as runReading does.
+func (c *Context) executeBuild(build Node, ks *KeySet, probeKeys []int64, cols []string, all bool) (*colstore.Table, error) {
 	if c.sideways == nil {
 		c.sideways = map[*KeySet][]int64{}
 	}
 	c.sideways[ks] = probeKeys
 	defer delete(c.sideways, ks)
-	return c.Run(build)
+	return c.runReading(build, cols, all)
 }
 
 // KeyFilter is sideways information passing: it keeps the rows of its
@@ -96,7 +97,7 @@ func (f *KeyFilter) run(ctx *Context) (*colstore.Table, string, error) {
 			ctx.Trace.EndErr(ssp)
 			return nil, "", err
 		}
-	} else if t, err = ctx.Run(f.Input); err != nil {
+	} else if t, err = ctx.runReading(f.Input, nil, false); err != nil {
 		return nil, "", err
 	}
 	read := t.NumRows()
@@ -110,6 +111,9 @@ func (f *KeyFilter) run(ctx *Context) (*colstore.Table, string, error) {
 	if published && keyFilterRatio*len(pk) > t.NumRows() {
 		why = fmt.Sprintf("skipped (probe %d × %d > %d rows)", len(pk), keyFilterRatio, t.NumRows())
 	} else if published {
+		if t, err = ctx.materialize(t, slices.Concat(f.Keys, f.Exact), false); err != nil {
+			return nil, "", err
+		}
 		kept, layout, err := member(ctx, t, f.Keys, sel, pk)
 		if err != nil {
 			return nil, "", err
@@ -126,7 +130,7 @@ func (f *KeyFilter) run(ctx *Context) (*colstore.Table, string, error) {
 		}
 		return t, why, nil
 	}
-	out, err := gather(ctx, t, sel)
+	out, err := gather(ctx, t, sel, false)
 	if err != nil {
 		return nil, "", err
 	}

@@ -8,6 +8,7 @@ import (
 
 	"wimpi/internal/colstore"
 	"wimpi/internal/exec"
+	"wimpi/internal/obs"
 )
 
 // TestGroupByUnderGroupDeletion is the property the key filter rests on:
@@ -107,5 +108,57 @@ func TestExactSums(t *testing.T) {
 		if _, ok := exactSums(in, []string{"k"}, all, &exec.Counters{}); ok {
 			t.Errorf("%v: an int column passed as an exact float sum", tc.v)
 		}
+	}
+}
+
+// TestKeyFilterReadsThroughViews: a key filter over a Filter reads its
+// keys and its exact-sum column through the filter's views. It must
+// still run, and the join above it must charge and return exactly what
+// the eager path does.
+func TestKeyFilterReadsThroughViews(t *testing.T) {
+	const n = 4000
+	k, v := make([]int64, n), make([]float64, n)
+	for i := range k {
+		k[i], v[i] = int64(i%100), float64(i%7)
+	}
+	cat := memCatalog{
+		"t": colstore.MustNewTable("t", colstore.Schema{{Name: "k", Type: colstore.Int64}, {Name: "v", Type: colstore.Float64}},
+			[]colstore.Column{&colstore.Int64s{V: k}, &colstore.Float64s{V: v}}),
+		"p": colstore.MustNewTable("p", colstore.Schema{{Name: "pk", Type: colstore.Int64}},
+			[]colstore.Column{&colstore.Int64s{V: []int64{3, 5, 7, 11, 60, 80}}}),
+	}
+	ks := &KeySet{From: []string{"pk"}}
+	join := &HashJoin{
+		Build: &KeyFilter{
+			Input: &Filter{Input: &Scan{Table: "t"}, Pred: exec.CmpI{Column: "k", Op: exec.Lt, V: 50}},
+			Keys:  []string{"k"}, Exact: []string{"v"}, Set: ks,
+		},
+		Probe: &Scan{Table: "p"}, BuildKeys: []string{"k"}, ProbeKeys: []string{"pk"}, Sideways: ks,
+	}
+	run := func(lazy bool) (*Result, string) {
+		lazyOff = !lazy
+		defer func() { lazyOff = false }()
+		res, err := RunContext(&Context{Cat: cat, Workers: 2, MinParallelRows: 1, Trace: &obs.Tracer{}}, join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var label string
+		res.Root.Walk(func(sp *obs.Span, _ int) {
+			if sp.Op == "keyfilter" {
+				label = sp.Label
+			}
+		})
+		return res, label
+	}
+	eager, eagerLabel := run(false)
+	lazy, lazyLabel := run(true)
+	if want := "keyfilter [k] 2000 → 160, positional, 78 slots"; lazyLabel != want || eagerLabel != want {
+		t.Fatalf("keyfilter spans %q (lazy) and %q (eager), want %q", lazyLabel, eagerLabel, want)
+	}
+	if same, where := colstore.TablesIdentical(eager.Table, lazy.Table); !same {
+		t.Fatalf("lazy result differs: %s", where)
+	}
+	if lazy.Counters != eager.Counters {
+		t.Fatalf("lazy counters\n%+v\neager counters\n%+v", lazy.Counters, eager.Counters)
 	}
 }

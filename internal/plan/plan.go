@@ -147,7 +147,9 @@ func (c *Context) morselRows() int {
 
 // Node is one operator of a physical plan.
 type Node interface {
-	// Execute materializes the operator's result.
+	// Execute computes the operator's result. Its columns may be views
+	// over its inputs' (see gather); Context.Run, through which every
+	// operator runs its inputs, materializes them.
 	Execute(ctx *Context) (*colstore.Table, error)
 	// Explain renders the operator and its inputs, one per line, with the
 	// given indentation depth.
@@ -321,7 +323,7 @@ func (s *Scan) Execute(ctx *Context) (*colstore.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := gather(ctx, t, sel)
+	out, err := gather(ctx, t, sel, false)
 	if err != nil {
 		return nil, err
 	}
@@ -349,9 +351,11 @@ type Filter struct {
 	Pred exec.Pred
 }
 
-// Execute implements Node.
+// Execute implements Node. Only the predicate's columns are
+// materialized; the others pass through as views.
 func (f *Filter) Execute(ctx *Context) (*colstore.Table, error) {
-	in, err := ctx.Run(f.Input)
+	cols, ok := PredCols(f.Pred)
+	in, err := ctx.runReading(f.Input, cols, !ok)
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +363,7 @@ func (f *Filter) Execute(ctx *Context) (*colstore.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := gather(ctx, in, sel)
+	out, err := gather(ctx, in, sel, false)
 	if err != nil {
 		return nil, err
 	}
@@ -389,9 +393,18 @@ type Project struct {
 	Cols []NamedExpr
 }
 
-// Execute implements Node.
+// Execute implements Node. Only the columns computed expressions read
+// are materialized; plain column references pass views through.
 func (p *Project) Execute(ctx *Context) (*colstore.Table, error) {
-	in, err := ctx.Run(p.Input)
+	var reads []string
+	all := false
+	for _, ne := range p.Cols {
+		if _, ok := ne.Expr.(exec.Col); !ok {
+			cols, ok := exprCols(ne.Expr)
+			reads, all = append(reads, cols...), all || !ok
+		}
+	}
+	in, err := ctx.runReading(p.Input, reads, all)
 	if err != nil {
 		return nil, err
 	}
@@ -492,12 +505,22 @@ func (o *OrderBy) Explain(depth int) string {
 	return s + "\n" + o.Input.Explain(depth+1)
 }
 
-// gather materializes t's rows named by sel and charges the write. When
-// tracing, the materialization gets its own child span — it is usually
-// the memory-bandwidth-bound part of a filter or join.
-func gather(ctx *Context, t *colstore.Table, sel []int32) (*colstore.Table, error) {
+// gather selects t's rows named by sel and charges their copy. The copy
+// is lazy unless eager is set (the fused engine's sinks): the result's
+// columns are views (colstore.Table.View), each copied once, for these
+// rows, where a kernel first reads it (Context.materialize) — a column
+// no kernel reads is never copied. Views report the copy's size, so
+// every counter, span and memory figure is the eager copy's. When
+// tracing, the gather gets its own child span.
+func gather(ctx *Context, t *colstore.Table, sel []int32, eager bool) (*colstore.Table, error) {
 	sp := ctx.Trace.Begin("gather", fmt.Sprintf("gather %d rows x %d cols", len(sel), t.NumCols()))
-	out, err := exec.GatherTable(t, sel, ctx.workers(), ctx.morselRows(), ctx.Ctr)
+	var out *colstore.Table
+	var err error
+	if eager || lazyOff {
+		out, err = exec.GatherTable(t, sel, ctx.workers(), ctx.morselRows(), ctx.Ctr)
+	} else if err = ctx.Sched.Err(); err == nil { // the check a copy makes
+		out = t.View(sel)
+	}
 	if err != nil {
 		ctx.Trace.EndErr(sp)
 		return nil, err
@@ -509,3 +532,7 @@ func gather(ctx *Context, t *colstore.Table, sel []int32) (*colstore.Table, erro
 	ctx.Trace.End(sp, int64(len(sel)), out.SizeBytes())
 	return out, nil
 }
+
+// lazyOff makes every gather copy at once, the eager path lazy gathers
+// replace, so tests can compare the two; production code never sets it.
+var lazyOff bool
