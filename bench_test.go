@@ -145,8 +145,9 @@ func BenchmarkParallelScaling(b *testing.B) {
 // alloc-gate` also counts the allocations of code only they reach:
 // spill/Q<n> under a 64 KiB memory budget, for each query
 // plan.Spillable accepts (the budget cancels the rest), and fused/Q<n>
-// in the fused engine. -bench 'BenchmarkTableII/Q' runs the default
-// block alone.
+// in the fused engine. -bench '^BenchmarkTableII$/^Q' runs the default
+// block alone (an unanchored 'BenchmarkTableII/Q' also runs
+// BenchmarkTableIII).
 func BenchmarkTableII(b *testing.B) {
 	data, db := fixture(b)
 	spill := engine.NewDB(engine.Config{MemBudgetBytes: 64 << 10, SpillDir: b.TempDir()})

@@ -120,3 +120,75 @@ func arithChainLeavesInputs(t *testing.T) {
 		t.Errorf("counters %+v, want SeqBytes %d FloatOps %d", ctr, 6*8*n, 4*n)
 	}
 }
+
+// TestEvalFloatsMatchesEval: evaluating into a Floats gives Eval's bits
+// (then AsFloat64's) and its counters, special values and int64
+// promotion included. Every result stays intact while later
+// evaluations draw from the same Floats until its Reset, and a reset
+// Floats lends its storage again, so a warm evaluation allocates
+// nothing.
+func TestEvalFloatsMatchesEval(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	x := []float64{1.5, -2, 0, negZero, math.NaN(), math.Inf(1), math.Inf(-1), 1e308, 3, -0.5, 7}
+	y := []float64{negZero, math.Inf(-1), 0, 2, 1, math.NaN(), math.Inf(1), 1e308, -3, 0.25, negZero}
+	xi := []int64{1, -2, 0, 7, math.MaxInt32, -1 << 40, 3, 5, 9, 0, -1}
+	tbl := colstore.MustNewTable("t", colstore.Schema{
+		{Name: "x", Type: colstore.Float64}, {Name: "y", Type: colstore.Float64}, {Name: "xi", Type: colstore.Int64},
+	}, []colstore.Column{&colstore.Float64s{V: x}, &colstore.Float64s{V: y}, &colstore.Int64s{V: xi}})
+	cx, cy, ci := Col{Name: "x"}, Col{Name: "y"}, Col{Name: "xi"}
+	exprs := []Expr{
+		cx, ci,
+		Add(cx, cy), Div(cy, cx), Sub(ci, cx),
+		Mul(ConstF{V: negZero}, cy), Div(cx, ConstF{V: math.Inf(1)}), Add(ConstF{V: math.NaN()}, ci),
+		Mul(Mul(cx, Sub(ConstF{V: 1}, cy)), Add(ConstF{V: 1}, ci)),
+		Div(Sub(cx, cy), Add(ci, ConstF{V: negZero})),
+		Sub(ConstF{V: 2}, Mul(ConstF{V: 3}, ConstF{V: -1})),
+	}
+	want := make([][]float64, len(exprs))
+	wantCtr := make([]Counters, len(exprs))
+	for i, e := range exprs {
+		c, err := e.Eval(tbl, &wantCtr[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = AsFloat64(c, &wantCtr[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fl Floats
+	for round := range 2 {
+		fl.Reset()
+		got := make([][]float64, len(exprs))
+		for i, e := range exprs {
+			var ctr Counters
+			v, err := EvalFloats(e, tbl, &fl, &ctr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ctr != wantCtr[i] {
+				t.Fatalf("round %d, %s: counters %+v, want %+v", round, e, ctr, wantCtr[i])
+			}
+			got[i] = v
+		}
+		// Checked only after every evaluation: a later one must not
+		// have written into an earlier result.
+		for i, e := range exprs {
+			for r := range want[i] {
+				if math.Float64bits(got[i][r]) != math.Float64bits(want[i][r]) {
+					t.Fatalf("round %d, %s row %d: %v, want %v", round, e, r, got[i][r], want[i][r])
+				}
+			}
+		}
+	}
+	var ctr Counters
+	if allocs := testing.AllocsPerRun(10, func() {
+		fl.Reset()
+		for _, e := range exprs {
+			if _, err := EvalFloats(e, tbl, &fl, &ctr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); allocs != 0 {
+		t.Errorf("a warm evaluation allocates %v times, want 0", allocs)
+	}
+}

@@ -103,15 +103,25 @@ func Div(l, r Expr) Expr { return Arith{Op: DivOp, L: l, R: r} }
 // arithBlock is the rows of a constant operand Arith materialises.
 const arithBlock = 1024
 
-// Eval implements Expr. A constant operand is one block, charged as the
-// column ConstF.Eval streamed; a nested Arith hands over its fresh buffer
-// for the result. A column operand is never written.
+// Eval implements Expr: EvalFloats with fresh vectors.
 func (e Arith) Eval(t *colstore.Table, ctr *Counters) (colstore.Column, error) {
-	l, err := e.operand(e.L, t, ctr)
+	v, err := e.floats(t, nil, ctr)
 	if err != nil {
 		return nil, err
 	}
-	r, err := e.operand(e.R, t, ctr)
+	return &colstore.Float64s{V: v}, nil
+}
+
+// floats evaluates e over t into vectors from a. A constant operand is
+// one block, charged as the column ConstF.Eval streamed; a nested Arith
+// hands over its vector for the result. A column operand is never
+// written.
+func (e Arith) floats(t *colstore.Table, a *Floats, ctr *Counters) ([]float64, error) {
+	l, err := e.operand(e.L, t, a, ctr)
+	if err != nil {
+		return nil, err
+	}
+	r, err := e.operand(e.R, t, a, ctr)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +132,7 @@ func (e Arith) Eval(t *colstore.Table, ctr *Counters) (colstore.Column, error) {
 	case r.fresh:
 		out = r.v
 	default:
-		out = make([]float64, t.NumRows())
+		out = a.next(t.NumRows())
 	}
 	for lo := 0; lo < len(out); lo += arithBlock {
 		hi := min(lo+arithBlock, len(out))
@@ -130,7 +140,7 @@ func (e Arith) Eval(t *colstore.Table, ctr *Counters) (colstore.Column, error) {
 	}
 	ctr.FloatOps += int64(len(out))
 	ctr.SeqBytes += int64(len(out)) * 8
-	return &colstore.Float64s{V: out}, nil
+	return out, nil
 }
 
 // apply sets out[i] = a[i] op b[i]; out may be a or b.
@@ -171,25 +181,29 @@ func (a arithArg) rows(lo, hi int) []float64 {
 	return a.v[lo:hi]
 }
 
-func (e Arith) operand(x Expr, t *colstore.Table, ctr *Counters) (arithArg, error) {
-	if k, ok := x.(ConstF); ok {
+func (e Arith) operand(x Expr, t *colstore.Table, a *Floats, ctr *Counters) (arithArg, error) {
+	switch x := x.(type) {
+	case ConstF:
 		ctr.SeqBytes += int64(t.NumRows()) * 8
-		v := make([]float64, min(t.NumRows(), arithBlock))
+		v := a.next(min(t.NumRows(), arithBlock))
 		for i := range v {
-			v[i] = k.V
+			v[i] = x.V
 		}
 		return arithArg{v: v, constant: true}, nil
+	case Arith:
+		v, err := x.floats(t, a, ctr)
+		return arithArg{v: v, fresh: true}, err
+	case CaseWhenF, Col, PrefixExpr, YearExpr:
 	}
 	c, err := x.Eval(t, ctr)
 	if err != nil {
 		return arithArg{}, err
 	}
-	v, err := AsFloat64(c, ctr)
+	v, err := a.float64s(c, ctr)
 	if err != nil {
 		return arithArg{}, fmt.Errorf("exec: %s: %w", e, err)
 	}
-	_, nested := x.(Arith)
-	return arithArg{v: v, fresh: nested}, nil
+	return arithArg{v: v}, nil
 }
 
 // String implements Expr.
@@ -322,11 +336,58 @@ func AsInt64(c colstore.Column) ([]int64, error) {
 // AsFloat64 returns the column's values as a float64 slice, promoting
 // int64. The result aliases the column's storage for float columns.
 func AsFloat64(c colstore.Column, ctr *Counters) ([]float64, error) {
+	return (*Floats)(nil).float64s(c, ctr)
+}
+
+// EvalFloats evaluates e over t as float64 values, promoting int64, like
+// e.Eval then AsFloat64 and with their charges, but writes every vector
+// an Arith tree over Col and ConstF makes — its results, its constant
+// blocks, its promoted int64 columns — into a's instead of fresh ones.
+// A nil a allocates them.
+func EvalFloats(e Expr, t *colstore.Table, a *Floats, ctr *Counters) ([]float64, error) {
+	if x, ok := e.(Arith); ok {
+		return x.floats(t, a, ctr)
+	}
+	c, err := e.Eval(t, ctr)
+	if err != nil {
+		return nil, err
+	}
+	return a.float64s(c, ctr)
+}
+
+// Floats lends float64 vectors to EvalFloats, reusing their storage: a
+// vector it lent stays valid, and is not lent again, until the next
+// Reset. The zero value is ready to use.
+type Floats struct {
+	bufs [][]float64
+	used int
+}
+
+// Reset takes back every vector a lent; their storage is reused.
+func (a *Floats) Reset() { a.used = 0 }
+
+// next lends a vector of n values, unspecified; a nil a allocates one.
+func (a *Floats) next(n int) []float64 {
+	if a == nil {
+		return make([]float64, n)
+	}
+	if a.used == len(a.bufs) {
+		a.bufs = append(a.bufs, nil)
+	}
+	if cap(a.bufs[a.used]) < n {
+		a.bufs[a.used] = make([]float64, n)
+	}
+	a.used++
+	return a.bufs[a.used-1][:n]
+}
+
+// float64s is AsFloat64 promoting int64 into a vector from a.
+func (a *Floats) float64s(c colstore.Column, ctr *Counters) ([]float64, error) {
 	switch v := c.(type) {
 	case *colstore.Float64s:
 		return v.V, nil
 	case *colstore.Int64s:
-		out := make([]float64, len(v.V))
+		out := a.next(len(v.V))
 		for i, x := range v.V {
 			out[i] = float64(x)
 		}

@@ -28,8 +28,8 @@ func GatherTable(t *colstore.Table, sel []int32, workers, morselRows int, ctr *C
 	if colstore.IsIdentity(sel, t.NumRows()) {
 		return t.Slice(0, len(sel)), nil
 	}
-	cols, err := gatherCols(t.Cols, sel, workers, morselRows, ctr)
-	if err != nil {
+	cols := slices.Clone(t.Cols)
+	if err := gatherCols(cols, sel, workers, morselRows, ctr); err != nil {
 		return nil, err
 	}
 	return colstore.MustNewTable(t.Name, t.Schema, cols), nil
@@ -45,102 +45,131 @@ func GatherTable(t *colstore.Table, sel []int32, workers, morselRows int, ctr *C
 //
 //lint:allow pathcost -- the lazy gather that made each view charged its copy
 func Materialize(t *colstore.Table, names []string, workers, morselRows int, ctr *Counters) (*colstore.Table, error) {
-	var cols []colstore.Column
-	var lists [][]int32
-	var groups [][]int // column indexes per row list
+	// One pass numbers each distinct row list and records, per column,
+	// the list it is read through (-1: not copied).
+	var listBuf [4][]int32
+	var groupBuf [16]int
+	lists, group := listBuf[:0], groupBuf[:0]
 	for i, c := range t.Cols {
-		v, ok := c.(*colstore.View)
-		if !ok || (names != nil && !slices.Contains(names, t.Schema[i].Name)) {
-			continue
+		g := -1
+		if v, ok := c.(*colstore.View); ok && (names == nil || slices.Contains(names, t.Schema[i].Name)) {
+			if g = colstore.RowListIndex(lists, v.Rows); g < 0 {
+				g, lists = len(lists), append(lists, v.Rows)
+			}
 		}
-		if cols == nil {
-			cols = append([]colstore.Column(nil), t.Cols...)
-		}
-		g := colstore.RowListIndex(lists, v.Rows)
-		if g < 0 {
-			g = len(lists)
-			lists, groups = append(lists, v.Rows), append(groups, nil)
-		}
-		groups[g] = append(groups[g], i)
+		group = append(group, g)
 	}
-	if cols == nil {
+	if len(lists) == 0 {
 		return t, nil
 	}
+	cols := slices.Clone(t.Cols)
+	bases := make([]colstore.Column, 0, len(cols))
 	for g, rows := range lists {
-		bases := make([]colstore.Column, len(groups[g]))
-		for j, i := range groups[g] {
-			bases[j] = cols[i].(*colstore.View).Base
+		bases = bases[:0]
+		for i, gi := range group {
+			if gi == g {
+				bases = append(bases, cols[i].(*colstore.View).Base)
+			}
 		}
 		if err := ctr.sched.Err(); err != nil {
 			return nil, err
 		}
 		if !colstore.IsIdentity(rows, bases[0].Len()) {
-			var err error
-			if bases, err = gatherCols(bases, rows, workers, morselRows, ctr); err != nil {
+			if err := gatherCols(bases, rows, workers, morselRows, ctr); err != nil {
 				return nil, err
 			}
 		}
-		for j, i := range groups[g] {
-			cols[i] = bases[j]
+		j := 0
+		for i, gi := range group {
+			if gi == g {
+				cols[i], j = bases[j], j+1
+			}
 		}
 	}
 	return colstore.MustNewTable(t.Name, t.Schema, cols), nil
 }
 
-// gatherCols returns each column gathered through sel: sequentially
-// below gatherParallelMinRows or at one worker, else in morsels.
-func gatherCols(in []colstore.Column, sel []int32, workers, morselRows int, ctr *Counters) ([]colstore.Column, error) {
-	cols := make([]colstore.Column, len(in))
+// ViewRows returns rows [lo, hi) of v decoded into dst's storage when
+// dst — a column an earlier call returned, or nil — has v's type and
+// the room, else into a fresh column. Charges nothing: the gather that
+// made v charged its copy.
+func ViewRows(v *colstore.View, lo, hi int, dst colstore.Column) colstore.Column {
+	out, fill := gatherInto(v.Base, v.Rows[lo:hi], dst)
+	fill(0, hi-lo)
+	return out
+}
+
+// gatherCols replaces each column of cols with it gathered through sel:
+// sequentially below gatherParallelMinRows or at one worker, else in
+// morsels.
+func gatherCols(cols []colstore.Column, sel []int32, workers, morselRows int, ctr *Counters) error {
 	if workers <= 1 || len(sel) < gatherParallelMinRows {
-		for i, c := range in {
+		for i, c := range cols {
 			cols[i] = c.Gather(sel)
 		}
-		return cols, nil
+		return nil
 	}
 	// The runtime zeroes an allocation on the goroutine that makes it, so
 	// the workers allocate the output columns, one column a task.
 	fills := make([]func(lo, hi int), len(cols))
 	err := runMorselsInfallible(workers, len(cols), 1, ctr, func(ci, _, _ int, _ *Counters) {
-		cols[ci], fills[ci] = gatherInto(in[ci], sel)
+		cols[ci], fills[ci] = gatherInto(cols[ci], sel, nil)
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Then one morsel pass fills every column's rows of the morsel.
-	err = runMorselsInfallible(workers, len(sel), morselRows, ctr, func(_, lo, hi int, _ *Counters) {
+	return runMorselsInfallible(workers, len(sel), morselRows, ctr, func(_, lo, hi int, _ *Counters) {
 		for _, fill := range fills {
 			fill(lo, hi)
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return cols, nil
 }
 
-// gatherInto allocates c gathered through sel and returns it with the
-// function that fills its rows [lo, hi).
-func gatherInto(c colstore.Column, sel []int32) (colstore.Column, func(lo, hi int)) {
+// gatherInto returns c gathered through sel — in dst's storage when dst
+// is a column of c's type with the room, else in a fresh column — with
+// the function that fills its rows [lo, hi).
+func gatherInto(c colstore.Column, sel []int32, dst colstore.Column) (colstore.Column, func(lo, hi int)) {
 	switch col := c.(type) {
 	case *colstore.Int64s:
-		out := make([]int64, len(sel))
-		return &colstore.Int64s{V: out}, gatherRange(out, col.V, sel)
+		out := into(dst, func(d *colstore.Int64s) *[]int64 { return &d.V }, len(sel))
+		return out, gatherRange(out.V, col.V, sel)
 	case *colstore.Float64s:
-		out := make([]float64, len(sel))
-		return &colstore.Float64s{V: out}, gatherRange(out, col.V, sel)
+		out := into(dst, func(d *colstore.Float64s) *[]float64 { return &d.V }, len(sel))
+		return out, gatherRange(out.V, col.V, sel)
 	case *colstore.Dates:
-		out := make([]int32, len(sel))
-		return &colstore.Dates{V: out}, gatherRange(out, col.V, sel)
+		out := into(dst, func(d *colstore.Dates) *[]int32 { return &d.V }, len(sel))
+		return out, gatherRange(out.V, col.V, sel)
 	case *colstore.Bools:
-		out := make([]bool, len(sel))
-		return &colstore.Bools{V: out}, gatherRange(out, col.V, sel)
+		out := into(dst, func(d *colstore.Bools) *[]bool { return &d.V }, len(sel))
+		return out, gatherRange(out.V, col.V, sel)
 	case *colstore.Strings:
-		out := make([]int32, len(sel))
-		return &colstore.Strings{Codes: out, Dict: col.Dict}, gatherRange(out, col.Codes, sel)
+		out := into(dst, func(d *colstore.Strings) *[]int32 { return &d.Codes }, len(sel))
+		out.Dict = col.Dict
+		return out, gatherRange(out.Codes, col.Codes, sel)
 	default:
 		// Any other Column implementation keeps its own Gather.
 		return c.Gather(sel), func(int, int) {}
 	}
+}
+
+// into returns dst as a *C whose values, reached through vals, are
+// resized to n, reusing their storage when dst is a *C with the room;
+// otherwise a fresh *C with n fresh values.
+func into[C any, P interface {
+	*C
+	colstore.Column
+}, T any](dst colstore.Column, vals func(P) *[]T, n int) P {
+	d, ok := dst.(P)
+	if !ok {
+		d = new(C)
+	}
+	if v := vals(d); cap(*v) < n {
+		*v = make([]T, n)
+	} else {
+		*v = (*v)[:n]
+	}
+	return d
 }
 
 // gatherRange returns the fill of out[lo:hi] with v[sel[i]].

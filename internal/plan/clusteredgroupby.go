@@ -52,12 +52,12 @@ var clusteredOff bool
 // no group crosses. The chunks are the partitions — no scatter, no
 // n-sized scratch — and each folds with the kernels below in a pooled
 // per-worker scratch.
-func (g *GroupBy) groupedClustered(ctx *Context, in *colstore.Table, keys *groupKeys, key string, cuts []int32) (*colstore.Table, error) {
+func (g *GroupBy) groupedClustered(ctx *Context, in, args *colstore.Table, keys *groupKeys, key string, cuts []int32) (*colstore.Table, error) {
 	nc := len(cuts) - 1
 	sp := ctx.Trace.Begin("group-partition", fmt.Sprintf("clustered on %s, %d chunks", key, nc))
 	ctx.Trace.End(sp, int64(in.NumRows()), 0)
 
-	specs, err := g.boundAggs(in, ctx.Ctr)
+	specs, err := g.boundAggs(args, ctx.Ctr)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +66,7 @@ func (g *GroupBy) groupedClustered(ctx *Context, in *colstore.Table, keys *group
 	err = exec.RunMorsels(ctx.workers(), nc, 1, ctx.Ctr, func(c, _, _ int, ctr *exec.Counters) error {
 		s := groupScratchPool.Get().(*groupScratch)
 		defer groupScratchPool.Put(s)
-		return aggChunk(&parts[c], s, specs, in, keys, int(cuts[c]), int(cuts[c+1]), mr, ctr)
+		return aggChunk(&parts[c], s, specs, args, keys, int(cuts[c]), int(cuts[c+1]), mr, ctr)
 	})
 	if err != nil {
 		return nil, err
@@ -100,8 +100,9 @@ func (g *GroupBy) groupedClustered(ctx *Context, in *colstore.Table, keys *group
 	return g.groupsTable(ctx, in, firstRow, aggs)
 }
 
-// aggChunk aggregates rows [lo, hi) — whole groups only — into p.
-func aggChunk(p *groupPart, s *groupScratch, specs []AggSpec, in *colstore.Table, keys *groupKeys, lo, hi, morselRows int, ctr *exec.Counters) error {
+// aggChunk aggregates rows [lo, hi) — whole groups only — into p; args
+// holds the columns the aggregates read.
+func aggChunk(p *groupPart, s *groupScratch, specs []AggSpec, args *colstore.Table, keys *groupKeys, lo, hi, morselRows int, ctr *exec.Counters) error {
 	// IDs never leave the chunk, so several keys pack in the bit widths
 	// of the chunk's own key ranges.
 	local := *keys
@@ -129,8 +130,9 @@ func aggChunk(p *groupPart, s *groupScratch, specs []AggSpec, in *colstore.Table
 	var sub *colstore.Table
 	for si, spec := range specs {
 		if sub == nil && spec.Func != Count {
-			sub = in.Slice(lo, hi)
+			sub = s.argRows(args, lo, hi)
 		}
+		s.fl.Reset()
 		var fv []float64
 		var iv []int64
 		var err error
@@ -138,9 +140,9 @@ func aggChunk(p *groupPart, s *groupScratch, specs []AggSpec, in *colstore.Table
 		case Count:
 			// Pure row count; the argument (if any) is not evaluated.
 		case SumI:
-			iv, err = evalAggArgI(sub, spec, ctr)
+			iv, err = aggValues(spec, func(e exec.Expr) ([]int64, error) { return ints(e.Eval(sub, ctr)) })
 		case Sum, Avg, Min, Max:
-			fv, err = evalAggArg(sub, spec, ctr)
+			fv, err = aggValues(spec, func(e exec.Expr) ([]float64, error) { return exec.EvalFloats(e, sub, &s.fl, ctr) })
 		default:
 			err = fmt.Errorf("plan: unknown aggregate %d", spec.Func)
 		}

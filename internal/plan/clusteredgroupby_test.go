@@ -149,7 +149,7 @@ func TestClusteredGroupByProperty(t *testing.T) {
 					return &Context{Cat: memCatalog{"t": in}, Ctr: &exec.Counters{}, Workers: workers, MinParallelRows: 1, MorselRows: morsel}
 				}
 				ctx := newCtx(1)
-				byMorsel, err := g.groupedMorsel(ctx, in, mustGroupKeys(t, g, in))
+				byMorsel, err := g.groupedMorsel(ctx, in, in, mustGroupKeys(t, g, in))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -191,7 +191,7 @@ func TestClusteredGroupByProperty(t *testing.T) {
 	for _, run := range []func() (*colstore.Table, error){
 		func() (*colstore.Table, error) { return g.aggregate(ctx, in) },
 		func() (*colstore.Table, error) {
-			return g.groupedClustered(ctx, in, mustGroupKeys(t, g, in), "k", exec.ClusteredCuts(in.MustCol("k"), 16, ctx.Ctr))
+			return g.groupedClustered(ctx, in, in, mustGroupKeys(t, g, in), "k", exec.ClusteredCuts(in.MustCol("k"), 16, ctx.Ctr))
 		},
 	} {
 		if got, err := run(); err != nil || got.NumRows() != 0 || got.NumCols() != len(g.Keys)+len(g.Aggs) {

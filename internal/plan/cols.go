@@ -101,6 +101,22 @@ func exprCols(e exec.Expr) ([]string, bool) {
 	}
 }
 
+// casePredCols lists the columns the predicates of e's CASE expressions
+// read.
+func casePredCols(e exec.Expr) []string {
+	switch v := e.(type) {
+	case exec.Arith:
+		return append(casePredCols(v.L), casePredCols(v.R)...)
+	case exec.YearExpr:
+		return casePredCols(v.Arg)
+	case exec.CaseWhenF:
+		p, _ := PredCols(v.Pred)
+		return append(append(p, casePredCols(v.Then)...), casePredCols(v.Else)...)
+	case exec.Col, exec.ConstF, exec.PrefixExpr:
+	}
+	return nil
+}
+
 func dedupNames(names []string) []string {
 	seen := make(map[string]bool, len(names))
 	out := names[:0]

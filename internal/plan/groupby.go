@@ -76,22 +76,30 @@ type GroupBy struct {
 	Aggs []AggSpec
 }
 
-// Execute implements Node.
+// Execute implements Node. Only the key columns are materialized: the
+// aggregates read the others through views (argInput).
 func (g *GroupBy) Execute(ctx *Context) (*colstore.Table, error) {
-	in, err := ctx.Run(g.Input)
+	in, err := ctx.runReading(g.Input, g.Keys, false)
 	if err != nil {
 		return nil, err
 	}
 	return g.aggregate(ctx, in)
 }
 
-// aggregate groups and aggregates an already-materialized input. It is
-// the whole of Execute after the input executes, split out so the fused
-// engine can feed the survivors of a compiled pipeline through the exact
-// same code: identical rows in identical order take identical morsel
-// boundaries and merge order, making the output bit-identical between
-// engines.
+// aggregate groups and aggregates an input whose key columns are
+// materialized. It is the whole of Execute after the input executes,
+// split out so the fused engine can feed the survivors of a compiled
+// pipeline through the exact same code: identical rows in identical
+// order take identical morsel boundaries and merge order, making the
+// output bit-identical between engines.
 func (g *GroupBy) aggregate(ctx *Context, in *colstore.Table) (*colstore.Table, error) {
+	args := in
+	if slices.ContainsFunc(in.Cols, func(c colstore.Column) bool { _, ok := c.(*colstore.View); return ok }) {
+		var err error
+		if in, args, err = g.argInput(ctx, in); err != nil {
+			return nil, err
+		}
+	}
 	if len(g.Keys) == 0 {
 		return g.scalar(ctx, in)
 	}
@@ -107,16 +115,43 @@ func (g *GroupBy) aggregate(ctx *Context, in *colstore.Table) (*colstore.Table, 
 	// cache-sized chunks instead (byte-identical by construction).
 	if in.NumRows() >= ctx.parallelMinRows() {
 		if key, cuts := g.clusteredCuts(ctx, in); cuts != nil {
-			return g.groupedClustered(ctx, in, keys, key, cuts)
+			return g.groupedClustered(ctx, in, args, keys, key, cuts)
 		}
-		return g.groupedMorsel(ctx, in, keys)
+		return g.groupedMorsel(ctx, in, args, keys)
 	}
-	return g.groupedSequential(ctx, in, keys)
+	return g.groupedSequential(ctx, in, args, keys)
+}
+
+// argInput prepares an input that holds views for the aggregates: it
+// materializes the columns a kernel must read whole — every column an
+// aggregate reads on the scalar path, a CASE predicate's (bound once,
+// boundAggs) on the grouped ones — and returns that input with args, the
+// columns the aggregates read, which the grouped paths decode a morsel
+// at a time (groupScratch.argRows). No path copies a column no aggregate
+// reads. An argument exprCols cannot analyze materializes every column.
+func (g *GroupBy) argInput(ctx *Context, in *colstore.Table) (_, args *colstore.Table, err error) {
+	var reads, preds []string
+	ok := true
+	for _, spec := range g.Aggs {
+		if spec.Func != Count && spec.Arg != nil {
+			cols, analyzed := exprCols(spec.Arg)
+			reads, preds, ok = append(reads, cols...), append(preds, casePredCols(spec.Arg)...), ok && analyzed
+		}
+	}
+	if reads = dedupNames(reads); len(g.Keys) == 0 {
+		preds = reads
+	}
+	if in, err = ctx.materialize(in, preds, !ok); err != nil || !ok {
+		return in, in, err
+	}
+	args, err = in.Project(reads...)
+	return in, args, err
 }
 
 // groupedSequential aggregates an input too small for morsels: one
-// Grouper over all of its keys, and one fold per aggregate kind.
-func (g *GroupBy) groupedSequential(ctx *Context, in *colstore.Table, keys *groupKeys) (*colstore.Table, error) {
+// Grouper over all of its keys, and one fold per aggregate kind. args
+// holds the columns the aggregates read.
+func (g *GroupBy) groupedSequential(ctx *Context, in, args *colstore.Table, keys *groupKeys) (*colstore.Table, error) {
 	n := in.NumRows()
 	if err := keys.sizeRows(0, n); err != nil {
 		return nil, err
@@ -131,7 +166,7 @@ func (g *GroupBy) groupedSequential(ctx *Context, in *colstore.Table, keys *grou
 	gids := resized(&s.gids, n)
 	grouper.GroupIDsInto(packed, gids, ctx.Ctr)
 	ngroups := grouper.NumGroups()
-	aggs, err := foldAggs(g.Aggs, in, gids, ngroups, ctx.Ctr)
+	aggs, err := foldAggs(g.Aggs, s.argRows(args, 0, n), gids, ngroups, &s.fl, ctx.Ctr)
 	if err != nil {
 		return nil, err
 	}
@@ -147,14 +182,20 @@ func (g *GroupBy) scalar(ctx *Context, in *colstore.Table) (*colstore.Table, err
 			schema = append(schema, colstore.Field{Name: spec.Name, Type: colstore.Int64})
 			cols = append(cols, &colstore.Int64s{V: []int64{int64(in.NumRows())}})
 		case SumI:
-			iv, err := aggArgI(ctx, in, spec)
+			iv, err := aggValues(spec, func(e exec.Expr) ([]int64, error) { return ints(evalExprParallel(ctx, in, e)) })
 			if err != nil {
 				return nil, err
 			}
 			schema = append(schema, colstore.Field{Name: spec.Name, Type: colstore.Int64})
 			cols = append(cols, &colstore.Int64s{V: []int64{exec.SumI64(iv, ctx.Ctr)}})
 		default:
-			vals, err := aggArg(ctx, in, spec)
+			vals, err := aggValues(spec, func(e exec.Expr) ([]float64, error) {
+				c, err := evalExprParallel(ctx, in, e)
+				if err != nil {
+					return nil, err
+				}
+				return exec.AsFloat64(c, ctx.Ctr)
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -196,57 +237,26 @@ func (g *GroupBy) scalar(ctx *Context, in *colstore.Table) (*colstore.Table, err
 	return colstore.NewTable("", schema, cols)
 }
 
-func aggArgI(ctx *Context, in *colstore.Table, spec AggSpec) ([]int64, error) {
+// aggValues evaluates spec's argument with eval, naming the aggregate in
+// an error.
+func aggValues[T any](spec AggSpec, eval func(exec.Expr) (T, error)) (v T, err error) {
 	if spec.Arg == nil {
-		return nil, fmt.Errorf("plan: %s(%s) needs an argument", spec.Func, spec.Name)
+		return v, fmt.Errorf("plan: %s(%s) needs an argument", spec.Func, spec.Name)
 	}
-	c, err := evalExprParallel(ctx, in, spec.Arg)
+	if v, err = eval(spec.Arg); err != nil {
+		return v, fmt.Errorf("plan: agg %s: %w", spec.Name, err)
+	}
+	return v, nil
+}
+
+// ints returns the int64 values of a SumI argument evaluated to c.
+func ints(c colstore.Column, err error) ([]int64, error) {
 	if err != nil {
-		return nil, fmt.Errorf("plan: agg %s: %w", spec.Name, err)
+		return nil, err
 	}
 	iv, err := exec.AsInt64(c)
 	if err != nil {
-		return nil, fmt.Errorf("plan: agg %s: sumi needs an int64 argument: %w", spec.Name, err)
-	}
-	return iv, nil
-}
-
-func aggArg(ctx *Context, in *colstore.Table, spec AggSpec) ([]float64, error) {
-	if spec.Arg == nil {
-		return nil, fmt.Errorf("plan: %s(%s) needs an argument", spec.Func, spec.Name)
-	}
-	c, err := evalExprParallel(ctx, in, spec.Arg)
-	if err != nil {
-		return nil, fmt.Errorf("plan: agg %s: %w", spec.Name, err)
-	}
-	return exec.AsFloat64(c, ctx.Ctr)
-}
-
-// evalAggArg evaluates spec's argument over in (typically a morsel
-// slice) as float64 values, charging ctr.
-func evalAggArg(in *colstore.Table, spec AggSpec, ctr *exec.Counters) ([]float64, error) {
-	if spec.Arg == nil {
-		return nil, fmt.Errorf("plan: %s(%s) needs an argument", spec.Func, spec.Name)
-	}
-	c, err := spec.Arg.Eval(in, ctr)
-	if err != nil {
-		return nil, fmt.Errorf("plan: agg %s: %w", spec.Name, err)
-	}
-	return exec.AsFloat64(c, ctr)
-}
-
-// evalAggArgI is evalAggArg for int64 arguments (SumI).
-func evalAggArgI(in *colstore.Table, spec AggSpec, ctr *exec.Counters) ([]int64, error) {
-	if spec.Arg == nil {
-		return nil, fmt.Errorf("plan: %s(%s) needs an argument", spec.Func, spec.Name)
-	}
-	c, err := spec.Arg.Eval(in, ctr)
-	if err != nil {
-		return nil, fmt.Errorf("plan: agg %s: %w", spec.Name, err)
-	}
-	iv, err := exec.AsInt64(c)
-	if err != nil {
-		return nil, fmt.Errorf("plan: agg %s: sumi needs an int64 argument: %w", spec.Name, err)
+		return nil, fmt.Errorf("sumi needs an int64 argument: %w", err)
 	}
 	return iv, nil
 }
@@ -459,9 +469,10 @@ func spanOf[T int32 | int64](v []T) (lo, hi T) {
 
 // groupScratch is one worker's reusable state for aggregating a morsel
 // or a clustered chunk: the key and group-ID vectors, the grouper and the
-// direct table, and the chunk fold's local accumulators. A worker carries
-// one scratch from morsel to morsel (and query to query) instead of
-// allocating each slice afresh every time.
+// direct table, the chunk fold's local accumulators, and the decoded
+// argument columns and the vectors their expressions evaluate into. A
+// worker carries one scratch from morsel to morsel (and query to query)
+// instead of allocating each slice afresh every time.
 type groupScratch struct {
 	gr    exec.Grouper
 	slots []int32   // the direct table: directMaxSpan entries, all -1 between uses
@@ -473,9 +484,29 @@ type groupScratch struct {
 	cur   []float64 // foldSumF64Morsels: the open morsel's partial
 	lastM []int32   // foldSumF64Morsels: the open morsel per local group
 	i     []int64   // count / integer sum per local group
+
+	args []colstore.Column // argRows: per argument column, its decoded rows
+	fl   exec.Floats       // the aggregate arguments' vectors
 }
 
 var groupScratchPool = sync.Pool{New: func() any { return new(groupScratch) }}
+
+// argRows returns rows [lo, hi) of args, each view among its columns
+// decoded into s (exec.ViewRows) and the others sliced. It is valid
+// until s's next argRows.
+func (s *groupScratch) argRows(args *colstore.Table, lo, hi int) *colstore.Table {
+	sub := args.Slice(lo, hi)
+	for len(s.args) < len(sub.Cols) {
+		s.args = append(s.args, nil)
+	}
+	for i, c := range args.Cols {
+		if v, ok := c.(*colstore.View); ok {
+			s.args[i] = exec.ViewRows(v, lo, hi, s.args[i])
+			sub.Cols[i] = s.args[i]
+		}
+	}
+	return sub
+}
 
 // resized returns *buf at length n, reusing its storage when it is large
 // enough. The contents are unspecified.
@@ -555,11 +586,13 @@ func (g *GroupBy) boundAggs(in *colstore.Table, ctr *exec.Counters) ([]AggSpec, 
 	return specs, nil
 }
 
-// foldAggs evaluates every aggregate's argument over t and folds it into
-// ngroups fresh per-group accumulators, gids[i] naming row i's group. All
-// sums share one pass over the rows (exec.ScatterSumsF64), and Count and
-// every Avg share one count; a Count's argument is never evaluated.
-func foldAggs(specs []AggSpec, t *colstore.Table, gids []int32, ngroups int, ctr *exec.Counters) ([]aggState, error) {
+// foldAggs evaluates every aggregate's argument over t, into vectors
+// from fl (reset first), and folds it into ngroups fresh per-group
+// accumulators, gids[i] naming row i's group. All sums share one pass
+// over the rows (exec.ScatterSumsF64), and Count and every Avg share one
+// count; a Count's argument is never evaluated.
+func foldAggs(specs []AggSpec, t *colstore.Table, gids []int32, ngroups int, fl *exec.Floats, ctr *exec.Counters) ([]aggState, error) {
+	fl.Reset()
 	aggs := make([]aggState, len(specs))
 	var sumVals, sumAccs [][]float64
 	var counted []int // the specs that take the shared count
@@ -569,14 +602,14 @@ func foldAggs(specs []AggSpec, t *colstore.Table, gids []int32, ngroups int, ctr
 		case Count:
 			counted = append(counted, si)
 		case SumI:
-			iv, err := evalAggArgI(t, spec, ctr)
+			iv, err := aggValues(spec, func(e exec.Expr) ([]int64, error) { return ints(e.Eval(t, ctr)) })
 			if err != nil {
 				return nil, err
 			}
 			st.i = make([]int64, ngroups)
 			exec.ScatterSumI64(gids, iv, &st.i, ngroups, ctr)
 		case Sum, Avg, Min, Max:
-			vals, err := evalAggArg(t, spec, ctr)
+			vals, err := aggValues(spec, func(e exec.Expr) ([]float64, error) { return exec.EvalFloats(e, t, fl, ctr) })
 			if err != nil {
 				return nil, err
 			}
@@ -616,12 +649,12 @@ func foldAggs(specs []AggSpec, t *colstore.Table, gids []int32, ngroups int, ctr
 // final single pass, in morsel order. Because global group IDs are
 // assigned in order of first key occurrence across morsels processed in
 // order, group order matches the sequential Grouper exactly.
-func (g *GroupBy) groupedMorsel(ctx *Context, in *colstore.Table, keys *groupKeys) (*colstore.Table, error) {
+func (g *GroupBy) groupedMorsel(ctx *Context, in, args *colstore.Table, keys *groupKeys) (*colstore.Table, error) {
 	n := in.NumRows()
 	if err := keys.sizeParallel(ctx, n); err != nil {
 		return nil, err
 	}
-	specs, err := g.boundAggs(in, ctx.Ctr)
+	specs, err := g.boundAggs(args, ctx.Ctr)
 	if err != nil {
 		return nil, err
 	}
@@ -629,7 +662,7 @@ func (g *GroupBy) groupedMorsel(ctx *Context, in *colstore.Table, keys *groupKey
 	err = exec.RunMorsels(ctx.workers(), n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
 		s := groupScratchPool.Get().(*groupScratch)
 		defer groupScratchPool.Put(s)
-		return aggMorsel(&parts[m], s, specs, in, keys, lo, hi, ctr)
+		return aggMorsel(&parts[m], s, specs, args, keys, lo, hi, ctr)
 	})
 	if err != nil {
 		return nil, err
@@ -659,8 +692,9 @@ func (g *GroupBy) groupedMorsel(ctx *Context, in *colstore.Table, keys *groupKey
 	return g.groupsTable(ctx, in, firstRow, aggs)
 }
 
-// aggMorsel aggregates rows [lo, hi) into p, working in s.
-func aggMorsel(p *groupPart, s *groupScratch, specs []AggSpec, in *colstore.Table, keys *groupKeys, lo, hi int, ctr *exec.Counters) error {
+// aggMorsel aggregates rows [lo, hi) into p, working in s; args holds
+// the columns the aggregates read.
+func aggMorsel(p *groupPart, s *groupScratch, specs []AggSpec, args *colstore.Table, keys *groupKeys, lo, hi int, ctr *exec.Counters) error {
 	packed, err := keys.pack(s, lo, hi, ctr)
 	if err != nil {
 		return err
@@ -668,7 +702,7 @@ func aggMorsel(p *groupPart, s *groupScratch, specs []AggSpec, in *colstore.Tabl
 	gids, gk := s.groupIDs(packed, keys.span, ctr)
 	p.keys = slices.Clone(gk)
 	p.firstRow = firstRows(gids, lo, len(gk))
-	p.aggs, err = foldAggs(specs, in.Slice(lo, hi), gids, len(gk), ctr)
+	p.aggs, err = foldAggs(specs, s.argRows(args, lo, hi), gids, len(gk), &s.fl, ctr)
 	return err
 }
 

@@ -395,7 +395,7 @@ func TestGroupByKeyDists(t *testing.T) {
 				for _, w := range []int{1, 2, 4, 8} {
 					label := fmt.Sprintf("%s seed %d morsel %d workers %d", dist.name, seed, morsel, w)
 					ctx := newCtx(w, 1)
-					got, err := g.groupedMorsel(ctx, in, mustGroupKeys(t, g, in))
+					got, err := g.groupedMorsel(ctx, in, in, mustGroupKeys(t, g, in))
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}

@@ -27,7 +27,7 @@ func TestGroupByUnderGroupDeletion(t *testing.T) {
 	}{
 		{"morsel", func(rng *rand.Rand) []int64 { return groupKeyDists[2].keys(rng, n) },
 			func(ctx *Context, in *colstore.Table) (*colstore.Table, error) {
-				return g.groupedMorsel(ctx, in, mustGroupKeys(t, g, in))
+				return g.groupedMorsel(ctx, in, in, mustGroupKeys(t, g, in))
 			}},
 		{"clustered", func(rng *rand.Rand) []int64 { return nonNegative(ascendingRuns(rng, n, 7, 97)) },
 			func(ctx *Context, in *colstore.Table) (*colstore.Table, error) {
@@ -35,7 +35,7 @@ func TestGroupByUnderGroupDeletion(t *testing.T) {
 				if cuts == nil {
 					return nil, fmt.Errorf("input is not clustered")
 				}
-				return g.groupedClustered(ctx, in, mustGroupKeys(t, g, in), key, cuts)
+				return g.groupedClustered(ctx, in, in, mustGroupKeys(t, g, in), key, cuts)
 			}},
 	}
 	for _, path := range paths {

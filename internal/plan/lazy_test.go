@@ -8,6 +8,7 @@ import (
 
 	"wimpi/internal/colstore"
 	"wimpi/internal/engine"
+	"wimpi/internal/exec"
 	"wimpi/internal/obs"
 	"wimpi/internal/plan"
 	"wimpi/internal/sql"
@@ -67,6 +68,94 @@ func TestLazyGathersMatchEager(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestLazyGroupByMatchesEager runs a group-by over a Filter's views —
+// one input column, a date, read by no aggregate — on each of its paths
+// (sequential, morsels of 1 Ki rows, clustered chunks, scalar) at 1, 2
+// and 8 workers, lazy and with every gather copying at once. Its
+// aggregates read their arguments one morsel at a time, decoded from
+// the views, and evaluate them into the worker's scratch, so each
+// aggregate function meets a column, nested arithmetic, a constant on
+// either side, an int64 promoted to float and a CASE over a string
+// predicate. Tables must be byte-identical, counters and span trees
+// identical.
+func TestLazyGroupByMatchesEager(t *testing.T) {
+	const n = 20000
+	b := colstore.NewTableBuilder("t", colstore.Schema{
+		{Name: "c", Type: colstore.Int64}, {Name: "k", Type: colstore.Int64},
+		{Name: "p", Type: colstore.Float64}, {Name: "d", Type: colstore.Float64},
+		{Name: "q", Type: colstore.Int64}, {Name: "s", Type: colstore.String},
+		{Name: "u", Type: colstore.Date},
+	})
+	for i := range n {
+		b.Int(0, int64(i/37))
+		b.Int(1, int64(i*7%11))
+		b.Float(2, float64(i%101)*1.25)
+		b.Float(3, float64(i%9)/100)
+		b.Int(4, int64(i%50))
+		b.Str(5, []string{"x", "y", "z"}[i%3])
+		b.Date(6, int32(9000+i%400))
+		b.EndRow()
+	}
+	cat := engine.NewDB(engine.Config{})
+	cat.Register(b.Build())
+	p, d, q := exec.Col{Name: "p"}, exec.Col{Name: "d"}, exec.Col{Name: "q"}
+	net := exec.Mul(p, exec.Sub(exec.ConstF{V: 1}, d))
+	var aggs []plan.AggSpec
+	for ai, arg := range []exec.Expr{
+		p, q, net,
+		exec.Div(exec.Add(p, exec.ConstF{V: 2}), exec.ConstF{V: 3}),
+		exec.Mul(net, exec.Add(exec.ConstF{V: 1}, q)),
+		exec.CaseWhenF{Pred: exec.StrEq{Column: "s", V: "x"}, Then: exec.Mul(p, d), Else: exec.ConstF{V: 0}},
+	} {
+		for _, fn := range []plan.AggFunc{plan.Sum, plan.Avg, plan.Min, plan.Max, plan.Count} {
+			aggs = append(aggs, plan.AggSpec{Name: fmt.Sprintf("%s%d", fn, ai), Func: fn, Arg: arg})
+		}
+	}
+	aggs = append(aggs, plan.AggSpec{Name: "sumi", Func: plan.SumI, Arg: q}, plan.AggSpec{Name: "count", Func: plan.Count})
+	in := &plan.Filter{Input: &plan.Scan{Table: "t"}, Pred: exec.CmpF{Column: "p", Op: exec.Gt, V: 30}}
+	for _, path := range []struct {
+		name     string
+		keys     []string
+		minRows  int
+		chunking bool // whether the run must show a group-partition span
+	}{
+		{"sequential", []string{"k"}, n + 1, false},
+		{"morsel", []string{"k"}, 1, false},
+		{"clustered", []string{"c"}, 1, true},
+		{"scalar", nil, 1, false},
+	} {
+		for _, w := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("%s/W=%d", path.name, w), func(t *testing.T) {
+				g := &plan.GroupBy{Input: in, Keys: path.keys, Aggs: aggs}
+				run := func(lazy bool) (*plan.Result, string) {
+					plan.SetLazyGathers(lazy)
+					defer plan.SetLazyGathers(true)
+					res, err := plan.RunContext(&plan.Context{Cat: cat, Workers: w, MinParallelRows: path.minRows,
+						MorselRows: 1 << 10, Trace: &obs.Tracer{}}, g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res, spanTree(res.Root)
+				}
+				eager, eagerSpans := run(false)
+				lazy, lazySpans := run(true)
+				if chunked := strings.Contains(lazySpans, "group-partition"); chunked != path.chunking {
+					t.Fatalf("group-partition span: %v, want %v\n%s", chunked, path.chunking, lazySpans)
+				}
+				if same, where := colstore.TablesIdentical(eager.Table, lazy.Table); !same {
+					t.Fatalf("lazy group-by changed the result: %s", where)
+				}
+				if lazy.Counters != eager.Counters {
+					t.Fatalf("lazy counters\n%+v\neager counters\n%+v", lazy.Counters, eager.Counters)
+				}
+				if lazySpans != eagerSpans {
+					t.Fatalf("lazy span tree\n%s\neager span tree\n%s", lazySpans, eagerSpans)
+				}
+			})
 		}
 	}
 }
