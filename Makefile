@@ -184,7 +184,7 @@ loc:
 			END { for (g in a) printf "%+8d  %s (+%d -%d)\n", a[g] - d[g], g, a[g], d[g]; printf "%+8d  total (+%d -%d)\n", ta - td, ta, td }' | sort -k2
 
 # Host allocations per TPC-H query against the committed BENCH_alloc.txt
-# (scripts/alloc-gate.sh; BenchmarkTableII at SF 0.1, -cpu 2, ~25 s),
+# (scripts/alloc-gate.sh; BenchmarkTableII once at SF 0.1, -cpu 2, ~7 s),
 # in its three blocks: the default engine, a 64 KiB memory budget and
 # the fused engine. B/op or allocs/op more than 3 % above it fails.
 # UPDATE=1 rewrites the file instead; a change that moves it says why

@@ -217,10 +217,6 @@ func (db *DB) run(ctx context.Context, p plan.Node, opts QueryOpts, traced bool)
 	var sched *exec.Sched
 	if db.cfg.Pool != nil {
 		sched = db.cfg.Pool.Attach(ctx, opts.Weight)
-	} else if ctx != nil && ctx != context.Background() {
-		sched = exec.NewSched(ctx)
-	}
-	if sched != nil {
 		defer sched.Release()
 	}
 	pctx := db.planCtx(workers)

@@ -14,19 +14,19 @@ func SelColCmp[T fixed](a, b []T, op CmpOp, in []int32, ctr *Counters) []int32 {
 	var n int
 	switch op {
 	case Eq:
-		n = keepRows(*s, in, func(i int32) bool { return a[i] == b[i] })
+		n = keepRows(s, in, func(i int32) bool { return a[i] == b[i] })
 	case Ne:
-		n = keepRows(*s, in, func(i int32) bool { return a[i] != b[i] })
+		n = keepRows(s, in, func(i int32) bool { return a[i] != b[i] })
 	case Lt:
-		n = keepRows(*s, in, func(i int32) bool { return a[i] < b[i] })
+		n = keepRows(s, in, func(i int32) bool { return a[i] < b[i] })
 	case Le:
-		n = keepRows(*s, in, func(i int32) bool { return a[i] <= b[i] })
+		n = keepRows(s, in, func(i int32) bool { return a[i] <= b[i] })
 	case Gt:
-		n = keepRows(*s, in, func(i int32) bool { return a[i] > b[i] })
+		n = keepRows(s, in, func(i int32) bool { return a[i] > b[i] })
 	default:
-		n = keepRows(*s, in, func(i int32) bool { return a[i] >= b[i] })
+		n = keepRows(s, in, func(i int32) bool { return a[i] >= b[i] })
 	}
-	return endSel(s, n)
+	return endSel(ctr, s, n)
 }
 
 // ColCmpI compares two int64 columns row-wise.

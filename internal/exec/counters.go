@@ -89,19 +89,29 @@ type Counters struct {
 
 	// sched is the query's scheduling handle (cancellation context and
 	// optional worker-pool membership), threaded to every kernel through
-	// the counters they already receive. It is never part of the work
-	// profile: Add and DiffCounters ignore it, and the plan layer clears
-	// it before a query's counters are snapshotted into results.
-	sched *Sched
+	// the counters they already receive, and scratch its runner's scratch.
+	// Neither is part of the work profile: Add and DiffCounters ignore
+	// them, and the plan layer clears them before a query's counters are
+	// snapshotted into results.
+	sched   *Sched
+	scratch *Scratch
 }
 
 // SetSched attaches (or, with nil, detaches) the query's scheduling
-// handle. RunMorsels reads it from the root counters to observe
-// cancellation between morsels and to route morsels through a shared
-// pool. Only the root per-query Counters should carry a handle;
-// per-morsel part counters never do, so nested kernels inherit plain
-// execution.
-func (c *Counters) SetSched(s *Sched) { c.sched = s }
+// handle and its slot 0, the caller's scratch. RunMorsels reads the
+// handle from the root counters to observe cancellation between morsels
+// and to route morsels through a shared pool. Only the root per-query
+// Counters should carry a handle; per-morsel part counters never do, so
+// nested kernels inherit plain execution.
+func (c *Counters) SetSched(s *Sched) {
+	c.sched, c.scratch = s, nil
+	if s != nil && len(s.slots) > 0 {
+		c.scratch = s.slots[0]
+	}
+}
+
+// Scratch returns the kernel's runner scratch, nil outside any runner.
+func (c *Counters) Scratch() *Scratch { return c.scratch }
 
 // Add accumulates o into c. Max-like fields take the maximum.
 func (c *Counters) Add(o Counters) {

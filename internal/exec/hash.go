@@ -541,7 +541,7 @@ func (jt *JoinTable) probeKeep(out []int32, keys []int64, off int32, want bool) 
 }
 
 // innerJoin is the sequential inner-join kernel; probe row p is reported
-// as off+p. It finds each key chunk's first matches in pooled scratch. On
+// as off+p. It finds each key chunk's first matches in its runner's scratch. On
 // a unique build they are the result, copied out at exact size; else it
 // walks every match's chain into fixed-size emit chunks (append-doubling
 // would recopy the match set on every growth), duplicate build rows in
@@ -550,21 +550,21 @@ func (jt *JoinTable) probeKeep(out []int32, keys []int64, off int32, want bool) 
 // output size before the walk starts.
 func (jt *JoinTable) innerJoin(probeKeys []int64, off int32, ctr *Counters) (buildIdx, probeIdx []int32, err error) {
 	first := min(len(probeKeys), joinEmitChunkRows)
-	sb, sp := lendSel(first), lendSel(first)
+	sb, sp := lendSel(ctr, first), lendSel(ctr, first)
 	doneB, doneP := make([][]int32, 0, 1), make([][]int32, 0, 1) // one key chunk: on the stack
 	var cb, cp []int32
 	if !jt.unique {
 		cb, cp = make([]int32, 0, first), make([]int32, 0, first)
 	}
 	for lo := 0; lo < len(probeKeys); lo += joinEmitChunkRows {
-		m := jt.probeFirst(*sb, *sp, probeKeys[lo:min(lo+joinEmitChunkRows, len(probeKeys))], off+int32(lo))
+		m := jt.probeFirst(sb, sp, probeKeys[lo:min(lo+joinEmitChunkRows, len(probeKeys))], off+int32(lo))
 		if jt.unique {
 			// One exact-size copy per chunk of joinEmitChunkRows probe rows.
-			doneB = append(doneB, append([]int32{}, (*sb)[:m]...))
-			doneP = append(doneP, append([]int32{}, (*sp)[:m]...))
+			doneB = append(doneB, append([]int32{}, sb[:m]...))
+			doneP = append(doneP, append([]int32{}, sp[:m]...))
 			continue
 		}
-		for j, h := range (*sb)[:m] {
+		for j, h := range sb[:m] {
 			for b := h; b >= 0; b = jt.next[b] {
 				if len(cb) == cap(cb) {
 					doneB = append(doneB, cb)
@@ -573,12 +573,12 @@ func (jt *JoinTable) innerJoin(probeKeys []int64, off int32, ctr *Counters) (bui
 					cp = make([]int32, 0, joinEmitChunkRows)
 				}
 				cb = append(cb, b)
-				cp = append(cp, (*sp)[j])
+				cp = append(cp, sp[j])
 			}
 		}
 	}
-	selPool.Put(sb)
-	selPool.Put(sp)
+	giveSel(ctr, sb)
+	giveSel(ctr, sp)
 	if cb != nil {
 		doneB, doneP = append(doneB, cb), append(doneP, cp)
 	}
@@ -628,13 +628,13 @@ func (jt *JoinTable) selJoin(probeKeys []int64, want bool, workers, morselRows i
 // selRows is the sequential semi/anti kernel; probe row p is reported as
 // off+p.
 func (jt *JoinTable) selRows(probeKeys []int64, off int32, want bool, ctr *Counters) []int32 {
-	s := lendSel(min(len(probeKeys), joinEmitChunkRows))
+	s := lendSel(ctr, min(len(probeKeys), joinEmitChunkRows))
 	kept := make([][]int32, 0, 1) // one key chunk: on the stack
 	for lo := 0; lo < len(probeKeys); lo += joinEmitChunkRows {
-		m := jt.probeKeep(*s, probeKeys[lo:min(lo+joinEmitChunkRows, len(probeKeys))], off+int32(lo), want)
-		kept = append(kept, append([]int32{}, (*s)[:m]...))
+		m := jt.probeKeep(s, probeKeys[lo:min(lo+joinEmitChunkRows, len(probeKeys))], off+int32(lo), want)
+		kept = append(kept, append([]int32{}, s[:m]...))
 	}
-	selPool.Put(s)
+	giveSel(ctr, s)
 	out, _ := ConcatMatches(kept) // at most one id per probe row
 	ctr.HashProbeTuples += int64(len(probeKeys))
 	ctr.RandomAccesses += int64(len(probeKeys))
@@ -664,19 +664,19 @@ func (jt *JoinTable) CountPerProbe(probeKeys []int64, workers, morselRows int, c
 // match count of each matching probe row into out, which starts zeroed.
 func (jt *JoinTable) countRows(out []int64, probeKeys []int64, ctr *Counters) {
 	first := min(len(probeKeys), joinEmitChunkRows)
-	sb, sp := lendSel(first), lendSel(first)
+	sb, sp := lendSel(ctr, first), lendSel(ctr, first)
 	var matches int64
 	for lo := 0; lo < len(probeKeys); lo += joinEmitChunkRows {
-		m := jt.probeFirst(*sb, *sp, probeKeys[lo:min(lo+joinEmitChunkRows, len(probeKeys))], int32(lo))
-		for j, h := range (*sb)[:m] {
+		m := jt.probeFirst(sb, sp, probeKeys[lo:min(lo+joinEmitChunkRows, len(probeKeys))], int32(lo))
+		for j, h := range sb[:m] {
 			for b := h; b >= 0; b = jt.next[b] {
-				out[(*sp)[j]]++
+				out[sp[j]]++
 				matches++
 			}
 		}
 	}
-	selPool.Put(sb)
-	selPool.Put(sp)
+	giveSel(ctr, sb)
+	giveSel(ctr, sp)
 	ctr.HashProbeTuples += int64(len(probeKeys))
 	ctr.RandomAccesses += int64(len(probeKeys)) + matches
 }

@@ -75,7 +75,7 @@ func RunMorsels(workers, n, morselRows int, ctr *Counters, fn func(m, lo, hi int
 	if nm == 1 {
 		return fn(0, 0, n, ctr)
 	}
-	b := runBatch(sched, w-1, n, morselRows, nm, fn)
+	b := runBatch(sched, ctr.scratch, w-1, n, morselRows, nm, fn)
 	for m := 0; m < nm; m++ {
 		if b.errs[m] != nil {
 			return b.errs[m]

@@ -126,7 +126,7 @@ func SelInt64In(c *colstore.Int64s, vals []int64, in []int32, ctr *Counters) []i
 	}
 	ctr.IntOps += int64(len(vals))
 	s := beginSel(ctr, len(c.V), in, 8)
-	return endSel(s, keepRows(*s, in, func(i int32) bool {
+	return endSel(ctr, s, keepRows(s, in, func(i int32) bool {
 		_, ok := want[c.V[i]]
 		return ok
 	}))

@@ -22,14 +22,29 @@ import (
 	"sync"
 )
 
-// Sched is one query's scheduling handle: a cancellation context plus
-// (optionally) a queue in a shared Pool. A nil *Sched is valid and means
-// "no cancellation, no pool" — the zero-cost default for every caller
-// that never attaches one.
+// Sched is one query's scheduling handle: a cancellation context,
+// (optionally) a queue in a shared Pool, and the query's runner scratch.
+// A nil *Sched is valid and means "no cancellation, no pool, no scratch"
+// — the default for every caller that never attaches one.
 type Sched struct {
 	ctx    context.Context
 	cancel context.CancelCauseFunc
 	q      *poolQuery // nil when the query runs outside a pool
+	slots  []*Scratch // slot 0 the caller's, slot i helper i's
+}
+
+// Scratch is one runner's reusable state, reached through the Counters
+// a kernel receives; no two running morsels share one.
+type Scratch struct {
+	sels  [][]int32 // free selection buffers (lendSel), a stack
+	Group any       // the plan layer's group-by state
+}
+
+// spares holds released handles' scratch sets: queries run one after
+// another reuse one set, and no GC drops it between them.
+var spares struct {
+	mu   sync.Mutex
+	sets [][]*Scratch
 }
 
 // NewSched returns a pool-less scheduling handle derived from ctx:
@@ -39,7 +54,27 @@ func NewSched(ctx context.Context) *Sched {
 		ctx = context.Background()
 	}
 	cctx, cancel := context.WithCancelCause(ctx)
-	return &Sched{ctx: cctx, cancel: cancel}
+	s := &Sched{ctx: cctx, cancel: cancel}
+	spares.mu.Lock()
+	if n := len(spares.sets); n > 0 {
+		s.slots, spares.sets = spares.sets[n-1], spares.sets[:n-1]
+	} else {
+		s.slots = []*Scratch{new(Scratch)}
+	}
+	spares.mu.Unlock()
+	return s
+}
+
+// helperSlots returns helpers 1..n's scratch, growing the set on the
+// calling goroutine; a nil handle's (a nested batch's) are all nil.
+func (s *Sched) helperSlots(n int) []*Scratch {
+	if s == nil {
+		return make([]*Scratch, n)
+	}
+	for len(s.slots) <= n {
+		s.slots = append(s.slots, new(Scratch))
+	}
+	return s.slots[1 : n+1]
 }
 
 // Context returns the handle's cancellation context.
@@ -72,9 +107,9 @@ func (s *Sched) Cancel(cause error) {
 	s.cancel(cause)
 }
 
-// Release cancels the handle's context and, for pool-attached handles,
-// detaches the query from the pool. Callers that Attach must Release;
-// afterwards the handle schedules nothing.
+// Release cancels the handle's context, detaches a pool-attached query
+// and gives its scratch set back, once however often it is called.
+// Callers that Attach must Release; afterwards it schedules nothing.
 func (s *Sched) Release() {
 	if s == nil {
 		return
@@ -84,6 +119,12 @@ func (s *Sched) Release() {
 		s.q.pool.detach(s.q)
 		s.q = nil
 	}
+	spares.mu.Lock()
+	if s.slots != nil {
+		spares.sets = append(spares.sets, s.slots)
+		s.slots = nil
+	}
+	spares.mu.Unlock()
 }
 
 // Pool is a fixed set of worker goroutines shared by every concurrent
@@ -131,6 +172,7 @@ type batch struct {
 	fn         func(m, lo, hi int, ctr *Counters) error
 	parts      []Counters
 	errs       []error
+	free       []*Scratch // the pool helpers' scratch not in use
 
 	helpers int  // most pool workers that may run its morsels at once
 	helping int  // pool workers running its morsels now
@@ -210,10 +252,10 @@ func (p *Pool) enqueue(q *poolQuery, b *batch) {
 	p.cond.Broadcast()
 }
 
-// claimAny picks one morsel from the attached query with the least
-// served/weight that has a runnable batch. It blocks until work arrives
-// or the pool closes; ok=false means the worker should exit.
-func (p *Pool) claimAny() (b *batch, m int, ok bool) {
+// claimAny picks one morsel and a free slot from the attached query with
+// the least served/weight that has a runnable batch. It blocks until work
+// arrives or the pool closes; ok=false means the worker should exit.
+func (p *Pool) claimAny() (b *batch, m int, sc *Scratch, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
@@ -232,10 +274,12 @@ func (p *Pool) claimAny() (b *batch, m int, ok bool) {
 		if best != nil {
 			b := best.runnable()
 			b.helping++
-			return b, b.claimLocked(), true
+			sc := b.free[len(b.free)-1]
+			b.free = b.free[:len(b.free)-1]
+			return b, b.claimLocked(), sc, true
 		}
 		if p.closed {
-			return nil, 0, false
+			return nil, 0, nil, false
 		}
 		p.cond.Wait()
 	}
@@ -264,12 +308,12 @@ func (q *poolQuery) runnable() *batch {
 // work is one pool worker's loop.
 func (p *Pool) work() {
 	for {
-		b, m, ok := p.claimAny()
+		b, m, sc, ok := p.claimAny()
 		if !ok {
 			return
 		}
-		b.run(m)
-		b.finish(m, true)
+		b.run(m, sc)
+		b.finish(m, sc)
 	}
 }
 
@@ -278,8 +322,9 @@ func (p *Pool) work() {
 // it beside it: the pool's workers, at their fair share, when s is
 // pool-attached, and goroutines spawned for this batch otherwise. It
 // returns once every claimed morsel has finished and every spawned
-// helper has exited, so no goroutine outlives RunMorsels.
-func runBatch(s *Sched, helpers, n, morselRows, nm int, fn func(m, lo, hi int, ctr *Counters) error) *batch {
+// helper has exited, so no goroutine outlives RunMorsels. The caller
+// runs in own, spawned helper i in slot i, a pool helper in a free one.
+func runBatch(s *Sched, own *Scratch, helpers, n, morselRows, nm int, fn func(m, lo, hi int, ctr *Counters) error) *batch {
 	b := &batch{
 		sched:      s,
 		n:          n,
@@ -294,10 +339,11 @@ func runBatch(s *Sched, helpers, n, morselRows, nm int, fn func(m, lo, hi int, c
 		b.q = s.q
 		b.mu = &s.q.pool.mu
 	}
+	slots := s.helperSlots(helpers)
 	switch {
 	case helpers == 0:
 	case b.q != nil:
-		b.helpers = helpers
+		b.helpers, b.free = helpers, slots
 		b.q.pool.enqueue(b.q, b)
 	default:
 		b.running.Add(helpers)
@@ -307,27 +353,27 @@ func runBatch(s *Sched, helpers, n, morselRows, nm int, fn func(m, lo, hi int, c
 				// Label the goroutine so CPU profiles attribute samples to
 				// morsel workers rather than an anonymous spawn site.
 				pprof.Do(context.Background(), pprof.Labels("wimpi", "morsel-worker", "worker", strconv.Itoa(worker)), func(context.Context) {
-					b.drain()
+					b.drain(slots[worker-1])
 				})
 			}(i)
 		}
 	}
-	b.drain()
+	b.drain(own)
 	b.running.Wait()
 	return b
 }
 
-// drain runs morsels of b on one of its own runners — the caller or a
-// helper spawned for the batch — until none is left to claim or dispatch
-// stopped.
-func (b *batch) drain() {
+// drain runs morsels of b in sc on one of its own runners — the caller
+// or a helper spawned for the batch — until none is left to claim or
+// dispatch stopped.
+func (b *batch) drain(sc *Scratch) {
 	for {
 		m, ok := b.claimOwn()
 		if !ok {
 			return
 		}
-		b.run(m)
-		b.finish(m, false)
+		b.run(m, sc)
+		b.finish(m, nil)
 	}
 }
 
@@ -353,26 +399,29 @@ func (b *batch) claimLocked() int {
 	return m
 }
 
-// run executes morsel m of the batch into its private counters.
-func (b *batch) run(m int) {
+// run executes morsel m into its private counters, which carry sc.
+func (b *batch) run(m int, sc *Scratch) {
 	lo := m * b.morselRows
 	hi := lo + b.morselRows
 	if hi > b.n {
 		hi = b.n
 	}
+	b.parts[m].scratch = sc
 	b.errs[m] = b.fn(m, lo, hi, &b.parts[m])
+	b.parts[m].scratch = nil
 }
 
 // finish records one morsel's completion. A morsel error stops further
-// dispatch. A pool helper that frees the last slot of a full batch wakes
-// one idle worker, which may take it.
-func (b *batch) finish(m int, poolHelper bool) {
+// dispatch. A pool helper gives its slot back, and one that frees the
+// last place of a full batch wakes one idle worker, which may take it.
+func (b *batch) finish(m int, poolSlot *Scratch) {
 	b.mu.Lock()
 	if b.errs[m] != nil {
 		b.stopped = true
 	}
 	wake := false
-	if poolHelper {
+	if poolSlot != nil {
+		b.free = append(b.free, poolSlot)
 		wake = b.helping == b.helpers
 		b.helping--
 	}

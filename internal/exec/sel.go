@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"sync"
 	"unsafe"
 
 	"wimpi/internal/colstore"
@@ -55,26 +54,33 @@ func valueBytes[T fixed]() int64 {
 	return int64(unsafe.Sizeof(v))
 }
 
-// selPool holds the selection kernels' and join probes' scratch: each
-// kernel writes every candidate row into a buffer as long as its input,
-// then copies the kept prefix out. Reusing the buffer keeps a selective
-// scan from allocating (and zeroing) an output the size of its input.
-var selPool = sync.Pool{New: func() any { return new([]int32) }}
-
-// lendSel lends a scratch buffer of n rows from selPool.
-func lendSel(n int) *[]int32 {
-	s := selPool.Get().(*[]int32)
-	if cap(*s) < n {
-		*s = make([]int32, n)
+// lendSel lends a buffer of n rows from the scratch of ctr's runner (a
+// fresh one outside any runner); giveSel gives it back. The selection
+// kernels and join probes write every candidate row into one and then
+// copy the kept prefix out, so a selective scan does not allocate (and
+// zero) an output as long as its input.
+func lendSel(ctr *Counters, n int) []int32 {
+	if sc := ctr.scratch; sc != nil && len(sc.sels) > 0 {
+		s := sc.sels[len(sc.sels)-1]
+		sc.sels = sc.sels[:len(sc.sels)-1]
+		if cap(s) >= n {
+			return s[:n]
+		}
 	}
-	*s = (*s)[:n]
-	return s
+	return make([]int32, n)
+}
+
+// giveSel gives a buffer lent by lendSel back to ctr's runner.
+func giveSel(ctr *Counters, s []int32) {
+	if sc := ctr.scratch; sc != nil {
+		sc.sels = append(sc.sels, s)
+	}
 }
 
 // beginSel charges a kernel that reads width bytes of each candidate (all
 // n rows as a sequential scan, or the rows of in through the selection
 // vector) and lends it a scratch buffer with room for every candidate.
-func beginSel(ctr *Counters, n int, in []int32, width int64) *[]int32 {
+func beginSel(ctr *Counters, n int, in []int32, width int64) []int32 {
 	if in == nil {
 		ctr.SeqBytes += int64(n) * width
 	} else {
@@ -83,15 +89,15 @@ func beginSel(ctr *Counters, n int, in []int32, width int64) *[]int32 {
 	}
 	ctr.TuplesScanned += int64(n)
 	ctr.IntOps += int64(n)
-	return lendSel(n)
+	return lendSel(ctr, n)
 }
 
 // endSel returns the first n rows of the scratch as an exact-size
-// selection and puts the scratch back. The result is never nil, even
+// selection and gives the scratch back. The result is never nil, even
 // when empty: a nil selection means all rows.
-func endSel(s *[]int32, n int) []int32 {
-	out := append([]int32{}, (*s)[:n]...)
-	selPool.Put(s)
+func endSel(ctr *Counters, s []int32, n int) []int32 {
+	out := append([]int32{}, s[:n]...)
+	giveSel(ctr, s)
 	return out
 }
 
@@ -122,19 +128,19 @@ func SelCmp[T fixed](v []T, op CmpOp, val T, in []int32, ctr *Counters) []int32 
 	var n int
 	switch op {
 	case Eq:
-		n = keepRows(*s, in, func(i int32) bool { return v[i] == val })
+		n = keepRows(s, in, func(i int32) bool { return v[i] == val })
 	case Ne:
-		n = keepRows(*s, in, func(i int32) bool { return v[i] != val })
+		n = keepRows(s, in, func(i int32) bool { return v[i] != val })
 	case Lt:
-		n = keepRows(*s, in, func(i int32) bool { return v[i] < val })
+		n = keepRows(s, in, func(i int32) bool { return v[i] < val })
 	case Le:
-		n = keepRows(*s, in, func(i int32) bool { return v[i] <= val })
+		n = keepRows(s, in, func(i int32) bool { return v[i] <= val })
 	case Gt:
-		n = keepRows(*s, in, func(i int32) bool { return v[i] > val })
+		n = keepRows(s, in, func(i int32) bool { return v[i] > val })
 	default:
-		n = keepRows(*s, in, func(i int32) bool { return v[i] >= val })
+		n = keepRows(s, in, func(i int32) bool { return v[i] >= val })
 	}
-	return endSel(s, n)
+	return endSel(ctr, s, n)
 }
 
 // SelRange selects rows with lo <= value <= hi; an interval with hi < lo
@@ -142,7 +148,7 @@ func SelCmp[T fixed](v []T, op CmpOp, val T, in []int32, ctr *Counters) []int32 
 func SelRange[T fixed](v []T, lo, hi T, in []int32, ctr *Counters) []int32 {
 	s := beginSel(ctr, len(v), in, valueBytes[T]())
 	// & rather than &&: a second branch per row is what keepRows avoids.
-	return endSel(s, keepRows(*s, in, func(i int32) bool { return b2i(v[i] >= lo)&b2i(v[i] <= hi) != 0 }))
+	return endSel(ctr, s, keepRows(s, in, func(i int32) bool { return b2i(v[i] >= lo)&b2i(v[i] <= hi) != 0 }))
 }
 
 // SelStrMask selects rows whose dictionary code is set in mask. Combined
@@ -151,7 +157,7 @@ func SelRange[T fixed](v []T, lo, hi T, in []int32, ctr *Counters) []int32 {
 // value.
 func SelStrMask(c *colstore.Strings, mask []bool, in []int32, ctr *Counters) []int32 {
 	s := beginSel(ctr, len(c.Codes), in, 4)
-	return endSel(s, keepRows(*s, in, func(i int32) bool { return mask[c.Codes[i]] }))
+	return endSel(ctr, s, keepRows(s, in, func(i int32) bool { return mask[c.Codes[i]] }))
 }
 
 // SelUnion merges two ascending selection vectors, removing duplicates.

@@ -50,8 +50,8 @@ var clusteredOff bool
 
 // groupedClustered aggregates an input that clusteredCuts cut into chunks
 // no group crosses. The chunks are the partitions — no scatter, no
-// n-sized scratch — and each folds with the kernels below in a pooled
-// per-worker scratch.
+// n-sized scratch — and each folds with the kernels below in its
+// runner's scratch.
 func (g *GroupBy) groupedClustered(ctx *Context, in, args *colstore.Table, keys *groupKeys, key string, cuts []int32) (*colstore.Table, error) {
 	nc := len(cuts) - 1
 	sp := ctx.Trace.Begin("group-partition", fmt.Sprintf("clustered on %s, %d chunks", key, nc))
@@ -64,9 +64,7 @@ func (g *GroupBy) groupedClustered(ctx *Context, in, args *colstore.Table, keys 
 	mr := ctx.morselRows()
 	parts := make([]groupPart, nc)
 	err = exec.RunMorsels(ctx.workers(), nc, 1, ctx.Ctr, func(c, _, _ int, ctr *exec.Counters) error {
-		s := groupScratchPool.Get().(*groupScratch)
-		defer groupScratchPool.Put(s)
-		return aggChunk(&parts[c], s, specs, args, keys, int(cuts[c]), int(cuts[c+1]), mr, ctr)
+		return aggChunk(&parts[c], scratchOf(ctr), specs, args, keys, int(cuts[c]), int(cuts[c+1]), mr, ctr)
 	})
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"sync"
 
 	"wimpi/internal/colstore"
 	"wimpi/internal/exec"
@@ -156,8 +155,7 @@ func (g *GroupBy) groupedSequential(ctx *Context, in, args *colstore.Table, keys
 	if err := keys.sizeRows(0, n); err != nil {
 		return nil, err
 	}
-	s := groupScratchPool.Get().(*groupScratch)
-	defer groupScratchPool.Put(s)
+	s := scratchOf(ctx.Ctr)
 	packed, err := keys.pack(s, 0, n, ctx.Ctr)
 	if err != nil {
 		return nil, err
@@ -467,12 +465,12 @@ func spanOf[T int32 | int64](v []T) (lo, hi T) {
 	return lo, hi
 }
 
-// groupScratch is one worker's reusable state for aggregating a morsel
+// groupScratch is one runner's reusable state for aggregating a morsel
 // or a clustered chunk: the key and group-ID vectors, the grouper and the
 // direct table, the chunk fold's local accumulators, and the decoded
 // argument columns and the vectors their expressions evaluate into. A
-// worker carries one scratch from morsel to morsel (and query to query)
-// instead of allocating each slice afresh every time.
+// runner carries one in its exec.Scratch from morsel to morsel (and query
+// to query) instead of allocating each slice afresh every time.
 type groupScratch struct {
 	gr    exec.Grouper
 	slots []int32   // the direct table: directMaxSpan entries, all -1 between uses
@@ -489,7 +487,16 @@ type groupScratch struct {
 	fl   exec.Floats       // the aggregate arguments' vectors
 }
 
-var groupScratchPool = sync.Pool{New: func() any { return new(groupScratch) }}
+// scratchOf returns ctr's runner's group-by scratch, or a fresh one.
+func scratchOf(ctr *exec.Counters) *groupScratch {
+	if rs := ctr.Scratch(); rs != nil {
+		if rs.Group == nil {
+			rs.Group = new(groupScratch)
+		}
+		return rs.Group.(*groupScratch)
+	}
+	return new(groupScratch)
+}
 
 // argRows returns rows [lo, hi) of args, each view among its columns
 // decoded into s (exec.ViewRows) and the others sliced. It is valid
@@ -660,9 +667,7 @@ func (g *GroupBy) groupedMorsel(ctx *Context, in, args *colstore.Table, keys *gr
 	}
 	parts := make([]groupPart, exec.NumMorsels(n, ctx.morselRows()))
 	err = exec.RunMorsels(ctx.workers(), n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
-		s := groupScratchPool.Get().(*groupScratch)
-		defer groupScratchPool.Put(s)
-		return aggMorsel(&parts[m], s, specs, args, keys, lo, hi, ctr)
+		return aggMorsel(&parts[m], scratchOf(ctr), specs, args, keys, lo, hi, ctr)
 	})
 	if err != nil {
 		return nil, err

@@ -233,20 +233,15 @@ func (e *MemLimitError) Error() string {
 	return fmt.Sprintf("plan: query exceeded memory budget: %d bytes live, limit %d", e.Observed, e.Limit)
 }
 
-// attachSched wires the query's scheduling handle onto its counters for
-// the duration of one execution: kernels then observe cancellation (and
-// pool membership) through the counters they already receive. The
-// returned release detaches the handle before the counters are
-// snapshotted into results — the handle is scheduling state, never part
-// of the work profile. Handles built here (from Ctx/MemLimitBytes) are
-// also released; a caller-provided Sched is only borrowed.
+// attachSched wires the query's scheduling handle (cancellation, pool
+// membership, the caller's runner scratch) onto its counters for one
+// execution; the returned release detaches it before the counters are
+// snapshotted into results. A caller-provided Sched is only borrowed;
+// otherwise one is built from Ctx and released, so every run has one.
 func (c *Context) attachSched() (*exec.Sched, func()) {
 	s := c.Sched
 	owned := false
 	if s == nil {
-		if c.Ctx == nil && c.MemLimitBytes <= 0 {
-			return nil, func() {}
-		}
 		s = exec.NewSched(c.Ctx)
 		c.Sched = s
 		owned = true

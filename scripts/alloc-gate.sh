@@ -5,20 +5,16 @@
 #   scripts/alloc-gate.sh          # compare with BENCH_alloc.txt
 #   scripts/alloc-gate.sh update   # rewrite BENCH_alloc.txt
 #
-# Runs BenchmarkTableII at WIMPI_BENCH_SF=0.1 with -benchtime 5x
-# -benchmem at a fixed -cpu 2, five times over, and fails if any query's
-# B/op or allocs/op is more than 3 % above the baseline's. It checks
-# each line of the benchmark's three blocks: Q<n> runs the default
-# engine, spill/Q<n> each query plan.Spillable accepts under a 64 KiB
-# memory budget, and fused/Q<n> the fused engine, so code that only a
-# budget or only fusion reaches is counted too. Allocations, unlike
-# ns/op, repeat run to run, so the bound is tight. What does
-# vary is additive: a kernel's sync.Pool scratch that a GC dropped, or
-# that sits in another P's private slot, is allocated afresh, which adds
-# one buffer to one run (Q2 moves in steps of 16 KB/op, 1.8 %). So each
-# side keeps, per query, the lowest of its five runs: a refill raises
-# some runs, a change to the program raises all five. -cpu 1 is not
-# used: there the same refill moved Q6 and Q14 by over 40 % in one run.
+# Runs BenchmarkTableII once at WIMPI_BENCH_SF=0.1 with -benchtime 5x
+# -benchmem at a fixed -cpu 2, and fails if any query's B/op or
+# allocs/op is more than 3 % above the baseline's. It checks each line
+# of the benchmark's three blocks: Q<n> runs the default engine,
+# spill/Q<n> each query plan.Spillable accepts under a 64 KiB memory
+# budget, and fused/Q<n> the fused engine, so code that only a budget or
+# only fusion reaches is counted too. Allocations, unlike ns/op, repeat
+# run to run: the scratch a kernel reuses belongs to the query's
+# runners (exec.Scratch), recycled from query to query, never to a pool
+# a GC empties. So one run is enough and the bound is tight.
 # A change that moves the file says why in CHANGES.md.
 set -eu
 
@@ -29,10 +25,9 @@ out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
 WIMPI_BENCH_SF=0.1 go test -run '^$' -bench '^BenchmarkTableII$' \
-	-benchtime 5x -count 5 -benchmem -cpu 2 -timeout 20m . >"$out"
+	-benchtime 5x -count 1 -benchmem -cpu 2 -timeout 20m . >"$out"
 
-# One line per query, in run order: name, then the lowest B/op and the
-# lowest allocs/op over its runs.
+# One line per query, in run order: name, B/op, allocs/op.
 table() {
 	awk '$1 ~ /^BenchmarkTableII\/((spill|fused)\/)?Q[0-9]+-/ {
 		name = $1; sub(/^BenchmarkTableII\//, "", name); sub(/-[0-9]+$/, "", name)
@@ -40,18 +35,15 @@ table() {
 			if ($(i + 1) == "B/op") b = $i + 0
 			if ($(i + 1) == "allocs/op") a = $i + 0
 		}
-		if (!(name in minb)) { order[++nq] = name; minb[name] = b; mina[name] = a }
-		if (b < minb[name]) minb[name] = b
-		if (a < mina[name]) mina[name] = a
-	}
-	END { for (k = 1; k <= nq; k++) print order[k], minb[order[k]], mina[order[k]] }' "$1"
+		print name, b, a
+	}' "$1"
 }
 
 if [ "${1:-}" = update ]; then
 	{
 		echo "# BenchmarkTableII host allocations (WIMPI_BENCH_SF=0.1, -benchtime 5x, -cpu 2),"
-		echo "# each the lowest of five runs. Q<n>: default engine; spill/Q<n>: 64 KiB"
-		echo "# memory budget, plan.Spillable queries only; fused/Q<n>: fused engine."
+		echo "# one run. Q<n>: default engine; spill/Q<n>: 64 KiB memory budget,"
+		echo "# plan.Spillable queries only; fused/Q<n>: fused engine."
 		echo "# Written by scripts/alloc-gate.sh update; read by make alloc-gate."
 		echo "# query B/op allocs/op"
 		table "$out"
