@@ -54,8 +54,10 @@ var clusteredOff bool
 // runner's scratch.
 func (g *GroupBy) groupedClustered(ctx *Context, in, args *colstore.Table, keys *groupKeys, key string, cuts []int32) (*colstore.Table, error) {
 	nc := len(cuts) - 1
-	sp := ctx.Trace.Begin("group-partition", fmt.Sprintf("clustered on %s, %d chunks", key, nc))
-	ctx.Trace.End(sp, int64(in.NumRows()), 0)
+	if ctx.Trace != nil {
+		sp := ctx.Trace.Begin("group-partition", fmt.Sprintf("clustered on %s, %d chunks", key, nc))
+		ctx.Trace.End(sp, int64(in.NumRows()), 0)
+	}
 
 	specs, err := g.boundAggs(args, ctx.Ctr)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"wimpi/internal/colstore"
 	"wimpi/internal/exec"
+	"wimpi/internal/obs"
 )
 
 // JoinKind selects the semantics of a HashJoin.
@@ -91,7 +92,10 @@ func (j *HashJoin) Execute(ctx *Context) (*colstore.Table, error) {
 
 	// Probe phase: key extraction (unless the probe side ran first), probe
 	// kernel, and output gathers.
-	psp := ctx.Trace.Begin("join-probe", fmt.Sprintf("probe [%s]", strings.Join(j.ProbeKeys, ",")))
+	var psp *obs.Span
+	if ctx.Trace != nil {
+		psp = ctx.Trace.Begin("join-probe", "probe ["+strings.Join(j.ProbeKeys, ",")+"]")
+	}
 	if j.Sideways == nil {
 		pk, err = joinKeysParallel(ctx, probe, j.ProbeKeys, nil)
 	}
@@ -111,8 +115,10 @@ func (j *HashJoin) Execute(ctx *Context) (*colstore.Table, error) {
 // the build side in whichever layout buildJoin picks, under one
 // join-build span that names the layout.
 func (c *Context) buildPhase(build *colstore.Table, keys []string, probeRows int) (exec.JoinProber, error) {
-	label := fmt.Sprintf("build [%s]", strings.Join(keys, ","))
-	bsp := c.Trace.Begin("join-build", label)
+	var bsp *obs.Span
+	if c.Trace != nil {
+		bsp = c.Trace.Begin("join-build", "build ["+strings.Join(keys, ",")+"]")
+	}
 	bk, err := joinKeysParallel(c, build, keys, nil)
 	var jp exec.JoinProber
 	var layout string
@@ -124,7 +130,7 @@ func (c *Context) buildPhase(build *colstore.Table, keys []string, probeRows int
 		return nil, err
 	}
 	if bsp != nil {
-		bsp.Label = label + " " + layout
+		bsp.Label += " " + layout
 	}
 	c.Trace.End(bsp, int64(build.NumRows()), build.SizeBytes())
 	return jp, nil
@@ -132,7 +138,8 @@ func (c *Context) buildPhase(build *colstore.Table, keys []string, probeRows int
 
 // buildJoin builds the build side of a hash join over its extracted keys
 // — the one place the layout is chosen, for the vector and the fused
-// engine and the key filter alike — and names the layout it chose. Every
+// engine and the key filter alike — and names the layout it chose (a
+// positional one with its slot count only on a traced run). Every
 // input of the choice is something the query observes (the keys,
 // cardinalities, the memory budget) and none is the worker count, so both
 // engines, every degree of parallelism and a re-dispatched cluster worker
@@ -155,6 +162,9 @@ func (c *Context) buildJoin(bk []int64, probeRows int) (exec.JoinProber, string,
 	}
 	if base, span, ok := exec.KeySpan(bk, c.Ctr); ok && int64(span) <= maxSpan {
 		jt, err := exec.BuildPositionalJoinTable(bk, base, span, c.Ctr)
+		if c.Trace == nil {
+			return jt, "positional", err
+		}
 		return jt, fmt.Sprintf("positional, %d slots", span), err
 	}
 	jt, err := exec.BuildJoinTableParallel(bk, c.workers(), c.morselRows(), c.Ctr)

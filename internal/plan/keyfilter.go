@@ -68,15 +68,17 @@ type KeyFilter struct {
 // "keyfilter [k] <rows read> → <rows kept>, <key set layout>", or why it
 // was skipped.
 func (f *KeyFilter) Execute(ctx *Context) (*colstore.Table, error) {
-	label := fmt.Sprintf("keyfilter [%s]", strings.Join(f.Keys, ", "))
-	sp := ctx.Trace.Begin("keyfilter", label)
+	var sp *obs.Span
+	if ctx.Trace != nil {
+		sp = ctx.Trace.Begin("keyfilter", "keyfilter ["+strings.Join(f.Keys, ", ")+"]")
+	}
 	out, why, err := f.run(ctx)
 	if err != nil {
 		ctx.Trace.EndErr(sp)
 		return nil, err
 	}
 	if sp != nil {
-		sp.Label = label + " " + why
+		sp.Label += " " + why
 	}
 	ctx.Trace.End(sp, int64(out.NumRows()), out.SizeBytes())
 	return out, nil
@@ -89,7 +91,9 @@ func (f *KeyFilter) run(ctx *Context) (*colstore.Table, string, error) {
 	var ssp *obs.Span // the scan's own span, when the filter reads it directly
 	var err error
 	if direct {
-		ssp = ctx.Trace.Begin("scan", firstLine(scan.Explain(0)))
+		if ctx.Trace != nil {
+			ssp = ctx.Trace.Begin("scan", firstLine(scan.Explain(0)))
+		}
 		if t, err = scan.open(ctx); err == nil && scan.Pred != nil {
 			sel, err = parallelSel(ctx, t, scan.Pred)
 		}
@@ -107,9 +111,11 @@ func (f *KeyFilter) run(ctx *Context) (*colstore.Table, string, error) {
 	ctx.Trace.End(ssp, int64(read), 0)
 
 	pk, published := ctx.sideways[f.Set]
-	why, filtered := "skipped (no probe keys)", false
+	why, filtered := "skipped (no probe keys)", false // why labels the span: formatted only when traced
 	if published && keyFilterRatio*len(pk) > t.NumRows() {
-		why = fmt.Sprintf("skipped (probe %d × %d > %d rows)", len(pk), keyFilterRatio, t.NumRows())
+		if ctx.Trace != nil {
+			why = fmt.Sprintf("skipped (probe %d × %d > %d rows)", len(pk), keyFilterRatio, t.NumRows())
+		}
 	} else if published {
 		if t, err = ctx.materialize(t, slices.Concat(f.Keys, f.Exact), false); err != nil {
 			return nil, "", err
@@ -118,9 +124,13 @@ func (f *KeyFilter) run(ctx *Context) (*colstore.Table, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		if col, ok := exactSums(t, f.Exact, kept, ctx.Ctr); ok {
-			why, sel, filtered = fmt.Sprintf("%d → %d, %s", read, len(kept), layout), kept, true
-		} else {
+		col, ok := exactSums(t, f.Exact, kept, ctx.Ctr)
+		if ok {
+			sel, filtered = kept, true
+		}
+		if ctx.Trace != nil && ok {
+			why = fmt.Sprintf("%d → %d, %s", read, len(kept), layout)
+		} else if ctx.Trace != nil {
 			why = fmt.Sprintf("skipped (sum over %s not exact)", col)
 		}
 	}

@@ -508,7 +508,10 @@ func (o *OrderBy) Explain(depth int) string {
 // every counter, span and memory figure is the eager copy's. When
 // tracing, the gather gets its own child span.
 func gather(ctx *Context, t *colstore.Table, sel []int32, eager bool) (*colstore.Table, error) {
-	sp := ctx.Trace.Begin("gather", fmt.Sprintf("gather %d rows x %d cols", len(sel), t.NumCols()))
+	var sp *obs.Span
+	if ctx.Trace != nil {
+		sp = ctx.Trace.Begin("gather", fmt.Sprintf("gather %d rows x %d cols", len(sel), t.NumCols()))
+	}
 	var out *colstore.Table
 	var err error
 	if eager || lazyOff {

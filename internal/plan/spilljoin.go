@@ -97,8 +97,10 @@ type spillJoiner struct {
 // beyond the resident budget and builds the tables of the others.
 func (c *Context) buildSpillJoiner(bk []int64, probeRows int) (*spillJoiner, error) {
 	bits := spillBits(len(bk), probeRows, c.MemLimitBytes)
-	sp := c.Trace.Begin("spill-partition",
-		fmt.Sprintf("radix %d-way, budget %s", 1<<bits, spill.FormatByteSize(c.MemLimitBytes)))
+	var sp *obs.Span
+	if c.Trace != nil {
+		sp = c.Trace.Begin("spill-partition", fmt.Sprintf("radix %d-way, budget %s", 1<<bits, spill.FormatByteSize(c.MemLimitBytes)))
+	}
 	sj, err := c.partitionBuild(bk, probeRows, bits)
 	if err != nil {
 		c.Trace.EndErr(sp)
@@ -258,6 +260,9 @@ func (sj *spillJoiner) spilledPart(p int, pp *exec.RadixPartitions, pseg *spill.
 // beginProbe opens the spill-probe span of one probe; endProbe closes it
 // on the probe's outcome, rows of width bytes each.
 func (sj *spillJoiner) beginProbe(kind string) *obs.Span {
+	if sj.ctx.Trace == nil {
+		return nil
+	}
 	return sj.ctx.Trace.Begin("spill-probe",
 		fmt.Sprintf("%s, %d partitions (%d resident)", kind, sj.rp.NumPartitions(), sj.resident))
 }

@@ -19,23 +19,23 @@ import (
 )
 
 // TestHTTPQueryMetricsHealthz drives the HTTP front end-to-end: a SQL
-// query (twice, to see both caches), bad SQL (twice, to see it is
-// counted and not cached), the Prometheus export, and health.
+// query (twice, to see both caches), a second query that the full
+// one-entry caches refuse to admit over the first, bad SQL (twice, to
+// see it is counted and not cached), the Prometheus export, and health.
 func TestHTTPQueryMetricsHealthz(t *testing.T) {
 	db, closePool := testDB(t, 2)
 	defer closePool()
-	s := New(Config{DB: db, CacheEntries: 4, Registry: obs.NewRegistry()})
+	s := New(Config{DB: db, CacheEntries: 1, Registry: obs.NewRegistry()})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	q6, err := tpch.SQL(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := json.Marshal(queryRequest{Tenant: "web", SQL: q6, MaxRows: 5})
-
-	var hits []bool
-	for i := 0; i < 2; i++ {
+	post := func(q int) queryResponse {
+		t.Helper()
+		text, err := tpch.SQL(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := json.Marshal(queryRequest{Tenant: "web", SQL: text, MaxRows: 5})
 		resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(string(body)))
 		if err != nil {
 			t.Fatal(err)
@@ -49,12 +49,13 @@ func TestHTTPQueryMetricsHealthz(t *testing.T) {
 		}
 		resp.Body.Close()
 		if len(qr.Columns) == 0 || qr.NumRows < 1 || len(qr.Rows) < 1 {
-			t.Fatalf("empty Q6 response: %+v", qr)
+			t.Fatalf("empty Q%d response: %+v", q, qr)
 		}
-		hits = append(hits, qr.CacheHit)
+		return qr
 	}
-	if hits[0] || !hits[1] {
-		t.Fatalf("cache hits = %v, want [false true]", hits)
+	hits := []bool{post(6).CacheHit, post(6).CacheHit, post(14).CacheHit}
+	if hits[0] || !hits[1] || hits[2] {
+		t.Fatalf("cache hits = %v, want [false true false]", hits)
 	}
 
 	// Bad SQL is a 400, not a 500, with the same message every time: a
@@ -90,10 +91,12 @@ func TestHTTPQueryMetricsHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`wimpi_serve_queries_total{tenant="web"} 4`,
+		`wimpi_serve_queries_total{tenant="web"} 5`,
 		`wimpi_serve_errors_total{tenant="web"} 2`,
 		"wimpi_serve_cache_hits_total 1\n",
+		"wimpi_serve_cache_rejected_total 1\n",
 		"wimpi_serve_statement_cache_hits_total 1\n",
+		"wimpi_serve_statement_cache_rejected_total 1\n",
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)

@@ -13,7 +13,10 @@
 // plan fingerprints absorbs repeated dashboards-style workloads. A
 // statement cache in front of it maps a repeated SQL text straight to
 // its planned tree and fingerprint, so a result-cache hit costs two map
-// lookups, not a plan.
+// lookups, not a plan. Both caches admit by frequency (TinyLFU): once
+// full, a cache stores a new key only if it was asked for more often
+// than the least-recent entry, so one-off queries do not flush the hot
+// dashboards; /metrics counts each refusal.
 //
 // Results are bit-identical to serial execution: admission, pooling,
 // and caching change when and where a morsel runs, never the morsel
@@ -80,16 +83,18 @@ type Server struct {
 	slots    chan struct{}
 	maxQueue int
 	queued   atomic.Int64
-	cache    *lru[*engine.Result] // by plan fingerprint
-	stmts    *lru[statement]      // by exact SQL text
+	cache    *cache[*engine.Result] // by plan fingerprint
+	stmts    *cache[statement]      // by exact SQL text
 	tenants  *tenantSet
 
 	metricAdmitted  *obs.Counter
 	metricRejected  *obs.Counter
 	metricQueueLen  *obs.Gauge
 	metricCacheHits *obs.Counter
+	metricCacheRej  *obs.Counter
 	metricCacheSize *obs.Gauge
 	metricStmtHits  *obs.Counter
+	metricStmtRej   *obs.Counter
 }
 
 // statement is one query ready to serve: its plan tree and, when the
@@ -127,12 +132,14 @@ func New(cfg Config) *Server {
 		metricRejected:  reg.Counter("wimpi_serve_rejected_total"),
 		metricQueueLen:  reg.Gauge("wimpi_serve_queue_depth"),
 		metricCacheHits: reg.Counter("wimpi_serve_cache_hits_total"),
+		metricCacheRej:  reg.Counter("wimpi_serve_cache_rejected_total"),
 		metricCacheSize: reg.Gauge("wimpi_serve_cache_bytes"),
 		metricStmtHits:  reg.Counter("wimpi_serve_statement_cache_hits_total"),
+		metricStmtRej:   reg.Counter("wimpi_serve_statement_cache_rejected_total"),
 	}
 	if cfg.CacheEntries > 0 {
-		s.cache = newLRU(cfg.CacheEntries, func(r *engine.Result) int64 { return r.Table.SizeBytes() })
-		s.stmts = newLRU[statement](cfg.CacheEntries, nil)
+		s.cache = newCache(cfg.CacheEntries, func(r *engine.Result) int64 { return r.Table.SizeBytes() })
+		s.stmts = newCache[statement](cfg.CacheEntries, nil)
 	}
 	s.tenants = newTenantSet(reg)
 	return s
@@ -240,7 +247,11 @@ func (s *Server) run(ctx context.Context, tn *tenant, resolve func() (statement,
 		return nil, err
 	}
 	if s.cache != nil {
-		s.metricCacheSize.Set(s.cache.put(st.fp, res))
+		bytes, stored := s.cache.put(st.fp, res)
+		s.metricCacheSize.Set(bytes)
+		if !stored {
+			s.metricCacheRej.Inc()
+		}
 	}
 	return &QueryResult{Result: res, Fingerprint: st.fp}, nil
 }
@@ -272,7 +283,9 @@ func (s *Server) prepare(text string) (statement, error) {
 	}
 	st := s.newStatement(planned.Node)
 	if s.stmts != nil {
-		s.stmts.put(text, st)
+		if _, stored := s.stmts.put(text, st); !stored {
+			s.metricStmtRej.Inc()
+		}
 	}
 	return st, nil
 }

@@ -197,8 +197,20 @@ func TestServeResultCache(t *testing.T) {
 	}
 }
 
-// TestServeCacheEviction: the LRU bound holds for both instantiations —
-// results, whose byte total follows evictions, and statements.
+// fetch looks key up the way the server does — get, and put on a miss —
+// and reports whether it hit.
+func fetch[V any](c *cache[V], key string, val V) bool {
+	if _, ok := c.get(key); ok {
+		return true
+	}
+	c.put(key, val)
+	return false
+}
+
+// TestServeCacheEviction: the entry bound holds for both instantiations
+// — results, whose byte total follows evictions, and statements — and a
+// full cache refuses a key asked for no more often than its least-recent
+// entry, and evicts that entry for one asked for more often.
 func TestServeCacheEviction(t *testing.T) {
 	mk := func() *engine.Result {
 		b := colstore.NewTableBuilder("t", colstore.Schema{{Name: "v", Type: colstore.Int64}})
@@ -206,19 +218,26 @@ func TestServeCacheEviction(t *testing.T) {
 		b.EndRow()
 		return &engine.Result{Table: b.Build()}
 	}
-	results := newLRU(2, func(r *engine.Result) int64 { return r.Table.SizeBytes() })
+	results := newCache(2, func(r *engine.Result) int64 { return r.Table.SizeBytes() })
 	one := mk().Table.SizeBytes()
-	results.put("a", mk())
-	results.put("b", mk())
-	if got := results.put("c", mk()); got != 2*one { // evicts a
-		t.Fatalf("cache bytes = %d, want %d", got, 2*one)
+	fetch(results, "a", mk())
+	fetch(results, "b", mk())
+	results.get("c")
+	results.get("c")
+	if got, stored := results.put("c", mk()); !stored || got != 2*one { // evicts a
+		t.Fatalf("cache bytes = %d (stored %v), want %d", got, stored, 2*one)
 	}
-	stmts := newLRU[statement](2, nil)
-	stmts.put("a", statement{fp: "a"})
-	stmts.put("b", statement{fp: "b"})
+	stmts := newCache[statement](2, nil)
+	fetch(stmts, "a", statement{fp: "a"})
+	fetch(stmts, "b", statement{fp: "b"})
 	stmts.get("a") // b is now the least recent
-	if got := stmts.put("c", statement{fp: "c"}); got != 0 {
-		t.Fatalf("statement cache bytes = %d, want 0", got)
+	stmts.get("c")
+	if _, stored := stmts.put("c", statement{fp: "c"}); stored {
+		t.Fatal("statements: a first-time key displaced an entry asked for as often")
+	}
+	stmts.get("c") // c's second ask outnumbers b's one
+	if got, stored := stmts.put("c", statement{fp: "c"}); !stored || got != 0 {
+		t.Fatalf("statement cache bytes = %d (stored %v), want 0", got, stored)
 	}
 	for _, c := range []struct {
 		name       string
@@ -230,13 +249,87 @@ func TestServeCacheEviction(t *testing.T) {
 		{"statements", func(k string) bool { _, ok := stmts.get(k); return ok }, stmts.len(), "b", "a"},
 	} {
 		if c.get(c.gone) {
-			t.Errorf("%s: LRU did not evict the least recent entry %q", c.name, c.gone)
+			t.Errorf("%s: did not evict the least recent entry %q", c.name, c.gone)
 		}
 		if !c.get(c.kept) || !c.get("c") {
 			t.Errorf("%s: evicted a live entry", c.name)
 		}
 		if c.len != 2 {
 			t.Errorf("%s: len = %d, want 2", c.name, c.len)
+		}
+	}
+}
+
+// TestServeCacheKeepsHotSetThroughOneOffs: 3 × capacity one-off keys,
+// interleaved with a hot set bigger than LRU could keep under them,
+// leave every hot key cached.
+func TestServeCacheKeepsHotSetThroughOneOffs(t *testing.T) {
+	const capacity = 8
+	c := newCache[int](capacity, nil)
+	hot := []string{"h0", "h1", "h2", "h3", "h4", "h5"}
+	for round := 0; round < 2; round++ {
+		for _, k := range hot {
+			fetch(c, k, 0)
+		}
+	}
+	for i := 0; i < 3*capacity; i++ {
+		fetch(c, fmt.Sprint("once", i), i)
+		if k := hot[i%len(hot)]; !fetch(c, k, 0) {
+			t.Fatalf("hot key %s missed after %d one-off keys", k, i+1)
+		}
+	}
+}
+
+// TestServeCacheFollowsNewHotSet: after the hot set changes, aging lets
+// the new hot keys in within 20 × capacity lookups.
+func TestServeCacheFollowsNewHotSet(t *testing.T) {
+	const capacity = 8
+	c := newCache[int](capacity, nil)
+	keys := func(prefix string) (ks []string) {
+		for i := 0; i < capacity; i++ {
+			ks = append(ks, fmt.Sprint(prefix, i))
+		}
+		return ks
+	}
+	for round := 0; round < 30; round++ { // saturates every old count
+		for _, k := range keys("old") {
+			fetch(c, k, 0)
+		}
+	}
+	lookups := 0
+	for allHit := false; !allHit; {
+		allHit = true
+		for _, k := range keys("new") {
+			allHit = fetch(c, k, 0) && allHit
+			lookups++
+		}
+		if lookups > 20*capacity {
+			t.Fatalf("new hot set not cached after %d lookups", lookups)
+		}
+	}
+	t.Logf("new hot set cached after %d lookups", lookups)
+}
+
+// TestServeCacheZipfHitRatio replays the serve benchmark's request mix
+// — 7 queries × 16 parameter variants, variants drawn Zipf(1.1), 32
+// entries — through get-then-put. Plain LRU reads 0.534, 0.550 and 0.543
+// on seeds 1–3; frequency admission must reach 0.62.
+func TestServeCacheZipfHitRatio(t *testing.T) {
+	const lookups = 20000
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		zipf := rand.NewZipf(rng, 1.1, 1, 15)
+		c := newCache[int](32, nil)
+		hits := 0
+		for i := 0; i < lookups; i++ {
+			if fetch(c, fmt.Sprintf("q%d/v%d", rng.Intn(7), zipf.Uint64()), i) {
+				hits++
+			}
+		}
+		ratio := float64(hits) / lookups
+		t.Logf("seed %d: hit ratio %.3f", seed, ratio)
+		if ratio < 0.62 {
+			t.Errorf("seed %d: hit ratio %.3f, want >= 0.62", seed, ratio)
 		}
 	}
 }
