@@ -9,7 +9,6 @@ package wimpi_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -497,120 +496,6 @@ func BenchmarkAblationSwap(b *testing.B) {
 			}
 			b.ReportMetric(sim*1000, "simPi-ms")
 		})
-	}
-}
-
-// BenchmarkSpill traces the memory-wall trajectory the spill scheduler
-// replaces: a join whose build-side state sweeps from a third of the
-// budget to 11x it, run (a) unlimited and (b) under the budget. The join
-// takes the on-disk spill path once its build state passes half the
-// budget; below that, the first point, its probe side streams past an
-// in-memory table and nothing spills. Each point reports the host time of the spilled run and two
-// simulated Pi times for the same budget-sized node: the spilled run
-// priced by the sequential-spill model, and the unlimited run priced by
-// the swap-thrash model (what the node would do if the engine let the
-// OS page). The spilled trajectory must degrade smoothly (linear in the
-// bytes beyond budget) where the swap model cliffs. Results land in
-// BENCH_spill.json.
-func BenchmarkSpill(b *testing.B) {
-	const budget = 256 << 10
-	const workers = 4
-	model := hardware.DefaultModel()
-	type spillBenchResult struct {
-		BuildRows       int     `json:"build_rows"`
-		ProbeRows       int     `json:"probe_rows"`
-		StateBytes      int64   `json:"state_bytes"`
-		BudgetBytes     int64   `json:"budget_bytes"`
-		StateOverBudget float64 `json:"state_over_budget"`
-		SpillWriteBytes int64   `json:"spill_write_bytes"`
-		SpillReadBytes  int64   `json:"spill_read_bytes"`
-		HostNsPerOp     float64 `json:"host_ns_per_op"`
-		SimSpillPiMs    float64 `json:"sim_spill_pi_ms"`
-		SimSwapPiMs     float64 `json:"sim_swap_pi_ms"`
-	}
-	mkTables := func(n int) (*colstore.Table, *colstore.Table) {
-		bb := colstore.NewTableBuilder("build", colstore.Schema{{Name: "b_key", Type: colstore.Int64}})
-		for i := 0; i < n; i++ {
-			bb.Int(0, int64(i))
-			bb.EndRow()
-		}
-		pb := colstore.NewTableBuilder("probe", colstore.Schema{{Name: "p_key", Type: colstore.Int64}})
-		for i := 0; i < 4*n; i++ {
-			pb.Int(0, int64(i%(2*n))) // ~50% hit rate
-			pb.EndRow()
-		}
-		return bb.Build(), pb.Build()
-	}
-	query := &plan.HashJoin{
-		Build:     &plan.Scan{Table: "build"},
-		BuildKeys: []string{"b_key"},
-		Probe:     &plan.Scan{Table: "probe"},
-		ProbeKeys: []string{"p_key"},
-		Kind:      plan.Semi,
-	}
-	var results []spillBenchResult
-	for _, n := range []int{2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10} {
-		bt, pt := mkTables(n)
-		free := engine.NewDB(engine.Config{Workers: workers})
-		free.Register(bt)
-		free.Register(pt)
-		resFree, err := free.RunQuery(context.Background(), query, engine.QueryOpts{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		budgeted := engine.NewDB(engine.Config{
-			Workers: workers, MemBudgetBytes: budget, SpillDir: b.TempDir(),
-		})
-		budgeted.Register(bt)
-		budgeted.Register(pt)
-		// The join state the spill decision weighs: the build side's
-		// partition elements (12 bytes/row) plus their share of the built
-		// partition tables. The probe side streams and does not count.
-		state := int64(n) * (12 + exec.RadixBuildBytesPerRow)
-		res := spillBenchResult{
-			BuildRows: n, ProbeRows: 4 * n,
-			StateBytes: state, BudgetBytes: budget,
-			StateOverBudget: float64(state) / float64(budget),
-		}
-		b.Run(fmt.Sprintf("statex=%.1f", res.StateOverBudget), func(b *testing.B) {
-			var last *engine.Result
-			for i := 0; i < b.N; i++ {
-				r, err := budgeted.RunQuery(context.Background(), query, engine.QueryOpts{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = r
-			}
-			if ok, why := colstore.TablesIdentical(resFree.Table, last.Table); !ok {
-				b.Fatalf("spilled result differs: %s", why)
-			}
-			res.SpillWriteBytes = last.Counters.SpillWriteBytes
-			res.SpillReadBytes = last.Counters.SpillReadBytes
-			res.HostNsPerOp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			// Price both runs for a node whose RAM fits the base data plus
-			// exactly the budget: the spilled run stays resident by
-			// construction, the unlimited run pages once state outgrows it.
-			pi := hardware.Pi()
-			pi.RAMBytes = resFree.Counters.TouchedBaseBytes + budget
-			res.SimSpillPiMs = model.QueryTime(&pi, last.Counters, workers).Seconds() * 1000
-			res.SimSwapPiMs = model.QueryTime(&pi, resFree.Counters, workers).Seconds() * 1000
-			b.ReportMetric(res.SimSpillPiMs, "simSpill-ms")
-			b.ReportMetric(res.SimSwapPiMs, "simSwap-ms")
-		})
-		results = append(results, res)
-	}
-	out, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_spill.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	fmt.Printf("\nbudget-bounded spill vs swap-thrash trajectory (budget %d KiB)\n", budget>>10)
-	fmt.Printf("%10s %12s %12s %14s %12s\n", "state_x", "spilled_KiB", "host_ms", "simSpill_ms", "simSwap_ms")
-	for _, r := range results {
-		fmt.Printf("%10.1f %12d %12.2f %14.2f %12.2f\n",
-			r.StateOverBudget, r.SpillWriteBytes>>10, r.HostNsPerOp/1e6, r.SimSpillPiMs, r.SimSwapPiMs)
 	}
 }
 

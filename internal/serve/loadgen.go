@@ -2,10 +2,8 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -51,18 +49,15 @@ type LoadConfig struct {
 // generator's own per-query samples (closed-loop, so they include
 // queueing delay at the server).
 type LoadReport struct {
-	Clients   int           `json:"clients"`
-	Queries   int           `json:"queries"`
-	Errors    int           `json:"errors"`
-	CacheHits int           `json:"cache_hits"`
-	Elapsed   time.Duration `json:"-"`
-	ElapsedMS float64       `json:"elapsed_ms"`
-	QPS       float64       `json:"qps"`
-	P50MS     float64       `json:"p50_ms"`
-	P95MS     float64       `json:"p95_ms"`
-	P99MS     float64       `json:"p99_ms"`
-	// PerQuery counts runs by mix name.
-	PerQuery map[string]int `json:"per_query"`
+	Clients   int
+	Queries   int
+	Errors    int
+	CacheHits int
+	Elapsed   time.Duration
+	QPS       float64
+	P50MS     float64
+	P95MS     float64
+	P99MS     float64
 }
 
 // RunLoad drives cfg.Clients concurrent clients through the server and
@@ -91,7 +86,6 @@ func RunLoad(ctx context.Context, s *Server, cfg LoadConfig) (*LoadReport, error
 	}
 
 	type sample struct {
-		mix     int
 		latency time.Duration
 		hit     bool
 		err     error
@@ -113,7 +107,7 @@ func RunLoad(ctx context.Context, s *Server, cfg LoadConfig) (*LoadReport, error
 				//lint:allow taintflow -- per-query latency sample, reported only
 				t0 := time.Now()
 				res, err := s.RunPlan(ctx, tenant, cfg.Mix[mi].Plan)
-				sm := sample{mix: mi, latency: time.Since(t0), err: err}
+				sm := sample{latency: time.Since(t0), err: err}
 				if err == nil {
 					sm.hit = res.CacheHit
 					if cfg.Verify {
@@ -131,17 +125,14 @@ func RunLoad(ctx context.Context, s *Server, cfg LoadConfig) (*LoadReport, error
 	elapsed := time.Since(start)
 
 	rep := &LoadReport{
-		Clients:   cfg.Clients,
-		Elapsed:   elapsed,
-		ElapsedMS: float64(elapsed.Microseconds()) / 1000,
-		PerQuery:  make(map[string]int),
+		Clients: cfg.Clients,
+		Elapsed: elapsed,
 	}
 	var lats []time.Duration
 	var firstErr error
 	for _, cs := range samples {
 		for _, sm := range cs {
 			rep.Queries++
-			rep.PerQuery[cfg.Mix[sm.mix].Name]++
 			if sm.err != nil {
 				rep.Errors++
 				if firstErr == nil {
@@ -176,20 +167,4 @@ func percentileMS(sorted []time.Duration, p float64) float64 {
 	}
 	i := int(p * float64(len(sorted)-1))
 	return float64(sorted[i].Microseconds()) / 1000
-}
-
-// WriteBenchJSON writes the report to path in the repo's BENCH_*.json
-// shape.
-func WriteBenchJSON(path string, rep *LoadReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		_ = f.Close() // the encode error is the one worth reporting
-		return err
-	}
-	return f.Close()
 }

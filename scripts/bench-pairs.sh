@@ -13,7 +13,9 @@
 # prints METRIC (default stream_ms) per pair, the win count, and the
 # benchmark's own -compare table over the two files. A win is a pair in
 # which the working tree's METRIC is better in the direction
-# BENCHMARK.json's `better` gives it.
+# BENCHMARK.json's `better` gives it. The script exits 1 when a run
+# fails (it names the side and the seed) and when -compare reads an
+# end-to-end metric as regressed; `unresolved` passes.
 # Nothing else on the machine should be running while it does.
 set -eu
 
@@ -46,12 +48,26 @@ base_out=${prefix}_base.json
 head_out=${prefix}_head.json
 rm -f $base_out $head_out
 
-# run SIDE SEED: one untraced run, result appended to SIDE's file; prints
-# the run's METRIC.
+# run SIDE SEED: one untraced run, result appended to SIDE's file; sets v
+# to the run's METRIC. The run's output stays in
+# .bench_build/SIDE-seedSEED.log. A run that exits non-zero (the
+# benchmark exits 1 when an answer fails its check) or reports no METRIC
+# stops the script: read as an empty value it would print 0.0, and
+# -compare skips runs that are not correct.
 run() {
 	eval "out=\$${1}_out"
-	$build/bench-$1 -workload "$workload" -seed "$2" -out "$out" |
-		tail -n 1 | sed -n "s/.*\"$metric\":{\"value\":\([0-9.eE+-]*\).*/\1/p"
+	log=$build/$1-seed$2.log
+	$build/bench-$1 -workload "$workload" -seed "$2" -out "$out" >"$log" 2>&1 || {
+		status=$?
+		tail -n 20 "$log" >&2
+		echo "bench-pairs.sh: the $1 run at seed $2 failed (exit $status); its output is in $log" >&2
+		exit 1
+	}
+	v=$(sed -n "s/^{\"correct\".*\"$metric\":{\"value\":\([0-9.eE+-]*\).*/\1/p" "$log")
+	test -n "$v" || {
+		echo "bench-pairs.sh: the $1 run at seed $2 reported no $metric; its output is in $log" >&2
+		exit 1
+	}
 }
 
 wins=0
@@ -62,12 +78,16 @@ while [ "$i" -le "$n" ]; do
 	seed=$((seed0 + i - 1))
 	if [ $((i % 2)) -eq 1 ]; then
 		first=base
-		b=$(run base "$seed")
-		h=$(run head "$seed")
+		run base "$seed"
+		b=$v
+		run head "$seed"
+		h=$v
 	else
 		first=head
-		h=$(run head "$seed")
-		b=$(run base "$seed")
+		run head "$seed"
+		h=$v
+		run base "$seed"
+		b=$v
 	fi
 	printf '%4d  %4d  %-5s  %14.1f  %14.1f\n' "$i" "$seed" "$first" "$b" "$h"
 	case $(echo "$h $b $better" | awk '{ d = ($3 == "lower") ? $2 - $1 : $1 - $2; print (d > 0) ? "win" : (d < 0) ? "loss" : "tie" }') in
