@@ -64,14 +64,17 @@ lint-report:
 # Race-detector pass over every package, then ten more rounds over what
 # runs spilled partitions as concurrent morsels against one open segment,
 # what composes and reads lazy gathers' views from concurrent morsels,
-# over one planned SQL tree run from several goroutines at once, and
-# over the serve caches, where every hit writes its entry's count under
-# the lock: the detector only sees the interleavings a run happens to
-# produce.
+# over one planned SQL tree run from several goroutines at once, over
+# the serve caches, where every hit writes its entry's count under the
+# lock, and over the work golden, whose 1 Ki-row morsel block at eight
+# workers runs the parallel paths of the scans, joins, gathers and
+# group-bys on TPC-H data: the detector only sees the interleavings a
+# run happens to produce.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Spill|JoinProber|Segment|Lazy' ./internal/plan ./internal/spill
 	$(GO) test -race -count=10 -run 'Reus|Cache' ./internal/sql ./internal/serve
+	$(GO) test -race -count=10 -run 'TestSpansGolden$$' ./internal/engine
 
 # Fault-injection suite: chaos tests, wire-protocol hardening, and the
 # faultconn package itself, all under the race detector; with -tags

@@ -151,11 +151,17 @@ type Result struct {
 	Root *obs.Span
 }
 
+// morselRows is every query's morsel size, and so its parallelism
+// threshold; 0 selects exec.DefaultMorselRows. Only tests set it, to
+// send small inputs down every parallel path (SetMorselRows).
+var morselRows int
+
 // planCtx builds the execution context for one query.
 func (db *DB) planCtx(workers int) *plan.Context {
 	return &plan.Context{
 		Cat:           db,
 		Workers:       workers,
+		MorselRows:    morselRows,
 		Exec:          db.cfg.Exec,
 		MemLimitBytes: db.cfg.MemBudgetBytes,
 		SpillDir:      db.spillDir(),

@@ -2,15 +2,20 @@ package engine_test
 
 // Work golden: the EXPLAIN ANALYZE span tree of all 22 TPC-H queries,
 // planned from their SQL texts, under the default budgets, a forced
-// spill and the fused engine, with the work each operator charged. One
-// line per span gives its depth, operator, label, rows, bytes and
-// nonzero additive self counters; each query's header carries its
-// nonzero high-water marks and, as other.<Field>, any additive charge
-// no span saw. Wall clocks are left out. The counters are the inputs of
-// the simulated Table II/III, so a refactor that claims "same work" has
-// to leave this file byte-identical; a change that means to move work or
-// change the tree regenerates it with -update and shows the diff in
-// review.
+// spill, the fused engine and 1 Ki-row morsels, with the work each
+// operator charged. The morsel block exists because an input splits
+// across workers only when it is at least one morsel long: at the
+// default 32 Ki rows few inputs at SF 0.01 do, and at 1 Ki the parallel
+// paths of the scans, expressions, join keys, builds and probes, gathers
+// and group-bys all run on TPC-H data (no sort input at this scale is
+// that long). One line per span gives its depth, operator, label, rows,
+// bytes and nonzero additive self counters; each query's header carries
+// its nonzero high-water marks and, as other.<Field>, any additive
+// charge no span saw. Wall clocks are left out. The counters are the
+// inputs of the simulated Table II/III, so a refactor that claims "same
+// work" has to leave this file byte-identical; a change that means to
+// move work or change the tree regenerates it with -update and shows the
+// diff in review.
 
 import (
 	"context"
@@ -42,17 +47,22 @@ var highWater = map[string]bool{
 
 // TestSpansGolden renders every block at 2, 4 and 8 workers and requires
 // one text, and requires each query's rendered work to account for every
-// counter of an untraced run at the same worker count.
+// counter of an untraced run at the same worker count. One worker is not
+// rendered: it takes every kernel's sequential path, whose shortcuts skip
+// the partition and merge passes and so charge less.
 func TestSpansGolden(t *testing.T) {
 	data := spillSuiteDataset() // SF 0.01, seed 42
 	blocks := []struct {
-		name string
-		cfg  engine.Config
+		name   string
+		cfg    engine.Config
+		morsel int // rows per morsel; 0 is exec.DefaultMorselRows
 	}{
-		{"default", engine.Config{}},
-		{"spill", engine.Config{MemBudgetBytes: spillBudgetBytes, SpillDir: t.TempDir()}},
-		{"fused", engine.Config{Exec: plan.ExecFused}},
+		{"default", engine.Config{}, 0},
+		{"spill", engine.Config{MemBudgetBytes: spillBudgetBytes, SpillDir: t.TempDir()}, 0},
+		{"fused", engine.Config{Exec: plan.ExecFused}, 0},
+		{"morsel", engine.Config{}, 1 << 10},
 	}
+	defer engine.SetMorselRows(0)
 	var got string
 	for _, w := range []int{2, 4, 8} {
 		var sb strings.Builder
@@ -61,6 +71,7 @@ func TestSpansGolden(t *testing.T) {
 			cfg.Workers = w
 			db := engine.NewDB(cfg)
 			data.RegisterAll(db)
+			engine.SetMorselRows(b.morsel)
 			for _, q := range tpch.QueryNumbers() {
 				writeQuery(t, &sb, db, b.name, q)
 			}

@@ -54,70 +54,76 @@ func spillSuiteDataset() *tpch.Dataset {
 
 // TestQueriesIdenticalUnderSpillBudget is the acceptance gate for
 // budget-bounded execution: all 22 queries, unlimited vs spill-forced,
-// across 1/2/4/8 workers and the vector/fused engines.
+// across 1/2/4/8 workers and the vector/fused engines, at the default
+// morsel and at 1 Ki-row morsels, where every input longer than one
+// morsel takes its kernel's parallel path.
 func TestQueriesIdenticalUnderSpillBudget(t *testing.T) {
 	data := spillSuiteDataset()
-	base := engine.NewDB(engine.Config{})
-	data.RegisterAll(base)
+	defer engine.SetMorselRows(0)
+	for _, morsel := range []int{0, 1 << 10} {
+		engine.SetMorselRows(morsel)
+		base := engine.NewDB(engine.Config{})
+		data.RegisterAll(base)
 
-	spilledQueries := 0
-	for _, q := range tpch.QueryNumbers() {
-		p, err := tpch.Query(base, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := base.RunQuery(context.Background(), p, engine.QueryOpts{})
-		if err != nil {
-			t.Fatalf("Q%d unlimited: %v", q, err)
-		}
-		spillable := plan.Spillable(p)
-		sawSpill := false
-		for _, mode := range []plan.ExecMode{plan.ExecVector, plan.ExecFused} {
-			db := engine.NewDB(engine.Config{
-				Exec:           mode,
-				MemBudgetBytes: spillSuiteBudgetBytes,
-				SpillDir:       t.TempDir(),
-			})
-			data.RegisterAll(db)
-			for _, w := range []int{1, 2, 4, 8} {
-				label := fmt.Sprintf("Q%d %s workers=%d", q, mode, w)
-				res, err := db.RunQuery(context.Background(), p, engine.QueryOpts{Workers: w})
-				if !spillable {
-					// Nothing to spill: the budget may only cancel.
-					var mem *plan.MemLimitError
-					if err != nil && !errors.As(err, &mem) {
-						t.Fatalf("%s: err = %v, want nil or *plan.MemLimitError", label, err)
+		spilledQueries := 0
+		for _, q := range tpch.QueryNumbers() {
+			p, err := tpch.Query(base, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := base.RunQuery(context.Background(), p, engine.QueryOpts{})
+			if err != nil {
+				t.Fatalf("Q%d morsel=%d unlimited: %v", q, morsel, err)
+			}
+			spillable := plan.Spillable(p)
+			sawSpill := false
+			for _, mode := range []plan.ExecMode{plan.ExecVector, plan.ExecFused} {
+				db := engine.NewDB(engine.Config{
+					Exec:           mode,
+					MemBudgetBytes: spillSuiteBudgetBytes,
+					SpillDir:       t.TempDir(),
+				})
+				data.RegisterAll(db)
+				for _, w := range []int{1, 2, 4, 8} {
+					label := fmt.Sprintf("Q%d %s morsel=%d workers=%d", q, mode, morsel, w)
+					res, err := db.RunQuery(context.Background(), p, engine.QueryOpts{Workers: w})
+					if !spillable {
+						// Nothing to spill: the budget may only cancel.
+						var mem *plan.MemLimitError
+						if err != nil && !errors.As(err, &mem) {
+							t.Fatalf("%s: err = %v, want nil or *plan.MemLimitError", label, err)
+						}
+						if err != nil {
+							continue
+						}
+					} else if err != nil {
+						t.Fatalf("%s: %v", label, err)
 					}
-					if err != nil {
-						continue
+					assertTablesIdentical(t, want.Table, res.Table, label)
+					if res.Counters.SpillWriteBytes > 0 {
+						if res.Counters.SpillReadBytes == 0 {
+							t.Fatalf("%s: spilled %d bytes but read none back",
+								label, res.Counters.SpillWriteBytes)
+						}
+						sawSpill = true
 					}
-				} else if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				assertTablesIdentical(t, want.Table, res.Table, label)
-				if res.Counters.SpillWriteBytes > 0 {
-					if res.Counters.SpillReadBytes == 0 {
-						t.Fatalf("%s: spilled %d bytes but read none back",
-							label, res.Counters.SpillWriteBytes)
-					}
-					sawSpill = true
 				}
 			}
+			why, exempt := neverSpills[q]
+			switch {
+			case spillable && exempt && sawSpill:
+				t.Errorf("Q%d spilled under a %d-byte budget, but %s", q, spillSuiteBudgetBytes, why)
+			case spillable && !exempt && !sawSpill:
+				t.Errorf("Q%d: spillable plan never spilled under a %d-byte budget", q, spillSuiteBudgetBytes)
+			}
+			if sawSpill {
+				spilledQueries++
+			}
 		}
-		why, exempt := neverSpills[q]
-		switch {
-		case spillable && exempt && sawSpill:
-			t.Errorf("Q%d spilled under a %d-byte budget, but %s", q, spillSuiteBudgetBytes, why)
-		case spillable && !exempt && !sawSpill:
-			t.Errorf("Q%d: spillable plan never spilled under a %d-byte budget", q, spillSuiteBudgetBytes)
+		// The suite loses its point if the budget stops forcing spills.
+		if spilledQueries < 15 {
+			t.Fatalf("morsel=%d: only %d/22 queries exercised the spill path", morsel, spilledQueries)
 		}
-		if sawSpill {
-			spilledQueries++
-		}
-	}
-	// The suite loses its point if the budget stops forcing spills.
-	if spilledQueries < 15 {
-		t.Fatalf("only %d/22 queries exercised the spill path", spilledQueries)
 	}
 }
 

@@ -87,7 +87,8 @@ func BenchmarkSelect(b *testing.B) {
 
 // BenchmarkGather times GatherTable over every other row of one column
 // of each kind, and of a four-column table over 16 Ki and 32 Ki selected
-// rows (around gatherParallelMinRows), over all 64 Ki rows but the first
+// rows (either side of one default morsel, the shortest selection that
+// splits across workers), over all 64 Ki rows but the first
 // (dense, a full copy) and over all of them (identity, which hands over
 // the input's columns), at one worker (the sequential Gather) and at two
 // (the morsel-parallel gather). view/compose times a lazy gather of every

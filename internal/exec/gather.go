@@ -6,11 +6,6 @@ import (
 	"wimpi/internal/colstore"
 )
 
-// gatherParallelMinRows is the smallest selection worth splitting across
-// workers. Below one default morsel only the allocations split, and at
-// 16 Ki rows two workers gathered four columns slower than one.
-const gatherParallelMinRows = 1 << 15
-
 // GatherTable materializes t's rows named by sel, splitting the gather
 // across up to workers goroutines. Each morsel writes a disjoint range
 // of every output column, so the result is identical to t.Gather(sel).
@@ -100,10 +95,9 @@ func ViewRows(v *colstore.View, lo, hi int, dst colstore.Column) colstore.Column
 }
 
 // gatherCols replaces each column of cols with it gathered through sel:
-// sequentially below gatherParallelMinRows or at one worker, else in
-// morsels.
+// sequentially when Serial says so, else in morsels.
 func gatherCols(cols []colstore.Column, sel []int32, workers, morselRows int, ctr *Counters) error {
-	if workers <= 1 || len(sel) < gatherParallelMinRows {
+	if Serial(workers, len(sel), morselRows) {
 		for i, c := range cols {
 			cols[i] = c.Gather(sel)
 		}

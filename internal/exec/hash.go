@@ -79,15 +79,8 @@ func checkJoinMatches(matches int64) error {
 	return nil
 }
 
-const (
-	// parallelBuildMinRows is the smallest build side worth partitioning;
-	// below it a single sequential table is cheaper.
-	parallelBuildMinRows = 1 << 14
-	// parallelProbeMinRows is the smallest probe side split into morsels.
-	parallelProbeMinRows = 1 << 14
-	// maxBuildPartitions caps the partition fan-out of a parallel build.
-	maxBuildPartitions = 64
-)
+// maxBuildPartitions caps the partition fan-out of a parallel build.
+const maxBuildPartitions = 64
 
 // JoinTableBytes predicts the footprint of BuildJoinTable's result for n
 // build rows, letting the planner compare a chained table against the
@@ -249,26 +242,23 @@ func (jt *JoinTable) chargeBuild(ctr *Counters) {
 
 // BuildJoinTableParallel indexes the build-side keys with up to workers
 // goroutines, partitioning the keys so each partition's table is built
-// race-free by one worker. Small inputs or workers <= 1 take the
-// sequential build. The result probes identically to BuildJoinTable(keys,
-// ctr). The only possible error is the query's cancellation, and it must
+// race-free by one worker; where Serial says so, it is the sequential
+// build. The result probes identically to BuildJoinTable(keys, ctr). The
+// only possible error is the query's cancellation, and it must
 // propagate: a partially built table probes wrong, not slow.
 func BuildJoinTableParallel(keys []int64, workers, morselRows int, ctr *Counters) (*JoinTable, error) {
-	if workers <= 1 || len(keys) < parallelBuildMinRows {
+	if Serial(workers, len(keys), morselRows) {
 		if err := ctr.sched.Err(); err != nil {
 			return nil, err
 		}
 		return BuildJoinTable(keys, ctr), nil
 	}
-	p := workers
-	if p > maxBuildPartitions {
-		p = maxBuildPartitions
-	}
+	p := min(workers, maxBuildPartitions)
 	return buildJoinTableBits(keys, uint(log2(nextPow2(p))), workers, morselRows, ctr)
 }
 
-// buildJoinTableBits is the partitioned build at an explicit fan-out,
-// without the size threshold, so tests can force it on small inputs.
+// buildJoinTableBits is the partitioned build at an explicit fan-out, so
+// tests can set the fan-out independently of the worker count.
 func buildJoinTableBits(keys []int64, bits uint, workers, morselRows int, ctr *Counters) (*JoinTable, error) {
 	n := len(keys)
 	p := 1 << bits
@@ -411,7 +401,7 @@ func (jt *JoinTable) InnerJoin(probeKeys []int64, workers, morselRows int, ctr *
 	if err := jt.boundMatches(probeKeys, ctr); err != nil {
 		return nil, nil, err
 	}
-	if workers <= 1 || len(probeKeys) < parallelProbeMinRows {
+	if Serial(workers, len(probeKeys), morselRows) {
 		if err := ctr.sched.Err(); err != nil {
 			return nil, nil, err
 		}
@@ -608,7 +598,7 @@ func (jt *JoinTable) AntiJoin(probeKeys []int64, workers, morselRows int, ctr *C
 // selJoin returns the probe rows whose matched-ness equals want: the
 // semi join (true) and the anti join (false).
 func (jt *JoinTable) selJoin(probeKeys []int64, want bool, workers, morselRows int, ctr *Counters) ([]int32, error) {
-	if workers <= 1 || len(probeKeys) < parallelProbeMinRows {
+	if Serial(workers, len(probeKeys), morselRows) {
 		if err := ctr.sched.Err(); err != nil {
 			return nil, err
 		}
@@ -644,7 +634,7 @@ func (jt *JoinTable) selRows(probeKeys []int64, off int32, want bool, ctr *Count
 // CountPerProbe implements JoinProber.
 func (jt *JoinTable) CountPerProbe(probeKeys []int64, workers, morselRows int, ctr *Counters) ([]int64, error) {
 	out := make([]int64, len(probeKeys))
-	if workers <= 1 || len(probeKeys) < parallelProbeMinRows {
+	if Serial(workers, len(probeKeys), morselRows) {
 		if err := ctr.sched.Err(); err != nil {
 			return nil, err
 		}

@@ -17,17 +17,17 @@ import (
 // the same table, all partitions resident and some spilled.
 func TestJoinProberConformance(t *testing.T) {
 	impls := []jointest.Impl{{
-		// The public entry: sequential below its thresholds, partitioned
-		// above them. Its fan-out follows the worker count, and with it the
-		// table footprint, so no claim on its counters; the fixed fan-outs
-		// below pin the work.
+		// The public entry: sequential where exec.Serial says so,
+		// partitioned elsewhere. Its fan-out follows the worker count, and
+		// with it the table footprint, so no claim on its counters; the
+		// fixed fan-outs below pin the work.
 		Name: "chained",
 		Build: func(t *testing.T, build []int64, _, w, mr int, ctr *exec.Counters) exec.JoinProber {
 			jt, err := exec.BuildJoinTableParallel(build, w, mr, ctr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if partitioned := jt.Bits() > 0; partitioned != (w > 1 && len(build) >= 1<<14) {
+			if partitioned := jt.Bits() > 0; partitioned != !exec.Serial(w, len(build), mr) {
 				t.Fatalf("build of %d rows at %d workers: fan-out 2^%d", len(build), w, jt.Bits())
 			}
 			if (ctr.MergeBytes > 0) != (jt.Bits() > 0) {

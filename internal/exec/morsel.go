@@ -18,16 +18,30 @@ var MorselHook func(workers, morsels int)
 // parallelism, including one.
 const DefaultMorselRows = 1 << 15
 
+// Serial reports whether n rows run through a kernel's sequential path
+// rather than its morsels: at one worker, or when n is shorter than one
+// morsel. It is the engine's one parallelism rule; every kernel that can
+// split its input, here and in package plan, asks it. morselRows <= 0
+// selects DefaultMorselRows.
+func Serial(workers, n, morselRows int) bool {
+	return workers <= 1 || n < morselRowsOrDefault(morselRows)
+}
+
 // NumMorsels returns the number of fixed-size morsels covering n rows.
 // morselRows <= 0 selects DefaultMorselRows.
 func NumMorsels(n, morselRows int) int {
 	if n <= 0 {
 		return 0
 	}
-	if morselRows <= 0 {
-		morselRows = DefaultMorselRows
-	}
+	morselRows = morselRowsOrDefault(morselRows)
 	return (n + morselRows - 1) / morselRows
+}
+
+func morselRowsOrDefault(morselRows int) int {
+	if morselRows <= 0 {
+		return DefaultMorselRows
+	}
+	return morselRows
 }
 
 // RunMorsels splits the row range [0, n) into fixed-size morsels and
@@ -54,9 +68,7 @@ func RunMorsels(workers, n, morselRows int, ctr *Counters, fn func(m, lo, hi int
 	if n <= 0 {
 		return nil
 	}
-	if morselRows <= 0 {
-		morselRows = DefaultMorselRows
-	}
+	morselRows = morselRowsOrDefault(morselRows)
 	nm := (n + morselRows - 1) / morselRows
 	w := workers
 	if w < 1 {

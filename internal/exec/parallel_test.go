@@ -14,6 +14,24 @@ import (
 	"wimpi/internal/colstore"
 )
 
+// testMorsel is the morsel size the kernels' parallel paths are tested
+// at: inputs are sized in morsels of it, so every one splits.
+const testMorsel = 1024
+
+// splits counts the dispatches fn makes that cut their range into more
+// than one morsel: nonzero when fn took a kernel's parallel path.
+func splits(fn func()) int {
+	n := 0
+	MorselHook = func(_, morsels int) {
+		if morsels > 1 {
+			n++
+		}
+	}
+	defer func() { MorselHook = nil }()
+	fn()
+	return n
+}
+
 func int32sEqual(a, b []int32) bool {
 	if len(a) != len(b) {
 		return false
@@ -69,14 +87,14 @@ func TestArgSortParallelMatchesSequential(t *testing.T) {
 			{Name: "f", Type: colstore.Float64},
 		}, []colstore.Column{&colstore.Int64s{V: iv}, &colstore.Float64s{V: fv}})
 		keys := []SortKey{{Column: "k"}, {Column: "f", Desc: true}}
-		w := int(workers)%8 + 1
+		w := int(workers)%7 + 2 // at least two: one worker sorts sequentially
 
 		var seqCtr, parCtr Counters
 		seq, err := ArgSort(tbl, keys, &seqCtr)
 		if err != nil {
 			return false
 		}
-		par, err := argSortMerge(tbl, keys, w, 5, &parCtr)
+		par, err := ArgSortParallel(tbl, keys, w, 5, &parCtr)
 		if err != nil {
 			return false
 		}
@@ -89,7 +107,7 @@ func TestArgSortParallelMatchesSequential(t *testing.T) {
 
 func TestArgSortParallelLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	n := sortParallelMinRows * 2
+	n := 32 * testMorsel
 	iv := make([]int64, n)
 	for i := range iv {
 		iv[i] = rng.Int63n(50)
@@ -102,12 +120,15 @@ func TestArgSortParallelLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ArgSortParallel(tbl, keys, 8, 1024, &parCtr)
+	par, err := ArgSortParallel(tbl, keys, 8, testMorsel, &parCtr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !int32sEqual(seq, par) {
 		t.Fatal("parallel sort differs from sequential")
+	}
+	if parCtr.MergeBytes == 0 {
+		t.Fatal("ArgSortParallel merged nothing: it took the sequential path")
 	}
 }
 
@@ -138,13 +159,17 @@ func everyKindTable(rng *rand.Rand, n int) *colstore.Table {
 // exactly the sequential Gather's table.
 func TestGatherTableMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	n := gatherParallelMinRows * 2
+	n := 4 * testMorsel
 	tbl := everyKindTable(rng, n)
 	sel := make([]int32, n)
 	for i := range sel {
 		sel[i] = int32(rng.Intn(n))
 	}
-	got, err := GatherTable(tbl, sel, 8, 1024, &Counters{})
+	var got *colstore.Table
+	var err error
+	if splits(func() { got, err = GatherTable(tbl, sel, 8, testMorsel, &Counters{}) }) == 0 {
+		t.Fatal("GatherTable took the sequential path")
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +200,7 @@ func colData(c colstore.Column) any {
 // selection of the same length that is not the identity still copies;
 // an empty table gathers; and a cancelled query's identity gather fails.
 func TestGatherTableIdentity(t *testing.T) {
-	n := gatherParallelMinRows * 2
+	n := 4 * testMorsel
 	tbl := everyKindTable(rand.New(rand.NewSource(7)), n)
 	reverse, swapped, repeat := make([]int32, n), SelAll(n), SelAll(n)
 	for i := range reverse {
@@ -191,9 +216,14 @@ func TestGatherTableIdentity(t *testing.T) {
 	empty := everyKindTable(rand.New(rand.NewSource(7)), 0)
 	for _, w := range []int{1, 8} {
 		for _, c := range cases {
-			got, err := GatherTable(tbl, c.sel, w, 1024, &Counters{})
+			var got *colstore.Table
+			var err error
+			split := splits(func() { got, err = GatherTable(tbl, c.sel, w, testMorsel, &Counters{}) }) > 0
 			if err != nil {
 				t.Fatal(err)
+			}
+			if split != (w > 1 && !c.shared) {
+				t.Fatalf("W=%d %s: gather split into morsels: %v", w, c.name, split)
 			}
 			if ok, why := colstore.TablesIdentical(tbl.Gather(c.sel), got); !ok {
 				t.Fatalf("W=%d %s: %s", w, c.name, why)
@@ -204,7 +234,7 @@ func TestGatherTableIdentity(t *testing.T) {
 				}
 			}
 		}
-		got, err := GatherTable(empty, []int32{}, w, 1024, &Counters{})
+		got, err := GatherTable(empty, []int32{}, w, testMorsel, &Counters{})
 		if err != nil || got.NumRows() != 0 || got.NumCols() != empty.NumCols() {
 			t.Fatalf("W=%d empty: %v, err %v", w, got, err)
 		}
@@ -212,7 +242,7 @@ func TestGatherTableIdentity(t *testing.T) {
 		var ctr Counters
 		ctr.SetSched(sched)
 		sched.Cancel(context.Canceled)
-		if _, err := GatherTable(tbl, cases[0].sel, w, 1024, &ctr); !errors.Is(err, context.Canceled) {
+		if _, err := GatherTable(tbl, cases[0].sel, w, testMorsel, &ctr); !errors.Is(err, context.Canceled) {
 			t.Fatalf("W=%d cancelled identity: err = %v, want context.Canceled", w, err)
 		}
 		sched.Release()
@@ -226,9 +256,9 @@ func TestGatherTableIdentity(t *testing.T) {
 // columns; and a cancelled query's materialization errors.
 func TestMaterializeMatchesGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	n := gatherParallelMinRows * 3
+	n := 6 * testMorsel
 	tbl := everyKindTable(rng, n)
-	first, second := make([]int32, n), make([]int32, gatherParallelMinRows*2)
+	first, second := make([]int32, n), make([]int32, 4*testMorsel)
 	for i := range first {
 		first[i] = int32(rng.Intn(n))
 	}
@@ -240,14 +270,18 @@ func TestMaterializeMatchesGather(t *testing.T) {
 	views := mid.View(second)
 	want := tbl.Gather(first).Gather(second)
 	for _, w := range []int{1, 8} {
-		got, err := Materialize(views, nil, w, 1024, &Counters{})
+		var got *colstore.Table
+		var err error
+		if split := splits(func() { got, err = Materialize(views, nil, w, testMorsel, &Counters{}) }) > 0; split != (w > 1) {
+			t.Fatalf("W=%d: materialization split into morsels: %v", w, split)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ok, why := colstore.TablesIdentical(want, got); !ok {
 			t.Fatalf("W=%d: %s", w, why)
 		}
-		part, err := Materialize(views, []string{"f", "s"}, w, 1024, &Counters{})
+		part, err := Materialize(views, []string{"f", "s"}, w, testMorsel, &Counters{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +295,7 @@ func TestMaterializeMatchesGather(t *testing.T) {
 		var ctr Counters
 		ctr.SetSched(sched)
 		sched.Cancel(context.Canceled)
-		if _, err := Materialize(views, nil, w, 1024, &ctr); !errors.Is(err, context.Canceled) {
+		if _, err := Materialize(views, nil, w, testMorsel, &ctr); !errors.Is(err, context.Canceled) {
 			t.Fatalf("W=%d cancelled: err = %v, want context.Canceled", w, err)
 		}
 		sched.Release()

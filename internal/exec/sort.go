@@ -126,26 +126,16 @@ func ArgSort(t *colstore.Table, keys []SortKey, ctr *Counters) ([]int32, error) 
 	return idx, nil
 }
 
-// sortParallelMinRows is the smallest input sorted with per-morsel runs
-// and a k-way merge rather than one stable sort.
-const sortParallelMinRows = 1 << 14
-
 // ArgSortParallel is ArgSort with up to workers goroutines: every morsel
 // is sorted stably in parallel, then the sorted runs are k-way merged
 // with ties broken by original row index. A stable sort's output is the
 // unique (key, row index) ordering, so the result is bit-identical to
 // ArgSort's for any worker count and morsel size.
 func ArgSortParallel(t *colstore.Table, keys []SortKey, workers, morselRows int, ctr *Counters) ([]int32, error) {
-	if workers <= 1 || t.NumRows() < sortParallelMinRows {
+	n := t.NumRows()
+	if Serial(workers, n, morselRows) {
 		return ArgSort(t, keys, ctr)
 	}
-	return argSortMerge(t, keys, workers, morselRows, ctr)
-}
-
-// argSortMerge is the run-sort-and-merge path without ArgSortParallel's
-// size threshold, so tests can force it on small inputs.
-func argSortMerge(t *colstore.Table, keys []SortKey, workers, morselRows int, ctr *Counters) ([]int32, error) {
-	n := t.NumRows()
 	cmps, err := sortComparators(t, keys, ctr)
 	if err != nil {
 		return nil, err
@@ -205,13 +195,6 @@ func argSortMerge(t *colstore.Table, keys []SortKey, workers, morselRows int, ct
 	ctr.IntOps += int64(n) * int64(log2(len(runs))+1) * int64(len(keys)+1)
 	ctr.MergeBytes += int64(n) * 8 // read + write one int32 index per row
 	return out, nil
-}
-
-func morselRowsOrDefault(morselRows int) int {
-	if morselRows <= 0 {
-		return DefaultMorselRows
-	}
-	return morselRows
 }
 
 func siftDown[T any](h []T, i int, less func(a, b T) bool) {

@@ -52,7 +52,7 @@ func nanTable(t *testing.T, n int, seed int64) *colstore.Table {
 // on which run a NaN landed in — i.e. on the morsel decomposition
 // actually exercised by the worker count.
 func TestSortNaNDeterministicAcrossWorkers(t *testing.T) {
-	const n = 20000 // above sortParallelMinRows so workers>1 take the merge path
+	const n = 20000 // many 512-row morsels, so workers>1 take the merge path
 	tab := nanTable(t, n, 7)
 	keys := []SortKey{{Column: "v"}}
 

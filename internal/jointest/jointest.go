@@ -21,9 +21,9 @@ type Input struct {
 	Build, Probe []int64
 }
 
-// Probe sides are long enough for every implementation to split them
-// into morsels; the heavy-duplicate build side is long enough for
-// exec.BuildJoinTableParallel to partition it.
+// Every side but the empty ones is longer than Run's morsel, so at two
+// workers and more every implementation splits its probes into morsels
+// and exec.BuildJoinTableParallel partitions its build.
 const (
 	nProbe       = 24_000
 	nBuild       = 6_000

@@ -140,13 +140,13 @@ func TestClusteredGroupByProperty(t *testing.T) {
 	for _, shape := range clusteredShapes {
 		g := groupTestGroupBy()
 		g.Keys = shape.keys
-		for _, morsel := range []int{64, 1000, 0} {
+		for _, morsel := range []int{64, 1000, n} {
 			rng := rand.New(rand.NewSource(int64(morsel) + 1))
 			kv, tv := shape.gen(rng, n, morsel)
 			for _, kt := range keyTypes {
 				in := clusteredTestTable(t, rng, kt.column(&colstore.Int64s{V: kv}), tv)
 				newCtx := func(workers int) *Context {
-					return &Context{Cat: memCatalog{"t": in}, Ctr: &exec.Counters{}, Workers: workers, MinParallelRows: 1, MorselRows: morsel}
+					return &Context{Cat: memCatalog{"t": in}, Ctr: &exec.Counters{}, Workers: workers, MorselRows: morsel}
 				}
 				ctx := newCtx(1)
 				byMorsel, err := g.groupedMorsel(ctx, in, in, mustGroupKeys(t, g, in))
@@ -182,12 +182,12 @@ func TestClusteredGroupByProperty(t *testing.T) {
 	}
 
 	// Empty input: aggregate never offers it to the order-aware path (it is
-	// below every parallel threshold), and the path itself makes no rows
+	// shorter than one morsel), and the path itself makes no rows
 	// of the one empty chunk the cutter returns.
 	g := groupTestGroupBy()
 	g.Keys = []string{"k", "t"}
 	in := clusteredTestTable(t, rand.New(rand.NewSource(1)), &colstore.Int64s{}, nil)
-	ctx := &Context{Cat: memCatalog{"t": in}, Ctr: &exec.Counters{}, Workers: 4, MinParallelRows: 1}
+	ctx := &Context{Cat: memCatalog{"t": in}, Ctr: &exec.Counters{}, Workers: 4}
 	for _, run := range []func() (*colstore.Table, error){
 		func() (*colstore.Table, error) { return g.aggregate(ctx, in) },
 		func() (*colstore.Table, error) {

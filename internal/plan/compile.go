@@ -498,9 +498,8 @@ func bindingView(bs []binding) (*colstore.Table, error) {
 // length, and narrowed chunks concatenate in chunk order, so the result
 // is identical at every worker count.
 func narrowSelParallel(ctx *Context, t *colstore.Table, pred exec.Pred, sel []int32) ([]int32, error) {
-	w := ctx.workers()
 	n := len(sel)
-	if w == 1 || n < ctx.parallelMinRows() {
+	if exec.Serial(ctx.Workers, n, ctx.MorselRows) {
 		return pred.Sel(t, sel, ctx.Ctr)
 	}
 	bound, err := exec.Bind(pred, t, ctx.Ctr)
@@ -509,7 +508,7 @@ func narrowSelParallel(ctx *Context, t *colstore.Table, pred exec.Pred, sel []in
 	}
 	nm := exec.NumMorsels(n, ctx.morselRows())
 	outs := make([][]int32, nm)
-	err = exec.RunMorsels(w, n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
+	err = exec.RunMorsels(ctx.workers(), n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
 		s, err := bound(t, sel[lo:hi], ctr)
 		if err != nil {
 			return err

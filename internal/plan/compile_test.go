@@ -73,7 +73,7 @@ func assertModesIdentical(t *testing.T, cat Catalog, n Node, label string) {
 func TestFusedFilterProjectGroupProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 8; trial++ {
-		// Large enough to cross the parallel-morsel threshold.
+		// Longer than one default morsel, so it runs in morsels.
 		tbl := adversarialTable(rng, "t", 30000+rng.Intn(50000), 40)
 		cat := memCatalog{"t": tbl}
 		node := &GroupBy{

@@ -112,7 +112,7 @@ func (g *GroupBy) aggregate(ctx *Context, in *colstore.Table) (*colstore.Table, 
 	// (floating-point sums included) is bit-identical at every degree of
 	// parallelism. An input arriving clustered on a key aggregates in
 	// cache-sized chunks instead (byte-identical by construction).
-	if in.NumRows() >= ctx.parallelMinRows() {
+	if in.NumRows() >= ctx.morselRows() {
 		if key, cuts := g.clusteredCuts(ctx, in); cuts != nil {
 			return g.groupedClustered(ctx, in, args, keys, key, cuts)
 		}

@@ -309,28 +309,25 @@ func TestGroupByProperty(t *testing.T) {
 				}
 				cat := memCatalog{"t": in}
 				// 97: many morsel cuts inside every float sum; 1000: a
-				// ragged last morsel; 0: the default morsel, one for all.
+				// ragged last morsel; 0: the default morsel, longer than
+				// the input, which takes the sequential path.
 				for _, morsel := range []int{97, 1000, 0} {
 					want := referenceGroupBy(t, g, in, cmp.Or(morsel, exec.DefaultMorselRows))
 					var base exec.Counters
-					for _, minRows := range []int{in.NumRows() + 1, 1} {
-						for _, w := range []int{1, 2, 8} {
-							label := fmt.Sprintf("%s seed %d rows %d morsel %d min-rows %d workers %d", kc.name, seed, in.NumRows(), morsel, minRows, w)
-							ctx := &Context{Cat: cat, Ctr: &exec.Counters{}, Workers: w, MinParallelRows: minRows, MorselRows: morsel}
-							got, err := g.aggregate(ctx, in)
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							if minRows == 1 || morsel == 0 {
-								if same, where := colstore.TablesIdentical(want, got); !same {
-									t.Fatalf("%s: differs from the reference: %s", label, where)
-								}
-							}
-							if w == 1 {
-								base = *ctx.Ctr
-							} else if *ctx.Ctr != base {
-								t.Fatalf("%s: counters depend on the worker count:\n got %+v\nwant %+v", label, *ctx.Ctr, base)
-							}
+					for _, w := range []int{1, 2, 8} {
+						label := fmt.Sprintf("%s seed %d rows %d morsel %d workers %d", kc.name, seed, in.NumRows(), morsel, w)
+						ctx := &Context{Cat: cat, Ctr: &exec.Counters{}, Workers: w, MorselRows: morsel}
+						got, err := g.aggregate(ctx, in)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if same, where := colstore.TablesIdentical(want, got); !same {
+							t.Fatalf("%s: differs from the reference: %s", label, where)
+						}
+						if w == 1 {
+							base = *ctx.Ctr
+						} else if *ctx.Ctr != base {
+							t.Fatalf("%s: counters depend on the worker count:\n got %+v\nwant %+v", label, *ctx.Ctr, base)
 						}
 					}
 				}
@@ -348,18 +345,18 @@ func TestGroupByProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := &GroupBy{Keys: []string{"big", "x11", "d"}, Aggs: groupPropertyAggs}
-	for _, minRows := range []int{1, 1000} {
-		ctx := &Context{Cat: memCatalog{"t": wide}, Ctr: &exec.Counters{}, Workers: 2, MinParallelRows: minRows, MorselRows: 64}
+	for _, morsel := range []int{64, 1000} {
+		ctx := &Context{Cat: memCatalog{"t": wide}, Ctr: &exec.Counters{}, Workers: 2, MorselRows: morsel}
 		if _, err := g.aggregate(ctx, wide); err == nil || !strings.Contains(err.Error(), "max 63") {
-			t.Fatalf("min-rows %d: 41+11+13 key bits: err = %v, want the 63-bit limit", minRows, err)
+			t.Fatalf("morsel %d: 41+11+13 key bits: err = %v, want the 63-bit limit", morsel, err)
 		}
 	}
 
-	// An all-distinct, unclustered input past every parallel threshold
-	// still aggregates in morsels: nothing is partitioned.
+	// An all-distinct, unclustered input of several morsels still
+	// aggregates in morsels: nothing is partitioned.
 	rng := rand.New(rand.NewSource(1))
 	in := groupTestTable(rng, groupKeyDists[0].keys(rng, 20000))
-	ctx := &Context{Cat: memCatalog{"t": in}, Ctr: &exec.Counters{}, Workers: 2, MinParallelRows: 1}
+	ctx := &Context{Cat: memCatalog{"t": in}, Ctr: &exec.Counters{}, Workers: 2, MorselRows: 1 << 12}
 	got, err := groupTestGroupBy().aggregate(ctx, in)
 	if err != nil {
 		t.Fatal(err)
@@ -381,20 +378,20 @@ func TestGroupByKeyDists(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			in := groupTestTable(rng, dist.keys(rng, n))
 			for _, morsel := range []int{97, n} {
-				newCtx := func(workers, minRows int) *Context {
-					return &Context{Cat: memCatalog{"t": in}, Ctr: &exec.Counters{}, Workers: workers, MinParallelRows: minRows, MorselRows: morsel}
+				newCtx := func(workers, morsel int) *Context {
+					return &Context{Cat: memCatalog{"t": in}, Ctr: &exec.Counters{}, Workers: workers, MorselRows: morsel}
 				}
 				var want *colstore.Table
 				if morsel == n {
 					var err error
-					if want, err = g.aggregate(newCtx(1, n+1), in); err != nil {
+					if want, err = g.aggregate(newCtx(1, n+1), in); err != nil { // sequential
 						t.Fatal(err)
 					}
 				}
 				var base exec.Counters
 				for _, w := range []int{1, 2, 4, 8} {
 					label := fmt.Sprintf("%s seed %d morsel %d workers %d", dist.name, seed, morsel, w)
-					ctx := newCtx(w, 1)
+					ctx := newCtx(w, morsel)
 					got, err := g.groupedMorsel(ctx, in, in, mustGroupKeys(t, g, in))
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)

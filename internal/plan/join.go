@@ -325,10 +325,10 @@ func joinKeysParallel(ctx *Context, t *colstore.Table, names []string, sel []int
 	}
 	out := make([]int64, n)
 	var err error
-	if w := ctx.workers(); w == 1 || n < ctx.parallelMinRows() {
+	if exec.Serial(ctx.Workers, n, ctx.MorselRows) {
 		err = joinKeysInto(out, t, names, sel, 0, n, ctx.Ctr)
 	} else {
-		err = exec.RunMorsels(w, n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
+		err = exec.RunMorsels(ctx.workers(), n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
 			return joinKeysInto(out[lo:hi], t, names, sel, lo, hi, ctr)
 		})
 	}

@@ -51,7 +51,7 @@ func TestPositionalRule(t *testing.T) {
 			var ref *colstore.Table
 			for _, w := range []int{1, 2, 8} {
 				for _, mode := range []ExecMode{ExecVector, ExecFused} {
-					res, err := RunContext(&Context{Cat: cat, Workers: w, MinParallelRows: 1, Exec: mode, Trace: &obs.Tracer{}}, join)
+					res, err := RunContext(&Context{Cat: cat, Workers: w, MorselRows: 64, Exec: mode, Trace: &obs.Tracer{}}, join)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -60,7 +60,7 @@ func TestGroupByUnderGroupDeletion(t *testing.T) {
 				}
 				return sel
 			}
-			ctx := &Context{Cat: memCatalog{"t": in}, Ctr: &exec.Counters{}, Workers: 4, MinParallelRows: 1, MorselRows: 97}
+			ctx := &Context{Cat: memCatalog{"t": in}, Ctr: &exec.Counters{}, Workers: 4, MorselRows: 97}
 			all, err := path.group(ctx, in)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", path.name, seed, err)
@@ -138,7 +138,7 @@ func TestKeyFilterReadsThroughViews(t *testing.T) {
 	run := func(lazy bool) (*Result, string) {
 		lazyOff = !lazy
 		defer func() { lazyOff = false }()
-		res, err := RunContext(&Context{Cat: cat, Workers: 2, MinParallelRows: 1, Trace: &obs.Tracer{}}, join)
+		res, err := RunContext(&Context{Cat: cat, Workers: 2, MorselRows: 256, Trace: &obs.Tracer{}}, join)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,7 +74,8 @@ func TestLazyGathersMatchEager(t *testing.T) {
 
 // TestLazyGroupByMatchesEager runs a group-by over a Filter's views —
 // one input column, a date, read by no aggregate — on each of its paths
-// (sequential, morsels of 1 Ki rows, clustered chunks, scalar) at 1, 2
+// (sequential under a longer morsel, morsels of 1 Ki rows, clustered
+// chunks, scalar) at 1, 2
 // and 8 workers, lazy and with every gather copying at once. Its
 // aggregates read their arguments one morsel at a time, decoded from
 // the views, and evaluate them into the worker's scratch, so each
@@ -120,13 +121,13 @@ func TestLazyGroupByMatchesEager(t *testing.T) {
 	for _, path := range []struct {
 		name     string
 		keys     []string
-		minRows  int
+		morsel   int
 		chunking bool // whether the run must show a group-partition span
 	}{
 		{"sequential", []string{"k"}, n + 1, false},
-		{"morsel", []string{"k"}, 1, false},
-		{"clustered", []string{"c"}, 1, true},
-		{"scalar", nil, 1, false},
+		{"morsel", []string{"k"}, 1 << 10, false},
+		{"clustered", []string{"c"}, 1 << 10, true},
+		{"scalar", nil, 1 << 10, false},
 	} {
 		for _, w := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("%s/W=%d", path.name, w), func(t *testing.T) {
@@ -134,8 +135,7 @@ func TestLazyGroupByMatchesEager(t *testing.T) {
 				run := func(lazy bool) (*plan.Result, string) {
 					plan.SetLazyGathers(lazy)
 					defer plan.SetLazyGathers(true)
-					res, err := plan.RunContext(&plan.Context{Cat: cat, Workers: w, MinParallelRows: path.minRows,
-						MorselRows: 1 << 10, Trace: &obs.Tracer{}}, g)
+					res, err := plan.RunContext(&plan.Context{Cat: cat, Workers: w, MorselRows: path.morsel, Trace: &obs.Tracer{}}, g)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -14,9 +14,8 @@ import (
 // to table-global row numbers and concatenated in morsel order, so the
 // output is identical to a sequential evaluation at any worker count.
 func parallelSel(ctx *Context, t *colstore.Table, pred exec.Pred) ([]int32, error) {
-	w := ctx.workers()
 	n := t.NumRows()
-	if w == 1 || n < ctx.parallelMinRows() {
+	if exec.Serial(ctx.Workers, n, ctx.MorselRows) {
 		return pred.Sel(t, nil, ctx.Ctr)
 	}
 	bound, err := exec.Bind(pred, t, ctx.Ctr)
@@ -25,7 +24,7 @@ func parallelSel(ctx *Context, t *colstore.Table, pred exec.Pred) ([]int32, erro
 	}
 	nm := exec.NumMorsels(n, ctx.morselRows())
 	sels := make([][]int32, nm)
-	err = exec.RunMorsels(w, n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
+	err = exec.RunMorsels(ctx.workers(), n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
 		sub := t.Slice(lo, hi)
 		sel, err := bound(sub, nil, ctr)
 		if err != nil {
@@ -55,8 +54,7 @@ func parallelSel(ctx *Context, t *colstore.Table, pred exec.Pred) ([]int32, erro
 // their own, which concatChunks cannot stitch.
 func evalExprParallel(ctx *Context, in *colstore.Table, e exec.Expr) (colstore.Column, error) {
 	n := in.NumRows()
-	w := ctx.workers()
-	if w == 1 || n < ctx.parallelMinRows() {
+	if exec.Serial(ctx.Workers, n, ctx.MorselRows) {
 		return e.Eval(in, ctx.Ctr)
 	}
 	switch e.(type) {
@@ -71,7 +69,7 @@ func evalExprParallel(ctx *Context, in *colstore.Table, e exec.Expr) (colstore.C
 	}
 	nm := exec.NumMorsels(n, ctx.morselRows())
 	chunks := make([]colstore.Column, nm)
-	err = exec.RunMorsels(w, n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
+	err = exec.RunMorsels(ctx.workers(), n, ctx.morselRows(), ctx.Ctr, func(m, lo, hi int, ctr *exec.Counters) error {
 		c, err := bound.Eval(in.Slice(lo, hi), ctr)
 		if err != nil {
 			return err

@@ -19,12 +19,12 @@ import (
 	"wimpi/internal/exec"
 )
 
-func runCtx(cat Catalog, workers, minPar, morsel int, n Node) (*colstore.Table, error) {
-	ctx := &Context{
-		Cat: cat, Ctr: &exec.Counters{},
-		Workers: workers, MinParallelRows: minPar, MorselRows: morsel,
-	}
-	return n.Execute(ctx)
+// runCtx runs n at the given worker count and morsel size, returning
+// the bytes its morsel merges charged beside its result.
+func runCtx(cat Catalog, workers, morsel int, n Node) (*colstore.Table, int64, error) {
+	ctx := &Context{Cat: cat, Ctr: &exec.Counters{}, Workers: workers, MorselRows: morsel}
+	t, err := n.Execute(ctx)
+	return t, ctx.Ctr.MergeBytes, err
 }
 
 func compareTables(t *testing.T, label string, want, got *colstore.Table, exactFloats bool) {
@@ -154,16 +154,21 @@ func TestParallelPlansDeterministicAcrossWorkers(t *testing.T) {
 		"l": randTable(rng, "l", 900, 25),
 		"r": randTable(rng, "r", 2400, 25),
 	}
-	const minPar, morsel = 1, 37
+	const morsel = 37
 	for name, n := range parallelTestPlans() {
-		base, err := runCtx(cat, 1, minPar, morsel, n)
+		base, _, err := runCtx(cat, 1, morsel, n)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, w := range []int{2, 4, 8} {
-			got, err := runCtx(cat, w, minPar, morsel, n)
+			got, merged, err := runCtx(cat, w, morsel, n)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, w, err)
+			}
+			// A result of more than one row is concatenated or merged
+			// from morsels, which charges MergeBytes.
+			if merged == 0 && got.NumRows() > 1 {
+				t.Fatalf("%s workers=%d: no morsel merge charged: the plan ran sequentially", name, w)
 			}
 			compareTables(t, name, base, got, true)
 		}
@@ -178,11 +183,11 @@ func TestParallelPlansMatchSequentialOracle(t *testing.T) {
 			"r": randTable(rng, "r", 200+rng.Intn(3000), 20),
 		}
 		for name, n := range parallelTestPlans() {
-			seq, err := runCtx(cat, 1, 1<<30, 0, n)
+			seq, _, err := runCtx(cat, 1, 0, n) // one default morsel holds every input
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			par, err := runCtx(cat, 8, 1, 41, n)
+			par, _, err := runCtx(cat, 8, 41, n)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -193,8 +198,8 @@ func TestParallelPlansMatchSequentialOracle(t *testing.T) {
 	}
 }
 
-// TestStringProjectionEvaluatesOnce: a substring projection past the
-// parallel threshold evaluates once, whole, whatever the worker count —
+// TestStringProjectionEvaluatesOnce: a substring projection longer than
+// one morsel evaluates once, whole, whatever the worker count —
 // its morsel chunks could not be stitched — so the work it charges does
 // not depend on the worker count.
 func TestStringProjectionEvaluatesOnce(t *testing.T) {

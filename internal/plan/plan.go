@@ -35,14 +35,12 @@ type Context struct {
 	Ctr *exec.Counters
 	// Workers bounds intra-query parallelism; values < 1 mean one.
 	Workers int
-	// MinParallelRows is the smallest input split across workers; below
-	// it coordination overhead dominates. Values < 1 select
-	// DefaultMinParallelRows.
-	MinParallelRows int
-	// MorselRows is the fixed morsel granularity for parallel operators.
-	// Values < 1 select exec.DefaultMorselRows. Morsel boundaries depend
-	// only on input size, never on Workers, so results are bit-identical
-	// at every degree of parallelism.
+	// MorselRows is the fixed morsel granularity for parallel operators,
+	// and the one parallelism threshold: an input shorter than one morsel
+	// runs sequentially (exec.Serial). Values < 1 select
+	// exec.DefaultMorselRows. Morsel boundaries depend only on input
+	// size, never on Workers, so results are bit-identical at every
+	// degree of parallelism.
 	MorselRows int
 	// Trace, when non-nil, makes RunContext a traced run that collects an
 	// operator span tree (see RunContext). A nil tracer is a valid no-op,
@@ -121,21 +119,11 @@ func (c *Context) area() (*spill.Area, error) {
 	return c.spillArea, nil
 }
 
-// DefaultMinParallelRows is the default parallelism threshold.
-const DefaultMinParallelRows = 1 << 15
-
 func (c *Context) workers() int {
 	if c.Workers < 1 {
 		return 1
 	}
 	return c.Workers
-}
-
-func (c *Context) parallelMinRows() int {
-	if c.MinParallelRows < 1 {
-		return DefaultMinParallelRows
-	}
-	return c.MinParallelRows
 }
 
 func (c *Context) morselRows() int {

@@ -394,10 +394,10 @@ func TestGroupByMultiKeyAndScalar(t *testing.T) {
 	wide := memCatalog{"w": colstore.MustNewTable("w",
 		colstore.Schema{{Name: "a", Type: colstore.Int64}, {Name: "b", Type: colstore.Int64}},
 		[]colstore.Column{&colstore.Int64s{V: []int64{1 << 62, 0}}, &colstore.Int64s{V: []int64{1, 0}}})}
-	for _, minRows := range []int{0, 1} {
+	for _, morsel := range []int{0, 1} {
 		done := make(chan error, 1)
 		go func() {
-			_, err := RunContext(&Context{Cat: wide, Workers: 2, MinParallelRows: minRows}, &GroupBy{
+			_, err := RunContext(&Context{Cat: wide, Workers: 2, MorselRows: morsel}, &GroupBy{
 				Input: &Scan{Table: "w"}, Keys: []string{"a", "b"},
 				Aggs: []AggSpec{{Name: "n", Func: Count}},
 			})
@@ -406,10 +406,10 @@ func TestGroupByMultiKeyAndScalar(t *testing.T) {
 		select {
 		case err := <-done:
 			if err == nil {
-				t.Errorf("MinParallelRows %d: a 64-bit key pair should error", minRows)
+				t.Errorf("MorselRows %d: a 64-bit key pair should error", morsel)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("MinParallelRows %d: sizing a key of 2^62 hangs", minRows)
+			t.Fatalf("MorselRows %d: sizing a key of 2^62 hangs", morsel)
 		}
 	}
 }
@@ -471,7 +471,8 @@ func TestExplainCoversAllNodes(t *testing.T) {
 
 func TestParallelSelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	n := DefaultMinParallelRows * 3
+	const morsel = 1 << 10
+	n := 3 * morsel
 	b := colstore.NewTableBuilder("big", colstore.Schema{{Name: "v", Type: colstore.Int64}})
 	b.Grow(n)
 	for i := 0; i < n; i++ {
@@ -485,10 +486,14 @@ func TestParallelSelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := runTable(cat, 8, &Scan{Table: "big", Pred: pred})
+	res, err := RunContext(&Context{Cat: cat, Workers: 8, MorselRows: morsel}, &Scan{Table: "big", Pred: pred})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Counters.MergeBytes == 0 {
+		t.Fatal("no morsel merge charged: the selection ran sequentially")
+	}
+	par := res.Table
 	if seq.NumRows() != par.NumRows() {
 		t.Fatalf("parallel rows %d != sequential %d", par.NumRows(), seq.NumRows())
 	}
@@ -500,7 +505,7 @@ func TestParallelSelMatchesSequential(t *testing.T) {
 		}
 	}
 	// Errors propagate from workers.
-	if _, err := RunContext(&Context{Cat: cat, Workers: 8}, &Scan{Table: "big", Pred: exec.CmpI{Column: "zzz", Op: exec.Lt, V: 1}}); err == nil {
+	if _, err := RunContext(&Context{Cat: cat, Workers: 8, MorselRows: morsel}, &Scan{Table: "big", Pred: exec.CmpI{Column: "zzz", Op: exec.Lt, V: 1}}); err == nil {
 		t.Error("parallel sel should propagate errors")
 	}
 }

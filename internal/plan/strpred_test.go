@@ -51,7 +51,7 @@ func TestStringPredicateChargesIndependentOfWorkers(t *testing.T) {
 				label := fmt.Sprintf("%s %s %s", mode, shape.name, p)
 				var want *Result
 				for _, w := range []int{1, 2, 4} {
-					got, err := RunContext(&Context{Cat: cat, Workers: w, MinParallelRows: 1, MorselRows: 64, Exec: mode}, shape.node)
+					got, err := RunContext(&Context{Cat: cat, Workers: w, MorselRows: 64, Exec: mode}, shape.node)
 					if err != nil {
 						t.Fatalf("%s at %d workers: %v", label, w, err)
 					}
@@ -110,7 +110,7 @@ func TestCaseStringMaskChargedOnce(t *testing.T) {
 	node := &Project{Input: &Scan{Table: "t"}, Cols: []NamedExpr{{Name: "v", Expr: exec.Mul(redCase, exec.ConstF{V: 2})}}}
 	var want *Result
 	for _, w := range []int{1, 2, 4} {
-		got, err := RunContext(&Context{Cat: cat, Workers: w, MinParallelRows: 1, MorselRows: 64}, node)
+		got, err := RunContext(&Context{Cat: cat, Workers: w, MorselRows: 64}, node)
 		if err != nil {
 			t.Fatalf("%d workers: %v", w, err)
 		}
@@ -137,7 +137,7 @@ func TestGroupedCaseStringMaskChargedOnce(t *testing.T) {
 	cat := caseTable()
 	intOps := func(key string, arg exec.Expr, w, morselRows int) int64 {
 		node := &GroupBy{Input: &Scan{Table: "t"}, Keys: []string{key}, Aggs: []AggSpec{{Name: "v", Func: Sum, Arg: arg}}}
-		res, err := RunContext(&Context{Cat: cat, Workers: w, MinParallelRows: 1, MorselRows: morselRows}, node)
+		res, err := RunContext(&Context{Cat: cat, Workers: w, MorselRows: morselRows}, node)
 		if err != nil {
 			t.Fatalf("group by %s over %d-row morsels at %d workers: %v", key, morselRows, w, err)
 		}

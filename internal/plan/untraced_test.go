@@ -53,25 +53,26 @@ func TestUntracedRunsFormatNoLabels(t *testing.T) {
 		name   string
 		p      Node
 		budget int64
+		morsel int      // rows a morsel; 0 is exec.DefaultMorselRows
 		labels []string // what the traced run's spans say
 		allocs float64
 	}{
-		{"keyfilter kept", filtered("p", "v"), 0,
+		{"keyfilter kept", filtered("p", "v"), 0, 0,
 			[]string{"keyfilter [k] 2000 → 160, positional, 78 slots", "scan t where k < 50", "gather 160 rows x 3 cols",
 				"build [k] positional, 9 slots", "probe [pk]"}, 62},
-		{"keyfilter skipped, too many probe keys", filtered("wide", "v"), 0,
+		{"keyfilter skipped, too many probe keys", filtered("wide", "v"), 0, 0,
 			[]string{"keyfilter [k] skipped (probe 2000 × 8 > 4000 rows)"}, 56},
-		{"keyfilter skipped, sum not exact", filtered("p", "h"), 0,
+		{"keyfilter skipped, sum not exact", filtered("p", "h"), 0, 0,
 			[]string{"keyfilter [k] skipped (sum over h not exact)"}, 62},
 		{"clustered group-by", &GroupBy{Input: &Scan{Table: "s"}, Keys: []string{"g"},
-			Aggs: []AggSpec{{Name: "sum", Func: Sum, Arg: exec.Col{Name: "v"}}}}, 0,
-			[]string{"clustered on g, 1 chunks"}, 29},
-		{"spilled join", cancelPlan(), spillBudget,
+			Aggs: []AggSpec{{Name: "sum", Func: Sum, Arg: exec.Col{Name: "v"}}}}, 0, n, // one morsel, cut at a quarter morsel
+			[]string{"clustered on g, 4 chunks"}, 53},
+		{"spilled join", cancelPlan(), spillBudget, 0,
 			[]string{"radix 32-way, budget 256k", "inner, 32 partitions (2 resident)"}, 360},
 	} {
 		dir := t.TempDir()
 		run := func(tr *obs.Tracer) *Result {
-			ctx := &Context{Cat: cat, Workers: 1, MinParallelRows: 1, MemLimitBytes: c.budget, Trace: tr}
+			ctx := &Context{Cat: cat, Workers: 1, MorselRows: c.morsel, MemLimitBytes: c.budget, Trace: tr}
 			if c.budget > 0 {
 				ctx.SpillDir = dir
 			}
