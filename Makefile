@@ -68,13 +68,16 @@ lint-report:
 # the serve caches, where every hit writes its entry's count under the
 # lock, and over the work golden, whose 1 Ki-row morsel block at eight
 # workers runs the parallel paths of the scans, joins, gathers and
-# group-bys on TPC-H data: the detector only sees the interleavings a
-# run happens to produce.
+# group-bys on TPC-H data, and over the exec join conformance and radix
+# partitioner suites, because every parallel in-memory join build runs
+# the radix scatter's morsel-parallel first pass: the detector only sees
+# the interleavings a run happens to produce.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Spill|JoinProber|Segment|Lazy' ./internal/plan ./internal/spill
 	$(GO) test -race -count=10 -run 'Reus|Cache' ./internal/sql ./internal/serve
 	$(GO) test -race -count=10 -run 'TestSpansGolden$$' ./internal/engine
+	$(GO) test -race -count=10 -run 'JoinProber|Radix|Partition' ./internal/exec
 
 # Fault-injection suite: chaos tests, wire-protocol hardening, and the
 # faultconn package itself, all under the race detector; with -tags

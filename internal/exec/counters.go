@@ -51,9 +51,9 @@ type Counters struct {
 	// estimates the resident working set for the memory-pressure model.
 	TouchedBaseBytes int64
 	// MergeBytes counts bytes moved solely because of parallel execution:
-	// partitioning a hash-join build, folding thread-local aggregation
-	// state into the global table, and k-way merging per-morsel sort
-	// runs. The hardware model charges these at single-core bandwidth, so
+	// folding thread-local aggregation state into the global table and
+	// concatenating per-morsel outputs. (A partitioned hash-join build
+	// charges its scatter as PartitionBytes.) The hardware model charges these at single-core bandwidth, so
 	// simulated parallel speedups stay sub-linear instead of assuming
 	// perfect scaling.
 	MergeBytes int64

@@ -705,7 +705,7 @@ func TestSortTableMultiKey(t *testing.T) {
 	}
 	tbl := b.Build()
 	var ctr Counters
-	out, err := SortTableParallel(tbl, []SortKey{{Column: "g"}, {Column: "v", Desc: true}}, 1, 0, &ctr)
+	out, err := SortTable(tbl, []SortKey{{Column: "g"}, {Column: "v", Desc: true}}, 1, 0, &ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -716,18 +716,18 @@ func TestSortTableMultiKey(t *testing.T) {
 			t.Fatalf("sorted order = %v, want %v", gotI, wantI)
 		}
 	}
-	top, err := TopNParallel(tbl, []SortKey{{Column: "i", Desc: true}}, 2, 1, 0, &ctr)
+	top, err := TopN(tbl, []SortKey{{Column: "i", Desc: true}}, 2, 1, 0, &ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if top.NumRows() != 2 || top.MustCol("i").(*colstore.Int64s).V[0] != 4 {
-		t.Errorf("TopNParallel wrong")
+		t.Errorf("TopN wrong")
 	}
-	topAll, _ := TopNParallel(tbl, []SortKey{{Column: "i"}}, 100, 1, 0, &ctr)
+	topAll, _ := TopN(tbl, []SortKey{{Column: "i"}}, 100, 1, 0, &ctr)
 	if topAll.NumRows() != 5 {
-		t.Error("TopNParallel with n > rows should return all")
+		t.Error("TopN with n > rows should return all")
 	}
-	if _, err := SortTableParallel(tbl, []SortKey{{Column: "missing"}}, 1, 0, &ctr); err == nil {
+	if _, err := SortTable(tbl, []SortKey{{Column: "missing"}}, 1, 0, &ctr); err == nil {
 		t.Error("sort by missing column should error")
 	}
 }
@@ -740,7 +740,7 @@ func TestSortPropertyOrdering(t *testing.T) {
 			b.EndRow()
 		}
 		var ctr Counters
-		out, err := SortTableParallel(b.Build(), []SortKey{{Column: "v"}}, 1, 0, &ctr)
+		out, err := SortTable(b.Build(), []SortKey{{Column: "v"}}, 1, 0, &ctr)
 		if err != nil {
 			return false
 		}

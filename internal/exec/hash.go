@@ -95,7 +95,8 @@ func JoinTableBytes(n int) int64 {
 // build row of a key; duplicate build rows chain through the shared next
 // array. Build-row payloads are represented by their row indexes, so the
 // probe result can gather any build column afterwards. bits is 0 for a
-// sequential build and log2(partitions) for a parallel one, where every
+// sequential build and log2(partitions) for a parallel one, whose keys
+// RadixPartitionKeys scatters and RadixOf routes, and where every
 // partition is inserted race-free by one worker; either way rows enter
 // their table in ascending order, so chains — and with them every probe
 // result — are identical at any fan-out.
@@ -120,14 +121,6 @@ type joinPart struct {
 	slotKeys []int64 // slot -> key (valid when slotHead >= 0)
 	slotHead []int32 // slot -> first (global) build row, or -1
 	shift    uint
-}
-
-// partHash spreads keys over partitions with a multiplier independent of
-// the slot hash, so partitioning does not drain entropy from the open
-// addressing inside each partition. With bits == 0 the shift is the full
-// word, which Go defines as 0: the single partition.
-func partHash(k int64, bits uint) int {
-	return int((uint64(k) * 0xBF58476D1CE4E5B9) >> (64 - bits))
 }
 
 // newJoinPart returns an empty table sized for n build rows.
@@ -159,21 +152,17 @@ func (jp *joinPart) insert(k int64, r int32, next []int32) bool {
 	return next[r] < 0
 }
 
-// buildJoinPart inserts rows (ascending build-row ids; nil means every
-// key, in order) into a fresh table, prepending duplicates to their
+// buildJoinPart inserts keys into a fresh table, key i as build row
+// rows[i] (ascending; nil means row i), prepending duplicates to their
 // key's chain in next, and reports whether every key was new.
 func buildJoinPart(keys []int64, rows, next []int32) (jp joinPart, unique bool) {
-	n := len(rows)
-	if rows == nil {
-		n = len(keys)
-	}
-	jp, unique = newJoinPart(n), true
-	for i := 0; i < n; i++ {
+	jp, unique = newJoinPart(len(keys)), true
+	for i, k := range keys {
 		r := int32(i)
 		if rows != nil {
 			r = rows[i]
 		}
-		unique = jp.insert(keys[r], r, next) && unique
+		unique = jp.insert(k, r, next) && unique
 	}
 	return jp, unique
 }
@@ -258,74 +247,27 @@ func BuildJoinTableParallel(keys []int64, workers, morselRows int, ctr *Counters
 }
 
 // buildJoinTableBits is the partitioned build at an explicit fan-out, so
-// tests can set the fan-out independently of the worker count.
+// tests can set the fan-out independently of the worker count. The spill
+// joiner's partitioner, RadixPartitionKeys, scatters the keys and charges
+// its own passes; its scatter is stable, so every partition's rows enter
+// its table in ascending order, and each partition writes disjoint rows
+// of the shared next array.
 func buildJoinTableBits(keys []int64, bits uint, workers, morselRows int, ctr *Counters) (*JoinTable, error) {
-	n := len(keys)
-	p := 1 << bits
-
-	// Pass 1: per-morsel partition histograms.
-	nm := NumMorsels(n, morselRows)
-	counts := make([][]int32, nm)
-	if err := runMorselsInfallible(workers, n, morselRows, ctr, func(m, lo, hi int, c *Counters) {
-		cnt := make([]int32, p)
-		for _, k := range keys[lo:hi] {
-			cnt[partHash(k, bits)]++
-		}
-		counts[m] = cnt
-	}); err != nil {
+	rp, err := RadixPartitionKeys(keys, bits, workers, morselRows, ctr)
+	if err != nil {
 		return nil, err
 	}
-
-	// Prefix sums give every (morsel, partition) pair a disjoint write
-	// window; filling windows in morsel order keeps each partition's row
-	// list ascending, which preserves the sequential duplicate-chain
-	// order.
-	partRows := make([][]int32, p)
-	offsets := make([][]int32, nm)
-	cur := make([]int32, p)
-	for m := 0; m < nm; m++ {
-		off := make([]int32, p)
-		copy(off, cur)
-		offsets[m] = off
-		for pi := 0; pi < p; pi++ {
-			cur[pi] += counts[m][pi]
-		}
-	}
-	for pi := 0; pi < p; pi++ {
-		partRows[pi] = make([]int32, cur[pi])
-	}
-
-	// Pass 2: scatter global row indexes into their partitions. Write
-	// cursors live in one flat backing array carved into disjoint
-	// per-morsel windows, so the hot callback allocates nothing.
-	posScratch := make([]int32, nm*p)
-	if err := runMorselsInfallible(workers, n, morselRows, ctr, func(m, lo, hi int, c *Counters) {
-		pos := posScratch[m*p : (m+1)*p]
-		copy(pos, offsets[m])
-		for i := lo; i < hi; i++ {
-			pi := partHash(keys[i], bits)
-			partRows[pi][pos[pi]] = int32(i)
-			pos[pi]++
-		}
-	}); err != nil {
-		return nil, err
-	}
-
-	// Pass 3: build every partition's table in parallel. Each partition
-	// writes disjoint rows of the shared next array.
-	jt := &JoinTable{parts: make([]joinPart, p), next: make([]int32, n), bits: bits}
+	p := rp.NumPartitions()
+	jt := &JoinTable{parts: make([]joinPart, p), next: make([]int32, len(keys)), bits: bits}
 	unique := make([]bool, p)
 	if err := runMorselsInfallible(workers, p, 1, ctr, func(pi, _, _ int, c *Counters) {
-		jt.parts[pi], unique[pi] = buildJoinPart(keys, partRows[pi], jt.next)
+		lo, hi := rp.Off[pi], rp.Off[pi+1]
+		jt.parts[pi], unique[pi] = buildJoinPart(rp.Keys[lo:hi], rp.Rows[lo:hi], jt.next)
 	}); err != nil {
 		return nil, err
 	}
 	jt.unique = !slices.Contains(unique, false)
-
 	jt.chargeBuild(ctr)
-	// The two partition passes stream the keys twice and write one row
-	// index per key — work the sequential build never does.
-	ctr.MergeBytes += int64(n) * (8 + 8 + 4)
 	return jt, nil
 }
 
@@ -379,7 +321,7 @@ func lookupPositional(heads []int32, base, k int64) int32 {
 
 // lookupHashed is lookup in the chained layout.
 func (jt *JoinTable) lookupHashed(k int64) int32 {
-	jp := &jt.parts[partHash(k, jt.bits)]
+	jp := &jt.parts[RadixOf(k, jt.bits)]
 	mask := uint64(len(jp.slotKeys) - 1)
 	slot := hashKey(k, jp.shift) & mask
 	for {

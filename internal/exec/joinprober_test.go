@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"wimpi/internal/exec"
@@ -30,8 +31,8 @@ func TestJoinProberConformance(t *testing.T) {
 			if partitioned := jt.Bits() > 0; partitioned != !exec.Serial(w, len(build), mr) {
 				t.Fatalf("build of %d rows at %d workers: fan-out 2^%d", len(build), w, jt.Bits())
 			}
-			if (ctr.MergeBytes > 0) != (jt.Bits() > 0) {
-				t.Fatalf("fan-out 2^%d charged %d partitioning bytes", jt.Bits(), ctr.MergeBytes)
+			if ctr.MergeBytes != 0 || (ctr.PartitionBytes > 0) != (jt.Bits() > 0) {
+				t.Fatalf("fan-out 2^%d charged %d partitioning and %d merge bytes", jt.Bits(), ctr.PartitionBytes, ctr.MergeBytes)
 			}
 			return jt
 		},
@@ -109,6 +110,46 @@ func TestJoinTableUniqueFlag(t *testing.T) {
 		for name, jt := range builds {
 			if jt.Unique() != want {
 				t.Errorf("%s/%s: Unique = %t, want %t", in.Name, name, jt.Unique(), want)
+			}
+		}
+	}
+}
+
+// TestPartitionedBuildRoutesByRadixOf: part p of a partitioned build
+// holds exactly partition p of RadixPartitionKeys over the same keys —
+// the same rows, and each key's chain in the partition's rows in
+// descending order — so the in-memory build and the spill joiner
+// partition alike.
+func TestPartitionedBuildRoutesByRadixOf(t *testing.T) {
+	for _, in := range jointest.Inputs() {
+		for _, bits := range []uint{1, 3, 6} {
+			var ctr exec.Counters
+			jt, err := exec.BuildJoinTableBits(in.Build, bits, 2, 1000, &ctr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rp, err := exec.RadixPartitionKeys(in.Build, bits, 1, 0, &ctr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := 0; p < rp.NumPartitions(); p++ {
+				lo, hi := rp.Off[p], rp.Off[p+1]
+				if got := jt.PartRows(p); !slices.Equal(got, rp.Rows[lo:hi]) {
+					t.Fatalf("%s bits=%d: part %d holds %d rows, radix partition %d", in.Name, bits, p, len(got), hi-lo)
+				}
+				chains := make(map[int64][]int32)
+				for i := hi - 1; i >= lo; i-- {
+					chains[rp.Keys[i]] = append(chains[rp.Keys[i]], rp.Rows[i])
+				}
+				for k, want := range chains {
+					var got []int32
+					for r := jt.Lookup(k); r >= 0; r = jt.Next(r) {
+						got = append(got, r)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s bits=%d: key %d chains rows %v, want %v", in.Name, bits, k, got, want)
+					}
+				}
 			}
 		}
 	}

@@ -73,65 +73,6 @@ func TestRunMorselsCoversRangeOnce(t *testing.T) {
 	}
 }
 
-func TestArgSortParallelMatchesSequential(t *testing.T) {
-	f := func(vals []int16, workers uint8) bool {
-		n := len(vals)
-		iv := make([]int64, n)
-		fv := make([]float64, n)
-		for i, v := range vals {
-			iv[i] = int64(v) % 16 // heavy ties exercise stability
-			fv[i] = float64(v % 7)
-		}
-		tbl := colstore.MustNewTable("t", colstore.Schema{
-			{Name: "k", Type: colstore.Int64},
-			{Name: "f", Type: colstore.Float64},
-		}, []colstore.Column{&colstore.Int64s{V: iv}, &colstore.Float64s{V: fv}})
-		keys := []SortKey{{Column: "k"}, {Column: "f", Desc: true}}
-		w := int(workers)%7 + 2 // at least two: one worker sorts sequentially
-
-		var seqCtr, parCtr Counters
-		seq, err := ArgSort(tbl, keys, &seqCtr)
-		if err != nil {
-			return false
-		}
-		par, err := ArgSortParallel(tbl, keys, w, 5, &parCtr)
-		if err != nil {
-			return false
-		}
-		return int32sEqual(seq, par)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestArgSortParallelLarge(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 32 * testMorsel
-	iv := make([]int64, n)
-	for i := range iv {
-		iv[i] = rng.Int63n(50)
-	}
-	tbl := colstore.MustNewTable("t", colstore.Schema{{Name: "k", Type: colstore.Int64}},
-		[]colstore.Column{&colstore.Int64s{V: iv}})
-	keys := []SortKey{{Column: "k"}}
-	var seqCtr, parCtr Counters
-	seq, err := ArgSort(tbl, keys, &seqCtr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := ArgSortParallel(tbl, keys, 8, testMorsel, &parCtr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !int32sEqual(seq, par) {
-		t.Fatal("parallel sort differs from sequential")
-	}
-	if parCtr.MergeBytes == 0 {
-		t.Fatal("ArgSortParallel merged nothing: it took the sequential path")
-	}
-}
-
 // everyKindTable builds n random rows of a table with a column of every
 // kind.
 func everyKindTable(rng *rand.Rand, n int) *colstore.Table {

@@ -41,7 +41,8 @@ func mix64(x uint64) uint64 {
 
 // RadixOf returns key k's partition under a bits-bit fan-out. It is the
 // single definition of partition assignment: every pass of the
-// partitioner refines toward it, and probe sides route with it.
+// partitioner refines toward it, and probes route with it — the spill
+// joiner's probe sides and every lookup in a partitioned JoinTable.
 func RadixOf(k int64, bits uint) int {
 	if bits == 0 {
 		return 0

@@ -31,10 +31,7 @@ const RadixBuildBytesPerRow = 32
 // the partition writes only its own rows. It is charged like any chained
 // build; the table's SizeBytes counts all of next.
 func BuildPartitionJoinTable(keys []int64, rows, next []int32, c *Counters) *JoinTable {
-	jp := newJoinPart(len(keys))
-	for i, k := range keys {
-		jp.insert(k, rows[i], next)
-	}
+	jp, _ := buildJoinPart(keys, rows, next)
 	c.HashBuildTuples += int64(len(keys))
 	c.RandomAccesses += int64(len(keys))
 	c.ObserveHashBytes(JoinTableBytes(len(keys)))

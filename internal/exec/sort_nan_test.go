@@ -46,20 +46,20 @@ func nanTable(t *testing.T, n int, seed int64) *colstore.Table {
 }
 
 // TestSortNaNDeterministicAcrossWorkers is the regression test for the
-// non-total float order: a NaN-bearing column must sort byte-identically
-// at 1, 2, 4, and 8 workers. Before cmpOrderF ordered NaN, a NaN
-// compared "equal" to everything, so the k-way merge's output depended
-// on which run a NaN landed in — i.e. on the morsel decomposition
-// actually exercised by the worker count.
+// non-total float order: a NaN-bearing column must sort last and
+// byte-identically at 1, 2, 4, and 8 workers, whose gathers split the
+// sorted rows into different morsel sets. Before cmpOrderF ordered NaN,
+// a NaN compared "equal" to everything, so where NaNs landed depended on
+// the order the sort met them in.
 func TestSortNaNDeterministicAcrossWorkers(t *testing.T) {
-	const n = 20000 // many 512-row morsels, so workers>1 take the merge path
+	const n = 20000 // many 512-row morsels, so workers>1 gather in parallel
 	tab := nanTable(t, n, 7)
 	keys := []SortKey{{Column: "v"}}
 
 	var base *colstore.Table
 	for _, w := range []int{1, 2, 4, 8} {
 		var ctr Counters
-		got, err := SortTableParallel(tab, keys, w, 512, &ctr)
+		got, err := SortTable(tab, keys, w, 512, &ctr)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -88,7 +88,7 @@ func TestSortNaNDeterministicAcrossWorkers(t *testing.T) {
 
 	// Descending puts NaN first, still deterministically.
 	var ctr Counters
-	desc, err := SortTableParallel(tab, []SortKey{{Column: "v", Desc: true}}, 4, 512, &ctr)
+	desc, err := SortTable(tab, []SortKey{{Column: "v", Desc: true}}, 4, 512, &ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestStringSortUsesDictCodesOrMaterializes(t *testing.T) {
 	check := func(tab *colstore.Table, wantMaterialize bool) {
 		t.Helper()
 		var ctr Counters
-		out, err := SortTableParallel(tab, []SortKey{{Column: "s"}}, 1, 0, &ctr)
+		out, err := SortTable(tab, []SortKey{{Column: "s"}}, 1, 0, &ctr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,8 +67,8 @@ type Breakdown struct {
 	// MemSeqSeconds.
 	PartitionSeconds float64
 	// MergeSeconds is time spent combining per-worker partial results
-	// (partitioning builds, folding thread-local aggregates, merging
-	// sort runs). It is charged at single-core bandwidth and does not
+	// (folding thread-local aggregates, concatenating per-morsel
+	// outputs). It is charged at single-core bandwidth and does not
 	// shrink with more cores, so parallel speedups stay sub-linear.
 	MergeSeconds float64
 	// SwapSeconds is thrashing time when the working set exceeds RAM.

@@ -2,7 +2,10 @@
 // implementations: one table of inputs and one set of assertions, run by
 // internal/exec over the resident layouts and by internal/plan over the
 // spill joiner, so "byte-identical to the chained table" means the same
-// thing for every implementation.
+// thing for every implementation. The partitioned chained build and the
+// spill joiner scatter their build sides through one partitioner
+// (exec.RadixPartitionKeys, routing by exec.RadixOf), so a skewed or
+// degenerate partitioning below is the same partitioning for both.
 package jointest
 
 import (
@@ -23,7 +26,7 @@ type Input struct {
 
 // Every side but the empty ones is longer than Run's morsel, so at two
 // workers and more every implementation splits its probes into morsels
-// and exec.BuildJoinTableParallel partitions its build.
+// and exec.BuildJoinTableParallel radix-partitions its build.
 const (
 	nProbe       = 24_000
 	nBuild       = 6_000
@@ -38,7 +41,8 @@ const (
 // degenerate partitionings: a build of one key (every match a long
 // reversed duplicate run) and a build confined to the first of 16 radix
 // partitions (every other partition of the spill joiner is empty, every
-// spilled one among them); and compact key ranges for the positional
+// spilled one among them, and so is every part of a partitioned build
+// at 4 bits or fewer but the first); and compact key ranges for the positional
 // layout, and a build whose only duplicate is its last row.
 func Inputs() []Input {
 	rng := rand.New(rand.NewSource(16))

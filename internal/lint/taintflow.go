@@ -116,8 +116,8 @@ func checkVoidGlobalRand(pass *Pass, call *ast.CallExpr) {
 // operands whose body can `return 0` without ever asking math.IsNaN.
 // IEEE `<` and `>` are both false when either operand is NaN, so such a
 // comparator calls NaN equal to everything, which is not a total order:
-// a parallel run-sort + merge built on it emits NaNs wherever their
-// morsel happened to land, varying with the worker count.
+// a sort built on it emits NaNs wherever the input order happened to
+// put them, and a parallel sort varies with the worker count.
 func checkFloatComparator(pass *Pass, ft *ast.FuncType, body *ast.BlockStmt) {
 	if !isOrderingSig(pass, ft) {
 		return

@@ -841,22 +841,11 @@ func (st *fusedState) sinkGroup(g *GroupBy) (*colstore.Table, error) {
 // sinkOrder materializes the full scope (the exact table the vector
 // chain would have produced) and runs the shared sort kernels.
 func (st *fusedState) sinkOrder(o *OrderBy) (*colstore.Table, error) {
-	ctx := st.ctx
 	in, err := st.materializeTable(st.scope)
 	if err != nil {
 		return nil, err
 	}
-	var out *colstore.Table
-	if o.N > 0 {
-		out, err = exec.TopNParallel(in, o.Keys, o.N, ctx.workers(), ctx.morselRows(), ctx.Ctr)
-	} else {
-		out, err = exec.SortTableParallel(in, o.Keys, ctx.workers(), ctx.morselRows(), ctx.Ctr)
-	}
-	if err != nil {
-		return nil, err
-	}
-	observe(ctx, in, out)
-	return out, nil
+	return o.sort(st.ctx, in)
 }
 
 // sinkPlain materializes the full scope: the pipeline's output feeds a

@@ -459,11 +459,18 @@ func (o *OrderBy) Execute(ctx *Context) (*colstore.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	return o.sort(ctx, in)
+}
+
+// sort runs the sort kernel over in: the vector node's and the fused
+// sink's one body.
+func (o *OrderBy) sort(ctx *Context, in *colstore.Table) (*colstore.Table, error) {
 	var out *colstore.Table
+	var err error
 	if o.N > 0 {
-		out, err = exec.TopNParallel(in, o.Keys, o.N, ctx.workers(), ctx.morselRows(), ctx.Ctr)
+		out, err = exec.TopN(in, o.Keys, o.N, ctx.workers(), ctx.morselRows(), ctx.Ctr)
 	} else {
-		out, err = exec.SortTableParallel(in, o.Keys, ctx.workers(), ctx.morselRows(), ctx.Ctr)
+		out, err = exec.SortTable(in, o.Keys, ctx.workers(), ctx.morselRows(), ctx.Ctr)
 	}
 	if err != nil {
 		return nil, err
